@@ -26,6 +26,9 @@ flagged line.
 
 from __future__ import annotations
 
+import importlib
+from typing import Any
+
 from .annotations import (
     any_thread,
     enable_thread_asserts,
@@ -35,8 +38,28 @@ from .annotations import (
     thread_asserts_enabled,
     unmark_loop_thread,
 )
-from .findings import Finding, format_finding
-from .runner import AnalyzedModule, LintResult, analyze_paths, run_checkers
+
+# The annotations above are on the import path of every hot module (sched,
+# pool, net, worker); the lint runner and its checkers are not, so their
+# names resolve on first use (PEP 562) and a volunteer never imports them.
+_LAZY = {
+    "Finding": "findings",
+    "format_finding": "findings",
+    "AnalyzedModule": "runner",
+    "LintResult": "runner",
+    "analyze_paths": "runner",
+    "run_checkers": "runner",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AnalyzedModule",

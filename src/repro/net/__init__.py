@@ -34,6 +34,7 @@ from .ws_transport import (
     WsVolunteerGateway,
     connect_websocket,
     pack_wire_frame,
+    pack_wire_parts,
     unpack_wire_frame,
 )
 
@@ -68,5 +69,6 @@ __all__ = [
     "WsVolunteerGateway",
     "connect_websocket",
     "pack_wire_frame",
+    "pack_wire_parts",
     "unpack_wire_frame",
 ]

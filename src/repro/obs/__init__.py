@@ -6,11 +6,9 @@ ring buffer and the per-frame tracer) and :mod:`repro.obs.http_endpoint`
 (the stdlib HTTP scrape server behind ``DistributedMap.serve_metrics``).
 """
 
-from .http_endpoint import (
-    AsyncMetricsEndpoint,
-    ThreadedMetricsEndpoint,
-    serve_registry,
-)
+import importlib
+from typing import Any
+
 from .registry import (
     DEFAULT_BYTES_BUCKETS,
     DEFAULT_SECONDS_BUCKETS,
@@ -20,6 +18,19 @@ from .registry import (
     MetricsRegistry,
 )
 from .trace import Observability, TraceEvent, TraceLog
+
+# Every map imports this package for the tracer; only a process that serves
+# metrics needs the endpoint (and ``http.server`` behind it), so these three
+# names resolve on first use (PEP 562).
+_LAZY = ("AsyncMetricsEndpoint", "ThreadedMetricsEndpoint", "serve_registry")
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.http_endpoint"), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "AsyncMetricsEndpoint",

@@ -49,6 +49,7 @@ from ..net.ws_transport import (
     LoopClock,
     connect_websocket,
     pack_wire_frame,
+    pack_wire_parts,
     unpack_wire_frame,
 )
 from ..pool.tasks import resolve_callable, run_batch
@@ -242,6 +243,11 @@ async def _volunteer_session(
         if payload is None:
             raise ConnectionClosed("master closed the connection during the handshake")
         welcome = unpack_wire_frame(payload)
+        if welcome.get("kind") == END:
+            # Refused: the stream had already terminated when we knocked.
+            # Nothing to do and nothing went wrong — go home cleanly.
+            report.graceful = True
+            return report
         if welcome.get("kind") != WELCOME:
             raise ProtocolError(f"expected a welcome frame, got {welcome.get('kind')!r}")
         report.worker_id = welcome.get("worker_id")
@@ -302,7 +308,7 @@ async def _volunteer_session(
                     }
                     if trace_out is not None:
                         result_record["trace"] = trace_out
-                    conn.send_bytes(pack_wire_frame(result_record, values))
+                    conn.send_bytes(pack_wire_parts(result_record, values))
                     await conn.drain()
                 except Exception as exc:
                     if report.error is None:

@@ -89,12 +89,12 @@ class TestWireCodec:
 # --------------------------------------------------------------------------
 
 
-def _decode(data: bytes, max_frame: int = 1 << 26):
+def _decode(data: bytes, masked: bool, max_frame: int = 1 << 26):
     async def go():
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
-        return await _read_ws_frame(reader, max_frame)
+        return await _read_ws_frame(reader, max_frame, masked)
 
     return asyncio.run(go())
 
@@ -102,21 +102,27 @@ def _decode(data: bytes, max_frame: int = 1 << 26):
 class TestFraming:
     def test_mask_is_an_involution(self):
         payload, key = b"hello websocket world", b"\x12\x34\x56\x78"
-        assert _apply_mask(_apply_mask(payload, key), key) == payload
-        assert _apply_mask(b"", key) == b""
+        buffer = bytearray(payload)
+        _apply_mask(buffer, key)
+        assert buffer == bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        _apply_mask(buffer, key)
+        assert buffer == payload
+        empty = bytearray()
+        _apply_mask(empty, key)
+        assert empty == b""
 
     @pytest.mark.parametrize("size", [0, 5, 125, 126, 65535, 65536, 100_000])
     @pytest.mark.parametrize("mask", [False, True])
     def test_encode_decode_roundtrip(self, size, mask):
         payload = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
-        fin, opcode, out = _decode(encode_ws_frame(OP_BINARY, payload, mask=mask))
+        fin, opcode, out = _decode(encode_ws_frame(OP_BINARY, payload, mask=mask), mask)
         assert fin and opcode == OP_BINARY
         assert out == payload
 
     def test_oversized_frame_is_refused(self):
         frame = encode_ws_frame(OP_BINARY, b"x" * 1000, mask=False)
         with pytest.raises(ProtocolError):
-            _decode(frame, max_frame=100)
+            _decode(frame, masked=False, max_frame=100)
 
     def test_fragmented_message_reassembles(self):
         # FIN=0 BINARY then FIN=1 CONT — hand-built headers.
@@ -139,7 +145,8 @@ class TestFraming:
                 def close(self):
                     writer_closed.append(True)
 
-            conn = WsConnection(reader, _W(), client_side=False)
+            # unmasked frames: this is the volunteer's end of the wire
+            conn = WsConnection(reader, _W(), client_side=True)
             return await conn.recv()
 
         assert asyncio.run(go()) == b"abcdef"

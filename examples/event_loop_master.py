@@ -1,20 +1,18 @@
 #!/usr/bin/env python
 """One event loop driving two process pools and a simulated network channel.
 
-Without a scheduler, a single unsharded master serialises its pools: the
-first pool's blocking head-of-line drain monopolises the interpreter thread
-while the others idle.  `DistributedMap(scheduler="asyncio")` registers
-every pool with one `EventLoopScheduler` — their futures wake the loop as
-they complete, so all pools compute concurrently without sharding, and a
-simulated network channel can interleave with them on the same thread.
+Every `DistributedMap` is driven by an `EventLoopScheduler`; every pool
+attached to it is registered there and delivers as its futures complete, so
+all pools compute concurrently without sharding.  Passing a scheduler
+instance shares one loop between the map and a simulated network channel,
+which then interleaves with the pools on the same thread.
 
 Run with::
 
     python examples/event_loop_master.py --values 32
 
-Add ``--compare`` to also time the blocking single-master topology and
-print the speedup, and ``--with-channel`` to attach a simulated volunteer
-channel next to the pools (its frames are stepped on the same loop).
+Add ``--with-channel`` to attach a simulated volunteer channel next to the
+pools (its frames are stepped on the same loop).
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ def main() -> None:
         "concurrency shows even on a single-core host)",
     )
     parser.add_argument(
-        "--compare", action="store_true",
-        help="also run the blocking single-master path and report the speedup",
-    )
-    parser.add_argument(
         "--with-channel", action="store_true",
         help="attach a simulated volunteer channel driven by the same loop",
     )
@@ -48,26 +42,6 @@ def main() -> None:
     inputs = [
         {"sleep": args.sleep, "index": index} for index in range(args.values)
     ]
-
-    if args.compare:
-        from repro.bench.comparison import compare_event_loop
-
-        comparison = compare_event_loop(
-            "repro.pool.workloads:sleep_echo",
-            inputs,
-            pools=args.pools,
-            processes_per_pool=args.processes_per_pool,
-            batch_size=args.batch_size,
-            workload="sleep_echo",
-        )
-        print(
-            f"blocking master: {comparison.blocking_seconds:.3f}s, "
-            f"event loop: {comparison.event_loop_seconds:.3f}s, "
-            f"speedup: {comparison.speedup:.2f}x "
-            f"(per-pool {comparison.per_pool_delivered})"
-        )
-        assert comparison.results_match
-        return
 
     scheduler = EventLoopScheduler()
     dmap = DistributedMap(batch_size=args.batch_size, scheduler=scheduler)

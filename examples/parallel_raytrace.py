@@ -72,6 +72,7 @@ def main() -> None:
         batch_size=args.batch_size,
     )
     try:
+        dmap.drive(output)
         frames = output.result()
     finally:
         dmap.close()

@@ -2,19 +2,15 @@
 """Shard the master across two process pools that pump concurrently.
 
 A single `StreamLender` is one ordering domain: one reorder buffer, one
-upstream pump — attach two process pools to it and the first pool's blocking
-result drain monopolises the interpreter thread while the second idles.
-`DistributedMap(shards=2)` splits the input round-robin across two
-independent lenders (each with its own reorder buffer, failure queue and
-stats), places each pool on the least-loaded shard, and merges the outputs
-back in global input order while `drive()` pumps both pools at once.
+failure queue, one upstream pump.  `DistributedMap(shards=2)` splits the
+input round-robin across two independent lenders (each with its own reorder
+buffer, failure queue and stats), places each pool on the least-loaded
+shard, and merges the outputs back in global input order while `drive()`
+pumps both pools at once.
 
 Run with::
 
     python examples/sharded_master.py --values 32 --shards 2
-
-Add ``--compare`` to also time the single-master topology and print the
-speedup.
 """
 
 from __future__ import annotations
@@ -36,32 +32,10 @@ def main() -> None:
         help="seconds of simulated work per value (latency-bound, so the "
         "concurrency shows even on a single-core host)",
     )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="also run the single-master topology and report the speedup",
-    )
     args = parser.parse_args()
     inputs = [
         {"sleep": args.sleep, "index": index} for index in range(args.values)
     ]
-
-    if args.compare:
-        from repro.bench.comparison import compare_sharding
-
-        comparison = compare_sharding(
-            "repro.pool.workloads:sleep_echo",
-            inputs,
-            shards=args.shards,
-            processes_per_pool=args.processes_per_pool,
-            batch_size=args.batch_size,
-            workload="sleep_echo",
-        )
-        print(
-            f"single master: {comparison.single_master_seconds:.3f}s, "
-            f"{comparison.shards} shards: {comparison.sharded_seconds:.3f}s "
-            f"({comparison.speedup:.2f}x, per-shard "
-            f"{comparison.per_shard_delivered})"
-        )
 
     started = time.perf_counter()
     dmap = DistributedMap(batch_size=args.batch_size, shards=args.shards)

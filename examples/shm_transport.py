@@ -73,6 +73,7 @@ def main() -> None:
         slot_size=max(tile_bytes, 1 << 16),
     )
     try:
+        dmap.drive(output)
         inverted = output.result()
     finally:
         dmap.close()

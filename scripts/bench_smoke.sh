@@ -11,7 +11,6 @@ export REPRO_BENCH_FAST=1
 python -m pytest \
     benchmarks/bench_core_micro.py \
     benchmarks/bench_pool_speedup.py \
-    benchmarks/bench_shard_scaling.py \
     benchmarks/bench_unordered_scaling.py \
     benchmarks/bench_event_loop.py \
     benchmarks/bench_shm_transport.py \

@@ -3,9 +3,9 @@
 The whole pull-stream machinery — lender, limiter, splitter, sinks — runs
 without locks because every callback is dispatched on exactly one thread:
 the thread spinning :meth:`~repro.sched.event_loop.EventLoopScheduler.run`
-(or, under the thread driver, the thread that called ``drive``).  Work
-arrives from other threads only through the two sanctioned crossings,
-``scheduler.wake()`` and :class:`~repro.sched.sources.PushablePort`.
+(which is what ``DistributedMap.drive`` calls).  Work arrives from other
+threads only through the two sanctioned crossings, ``scheduler.wake()`` and
+:class:`~repro.sched.sources.PushablePort`.
 
 That contract used to live in docstrings.  These decorators make it a
 machine-checkable property:
@@ -73,7 +73,7 @@ def mark_loop_thread(ident: Optional[int] = None) -> Optional[int]:
 
     Returns the previously registered ident so callers can restore it —
     :meth:`EventLoopScheduler.run` marks on entry and restores on exit, which
-    keeps nested/sequential runs and the thread driver composable.
+    keeps nested/sequential runs composable.
     """
     global _loop_thread
     previous = _loop_thread

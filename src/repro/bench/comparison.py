@@ -31,13 +31,9 @@ __all__ = [
     "PoolTransportComparison",
     "compare_pool_transport",
     "large_payload_inputs",
-    "ShardingComparison",
-    "compare_sharding",
     "UnorderedShardingComparison",
     "compare_unordered_sharding",
     "crypto_search_inputs",
-    "EventLoopComparison",
-    "compare_event_loop",
     "ObsOverheadComparison",
     "compare_obs_overhead",
 ]
@@ -203,6 +199,7 @@ def compare_backends(
         pool_map.add_process_pool(
             fn_ref, processes=processes, batch_size=batch_size, window=window
         )
+        pool_map.drive(pool_sink)
         pool_results = pool_sink.result()
     finally:
         pool_map.close()
@@ -331,6 +328,7 @@ def compare_pool_transport(
                 slot_count=slot_count if transport == "shm" else None,
                 slot_size=slot_size if transport == "shm" else None,
             )
+            dmap.drive(sink)
             results = sink.result()
         finally:
             dmap.close()
@@ -377,225 +375,6 @@ def run_task_locally(fn_ref: Any, value: Any) -> Any:
     from ..pool.tasks import run_task
 
     return run_task(fn_ref, value)
-
-
-# --------------------------------------------------------------------------
-# Delivery drivers: blocking single master vs. the asyncio event loop.
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class EventLoopComparison:
-    """Measured wall-clock of one single master driven two different ways.
-
-    Both arms are the **same topology** — one unsharded ``DistributedMap``
-    with *pools* process pools of *processes_per_pool* each — so the
-    measured difference is purely the delivery driver: blocking pool
-    sources, whose head-of-line ``future.result()`` waits serialise the
-    pools on the interpreter thread, against non-blocking sources pumped
-    concurrently by one :class:`~repro.sched.EventLoopScheduler`.
-    """
-
-    workload: str
-    values: int
-    pools: int
-    processes_per_pool: int
-    batch_size: int
-    blocking_seconds: float
-    event_loop_seconds: float
-    results_match: bool
-    #: results delivered by each pool of the event-loop arm
-    per_pool_delivered: List[int]
-
-    @property
-    def speedup(self) -> float:
-        """Event-loop speedup over the blocking single-master path."""
-        if self.event_loop_seconds <= 0:
-            return float("inf")
-        return self.blocking_seconds / self.event_loop_seconds
-
-
-def compare_event_loop(
-    fn_ref: Any,
-    inputs: Iterable[Any],
-    pools: int = 2,
-    processes_per_pool: int = 1,
-    batch_size: int = 2,
-    window: Optional[int] = None,
-    workload: Optional[str] = None,
-) -> EventLoopComparison:
-    """Run *inputs* through one unsharded master, blocking then event-loop.
-
-    The blocking arm attaches *pools* blocking pools: the first pool's
-    head-of-line drain monopolises the interpreter thread, so the later
-    pools idle (today's default multi-pool behaviour without sharding).
-    The event-loop arm attaches the same pools non-blocking under an
-    :class:`~repro.sched.EventLoopScheduler`, which delivers each pool's
-    results as its futures complete — the single-master multi-pool
-    concurrency the sharded topology previously required.  Both runs
-    include pool start-up, which is the honest number a user experiences.
-    """
-    from ..core.distributed_map import DistributedMap
-    from ..pullstream import collect, pull, values
-
-    items = list(inputs)
-
-    start = time.perf_counter()
-    blocking = DistributedMap(batch_size=max(1, batch_size))
-    blocking_sink = pull(values(items), blocking, collect())
-    try:
-        for _ in range(pools):
-            blocking.add_process_pool(
-                fn_ref,
-                processes=processes_per_pool,
-                batch_size=batch_size,
-                window=window,
-            )
-        blocking_results = blocking_sink.result()
-    finally:
-        blocking.close()
-    blocking_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    looped = DistributedMap(batch_size=max(1, batch_size), scheduler="asyncio")
-    looped_sink = pull(values(items), looped, collect())
-    try:
-        for _ in range(pools):
-            looped.add_process_pool(
-                fn_ref,
-                processes=processes_per_pool,
-                batch_size=batch_size,
-                window=window,
-            )
-        looped.drive(looped_sink)
-        looped_results = looped_sink.result()
-        per_pool = [
-            handle.pool.results_returned
-            for handle in looped.workers.values()
-            if handle.pool is not None
-        ]
-    finally:
-        looped.close()
-    event_loop_seconds = time.perf_counter() - start
-
-    return EventLoopComparison(
-        workload=workload or repr(fn_ref),
-        values=len(items),
-        pools=pools,
-        processes_per_pool=processes_per_pool,
-        batch_size=batch_size,
-        blocking_seconds=blocking_seconds,
-        event_loop_seconds=event_loop_seconds,
-        results_match=blocking_results == looped_results,
-        per_pool_delivered=per_pool,
-    )
-
-
-# --------------------------------------------------------------------------
-# Master topologies: one ordering domain vs. a sharded multi-master.
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ShardingComparison:
-    """Measured wall-clock of a single master vs. a sharded master.
-
-    Both arms get the same resources — *shards* process pools of
-    *processes_per_pool* each — so the difference is purely the master
-    topology: one ``StreamLender`` whose blocking head-of-line drain
-    serialises the pools, against a ``ShardedLender`` whose non-blocking
-    pools pump concurrently under ``DistributedMap.drive``.
-    """
-
-    workload: str
-    values: int
-    shards: int
-    processes_per_pool: int
-    batch_size: int
-    single_master_seconds: float
-    sharded_seconds: float
-    results_match: bool
-    #: results delivered by each shard of the sharded arm
-    per_shard_delivered: List[int]
-
-    @property
-    def speedup(self) -> float:
-        """Sharded-master speedup over the single-master topology."""
-        if self.sharded_seconds <= 0:
-            return float("inf")
-        return self.single_master_seconds / self.sharded_seconds
-
-
-def compare_sharding(
-    fn_ref: Any,
-    inputs: Iterable[Any],
-    shards: int = 2,
-    processes_per_pool: int = 1,
-    batch_size: int = 2,
-    window: Optional[int] = None,
-    workload: Optional[str] = None,
-) -> ShardingComparison:
-    """Run *inputs* through a single master, then through a sharded one.
-
-    Each arm attaches *shards* process pools.  On the single master they
-    share one ordering domain: the first pool's blocking result drain
-    monopolises the interpreter thread, so the later pools idle (today's
-    multi-pool behaviour).  On the sharded master each pool serves its own
-    shard in non-blocking mode and all of them pump concurrently.  Both
-    runs include pool start-up, which is the honest number a user
-    experiences.
-    """
-    from ..core.distributed_map import DistributedMap
-    from ..pullstream import collect, pull, values
-
-    items = list(inputs)
-
-    start = time.perf_counter()
-    single = DistributedMap(batch_size=max(1, batch_size))
-    single_sink = pull(values(items), single, collect())
-    try:
-        for _ in range(shards):
-            single.add_process_pool(
-                fn_ref,
-                processes=processes_per_pool,
-                batch_size=batch_size,
-                window=window,
-            )
-        single_results = single_sink.result()
-    finally:
-        single.close()
-    single_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = DistributedMap(batch_size=max(1, batch_size), shards=shards)
-    sharded_sink = pull(values(items), sharded, collect())
-    try:
-        for _ in range(shards):
-            sharded.add_process_pool(
-                fn_ref,
-                processes=processes_per_pool,
-                batch_size=batch_size,
-                window=window,
-            )
-        sharded.drive(sharded_sink)
-        sharded_results = sharded_sink.result()
-    finally:
-        sharded.close()
-    sharded_seconds = time.perf_counter() - start
-
-    return ShardingComparison(
-        workload=workload or repr(fn_ref),
-        values=len(items),
-        shards=shards,
-        processes_per_pool=processes_per_pool,
-        batch_size=batch_size,
-        single_master_seconds=single_seconds,
-        sharded_seconds=sharded_seconds,
-        results_match=single_results == sharded_results,
-        per_shard_delivered=[
-            stats.results_delivered for stats in sharded.per_shard_stats
-        ],
-    )
 
 
 # --------------------------------------------------------------------------
@@ -835,6 +614,7 @@ def compare_obs_overhead(
         sink = pull(values(items), dmap, collect())
         try:
             dmap.add_process_pool(fn_ref, processes=processes, batch_size=batch_size)
+            dmap.drive(sink)
             results = sink.result()
             seconds = time.perf_counter() - start
             frames = 0

@@ -121,16 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shard stalls (default: unbounded)",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=["thread", "asyncio"],
-        default="thread",
-        help="who pumps non-blocking pool results: 'thread' waits on the "
-        "pools' head futures directly, 'asyncio' registers every pool with "
-        "one event loop so multiple pools compute concurrently even without "
-        "--shards (and a find-style abort cancels their queued tasks "
-        "immediately)",
-    )
-    parser.add_argument(
         "--count",
         type=int,
         default=None,
@@ -206,7 +196,6 @@ def run_pipeline(
     fn_ref: Any = None,
     shards: int = 1,
     split_buffer: Optional[int] = None,
-    scheduler: str = "thread",
     pool_transport: str = "pipe",
     metrics_port: Optional[int] = None,
     stats_out: Any = None,
@@ -228,11 +217,8 @@ def run_pipeline(
     completion order, and *split_buffer* caps the splitter's per-shard
     buffering (see :class:`~repro.core.distributed_map.DistributedMap`).
 
-    ``scheduler="asyncio"`` drives the pools through one
-    :class:`~repro.sched.EventLoopScheduler` instead of the thread driver —
-    the configuration where several pools compute concurrently on a single
-    unsharded master.  ``pool_transport="shm"`` moves large payloads through
-    each pool's shared-memory slot ring instead of the executor pipe.
+    ``pool_transport="shm"`` moves large payloads through each pool's
+    shared-memory slot ring instead of the executor pipe.
 
     *metrics_port* serves the map's Prometheus-style scrape endpoint on
     that port for the duration of the run (0 picks a free port); the
@@ -245,7 +231,6 @@ def run_pipeline(
         batch_size=batch_size,
         shards=shards,
         split_buffer=split_buffer,
-        scheduler="asyncio" if scheduler == "asyncio" else None,
     )
     if metrics_port is not None:
         endpoint = dmap.serve_metrics(port=metrics_port)
@@ -346,10 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--simulate does not support --shards (simulated "
                      "deployments run a single master)")
         return 2  # pragma: no cover - parser.error raises
-    if args.scheduler == "asyncio" and args.simulate is not None:
-        parser.error("--simulate does not support --scheduler asyncio "
-                     "(simulated deployments spin their own virtual-time loop)")
-        return 2  # pragma: no cover - parser.error raises
     if args.pool_transport != "pipe" and args.backend != "pool":
         parser.error("--pool-transport requires --backend pool (only the "
                      "process-pool backend moves payloads between processes)")
@@ -385,7 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         fn_ref=fn_ref,
         shards=args.shards,
         split_buffer=args.split_buffer,
-        scheduler=args.scheduler,
         pool_transport=args.pool_transport,
         metrics_port=args.metrics_port,
         stats_out=stderr if args.stats_json else None,

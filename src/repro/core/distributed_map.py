@@ -10,7 +10,6 @@ channels, or plain in-process workers for testing).
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import PandoError
@@ -19,6 +18,7 @@ from ..pullstream import async_map, batching, pull, unbatching
 from ..pullstream.duplex import Duplex
 from ..pullstream.protocol import ProtocolChecker, Source
 from ..pullstream.sinks import SinkResult
+from ..sched import EventLoopScheduler
 from .lender import StreamLender, SubStream, UnorderedStreamLender
 from .limiter import Limiter
 from .sharding import ShardedLender
@@ -192,21 +192,18 @@ class DistributedMap:
     buffer, failure queue and stats) and the outputs are merged back in
     global input order — or, with ``ordered=False``, in completion order
     across all shards, so a search hit computed on any shard is delivered
-    the moment it is ready.  Workers are placed on the least-loaded shard,
-    and process pools default to non-blocking delivery so that several of
-    them pump concurrently under :meth:`drive` instead of serialising behind
-    one blocking head-of-line drain.  ``split_buffer=N`` bounds the
-    splitter's per-shard buffering: a shard stalled N values behind parks
-    the input pump (back-pressure on the faster shards) instead of growing
-    its backlog without bound.
+    the moment it is ready.  Workers are placed on the least-loaded shard.
+    ``split_buffer=N`` bounds the splitter's per-shard buffering: a shard
+    stalled N values behind parks the input pump (back-pressure on the
+    faster shards) instead of growing its backlog without bound.
 
-    ``scheduler`` selects who pumps the non-blocking sources.  ``None`` (the
-    default) keeps the thread driver: :meth:`drive` waits on the pools' head
-    futures directly.  ``"asyncio"`` — or an explicit
-    :class:`~repro.sched.EventLoopScheduler` instance, which may be shared
-    with simulated channels and other maps — makes every pool non-blocking
-    (even on an unsharded map, so **2+ pools on a single master compute
-    concurrently**) and :meth:`drive` spins the event loop instead.
+    One driver: every map is pumped by an
+    :class:`~repro.sched.EventLoopScheduler` — its own private one, or the
+    instance passed as ``scheduler`` to share one loop with a simulation or
+    other maps (``"asyncio"`` is a synonym of the default).  Every process
+    pool delivers non-blocking and is registered with it on attachment, so
+    any number of pools compute concurrently, sharded or not; anything but
+    in-process workers completes under :meth:`drive`.
     """
 
     pull_role = "through"
@@ -235,20 +232,15 @@ class DistributedMap:
         self.batch_size = batch_size
         self.shards = shards
         self.split_buffer = split_buffer
-        self._owns_scheduler = False
-        if scheduler == "asyncio":
-            from ..sched import EventLoopScheduler
-
-            scheduler = EventLoopScheduler()
-            self._owns_scheduler = True
-        elif isinstance(scheduler, str):
+        if isinstance(scheduler, str) and scheduler != "asyncio":
             raise ValueError(
-                f"unknown scheduler {scheduler!r}: pass None (thread driver), "
-                f"'asyncio', or an EventLoopScheduler instance"
+                f"unknown scheduler {scheduler!r}: pass an EventLoopScheduler "
+                f"instance to share, or nothing for the map's own"
             )
-        #: the :class:`~repro.sched.EventLoopScheduler` pumping this map's
-        #: non-blocking sources, or ``None`` for the thread driver
-        self.scheduler = scheduler
+        self._owns_scheduler = scheduler is None or scheduler == "asyncio"
+        #: the :class:`~repro.sched.EventLoopScheduler` driving this map;
+        #: :meth:`close` closes it only when the map created it
+        self.scheduler = EventLoopScheduler() if self._owns_scheduler else scheduler
         if shards > 1:
             #: the single lender or the sharded multi-master composition
             self.lender: Any = ShardedLender(
@@ -270,9 +262,6 @@ class DistributedMap:
         self._metrics_endpoints: List[Any] = []
         self._volunteer_registries: List[Any] = []
         self._counter = 0
-        # thread-driver counters, mirrors of the scheduler's rounds/stalls
-        self.drive_rounds = 0
-        self.drive_stalls = 0
         #: this map's observability plane — metrics registry, trace-event
         #: ring buffer, and the per-frame tracer threaded through the
         #: transports.  ``metrics=False`` disables the per-frame hot path
@@ -280,7 +269,7 @@ class DistributedMap:
         #: trace log always exist, so collectors register either way and
         #: cost nothing until scraped.
         self.obs = Observability(enabled=bool(metrics), job_id=job_id)
-        if self.scheduler is not None and getattr(self.scheduler, "trace", None) is None:
+        if self.scheduler.trace is None:
             self.scheduler.trace = self.obs.trace
         if shards > 1:
             self.lender.set_trace(self.obs.trace.emit)
@@ -358,8 +347,6 @@ class DistributedMap:
         batch_size: Optional[int] = None,
         window: Optional[int] = None,
         worker_id: Optional[str] = None,
-        task_timeout: Optional[float] = None,
-        blocking: Optional[bool] = None,
         transport: str = "pipe",
         slot_count: Optional[int] = None,
         slot_size: Optional[int] = None,
@@ -382,13 +369,9 @@ class DistributedMap:
         (a task error or a killed worker process) remain exactly those of a
         remote channel: the sub-stream fails and borrowed values are re-lent.
 
-        ``blocking`` selects the pool's result-delivery mode and defaults to
-        the map's: on a sharded map (``shards > 1``) or a map with an event
-        -loop ``scheduler`` pools are non-blocking, so several of them can
-        pump concurrently under :meth:`drive`; on a thread-driven
-        single-master map the source blocks on the head-of-line future and
-        no drive loop is needed.  Non-blocking pools are auto-registered
-        with the map's scheduler when one is attached.
+        The pool delivers non-blocking and is registered with the map's
+        scheduler: results arrive — and several pools pump concurrently —
+        under :meth:`drive`, never during attachment.
 
         ``transport="shm"`` moves large ``bytes``/array payloads through a
         shared-memory slot ring instead of pickling them through the
@@ -404,16 +387,13 @@ class DistributedMap:
         from ..pool import ProcessPoolWorker, default_window
 
         worker_id = self._claim_worker_id(worker_id)
-        if blocking is None:
-            blocking = self.shards == 1 and self.scheduler is None
         # The executor spawns its processes lazily, so creating the pool
         # before the late-attachment check in _lend_substream costs nothing;
         # on failure it is closed before the error propagates.
         pool = ProcessPoolWorker(
             fn_ref,
             processes=processes,
-            task_timeout=task_timeout,
-            blocking=blocking,
+            blocking=False,
             transport=transport,
             slot_count=slot_count,
             slot_size=slot_size,
@@ -429,8 +409,7 @@ class DistributedMap:
             # Register before lending: a failed lend leaves only an inert
             # source behind (the closed pool never reports ready), whereas a
             # failed registration after lending would orphan a sub-stream.
-            if self.scheduler is not None and not blocking:
-                self.scheduler.register_pool(pool)
+            self.scheduler.register_pool(pool)
             sub = self._lend_substream(worker_id)
         except Exception:
             pool.close()
@@ -453,9 +432,7 @@ class DistributedMap:
 
         Binds a :class:`~repro.net.ws_transport.WsVolunteerGateway` on
         *host*:*port* (0 picks a free port) and registers it with the map's
-        event-loop scheduler — so this map must have one
-        (``scheduler="asyncio"`` or an explicit instance).  Every process
-        that runs ``pando volunteer <gateway.url>`` (or
+        scheduler.  Every process that runs ``pando volunteer <gateway.url>`` (or
         :func:`~repro.worker.volunteer.run_volunteer`) while :meth:`drive`
         spins becomes an ordinary channel worker: *fn_ref* travels to it in
         the welcome frame, a heartbeat monitor guards its liveness, and a
@@ -479,18 +456,15 @@ class DistributedMap:
         """Serve this map's metrics registry over HTTP (Prometheus text).
 
         Binds a scrape endpoint on *host*:*port* (0 picks a free port) and
-        returns it; ``endpoint.url`` is the address to scrape.  On a map
-        with an event-loop scheduler the endpoint runs on the loop and is
-        registered as an :class:`~repro.sched.sources.EventSource` — exactly
-        like the websocket volunteer gateway — so scrapes are answered while
-        :meth:`drive` spins.  On a thread-driven map it runs on a daemon
-        thread instead.  :meth:`close` stops every endpoint started here.
+        returns it; ``endpoint.url`` is the address to scrape.  It runs on a
+        daemon thread, so a scrape is answered while :meth:`drive` spins and
+        after it returned alike.  :meth:`close` stops every endpoint started
+        here.
         """
-        from ..obs.http_endpoint import serve_registry
+        from ..obs.http_endpoint import ThreadedMetricsEndpoint
 
-        endpoint = serve_registry(
-            self.obs.registry, self.scheduler, host=host, port=port
-        )
+        endpoint = ThreadedMetricsEndpoint(self.obs.registry, host=host, port=port)
+        endpoint.start()
         self._metrics_endpoints.append(endpoint)
         return endpoint
 
@@ -537,23 +511,11 @@ class DistributedMap:
                     (lambda stats=stats, name=field: getattr(stats, name)),
                     labels=labels,
                 )
-        if self.scheduler is not None:
-            for field, help_text in _SCHED_FIELDS:
-                registry.register_callback(
-                    f"pando_sched_{field}_total",
-                    help_text,
-                    (lambda sched=self.scheduler, name=field: getattr(sched, name, 0)),
-                )
-        else:
+        for field, help_text in _SCHED_FIELDS:
             registry.register_callback(
-                "pando_sched_rounds_total",
-                "Dispatch rounds run by the thread driver.",
-                lambda: self.drive_rounds,
-            )
-            registry.register_callback(
-                "pando_sched_stalls_total",
-                "Thread-driver stalls diagnosed (each raised to the caller).",
-                lambda: self.drive_stalls,
+                f"pando_sched_{field}_total",
+                help_text,
+                (lambda sched=self.scheduler, name=field: getattr(sched, name, 0)),
             )
 
     def _register_pool_collectors(self, worker_id: str, pool: Any) -> None:
@@ -668,18 +630,15 @@ class DistributedMap:
         poll_interval: float = 0.05,
         cancel_on_abort: bool = True,
     ) -> None:
-        """Pump the attached non-blocking process pools until *sinks* complete.
+        """Pump the map's pools, volunteers and channels until *sinks* complete.
 
-        Non-blocking pools (the default on a sharded map or under an event
-        -loop scheduler) park their result asks instead of blocking the
-        interpreter thread on the head-of-line future, so somebody must
-        deliver completed futures back into the stream machinery.  With a
-        ``scheduler`` attached, this is a thin wrapper that spins the
-        :class:`~repro.sched.EventLoopScheduler` until the sinks complete;
-        otherwise the thread driver below waits on the pools' head futures
-        (first-completed), polls every pool, and repeats.  Either way all
-        stream callbacks run on the calling thread, so the single-threaded
-        pull-stream machinery needs no locks.
+        Pools park their result asks instead of blocking the interpreter
+        thread on the head-of-line future, gateways and ports only enqueue,
+        so somebody must deliver the ready work back into the stream
+        machinery: this spins the map's
+        :class:`~repro.sched.EventLoopScheduler` until the sinks complete.
+        All stream callbacks run on the calling thread, so the
+        single-threaded pull-stream machinery needs no locks.
 
         ``cancel_on_abort`` (default True) is the cancellation fan-out fast
         path: the moment the map's output aborts — a ``find`` sink hit, or
@@ -689,82 +648,26 @@ class DistributedMap:
         Pass False to keep the old behaviour (tasks run to completion and
         are dropped), e.g. to measure the difference.
 
-        A map with only blocking pools or local workers completes during
-        attachment; calling ``drive`` afterwards returns immediately.
+        A map with only local workers completes during attachment; calling
+        ``drive`` afterwards returns immediately.
 
         Raises :class:`~repro.errors.PandoError` when *timeout* (seconds)
-        elapses, or when no pool can make progress while a sink is still
+        elapses, or when no source can make progress while a sink is still
         pending (e.g. a shard whose input cannot be processed because no
         worker serves it).
         """
-        from concurrent.futures import FIRST_COMPLETED
-        from concurrent.futures import wait as wait_futures
-
-        if self.scheduler is not None:
-            self.scheduler.run(
-                *sinks,
-                timeout=timeout,
-                poll_interval=poll_interval,
-                aborted=(self._abort_pending(sinks) if cancel_on_abort else None),
-                on_abort=self._cancel_pool_pending,
-            )
-            return
-
-        deadline = None if timeout is None else time.monotonic() + timeout
-        aborted = self._abort_pending(sinks) if cancel_on_abort else None
-        cancelled = False
-        while not all(sink.done for sink in sinks):
-            self.drive_rounds += 1
-            if deadline is not None and time.monotonic() > deadline:
-                self.obs.trace.emit(
-                    "pump_timeout",
-                    timeout=timeout,
-                    pending=sum(1 for sink in sinks if not sink.done),
-                )
-                raise PandoError("DistributedMap.drive timed out")
-            if aborted is not None and not cancelled and aborted():
-                cancelled = True
-                self.obs.trace.emit(
-                    "abort_fanout", cancelled=self._cancel_pool_pending()
-                )
-            progressed = False
-            for pool in self._pools:
-                progressed = pool.poll() or progressed
-            if progressed or all(sink.done for sink in sinks):
-                continue
-            futures = [
-                pool.head_future
-                for pool in self._pools
-                if pool.waiting and pool.head_future is not None
-            ]
-            if not futures:
-                self.drive_stalls += 1
-                self.obs.trace.emit(
-                    "pump_stall",
-                    sources=len(self._pools),
-                    pending=sum(1 for sink in sinks if not sink.done),
-                )
-                raise PandoError(
-                    "DistributedMap.drive stalled: the sink has not completed "
-                    "and no attached pool has a deliverable result (is every "
-                    "shard served by at least one worker?)"
-                )
-            wait_futures(futures, timeout=poll_interval, return_when=FIRST_COMPLETED)
-        # The final poll may have delivered the aborting value (the find hit
-        # that completed the last sink): cancel the queued futures now, so
-        # the cores come back without waiting for close().
-        if aborted is not None and not cancelled and aborted():
-            self.obs.trace.emit(
-                "abort_fanout", cancelled=self._cancel_pool_pending()
-            )
-
-    def _abort_pending(self, sinks) -> Callable[[], bool]:
-        """Predicate: the stream aborted, queued pool work is now garbage."""
-
-        def aborted() -> bool:
-            return self.closed or any(sink.aborted for sink in sinks)
-
-        return aborted
+        self.scheduler.run(
+            *sinks,
+            timeout=timeout,
+            poll_interval=poll_interval,
+            # the stream aborted: queued pool work is now garbage
+            aborted=(
+                (lambda: self.closed or any(sink.aborted for sink in sinks))
+                if cancel_on_abort
+                else None
+            ),
+            on_abort=self._cancel_pool_pending,
+        )
 
     def _cancel_pool_pending(self) -> int:
         """Cancel every pool's submitted-but-not-yet-running frames.
@@ -794,12 +697,11 @@ class DistributedMap:
         return self.lender.ended
 
     def close(self) -> None:
-        """Release every attached gateway and process pool — and the event
-        -loop scheduler, when the map created it (``scheduler="asyncio"``);
-        a shared scheduler instance passed in by the caller is left running.
-        Gateways go first: their teardown needs the scheduler's loop to
-        close volunteer connections cleanly.  Metrics endpoints follow, for
-        the same reason (the loop-hosted flavour).  Idempotent."""
+        """Release every attached gateway, metrics endpoint and process pool
+        — and the scheduler, when the map created it; a shared scheduler
+        instance passed in by the caller is left running.  Gateways go
+        first: their teardown needs the scheduler's loop to close volunteer
+        connections cleanly.  Idempotent."""
         for gateway in self._gateways:
             gateway.stop()
         endpoints, self._metrics_endpoints = self._metrics_endpoints, []
@@ -807,7 +709,7 @@ class DistributedMap:
             endpoint.stop()
         for pool in self._pools:
             pool.close()
-        if self._owns_scheduler and self.scheduler is not None:
+        if self._owns_scheduler:
             self.scheduler.close()
 
     def __enter__(self) -> "DistributedMap":

@@ -58,6 +58,13 @@ class FrameCancelled(PandoError):
         self.completed = completed
         self.total = total
 
+    def __reduce__(self):
+        # Crosses the executor's result pipe.  The default reduction calls
+        # ``cls(*args)`` with the message alone, which fails to unpickle —
+        # and an unreadable result makes the executor declare the whole
+        # pool broken.
+        return (FrameCancelled, (self.completed, self.total))
+
 
 class ConnectionClosed(PandoError):
     """A simulated WebSocket/WebRTC channel was closed or lost its heartbeat."""

@@ -86,7 +86,6 @@ class PandoMaster:
         metrics: Optional[MetricsCollector] = None,
         host: str = "master",
         device: DeviceProfile = MASTER_DEVICE,
-        event_scheduler: Optional[Any] = None,
     ) -> None:
         self.bundle: Bundle = (
             bundle if isinstance(bundle, Bundle) else bundle_function(bundle)
@@ -99,15 +98,14 @@ class PandoMaster:
         self.host = host
         self.device = device
         self.registry = VolunteerRegistry()
-        # event_scheduler is the map's EventLoopScheduler (the async pump
-        # driving non-blocking pools and SimEventSources); `scheduler` above
-        # is the discrete-event simulation clock — different planes.
+        # The map owns its EventLoopScheduler (the async pump driving pools
+        # and SimEventSources); `scheduler` above is the discrete-event
+        # simulation clock — different planes.
         self.distributed_map = DistributedMap(
             ordered=self.config.ordered,
             batch_size=self.config.batch_size,
             shards=self.config.shards,
             split_buffer=self.config.split_buffer,
-            scheduler=event_scheduler,
         )
         # Fold the master's volunteer tallies into the map's stats snapshot,
         # so stats().as_dict() reports the volunteer plane alongside the

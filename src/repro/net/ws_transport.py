@@ -75,7 +75,7 @@ import struct
 import threading
 from collections import deque
 from contextlib import suppress
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlsplit
 
 from ..analysis.annotations import any_thread, loop_only
@@ -617,7 +617,6 @@ class _GatewayVolunteer:
         self.seq = 0
         self.values_sent = 0
         self.results_received = 0
-        self.task: Optional[asyncio.Task] = None
         #: master-side frame traces awaiting this volunteer's RESULT echo,
         #: keyed by frame_id — the wire copy was packed before serialize_s
         #: was recorded, so the master's dict stays authoritative
@@ -668,11 +667,6 @@ class WsVolunteerGateway(EventSource):
         name_prefix: str = "ws",
         stop_grace: float = 0.5,
     ) -> None:
-        if dmap.scheduler is None:
-            raise PandoError(
-                "WsVolunteerGateway requires a DistributedMap with an event-"
-                "loop scheduler (DistributedMap(scheduler='asyncio'))"
-            )
         if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
             raise PandoError("heartbeat interval and timeout must be positive")
         self.dmap = dmap
@@ -703,6 +697,8 @@ class WsVolunteerGateway(EventSource):
         self._inbox: Deque[Tuple[Any, ...]] = deque()
         self._inbox_lock = threading.Lock()
         self._volunteers: Dict[str, _GatewayVolunteer] = {}
+        #: connection handler tasks still running (any stage, hello included)
+        self._handlers: Set[asyncio.Task] = set()
         self._reap: List[_GatewayVolunteer] = []
         self._ids = itertools.count(1)
         # counters for tests and benches
@@ -742,12 +738,11 @@ class WsVolunteerGateway(EventSource):
     def stop(self) -> None:
         """Close the server and every volunteer connection (idempotent)."""
         server, self._server = self._server, None
-        volunteers = list(self._volunteers.values())
         if self.scheduler.closed:
             # The loop is gone: drop the transports synchronously.
             if server is not None:
                 server.close()
-            for volunteer in volunteers:
+            for volunteer in self._volunteers.values():
                 volunteer.conn.close_transport()
             return
 
@@ -755,18 +750,18 @@ class WsVolunteerGateway(EventSource):
             if server is not None:
                 server.close()
                 await server.wait_closed()
+            # A hello still queued is answered now (welcomed, or told the
+            # stream is over) while the loop can still deliver the answer.
+            self._drain_inbox()
             # The loop stops spinning the instant the last sink completes,
             # which is typically *before* the volunteers' bye frames arrive.
-            # Give those byes a short grace window so a volunteer that
-            # finished cleanly is recorded as a leave, not a crash.
-            tasks = [
-                volunteer.task
-                for volunteer in volunteers
-                if volunteer.task is not None and not volunteer.task.done()
-            ]
+            # Give the handlers a short grace window so a volunteer that
+            # finished cleanly is recorded as a leave, not a crash, and a
+            # refused one reads its END instead of a dead socket.
+            tasks = list(self._handlers)
             if tasks:
                 await asyncio.wait(tasks, timeout=self.stop_grace)
-            for volunteer in volunteers:
+            for volunteer in list(self._volunteers.values()):
                 if volunteer.close_reason is None:
                     volunteer.close_reason = ConnectionClosed("gateway stopped")
                 volunteer.conn.send_close()
@@ -777,11 +772,10 @@ class WsVolunteerGateway(EventSource):
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
 
-        if server is not None or volunteers:
+        if server is not None or self._handlers:
             self.scheduler.run_coroutine(_shutdown())
         # Settle the membership bookkeeping the teardown just enqueued.
-        while self.dispatch():
-            pass
+        self._drain_inbox()
 
     # ------------------------------------------------------- EventSource API
     def ready(self) -> bool:
@@ -802,6 +796,10 @@ class WsVolunteerGateway(EventSource):
         self._reap_ports()
         return True
 
+    def _drain_inbox(self) -> None:
+        while self.dispatch():
+            pass
+
     def live(self) -> bool:
         # An open server may accept a volunteer at any moment; a volunteer
         # may answer at any moment.  Only a stopped gateway with no
@@ -821,6 +819,18 @@ class WsVolunteerGateway(EventSource):
         self.scheduler.wake()
 
     async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        try:
+            await self._serve_connection(reader, writer)
+        finally:
+            self._handlers.discard(task)
+            # Idempotent; covers a handler cancelled before its hello.
+            writer.close()
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peername = writer.get_extra_info("peername")
@@ -851,7 +861,6 @@ class WsVolunteerGateway(EventSource):
             conn.close_transport()
             return
         volunteer = _GatewayVolunteer(conn, hello)
-        volunteer.task = asyncio.current_task()
         self._enqueue(("join", volunteer))
         await volunteer.attached.wait()
         if volunteer.rejected:

@@ -20,20 +20,16 @@ from .registry import (
 from .trace import Observability, TraceEvent, TraceLog
 
 # Every map imports this package for the tracer; only a process that serves
-# metrics needs the endpoint (and ``http.server`` behind it), so these three
-# names resolve on first use (PEP 562).
-_LAZY = ("AsyncMetricsEndpoint", "ThreadedMetricsEndpoint", "serve_registry")
-
-
+# metrics needs the endpoint (and ``http.server`` behind it), so the name
+# resolves on first use (PEP 562).
 def __getattr__(name: str) -> Any:
-    if name not in _LAZY:
+    if name != "ThreadedMetricsEndpoint":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.http_endpoint"), name)
     globals()[name] = value
     return value
 
 __all__ = [
-    "AsyncMetricsEndpoint",
     "Counter",
     "DEFAULT_BYTES_BUCKETS",
     "DEFAULT_SECONDS_BUCKETS",
@@ -44,5 +40,4 @@ __all__ = [
     "ThreadedMetricsEndpoint",
     "TraceEvent",
     "TraceLog",
-    "serve_registry",
 ]

@@ -1,125 +1,34 @@
 """Tiny stdlib HTTP scrape endpoint for the metrics registry.
 
-Two flavours behind one interface (``url``/``port``/``stop()``):
+:class:`ThreadedMetricsEndpoint` is an ``http.server`` in a daemon thread
+(``url``/``port``/``stop()``).  It does not depend on the map's event loop,
+so a scrape is answered whether or not ``DistributedMap.drive`` is spinning
+— during a run, after it returned, on a map with only in-process workers —
+and it adds no loop-hosted source to a pool-only map.  The registry's
+rendering is ``@any_thread``-safe, so serving from a separate thread is
+sound.
 
-* :class:`AsyncMetricsEndpoint` — an ``asyncio.start_server`` bound on an
-  :class:`~repro.sched.event_loop.EventLoopScheduler`'s private loop and
-  registered as an :class:`~repro.sched.sources.EventSource`, exactly like
-  the websocket volunteer gateway.  Requests are answered by handler tasks
-  whenever the loop spins — i.e. while ``DistributedMap.drive`` runs, which
-  is when there is something worth scraping.  The source never reports
-  ready or live (a scrape is not stream progress), so it cannot mask a
-  genuine stall.
-* :class:`ThreadedMetricsEndpoint` — an ``http.server`` in a daemon thread,
-  for thread-driven maps (the CLI default) where no loop exists.  The
-  registry's rendering is ``@any_thread``-safe, so serving from a separate
-  thread is sound.
-
-Both serve the Prometheus text format on every GET (``/metrics`` by
-convention, but any path answers — one less thing to misconfigure).
+Every GET is served the Prometheus text format (``/metrics`` by convention,
+but any path answers — one less thing to misconfigure).
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 
 from ..analysis.annotations import any_thread
 from ..errors import PandoError
-from ..sched.sources import EventSource
 from .registry import MetricsRegistry
 
-__all__ = ["AsyncMetricsEndpoint", "ThreadedMetricsEndpoint", "serve_registry"]
+__all__ = ["ThreadedMetricsEndpoint"]
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-def _http_response(body: bytes, status: str = "200 OK") -> bytes:
-    head = (
-        f"HTTP/1.1 {status}\r\n"
-        f"Content-Type: {CONTENT_TYPE}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    )
-    return head.encode("latin-1") + body
-
-
-class AsyncMetricsEndpoint(EventSource):
-    """Scrape endpoint on the scheduler's event loop (gateway-style)."""
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        scheduler: Any,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.registry = registry
-        self.scheduler = scheduler
-        self.host = host
-        self.port = port
-        self.url: Optional[str] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-
-    def start(self) -> str:
-        """Bind the HTTP server and return its ``http://`` URL."""
-        if self._server is not None:
-            raise PandoError("metrics endpoint is already started")
-        self._server = self.scheduler.run_coroutine(
-            asyncio.start_server(self._handle, self.host, self.port)
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.url = f"http://{self.host}:{self.port}/metrics"
-        self.scheduler.register(self)
-        return self.url
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 10.0)
-            head = request.split(b"\r\n", 1)[0].decode("latin-1", "replace")
-            if head.split(" ", 1)[0] not in ("GET", "HEAD"):
-                writer.write(_http_response(b"", "405 Method Not Allowed"))
-            else:
-                body = self.registry.render_prometheus().encode("utf-8")
-                writer.write(
-                    _http_response(b"" if head.startswith("HEAD") else body)
-                )
-            await writer.drain()
-        except Exception:
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    def stop(self) -> None:
-        """Close the server (idempotent)."""
-        server, self._server = self._server, None
-        self.scheduler.unregister(self)
-        if server is None or self.scheduler.closed:
-            if server is not None:
-                server.close()
-            return
-
-        async def _shutdown() -> None:
-            server.close()
-            await server.wait_closed()
-
-        self.scheduler.run_coroutine(_shutdown())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "open" if self._server is not None else "stopped"
-        return f"<AsyncMetricsEndpoint {state} url={self.url}>"
-
-
 class ThreadedMetricsEndpoint:
-    """Scrape endpoint on a daemon thread (thread-driven maps, no loop)."""
+    """Scrape endpoint on a daemon thread."""
 
     def __init__(
         self,
@@ -184,18 +93,3 @@ class ThreadedMetricsEndpoint:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "open" if self._server is not None else "stopped"
         return f"<ThreadedMetricsEndpoint {state} url={self.url}>"
-
-
-def serve_registry(
-    registry: MetricsRegistry,
-    scheduler: Any = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> Any:
-    """Start the endpoint flavour matching the map's driver and return it."""
-    if scheduler is not None:
-        endpoint: Any = AsyncMetricsEndpoint(registry, scheduler, host=host, port=port)
-    else:
-        endpoint = ThreadedMetricsEndpoint(registry, host=host, port=port)
-    endpoint.start()
-    return endpoint

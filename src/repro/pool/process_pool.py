@@ -25,11 +25,13 @@ awaited.  A task that raises — including a crashed worker process
 treats as a crash-stop failure and re-lends the borrowed values elsewhere.
 
 With ``blocking=False`` the source never blocks: an ask whose head-of-line
-future is still running is parked, and a driver (the sharded master's
-:meth:`~repro.core.distributed_map.DistributedMap.drive` loop) later calls
-:meth:`ProcessPoolWorker.poll` to deliver completed results.  This is what
-lets several pools pump concurrently from one interpreter thread — a
-blocking source would monopolise it and serialise the pools.
+future is still running is parked, and the
+:class:`~repro.sched.EventLoopScheduler` later calls
+:meth:`ProcessPoolWorker.poll` to deliver completed results.  This is the
+only mode a :class:`~repro.core.distributed_map.DistributedMap` uses — it is
+what lets several pools pump concurrently from one interpreter thread, where
+a blocking source would monopolise it and serialise the pools.  The blocking
+default remains for a bare pool behind a plain ``pull``, which has no driver.
 
 ``transport="shm"`` moves the frame *payloads* off the executor pipe: large
 ``bytes``/array values are written once into a
@@ -92,8 +94,8 @@ class ProcessPoolWorker:
     blocking:
         When True (the default), the source blocks on the head-of-line
         future.  When False, such an ask is parked and must be delivered by
-        :meth:`poll` — the mode used by sharded masters so several pools can
-        pump concurrently.  ``task_timeout`` cannot be enforced in this mode
+        :meth:`poll` — the mode every pool under a ``DistributedMap`` runs
+        in.  ``task_timeout`` cannot be enforced in this mode
         (results are only ever collected from already-done futures), so the
         combination is rejected rather than silently ignored.
     transport:

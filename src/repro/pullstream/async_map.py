@@ -80,6 +80,11 @@ def async_map(fn: AsyncFunction) -> Callable[[Source], Source]:
                 try:
                     fn(value, node_cb)
                 except Exception as exc:
+                    if answered[0]:
+                        # Raised by the downstream continuation running
+                        # inside a synchronous ``node_cb``, not by *fn*:
+                        # answering again would be dropped, losing it.
+                        raise
                     node_cb(exc, None)
 
             read(None, upstream_answer)

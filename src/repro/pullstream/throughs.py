@@ -56,10 +56,12 @@ def map_(fn: Callable[[Any], Any]) -> Callable[[Source], Source]:
                     cb(answer_end, None)
                     return
                 try:
-                    cb(None, fn(value))
+                    result = fn(value)
                 except Exception as exc:
                     # Abort upstream, then report the error downstream.
                     read(exc, lambda _e, _v: cb(exc, None))
+                    return
+                cb(None, result)
 
             read(end, answer)
 
@@ -463,6 +465,8 @@ def map_batches(
                 try:
                     fn(value, node_cb)
                 except Exception as exc:
+                    if answered[0]:
+                        raise  # the downstream continuation's, not fn's
                     node_cb(exc, None)
 
             def answer(answer_end: End, value: Any) -> None:

@@ -10,7 +10,7 @@ Quick example — two pools on one unsharded master, computing concurrently::
 
     from repro import DistributedMap, pull, values, collect
 
-    dmap = DistributedMap(batch_size=2, scheduler="asyncio")
+    dmap = DistributedMap(batch_size=2)       # owns an EventLoopScheduler
     sink = pull(values(inputs), dmap, collect())
     dmap.add_process_pool("repro.pool.workloads:render_frame", processes=2)
     dmap.add_process_pool("repro.pool.workloads:render_frame", processes=2)

@@ -1,17 +1,18 @@
 """One asyncio event loop driving every ready-callback source in a process.
 
-Before this subsystem, each delivery mechanism owned the interpreter thread
-while it waited: a blocking pool source parked on its head-of-line future,
-``DistributedMap.drive`` hand-rolled a wait loop that only understood
-process pools, and a simulated deployment spun its own virtual-time loop.
-None of them could interleave.  :class:`EventLoopScheduler` is the
-paper-faithful alternative — Pando's master is an event-driven JavaScript
-process — realised with asyncio:
+Pando's master is an event-driven JavaScript process; the reproduction's is
+an :class:`EventLoopScheduler`, the only driver a
+:class:`~repro.core.distributed_map.DistributedMap` has (its own private one
+unless the caller shares an instance between maps and simulations):
 
 * every waitable is registered as an :class:`~repro.sched.sources.EventSource`
-  (pools, simulations, thread-safe pushable ports, custom sources);
-* pool futures wake the loop through ``loop.call_soon_threadsafe`` the
-  moment they complete — no polling in the common path;
+  (pools, simulations, thread-safe pushable ports, gateways, custom sources);
+* how the pump waits follows from what is registered, not from an option:
+  while a loop-hosted source is present, pool futures wake the loop through
+  ``loop.call_soon_threadsafe`` the moment they complete; with nothing but
+  pools, :meth:`EventLoopScheduler.wait_head_futures` waits on their head
+  futures directly and the loop never has to spin — no polling in either
+  common path;
 * dispatch is **fair round-robin**: each round starts one source later than
   the previous one and gives every ready source exactly one unit of work,
   so a hot pool with a backlog cannot starve a simulated channel;
@@ -27,6 +28,8 @@ guarantee the blocking implementations gave, now without the blocking.
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import FIRST_COMPLETED
+from concurrent.futures import wait as wait_futures
 from typing import Any, Callable, List, Optional
 
 from ..analysis.annotations import (
@@ -63,6 +66,9 @@ class EventLoopScheduler:
             raise ValueError("poll_interval must be positive")
         self.poll_interval = poll_interval
         self._sources: List[EventSource] = []
+        #: registered sources whose wake-ups need the asyncio loop to spin;
+        #: while zero, the pump waits on the pools' head futures directly
+        self.loop_hosted = 0
         self._cursor = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake_event: Optional[asyncio.Event] = None
@@ -89,6 +95,7 @@ class EventLoopScheduler:
         if source in self._sources:
             raise PandoError("source is already registered with this scheduler")
         self._sources.append(source)
+        self.loop_hosted += source.loop_hosted
         return source
 
     def unregister(self, source: EventSource) -> bool:
@@ -101,9 +108,10 @@ class EventLoopScheduler:
         """
         try:
             self._sources.remove(source)
-            return True
         except ValueError:
             return False
+        self.loop_hosted -= source.loop_hosted
+        return True
 
     def register_pool(self, pool: Any) -> PoolEventSource:
         """Register a non-blocking :class:`ProcessPoolWorker` for delivery."""
@@ -206,6 +214,23 @@ class EventLoopScheduler:
         loop, event = self._loop, self._wake_event
         if loop is not None and event is not None and not loop.is_closed():
             loop.call_soon_threadsafe(event.set)
+
+    @loop_only
+    def wait_head_futures(self, budget: float) -> bool:
+        """Wait up to *budget* seconds for a pool's head future to complete.
+
+        The pump's wait step while :attr:`loop_hosted` is zero: every
+        registered source is then a pool, nothing can wake the loop, and a
+        direct ``concurrent.futures.wait`` costs neither the self-pipe write
+        nor the extra loop iterations of a ``call_soon_threadsafe`` wake.
+        Returns True when a future completed (a wake-up), False on timeout.
+        """
+        heads = (source.head_future for source in self._sources)
+        futures = [future for future in heads if future is not None]
+        done, _pending = wait_futures(
+            futures, timeout=budget, return_when=FIRST_COMPLETED
+        )
+        return bool(done)
 
     @loop_only
     def wake_after(self, delay: float) -> None:

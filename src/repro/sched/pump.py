@@ -1,23 +1,29 @@
-"""The async pump: one coroutine that subsumes every hand-rolled drive loop.
+"""The async pump: the one wait loop behind every ``drive()`` and ``run()``.
 
-``DistributedMap.drive`` used to be a wait loop that only understood process
-pools; the simulated deployments spun their own virtual-time loop; and the
-channel-style sinks eagerly drained their upstreams with
-:func:`~repro.pullstream.sinks.eager_pump`.  :func:`async_pump` replaces the
-waiting part of all of them with one structure::
+:func:`async_pump` is the only place the master waits — process pools,
+simulated deployments, websocket gateways and thread-fed ports all go
+through this structure::
 
     while a sink is still pending:
         dispatch one fair round across every registered source
-        if something progressed: continue        # stay hot, no await
-        arm every source (future callbacks, loop timers)
+        if something progressed: continue        # stay hot
         if nothing is ready and nothing can become ready: raise (stalled)
-        await the wake event (with a safety-net poll interval)
+        wait for a wake-up (with a safety-net poll interval)
 
-The pump never blocks the thread on any single source — the defining
-difference from the blocking pool path — and it checks the abort predicate
-between rounds so a ``find`` hit cancels the pools' queued futures within
-one round of the hit being delivered, not after the stream terminations
-meander through every shard.
+The deadline, the stall diagnosis, the abort fan-out, the counters and the
+trace events exist once; only the wait step has two forms, selected by what
+is registered (``scheduler.loop_hosted``), never by an option.  While some
+source lives on the loop — a gateway, a port, a simulation — every source is
+armed and the pump awaits the wake event, yielding to loop callbacks after
+each productive round.  While every source is a pool, nothing can wake the
+loop, so the pump waits on the pools' head futures directly
+(:meth:`~repro.sched.event_loop.EventLoopScheduler.wait_head_futures`):
+no done-callbacks, no self-pipe write, no extra loop iterations per result.
+
+The pump never blocks the thread on any single source, and it checks the
+abort predicate between rounds so a ``find`` hit cancels the pools' queued
+futures within one round of the hit being delivered, not after the stream
+terminations meander through every shard.
 """
 
 from __future__ import annotations
@@ -102,17 +108,22 @@ async def async_pump(
                 # Something moved; re-check the sinks before waiting.  An
                 # explicit zero-sleep yields to loop callbacks (timers,
                 # thread-safe wakes) so a dispatch storm cannot starve them.
-                await asyncio.sleep(0)
+                if scheduler.loop_hosted:
+                    await asyncio.sleep(0)
                 continue
             if all(sink.done for sink in sinks):
                 break
-            # Nothing ready: arm wake-ups, then re-check to close the race
-            # where a source became ready between the round and the arming.
-            wake.clear()
-            for source in scheduler.sources:
-                source.arm()
-            if scheduler._any_ready():
-                continue
+            # ``loop_hosted`` is read after the round: a dispatch may have
+            # registered the first loop-hosted source (a port, a gateway).
+            on_loop = scheduler.loop_hosted > 0
+            if on_loop:
+                # Nothing ready: arm wake-ups, then re-check to close the
+                # race where a source became ready between round and arming.
+                wake.clear()
+                for source in scheduler.sources:
+                    source.arm()
+                if scheduler._any_ready():
+                    continue
             if not scheduler._any_live():
                 scheduler.stalls += 1
                 if trace is not None:
@@ -130,6 +141,11 @@ async def async_pump(
             budget = safety_net
             if deadline is not None:
                 budget = min(budget, max(deadline - time.monotonic(), 0.001))
+            if not on_loop:
+                # Pools only: a future completing is the only possible
+                # wake-up, and a done head future returns at once.
+                scheduler.wakeups += scheduler.wait_head_futures(budget)
+                continue
             try:
                 await asyncio.wait_for(wake.wait(), budget)
                 scheduler.wakeups += 1

@@ -5,10 +5,13 @@ one small interface, :class:`EventSource`:
 
 * :class:`PoolEventSource` — a non-blocking
   :class:`~repro.pool.process_pool.ProcessPoolWorker` whose head-of-line
-  future completes on an executor thread.  Arming installs a done-callback
-  that wakes the loop through ``call_soon_threadsafe``; dispatch delivers
-  exactly one result per round (fairness), cascading through the stream
-  machinery on the loop thread.
+  future completes on an executor thread.  It is the one source that does
+  not live on the loop: it offers that future (:attr:`~PoolEventSource.
+  head_future`), so a scheduler with nothing but pools registered waits on
+  the futures directly.  Beside a loop-hosted source, arming installs a
+  done-callback that wakes the loop through ``call_soon_threadsafe``.
+  Either way dispatch delivers exactly one result per round (fairness),
+  cascading through the stream machinery on the loop thread.
 * :class:`SimEventSource` — a discrete-event
   :class:`~repro.sim.scheduler.Scheduler` (simulated channels, heartbeats,
   failure schedules).  Dispatch processes exactly one simulated event.  By
@@ -57,7 +60,16 @@ class EventSource:
     ``arm()``
         Install wake-ups (future done-callbacks, loop timers) so the
         scheduler's await is cut short the moment the source becomes ready.
+
+    ``loop_hosted`` says where the source's wake-ups come from: True (the
+    default) means the asyncio loop must spin for it — timers, sockets,
+    ``scheduler.wake()`` from another thread — and the pump awaits on the
+    loop while at least one such source is registered.  A source that sets
+    it False offers a ``head_future`` (a ``concurrent.futures.Future`` or
+    None) to be waited on instead.
     """
+
+    loop_hosted = True
 
     def ready(self) -> bool:  # pragma: no cover - interface default
         return False
@@ -85,6 +97,9 @@ class EventSource:
 class PoolEventSource(EventSource):
     """Event-loop delivery for one non-blocking process pool."""
 
+    #: nothing of a pool runs on the loop; :attr:`head_future` is its wake-up
+    loop_hosted = False
+
     def __init__(self, scheduler: Any, pool: Any) -> None:
         if getattr(pool, "blocking", False):
             raise PandoError(
@@ -103,10 +118,17 @@ class PoolEventSource(EventSource):
     def dispatch(self) -> bool:
         return self.pool.poll(limit=1)
 
+    @property
+    def head_future(self) -> Any:
+        """The future whose completion makes this source ready, or None.
+
+        A parked ask with a pending future will be answered when the future
+        completes; anything else needs outside help to progress.
+        """
+        return self.pool.head_future if self.pool.waiting else None
+
     def live(self) -> bool:
-        # A parked ask with a pending future will be answered when the
-        # future completes; anything else needs outside help to progress.
-        return self.pool.waiting and self.pool.head_future is not None
+        return self.head_future is not None
 
     def arm(self) -> None:
         future = self.pool.head_future

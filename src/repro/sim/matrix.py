@@ -44,7 +44,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..apps.base import Application, NodeCallback
 from ..devices.profiles import DeviceProfile
 from ..pullstream import find
-from ..sched import EventLoopScheduler
 from .failures import ChurnModel, FailureSchedule
 from .scenario import DeploymentScenario, ScenarioConfig, ScenarioResult
 
@@ -483,11 +482,9 @@ def run_cell(cell: MatrixCell) -> CellResult:
         shards=cell.shards,
         task_chunk=cell.task_chunk,
     )
-    loop = EventLoopScheduler()
-    scenario = None
+    scenario = DeploymentScenario(config)
+    dmap = scenario.master.distributed_map
     try:
-        scenario = DeploymentScenario(config, event_scheduler=loop)
-        dmap = scenario.master.distributed_map
         pool_ids: List[str] = []
         if cell.pool is not None:
             handle = dmap.add_process_pool(
@@ -535,9 +532,7 @@ def run_cell(cell: MatrixCell) -> CellResult:
             events_processed=scenario.scheduler.events_processed,
         )
     finally:
-        if scenario is not None:
-            scenario.master.distributed_map.close()
-        loop.close()
+        dmap.close()
 
 
 # ================================================================== verifier

@@ -132,9 +132,7 @@ class ScenarioResult:
 class DeploymentScenario:
     """Build and run one simulated Pando deployment."""
 
-    def __init__(
-        self, config: ScenarioConfig, event_scheduler: Optional[Any] = None
-    ) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.app = config.application
         self.scheduler = Scheduler()
@@ -147,8 +145,6 @@ class DeploymentScenario:
             if config.resolved_public_server()
             else None
         )
-        #: the EventLoopScheduler pumping the map (``run_on_loop``), or None
-        self.event_scheduler = event_scheduler
         self.master = PandoMaster(
             bundle_function(
                 self.app.processing_function(),
@@ -169,7 +165,6 @@ class DeploymentScenario:
             public_server=self.public_server,
             metrics=self.metrics,
             host="master",
-            event_scheduler=event_scheduler,
         )
         self.volunteers: Dict[str, SimVolunteer] = {}
         #: every volunteer ever built, including replaced rejoin incarnations
@@ -359,12 +354,11 @@ class DeploymentScenario:
     ):
         """Drive the deployment through a ``SimEventSource`` on the event loop.
 
-        The scenario must have been built with an ``event_scheduler`` (an
-        :class:`~repro.sched.EventLoopScheduler`); the simulation clock is
-        registered as an unpaced source, so virtual time advances as fast as
-        the loop dispatches — and real (wall-clock) sources such as process
-        pools attached to the master pump in the same rounds.  This is the
-        scenario-matrix execution mode.
+        The simulation clock is registered with the map's
+        :class:`~repro.sched.EventLoopScheduler` as an unpaced source, so
+        virtual time advances as fast as the loop dispatches — and real
+        (wall-clock) sources such as process pools attached to the master
+        pump in the same rounds.  This is the scenario-matrix execution mode.
 
         *sink* defaults to ``collect()``; pass e.g. ``find(...)`` for abort
         scenarios.  *timeout* bounds the **wall-clock** run.  *drain_for*
@@ -373,12 +367,6 @@ class DeploymentScenario:
         Returns the completed :class:`~repro.pullstream.sinks.SinkResult`
         (``scenario_result()`` builds the report afterwards).
         """
-        loop = self.event_scheduler
-        if loop is None:
-            raise DeploymentError(
-                "run_on_loop requires the scenario to be built with "
-                "event_scheduler=EventLoopScheduler(...)"
-            )
         values = [self.app.wrap_input(v) if wrap else v for v in inputs]
         url = self.master.serve()
         self._schedule_failures()
@@ -401,8 +389,9 @@ class DeploymentScenario:
 
         sink_result.on_done(stamp)
         self.metrics.start_window(self.scheduler.now)
-        loop.register_sim(self.scheduler)
-        self.master.distributed_map.drive(sink_result, timeout=timeout)
+        dmap = self.master.distributed_map
+        dmap.scheduler.register_sim(self.scheduler)
+        dmap.drive(sink_result, timeout=timeout)
         if drain_for > 0.0:
             self.scheduler.run_for(drain_for)
         self.metrics.end_window(self.scheduler.now)

@@ -109,45 +109,6 @@ class TestFormatting:
         assert len(lines) == 5
 
 
-class TestShardingComparison:
-    def test_compare_sharding_single_shard_does_not_crash(self):
-        """Regression: the sharded arm read ``lender.shard_stats``, which a
-        shards=1 map (plain StreamLender) does not have."""
-        from repro.bench.comparison import compare_sharding
-
-        comparison = compare_sharding(
-            "repro.pool.workloads:echo", [1, 2, 3, 4], shards=1,
-            processes_per_pool=1, batch_size=2,
-        )
-        assert comparison.results_match
-        assert comparison.per_shard_delivered == [4]
-
-    def test_compare_sharding_two_shards(self):
-        from repro.bench.comparison import compare_sharding
-
-        comparison = compare_sharding(
-            "repro.pool.workloads:echo", list(range(8)), shards=2,
-            processes_per_pool=1, batch_size=2,
-        )
-        assert comparison.results_match
-        assert sorted(comparison.per_shard_delivered) == [4, 4]
-        assert comparison.speedup > 0
-
-
-class TestEventLoopComparison:
-    def test_compare_event_loop_small_run(self):
-        from repro.bench.comparison import compare_event_loop
-
-        comparison = compare_event_loop(
-            "repro.pool.workloads:echo", list(range(8)), pools=2,
-            processes_per_pool=1, batch_size=2,
-        )
-        assert comparison.results_match
-        assert sum(comparison.per_pool_delivered) == 8
-        assert comparison.speedup > 0
-        assert comparison.pools == 2
-
-
 class TestPoolTransportComparison:
     def test_compare_pool_transport_small_run(self):
         from repro.bench.comparison import compare_pool_transport

@@ -180,41 +180,6 @@ class TestSharding:
             main(["--app", "collatz", "--simulate", "lan", "--shards", "0"])
 
 
-class TestSchedulerFlag:
-    def test_asyncio_scheduler_pool_run(self, capsys):
-        """Two pools on one unsharded master, pumped by the event loop."""
-        code = main(["--app", "collatz", "--count", "6", "--workers", "2",
-                     "--backend", "pool", "--scheduler", "asyncio"])
-        assert code == 0
-        lines = [json.loads(line)
-                 for line in capsys.readouterr().out.strip().splitlines()]
-        assert len(lines) == 6
-
-    def test_asyncio_scheduler_composes_with_shards(self, capsys):
-        code = main(["--app", "collatz", "--count", "6", "--workers", "2",
-                     "--backend", "pool", "--shards", "2",
-                     "--scheduler", "asyncio"])
-        assert code == 0
-        lines = [json.loads(line)
-                 for line in capsys.readouterr().out.strip().splitlines()]
-        assert len(lines) == 6
-
-    def test_run_pipeline_asyncio_local_backend_is_harmless(self, square_fn):
-        """Local workers complete during attachment; the loop has nothing
-        to pump but the composition must still drain correctly."""
-        bundle = bundle_function(square_fn)
-        results = run_pipeline(
-            bundle, list(range(8)), workers=2, batch_size=2,
-            scheduler="asyncio",
-        )
-        assert results == [v * v for v in range(8)]
-
-    def test_asyncio_rejected_with_simulate(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--app", "collatz", "--simulate", "lan",
-                  "--scheduler", "asyncio"])
-
-
 class TestPoolTransportFlag:
     def test_shm_transport_pool_run(self, capsys):
         """The full pipeline over the shared-memory transport: small app

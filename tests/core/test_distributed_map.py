@@ -76,6 +76,21 @@ class TestLocalWorkers:
         assert output.result() == [1, 2]
         assert dmap.stats.values_relent >= 1
 
+    def test_many_synchronous_workers_never_stall_silently(self):
+        """Regression: 120 synchronous workers cascade deep enough to hit
+        the recursion limit; ``async_map`` swallowed the ``RecursionError``
+        raised by its own downstream continuation, so the run stopped at
+        ``values_read`` 92 with a pending sink and no error.  It must now
+        either complete or raise."""
+        dmap = DistributedMap()
+        for _ in range(120):
+            dmap.add_local_worker(lambda v, cb: cb(None, v))
+        try:
+            output = pull(values(range(1000)), dmap, collect())
+        except RecursionError:
+            return
+        assert output.result() == list(range(1000))
+
     def test_unordered_mode(self, square_fn):
         dmap = DistributedMap(ordered=False)
         output = pull(values([3, 1, 2]), dmap, collect())

@@ -278,7 +278,7 @@ class TestDistributedMapSharded:
         assert sink.result() == [v * v for v in range(20)]
         assert [s.results_delivered for s in dmap.lender.shard_stats] == [10, 10]
 
-    def test_pools_default_to_non_blocking_and_drive_completes(self):
+    def test_pools_are_non_blocking_and_drive_completes(self):
         dmap = DistributedMap(shards=2, batch_size=2)
         sink = pull(values(list(range(12))), dmap, collect())
         try:
@@ -290,38 +290,6 @@ class TestDistributedMapSharded:
             assert sink.result() == [v * v for v in range(12)]
         finally:
             dmap.close()
-
-    def test_single_master_pools_stay_blocking(self):
-        dmap = DistributedMap(batch_size=2)
-        sink = pull(values([1, 2, 3]), dmap, collect())
-        try:
-            handle = dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
-            assert handle.pool.blocking
-            assert sink.result() == [1, 2, 3]
-            dmap.drive(sink)  # no-op on an already-completed blocking map
-        finally:
-            dmap.close()
-
-    def test_task_timeout_rejected_on_non_blocking_pools(self):
-        """Regression: a sharded map silently dropped ``task_timeout`` (the
-        non-blocking source never awaits a future, so the timeout could not
-        fire); it is now rejected up front."""
-        dmap = DistributedMap(shards=2)
-        pull(values([1, 2]), dmap, collect())
-        with pytest.raises(PandoError):
-            dmap.add_process_pool(
-                "repro.pool.workloads:echo", processes=1, task_timeout=0.1
-            )
-        assert dmap._pools == []
-        # Explicitly blocking pools still accept it, even on a sharded map.
-        handle = dmap.add_process_pool(
-            "repro.pool.workloads:echo",
-            processes=1,
-            task_timeout=5.0,
-            blocking=True,
-        )
-        assert handle.pool.blocking
-        dmap.close()
 
     def test_drive_timeout_fires_even_while_progressing(self):
         """Regression: the drive deadline was only checked on no-progress
@@ -391,8 +359,10 @@ class TestDistributedMapSharded:
         sink = pull(values([1, 2, 3, 4]), dmap, collect())
         dmap.add_local_worker(lambda v, cb: cb(None, v))  # serves shard 0 only
         assert not sink.done
-        with pytest.raises(PandoError):
+        with pytest.raises(PandoError, match="stalled"):
             dmap.drive(sink, timeout=1)
+        assert dmap.scheduler.stalls == 1
+        dmap.close()
 
     def test_pool_crash_values_relent_within_shard(self):
         """A pool task failure on one shard re-lends the borrowed values to a

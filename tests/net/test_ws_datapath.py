@@ -434,3 +434,39 @@ class TestLateVolunteer:
             dmap.close()
             first.join(10)
         assert gateway.volunteers_joined == 1  # the refused ones never joined
+
+    def test_hello_queued_at_stop_is_answered_and_exits_gracefully(self, caplog):
+        """Regression: a volunteer whose hello sat in the gateway's inbox
+        when ``stop()`` ran was answered by the final dispatch, but the loop
+        never spun again — its handler task was destroyed pending and the
+        volunteer left on its own heartbeat suspicion."""
+        import gc
+        import logging
+
+        dmap = DistributedMap()
+        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+        sink = pull(from_iterable(itertools.count()), dmap, take(2), collect())
+        box = {}
+        late = threading.Thread(
+            target=lambda: box.setdefault("late", run_volunteer(gateway.url)), daemon=True
+        )
+        late.start()
+        # Spin the loop without dispatching: the handler task shakes hands,
+        # queues the hello and parks until the gateway answers it.
+        deadline = time.monotonic() + 15
+        while not gateway.ready() and time.monotonic() < deadline:
+            dmap.scheduler.run_coroutine(asyncio.sleep(0.02))
+        assert gateway.ready()
+        # The map terminates before any dispatch round sees the hello.
+        dmap.add_local_worker(lambda v, cb: cb(None, -v))
+        assert sink.result() == [0, -1] and dmap.closed
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            dmap.close()
+            late.join(10)
+            del dmap, gateway, sink
+            gc.collect()
+        assert not late.is_alive()
+        report = box["late"]
+        assert report.graceful and report.error is None
+        assert not report.suspected_master
+        assert "Task was destroyed" not in caplog.text

@@ -415,12 +415,6 @@ class TestGatewayIntegration:
         assert report.error is not None and "connect failed" in report.error
         assert report.worker_id is None
 
-    def test_gateway_requires_an_event_loop_scheduler(self):
-        dmap = DistributedMap()  # thread driver, no scheduler
-        with pytest.raises(PandoError):
-            dmap.serve_volunteers()
-        dmap.close()
-
     def test_batch_frames_use_the_wire_batch_marker(self):
         # The DATA frame for a Batch sets batched=True and carries the
         # values flat — spot-check the codec contract the two sides share.

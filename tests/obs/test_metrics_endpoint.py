@@ -1,10 +1,8 @@
 """Scrape-endpoint tests.
 
-The threaded flavour (no scheduler) answers scrapes from a daemon thread at
-any time; the async flavour is an :class:`EventSource` on the map's loop, so
-it only answers while :meth:`DistributedMap.drive` spins — the acceptance
-test therefore scrapes from a background thread *during* a live sharded
-multi-transport run.
+The endpoint answers scrapes from a daemon thread at any time: after
+``drive()`` returned, on a map that never drove, and — the acceptance test —
+from a background thread *during* a live sharded multi-transport run.
 """
 
 from __future__ import annotations
@@ -68,14 +66,18 @@ def overhead_count(body, transport):
 
 
 class TestThreadedEndpoint:
-    def test_scrape_a_thread_driven_map(self):
+    def test_scrape_after_drive_returned(self):
         items = list(range(10))
         dmap = DistributedMap(batch_size=2)
         sink = pull(values(items), dmap, collect())
         dmap.add_process_pool(ECHO, processes=1)
         try:
+            dmap.drive(sink, timeout=60)
             assert sink.result() == items
             endpoint = dmap.serve_metrics()
+            # The endpoint is not a scheduler source: a pool-only map keeps
+            # the direct future wait.
+            assert dmap.scheduler.loop_hosted == 0
             assert endpoint.url.startswith("http://127.0.0.1:")
             content_type, body = scrape(endpoint.url)
             assert content_type.startswith("text/plain")
@@ -83,6 +85,7 @@ class TestThreadedEndpoint:
             assert nonzero(body, "pando_frames_total")
             assert nonzero(body, "pando_lender_values_read_total")
             assert nonzero(body, "pando_pool_")
+            assert nonzero(body, "pando_sched_wakeups_total")
             assert overhead_count(body, "pipe") > 0
         finally:
             dmap.close()
@@ -109,7 +112,7 @@ class TestLiveScrapeAcceptance:
         # over HTTP *while* drive() runs.  sleep_blob (50 ms/value) keeps
         # the run alive long enough for the scraper to land mid-flight.
         items = large_payload_inputs(100, 8192)
-        dmap = DistributedMap(scheduler="asyncio", batch_size=2, shards=2)
+        dmap = DistributedMap(batch_size=2, shards=2)
         sink = pull(values(items), dmap, collect())
         dmap.add_process_pool(SLEEP_BLOB, processes=1, transport="shm")
         dmap.add_process_pool(SLEEP_BLOB, processes=1, transport="pipe")

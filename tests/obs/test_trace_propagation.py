@@ -82,6 +82,7 @@ class TestPoolTransports:
         sink = pull(values(items), dmap, collect())
         handle = dmap.add_process_pool(INVERT, processes=2, **pool_kwargs)
         try:
+            dmap.drive(sink, timeout=60)
             assert sink.result() == [invert_tile(tile) for tile in items]
         finally:
             dmap.close()
@@ -104,6 +105,7 @@ class TestPoolTransports:
         sink = pull(values(items), dmap, collect())
         dmap.add_process_pool(INVERT, processes=1, transport="shm")
         try:
+            dmap.drive(sink, timeout=60)
             assert sink.result() == [invert_tile(tile) for tile in items]
         finally:
             dmap.close()

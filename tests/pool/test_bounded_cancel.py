@@ -53,6 +53,21 @@ class TestCancelFlag:
         flag.set()  # must not touch the released buffer
 
 
+def test_frame_cancelled_survives_the_result_pipe():
+    """Regression: the default reduction rebuilt ``FrameCancelled`` from its
+    message alone, so the master could not unpickle a cancelled frame's
+    result, the executor declared the pool broken, and — racing the fan-out's
+    ``future.cancel()`` — its manager thread died before terminating the
+    workers, which then kept the interpreter from exiting."""
+    import pickle
+
+    from repro.errors import FrameCancelled
+
+    copy = pickle.loads(pickle.dumps(FrameCancelled(completed=3, total=8)))
+    assert (copy.completed, copy.total) == (3, 8)
+    assert "3/8" in str(copy)
+
+
 def read_completion_log(path):
     """Parse ``log_completion`` records into ``(pid, id, monotonic)`` rows."""
     rows = []
@@ -77,7 +92,6 @@ def test_running_frames_stop_within_one_value_of_the_abort(tmp_path, monkeypatch
             WORKLOAD,
             processes=2,
             window=12,
-            blocking=False,
             cancel_chunk=1,
         )
         dmap.drive(sink, timeout=120)

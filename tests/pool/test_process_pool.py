@@ -176,6 +176,7 @@ class TestDistributedMapPoolBackend:
         output = pull(values(list(range(20))), dmap, collect())
         handle = dmap.add_process_pool("repro.pool.workloads:square", processes=2)
         try:
+            dmap.drive(output, timeout=60)
             assert output.result() == [value * value for value in range(20)]
         finally:
             dmap.close()
@@ -189,6 +190,7 @@ class TestDistributedMapPoolBackend:
         output = pull(values([1, 2, 3, 4]), dmap, collect())
         dmap.add_process_pool(node_increment, processes=2)
         try:
+            dmap.drive(output, timeout=60)
             assert output.result() == [2, 3, 4, 5]
         finally:
             dmap.close()
@@ -198,6 +200,7 @@ class TestDistributedMapPoolBackend:
         output = pull(values(list(range(6))), dmap, collect())
         handle = dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
         try:
+            dmap.drive(output, timeout=60)
             assert output.result() == list(range(6))
         finally:
             dmap.close()
@@ -210,12 +213,14 @@ class TestDistributedMapPoolBackend:
         dmap = DistributedMap(batch_size=2)
         output = pull(values(list(range(6))), dmap, collect())
         handle = dmap.add_process_pool(failing_task, processes=1)
-        assert handle.closed
-        assert not output.done
-        assert dmap.lender.relendable >= 1
-        assert dmap.stats.substreams_failed == 1
-        dmap.add_local_worker(lambda v, cb: cb(None, v))
         try:
+            with pytest.raises(PandoError, match="stalled"):
+                dmap.drive(output, timeout=60)  # the only worker crashed
+            assert handle.closed
+            assert not output.done
+            assert dmap.lender.relendable >= 1
+            assert dmap.stats.substreams_failed == 1
+            dmap.add_local_worker(lambda v, cb: cb(None, v))
             assert output.result() == list(range(6))
         finally:
             dmap.close()
@@ -226,6 +231,7 @@ class TestDistributedMapPoolBackend:
         dmap.add_process_pool("repro.pool.workloads:square", processes=2)
         dmap.add_local_worker(lambda v, cb: cb(None, v * v))
         try:
+            dmap.drive(output, timeout=60)
             assert output.result() == [value * value for value in range(24)]
         finally:
             dmap.close()
@@ -235,6 +241,7 @@ class TestDistributedMapPoolBackend:
         output = pull(values(list(range(17))), dmap, collect())
         dmap.add_process_pool("repro.pool.workloads:echo", processes=2)
         try:
+            dmap.drive(output, timeout=60)
             output.result()
         finally:
             dmap.close()
@@ -253,6 +260,7 @@ class TestDistributedMapPoolBackend:
         output = pull(values([1, 2, 3]), dmap, collect())
         dmap.add_process_pool(("file", str(module)), processes=1)
         try:
+            dmap.drive(output, timeout=60)
             assert output.result() == [2, 4, 6]
         finally:
             dmap.close()

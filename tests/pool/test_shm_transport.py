@@ -59,6 +59,7 @@ class TestRoundTrip:
         sink = pull(values(items), dmap, collect())
         handle = dmap.add_process_pool(INVERT, processes=2, transport="shm")
         try:
+            dmap.drive(sink, timeout=60)
             assert sink.result() == [invert_tile(tile) for tile in items]
         finally:
             dmap.close()
@@ -72,6 +73,7 @@ class TestRoundTrip:
         sink = pull(values(arrays), dmap, collect())
         handle = dmap.add_process_pool(ECHO, processes=1, transport="shm")
         try:
+            dmap.drive(sink, timeout=60)
             results = sink.result()
         finally:
             dmap.close()
@@ -94,6 +96,7 @@ class TestRoundTrip:
             shm_min_bytes=256,
         )
         try:
+            dmap.drive(sink, timeout=60)
             results = sink.result()
         finally:
             dmap.close()
@@ -109,6 +112,7 @@ class TestRoundTrip:
         sink = pull(values(items), dmap, collect())
         handle = dmap.add_process_pool(ECHO, processes=1, transport="shm")
         try:
+            dmap.drive(sink, timeout=60)
             assert sink.result() == items
         finally:
             dmap.close()
@@ -125,6 +129,7 @@ class TestFallbacks:
             ECHO, processes=1, transport="shm", slot_count=4, slot_size=1 << 16
         )
         try:
+            dmap.drive(sink, timeout=60)
             assert sink.result() == [big, small]
         finally:
             dmap.close()
@@ -145,6 +150,7 @@ class TestFallbacks:
             slot_size=1 << 16,
         )
         try:
+            dmap.drive(sink, timeout=60)
             assert sink.result() == [invert_tile(tile) for tile in items]
         finally:
             dmap.close()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.pullstream import (
     Pushable,
@@ -58,6 +59,18 @@ class TestAsyncMap:
             cb(None, value * 1000)  # must be ignored
 
         assert pull(count(3), async_map(double_cb), collect()).result() == [1, 2, 3]
+
+    def test_downstream_exception_is_not_swallowed(self):
+        """Regression: the ``try`` around ``fn(value, node_cb)`` also caught
+        what the downstream continuation raised inside a synchronous
+        callback, then dropped it because the callback was already
+        answered — the stream stalled with no error."""
+
+        def explode(_value):
+            raise RuntimeError("downstream broke")
+
+        with pytest.raises(RuntimeError, match="downstream broke"):
+            pull(count(3), async_map(lambda v, cb: cb(None, v)), drain(op=explode))
 
     def test_ordering_preserved(self):
         assert pull(values(list(range(50))), async_map(lambda v, cb: cb(None, v)), collect()).result() == list(range(50))

@@ -43,6 +43,28 @@ class TestMap:
         ).result()
         assert result == [4, 6, 8, 10, 12]
 
+    def test_map_answers_once_when_downstream_raises(self):
+        """Regression: ``cb(None, fn(value))`` sat inside the ``try``, so an
+        exception raised by the downstream continuation aborted upstream and
+        answered ``cb`` a second time."""
+        aborts, answers = [], []
+
+        def source(end, cb):
+            if end is not None:
+                aborts.append(end)
+                cb(end, None)
+            else:
+                cb(None, 1)
+
+        def downstream(end, value):
+            answers.append((end, value))
+            raise RuntimeError("downstream broke")
+
+        with pytest.raises(RuntimeError, match="downstream broke"):
+            map_(lambda v: v * 10)(source)(None, downstream)
+        assert answers == [(None, 10)]
+        assert aborts == []
+
 
 class TestFilter:
     def test_filter_keeps_matching(self):
@@ -236,6 +258,19 @@ class TestBatchingFrames:
             values([1, 2, 3]), map_batches(lambda v, cb: cb(None, v + 1)), collect()
         ).result()
         assert result == [2, 3, 4]
+
+    def test_map_batches_does_not_swallow_a_downstream_exception(self):
+        from repro.pullstream import drain, map_batches
+
+        def explode(_value):
+            raise RuntimeError("downstream broke")
+
+        with pytest.raises(RuntimeError, match="downstream broke"):
+            pull(
+                values([1, 2]),
+                map_batches(lambda v, cb: cb(None, v)),
+                drain(op=explode),
+            )
 
     def test_map_batches_error_fails_stream(self):
         from repro.pullstream import batching, map_batches

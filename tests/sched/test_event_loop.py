@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.distributed_map import DistributedMap
 from repro.errors import PandoError
-from repro.pullstream import collect, drain, find, pull, values
-from repro.sched import EventLoopScheduler
+from repro.pullstream import Pushable, collect, drain, find, pull, values
+from repro.sched import EventLoopScheduler, PoolEventSource
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
 
@@ -19,7 +19,7 @@ SLEEPER = "repro.pool.workloads:sleep_echo"
 
 class TestRunWithPools:
     def test_two_pools_on_one_master_both_deliver(self):
-        with DistributedMap(batch_size=2, scheduler="asyncio") as dmap:
+        with DistributedMap(batch_size=2) as dmap:
             inputs = [{"sleep": 0.005, "i": i} for i in range(12)]
             sink = pull(values(inputs), dmap, collect())
             dmap.add_process_pool(SLEEPER, processes=1)
@@ -33,11 +33,12 @@ class TestRunWithPools:
             assert all(count > 0 for count in delivered)
             assert dmap.scheduler.dispatches > 0
 
-    def test_pools_default_non_blocking_under_scheduler(self):
-        with DistributedMap(batch_size=1, scheduler="asyncio") as dmap:
+    def test_pools_are_non_blocking_and_registered(self):
+        with DistributedMap(batch_size=1) as dmap:
             pull(values([1, 2, 3]), dmap, collect())
             handle = dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
             assert handle.pool.blocking is False
+            assert [source.pool for source in dmap.scheduler.sources] == [handle.pool]
 
     def test_scheduler_is_reusable_across_runs(self):
         sched = EventLoopScheduler()
@@ -53,8 +54,10 @@ class TestRunWithPools:
         finally:
             sched.close()
 
-    def test_owned_scheduler_closes_with_the_map(self):
-        dmap = DistributedMap(batch_size=1, scheduler="asyncio")
+    @pytest.mark.parametrize("kwargs", [{}, {"scheduler": "asyncio"}])
+    def test_owned_scheduler_closes_with_the_map(self, kwargs):
+        # Every map has a scheduler; the literal is a synonym of the default.
+        dmap = DistributedMap(batch_size=1, **kwargs)
         assert isinstance(dmap.scheduler, EventLoopScheduler)
         dmap.close()
         assert dmap.scheduler.closed
@@ -71,12 +74,92 @@ class TestRunWithPools:
             DistributedMap(scheduler="uvloop")
 
 
+class TestWaitSelection:
+    """The pump waits on the pools' head futures directly iff no
+    loop-hosted source is registered — selected by what is registered."""
+
+    def test_pool_only_drive_never_arms_a_future_callback(self, monkeypatch):
+        armed = []
+        monkeypatch.setattr(
+            PoolEventSource, "arm", lambda self: armed.append(self)
+        )
+        with DistributedMap(batch_size=1) as dmap:
+            inputs = [{"sleep": 0.005, "i": i} for i in range(8)]
+            sink = pull(values(inputs), dmap, collect())
+            dmap.add_process_pool(SLEEPER, processes=1)
+            assert dmap.scheduler.loop_hosted == 0
+            dmap.drive(sink, timeout=30)
+            assert sink.result() == inputs
+            # No done-callback was installed, so no call_soon_threadsafe
+            # wake crossed over from an executor thread ...
+            assert armed == []
+            # ... and each completed future wait still counts as a wake-up.
+            assert dmap.scheduler.wakeups > 0
+
+    def test_registering_a_port_mid_run_flips_to_the_loop_wait(self, monkeypatch):
+        armed = []
+        original_arm = PoolEventSource.arm
+        monkeypatch.setattr(
+            PoolEventSource,
+            "arm",
+            lambda self: (armed.append(self), original_arm(self))[1],
+        )
+        # A safety net far longer than the test: only a real wake ends it.
+        sched = EventLoopScheduler(poll_interval=5.0)
+        dmap = DistributedMap(batch_size=1, scheduler=sched)
+        pushable = Pushable()
+        port_sink = collect()(pushable)
+        threads = []
+
+        def producer(port):
+            time.sleep(0.3)  # the pool has long drained: the pump is idle
+            port.push("late")
+            port.end()
+
+        def on_result(_value):
+            if threads:
+                return
+            assert armed == []  # pools only so far: the direct wait
+            port = sched.register_pushable(pushable)
+            threads.append(threading.Thread(target=producer, args=(port,)))
+            threads[0].start()
+
+        try:
+            inputs = [{"sleep": 0.005, "i": i} for i in range(4)]
+            pool_sink = pull(values(inputs), dmap, drain(op=on_result))
+            dmap.add_process_pool(SLEEPER, processes=1)
+            started = time.monotonic()
+            sched.run(pool_sink, port_sink, timeout=30)
+            elapsed = time.monotonic() - started
+            threads[0].join(10)
+            assert port_sink.result() == ["late"]
+            assert sched.loop_hosted == 1
+            assert armed  # the pool was armed once a loop source existed
+            # The producer thread's push woke the loop: nowhere near the
+            # 5-second safety-net poll.
+            assert elapsed < 3.0
+        finally:
+            dmap.close()
+            sched.close()
+
+    def test_unregister_restores_the_direct_wait(self):
+        sched = EventLoopScheduler()
+        try:
+            port = sched.register_pushable()
+            assert sched.loop_hosted == 1
+            assert sched.unregister(port)
+            assert not sched.unregister(port)  # absent: count untouched
+            assert sched.loop_hosted == 0
+        finally:
+            sched.close()
+
+
 class TestCancellationFanOut:
     def test_find_hit_cancels_queued_pool_futures(self):
         """Cancellation during dispatch: the hit aborts mid-run and the
         scheduler immediately cancels the pool's not-yet-running futures
         instead of letting them compute undeliverable results."""
-        with DistributedMap(batch_size=1, scheduler="asyncio") as dmap:
+        with DistributedMap(batch_size=1) as dmap:
             inputs = [{"sleep": 0.05, "i": i} for i in range(30)]
             sink = pull(values(inputs), dmap, find(lambda v: v["i"] == 1))
             dmap.add_process_pool(SLEEPER, processes=2, window=12)
@@ -89,9 +172,14 @@ class TestCancellationFanOut:
             # The cancelled frames never computed: fewer results came back
             # than frames were submitted.
             assert pool.results_returned < pool.tasks_submitted
+            # The hit arrived on the round that completed the sink, so the
+            # fan-out ran after the loop — once, and traced.
+            fanouts = dmap.obs.trace.events("abort_fanout")
+            assert len(fanouts) == 1
+            assert fanouts[0].fields["cancelled"] == pool.tasks_cancelled
 
     def test_cancel_on_abort_false_keeps_old_behaviour(self):
-        with DistributedMap(batch_size=1, scheduler="asyncio") as dmap:
+        with DistributedMap(batch_size=1) as dmap:
             inputs = [{"sleep": 0.02, "i": i} for i in range(10)]
             sink = pull(values(inputs), dmap, find(lambda v: v["i"] == 1))
             dmap.add_process_pool(SLEEPER, processes=2, window=6)
@@ -149,7 +237,7 @@ class TestFailureModes:
     def test_stall_raises_instead_of_hanging(self):
         """A shard no worker serves can never complete: the scheduler must
         diagnose the stall, not wait forever."""
-        with DistributedMap(batch_size=1, shards=2, scheduler="asyncio") as dmap:
+        with DistributedMap(batch_size=1, shards=2) as dmap:
             sink = pull(values(list(range(8))), dmap, collect())
             # Only shard 0 gets a pool; shard 1 starves.
             dmap.add_process_pool(
@@ -157,6 +245,17 @@ class TestFailureModes:
             )
             with pytest.raises(PandoError, match="stalled"):
                 dmap.drive(sink, timeout=30)
+            assert dmap.scheduler.stalls == 1
+            assert len(dmap.obs.trace.events("pump_stall")) == 1
+
+    def test_zero_timeout_fires_on_the_first_round_of_a_pool_only_map(self):
+        with DistributedMap(batch_size=1) as dmap:
+            sink = pull(values([{"sleep": 0.2, "i": 0}]), dmap, collect())
+            dmap.add_process_pool(SLEEPER, processes=1)
+            with pytest.raises(PandoError, match="timed out"):
+                dmap.drive(sink, timeout=0)
+            assert dmap.scheduler.rounds == 0
+            assert len(dmap.obs.trace.events("pump_timeout")) == 1
 
     def test_timeout_raises(self):
         sched = EventLoopScheduler(poll_interval=0.01)
@@ -211,7 +310,7 @@ class TestFailureModes:
     def test_drive_forwards_poll_interval_to_the_run(self):
         """drive(poll_interval=...) must reach the pump on the scheduler
         path (regression: it used to be silently dropped)."""
-        with DistributedMap(batch_size=1, scheduler="asyncio") as dmap:
+        with DistributedMap(batch_size=1) as dmap:
             sink = pull(values([1]), dmap, collect())
             dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
             with pytest.raises(PandoError, match="poll_interval"):

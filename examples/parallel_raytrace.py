@@ -11,9 +11,6 @@ round trip.
 Run with::
 
     python examples/parallel_raytrace.py --frames 16 --processes 4
-
-Add ``--compare`` to also time a synchronous single-worker run and print the
-speedup.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ def main() -> None:
     parser.add_argument("--size", default="32x24", help="frame size WxH")
     parser.add_argument("--processes", type=int, default=4)
     parser.add_argument("--batch-size", type=int, default=2)
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="also run on one in-process worker and report the speedup",
-    )
     args = parser.parse_args()
     width, height = (int(part) for part in args.size.split("x"))
     inputs = [
@@ -46,22 +39,6 @@ def main() -> None:
         }
         for index in range(args.frames)
     ]
-
-    if args.compare:
-        from repro.bench.comparison import compare_backends
-
-        comparison = compare_backends(
-            "repro.pool.workloads:render_frame",
-            inputs,
-            processes=args.processes,
-            batch_size=args.batch_size,
-            workload="raytrace",
-        )
-        print(
-            f"local worker: {comparison.local_seconds:.3f}s, "
-            f"{args.processes}-process pool: {comparison.pool_seconds:.3f}s "
-            f"({comparison.speedup:.2f}x)"
-        )
 
     started = time.perf_counter()
     dmap = DistributedMap(batch_size=args.batch_size)

@@ -13,9 +13,8 @@ Run with::
 
     python examples/shm_transport.py --tiles 48 --tile-kb 512 --processes 2
 
-Add ``--compare`` to also time the pipe transport on the same inputs and
-print the measured speedup (the quantity ``benchmarks/bench_shm_transport
-.py`` holds at >= 2x on large payloads).
+What the transport costs and saves is measured by the ``tiles_shm``
+workload of ``perf/run.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ import argparse
 import time
 
 from repro import DistributedMap, collect, pull, values
-from repro.bench.comparison import large_payload_inputs
-from repro.pool.workloads import invert_tile
+from repro.pool.workloads import invert_tile, large_payload_inputs
 
 
 def main() -> None:
@@ -34,33 +32,9 @@ def main() -> None:
     parser.add_argument("--tile-kb", type=int, default=512, dest="tile_kb")
     parser.add_argument("--processes", type=int, default=2)
     parser.add_argument("--batch-size", type=int, default=4)
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="also run the pipe transport on the same inputs and report "
-        "the shm speedup",
-    )
     args = parser.parse_args()
     tile_bytes = args.tile_kb * 1024
     tiles = large_payload_inputs(args.tiles, tile_bytes)
-
-    if args.compare:
-        from repro.bench.comparison import compare_pool_transport
-
-        comparison = compare_pool_transport(
-            "repro.pool.workloads:invert_tile",
-            count=args.tiles,
-            payload_bytes=tile_bytes,
-            processes=args.processes,
-            batch_size=args.batch_size,
-            workload="invert_tile",
-        )
-        print(
-            f"pipe transport: {comparison.pipe_seconds:.3f}s, "
-            f"shm transport: {comparison.shm_seconds:.3f}s "
-            f"({comparison.speedup:.2f}x, "
-            f"{comparison.shm_bytes_through_ring >> 20} MiB through the ring, "
-            f"{comparison.shm_slots_leaked} slots leaked)"
-        )
 
     started = time.perf_counter()
     dmap = DistributedMap(batch_size=args.batch_size)

@@ -23,7 +23,7 @@ import argparse
 import time
 
 from repro import DistributedMap, pull
-from repro.bench.comparison import crypto_search_inputs
+from repro.pool.workloads import crypto_search_inputs
 from repro.pullstream import find, values
 
 

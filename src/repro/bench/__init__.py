@@ -13,9 +13,7 @@ from .table2 import (
 )
 from .latency import LatencyPoint, batch_size_sweep, ideal_throughput
 from .comparison import (
-    BackendComparison,
     ComparisonRow,
-    compare_backends,
     cores_needed_to_match,
     device_vs_server,
     single_core_rate,
@@ -46,9 +44,7 @@ __all__ = [
     "LatencyPoint",
     "batch_size_sweep",
     "ideal_throughput",
-    "BackendComparison",
     "ComparisonRow",
-    "compare_backends",
     "cores_needed_to_match",
     "device_vs_server",
     "single_core_rate",

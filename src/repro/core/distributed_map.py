@@ -265,7 +265,7 @@ class DistributedMap:
         #: this map's observability plane — metrics registry, trace-event
         #: ring buffer, and the per-frame tracer threaded through the
         #: transports.  ``metrics=False`` disables the per-frame hot path
-        #: (the metrics-off arm of the overhead bench); the registry and
+        #: (the untraced arm of ``obs.tracing_overhead_share``); the registry and
         #: trace log always exist, so collectors register either way and
         #: cost nothing until scraped.
         self.obs = Observability(enabled=bool(metrics), job_id=job_id)
@@ -627,8 +627,6 @@ class DistributedMap:
         self,
         *sinks: SinkResult,
         timeout: Optional[float] = None,
-        poll_interval: float = 0.05,
-        cancel_on_abort: bool = True,
     ) -> None:
         """Pump the map's pools, volunteers and channels until *sinks* complete.
 
@@ -640,13 +638,11 @@ class DistributedMap:
         All stream callbacks run on the calling thread, so the
         single-threaded pull-stream machinery needs no locks.
 
-        ``cancel_on_abort`` (default True) is the cancellation fan-out fast
-        path: the moment the map's output aborts — a ``find`` sink hit, or
-        any sink that cut the stream short — every attached pool's
-        submitted-but-not-yet-running future is cancelled, returning the
-        cores immediately instead of computing results nobody can receive.
-        Pass False to keep the old behaviour (tasks run to completion and
-        are dropped), e.g. to measure the difference.
+        Cancellation fan-out: the moment the map's output aborts — a
+        ``find`` sink hit, or any sink that cut the stream short — every
+        attached pool's submitted-but-not-yet-running future is cancelled,
+        returning the cores immediately instead of computing results nobody
+        can receive.
 
         A map with only local workers completes during attachment; calling
         ``drive`` afterwards returns immediately.
@@ -659,13 +655,8 @@ class DistributedMap:
         self.scheduler.run(
             *sinks,
             timeout=timeout,
-            poll_interval=poll_interval,
             # the stream aborted: queued pool work is now garbage
-            aborted=(
-                (lambda: self.closed or any(sink.aborted for sink in sinks))
-                if cancel_on_abort
-                else None
-            ),
+            aborted=lambda: self.closed or any(sink.aborted for sink in sinks),
             on_abort=self._cancel_pool_pending,
         )
 

@@ -70,7 +70,7 @@ class ChannelEndpoint:
         self.messages_received = 0
         self.bytes_sent = 0
         #: DATA frames sent, and stream values they carried (a batched frame
-        #: carries several values — the framing amortisation benches compare
+        #: carries several values — the framing amortisation tests compare
         #: these two counters).
         self.data_frames_sent = 0
         self.values_sent = 0

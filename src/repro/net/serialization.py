@@ -41,8 +41,13 @@ def decode_json(data: str) -> Any:
 
 
 def encode_binary(data: bytes) -> str:
-    """gzip + base64 encode *data* (paper Figure 2, line 8)."""
-    return base64.b64encode(gzip.compress(data)).decode("ascii")
+    """gzip + base64 encode *data* (paper Figure 2, line 8).
+
+    ``mtime=0`` keeps the gzip header free of the current second: equal
+    pixels encode to equal strings, so a re-lent value recomputed on
+    another worker equals the first answer.
+    """
+    return base64.b64encode(gzip.compress(data, mtime=0)).decode("ascii")
 
 
 def decode_binary(encoded: str) -> bytes:

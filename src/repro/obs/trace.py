@@ -136,10 +136,10 @@ class Observability:
     """One master's observability plane: registry + trace log + frame tracer.
 
     ``enabled=False`` turns the per-frame hot path off — ``begin_frame``
-    returns ``None`` and the transports skip all tracing work, the
-    metrics-off arm of the overhead bench.  The registry and trace log
-    always exist, so callback registration and diagnostics cost nothing on
-    the hot path either way.
+    returns ``None`` and the transports skip all tracing work (the
+    untraced arm of ``perf/``'s ``obs.tracing_overhead_share``).  The
+    registry and trace log always exist, so callback registration and
+    diagnostics cost nothing on the hot path either way.
     """
 
     def __init__(

@@ -17,8 +17,6 @@ from .tasks import (
     resolve_callable,
     run_batch,
     run_shm_batch,
-    run_shm_task,
-    run_task,
 )
 from . import workloads
 
@@ -32,7 +30,5 @@ __all__ = [
     "resolve_callable",
     "run_batch",
     "run_shm_batch",
-    "run_shm_task",
-    "run_task",
     "workloads",
 ]

@@ -1,6 +1,6 @@
 """Cross-process cancellation flag for bounded-tail frame abort.
 
-The abort fan-out (``DistributedMap.drive(cancel_on_abort=True)``) drops
+The abort fan-out (``DistributedMap.drive``) drops
 *queued* futures, but a frame already running in an executor child keeps
 computing its whole batch — the tail-latency follow-on the ROADMAP calls
 out.  :class:`CancelFlag` closes that gap: one byte of

@@ -65,8 +65,6 @@ from .tasks import (
     resolve_callable,
     run_batch,
     run_shm_batch,
-    run_shm_task,
-    run_task,
 )
 
 __all__ = ["ProcessPoolWorker", "default_window"]
@@ -229,12 +227,12 @@ class ProcessPoolWorker:
 
     def _submit(self, value: Any) -> None:
         assert self._executor is not None
+        # Every submission is a frame: an un-batched value travels as a
+        # frame of one, which ``_deliver`` unwraps again.
         was_batch = isinstance(value, Batch)
-        values = list(value.values) if was_batch else None
+        values = list(value.values) if was_batch else [value]
         trace = (
-            self.obs.begin_frame(
-                self.transport, values=len(values) if was_batch else 1
-            )
+            self.obs.begin_frame(self.transport, values=len(values))
             if self.obs is not None
             else None
         )
@@ -243,36 +241,23 @@ class ProcessPoolWorker:
             if self.cancel_flag is not None
             else None
         )
+        slots: List[int] = []
         if self.ring is not None:
             min_bytes = (
                 self._shm_min_bytes if self._shm_min_bytes is not None else OOB_MIN_BYTES
             )
-            entries, slots = pack_frame(
-                self.ring, values if was_batch else [value], min_bytes=min_bytes
-            )
+            entries, slots = pack_frame(self.ring, values, min_bytes=min_bytes)
             try:
-                if was_batch:
-                    future = self._executor.submit(
-                        run_shm_batch,
-                        self.fn_ref,
-                        self.ring.name,
-                        self.ring.slot_size,
-                        entries,
-                        min_bytes,
-                        trace,
-                        cancel,
-                    )
-                else:
-                    future = self._executor.submit(
-                        run_shm_task,
-                        self.fn_ref,
-                        self.ring.name,
-                        self.ring.slot_size,
-                        entries[0],
-                        min_bytes,
-                        trace,
-                        cancel,
-                    )
+                future = self._executor.submit(
+                    run_shm_batch,
+                    self.fn_ref,
+                    self.ring.name,
+                    self.ring.slot_size,
+                    entries,
+                    min_bytes,
+                    trace,
+                    cancel,
+                )
             except Exception:
                 self.ring.release_all(slots)
                 raise
@@ -281,20 +266,14 @@ class ProcessPoolWorker:
                     self.transport,
                     sum(entry[2] for entry in entries if entry[0] == "shm"),
                 )
-            self._pending.append((future, was_batch, slots, trace))
-        elif was_batch:
+        else:
             future = self._executor.submit(
                 run_batch, self.fn_ref, values, trace, cancel
             )
-            self._pending.append((future, True, [], trace))
-        else:
-            future = self._executor.submit(
-                run_task, self.fn_ref, value, trace, cancel
-            )
-            self._pending.append((future, False, [], trace))
+        self._pending.append((future, was_batch, slots, trace))
         if trace is not None:
             self.obs.end_serialize(trace)
-        self.values_dispatched += len(values) if was_batch else 1
+        self.values_dispatched += len(values)
         self.tasks_submitted += 1
         if self._result_waiting is not None:
             if self.blocking:
@@ -365,13 +344,12 @@ class ProcessPoolWorker:
         if self.ring is not None:
             # Copy the payloads out, then release the frame's slots — the
             # "release on result read" half of the slot-ownership protocol.
-            decoded = unpack_frame(self.ring, result if was_batch else [result])
+            result = unpack_frame(self.ring, result)
             self.ring.release_all(slots)
-            result = decoded if was_batch else decoded[0]
-        self.results_returned += len(result) if was_batch else 1
+        self.results_returned += len(result)
         if trace is not None:
             self.obs.observe_frame(trace)
-        cb(None, Batch(result) if was_batch else result)
+        cb(None, Batch(result) if was_batch else result[0])
 
     def _termination(self) -> End:
         """Termination marker with consistent precedence: an error stored by

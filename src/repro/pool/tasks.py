@@ -37,9 +37,7 @@ __all__ = [
     "FunctionRef",
     "expects_callback",
     "resolve_callable",
-    "run_task",
     "run_batch",
-    "run_shm_task",
     "run_shm_batch",
 ]
 
@@ -160,32 +158,6 @@ def _apply(fn: Callable[..., Any], node_style: bool, value: Any) -> Any:
 
 
 @any_thread
-def run_task(
-    ref: FunctionRef,
-    value: Any,
-    trace: Optional[Dict[str, Any]] = None,
-    cancel: Optional[Tuple[str, int]] = None,
-) -> Any:
-    """Executor entry point: apply the referenced function to one value.
-
-    With a *trace* dict (frame control metadata, see
-    :class:`~repro.obs.trace.Observability`), the time spent inside the
-    user function is measured and the return shape becomes
-    ``(result, trace)`` with ``exec_s`` added — a duration, never a
-    timestamp, because child and master clocks are not comparable.
-    *cancel* is polled once before the value runs (a single-value frame is
-    one chunk).
-    """
-    fn, node_style = _prepared(ref)
-    _check_cancel(cancel, 0, 1)
-    if trace is None:
-        return _apply(fn, node_style, value)
-    start = time.perf_counter()
-    result = _apply(fn, node_style, value)
-    return result, dict(trace, exec_s=time.perf_counter() - start)
-
-
-@any_thread
 def run_batch(
     ref: FunctionRef,
     values: List[Any],
@@ -196,7 +168,9 @@ def run_batch(
 
     One submission per frame is what amortises the inter-process round trip;
     results come back as a list in input order — or, with a *trace* dict,
-    as ``(results, trace)`` with the frame's summed ``exec_s`` added.  With
+    as ``(results, trace)`` with the frame's summed ``exec_s`` added (a
+    duration, never a timestamp: child and master clocks are not
+    comparable).  An un-batched value is a frame of one.  With
     *cancel* the frame's value range is chunked against the pool's cancel
     flag and stops between chunks (:class:`~repro.errors.FrameCancelled`).
     """
@@ -215,41 +189,6 @@ def run_batch(
 
 
 @any_thread
-def run_shm_task(
-    ref: FunctionRef,
-    ring_name: str,
-    slot_size: int,
-    entry: Any,
-    min_bytes: int,
-    trace: Optional[Dict[str, Any]] = None,
-    cancel: Optional[Tuple[str, int]] = None,
-) -> Any:
-    """Executor entry point for one shared-memory-framed value.
-
-    The payload arrives as a control entry pointing into the master's
-    :class:`~repro.net.shm_ring.ShmRing` (or inline, the fallback); the
-    result travels back the same way, through the frame's slot — only the
-    tiny control records cross the executor pipe.  A *trace* dict times
-    only the user function (slot loads/stores are transport overhead) and
-    switches the return shape to ``(entry, trace)``.  *cancel* is polled
-    once before the value runs.
-    """
-    from ..net.shm_ring import load_entry, store_entry
-
-    fn, node_style = _prepared(ref)
-    _check_cancel(cancel, 0, 1)
-    value = load_entry(ring_name, slot_size, entry)
-    if trace is None:
-        result = _apply(fn, node_style, value)
-        return store_entry(ring_name, slot_size, entry, result, min_bytes=min_bytes)
-    start = time.perf_counter()
-    result = _apply(fn, node_style, value)
-    exec_s = time.perf_counter() - start
-    out = store_entry(ring_name, slot_size, entry, result, min_bytes=min_bytes)
-    return out, dict(trace, exec_s=exec_s)
-
-
-@any_thread
 def run_shm_batch(
     ref: FunctionRef,
     ring_name: str,
@@ -261,7 +200,10 @@ def run_shm_batch(
 ) -> Any:
     """Executor entry point for a shared-memory-framed batch.
 
-    Values are applied in order; each result is written back into its own
+    Each payload arrives as a control entry pointing into the master's
+    :class:`~repro.net.shm_ring.ShmRing` (or inline, the fallback) and its
+    result travels back the same way — only the tiny control records cross
+    the executor pipe.  Values are applied in order; each result is written back into its own
     input's slot before the next value is touched, so a frame never needs
     more slots than its submission acquired.  A *trace* dict accumulates
     the user-function time across the frame (``exec_s``) and switches the

@@ -5,13 +5,16 @@ by dotted name (``"repro.pool.workloads:render_frame"``) and executed in a
 worker process.  They mirror the paper's CPU-bound applications (raytracer
 frames, crypto nonce search) plus latency-bound stand-ins used by the
 benchmarks to demonstrate overlap independently of the host's core count.
+Two input builders live next to the functions that consume them:
+:func:`large_payload_inputs` (for :func:`invert_tile`/:func:`sleep_blob`)
+and :func:`crypto_search_inputs` (for :func:`search_nonces`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "echo",
@@ -22,9 +25,11 @@ __all__ = [
     "log_completion",
     "spin",
     "invert_tile",
+    "large_payload_inputs",
     "render_frame",
     "render_frame_pixels",
     "search_nonces",
+    "crypto_search_inputs",
 ]
 
 
@@ -108,6 +113,19 @@ def invert_tile(value: Any) -> bytes:
     return bytes(value).translate(_INVERT_TABLE)
 
 
+def large_payload_inputs(count: int, payload_bytes: int) -> List[bytes]:
+    """Distinct ``bytes`` payloads of *payload_bytes* each.
+
+    Each payload carries its index in the leading bytes, so exactly-once
+    checks distinguish every value; the repeated filler keeps construction
+    cheap.
+    """
+    return [
+        index.to_bytes(8, "big") + bytes([index % 251]) * (payload_bytes - 8)
+        for index in range(count)
+    ]
+
+
 def spin(value: Any) -> Any:
     """CPU-bound busy work: ``{"rounds": n}`` SHA-256 chains over the input."""
     rounds = int(value.get("rounds", 10_000)) if isinstance(value, dict) else int(value)
@@ -177,3 +195,59 @@ def search_nonces(attempt: Dict[str, Any]) -> Dict[str, Any]:
         "height": attempt.get("height", 0),
         "hashes": count,
     }
+
+
+#: a difficulty no 64-bit nonce range will ever meet
+IMPOSSIBLE_BITS = 192
+
+
+def crypto_search_inputs(
+    slow_count: int,
+    shards: int = 2,
+    values: int = 12,
+    hit_index: int = 5,
+    difficulty_bits: int = 12,
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Build a skewed crypto-search input set and return ``(items, nonce)``.
+
+    Attempts landing on shard 0 (indices ``0 mod shards``) are *slow*:
+    *slow_count* nonces checked against an impossible difficulty, so the
+    whole range is scanned and no hit is found.  The other shards' attempts
+    are tiny no-hit probes, except ``hit_index`` which contains a
+    precomputed valid nonce at the real *difficulty_bits*.  An ordered merge
+    must therefore deliver every slow attempt before ``hit_index``; a
+    completion-order merge delivers the hit as soon as its shard computes
+    it.
+    """
+    from ..apps.crypto import find_valid_nonce
+
+    if not 0 < hit_index < values:
+        raise ValueError("hit_index must fall inside the input range")
+    if hit_index % shards == 0:
+        raise ValueError("hit_index must not land on the slow shard 0")
+    block = "pando-unordered-bench"
+    nonce = find_valid_nonce(block, difficulty_bits)
+    items = []
+    for index in range(values):
+        if index == hit_index:
+            items.append({
+                "block": block,
+                "start": 0,
+                "count": nonce + 1,
+                "difficulty_bits": difficulty_bits,
+            })
+        elif index % shards == 0:
+            items.append({
+                "block": block,
+                "start": 10_000_000 + index * slow_count,
+                "count": slow_count,
+                "difficulty_bits": IMPOSSIBLE_BITS,
+            })
+        else:
+            items.append({
+                "block": block,
+                "start": 20_000_000 + index * 256,
+                "count": 256,
+                "difficulty_bits": IMPOSSIBLE_BITS,
+            })
+    return items, nonce

@@ -107,34 +107,3 @@ class TestFormatting:
         assert lines[0] == "T"
         # title + header + separator + two data rows
         assert len(lines) == 5
-
-
-class TestPoolTransportComparison:
-    def test_compare_pool_transport_small_run(self):
-        from repro.bench.comparison import compare_pool_transport
-
-        comparison = compare_pool_transport(
-            count=6, payload_bytes=64 * 1024, batch_size=2, repeats=1,
-        )
-        assert comparison.results_match
-        assert comparison.pipe_slots_leaked == 0
-        assert comparison.shm_slots_leaked == 0
-        assert comparison.shm_fallbacks == 0
-        # Payloads crossed through the ring in both directions.
-        assert comparison.shm_bytes_through_ring >= 2 * 6 * 64 * 1024
-        assert comparison.speedup > 0
-
-    def test_large_payload_inputs_are_distinct_and_sized(self):
-        from repro.bench.comparison import large_payload_inputs
-
-        items = large_payload_inputs(5, 4096)
-        assert len(set(items)) == 5
-        assert all(len(item) == 4096 for item in items)
-
-    def test_repeats_validation(self):
-        import pytest
-
-        from repro.bench.comparison import compare_pool_transport
-
-        with pytest.raises(ValueError):
-            compare_pool_transport(repeats=0)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import time
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.message import CLOSE, CONTROL, DATA, HEARTBEAT, Message
@@ -43,6 +47,31 @@ class TestBinaryEncoding:
     @given(st.binary(max_size=4096))
     def test_roundtrip_property(self, payload):
         assert decode_binary(encode_binary(payload)) == payload
+
+
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """Every ``time.time()`` call lands in a later second than the last."""
+    seconds = itertools.count(1_700_000_000, 1000)
+    monkeypatch.setattr(time, "time", lambda: float(next(seconds)))
+
+
+class TestDeterministicEncoding:
+    """gzip stamps ``time.time()`` into its header unless told otherwise; a
+    re-lent value recomputed a second later must still equal the first
+    answer."""
+
+    def test_equal_bytes_encode_equal_across_clock_ticks(self, ticking_clock):
+        payload = bytes(range(256)) * 10
+        first = encode_binary(payload)
+        assert time.time() != time.time()  # the patched clock does tick
+        assert encode_binary(payload) == first
+
+    def test_render_frame_is_a_pure_function_of_its_spec(self, ticking_clock):
+        from repro.pool.workloads import render_frame
+
+        spec = {"angle": 30.0, "frame": 1, "width": 8, "height": 6}
+        assert render_frame(spec) == render_frame(spec)
 
 
 class TestEstimateSize:

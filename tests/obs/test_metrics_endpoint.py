@@ -14,8 +14,8 @@ import urllib.request
 
 import pytest
 
-from repro.bench.comparison import large_payload_inputs
 from repro.core import DistributedMap
+from repro.pool.workloads import large_payload_inputs
 from repro.pullstream import collect, pull, values
 from repro.worker import run_volunteer
 

@@ -13,9 +13,8 @@ import threading
 
 import pytest
 
-from repro.bench.comparison import large_payload_inputs
 from repro.core import DistributedMap
-from repro.pool.workloads import invert_tile
+from repro.pool.workloads import invert_tile, large_payload_inputs
 from repro.pullstream import collect, from_iterable, pull, values
 from repro.worker import run_volunteer
 

@@ -6,9 +6,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DistributedMap
-from repro.errors import PandoError
-from repro.pool import ProcessPoolWorker, default_window, resolve_callable
-from repro.pool.tasks import expects_callback, run_batch, run_task
+from repro.errors import FrameCancelled, PandoError
+from repro.pool import CancelFlag, ProcessPoolWorker, default_window, resolve_callable
+from repro.pool.tasks import expects_callback, run_batch
+from repro.pool.workloads import (
+    crypto_search_inputs,
+    large_payload_inputs,
+    search_nonces,
+)
 from repro.pullstream import collect, pull, values
 
 
@@ -51,9 +56,9 @@ class TestFunctionRefs:
         assert expects_callback(node_increment)
         assert not expects_callback(resolve_callable("repro.pool.workloads:square"))
 
-    def test_run_task_supports_both_conventions(self):
-        assert run_task("repro.pool.workloads:square", 5) == 25
-        assert run_task(node_increment, 5) == 6
+    def test_one_value_frame_supports_both_conventions(self):
+        assert run_batch("repro.pool.workloads:square", [5]) == [25]
+        assert run_batch(node_increment, [5]) == [6]
 
     def test_run_batch_preserves_order(self):
         assert run_batch("repro.pool.workloads:square", [1, 2, 3]) == [1, 4, 9]
@@ -63,7 +68,42 @@ class TestFunctionRefs:
             cb(ValueError("nope"), None)
 
         with pytest.raises(ValueError):
-            run_task(bad, 1)
+            run_batch(bad, [1])
+
+    def test_one_value_frame_stops_on_a_raised_flag(self):
+        flag = CancelFlag()
+        try:
+            cancel = (flag.name, 1)
+            assert run_batch("repro.pool.workloads:square", [5], None, cancel) == [25]
+            flag.set()
+            with pytest.raises(FrameCancelled) as raised:
+                run_batch("repro.pool.workloads:square", [5], None, cancel)
+            assert (raised.value.completed, raised.value.total) == (0, 1)
+        finally:
+            flag.close()
+
+
+class TestInputBuilders:
+    def test_large_payload_inputs_are_distinct_and_sized(self):
+        items = large_payload_inputs(5, 4096)
+        assert len(set(items)) == 5
+        assert all(len(item) == 4096 for item in items)
+
+    def test_crypto_search_inputs_hide_one_hit_off_the_slow_shard(self):
+        items, nonce = crypto_search_inputs(
+            400, shards=3, values=7, hit_index=4, difficulty_bits=8
+        )
+        assert len(items) == 7
+        # shard 0 carries the slow full-range scans, the hit sits elsewhere
+        assert [i for i, item in enumerate(items) if item["count"] == 400] == [0, 3, 6]
+        results = [search_nonces(item) for item in items]
+        assert [i for i, result in enumerate(results) if result["found"]] == [4]
+        assert results[4]["nonce"] == nonce
+
+    @pytest.mark.parametrize("hit_index", [0, 12, 4])
+    def test_crypto_search_inputs_reject_a_bad_hit_index(self, hit_index):
+        with pytest.raises(ValueError):
+            crypto_search_inputs(10, shards=2, values=12, hit_index=hit_index)
 
 
 class TestProcessPoolWorker:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.comparison import large_payload_inputs
 from repro.core import DistributedMap
 from repro.errors import PandoError
 from repro.pool import ProcessPoolWorker
-from repro.pool.workloads import invert_tile
+from repro.pool.workloads import invert_tile, large_payload_inputs
 from repro.pullstream import collect, pull, values
 
 INVERT = "repro.pool.workloads:invert_tile"

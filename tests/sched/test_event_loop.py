@@ -178,20 +178,6 @@ class TestCancellationFanOut:
             assert len(fanouts) == 1
             assert fanouts[0].fields["cancelled"] == pool.tasks_cancelled
 
-    def test_cancel_on_abort_false_keeps_old_behaviour(self):
-        with DistributedMap(batch_size=1) as dmap:
-            inputs = [{"sleep": 0.02, "i": i} for i in range(10)]
-            sink = pull(values(inputs), dmap, find(lambda v: v["i"] == 1))
-            dmap.add_process_pool(SLEEPER, processes=2, window=6)
-            dmap.drive(sink, timeout=60, cancel_on_abort=False)
-            assert sink.aborted
-            pool = next(iter(dmap.workers.values())).pool
-            assert dmap.scheduler.cancellations == 0
-            # Cancellation then only happens at close() time.
-            submitted = pool.tasks_submitted
-            dmap.close()
-            assert pool.tasks_submitted == submitted
-
 
 class TestGenericAbortFanOut:
     def test_run_without_on_abort_forces_cancellation_across_sources(self):
@@ -306,17 +292,6 @@ class TestFailureModes:
     def test_invalid_poll_interval_rejected(self):
         with pytest.raises(ValueError):
             EventLoopScheduler(poll_interval=0)
-
-    def test_drive_forwards_poll_interval_to_the_run(self):
-        """drive(poll_interval=...) must reach the pump on the scheduler
-        path (regression: it used to be silently dropped)."""
-        with DistributedMap(batch_size=1) as dmap:
-            sink = pull(values([1]), dmap, collect())
-            dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
-            with pytest.raises(PandoError, match="poll_interval"):
-                dmap.drive(sink, poll_interval=0)
-            dmap.drive(sink, timeout=30, poll_interval=0.2)
-            assert sink.result() == [1]
 
 
 class TestPushablePort:

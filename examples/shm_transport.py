@@ -2,7 +2,7 @@
 """Move large payloads to a pool through shared memory instead of the pipe.
 
 The process-pool backend's default transport pickles every frame — inputs
-and results — through the ``ProcessPoolExecutor`` pipe.  For the paper's
+and results — through the pipe of the child that runs it.  For the paper's
 binary workloads (raytraced pixel buffers, image tiles) that serialization
 dominates the run.  ``transport="shm"`` keeps the control plane unchanged
 and moves the payload bytes through a shared-memory slot ring: one memcpy

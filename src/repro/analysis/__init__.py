@@ -9,8 +9,8 @@ property-test suites).  This package enforces the same invariants
     every ``read(end, cb)``-shaped function answers its callback exactly
     once per path, or visibly hands it off;
 ``resource-pairing``
-    every ``ShmRing.acquire()`` / ``SharedMemory`` / executor handle is
-    released or handed off on every exit path;
+    every ``ShmRing.acquire()`` / ``SharedMemory`` / ``Process`` handle and
+    every pipe end is released or handed off on every exit path;
 ``thread-ownership``
     no path from a foreign-thread entry point reaches ``@loop_only`` code
     without crossing ``scheduler.wake()`` / ``call_soon_threadsafe``;

@@ -13,7 +13,7 @@ machine-checkable property:
 * ``@loop_only`` marks a function that must only run on the dispatch
   thread.  The ``pando-lint`` *thread-ownership* checker statically flags
   call paths from thread-entry points (``threading.Thread`` targets,
-  ``add_done_callback`` callbacks, executor-submitted child entry points)
+  ``add_done_callback`` callbacks, executor-submitted entry points)
   into ``@loop_only`` code that do not go through a sanctioned crossing.
 * ``@any_thread`` marks a function deliberately safe to call from any
   thread (it takes a lock, or only touches the sanctioned crossings).  The

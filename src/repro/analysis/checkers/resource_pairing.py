@@ -11,8 +11,9 @@ dynamically; this checker enforces the static shape that makes it true:
   entry, stored on an object, returned — i.e. ownership visibly moved to
   another holder;
 * the same discipline for ``shared_memory.SharedMemory(...)`` handles
-  (``close``/``unlink`` or escape) and ``ProcessPoolExecutor(...)``
-  handles (``shutdown`` or escape);
+  (``close``/``unlink`` or escape), for ``Process(...)`` handles (``join``
+  or escape to an owner whose children exit by themselves at EOF) and for
+  both ends of a ``Pipe()``/``socketpair()`` (``close`` or escape);
 * an acquire expression whose result is *discarded* is flagged outright —
   there is no way to ever release it.
 
@@ -40,7 +41,7 @@ CHECKER_ID = "resource-pairing"
 
 #: method names that end a tracked resource's lifetime when it is the
 #: receiver (``handle.close()``) or an argument (``ring.release(slot)``)
-RELEASE_METHODS = {"release", "release_all", "close", "unlink", "shutdown"}
+RELEASE_METHODS = {"release", "release_all", "close", "unlink", "join"}
 
 #: expression forms whose operands are *uses*, never ownership transfers
 _USE_CONTEXTS = (ast.Compare, ast.BoolOp, ast.UnaryOp, ast.BinOp)
@@ -54,6 +55,15 @@ def _receiver_text(node: ast.expr) -> str:
         return ""
 
 
+#: callables whose result is a tracked handle (or, for a pipe, two of them)
+_CONSTRUCTORS = {
+    "SharedMemory": ("shm", ""),
+    "Process": ("process", ""),
+    "Pipe": ("pipe", ""),
+    "socketpair": ("pipe", ""),
+}
+
+
 def _acquire_kind(call: ast.Call) -> Optional[Tuple[str, str]]:
     """Classify *call* as an acquire site: ``(kind, receiver_text)`` or None."""
     func = call.func
@@ -62,15 +72,9 @@ def _acquire_kind(call: ast.Call) -> Optional[Tuple[str, str]]:
             receiver = _receiver_text(func.value)
             if "ring" in receiver.lower():
                 return ("slot", receiver)
-        if func.attr == "SharedMemory":
-            return ("shm", "")
-        if func.attr == "ProcessPoolExecutor":
-            return ("executor", "")
+        return _CONSTRUCTORS.get(func.attr)
     if isinstance(func, ast.Name):
-        if func.id == "SharedMemory":
-            return ("shm", "")
-        if func.id == "ProcessPoolExecutor":
-            return ("executor", "")
+        return _CONSTRUCTORS.get(func.id)
     return None
 
 
@@ -81,7 +85,8 @@ _State = FrozenSet[Tuple[str, int, str, str]]
 _DESCRIPTIONS = {
     "slot": "shm ring slot",
     "shm": "shared-memory handle",
-    "executor": "process-pool executor",
+    "process": "worker process",
+    "pipe": "pipe end",
 }
 
 
@@ -156,17 +161,16 @@ class _ResourceWalker(StructuredWalker):
             [node.target] if getattr(node, "target", None) is not None else []
         )
         acquire = self._acquire_in(value) if value is not None else None
-        if (
-            acquire is not None
-            and len(targets) == 1
-            and isinstance(targets[0], ast.Name)
-        ):
+        bound = self._bound_names(targets, acquire)
+        if bound:
             kind, receiver = acquire
-            var = targets[0].id
-            state = self._drop_var(state, var)  # rebind loses the old handle
+            for var in bound:
+                state = self._drop_var(state, var)  # rebind loses the old handle
             # evaluate the rest of the RHS (receiver reads are uses)
             state = self._eval(state, value, escapes=False)
-            return frozenset(state | {(var, node.lineno, kind, receiver)})
+            return frozenset(
+                state | {(var, node.lineno, kind, receiver) for var in bound}
+            )
         if value is not None:
             state = self.eval_expr(state, value)
         for target in targets:
@@ -176,6 +180,23 @@ class _ResourceWalker(StructuredWalker):
                 ):
                     state = self._drop_var(state, name_node.id)
         return state
+
+    @staticmethod
+    def _bound_names(targets: list, acquire: Optional[Tuple[str, str]]) -> List[str]:
+        """The variables an acquire statement binds handles to: one name,
+        or — ``a, b = Pipe()`` — the two ends of a pipe."""
+        if acquire is None or len(targets) != 1:
+            return []
+        target = targets[0]
+        if isinstance(target, ast.Name):
+            return [target.id]
+        if (
+            acquire[0] == "pipe"
+            and isinstance(target, ast.Tuple)
+            and all(isinstance(element, ast.Name) for element in target.elts)
+        ):
+            return [element.id for element in target.elts]
+        return []
 
     def _acquire_in(self, value: ast.expr) -> Optional[Tuple[str, str]]:
         """The acquire classification of *value* (looking through IfExp)."""

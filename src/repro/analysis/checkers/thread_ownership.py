@@ -2,8 +2,9 @@
 
 The scheduler subsystem (PR 4) has a single-ownership rule: mutable
 scheduler/stream state is touched only from the event-loop thread.
-Foreign threads — executor done-callbacks, ``threading.Thread`` targets,
-pool children — are allowed exactly two crossings into the loop:
+Foreign threads — ``threading.Thread`` targets, executor threads (a
+volunteer's tabs) and their done-callbacks — are allowed exactly two
+crossings into the loop:
 ``scheduler.wake()`` (itself just ``loop.call_soon_threadsafe``) and the
 ``PushablePort`` ingress, which enqueues under a lock and wakes.
 

@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="pipe",
         dest="pool_transport",
         help="with --backend pool: how frame payloads reach the worker "
-        "processes — 'pipe' pickles them through the executor pipe, 'shm' "
+        "processes — 'pipe' pickles them through the child's pipe, 'shm' "
         "moves large bytes/array payloads through a shared-memory slot ring "
         "(control records only on the pipe; oversized payloads fall back to "
         "the pipe transparently)",
@@ -218,7 +218,7 @@ def run_pipeline(
     buffering (see :class:`~repro.core.distributed_map.DistributedMap`).
 
     ``pool_transport="shm"`` moves large payloads through each pool's
-    shared-memory slot ring instead of the executor pipe.
+    shared-memory slot ring instead of the children's pipes.
 
     *metrics_port* serves the map's Prometheus-style scrape endpoint on
     that port for the duration of the run (0 picks a free port); the

@@ -38,7 +38,7 @@ _LENDER_FIELDS = (
 
 #: ProcessPoolWorker counters exported per worker as ``pando_pool_*``.
 _POOL_FIELDS = (
-    ("tasks_submitted", "Executor tasks (frames) submitted to the pool."),
+    ("tasks_submitted", "Frames submitted to the pool."),
     ("values_dispatched", "Values dispatched to the pool across all frames."),
     ("results_returned", "Result values returned by the pool."),
     ("tasks_cancelled", "Frames cancelled before their task ran (abort fan-out)."),
@@ -375,7 +375,7 @@ class DistributedMap:
 
         ``transport="shm"`` moves large ``bytes``/array payloads through a
         shared-memory slot ring instead of pickling them through the
-        executor pipe (see
+        children's pipes (see
         :class:`~repro.pool.process_pool.ProcessPoolWorker`); *slot_count*,
         *slot_size* and *shm_min_bytes* tune the ring.
 
@@ -387,7 +387,7 @@ class DistributedMap:
         from ..pool import ProcessPoolWorker, default_window
 
         worker_id = self._claim_worker_id(worker_id)
-        # The executor spawns its processes lazily, so creating the pool
+        # The pool starts its processes on the first frame, so creating it
         # before the late-attachment check in _lend_substream costs nothing;
         # on failure it is closed before the error propagates.
         pool = ProcessPoolWorker(
@@ -631,7 +631,7 @@ class DistributedMap:
         """Pump the map's pools, volunteers and channels until *sinks* complete.
 
         Pools park their result asks instead of blocking the interpreter
-        thread on the head-of-line future, gateways and ports only enqueue,
+        thread on the head-of-line result, gateways and ports only enqueue,
         so somebody must deliver the ready work back into the stream
         machinery: this spins the map's
         :class:`~repro.sched.EventLoopScheduler` until the sinks complete.
@@ -640,7 +640,7 @@ class DistributedMap:
 
         Cancellation fan-out: the moment the map's output aborts — a
         ``find`` sink hit, or any sink that cut the stream short — every
-        attached pool's submitted-but-not-yet-running future is cancelled,
+        attached pool's submitted-but-not-yet-started frame is cancelled,
         returning the cores immediately instead of computing results nobody
         can receive.
 

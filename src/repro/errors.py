@@ -59,10 +59,8 @@ class FrameCancelled(PandoError):
         self.total = total
 
     def __reduce__(self):
-        # Crosses the executor's result pipe.  The default reduction calls
-        # ``cls(*args)`` with the message alone, which fails to unpickle —
-        # and an unreadable result makes the executor declare the whole
-        # pool broken.
+        # Crosses a pool child's pipe.  The default reduction calls
+        # ``cls(*args)`` with the message alone, which fails to unpickle.
         return (FrameCancelled, (self.completed, self.total))
 
 

@@ -1,7 +1,7 @@
 """Shared-memory slot ring: the cheap data plane for process-pool frames.
 
 The pool backend's wire protocol pickles every ``Batch`` through the
-``ProcessPoolExecutor`` pipe — fine for control records, ruinous for the
+worker process's pipe — fine for control records, ruinous for the
 payloads the paper's applications actually move (raytraced pixel buffers,
 Landsat tiles).  :class:`ShmRing` splits the two planes: one
 ``multiprocessing.shared_memory`` block is divided into fixed-size slots,
@@ -90,7 +90,7 @@ class ShmRing:
             create=True, size=slot_count * slot_size
         )
         self.name = self._shm.name
-        # Fork-started executor children inherit this object; only the
+        # Fork-started pool children inherit this object; only the
         # creating process may unlink the block (see close()).
         self._owner_pid = os.getpid()
         self._free: Deque[int] = deque(range(slot_count))
@@ -302,7 +302,7 @@ _ATTACHED: dict = {}
 def attach_ring(name: str) -> shared_memory.SharedMemory:
     """Map the ring block *name* into this process (cached).
 
-    Executor children share the master's resource-tracker process, whose
+    Pool children share the master's resource-tracker process, whose
     per-name cache is a set: the attach below re-registers a name the
     master already registered (a no-op), and the master's ``unlink``
     removes it exactly once — so neither side may *unregister* on the

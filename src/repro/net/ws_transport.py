@@ -723,7 +723,7 @@ class WsVolunteerGateway(EventSource):
         """Bind the websocket server and return its ``ws://`` URL."""
         if self._server is not None:
             raise PandoError("WsVolunteerGateway is already started")
-        loop = self.scheduler._ensure_loop()
+        loop = self.scheduler.loop
         self._clock = LoopClock(loop)
         self._server = self.scheduler.run_coroutine(
             asyncio.start_server(

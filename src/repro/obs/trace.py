@@ -9,7 +9,7 @@ per-kind counts through the registry.
 
 :class:`Observability` bundles one master's registry, trace log and frame
 tracer.  A traced frame is a plain dict — picklable, so it rides the frame
-control metadata across all three transports (executor pipe, shm control
+control metadata across all three transports (pool pipe, shm control
 records, websocket wire records)::
 
     {"frame_id": 7, "job": "job-1", "transport": "shm",

@@ -1,7 +1,7 @@
 """Cross-process cancellation flag for bounded-tail frame abort.
 
-The abort fan-out (``DistributedMap.drive``) drops
-*queued* futures, but a frame already running in an executor child keeps
+The abort fan-out (``DistributedMap.drive``) drops the frames still
+*queued* in the master, but a frame a pool child already holds keeps
 computing its whole batch — the tail-latency follow-on the ROADMAP calls
 out.  :class:`CancelFlag` closes that gap: one byte of
 ``multiprocessing.shared_memory`` the master raises when it force-cancels a
@@ -22,8 +22,6 @@ from __future__ import annotations
 import os
 from multiprocessing import shared_memory
 
-from ..analysis.annotations import any_thread
-
 __all__ = ["CancelFlag", "flag_is_set"]
 
 
@@ -40,9 +38,8 @@ class CancelFlag:
     def name(self) -> str:
         return self._shm.name
 
-    @any_thread
     def set(self) -> None:
-        """Raise the flag (idempotent, safe from any thread)."""
+        """Raise the flag (idempotent)."""
         if not self.closed:
             self._shm.buf[0] = 1
 

@@ -1,4 +1,4 @@
-"""A pull-stream duplex backed by a pool of OS processes.
+"""A pull-stream duplex backed by worker processes the pool owns.
 
 The paper's evaluation runs every worker in a separate browser tab — a real
 OS process — while the reproduction's ``add_local_worker`` executes the
@@ -6,8 +6,9 @@ function synchronously on the interpreter thread, which caps CPU-bound
 applications at single-core speed.  :class:`ProcessPoolWorker` closes that
 gap: it exposes the same :class:`~repro.pullstream.duplex.Duplex` shape as a
 network channel (sink: values in, source: results out, one result frame per
-input frame, in borrow order) but dispatches the work to a
-``concurrent.futures.ProcessPoolExecutor``.
+input frame, in borrow order) but computes the frames in *processes*
+``multiprocessing.Process`` children, each on its own duplex pipe (a
+``socketpair``).
 
 Because the duplex contract is identical, the whole master-side machinery —
 ``StreamLender`` fault tolerance, ``Limiter`` admission windows,
@@ -17,23 +18,39 @@ Because the duplex contract is identical, the whole master-side machinery —
     pull(sub.source, batching(8), Limiter(pool, 5), unbatching(), sub.sink)
 
 Flow control: the sink eagerly drains its upstream (exactly like the network
-channel adapters, which is why a ``Limiter`` belongs in front) and submits
-one executor task per frame; the source blocks on the oldest pending future,
-so later frames keep computing in other processes while the head of line is
-awaited.  A task that raises — including a crashed worker process
-(``BrokenProcessPool``) — errors the result stream, which ``StreamLender``
-treats as a crash-stop failure and re-lends the borrowed values elsewhere.
+channel adapters, which is why a ``Limiter`` belongs in front).  The children
+are spawned on the first frame; a frame is one length-prefixed pickle
+``(seq, payload, trace)`` written straight to the least-loaded child — at
+most one frame running and one prefetched per child, so a child never idles
+between frames — and the rest wait in a master-side queue, where cancelling
+one is a ``pop``.  A child answers ``(seq, ok, payload)``; each child works
+first-in first-out and the master keeps the frames in borrow order, so
+results are delivered in that order whichever child finished first.  There
+is no thread on either side: the master never blocks on a write (what a
+child's pipe does not take at once waits in that child's outbox until the
+pipe is writable), so a child blocked writing a large result can always be
+read.
 
-With ``blocking=False`` the source never blocks: an ask whose head-of-line
-future is still running is parked, and the
-:class:`~repro.sched.EventLoopScheduler` later calls
-:meth:`ProcessPoolWorker.poll` to deliver completed results.  This is the
-only mode a :class:`~repro.core.distributed_map.DistributedMap` uses — it is
-what lets several pools pump concurrently from one interpreter thread, where
-a blocking source would monopolise it and serialise the pools.  The blocking
-default remains for a bare pool behind a plain ``pull``, which has no driver.
+Crash-stop: a task that raises errors the result stream when its frame
+reaches the head of the line, and a child that dies (EOF on its pipe)
+errors it at once; ``StreamLender`` treats either as a failed worker and
+re-lends the borrowed values elsewhere.  ``close()`` only closes the pipes:
+a child stops at EOF — after the frame it is running, never computing a
+prefetched one, because answering on the closed pipe fails first — so every
+child exits by itself and ``multiprocessing.active_children()`` reaps it.
 
-``transport="shm"`` moves the frame *payloads* off the executor pipe: large
+Who reads the pipes depends on who drives the stream.  Under a
+:class:`~repro.core.distributed_map.DistributedMap` the pool is
+``blocking=False`` and registered with the map's
+:class:`~repro.sched.EventLoopScheduler`: its pipes sit on the loop's
+selector (:class:`~repro.sched.sources.PoolEventSource`), an ask whose
+head-of-line result is not in yet is parked, and :meth:`poll` delivers it
+later — which is what lets several pools pump concurrently from one
+interpreter thread.  A bare pool behind a plain ``pull`` has no driver, so
+the blocking default waits on the children's pipes itself until the head
+frame's result is in.
+
+``transport="shm"`` moves the frame *payloads* off the pipe: large
 ``bytes``/array values are written once into a
 :class:`~repro.net.shm_ring.ShmRing` slot and only the tiny control record
 (slot index, length, dtype tag) is pickled, cutting the per-frame
@@ -47,11 +64,13 @@ the pipe, exactly as with ``transport="pipe"``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import select
+import socket
 from collections import deque
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Set, Tuple
 
 from ..analysis.annotations import loop_only
 from ..errors import PandoError, ProtocolError, WorkerCrashed
@@ -62,12 +81,23 @@ from ..pullstream.sinks import eager_pump
 from .cancel import CancelFlag
 from .tasks import (
     FunctionRef,
+    pack_message,
+    recv_message,
     resolve_callable,
-    run_batch,
-    run_shm_batch,
+    serve_frames,
 )
 
 __all__ = ["ProcessPoolWorker", "default_window"]
+
+#: frames a child holds at most: the one it runs and one prefetched behind it
+CHILD_DEPTH = 2
+
+#: Master-side pipe ends open in this process.  A forked child inherits a
+#: copy of every one of them — its own, its earlier siblings', other pools' —
+#: and closes them first thing: a pipe only reports EOF once *every* copy of
+#: the far end is closed, and EOF is how a child learns that its master
+#: closed the pool or died.
+_MASTER_ENDS: Set[socket.socket] = set()
 
 
 def default_window(processes: Optional[int]) -> int:
@@ -75,8 +105,53 @@ def default_window(processes: Optional[int]) -> int:
     return max(2, (processes or os.cpu_count() or 1) + 1)
 
 
+def _child_main(sock: socket.socket, *config: Any) -> None:
+    """Entry point of a pool child (see :func:`repro.pool.tasks.serve_frames`)."""
+    for inherited in list(_MASTER_ENDS):
+        inherited.close()
+    serve_frames(sock, *config)
+
+
+class _Frame:
+    """One submitted frame, from submit to delivery."""
+
+    __slots__ = ("seq", "parts", "was_batch", "slots", "trace", "reply")
+
+    def __init__(
+        self, seq: int, parts: List[bytes], was_batch: bool, slots: List[int], trace: Optional[dict]
+    ) -> None:
+        self.seq = seq
+        #: the packed message, until it is handed to a child
+        self.parts: Optional[List[bytes]] = parts
+        self.was_batch = was_batch
+        #: ring slots the frame owns (``transport="shm"``)
+        self.slots = slots
+        self.trace = trace
+        #: the child's ``(ok, result)``, once it is in
+        self.reply: Optional[Tuple[bool, Any]] = None
+
+
+class _Child:
+    """One worker process and the master's end of its pipe."""
+
+    def __init__(self, process: Any, sock: socket.socket) -> None:
+        self.process = process
+        self.sock = sock
+        #: frames handed to the child and not answered yet, oldest first
+        self.frames: Deque[_Frame] = deque()
+        #: bytes the pipe has not taken yet (see ``ProcessPoolWorker.flush``)
+        self.outbox: Deque[Any] = deque()
+
+    def fileno(self) -> int:
+        return self.sock.fileno()
+
+    def close(self) -> None:
+        _MASTER_ENDS.discard(self.sock)
+        self.sock.close()
+
+
 class ProcessPoolWorker:
-    """Duplex channel whose far side is a ``ProcessPoolExecutor``.
+    """Duplex channel whose far side is a set of worker processes.
 
     Parameters
     ----------
@@ -85,19 +160,16 @@ class ProcessPoolWorker:
         :func:`repro.pool.tasks.resolve_callable` — a dotted-name string, a
         ``("file", path)`` tuple, or a picklable callable.
     processes:
-        Pool size (defaults to ``os.cpu_count()``).
-    task_timeout:
-        Optional per-frame timeout in seconds when awaiting a result; a
-        timeout errors the result stream like a crashed worker.
+        Number of children (defaults to ``os.cpu_count()``); all are started
+        when the first frame is submitted.
     blocking:
-        When True (the default), the source blocks on the head-of-line
-        future.  When False, such an ask is parked and must be delivered by
+        When True (the default), the source waits on the children's pipes
+        until the head-of-line result is in — for a bare pool behind a plain
+        ``pull``.  When False, such an ask is parked and delivered by
         :meth:`poll` — the mode every pool under a ``DistributedMap`` runs
-        in.  ``task_timeout`` cannot be enforced in this mode
-        (results are only ever collected from already-done futures), so the
-        combination is rejected rather than silently ignored.
+        in, where the map's scheduler reads the pipes.
     transport:
-        ``"pipe"`` (the default) pickles whole frames through the executor
+        ``"pipe"`` (the default) pickles whole frames through the child's
         pipe; ``"shm"`` moves large ``bytes``/array payloads through a
         shared-memory slot ring and pickles only control records.
         *slot_count*, *slot_size* and *shm_min_bytes* tune the ring (slots
@@ -109,11 +181,11 @@ class ProcessPoolWorker:
         control metadata — the child measures user-function time, delivery
         observes the per-frame overhead/compute histograms.
     cancel_chunk:
-        Bounded-tail cancellation: when set, every frame carries the name of
-        a shared :class:`~repro.pool.cancel.CancelFlag` which the child
-        polls every *cancel_chunk* values.  A forced cancellation fan-out
-        (or shutdown) raises the flag, so a frame already running stops at
-        its next chunk boundary instead of computing the whole batch.
+        Bounded-tail cancellation: when set, the children poll a shared
+        :class:`~repro.pool.cancel.CancelFlag` every *cancel_chunk* values
+        of a frame.  A forced cancellation fan-out (or shutdown) raises the
+        flag, so a frame already running stops at its next chunk boundary
+        instead of computing the whole batch.
     """
 
     pull_role = "duplex"
@@ -122,8 +194,6 @@ class ProcessPoolWorker:
         self,
         fn_ref: FunctionRef,
         processes: Optional[int] = None,
-        task_timeout: Optional[float] = None,
-        mp_context: Optional[Any] = None,
         blocking: bool = True,
         transport: str = "pipe",
         slot_count: Optional[int] = None,
@@ -135,13 +205,6 @@ class ProcessPoolWorker:
         self._validate_ref(fn_ref)
         if cancel_chunk is not None and cancel_chunk < 1:
             raise PandoError("cancel_chunk must be at least one value")
-        if task_timeout is not None and not blocking:
-            raise PandoError(
-                "task_timeout requires a blocking pool source: the "
-                "non-blocking mode only collects futures that are already "
-                "done, so the timeout would never fire (bound the run with "
-                "DistributedMap.drive(..., timeout=...) instead)"
-            )
         if transport not in ("pipe", "shm"):
             raise PandoError(
                 f"unknown pool transport {transport!r}: expected 'pipe' or 'shm'"
@@ -155,14 +218,13 @@ class ProcessPoolWorker:
             )
         self.fn_ref = fn_ref
         self.processes = processes or os.cpu_count() or 1
-        self.task_timeout = task_timeout
         self.blocking = blocking
         self.transport = transport
         #: the owning map's observability plane (frame tracing), or None
         self.obs = obs
         #: the shared-memory payload ring (``transport="shm"`` only)
         self.ring: Optional[ShmRing] = None
-        self._shm_min_bytes = shm_min_bytes
+        self._shm_min_bytes = shm_min_bytes if shm_min_bytes is not None else OOB_MIN_BYTES
         if transport == "shm":
             ring_kwargs = {}
             if slot_count is not None:
@@ -175,12 +237,16 @@ class ProcessPoolWorker:
         self.cancel_flag: Optional[CancelFlag] = (
             CancelFlag() if cancel_chunk is not None else None
         )
-        self._executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=self.processes, mp_context=mp_context
-        )
-        #: (future, was_batch, ring slots owned by the frame, frame trace)
-        #: in submission (= borrow) order
-        self._pending: Deque[Tuple[Future, bool, List[int], Optional[dict]]] = deque()
+        #: the worker processes (empty until the first frame, and after shutdown)
+        self.children: List[_Child] = []
+        #: the :class:`~repro.sched.sources.PoolEventSource` whose loop reads
+        #: the pipes, when a scheduler drives this pool
+        self.watcher: Optional[Any] = None
+        self._next_seq = 0
+        #: submitted, undelivered frames in submission (= borrow) order
+        self._pending: Deque[_Frame] = deque()
+        #: the tail of ``_pending`` no child has room for yet
+        self._queue: Deque[_Frame] = deque()
         self._upstream_ended: End = None
         self._result_waiting: Optional[Callback] = None
         self._closed: End = None
@@ -188,7 +254,7 @@ class ProcessPoolWorker:
         self.tasks_submitted = 0
         self.values_dispatched = 0
         self.results_returned = 0
-        #: frames cancelled before their task ever ran (cancellation fan-out)
+        #: frames cancelled before they were handed to a child
         self.tasks_cancelled = 0
         self.source = self._make_source()
         self.sink = self._make_sink()
@@ -226,7 +292,6 @@ class ProcessPoolWorker:
         return sink
 
     def _submit(self, value: Any) -> None:
-        assert self._executor is not None
         # Every submission is a frame: an un-batched value travels as a
         # frame of one, which ``_deliver`` unwraps again.
         was_batch = isinstance(value, Batch)
@@ -236,42 +301,35 @@ class ProcessPoolWorker:
             if self.obs is not None
             else None
         )
-        cancel = (
-            (self.cancel_flag.name, self.cancel_chunk)
-            if self.cancel_flag is not None
-            else None
-        )
+        payload: Any = values
         slots: List[int] = []
         if self.ring is not None:
-            min_bytes = (
-                self._shm_min_bytes if self._shm_min_bytes is not None else OOB_MIN_BYTES
-            )
-            entries, slots = pack_frame(self.ring, values, min_bytes=min_bytes)
-            try:
-                future = self._executor.submit(
-                    run_shm_batch,
-                    self.fn_ref,
-                    self.ring.name,
-                    self.ring.slot_size,
-                    entries,
-                    min_bytes,
-                    trace,
-                    cancel,
-                )
-            except Exception:
+            payload, slots = pack_frame(self.ring, values, min_bytes=self._shm_min_bytes)
+        try:
+            parts = pack_message((self._next_seq, payload, trace))
+        except Exception as exc:
+            # A value that cannot cross the pipe fails the worker like a
+            # crash would: the stream errors and the lender re-lends.
+            if self.ring is not None:
                 self.ring.release_all(slots)
-                raise
-            if trace is not None:
+            self._shutdown(exc)
+            return
+        if not self.children:
+            self._spawn()
+        frame = _Frame(self._next_seq, parts, was_batch, slots, trace)
+        self._next_seq += 1
+        self._pending.append(frame)
+        child = min(self.children, key=lambda child: len(child.frames))
+        if len(child.frames) < CHILD_DEPTH:
+            self._send(child, frame)
+        else:
+            self._queue.append(frame)
+        if trace is not None:
+            if self.ring is not None:
                 self.obs.observe_payload(
                     self.transport,
-                    sum(entry[2] for entry in entries if entry[0] == "shm"),
+                    sum(entry[2] for entry in payload if entry[0] == "shm"),
                 )
-        else:
-            future = self._executor.submit(
-                run_batch, self.fn_ref, values, trace, cancel
-            )
-        self._pending.append((future, was_batch, slots, trace))
-        if trace is not None:
             self.obs.end_serialize(trace)
         self.values_dispatched += len(values)
         self.tasks_submitted += 1
@@ -281,6 +339,105 @@ class ProcessPoolWorker:
                 self._deliver(waiting)
             else:
                 self.poll()
+
+    # ------------------------------------------------------ children, pipes
+    def _spawn(self) -> None:
+        """Start every child, each on its own duplex pipe."""
+        shm = (
+            (self.ring.name, self.ring.slot_size, self._shm_min_bytes)
+            if self.ring is not None
+            else None
+        )
+        cancel = (
+            (self.cancel_flag.name, self.cancel_chunk)
+            if self.cancel_flag is not None
+            else None
+        )
+        for _ in range(self.processes):
+            master_end, child_end = socket.socketpair()
+            _MASTER_ENDS.add(master_end)
+            child = _Child(
+                multiprocessing.Process(
+                    target=_child_main,
+                    args=(child_end, self.fn_ref, shm, cancel),
+                    daemon=True,
+                ),
+                master_end,
+            )
+            try:
+                child.process.start()
+            except BaseException:
+                child.close()
+                raise
+            finally:
+                child_end.close()
+            self.children.append(child)
+            if self.watcher is not None:
+                self.watcher.watch(child)
+
+    def _send(self, child: _Child, frame: _Frame) -> None:
+        child.frames.append(frame)
+        child.outbox.extend(frame.parts)
+        frame.parts = None
+        if not self.flush(child) and self.watcher is not None:
+            self.watcher.watch_writes(child)
+
+    def flush(self, child: _Child) -> bool:
+        """Write what *child*'s pipe takes without blocking; True once its
+        outbox is empty.
+
+        The master never waits on a write: a child busy writing a large
+        result does not read, and waiting for it while it waits for the
+        master to read would deadlock.  The rest goes when the pipe is
+        writable again (``_pump``, or the event loop's writer).
+        """
+        outbox = child.outbox
+        while outbox:
+            data = outbox[0]
+            try:
+                sent = child.sock.send(data, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                return False
+            except OSError:
+                # The child is gone; EOF on the read side reports the crash.
+                outbox.clear()
+                return True
+            if sent < len(data):
+                outbox[0] = memoryview(data)[sent:]
+                return False
+            outbox.popleft()
+        return True
+
+    def receive(self, child: _Child) -> None:
+        """File the reply waiting on *child*'s pipe and refill the child."""
+        try:
+            seq, ok, result = recv_message(child.sock)
+        except Exception as exc:
+            # EOF or a reset: the child died.  Anything else: a reply that
+            # does not unpickle here.  Either way this worker has failed.
+            self._shutdown(
+                WorkerCrashed(f"pool child {child.process.pid} failed: {exc!r}")
+            )
+            return
+        if not child.frames or child.frames[0].seq != seq:
+            self._shutdown(
+                ProtocolError(f"pool child {child.process.pid} answered frame {seq} out of turn")
+            )
+            return
+        child.frames.popleft().reply = (ok, result)
+        if self._queue:
+            self._send(child, self._queue.popleft())
+
+    def _pump(self, timeout: Optional[float]) -> None:
+        """Wait up to *timeout* seconds (None: until something moves) on the
+        children's pipes: flush stalled sends, file the replies that came."""
+        stalled = [child for child in self.children if child.outbox]
+        readable, writable, _ = select.select(self.children, stalled, (), timeout)
+        for child in writable:
+            self.flush(child)
+        for child in readable:
+            if self._closed is None:  # a failed receive closes every pipe
+                self.receive(child)
 
     # --------------------------------------------------------- source side
     def _make_source(self) -> Source:
@@ -292,14 +449,13 @@ class ProcessPoolWorker:
             if self._result_waiting is not None:
                 cb(ProtocolError("ProcessPoolWorker source asked twice concurrently"), None)
                 return
-            # Termination is checked before ``_pending``: after close() the
-            # pending futures are cancelled, so delivering one would report a
-            # bogus WorkerCrashed instead of the close reason.
+            # Termination is checked before ``_pending``: close() drops the
+            # pending frames, and a read after it reports the close reason.
             if self._closed is not None:
                 cb(self._termination(), None)
                 return
             if self._pending:
-                if self.blocking or self._pending[0][0].done():
+                if self.blocking or self._pending[0].reply is not None:
                     self._deliver(cb)
                 else:
                     self._result_waiting = cb
@@ -315,23 +471,25 @@ class ProcessPoolWorker:
         return read
 
     def _deliver(self, cb: Callback) -> None:
-        """Block on the oldest pending future and answer with its result."""
-        future, was_batch, slots, trace = self._pending.popleft()
-        try:
-            result = future.result(timeout=self.task_timeout)
-        except (Exception, CancelledError) as exc:
+        """Answer with the oldest pending frame's result (a blocking pool
+        first waits on the pipes until it is in)."""
+        frame = self._pending[0]
+        while frame.reply is None:
+            self._pump(None)
+            if self._closed is not None:
+                # A child died: the shutdown dropped every pending frame.
+                cb(self._closed, None)
+                return
+        self._pending.popleft()
+        (ok, result), trace = frame.reply, frame.trace
+        if not ok:
             # The frame can never be consumed: its slots go back to the ring
             # before the crash-stop teardown (shutdown would also reap them,
             # but release-before-teardown keeps the accounting exact).
             if self.ring is not None:
-                self.ring.release_all(slots)
-            error = (
-                exc
-                if isinstance(exc, Exception)
-                else WorkerCrashed(f"process pool task failed: {exc!r}")
-            )
-            self._shutdown(error)
-            cb(error, None)
+                self.ring.release_all(frame.slots)
+            self._shutdown(result)
+            cb(result, None)
             return
         if trace is not None:
             # The child answered with the traced shape: (payload, trace).
@@ -345,11 +503,11 @@ class ProcessPoolWorker:
             # Copy the payloads out, then release the frame's slots — the
             # "release on result read" half of the slot-ownership protocol.
             result = unpack_frame(self.ring, result)
-            self.ring.release_all(slots)
+            self.ring.release_all(frame.slots)
         self.results_returned += len(result)
         if trace is not None:
             self.obs.observe_frame(trace)
-        cb(None, Batch(result) if was_batch else result[0])
+        cb(None, Batch(result) if frame.was_batch else result[0])
 
     def _termination(self) -> End:
         """Termination marker with consistent precedence: an error stored by
@@ -379,17 +537,20 @@ class ProcessPoolWorker:
         Returns True when at least one result (or the final termination) was
         handed to the parked callback.  The delivery cascade usually parks a
         fresh ask, so the loop keeps draining as long as the new head-of-line
-        future is already done.  *limit* bounds the number of results
+        result is already in.  *limit* bounds the number of results
         delivered per call — the event-loop scheduler polls with ``limit=1``
-        so one hot pool with a backlog of done futures cannot starve the
-        other sources sharing its dispatch round.
+        so one hot pool with a backlog of results cannot starve the other
+        sources sharing its dispatch round.  Without a scheduler watching
+        the pipes, the call first looks at them itself (without waiting).
         """
+        if self.watcher is None and self._result_waiting is not None:
+            self._pump(0)
         delivered = False
         budget = limit
         while (
             self._result_waiting is not None
             and self._pending
-            and self._pending[0][0].done()
+            and self._pending[0].reply is not None
             and (budget is None or budget > 0)
         ):
             waiting, self._result_waiting = self._result_waiting, None
@@ -407,13 +568,13 @@ class ProcessPoolWorker:
         return delivered
 
     def cancel_pending(self, force: bool = False) -> int:
-        """Cancel every submitted frame whose task has not started running.
+        """Cancel every submitted frame that no child holds yet.
 
         Returns the number of frames cancelled (also accumulated in
         :attr:`tasks_cancelled`).  This is the cancellation fan-out fast
         path: after a downstream abort (a ``find`` hit), the results of the
-        frames still queued behind the running ones can never be delivered,
-        so waiting for their tasks to compute only wastes the cores.
+        frames still queued behind the children's can never be delivered,
+        so computing them only wastes the cores.
 
         Cancelling is only legal once no result can still be consumed — a
         frame removed from the pending queue would otherwise be silently
@@ -425,30 +586,17 @@ class ProcessPoolWorker:
         out-of-band (the abort may still be parked in a Limiter gate on its
         way here): the caller asserts no delivered result will be consumed.
         A forced cancellation that empties the queue shuts the pool down —
-        with no task running and the downstream gone, nothing can ever be
-        owed again.
+        with no frame in a child and the downstream gone, nothing can ever
+        be owed again.
         """
         if not force and self._closed is None:
             return 0
         if self.cancel_flag is not None:
-            # Raise the shared flag first: the frames already *running* are
-            # beyond future.cancel(), but they poll this between chunks —
-            # the bounded-tail half of the fan-out.
+            # Raise the shared flag first: the frames the children hold are
+            # beyond cancelling, but they poll this between chunks — the
+            # bounded-tail half of the fan-out.
             self.cancel_flag.set()
-        kept: Deque[Tuple[Future, bool, List[int], Optional[dict]]] = deque()
-        cancelled = 0
-        while self._pending:
-            future, was_batch, slots, trace = self._pending.popleft()
-            if future.cancel():
-                cancelled += 1
-                # A cancelled task never ran, so its payload slots can never
-                # be read again: hand them back to the ring immediately.
-                if self.ring is not None:
-                    self.ring.release_all(slots)
-            else:
-                kept.append((future, was_batch, slots, trace))
-        self._pending = kept
-        self.tasks_cancelled += cancelled
+        cancelled = self._drop_queue()
         if (
             force
             and not self._pending
@@ -463,6 +611,18 @@ class ProcessPoolWorker:
             self._maybe_finish()
         return cancelled
 
+    def _drop_queue(self) -> int:
+        """Forget the frames no child holds (always the tail of ``_pending``);
+        they never ran, so their payload slots go straight back to the ring."""
+        cancelled = len(self._queue)
+        for _ in range(cancelled):
+            frame = self._pending.pop()
+            if self.ring is not None:
+                self.ring.release_all(frame.slots)
+        self._queue.clear()
+        self.tasks_cancelled += cancelled
+        return cancelled
+
     @property
     def waiting(self) -> bool:
         """True while a result ask is parked (awaiting poll or new input)."""
@@ -474,13 +634,13 @@ class ProcessPoolWorker:
         if self._result_waiting is None:
             return False
         if self._pending:
-            return self._pending[0][0].done()
+            return self._pending[0].reply is not None
         return self._upstream_ended is not None or self._closed is not None
 
     @property
-    def head_future(self) -> Optional[Future]:
-        """The oldest pending future (what a driver should wait on), if any."""
-        return self._pending[0][0] if self._pending else None
+    def head_started(self) -> bool:
+        """True once the oldest pending frame has been handed to a child."""
+        return len(self._pending) > len(self._queue)  # the queue is the tail
 
     # ------------------------------------------------------------ lifecycle
     def _shutdown(self, reason: End) -> None:
@@ -492,23 +652,23 @@ class ProcessPoolWorker:
             # the unlink treat the missing block as raised.
             self.cancel_flag.set()
             self.cancel_flag.close()
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            for future, _was_batch, _slots, _trace in self._pending:
-                if future.cancel():
-                    self.tasks_cancelled += 1
-            # cancel_futures reaps work items that future.cancel() cannot
-            # reach any more (already handed to the executor's call queue).
-            executor.shutdown(wait=False, cancel_futures=True)
-        # Cancelled futures must not be delivered by a later read: they would
-        # surface as WorkerCrashed instead of the recorded close reason.
+        # Closing the pipes is the whole teardown: each child stops at EOF,
+        # after the frame it is running (see repro.pool.tasks.serve_frames).
+        children, self.children = self.children, []
+        for child in children:
+            if self.watcher is not None:
+                self.watcher.unwatch(child)
+            child.close()
+        self._drop_queue()
         if self.ring is not None:
             # Reap every frame's slots — delivered frames already released
             # theirs, and nothing after shutdown can consume the rest — then
             # drop the block.  The counters stay readable for leak checks.
-            for _future, _was_batch, slots, _trace in self._pending:
-                self.ring.release_all(slots)
+            for frame in self._pending:
+                self.ring.release_all(frame.slots)
             self.ring.close()
+        # Dropped frames must not be delivered by a later read: the read
+        # reports the recorded close reason instead.
         self._pending.clear()
         # A parked result ask must be answered on *any* termination —
         # including close() — so the sub-stream closes and its borrowed
@@ -519,7 +679,8 @@ class ProcessPoolWorker:
             waiting(self._closed, None)
 
     def close(self) -> None:
-        """Release the worker processes (idempotent)."""
+        """Close the children's pipes (idempotent); each child exits by
+        itself once the frame it is running, if any, is done."""
         self._shutdown(DONE)
 
     @property

@@ -1,10 +1,16 @@
 """Child-process side of the process-pool backend.
 
-The functions in this module are the only code submitted to the
-``ProcessPoolExecutor``: they are plain module-level functions, hence
-picklable under every multiprocessing start method.  A *function reference*
-describes the user's processing function in a way that survives the trip to
-the child process:
+:func:`serve_frames` is a pool child's main loop: it reads frames from the
+pipe the master holds the other end of, runs each through one of the two
+frame runners — :func:`run_batch`, or :func:`run_shm_batch` when the
+payloads travel through the shared-memory ring — and answers in order.
+:func:`pack_message` and :func:`recv_message` are the pipe's framing, used
+by both ends: an 8-byte length, then a pickle.  The pipe only ever connects
+a master to a process it started itself, so nothing from a network is
+unpickled here.
+
+A *function reference* describes the user's processing function in a way
+that survives the trip to the child process:
 
 * a dotted name string, ``"package.module:attribute"`` (or
   ``"package.module.attribute"``), resolved by import in the child and cached
@@ -26,19 +32,25 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pickle
+import socket
+import struct
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.annotations import any_thread
-from ..errors import FrameCancelled, PandoError
+from ..errors import FrameCancelled, PandoError, WorkerCrashed
 from .cancel import flag_is_set
 
 __all__ = [
     "FunctionRef",
     "expects_callback",
+    "pack_message",
+    "recv_message",
     "resolve_callable",
     "run_batch",
     "run_shm_batch",
+    "serve_frames",
 ]
 
 FunctionRef = Union[str, Tuple[str, str], Callable[..., Any]]
@@ -164,9 +176,9 @@ def run_batch(
     trace: Optional[Dict[str, Any]] = None,
     cancel: Optional[Tuple[str, int]] = None,
 ) -> Any:
-    """Executor entry point: apply the referenced function to a whole frame.
+    """Frame runner: apply the referenced function to a whole frame.
 
-    One submission per frame is what amortises the inter-process round trip;
+    One message per frame is what amortises the inter-process round trip;
     results come back as a list in input order — or, with a *trace* dict,
     as ``(results, trace)`` with the frame's summed ``exec_s`` added (a
     duration, never a timestamp: child and master clocks are not
@@ -188,7 +200,6 @@ def run_batch(
     return out, dict(trace, exec_s=time.perf_counter() - start)
 
 
-@any_thread
 def run_shm_batch(
     ref: FunctionRef,
     ring_name: str,
@@ -198,12 +209,12 @@ def run_shm_batch(
     trace: Optional[Dict[str, Any]] = None,
     cancel: Optional[Tuple[str, int]] = None,
 ) -> Any:
-    """Executor entry point for a shared-memory-framed batch.
+    """Frame runner for a shared-memory-framed batch.
 
     Each payload arrives as a control entry pointing into the master's
     :class:`~repro.net.shm_ring.ShmRing` (or inline, the fallback) and its
     result travels back the same way — only the tiny control records cross
-    the executor pipe.  Values are applied in order; each result is written back into its own
+    the pipe.  Values are applied in order; each result is written back into its own
     input's slot before the next value is touched, so a frame never needs
     more slots than its submission acquired.  A *trace* dict accumulates
     the user-function time across the frame (``exec_s``) and switches the
@@ -230,3 +241,84 @@ def run_shm_batch(
     if trace is None:
         return out
     return out, dict(trace, exec_s=exec_s)
+
+
+# ------------------------------------------------------------ the child's pipe
+_LENGTH = struct.Struct("!Q")
+
+#: below this a message goes out as one write; above it the body is not
+#: copied behind its length prefix
+_ONE_WRITE_BYTES = 1 << 16
+
+
+def pack_message(message: Any) -> List[bytes]:
+    """*message* as the pipe carries it: an 8-byte length, then its pickle."""
+    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    prefix = _LENGTH.pack(len(body))
+    return [prefix + body] if len(body) < _ONE_WRITE_BYTES else [prefix, body]
+
+
+def _recv_exactly(sock: socket.socket, size: int) -> bytearray:
+    buffer = bytearray(size)
+    view, got = memoryview(buffer), 0
+    while got < size:
+        count = sock.recv_into(view[got:])
+        if not count:
+            raise EOFError("the pipe's far end is closed")
+        got += count
+    return buffer
+
+
+def recv_message(sock: socket.socket) -> Any:
+    """Read one :func:`pack_message` message from *sock* (waits for all of it)."""
+    (size,) = _LENGTH.unpack(_recv_exactly(sock, _LENGTH.size))
+    return pickle.loads(_recv_exactly(sock, size))
+
+
+def _portable(exc: Exception) -> Exception:
+    """*exc* if it survives a pickle round trip, else a stand-in naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return WorkerCrashed(repr(exc))
+    return exc
+
+
+def serve_frames(
+    sock: socket.socket,
+    ref: FunctionRef,
+    shm: Optional[Tuple[str, int, int]],
+    cancel: Optional[Tuple[str, int]],
+) -> None:
+    """A pool child's main loop: answer frames until the master's end closes.
+
+    A frame is ``(seq, payload, trace)`` and its answer ``(seq, ok, result)``;
+    *shm* — ``(ring_name, slot_size, min_bytes)`` — selects
+    :func:`run_shm_batch` over :func:`run_batch`.  Nothing a task raises or
+    returns ends the loop: an exception (a result that does not pickle
+    included) is the frame's answer with ``ok`` False.  The master closing
+    its end does: an idle child reads EOF, a busy one fails to answer — so
+    it stops after the frame it was running and never starts a prefetched
+    one.
+    """
+    while True:
+        try:
+            seq, payload, trace = recv_message(sock)
+        except (EOFError, OSError):
+            return
+        try:
+            if shm is None:
+                result = run_batch(ref, payload, trace, cancel)
+            else:
+                ring_name, slot_size, min_bytes = shm
+                result = run_shm_batch(
+                    ref, ring_name, slot_size, payload, min_bytes, trace, cancel
+                )
+            reply = pack_message((seq, True, result))
+        except Exception as exc:  # the boundary that keeps the child serving
+            reply = pack_message((seq, False, _portable(exc)))
+        try:
+            for part in reply:
+                sock.sendall(part)
+        except OSError:
+            return

@@ -163,7 +163,7 @@ def render_frame_pixels(spec: Dict[str, Any]):
     The asymmetric-frame sibling of :func:`render_frame`: the input spec is
     a tiny dict (travels in-band) while the result is the full pixel
     buffer, which the shared-memory transport returns through the frame's
-    spare slot instead of pickling it through the executor pipe.
+    spare slot instead of pickling it through the child's pipe.
     """
     from ..apps.raytracer import render_scene
 

@@ -7,17 +7,15 @@ unless the caller shares an instance between maps and simulations):
 
 * every waitable is registered as an :class:`~repro.sched.sources.EventSource`
   (pools, simulations, thread-safe pushable ports, gateways, custom sources);
-* how the pump waits follows from what is registered, not from an option:
-  while a loop-hosted source is present, pool futures wake the loop through
-  ``loop.call_soon_threadsafe`` the moment they complete; with nothing but
-  pools, :meth:`EventLoopScheduler.wait_head_futures` waits on their head
-  futures directly and the loop never has to spin — no polling in either
-  common path;
+* there is one way to wait: on the loop.  A pool's worker pipes sit on the
+  loop's selector beside the gateway's sockets, timers pace simulations,
+  and other threads cross over through :meth:`EventLoopScheduler.wake` —
+  no polling on any path;
 * dispatch is **fair round-robin**: each round starts one source later than
   the previous one and gives every ready source exactly one unit of work,
   so a hot pool with a backlog cannot starve a simulated channel;
 * when a sink aborts (a ``find`` hit), the scheduler immediately fans the
-  cancellation out to every registered pool's not-yet-running futures
+  cancellation out to every registered pool's not-yet-started frames
   instead of letting them compute results nobody can receive.
 
 All stream callbacks run on the thread that called :meth:`run`, so the
@@ -28,8 +26,6 @@ guarantee the blocking implementations gave, now without the blocking.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import FIRST_COMPLETED
-from concurrent.futures import wait as wait_futures
 from typing import Any, Callable, List, Optional
 
 from ..analysis.annotations import (
@@ -66,9 +62,6 @@ class EventLoopScheduler:
             raise ValueError("poll_interval must be positive")
         self.poll_interval = poll_interval
         self._sources: List[EventSource] = []
-        #: registered sources whose wake-ups need the asyncio loop to spin;
-        #: while zero, the pump waits on the pools' head futures directly
-        self.loop_hosted = 0
         self._cursor = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake_event: Optional[asyncio.Event] = None
@@ -95,7 +88,6 @@ class EventLoopScheduler:
         if source in self._sources:
             raise PandoError("source is already registered with this scheduler")
         self._sources.append(source)
-        self.loop_hosted += source.loop_hosted
         return source
 
     def unregister(self, source: EventSource) -> bool:
@@ -110,7 +102,6 @@ class EventLoopScheduler:
             self._sources.remove(source)
         except ValueError:
             return False
-        self.loop_hosted -= source.loop_hosted
         return True
 
     def register_pool(self, pool: Any) -> PoolEventSource:
@@ -183,7 +174,7 @@ class EventLoopScheduler:
         return dispatched
 
     def cancel_pools(self, force: bool = False) -> int:
-        """Fan cancellation out to every source (pool futures not yet running).
+        """Fan cancellation out to every source (pool frames not yet started).
 
         Without *force* the fan-out is conservative: each source only
         cancels work it can prove undeliverable itself (see
@@ -216,21 +207,12 @@ class EventLoopScheduler:
             loop.call_soon_threadsafe(event.set)
 
     @loop_only
-    def wait_head_futures(self, budget: float) -> bool:
-        """Wait up to *budget* seconds for a pool's head future to complete.
-
-        The pump's wait step while :attr:`loop_hosted` is zero: every
-        registered source is then a pool, nothing can wake the loop, and a
-        direct ``concurrent.futures.wait`` costs neither the self-pipe write
-        nor the extra loop iterations of a ``call_soon_threadsafe`` wake.
-        Returns True when a future completed (a wake-up), False on timeout.
-        """
-        heads = (source.head_future for source in self._sources)
-        futures = [future for future in heads if future is not None]
-        done, _pending = wait_futures(
-            futures, timeout=budget, return_when=FIRST_COMPLETED
-        )
-        return bool(done)
+    def wake_from_loop(self) -> None:
+        """:meth:`wake` for callers already on the loop thread (a selector
+        callback): sets the event directly, no self-pipe write."""
+        event = self._wake_event
+        if event is not None:
+            event.set()
 
     @loop_only
     def wake_after(self, delay: float) -> None:
@@ -280,7 +262,7 @@ class EventLoopScheduler:
             raise PandoError("EventLoopScheduler.run needs at least one sink")
         if self._running:
             raise PandoError("EventLoopScheduler.run is not reentrant")
-        loop = self._ensure_loop()
+        loop = self.loop
         self._running = True
         # the thread spinning the loop owns every @loop_only function for
         # the duration of the run (checked only in debug mode)
@@ -318,9 +300,11 @@ class EventLoopScheduler:
                 "run_coroutine is not available while run() is spinning; "
                 "schedule a task on the loop instead"
             )
-        return self._ensure_loop().run_until_complete(coro)
+        return self.loop.run_until_complete(coro)
 
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
+    @property
+    def loop(self) -> asyncio.AbstractEventLoop:
+        """The scheduler's private asyncio loop (created on first use)."""
         if self._closed:
             raise PandoError("EventLoopScheduler is closed")
         if self._loop is None or self._loop.is_closed():

@@ -10,19 +10,17 @@ through this structure::
         if nothing is ready and nothing can become ready: raise (stalled)
         wait for a wake-up (with a safety-net poll interval)
 
-The deadline, the stall diagnosis, the abort fan-out, the counters and the
-trace events exist once; only the wait step has two forms, selected by what
-is registered (``scheduler.loop_hosted``), never by an option.  While some
-source lives on the loop — a gateway, a port, a simulation — every source is
-armed and the pump awaits the wake event, yielding to loop callbacks after
-each productive round.  While every source is a pool, nothing can wake the
-loop, so the pump waits on the pools' head futures directly
-(:meth:`~repro.sched.event_loop.EventLoopScheduler.wait_head_futures`):
-no done-callbacks, no self-pipe write, no extra loop iterations per result.
+The deadline, the stall diagnosis, the abort fan-out, the counters, the
+trace events and the wait itself exist once.  Every source lives on the
+loop — a pool's worker pipes and a gateway's sockets on its selector, a
+paced simulation on its timers, a port behind its thread-safe wake — so the
+pump arms every source, awaits the one wake event, and yields to loop
+callbacks after each productive round (that is when the selector files the
+pool replies which arrived meanwhile).
 
 The pump never blocks the thread on any single source, and it checks the
 abort predicate between rounds so a ``find`` hit cancels the pools' queued
-futures within one round of the hit being delivered, not after the stream
+frames within one round of the hit being delivered, not after the stream
 terminations meander through every shard.
 """
 
@@ -63,6 +61,7 @@ async def async_pump(
     )
     if safety_net <= 0:
         raise PandoError("poll_interval must be positive")
+    loop = asyncio.get_running_loop()
     wake = asyncio.Event()
     scheduler._wake_event = wake
     cancelled = False
@@ -106,24 +105,20 @@ async def async_pump(
             fan_out_cancellation()
             if scheduler.dispatch_round() > 0:
                 # Something moved; re-check the sinks before waiting.  An
-                # explicit zero-sleep yields to loop callbacks (timers,
-                # thread-safe wakes) so a dispatch storm cannot starve them.
-                if scheduler.loop_hosted:
-                    await asyncio.sleep(0)
+                # explicit zero-sleep yields to loop callbacks (pipe
+                # readers, timers, thread-safe wakes) so a dispatch storm
+                # cannot starve them.
+                await asyncio.sleep(0)
                 continue
             if all(sink.done for sink in sinks):
                 break
-            # ``loop_hosted`` is read after the round: a dispatch may have
-            # registered the first loop-hosted source (a port, a gateway).
-            on_loop = scheduler.loop_hosted > 0
-            if on_loop:
-                # Nothing ready: arm wake-ups, then re-check to close the
-                # race where a source became ready between round and arming.
-                wake.clear()
-                for source in scheduler.sources:
-                    source.arm()
-                if scheduler._any_ready():
-                    continue
+            # Nothing ready: arm wake-ups, then re-check to close the race
+            # where a source became ready between round and arming.
+            wake.clear()
+            for source in scheduler.sources:
+                source.arm()
+            if scheduler._any_ready():
+                continue
             if not scheduler._any_live():
                 scheduler.stalls += 1
                 if trace is not None:
@@ -141,16 +136,13 @@ async def async_pump(
             budget = safety_net
             if deadline is not None:
                 budget = min(budget, max(deadline - time.monotonic(), 0.001))
-            if not on_loop:
-                # Pools only: a future completing is the only possible
-                # wake-up, and a done head future returns at once.
-                scheduler.wakeups += scheduler.wait_head_futures(budget)
-                continue
-            try:
-                await asyncio.wait_for(wake.wait(), budget)
+            # The safety net is a loop timer setting the same event: the
+            # pump task itself awaits it, with no helper task per wait.
+            timer = loop.call_later(budget, wake.set)
+            await wake.wait()
+            if loop.time() < timer.when():
                 scheduler.wakeups += 1
-            except asyncio.TimeoutError:
-                pass
+            timer.cancel()
         # The final dispatch may have aborted the stream (a find hit on the
         # last delivered value): fan the cancellation out before returning,
         # so the caller gets the cores back without waiting for close().

@@ -4,14 +4,12 @@ Every kind of asynchronous work the master process waits on is adapted to
 one small interface, :class:`EventSource`:
 
 * :class:`PoolEventSource` — a non-blocking
-  :class:`~repro.pool.process_pool.ProcessPoolWorker` whose head-of-line
-  future completes on an executor thread.  It is the one source that does
-  not live on the loop: it offers that future (:attr:`~PoolEventSource.
-  head_future`), so a scheduler with nothing but pools registered waits on
-  the futures directly.  Beside a loop-hosted source, arming installs a
-  done-callback that wakes the loop through ``call_soon_threadsafe``.
-  Either way dispatch delivers exactly one result per round (fairness),
-  cascading through the stream machinery on the loop thread.
+  :class:`~repro.pool.process_pool.ProcessPoolWorker`.  The pipes of its
+  worker processes sit on the loop's selector from the moment they start; a
+  readable pipe is a child's reply, filed the moment the loop sees it (which
+  also hands that child its next frame).  Dispatch delivers exactly one
+  result per round (fairness), cascading through the stream machinery on
+  the loop thread.
 * :class:`SimEventSource` — a discrete-event
   :class:`~repro.sim.scheduler.Scheduler` (simulated channels, heartbeats,
   failure schedules).  Dispatch processes exactly one simulated event.  By
@@ -58,18 +56,11 @@ class EventSource:
         producer).  The scheduler declares a stall when no source is ready
         or live while a sink is still pending.
     ``arm()``
-        Install wake-ups (future done-callbacks, loop timers) so the
-        scheduler's await is cut short the moment the source becomes ready.
-
-    ``loop_hosted`` says where the source's wake-ups come from: True (the
-    default) means the asyncio loop must spin for it — timers, sockets,
-    ``scheduler.wake()`` from another thread — and the pump awaits on the
-    loop while at least one such source is registered.  A source that sets
-    it False offers a ``head_future`` (a ``concurrent.futures.Future`` or
-    None) to be waited on instead.
+        Install wake-ups (pipe readers, loop timers) so the scheduler's
+        await is cut short the moment the source becomes ready.  Every
+        wake-up comes from the scheduler's loop: its selector, its timers,
+        or ``scheduler.wake()`` from another thread.
     """
-
-    loop_hosted = True
 
     def ready(self) -> bool:  # pragma: no cover - interface default
         return False
@@ -97,19 +88,18 @@ class EventSource:
 class PoolEventSource(EventSource):
     """Event-loop delivery for one non-blocking process pool."""
 
-    #: nothing of a pool runs on the loop; :attr:`head_future` is its wake-up
-    loop_hosted = False
-
     def __init__(self, scheduler: Any, pool: Any) -> None:
         if getattr(pool, "blocking", False):
             raise PandoError(
                 "EventLoopScheduler requires a non-blocking pool source: a "
                 "blocking ProcessPoolWorker monopolises the loop thread on "
-                "its head-of-line future (construct it with blocking=False)"
+                "its children's pipes (construct it with blocking=False)"
             )
         self._scheduler = scheduler
         self.pool = pool
-        self._armed_future: Any = None
+        pool.watcher = self
+        for child in pool.children:
+            self.watch(child)
 
     def ready(self) -> bool:
         return self.pool.deliverable
@@ -118,26 +108,42 @@ class PoolEventSource(EventSource):
     def dispatch(self) -> bool:
         return self.pool.poll(limit=1)
 
-    @property
-    def head_future(self) -> Any:
-        """The future whose completion makes this source ready, or None.
-
-        A parked ask with a pending future will be answered when the future
-        completes; anything else needs outside help to progress.
-        """
-        return self.pool.head_future if self.pool.waiting else None
-
     def live(self) -> bool:
-        return self.head_future is not None
+        # A parked ask with frames in the children is answered when a reply
+        # arrives; anything else needs outside help to progress.
+        return self.pool.waiting and self.pool.pending > 0
 
-    def arm(self) -> None:
-        future = self.pool.head_future
-        if future is None or future is self._armed_future:
-            return
-        self._armed_future = future
-        # The callback runs on an executor thread (or immediately, when the
-        # future is already done): only the thread-safe wake crosses back.
-        future.add_done_callback(lambda _future: self._scheduler.wake())
+    # -- the pool's pipes on the loop's selector (called by the pool) -------
+    # Not ``arm()``: the pump only arms before it waits, and beside a source
+    # that is always ready it never waits — the replies must be read anyway.
+    def watch(self, child: Any) -> None:
+        """Read *child*'s pipe from the loop, from now until :meth:`unwatch`.
+
+        A pipe that owes no frame is silent — unless its child died, which
+        is worth knowing at once too.
+        """
+        self._scheduler.loop.add_reader(child, self._on_readable, child)
+
+    def watch_writes(self, child: Any) -> None:
+        """Flush *child*'s stalled outbox from the loop as its pipe takes it."""
+        self._scheduler.loop.add_writer(child, self._on_writable, child)
+
+    def unwatch(self, child: Any) -> None:
+        """Take *child*'s pipe off the selector (the pool is about to close it)."""
+        loop = self._scheduler._loop  # None once the scheduler is closed
+        if loop is not None:
+            loop.remove_reader(child)
+            loop.remove_writer(child)
+
+    def _on_readable(self, child: Any) -> None:
+        self.pool.receive(child)
+        # A failed receive closes the pool: the pump must look again too.
+        if self.pool.deliverable or self.pool.closed:
+            self._scheduler.wake_from_loop()
+
+    def _on_writable(self, child: Any) -> None:
+        if self.pool.flush(child):
+            self._scheduler.loop.remove_writer(child)
 
     def cancel_pending(self, force: bool = False) -> int:
         return self.pool.cancel_pending(force=force)

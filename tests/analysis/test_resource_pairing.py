@@ -39,20 +39,37 @@ class TestSeededViolations:
         )
         assert len(findings) == 1
 
-    def test_leaked_executor_is_caught(self, findings_of):
+    def test_leaked_process_is_caught(self, findings_of):
         findings = findings_of(
             """
-            def run(tasks):
-                executor = ProcessPoolExecutor(2)
-                if not tasks:
-                    return []
-                results = [executor.submit(task) for task in tasks]
-                executor.shutdown()
-                return results
+            def run(task, wanted):
+                worker = Process(target=task)
+                worker.start()
+                if not wanted:
+                    return None  # bug: started, never joined, owned by nobody
+                worker.join()
+                return worker.exitcode
             """,
             CHECK,
         )
         assert len(findings) == 1
+        assert "worker process" in findings[0].message
+
+    def test_leaked_pipe_end_is_caught(self, findings_of):
+        findings = findings_of(
+            """
+            def connect(spawn):
+                ours, theirs = socketpair()
+                child = spawn(theirs)
+                if child is None:
+                    return None  # bug: our end stays open on this path
+                theirs.close()
+                return Channel(child, ours)
+            """,
+            CHECK,
+        )
+        assert len(findings) == 1
+        assert "'ours'" in findings[0].message
 
     def test_discarded_acquire_is_caught(self, findings_of):
         findings = findings_of(
@@ -148,6 +165,21 @@ class TestCleanExemplars:
                 segment = SharedMemory(name=name, create=True, size=size)
                 segment.close()
                 segment.unlink()
+            """,
+            CHECK,
+        )
+
+    def test_pipe_ends_closed_or_handed_off_are_clean(self, findings_of):
+        assert not findings_of(
+            """
+            def spawn(target, registry):
+                ours, theirs = Pipe()
+                worker = Process(target=target, args=(theirs,))
+                try:
+                    worker.start()
+                finally:
+                    theirs.close()
+                registry.append((worker, ours))
             """,
             CHECK,
         )

@@ -1,16 +1,13 @@
-"""Cancellation fan-out after a ``find`` hit (pool-only map, direct wait).
+"""Cancellation fan-out after a ``find`` hit (pool-only map).
 
 Regression suite for the satellite of the scheduler PR: when an unordered
-search aborts on its first hit, ``drive()`` must call ``Future.cancel()`` on
-every pending not-yet-running future of each attached pool instead of
-letting the cores grind through nonce ranges whose results nobody can
-receive.  The tests measure the quantity the roadmap item named —
+search aborts on its first hit, ``drive()`` must drop every frame of each
+attached pool that no child holds yet instead of letting the cores grind
+through nonce ranges whose results nobody can receive.  The tests measure the quantity the roadmap item named —
 submitted-but-uncomputed tasks after the hit.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -60,29 +57,28 @@ class TestCancelPendingGuards:
 
     def test_forced_cancel_shuts_down_an_emptied_pool(self):
         with ProcessPoolWorker(SLEEPER, processes=1, blocking=False) as pool:
-            # Short sleeps: a head task that did start runs to completion in
-            # the child, and the interpreter waits for it at exit.
-            pool.sink(values([{"sleep": 0.5, "i": 0}, {"sleep": 0.5, "i": 1}]))
-            started = time.monotonic()
-            # Give the executor a beat to start the head task so the tail
-            # frame is deterministically cancellable.
-            while pool._pending[0][0].running() and time.monotonic() - started < 5:
-                break
-            cancelled = pool.cancel_pending(force=True)
-            assert cancelled >= 1
-            assert pool.tasks_cancelled == cancelled
+            # Short sleeps: the child finishes the frame it is running
+            # before it notices the closed pipe.
+            pool.sink(values([{"sleep": 0.2, "i": index} for index in range(4)]))
+            assert pool.head_started
+            # The one child holds two frames (running + prefetched); the
+            # other two never left the master.
+            assert pool.cancel_pending(force=True) == 2
+            assert pool.tasks_cancelled == 2
+            assert pool.pending == 2 and not pool.closed
+        # With nothing in a child either, nothing can ever be owed again.
+        with ProcessPoolWorker(SLEEPER, processes=1, blocking=False) as idle:
+            assert idle.cancel_pending(force=True) == 0
+            assert idle.closed
 
     def test_close_cancels_queued_frames_before_shutdown(self):
         pool = ProcessPoolWorker(SLEEPER, processes=1)
-        # Short sleeps: the frames beyond future.cancel() run to completion
-        # in the child after close(), and the interpreter waits for them.
         pool.sink(values([{"sleep": 0.2, "i": index} for index in range(6)]))
         assert pool.pending == 6
         pool.close()
-        # A 1-process executor can hold ``processes + 2`` frames beyond
-        # cancellation (one executing, two in its call queue); everything
-        # queued behind those must have been cancelled rather than computed.
-        assert pool.tasks_cancelled >= 6 - (pool.processes + 2)
+        # The child held two frames (running + prefetched); everything
+        # queued behind those was cancelled rather than computed.
+        assert pool.tasks_cancelled == 4
         assert pool.closed
 
 

@@ -75,9 +75,8 @@ class TestThreadedEndpoint:
             dmap.drive(sink, timeout=60)
             assert sink.result() == items
             endpoint = dmap.serve_metrics()
-            # The endpoint is not a scheduler source: a pool-only map keeps
-            # the direct future wait.
-            assert dmap.scheduler.loop_hosted == 0
+            # The endpoint is a daemon thread, not a scheduler source.
+            assert len(dmap.scheduler.sources) == 1
             assert endpoint.url.startswith("http://127.0.0.1:")
             content_type, body = scrape(endpoint.url)
             assert content_type.startswith("text/plain")

@@ -2,7 +2,7 @@
 
 The simulated half of this invariant lives in
 ``tests/integration/test_scenario_matrix.py`` (the abort-skew cell).  Here
-the same bound is measured against real executor children: after a
+the same bound is measured against real pool children: after a
 ``find`` hit aborts the stream, the cancellation fan-out raises the shared
 :class:`~repro.pool.cancel.CancelFlag`, and every frame already *running*
 must stop at its next chunk boundary — so no child process completes more
@@ -56,9 +56,8 @@ class TestCancelFlag:
 def test_frame_cancelled_survives_the_result_pipe():
     """Regression: the default reduction rebuilt ``FrameCancelled`` from its
     message alone, so the master could not unpickle a cancelled frame's
-    result, the executor declared the pool broken, and — racing the fan-out's
-    ``future.cancel()`` — its manager thread died before terminating the
-    workers, which then kept the interpreter from exiting."""
+    result (which, under the executor this pool once wrapped, ended with
+    worker processes that kept the interpreter from exiting)."""
     import pickle
 
     from repro.errors import FrameCancelled

@@ -1,0 +1,271 @@
+"""The pool's own worker processes: pipes, crashes, teardown.
+
+``ProcessPoolWorker`` starts its children itself and talks to each over a
+duplex pipe.  These tests pin what the standard library's executor used to
+take care of (or hide): a master that never blocks on a write, a child loop
+that nothing a task raises or returns can end, crash-stop on a killed child,
+and children that exit by themselves once their master closed the pool —
+or died.
+"""
+
+from __future__ import annotations
+
+import ast
+import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
+import pytest
+
+from repro.core.distributed_map import DistributedMap
+from repro.core.limiter import Limiter
+from repro.errors import FrameCancelled, WorkerCrashed
+from repro.net.serialization import Batch
+from repro.pool import ProcessPoolWorker
+from repro.pullstream import collect, pull, values
+
+ECHO = "repro.pool.workloads:echo"
+SLEEPER = "repro.pool.workloads:sleep_echo"
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception refuses to be pickled")
+
+
+def raises_unpicklable(value):
+    raise Unpicklable(f"no way to ship {value!r}")
+
+
+def returns_unpicklable(value):
+    return lambda: value
+
+
+def read_error(pool, inputs):
+    """Feed *inputs* to a bare blocking *pool*; return what its source
+    answers the first ask with."""
+    pool.sink(values(inputs))
+    answers = []
+    pool.source(None, lambda end, value: answers.append(end))
+    return answers[0]
+
+
+def wait_for_no_children(seconds):
+    deadline = time.monotonic() + seconds
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return multiprocessing.active_children() == []
+
+
+class TestNoBlockingWrite:
+    def test_large_frames_both_ways_do_not_deadlock(self):
+        """4 MiB in, 4 MiB out, three frames in flight on one child: the
+        child blocks writing a result while the master still has frames to
+        send it.  A master that waited on that write would never read."""
+        inputs = [bytes([index]) * (4 << 20) for index in range(6)]
+        dmap = DistributedMap(batch_size=1)
+        sink = pull(values(inputs), dmap, collect())
+        try:
+            dmap.add_process_pool(ECHO, processes=1, window=3)
+            dmap.drive(sink, timeout=30)
+            assert sink.result() == inputs
+        finally:
+            dmap.close()
+
+    def test_a_bare_blocking_pool_flushes_its_outbox_too(self):
+        inputs = [bytes([index]) * (4 << 20) for index in range(4)]
+        with ProcessPoolWorker(ECHO, processes=1) as pool:
+            sink = pull(values(inputs), Limiter(pool, 3), collect())
+            assert sink.result() == inputs
+
+
+class TestNothingATaskDoesEndsTheChild:
+    def test_unpicklable_exception_travels_as_worker_crashed(self):
+        with ProcessPoolWorker(raises_unpicklable, processes=1) as pool:
+            error = read_error(pool, [7])
+        assert isinstance(error, WorkerCrashed)
+        assert "Unpicklable" in str(error) and "7" in str(error)
+        assert wait_for_no_children(2)
+
+    def test_unpicklable_result_errors_that_frames_stream(self):
+        dmap = DistributedMap(batch_size=1)
+        sink = pull(values([1, 2, 3]), dmap, collect())
+        try:
+            handle = dmap.add_process_pool(returns_unpicklable, processes=1)
+            with pytest.raises(Exception, match="stalled"):
+                dmap.drive(sink, timeout=30)  # the only worker failed
+            assert handle.closed
+            assert dmap.stats.substreams_failed == 1
+            # The values are not lost: a healthy worker finishes the stream.
+            dmap.add_local_worker(lambda value, cb: cb(None, value))
+            assert sink.result() == [1, 2, 3]
+        finally:
+            dmap.close()
+        assert wait_for_no_children(2)
+
+    def test_unpicklable_input_fails_the_worker_not_the_master(self):
+        with ProcessPoolWorker(ECHO, processes=1) as pool:
+            error = read_error(pool, [lambda: None])
+            assert pool.closed and pool.children == []
+        assert isinstance(error, Exception) and "pickle" in str(error).lower()
+
+    def test_frame_cancelled_crosses_the_pipe_with_its_counts(self):
+        with ProcessPoolWorker(
+            "repro.pool.workloads:square", processes=1, cancel_chunk=2
+        ) as pool:
+            pool.cancel_flag.set()
+            error = read_error(pool, [Batch([1, 2, 3, 4, 5])])
+        assert isinstance(error, FrameCancelled)
+        assert (error.completed, error.total) == (0, 5)
+
+
+def kill_a_child_when_busy(handle, timeout=30.0):
+    """SIGKILL the first child of *handle*'s pool once frames are in flight."""
+    fired = threading.Event()
+
+    def watch():
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            children = handle.pool.children
+            if handle.in_flight > 0 and children:
+                os.kill(children[0].process.pid, signal.SIGKILL)
+                fired.set()
+                return
+            time.sleep(0.005)
+
+    threading.Thread(target=watch, daemon=True).start()
+    return fired
+
+
+class TestSigkillChurn:
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_two_pools_survive_a_sigkilled_child(self, transport):
+        if transport == "shm":
+            fn_ref = "repro.pool.workloads:sleep_blob"
+            inputs = [index.to_bytes(4, "big") + bytes(8192) for index in range(24)]
+        else:
+            fn_ref = SLEEPER
+            inputs = [{"sleep": 0.02, "n": index} for index in range(40)]
+        dmap = DistributedMap(batch_size=2)
+        sink = pull(values(inputs), dmap, collect())
+        try:
+            victim = dmap.add_process_pool(
+                fn_ref, processes=2, transport=transport, worker_id="victim"
+            )
+            dmap.add_process_pool(fn_ref, processes=1, transport=transport)
+            killed = kill_a_child_when_busy(victim)
+            dmap.drive(sink, timeout=90)
+            # Exactly once, in order — re-lent values keep their slots.
+            assert sink.result() == inputs
+        finally:
+            dmap.close()
+        assert killed.is_set(), "the victim was never caught with work in flight"
+        assert victim.closed
+        assert dmap.stats.values_relent > 0
+        assert dmap.stats.substreams_failed == 1
+        if transport == "shm":
+            for handle in dmap.workers.values():
+                ring = handle.pool.ring
+                assert ring.slots_acquired == ring.slots_released
+        # The victim's surviving child saw EOF and left by itself.
+        assert wait_for_no_children(5)
+
+
+class TestChildrenExitByThemselves:
+    def test_close_stops_after_the_running_frame(self, tmp_path, monkeypatch):
+        log = tmp_path / "completions.log"
+        monkeypatch.setenv("PANDO_COMPLETION_LOG", str(log))
+        pool = ProcessPoolWorker(
+            "repro.pool.workloads:log_completion", processes=1, blocking=False
+        )
+        pool.sink(values([{"sleep": 0.3, "i": 0}, {"i": 1}, {"i": 2}]))
+        assert pool.head_started and pool.pending == 3
+        pool.close()
+        assert pool.tasks_cancelled == 1  # the third never left the master
+        assert wait_for_no_children(2)
+        # The child ran the frame it had (or found) and stopped at the
+        # closed pipe: the prefetched frame was never computed.
+        assert [line.split()[1] for line in log.read_text().splitlines()] == ["0"]
+        assert pool.results_returned == 0
+
+    def test_a_sigkilled_master_leaves_no_orphan(self, tmp_path):
+        """Two pools, three children: every child inherited the master-side
+        ends of the pipes made before it was forked and must have closed
+        them, or some sibling would never see EOF."""
+        helper = textwrap.dedent(
+            """
+            import sys, time
+            from repro.pool import ProcessPoolWorker
+            from repro.pullstream import values
+
+            pools = [
+                ProcessPoolWorker("repro.pool.workloads:sleep_echo", processes=2),
+                ProcessPoolWorker("repro.pool.workloads:sleep_echo", processes=1),
+            ]
+            for pool in pools:
+                pool.sink(values([{"sleep": 0.2}]))
+            pids = [c.process.pid for pool in pools for c in pool.children]
+            print(" ".join(map(str, pids)), flush=True)
+            time.sleep(60)
+            """
+        )
+        master = subprocess.Popen(
+            [sys.executable, "-c", helper],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in master.stdout.readline().split()]
+            assert len(pids) == 3
+            master.kill()
+            master.wait(10)
+            deadline = time.monotonic() + 5
+            while any(map(still_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            survivors = [pid for pid in pids if still_running(pid)]
+        finally:
+            master.kill()
+            master.wait(10)
+            master.stdout.close()
+            for pid in pids:
+                if still_running(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
+
+def still_running(pid):
+    """False once *pid* exited (a zombie awaiting its reaper counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_no_concurrent_futures_under_pool_or_sched():
+    """The pool and the scheduler own their processes and their waiting:
+    nothing under them may go back to the standard library's executors."""
+    offenders = []
+    for package in ("pool", "sched"):
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    if node.module == "concurrent":
+                        names = [f"concurrent.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[:2] == ["concurrent", "futures"] for name in names):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []

@@ -125,7 +125,7 @@ class TestProcessPoolWorker:
 class TestTerminationPrecedence:
     def test_read_after_close_reports_the_close_reason(self):
         """Regression: ``read`` checked ``_pending`` before ``_closed``, so a
-        read after ``close()`` delivered a cancelled future and reported a
+        read after ``close()`` delivered a dropped frame and reported a
         bogus ``WorkerCrashed`` instead of the close reason."""
         from repro.pullstream import DONE, pushable
 
@@ -136,7 +136,7 @@ class TestTerminationPrecedence:
         source.push({"sleep": 0.2, "index": 1})
         assert pool.pending == 2
         pool.close()
-        assert pool.pending == 0  # cancelled futures are dropped at shutdown
+        assert pool.pending == 0  # undelivered frames are dropped at shutdown
         answers = []
         pool.source(None, lambda end, value: answers.append((end, value)))
         assert answers == [(DONE, None)]
@@ -172,18 +172,19 @@ class TestNonBlockingDelivery:
         from repro.pullstream import DONE, pushable
 
         pool = ProcessPoolWorker(
-            "repro.pool.workloads:echo", processes=1, blocking=False
+            "repro.pool.workloads:sleep_echo", processes=1, blocking=False
         )
         try:
             source = pushable()
             pool.sink(source)
             answers = []
             pool.source(None, lambda end, value: answers.append((end, value)))
-            source.push(41)
-            assert answers == []  # parked: the future is not awaited inline
+            frame = {"sleep": 0.05, "index": 41}
+            source.push(frame)
+            assert answers == []  # parked: the result is not awaited inline
             while not pool.poll():
                 pass
-            assert answers == [(None, 41)]
+            assert answers == [(None, frame)]
             source.end()
             answers.clear()
             # With the upstream drained and ended, the ask answers inline.
@@ -193,6 +194,9 @@ class TestNonBlockingDelivery:
             pool.close()
 
     def test_head_future_and_waiting_expose_driver_state(self):
+        """What a driver reads off a pool: ``waiting`` (an ask is parked),
+        ``pending`` (frames owed), ``head_started`` (the oldest is in a
+        child) and ``deliverable`` (``poll`` would answer the ask)."""
         from repro.pullstream import pushable
 
         pool = ProcessPoolWorker(
@@ -201,11 +205,15 @@ class TestNonBlockingDelivery:
         try:
             source = pushable()
             pool.sink(source)
-            assert pool.head_future is None
+            assert (pool.pending, pool.head_started) == (0, False)
             pool.source(None, lambda end, value: None)
-            assert pool.waiting
-            source.push({"sleep": 0.01, "index": 0})
-            assert pool.head_future is not None
+            assert pool.waiting and not pool.deliverable
+            source.push({"sleep": 0.05, "index": 0})
+            assert (pool.pending, pool.head_started) == (1, True)
+            assert not pool.deliverable  # still computing
+            while not pool.poll():
+                pass
+            assert pool.pending == 0
         finally:
             pool.close()
 

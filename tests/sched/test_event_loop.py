@@ -10,7 +10,7 @@ import pytest
 from repro.core.distributed_map import DistributedMap
 from repro.errors import PandoError
 from repro.pullstream import Pushable, collect, drain, find, pull, values
-from repro.sched import EventLoopScheduler, PoolEventSource
+from repro.sched import EventLoopScheduler, EventSource, PoolEventSource
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
 
@@ -74,36 +74,37 @@ class TestRunWithPools:
             DistributedMap(scheduler="uvloop")
 
 
-class TestWaitSelection:
-    """The pump waits on the pools' head futures directly iff no
-    loop-hosted source is registered — selected by what is registered."""
+class TestOneWaitPath:
+    """Every source wakes the pump the same way — through the loop: a
+    pool's pipes on its selector, a port through the thread-safe wake."""
 
-    def test_pool_only_drive_never_arms_a_future_callback(self, monkeypatch):
-        armed = []
-        monkeypatch.setattr(
-            PoolEventSource, "arm", lambda self: armed.append(self)
-        )
+    def test_pool_only_drive_wakes_on_its_pipe_readers(self, monkeypatch):
+        def recording(cls, name, log):
+            original = getattr(cls, name)
+            monkeypatch.setattr(
+                cls, name, lambda self, *args: (log.append(args), original(self, *args))[1]
+            )
+
+        crossings, watched, unwatched = [], [], []
+        recording(EventLoopScheduler, "wake", crossings)
+        recording(PoolEventSource, "watch", watched)
+        recording(PoolEventSource, "unwatch", unwatched)
         with DistributedMap(batch_size=1) as dmap:
             inputs = [{"sleep": 0.005, "i": i} for i in range(8)]
             sink = pull(values(inputs), dmap, collect())
-            dmap.add_process_pool(SLEEPER, processes=1)
-            assert dmap.scheduler.loop_hosted == 0
+            handle = dmap.add_process_pool(SLEEPER, processes=1)
+            # The pipe went on the loop's selector when the child started.
+            assert watched == [(handle.pool.children[0],)]
             dmap.drive(sink, timeout=30)
             assert sink.result() == inputs
-            # No done-callback was installed, so no call_soon_threadsafe
-            # wake crossed over from an executor thread ...
-            assert armed == []
-            # ... and each completed future wait still counts as a wake-up.
             assert dmap.scheduler.wakeups > 0
+            # Nothing crossed over from another thread: the only thread-safe
+            # wake is the sink reporting completion.
+            assert len(crossings) == 1
+        # Shutdown took the pipe off the selector before closing it.
+        assert unwatched == watched
 
-    def test_registering_a_port_mid_run_flips_to_the_loop_wait(self, monkeypatch):
-        armed = []
-        original_arm = PoolEventSource.arm
-        monkeypatch.setattr(
-            PoolEventSource,
-            "arm",
-            lambda self: (armed.append(self), original_arm(self))[1],
-        )
+    def test_a_port_registered_mid_run_wakes_the_same_wait(self):
         # A safety net far longer than the test: only a real wake ends it.
         sched = EventLoopScheduler(poll_interval=5.0)
         dmap = DistributedMap(batch_size=1, scheduler=sched)
@@ -119,7 +120,6 @@ class TestWaitSelection:
         def on_result(_value):
             if threads:
                 return
-            assert armed == []  # pools only so far: the direct wait
             port = sched.register_pushable(pushable)
             threads.append(threading.Thread(target=producer, args=(port,)))
             threads[0].start()
@@ -133,8 +133,6 @@ class TestWaitSelection:
             elapsed = time.monotonic() - started
             threads[0].join(10)
             assert port_sink.result() == ["late"]
-            assert sched.loop_hosted == 1
-            assert armed  # the pool was armed once a loop source existed
             # The producer thread's push woke the loop: nowhere near the
             # 5-second safety-net poll.
             assert elapsed < 3.0
@@ -142,14 +140,36 @@ class TestWaitSelection:
             dmap.close()
             sched.close()
 
-    def test_unregister_restores_the_direct_wait(self):
+    def test_a_pool_beside_an_always_ready_source_is_still_read(self):
+        """The pump only arms sources before it waits, and with a source
+        that is always ready it never waits: the pool has to put its pipes
+        on the selector itself, the moment it starts its children."""
+
+        class Busy(EventSource):
+            def ready(self):
+                return True
+
+            def dispatch(self):
+                return True
+
+            def live(self):
+                return True
+
+        with DistributedMap(batch_size=1) as dmap:
+            dmap.scheduler.register(Busy())
+            sink = pull(values([1, 2, 3]), dmap, collect())
+            dmap.add_process_pool("repro.pool.workloads:times10", processes=1)
+            dmap.drive(sink, timeout=30)
+            assert sink.result() == [10, 20, 30]
+
+    def test_unregister_takes_a_source_out_of_the_rounds(self):
         sched = EventLoopScheduler()
         try:
             port = sched.register_pushable()
-            assert sched.loop_hosted == 1
+            assert sched.sources == [port]
             assert sched.unregister(port)
-            assert not sched.unregister(port)  # absent: count untouched
-            assert sched.loop_hosted == 0
+            assert not sched.unregister(port)  # absent
+            assert sched.sources == []
         finally:
             sched.close()
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import gzip
 import json
+import sys
 from typing import Any
 
 __all__ = [
@@ -195,13 +196,14 @@ def oob_pack(value: Any) -> Any:
         if value.ndim != 1 or value.format not in ("B", "b", "c"):
             value = value.cast("B")
         return ("raw", value, None)
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is in the baseline image
-        return None
+    # Only a process that has imported numpy can hold an array: asking
+    # sys.modules keeps a pool of plain values (and a volunteer) numpy-free.
+    numpy = sys.modules.get("numpy")
     if (
-        isinstance(value, numpy.ndarray)
+        numpy is not None
+        and isinstance(value, numpy.ndarray)
         and value.ndim >= 1
+        and value.size  # a view with a zero in its shape cannot be cast
         and value.flags["C_CONTIGUOUS"]
         and value.dtype.hasobject is False
     ):

@@ -45,7 +45,8 @@ from multiprocessing import shared_memory
 from typing import Any, Deque, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PandoError
-from .serialization import OOB_MIN_BYTES, oob_pack, oob_unpack
+from .serialization import OOB_MIN_BYTES, oob_unpack
+from .wire import fetch_values, place_values
 
 __all__ = [
     "DEFAULT_SLOT_COUNT",
@@ -219,76 +220,60 @@ def pack_frame(
     Returns ``(entries, slots)``: one entry per value (``("inline", ...)``
     or ``("shm", ...)``) and the slots acquired for the frame, in entry
     order — the caller owns them until the frame's result is consumed.
-    A payload stays in-band when it is small (below *min_bytes*), has no
-    flat byte form, exceeds the slot size, or the ring is exhausted.  An
-    in-band value still gets a *spare* slot so an asymmetric frame — small
-    input, large result — returns its result through the ring too; spares
-    are only granted while the ring keeps a quarter of its slots free, so
-    frames of small control values cannot starve the large payloads the
-    ring exists for.
+    The codec's placement loop (:func:`~repro.net.wire.place_values`) runs
+    with a ring slot as the place: a payload stays in-band when it is small
+    (below *min_bytes*), has no flat byte form, exceeds the slot size, or
+    the ring is exhausted.  An in-band value still gets a *spare* slot so an
+    asymmetric frame — small input, large result — returns its result
+    through the ring too; spares are only granted while the ring keeps a
+    quarter of its slots free, so frames of small control values cannot
+    starve the large payloads the ring exists for.
     """
-    entries: List[Any] = []
     slots: List[int] = []
     spare_reserve = ring.slot_count // 4
-    for value in values:
-        packed = oob_pack(value)
-        if packed is not None:
-            tag, buffer, meta = packed
-            length = memoryview(buffer).nbytes
-            if min_bytes <= length <= ring.slot_size:
-                slot = ring.acquire()
-                if slot is not None:
-                    try:
-                        ring.write(slot, buffer)
-                    except Exception:
-                        # A buffer the codec accepted but the ring rejects
-                        # is a bug worth surfacing — but never at the cost
-                        # of stranding the slot.
-                        ring.release(slot)
-                        raise
-                    entries.append(("shm", slot, length, tag, meta))
-                    slots.append(slot)
-                    continue
-            if length >= min_bytes:
-                ring.fallbacks += 1
+
+    def place(tag: str, buffer: Any, meta: Any, length: int) -> Optional[Tuple[Any, ...]]:
+        slot = ring.acquire() if length <= ring.slot_size else None
+        if slot is None:
+            return None
+        try:
+            ring.write(slot, buffer)
+        except Exception:
+            # A buffer the codec accepted but the ring rejects is a bug
+            # worth surfacing — but never at the cost of stranding the slot.
+            ring.release(slot)
+            raise
+        slots.append(slot)
+        return ("shm", slot, length, tag, meta)
+
+    def inline(value: Any, refused: bool) -> Tuple[Any, ...]:
+        if refused:
+            ring.fallbacks += 1
         spare = ring.acquire() if ring.free_slots > spare_reserve else None
         if spare is not None:
             slots.append(spare)
-        entries.append(("inline", _inband(value), spare))
-    return entries, slots
+        return ("inline", value, spare)
 
-
-def _inband(value: Any) -> Any:
-    """Make *value* safe for the pickled control record.
-
-    A memoryview is unpicklable, so it can never ride the pipe by
-    reference; materialising it is the only in-band form there is (the
-    codec does the same for the slot path, so both fallbacks agree).
-    """
-    return bytes(value) if isinstance(value, memoryview) else value
+    return place_values(values, min_bytes, place, inline), slots
 
 
 def unpack_frame(ring: ShmRing, entries: Sequence[Any]) -> List[Any]:
     """Materialise a frame's values from its control entries (master side).
 
-    Always copies out of the ring — the caller releases the frame's slots
-    immediately afterwards, so no returned value may alias a slot.
+    The codec's fetch loop copies every payload out of the ring — the caller
+    releases the frame's slots immediately afterwards, so no returned value
+    may alias a slot.
     """
-    values: List[Any] = []
-    for entry in entries:
-        if entry[0] == "inline":
-            if entry[2] == "fallback":
-                ring.fallbacks += 1
-            values.append(entry[1])
-        else:
-            _kind, slot, length, tag, meta = entry
-            view = ring.view(slot, length)
-            try:
-                values.append(oob_unpack(tag, view, meta, copy=True))
-            finally:
-                view.release()
-            ring.bytes_read += length
-    return values
+
+    def fetch(entry: Any) -> Tuple[str, memoryview, Any]:
+        _kind, slot, length, tag, meta = entry
+        ring.bytes_read += length
+        return tag, ring.view(slot, length), meta
+
+    ring.fallbacks += sum(
+        1 for entry in entries if entry[0] == "inline" and entry[2] == "fallback"
+    )
+    return fetch_values(entries, fetch)
 
 
 # --------------------------------------------------------------------------
@@ -352,31 +337,32 @@ def store_entry(
     :func:`unpack_frame` folds it into the master's fallback counter.
     """
     slot = entry[2] if entry[0] == "inline" else entry[1]
-    packed = oob_pack(result)
-    if packed is None:
-        return ("inline", result, None)
-    tag, buffer, meta = packed
-    view = memoryview(buffer).cast("B")
-    length = view.nbytes
-    if length < min_bytes:
-        return ("inline", _inband(result), None)
-    if slot is None or length > slot_size:
-        # A slot-worthy result that the ring could not carry: flag it so
+
+    def place(tag: str, buffer: Any, meta: Any, length: int) -> Optional[Tuple[Any, ...]]:
+        if slot is None or length > slot_size:
+            return None
+        shm = attach_ring(name)
+        offset = slot * slot_size
+        view = memoryview(buffer).cast("B")
+        # A result that cannot alias the ring memcpys straight in; one that
+        # might (a zero-copy ``nd`` load returned by an echo-style function)
+        # is materialised first, because writing a buffer over itself through
+        # a memoryview is undefined.  Owned bytes/bytearray objects never
+        # alias; for ndarrays a cheap bounds check against the mapped block
+        # decides (conservative: a false positive only costs the defensive
+        # copy).
+        if isinstance(result, (bytes, bytearray)) or _disjoint_from(shm, result):
+            shm.buf[offset : offset + length] = view
+        else:
+            shm.buf[offset : offset + length] = bytes(view)
+        return ("shm", slot, length, tag, meta)
+
+    def inline(value: Any, refused: bool) -> Tuple[Any, ...]:
+        # A slot-worthy result that the ring could not carry is flagged, so
         # the master's fallback counter covers the result plane too.
-        return ("inline", _inband(result), "fallback")
-    shm = attach_ring(name)
-    offset = slot * slot_size
-    # A result that cannot alias the ring memcpys straight in; one that
-    # might (a zero-copy ``nd`` load returned by an echo-style function) is
-    # materialised first, because writing a buffer over itself through a
-    # memoryview is undefined.  Owned bytes/bytearray objects never alias;
-    # for ndarrays a cheap bounds check against the mapped block decides
-    # (conservative: a false positive only costs the defensive copy).
-    if isinstance(result, (bytes, bytearray)) or _disjoint_from(shm, result):
-        shm.buf[offset : offset + length] = view
-    else:
-        shm.buf[offset : offset + length] = bytes(view)
-    return ("shm", slot, length, tag, meta)
+        return ("inline", value, "fallback" if refused else None)
+
+    return place_values([result], min_bytes, place, inline)[0]
 
 
 def _disjoint_from(shm: shared_memory.SharedMemory, result: Any) -> bool:

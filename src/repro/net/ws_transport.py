@@ -11,14 +11,14 @@ minus the browser:
 * :class:`WsConnection` — one established websocket, either side, on an
   ``asyncio`` stream pair.  Sends are synchronous buffered writes (safe on
   the loop thread); receives are awaited, with ping/pong answered inline.
-* :func:`pack_wire_parts` / :func:`pack_wire_frame` /
-  :func:`unpack_wire_frame` — the Pando wire format inside each websocket
-  binary frame: a length-prefixed pickled control record followed by the
-  out-of-band payload buffers that
-  :func:`~repro.net.serialization.oob_pack` split off, so large
-  ``bytes``/array values are framed without a pickle copy.  One DATA frame
-  carries one :class:`~repro.net.serialization.Batch` of stream values —
-  the same batched framing the pool and simulated channels use.
+* The payload of each websocket binary frame is one frame of
+  :mod:`repro.net.wire`, the codec every transport shares: a control record
+  followed by the out-of-band buffers of its large ``bytes``/array values.
+  One DATA frame carries one stream value or one
+  :class:`~repro.net.serialization.Batch` of them, answered in order by one
+  RESULT frame.  (:func:`pack_wire_parts`, :func:`pack_wire_frame` and
+  :func:`unpack_wire_frame` are that codec under the names this module had
+  for it.)
 * :class:`LoopClock` — a real-clock facade (``now`` + ``call_later``) over
   the asyncio loop, so the unchanged
   :class:`~repro.net.heartbeat.HeartbeatMonitor` drives membership on wall
@@ -43,9 +43,9 @@ that goes to the socket, and a volunteer's frame is masked in that buffer.
 Receiving: one frame's payload is read in one piece (the stream readers are
 created with :data:`READ_LIMIT`, so a tile-sized frame lands without the
 transport being paused and resumed), a masked payload moves once into the
-``bytearray`` it is unmasked in, and :func:`unpack_wire_frame` slices
-``memoryview`` objects out of the payload, so the owned copy ``oob_unpack``
-makes for the user function is the only other one.
+``bytearray`` it is unmasked in, and the codec slices ``memoryview``
+objects out of the payload, so the owned copy ``oob_unpack`` makes for the
+user function is the only other one.
 
 The mask itself is four stride-4 "lanes" — bytes ``i, i+4, i+8, …`` all meet
 key byte ``i`` — each sliced out, run through a 256-entry
@@ -56,10 +56,25 @@ would XOR faster still, but its import costs every freshly spawned volunteer
 ~130 ms of start-up, more than the mask costs in hundreds of frames; the
 tables are built on first use, so importing this module builds none.
 
-Trust model: frames carry pickled control records, exactly as trusting as
-the paper's deployment where volunteers download and execute the master's
-code bundle.  Run it between mutually-trusting hosts (LAN/VPN), not on the
-open internet.
+Trust model: a volunteer is somebody else's machine.  It downloads the
+master's code and sends back *data* (paper Fig. 2), so the two directions of
+this wire are not alike.  What a volunteer sends — its hello, every RESULT —
+the gateway decodes with ``wire.decode(payload, trusted=False)``: lengths
+checked against the frame, and a control record read by an unpickler that
+never resolves a global.  A result value may therefore be plain data
+(``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``, ``bytearray``
+and ``list``/``tuple``/``dict``/``set``/``frozenset`` of those), or — at the
+top level of the frame — a contiguous ndarray or a large bytes-like, which
+travels out of band as raw bytes plus a dtype string and a shape.  Anything
+else (a class instance, a numpy scalar, an array nested inside a list) is
+refused like a forged frame: close code 1002, a ``frame_refused`` trace
+event, that volunteer's sub-stream failed and its values re-lent.  Every
+RESULT is also checked against the frame it answers (in turn, as many values
+as were sent).  What the *master* sends, a volunteer reads with plain pickle
+— the welcome may carry the processing function itself, and a volunteer
+runs the master's code by design, exactly as the paper's volunteers execute
+the bundle they download.  So: joining a master means trusting it; serving
+volunteers does not mean trusting them with more than wrong answers.
 """
 
 from __future__ import annotations
@@ -70,7 +85,6 @@ import functools
 import hashlib
 import itertools
 import os
-import pickle
 import struct
 import threading
 from collections import deque
@@ -86,7 +100,8 @@ from ..pullstream.pushable import Pushable
 from ..pullstream.sinks import eager_pump
 from ..sched.sources import EventSource, PushablePort
 from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
-from .serialization import OOB_MIN_BYTES, Batch, oob_pack, oob_unpack
+from . import wire
+from .serialization import OOB_MIN_BYTES, Batch
 
 __all__ = [
     "LoopClock",
@@ -126,14 +141,19 @@ READ_LIMIT = 1 << 20
 #: Bump when the control-record schema changes incompatibly.
 WIRE_VERSION = 1
 
-# Control-record kinds of the volunteer protocol.
+# Control-record kinds of the volunteer session around the codec's DATA and
+# RESULT.
 HELLO = "hello"
 WELCOME = "welcome"
-DATA = "data"
-RESULT = "result"
-TASK_ERROR = "task-error"
 END = "end"
 BYE = "bye"
+
+#: worker ids of volunteers that announce no name: ``ws-1``, ``ws-2``, ...
+NAME_PREFIX = "ws"
+
+#: how long :meth:`WsVolunteerGateway.stop` waits for in-flight byes before
+#: force-closing
+STOP_GRACE = 0.5
 
 
 def _accept_key(key: str) -> str:
@@ -161,25 +181,15 @@ def _apply_mask(buffer: bytearray, key: bytes, start: int = 0) -> None:
             buffer[index] = buffer[index].translate(_xor_table(key[lane]))
 
 
-def _buffer_length(buffer: Any) -> int:
-    if isinstance(buffer, memoryview):
-        return buffer.nbytes
-    return len(buffer)
-
-
-def _payload_size(parts: Any) -> int:
-    return sum(map(_buffer_length, parts))
-
-
 def encode_ws_frame(opcode: int, payload: Any, mask: bool) -> bytearray:
     """Encode one unfragmented websocket frame (FIN set).
 
     *payload* is one bytes-like object or a list of them (the parts
-    :func:`pack_wire_parts` hands over): header and parts are joined into
+    :func:`repro.net.wire.encode` hands over): header and parts are joined into
     the frame buffer once, and a masked frame is XOR-ed in that buffer.
     """
     parts = payload if isinstance(payload, (list, tuple)) else (payload,)
-    length = _payload_size(parts)
+    length = wire.payload_size(parts)
     header = bytearray([0x80 | opcode])
     mask_bit = 0x80 if mask else 0
     if length < 126:
@@ -319,50 +329,10 @@ def parse_ws_url(url: str) -> Tuple[str, int, str]:
 
 
 # --------------------------------------------------------------------------
-# Wire frames: length-prefixed control record + out-of-band payloads
+# The codec under this module's names for it
 # --------------------------------------------------------------------------
 
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-
-def pack_wire_parts(
-    record: Dict[str, Any],
-    values: Optional[List[Any]] = None,
-    oob_min_bytes: int = OOB_MIN_BYTES,
-) -> List[Any]:
-    """Encode a control *record* (plus optional stream *values*) as wire parts.
-
-    Layout: ``[u32 control_length, pickle(control), *payload buffers]``.
-    Each value with a flat byte representation of at least *oob_min_bytes*
-    is split off by :func:`~repro.net.serialization.oob_pack`: the control
-    record keeps ``("oob", tag, meta, length)`` and the value's own buffer
-    becomes a part after the pickle, so big payloads are copied neither
-    through the pickler nor here — :func:`encode_ws_frame` copies each part
-    once, into the frame.  Everything else travels inline as
-    ``("inline", value)``.
-    """
-    buffers: List[Any] = []
-    if values is not None:
-        entries: List[Tuple[Any, ...]] = []
-        for value in values:
-            packed = oob_pack(value)
-            if packed is None:
-                entries.append(("inline", value))
-                continue
-            tag, buffer, meta = packed
-            length = _buffer_length(buffer)
-            if length >= oob_min_bytes:
-                buffers.append(buffer)
-                entries.append(("oob", tag, meta, length))
-            elif isinstance(value, memoryview):
-                # Unpicklable, but too small to be worth a payload section:
-                # inline the materialised bytes (same shape oob_unpack makes).
-                entries.append(("inline", bytes(value)))
-            else:
-                entries.append(("inline", value))
-        record = dict(record, values=entries)
-    control = pickle.dumps(record, protocol=_PICKLE_PROTOCOL)
-    return [struct.pack("!I", len(control)), control, *buffers]
+pack_wire_parts = wire.encode
 
 
 def pack_wire_frame(
@@ -370,28 +340,15 @@ def pack_wire_frame(
     values: Optional[List[Any]] = None,
     oob_min_bytes: int = OOB_MIN_BYTES,
 ) -> bytes:
-    """:func:`pack_wire_parts` joined into one contiguous wire frame."""
-    return b"".join(pack_wire_parts(record, values, oob_min_bytes))
+    """:func:`repro.net.wire.encode` joined into one contiguous wire frame."""
+    return b"".join(wire.encode(record, values, oob_min_bytes))
 
 
 def unpack_wire_frame(payload: Any) -> Dict[str, Any]:
-    """Inverse of :func:`pack_wire_frame`; materialises the values list."""
-    view = memoryview(payload)
-    (control_length,) = struct.unpack_from("!I", view, 0)
-    record = pickle.loads(view[4 : 4 + control_length])
-    entries = record.get("values")
-    if entries is not None:
-        offset = 4 + control_length
-        values: List[Any] = []
-        for entry in entries:
-            if entry[0] == "inline":
-                values.append(entry[1])
-            else:
-                _kind, tag, meta, length = entry
-                values.append(
-                    oob_unpack(tag, view[offset : offset + length], meta, copy=True)
-                )
-                offset += length
+    """:func:`repro.net.wire.decode` as the gateway runs it (no globals),
+    with the values back under the record's ``"values"`` key."""
+    record, values = wire.decode(payload, trusted=False)
+    if values is not None:
         record["values"] = values
     return record
 
@@ -453,8 +410,8 @@ class WsConnection:
         """Send one binary message.
 
         *payload* is a packed wire frame, or the list of parts
-        :func:`pack_wire_parts` returns — the parts are copied once, straight
-        into the websocket frame.
+        :func:`repro.net.wire.encode` returns — the parts are copied once,
+        straight into the websocket frame.
         """
         self._write_frame(OP_BINARY, payload)
 
@@ -617,10 +574,9 @@ class _GatewayVolunteer:
         self.seq = 0
         self.values_sent = 0
         self.results_received = 0
-        #: master-side frame traces awaiting this volunteer's RESULT echo,
-        #: keyed by frame_id — the wire copy was packed before serialize_s
-        #: was recorded, so the master's dict stays authoritative
-        self.inflight_traces: Dict[int, Dict[str, Any]] = {}
+        #: DATA frames sent and not answered yet, oldest first — what each
+        #: RESULT is checked against (:func:`repro.net.wire.claim`)
+        self.frames: Deque[wire.Frame] = deque()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "lost" if self.close_reason is not None else "open"
@@ -642,9 +598,12 @@ class WsVolunteerGateway(EventSource):
     (the URL to hand volunteers is :attr:`url`); volunteers may connect any
     time — handshakes complete while ``drive()`` spins the loop; a volunteer
     that vanishes mid-frame (reset, kill, heartbeat silence) fails its
-    sub-stream, so the lender re-lends its borrowed values elsewhere; and
-    :meth:`stop` (called by ``DistributedMap.close``) tears down the server
-    and every connection.
+    sub-stream, so the lender re-lends its borrowed values elsewhere — and
+    so does one that breaks the protocol (bad framing, a record that does
+    not decode without resolving a global, a RESULT that does not match the
+    frame it answers), after close code 1002 and a ``frame_refused`` trace
+    event; and :meth:`stop` (called by ``DistributedMap.close``) tears down
+    the server and every connection.
 
     A drive with zero connected volunteers waits (the master's ordinary
     "waiting for volunteers" state) — pass ``timeout=`` to ``drive`` as the
@@ -661,11 +620,8 @@ class WsVolunteerGateway(EventSource):
         window: Optional[int] = None,
         heartbeat_interval: float = DEFAULT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_TIMEOUT,
-        oob_min_bytes: int = OOB_MIN_BYTES,
         max_frame: int = DEFAULT_MAX_FRAME,
         registry: Any = None,
-        name_prefix: str = "ws",
-        stop_grace: float = 0.5,
     ) -> None:
         if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
             raise PandoError("heartbeat interval and timeout must be positive")
@@ -678,11 +634,7 @@ class WsVolunteerGateway(EventSource):
         self.window = window
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.oob_min_bytes = oob_min_bytes
         self.max_frame = max_frame
-        self.name_prefix = name_prefix
-        #: how long :meth:`stop` waits for in-flight byes before force-closing
-        self.stop_grace = stop_grace
         if registry is None:
             # Imported lazily: repro.master imports repro.net back.
             from ..master.registry import VolunteerRegistry
@@ -760,7 +712,7 @@ class WsVolunteerGateway(EventSource):
             # refused one reads its END instead of a dead socket.
             tasks = list(self._handlers)
             if tasks:
-                await asyncio.wait(tasks, timeout=self.stop_grace)
+                await asyncio.wait(tasks, timeout=STOP_GRACE)
             for volunteer in list(self._volunteers.values()):
                 if volunteer.close_reason is None:
                     volunteer.close_reason = ConnectionClosed("gateway stopped")
@@ -853,8 +805,9 @@ class WsVolunteerGateway(EventSource):
             conn.close_transport()
             return
         try:
-            hello = unpack_wire_frame(payload)
-        except Exception:
+            hello, _values = wire.decode(payload, trusted=False)
+        except ProtocolError as exc:
+            self._refuse(conn, peer, exc)
             conn.close_transport()
             return
         if hello.get("kind") != HELLO:
@@ -868,7 +821,7 @@ class WsVolunteerGateway(EventSource):
             # stream is over, so it goes home cleanly instead of seeing a
             # connection that died during the handshake.
             with suppress(Exception):
-                conn.send_bytes(pack_wire_frame({"kind": END, "error": None}))
+                conn.send_bytes(wire.encode({"kind": END, "error": None}))
                 conn.send_close(1001)
                 await conn.drain()
             conn.close_transport()
@@ -884,35 +837,22 @@ class WsVolunteerGateway(EventSource):
                     )
                     break
                 self.bytes_received += len(payload)
-                record = unpack_wire_frame(payload)
+                # A volunteer sends data, never code: no global is resolved.
+                record, values = wire.decode(payload, trusted=False)
                 kind = record.get("kind")
-                if kind == RESULT:
-                    values = record.get("values", [])
-                    volunteer.results_received += len(values)
-                    self.results_received += len(values)
-                    echo = record.get("trace")
-                    if echo is not None and self.obs is not None:
-                        # The volunteer echoed the frame's trace dict back
-                        # with exec_s added: the frame is delivered now.
-                        # Merge exec_s into the master-side trace kept at
-                        # send time (it alone carries serialize_s); fall
-                        # back to the echo if the send never recorded one.
-                        trace = volunteer.inflight_traces.pop(
-                            echo.get("frame_id"), None
+                if kind == wire.RESULT:
+                    frame = wire.claim(volunteer.frames, record, values)
+                    if not record["ok"]:
+                        reason = TaskError(
+                            f"volunteer {volunteer.worker_id} task failed: "
+                            f"{record.get('error') or 'unknown error'}"
                         )
-                        if trace is not None:
-                            trace["exec_s"] = echo.get("exec_s", 0.0)
-                        else:
-                            trace = echo
-                        self.obs.observe_frame(trace)
-                    frame = Batch(values) if record.get("batched") else values[0]
-                    volunteer.port.push(frame)
-                elif kind == TASK_ERROR:
-                    reason = TaskError(
-                        f"volunteer {volunteer.worker_id} task failed: "
-                        f"{record.get('message') or 'unknown error'}"
-                    )
-                    break
+                        break
+                    volunteer.results_received += frame.count
+                    self.results_received += frame.count
+                    if frame.trace is not None:
+                        self.obs.observe_frame(frame.trace)
+                    volunteer.port.push(frame.unwrap(values))
                 elif kind == BYE:
                     crashed = False
                     break
@@ -921,9 +861,18 @@ class WsVolunteerGateway(EventSource):
             # gateway.stop() cancelled us; bookkeeping still runs below.
             crashed = False
         except ProtocolError as exc:
-            reason = exc  # hostile or broken framing: fail this volunteer only
+            # Broken framing, a forged record, a result out of turn: fail
+            # this volunteer only.
+            reason = exc
+            self._refuse(conn, volunteer.worker_id, exc)
         finally:
             self._finish_connection(volunteer, crashed, reason)
+
+    def _refuse(self, conn: WsConnection, worker: Optional[str], exc: ProtocolError) -> None:
+        """Answer a frame the protocol forbids: close 1002, and say so."""
+        conn.send_close(1002)
+        if self.obs is not None:
+            self.obs.trace.emit("frame_refused", worker=worker, reason=str(exc))
 
     def _finish_connection(
         self,
@@ -1000,7 +949,7 @@ class WsVolunteerGateway(EventSource):
                 "heartbeat_interval": self.heartbeat_interval,
                 "heartbeat_timeout": self.heartbeat_timeout,
             }
-            volunteer.conn.send_bytes(pack_wire_frame(welcome))
+            volunteer.conn.send_bytes(wire.encode(welcome))
             window = self.window if self.window is not None else tabs + 1
             volunteer.handle = self.dmap.add_channel(
                 Duplex(source=pushable, sink=self._make_ws_sink(volunteer)),
@@ -1038,7 +987,7 @@ class WsVolunteerGateway(EventSource):
         volunteer.attached.set()
 
     def _claim_worker_id(self, requested: Any) -> str:
-        base = str(requested) if requested else f"{self.name_prefix}-{next(self._ids)}"
+        base = str(requested) if requested else f"{NAME_PREFIX}-{next(self._ids)}"
         worker_id = base
         suffix = itertools.count(2)
         while worker_id in self.dmap.workers:
@@ -1084,11 +1033,11 @@ class WsVolunteerGateway(EventSource):
         """
         conn = volunteer.conn
 
-        def on_value(frame: Any) -> None:
-            batched = isinstance(frame, Batch)
-            values = list(frame.values) if batched else [frame]
+        def on_value(value: Any) -> None:
+            was_batch = isinstance(value, Batch)
+            values = list(value.values) if was_batch else [value]
             volunteer.seq += 1
-            record = {"kind": DATA, "seq": volunteer.seq, "batched": batched}
+            record = {"kind": wire.DATA, "seq": volunteer.seq}
             trace = (
                 self.obs.begin_frame("ws", values=len(values))
                 if self.obs is not None
@@ -1099,8 +1048,9 @@ class WsVolunteerGateway(EventSource):
                 # it back in the RESULT record with exec_s added.
                 record["trace"] = trace
             try:
-                parts = pack_wire_parts(
-                    record, values, oob_min_bytes=self.oob_min_bytes
+                parts = wire.encode(record, values)
+                volunteer.frames.append(
+                    wire.Frame(volunteer.seq, was_batch, len(values), trace)
                 )
                 conn.send_bytes(parts)
             except Exception as exc:
@@ -1111,11 +1061,10 @@ class WsVolunteerGateway(EventSource):
                         f"write to volunteer {volunteer.worker_id} failed: {exc!r}"
                     )
                 return
-            wire_bytes = _payload_size(parts)
+            wire_bytes = wire.payload_size(parts)
             if trace is not None:
                 self.obs.end_serialize(trace)
                 self.obs.observe_payload("ws", wire_bytes)
-                volunteer.inflight_traces[trace["frame_id"]] = trace
             self.bytes_sent += wire_bytes
             volunteer.values_sent += len(values)
             self.values_sent += len(values)
@@ -1127,7 +1076,7 @@ class WsVolunteerGateway(EventSource):
             if volunteer.close_reason is None and not conn.closed:
                 with suppress(Exception):
                     conn.send_bytes(
-                        pack_wire_frame(
+                        wire.encode(
                             {"kind": END, "error": repr(end) if is_error(end) else None}
                         )
                     )

@@ -2,8 +2,9 @@
 
 :class:`TraceLog` is a bounded ring buffer of :class:`TraceEvent` records —
 the structured form of the diagnostics that used to live only in exception
-text (pump stalls and timeouts, heartbeat suspicions, shard placement,
-abort fan-out) plus one ``"frame"`` event per completed traced frame.
+text (pump stalls and timeouts, heartbeat suspicions, frames a gateway
+refused, shard placement, abort fan-out) plus one ``"frame"`` event per
+completed traced frame.
 Tests and the bench harness assert against it; the scrape endpoint exports
 per-kind counts through the registry.
 

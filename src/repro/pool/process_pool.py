@@ -19,17 +19,18 @@ Because the duplex contract is identical, the whole master-side machinery —
 
 Flow control: the sink eagerly drains its upstream (exactly like the network
 channel adapters, which is why a ``Limiter`` belongs in front).  The children
-are spawned on the first frame; a frame is one length-prefixed pickle
-``(seq, payload, trace)`` written straight to the least-loaded child — at
-most one frame running and one prefetched per child, so a child never idles
-between frames — and the rest wait in a master-side queue, where cancelling
-one is a ``pop``.  A child answers ``(seq, ok, payload)``; each child works
-first-in first-out and the master keeps the frames in borrow order, so
-results are delivered in that order whichever child finished first.  There
-is no thread on either side: the master never blocks on a write (what a
-child's pipe does not take at once waits in that child's outbox until the
-pipe is writable), so a child blocked writing a large result can always be
-read.
+are spawned on the first frame; a frame is one DATA message in the codec's
+layout (:mod:`repro.net.wire`: large ``bytes``/array values ride behind the
+control record instead of going through the pickler) written straight to the
+least-loaded child — at most one frame running and one prefetched per child,
+so a child never idles between frames — and the rest wait in a master-side
+queue, where cancelling one is a ``pop``.  A child answers each with one
+RESULT message; each child works first-in first-out and the master keeps the
+frames in borrow order, so results are delivered in that order whichever
+child finished first.  There is no thread on either side: the master never
+blocks on a write (what a child's pipe does not take at once waits in that
+child's outbox until the pipe is writable), so a child blocked writing a
+large result can always be read.
 
 Crash-stop: a task that raises errors the result stream when its frame
 reaches the head of the line, and a child that dies (EOF on its pipe)
@@ -53,8 +54,8 @@ frame's result is in.
 ``transport="shm"`` moves the frame *payloads* off the pipe: large
 ``bytes``/array values are written once into a
 :class:`~repro.net.shm_ring.ShmRing` slot and only the tiny control record
-(slot index, length, dtype tag) is pickled, cutting the per-frame
-serialization that dominates no-op pool throughput on big payloads.  Slot
+(slot index, length, dtype tag) crosses the pipe, cutting the per-frame
+copying that dominates no-op pool throughput on big payloads.  Slot
 lifetime is tied to the frame: acquired on submit, reused by the child for
 the result, released when the result is read — or when the frame is
 cancelled, fails, or the pool shuts down, so the ring cannot leak.  A
@@ -74,18 +75,13 @@ from typing import Any, Callable, Deque, List, Optional, Set, Tuple
 
 from ..analysis.annotations import loop_only
 from ..errors import PandoError, ProtocolError, WorkerCrashed
+from ..net import wire
 from ..net.serialization import OOB_MIN_BYTES, Batch
 from ..net.shm_ring import ShmRing, pack_frame, unpack_frame
 from ..pullstream.protocol import DONE, Callback, End, Source, is_error
 from ..pullstream.sinks import eager_pump
 from .cancel import CancelFlag
-from .tasks import (
-    FunctionRef,
-    pack_message,
-    recv_message,
-    resolve_callable,
-    serve_frames,
-)
+from .tasks import FunctionRef, resolve_callable, serve_frames
 
 __all__ = ["ProcessPoolWorker", "default_window"]
 
@@ -112,22 +108,26 @@ def _child_main(sock: socket.socket, *config: Any) -> None:
     serve_frames(sock, *config)
 
 
-class _Frame:
+class _Frame(wire.Frame):
     """One submitted frame, from submit to delivery."""
 
-    __slots__ = ("seq", "parts", "was_batch", "slots", "trace", "reply")
+    __slots__ = ("parts", "slots", "reply")
 
     def __init__(
-        self, seq: int, parts: List[bytes], was_batch: bool, slots: List[int], trace: Optional[dict]
+        self,
+        seq: int,
+        was_batch: bool,
+        count: int,
+        trace: Optional[dict],
+        parts: List[Any],
+        slots: List[int],
     ) -> None:
-        self.seq = seq
+        super().__init__(seq, was_batch, count, trace)
         #: the packed message, until it is handed to a child
-        self.parts: Optional[List[bytes]] = parts
-        self.was_batch = was_batch
+        self.parts: Optional[List[Any]] = parts
         #: ring slots the frame owns (``transport="shm"``)
         self.slots = slots
-        self.trace = trace
-        #: the child's ``(ok, result)``, once it is in
+        #: ``(ok, values)`` — or ``(False, error)`` — once the child answered
         self.reply: Optional[Tuple[bool, Any]] = None
 
 
@@ -169,9 +169,9 @@ class ProcessPoolWorker:
         :meth:`poll` — the mode every pool under a ``DistributedMap`` runs
         in, where the map's scheduler reads the pipes.
     transport:
-        ``"pipe"`` (the default) pickles whole frames through the child's
+        ``"pipe"`` (the default) sends whole frames through the child's
         pipe; ``"shm"`` moves large ``bytes``/array payloads through a
-        shared-memory slot ring and pickles only control records.
+        shared-memory slot ring and sends only control records.
         *slot_count*, *slot_size* and *shm_min_bytes* tune the ring (slots
         per ring, bytes per slot, and the size below which a payload stays
         in-band); they require ``transport="shm"``.
@@ -305,8 +305,11 @@ class ProcessPoolWorker:
         slots: List[int] = []
         if self.ring is not None:
             payload, slots = pack_frame(self.ring, values, min_bytes=self._shm_min_bytes)
+        record = {"kind": wire.DATA, "seq": self._next_seq}
+        if trace is not None:
+            record["trace"] = trace
         try:
-            parts = pack_message((self._next_seq, payload, trace))
+            parts = wire.pipe_message(wire.encode(record, payload))
         except Exception as exc:
             # A value that cannot cross the pipe fails the worker like a
             # crash would: the stream errors and the lender re-lends.
@@ -316,7 +319,7 @@ class ProcessPoolWorker:
             return
         if not self.children:
             self._spawn()
-        frame = _Frame(self._next_seq, parts, was_batch, slots, trace)
+        frame = _Frame(self._next_seq, was_batch, len(values), trace, parts, slots)
         self._next_seq += 1
         self._pending.append(frame)
         child = min(self.children, key=lambda child: len(child.frames))
@@ -411,20 +414,20 @@ class ProcessPoolWorker:
     def receive(self, child: _Child) -> None:
         """File the reply waiting on *child*'s pipe and refill the child."""
         try:
-            seq, ok, result = recv_message(child.sock)
-        except Exception as exc:
-            # EOF or a reset: the child died.  Anything else: a reply that
-            # does not unpickle here.  Either way this worker has failed.
+            # Plain pickle by declaration: the far end is a process this
+            # master forked, running the master's own code.
+            record, values = wire.decode(wire.read_pipe_message(child.sock), trusted=True)
+            frame = wire.claim(child.frames, record, values)
+        except ProtocolError as exc:
+            self._shutdown(ProtocolError(f"pool child {child.process.pid}: {exc}"))
+            return
+        except (EOFError, OSError) as exc:
+            # EOF or a reset: the child died, and this worker with it.
             self._shutdown(
                 WorkerCrashed(f"pool child {child.process.pid} failed: {exc!r}")
             )
             return
-        if not child.frames or child.frames[0].seq != seq:
-            self._shutdown(
-                ProtocolError(f"pool child {child.process.pid} answered frame {seq} out of turn")
-            )
-            return
-        child.frames.popleft().reply = (ok, result)
+        frame.reply = (True, values) if record["ok"] else (False, record.get("error"))
         if self._queue:
             self._send(child, self._queue.popleft())
 
@@ -491,14 +494,6 @@ class ProcessPoolWorker:
             self._shutdown(result)
             cb(result, None)
             return
-        if trace is not None:
-            # The child answered with the traced shape: (payload, trace).
-            # Only the child-measured exec_s duration is taken from its
-            # copy — the master's dict stays authoritative, because the
-            # child's copy was pickled at submit time, before the master
-            # recorded serialize_s.
-            result, child_trace = result
-            trace["exec_s"] = child_trace.get("exec_s", 0.0)
         if self.ring is not None:
             # Copy the payloads out, then release the frame's slots — the
             # "release on result read" half of the slot-ownership protocol.
@@ -507,7 +502,7 @@ class ProcessPoolWorker:
         self.results_returned += len(result)
         if trace is not None:
             self.obs.observe_frame(trace)
-        cb(None, Batch(result) if frame.was_batch else result[0])
+        cb(None, frame.unwrap(result))
 
     def _termination(self) -> End:
         """Termination marker with consistent precedence: an error stored by

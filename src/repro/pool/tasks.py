@@ -4,10 +4,9 @@
 pipe the master holds the other end of, runs each through one of the two
 frame runners — :func:`run_batch`, or :func:`run_shm_batch` when the
 payloads travel through the shared-memory ring — and answers in order.
-:func:`pack_message` and :func:`recv_message` are the pipe's framing, used
-by both ends: an 8-byte length, then a pickle.  The pipe only ever connects
-a master to a process it started itself, so nothing from a network is
-unpickled here.
+:func:`answer` is the reply path it shares with a websocket volunteer's
+tabs: run one DATA frame, pack its RESULT.  The bytes on the pipe are
+:mod:`repro.net.wire`'s layout; this module knows records, not bytes.
 
 A *function reference* describes the user's processing function in a way
 that survives the trip to the child process:
@@ -34,19 +33,18 @@ import importlib
 import inspect
 import pickle
 import socket
-import struct
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.annotations import any_thread
 from ..errors import FrameCancelled, PandoError, WorkerCrashed
+from ..net import wire
 from .cancel import flag_is_set
 
 __all__ = [
     "FunctionRef",
+    "answer",
     "expects_callback",
-    "pack_message",
-    "recv_message",
     "resolve_callable",
     "run_batch",
     "run_shm_batch",
@@ -243,38 +241,7 @@ def run_shm_batch(
     return out, dict(trace, exec_s=exec_s)
 
 
-# ------------------------------------------------------------ the child's pipe
-_LENGTH = struct.Struct("!Q")
-
-#: below this a message goes out as one write; above it the body is not
-#: copied behind its length prefix
-_ONE_WRITE_BYTES = 1 << 16
-
-
-def pack_message(message: Any) -> List[bytes]:
-    """*message* as the pipe carries it: an 8-byte length, then its pickle."""
-    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    prefix = _LENGTH.pack(len(body))
-    return [prefix + body] if len(body) < _ONE_WRITE_BYTES else [prefix, body]
-
-
-def _recv_exactly(sock: socket.socket, size: int) -> bytearray:
-    buffer = bytearray(size)
-    view, got = memoryview(buffer), 0
-    while got < size:
-        count = sock.recv_into(view[got:])
-        if not count:
-            raise EOFError("the pipe's far end is closed")
-        got += count
-    return buffer
-
-
-def recv_message(sock: socket.socket) -> Any:
-    """Read one :func:`pack_message` message from *sock* (waits for all of it)."""
-    (size,) = _LENGTH.unpack(_recv_exactly(sock, _LENGTH.size))
-    return pickle.loads(_recv_exactly(sock, size))
-
-
+# ------------------------------------------------------------ answering frames
 def _portable(exc: Exception) -> Exception:
     """*exc* if it survives a pickle round trip, else a stand-in naming it."""
     try:
@@ -282,6 +249,35 @@ def _portable(exc: Exception) -> Exception:
     except Exception:
         return WorkerCrashed(repr(exc))
     return exc
+
+
+@any_thread
+def answer(
+    run: Callable[[List[Any], Optional[Dict[str, Any]]], Any],
+    record: Dict[str, Any],
+    values: List[Any],
+    error: Callable[[Exception], Any] = _portable,
+) -> Tuple[List[Any], Optional[Exception]]:
+    """Run one DATA frame and pack its RESULT: ``(wire parts, failure)``.
+
+    The one reply path of every worker — a pool child and a volunteer's tab.
+    ``run(values, trace)`` is a frame runner with its function bound.
+    Nothing it raises or returns escapes: an exception (a result that does
+    not pickle included) is the frame's answer with ``ok`` False and
+    ``error(exception)`` as its ``error`` — the exception itself on a pool's
+    pipe, only its ``repr`` on a network — and comes back as *failure* for a
+    caller that ends its session over one.
+    """
+    seq, trace = record.get("seq"), record.get("trace")
+    try:
+        results = run(values, trace)
+        reply: Dict[str, Any] = {"kind": wire.RESULT, "seq": seq, "ok": True}
+        if trace is not None:
+            results, reply["trace"] = results
+        return wire.encode(reply, results), None
+    except Exception as exc:  # the boundary that keeps the worker serving
+        reply = {"kind": wire.RESULT, "seq": seq, "ok": False, "error": error(exc)}
+        return wire.encode(reply), exc
 
 
 def serve_frames(
@@ -292,33 +288,35 @@ def serve_frames(
 ) -> None:
     """A pool child's main loop: answer frames until the master's end closes.
 
-    A frame is ``(seq, payload, trace)`` and its answer ``(seq, ok, result)``;
-    *shm* — ``(ring_name, slot_size, min_bytes)`` — selects
-    :func:`run_shm_batch` over :func:`run_batch`.  Nothing a task raises or
-    returns ends the loop: an exception (a result that does not pickle
-    included) is the frame's answer with ``ok`` False.  The master closing
-    its end does: an idle child reads EOF, a busy one fails to answer — so
+    Each message is one DATA frame in the codec's layout
+    (:mod:`repro.net.wire`; plain pickle, the master forked this process)
+    and :func:`answer` packs its RESULT; *shm* — ``(ring_name, slot_size,
+    min_bytes)`` — selects :func:`run_shm_batch` over :func:`run_batch`,
+    the frame's values then being ring entries.  The master closing its end
+    stops the loop: an idle child reads EOF, a busy one fails to answer — so
     it stops after the frame it was running and never starts a prefetched
     one.
     """
+    if shm is None:
+
+        def run(values: List[Any], trace: Optional[Dict[str, Any]]) -> Any:
+            return run_batch(ref, values, trace, cancel)
+
+    else:
+        ring_name, slot_size, min_bytes = shm
+
+        def run(values: List[Any], trace: Optional[Dict[str, Any]]) -> Any:
+            return run_shm_batch(ref, ring_name, slot_size, values, min_bytes, trace, cancel)
+
     while True:
         try:
-            seq, payload, trace = recv_message(sock)
+            payload = wire.read_pipe_message(sock)
         except (EOFError, OSError):
             return
+        record, values = wire.decode(payload, trusted=True)
+        parts, _failure = answer(run, record, values)
         try:
-            if shm is None:
-                result = run_batch(ref, payload, trace, cancel)
-            else:
-                ring_name, slot_size, min_bytes = shm
-                result = run_shm_batch(
-                    ref, ring_name, slot_size, payload, min_bytes, trace, cancel
-                )
-            reply = pack_message((seq, True, result))
-        except Exception as exc:  # the boundary that keeps the child serving
-            reply = pack_message((seq, False, _portable(exc)))
-        try:
-            for part in reply:
+            for part in wire.pipe_message(parts):
                 sock.sendall(part)
         except OSError:
             return

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import multiprocessing
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,24 +36,19 @@ from ..devices.profiles import DeviceProfile
 from ..errors import ConnectionClosed, PandoError, ProtocolError
 from ..master.bundler import Bundle
 from ..net.channel import ChannelEndpoint
+from ..net import wire
 from ..net.heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
 from ..net.signaling import PublicServer
 from ..net.ws_transport import (
     BYE,
-    DATA,
     END,
     HELLO,
-    RESULT,
-    TASK_ERROR,
     WELCOME,
     WIRE_VERSION,
     LoopClock,
     connect_websocket,
-    pack_wire_frame,
-    pack_wire_parts,
-    unpack_wire_frame,
 )
-from ..pool.tasks import resolve_callable, run_batch
+from ..pool.tasks import answer, resolve_callable, run_batch
 from ..sim.metrics import MetricsCollector
 from ..sim.scheduler import Scheduler
 from .worker import BrowserTab
@@ -237,12 +233,15 @@ async def _volunteer_session(
     monitor: Optional[HeartbeatMonitor] = None
     try:
         hello = {"kind": HELLO, "version": WIRE_VERSION, "name": name, "tabs": tabs}
-        conn.send_bytes(pack_wire_frame(hello))
+        conn.send_bytes(wire.encode(hello))
         await conn.drain()
         payload = await asyncio.wait_for(conn.recv(), connect_timeout)
         if payload is None:
             raise ConnectionClosed("master closed the connection during the handshake")
-        welcome = unpack_wire_frame(payload)
+        # Plain pickle by declaration, here and for every frame below: the
+        # welcome may carry the function itself, and a volunteer runs its
+        # master's code by design.
+        welcome, _values = wire.decode(payload, trusted=True)
         if welcome.get("kind") == END:
             # Refused: the stream had already terminated when we knocked.
             # Nothing to do and nothing went wrong — go home cleanly.
@@ -273,49 +272,39 @@ async def _volunteer_session(
         conn.on_traffic(monitor.touch)
         monitor.start()
 
-        results: "asyncio.Queue[Optional[tuple]]" = asyncio.Queue()
+        results: "asyncio.Queue[Optional[asyncio.Future]]" = asyncio.Queue()
         end_received = False
 
+        run = functools.partial(run_batch, ref)  # run(values, trace)
+
+        def tab_job(record: Dict[str, Any], values: List[Any]) -> tuple:
+            """One frame in a tab thread: computed *and* packed there."""
+            parts, failure = answer(run, record, values, error=repr)
+            return parts, len(values), failure
+
         async def send_results() -> None:
-            """Answer computed frames strictly in arrival order."""
+            """Write the packed answers strictly in arrival order."""
             while True:
-                item = await results.get()
-                if item is None:
+                future = await results.get()
+                if future is None:
                     return
-                record, future = item
+                parts, count, failure = await future
+                if failure is not None:
+                    report.error = f"task failed: {failure!r}"
                 try:
-                    values = await future
-                    if record.get("trace") is not None:
-                        # run_batch answered the traced shape: echo the trace
-                        # (now carrying exec_s) back in the RESULT record.
-                        values, trace_out = values
-                    else:
-                        trace_out = None
-                except Exception as exc:
-                    report.error = f"task failed: {exc!r}"
-                    with suppress(Exception):
-                        conn.send_bytes(
-                            pack_wire_frame({"kind": TASK_ERROR, "message": repr(exc)})
-                        )
-                        await conn.drain()
-                    conn.close_transport()
-                    return
-                try:
-                    result_record = {
-                        "kind": RESULT,
-                        "seq": record.get("seq"),
-                        "batched": record.get("batched", False),
-                    }
-                    if trace_out is not None:
-                        result_record["trace"] = trace_out
-                    conn.send_bytes(pack_wire_parts(result_record, values))
+                    conn.send_bytes(parts)
                     await conn.drain()
                 except Exception as exc:
                     if report.error is None:
                         report.error = f"send failed: {exc!r}"
                     return
+                if failure is not None:
+                    # The master has been told (a RESULT with ok false) and
+                    # fails this sub-stream: the session is over.
+                    conn.close_transport()
+                    return
                 report.frames_processed += 1
-                report.values_processed += len(values)
+                report.values_processed += count
 
         with ThreadPoolExecutor(max_workers=tabs) as executor:
             sender = asyncio.ensure_future(send_results())
@@ -325,14 +314,12 @@ async def _volunteer_session(
                     payload = await conn.recv()
                     if payload is None:
                         break
-                    record = unpack_wire_frame(payload)
+                    record, values = wire.decode(payload, trusted=True)
                     kind = record.get("kind")
-                    if kind == DATA:
-                        values = record.get("values", [])
-                        future = loop.run_in_executor(
-                            executor, run_batch, ref, values, record.get("trace")
+                    if kind == wire.DATA:
+                        await results.put(
+                            loop.run_in_executor(executor, tab_job, record, values or [])
                         )
-                        await results.put((record, future))
                         submitted += 1
                         if max_frames is not None and submitted >= max_frames:
                             break
@@ -347,7 +334,7 @@ async def _volunteer_session(
         if report.error is None and not report.suspected_master:
             if end_received or max_frames is not None:
                 with suppress(Exception):
-                    conn.send_bytes(pack_wire_frame({"kind": BYE}))
+                    conn.send_bytes(wire.encode({"kind": BYE}))
                     await conn.drain()
                     conn.send_close()
                     await conn.drain()

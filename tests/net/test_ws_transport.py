@@ -10,6 +10,9 @@ Process-level churn (SIGKILL / SIGSTOP) lives in
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
+import pickle
 import struct
 import threading
 
@@ -17,9 +20,10 @@ import pytest
 
 from repro.core.distributed_map import DistributedMap
 from repro.errors import PandoError, ProtocolError
-from repro.net.serialization import Batch
+from repro.net import wire
 from repro.net.ws_transport import (
     OP_BINARY,
+    OP_CLOSE,
     OP_CONT,
     WIRE_VERSION,
     LoopClock,
@@ -48,7 +52,8 @@ class TestWireCodec:
         assert unpack_wire_frame(pack_wire_frame(record)) == record
 
     def test_values_roundtrip_inline_and_oob(self):
-        values = [1, "two", {"three": 3}, b"x" * 4096, None]
+        values = [1, "two", {"three": 3}, b"x" * 4096, None, 2.5, True, (1, "t"),
+                  {4, 5}, frozenset({6}), bytearray(b"y" * 600), bytearray(b"z"), [b"w"]]
         out = unpack_wire_frame(
             pack_wire_frame({"kind": "data", "seq": 7}, values, oob_min_bytes=512)
         )
@@ -415,16 +420,150 @@ class TestGatewayIntegration:
         assert report.error is not None and "connect failed" in report.error
         assert report.worker_id is None
 
-    def test_batch_frames_use_the_wire_batch_marker(self):
-        # The DATA frame for a Batch sets batched=True and carries the
-        # values flat — spot-check the codec contract the two sides share.
-        frame = Batch([1, 2, 3])
-        payload = pack_wire_frame(
-            {"kind": "data", "seq": 1, "batched": True}, list(frame.values)
-        )
-        out = unpack_wire_frame(payload)
-        assert out["batched"] is True
-        assert out["values"] == [1, 2, 3]
+
+# --------------------------------------------------------------------------
+# Hostile peers: a client that shakes hands properly, then lies
+# --------------------------------------------------------------------------
+
+#: appended to by the gadget below if anything ever unpickles it
+GADGET_RAN = []
+
+
+class Gadget:
+    """Unpickling this with plain pickle runs code of the sender's choosing."""
+
+    def __reduce__(self):
+        return (exec, (f"import {__name__} as here; here.GADGET_RAN.append(1)",))
+
+
+def result_record(record, **fields):
+    return dict({"kind": "result", "seq": record["seq"], "ok": True}, **fields)
+
+
+def negated(values):
+    return [-value for value in values]
+
+
+def forged_control(control, tail=b""):
+    """A frame whose length prefix is honest about a hand-made control."""
+    return struct.pack("!I", len(control)) + control + tail
+
+
+LIES = {
+    # the codec's own checks
+    "oob entry past the payload": lambda record, values: b"".join(
+        wire.encode(result_record(record), [b"x" * 2048])
+    )[:-100],
+    "control length past the payload": lambda record, values: struct.pack("!I", 10_000)
+    + pickle.dumps(result_record(record)),
+    "trailing garbage": lambda record, values: b"".join(
+        wire.encode(result_record(record), negated(values))
+    )
+    + b"garbage",
+    "control record is not a dict": lambda record, values: forged_control(
+        pickle.dumps(["result", record["seq"]])
+    ),
+    "explicit memo index": lambda record, values: forged_control(
+        b"\x80\x05}r\xff\xff\xff\x07."  # EMPTY_DICT, LONG_BINPUT 2**27-1: a 2 GiB memo
+    ),
+    # the frame each RESULT is checked against
+    "another frame's seq": lambda record, values: wire.encode(
+        dict(result_record(record), seq=record["seq"] + 1), negated(values)
+    ),
+    "two values for a frame of one": lambda record, values: wire.encode(
+        result_record(record, batched=True), negated(values) * 2
+    ),
+    "no values": lambda record, values: wire.encode(result_record(record)),
+    "ok is not a bool": lambda record, values: wire.encode(
+        result_record(record, ok=1), negated(values)
+    ),
+    "a timing that is not a duration": lambda record, values: wire.encode(
+        result_record(record, trace={"exec_s": float("nan")}), negated(values)
+    ),
+    # and the one that used to run
+    "a __reduce__ gadget": lambda record, values: wire.encode(
+        result_record(record, note=Gadget()), negated(values)
+    ),
+}
+
+
+def hostile_session(url, forge, box, refused):
+    """Join as ``liar``, answer the first DATA frame with ``forge(record,
+    values)`` and record how the gateway ends the connection."""
+
+    async def session():
+        conn = await connect_websocket(url)
+        try:
+            hello = {"kind": "hello", "version": WIRE_VERSION, "name": "liar", "tabs": 1}
+            conn.send_bytes(wire.encode(hello))
+            await conn.drain()
+            welcome, _ = wire.decode(await conn.recv(), trusted=True)
+            assert welcome["kind"] == "welcome"
+            record, values = wire.decode(await conn.recv(), trusted=True)
+            conn.send_bytes(forge(record, values))
+            await conn.drain()
+            while True:  # raw frames: recv() hides the close code
+                _fin, opcode, payload = await _read_ws_frame(
+                    conn._reader, 1 << 26, masked=False
+                )
+                if opcode == OP_CLOSE:
+                    return struct.unpack("!H", payload[:2])[0]
+        finally:
+            conn.close_transport()
+
+    try:
+        box["close"] = asyncio.run(asyncio.wait_for(session(), 20))
+    except Exception as exc:  # reported through the box, asserted by the test
+        box["close"] = exc
+    finally:
+        refused.set()
+
+
+class TestHostilePeers:
+    @pytest.mark.parametrize("lie", sorted(LIES))
+    def test_a_lie_fails_one_substream_and_nothing_else(self, lie, caplog):
+        """Each lie is a ProtocolError: close 1002, a ``frame_refused`` trace
+        event, the liar's sub-stream failed, its borrowed values re-lent to
+        an honest volunteer, the stream complete exactly once — and no
+        exception left in a handler task."""
+        del GADGET_RAN[:]
+        dmap = DistributedMap(batch_size=1)
+        sink = pull(from_iterable(range(1, 7)), dmap, collect())
+        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+        box = {}
+        refused = threading.Event()
+
+        def honest():
+            refused.wait(20)
+            box["report"] = run_volunteer(gateway.url, name="honest")
+
+        threads = [
+            threading.Thread(
+                target=hostile_session, args=(gateway.url, LIES[lie], box, refused), daemon=True
+            ),
+            threading.Thread(target=honest, daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            try:
+                dmap.drive(sink, timeout=30)
+                assert sink.result() == [-i for i in range(1, 7)]
+            finally:
+                dmap.close()
+                for thread in threads:
+                    thread.join(10)
+            gc.collect()  # an unretrieved task exception is logged on collection
+        assert "exception" not in caplog.text
+        assert box["close"] == 1002
+        assert GADGET_RAN == []
+        assert box["report"].graceful and box["report"].values_processed == 6
+        assert gateway.volunteers_crashed == 1 and gateway.volunteers_left == 1
+        assert dmap.stats.substreams_failed == 1
+        (event,) = dmap.obs.trace.events("frame_refused")
+        assert event.fields["worker"] == "liar"
+        if lie == "a __reduce__ gadget":
+            assert "builtins.exec" in event.fields["reason"]
 
 
 class TestVolunteerCli:

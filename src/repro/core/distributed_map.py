@@ -55,8 +55,8 @@ _SHM_FIELDS = (
 
 #: EventLoopScheduler counters exported as ``pando_sched_*``.
 _SCHED_FIELDS = (
-    ("rounds", "Dispatch rounds run by the scheduler."),
-    ("dispatches", "Source dispatches that made progress."),
+    ("rounds", "Dispatch rounds run by the scheduler's pump."),
+    ("dispatches", "Source dispatches that made progress (rounds and loop callbacks)."),
     ("wakeups", "Wake events that ended a scheduler wait."),
     ("cancellations", "Frames cancelled through the scheduler's fan-out."),
     ("stalls", "Pump stalls diagnosed (each raised to the caller)."),
@@ -495,7 +495,7 @@ class DistributedMap:
             )
 
     def _register_core_collectors(self) -> None:
-        """Export the lender and scheduler counters as scrape-time callbacks.
+        """Export the lender, scheduler and page-fault counters at scrape time.
 
         The counters themselves stay plain attributes (the hot paths that
         bump them remain lock-free and tests keep reading them directly);
@@ -516,6 +516,24 @@ class DistributedMap:
                 f"pando_sched_{field}_total",
                 help_text,
                 (lambda sched=self.scheduler, name=field: getattr(sched, name, 0)),
+            )
+        try:
+            import resource
+        except ImportError:  # no getrusage on this platform: no family
+            return
+        # "Where did the time go" includes the kernel: a run that re-faults
+        # its payload memory on every copy (see keep_payload_heap) shows
+        # hundreds of these per MiB value.
+        for process, who in (
+            ("master", resource.RUSAGE_SELF),
+            ("children", resource.RUSAGE_CHILDREN),
+        ):
+            registry.register_callback(
+                "pando_process_minor_faults_total",
+                "Minor page faults (ru_minflt): fresh pages handed out by the "
+                "kernel; children are counted once they have been reaped.",
+                (lambda who=who: resource.getrusage(who).ru_minflt),
+                labels={"process": process},
             )
 
     def _register_pool_collectors(self, worker_id: str, pool: Any) -> None:

@@ -13,8 +13,11 @@ from __future__ import annotations
 import base64
 import gzip
 import json
+import os
 import sys
 from typing import Any
+
+from ..analysis.annotations import any_thread
 
 __all__ = [
     "encode_json",
@@ -26,6 +29,7 @@ __all__ = [
     "BATCH_FRAME_OVERHEAD",
     "SizedPayload",
     "OOB_MIN_BYTES",
+    "keep_payload_heap",
     "oob_pack",
     "oob_unpack",
 ]
@@ -167,6 +171,57 @@ def estimate_size(value: Any) -> int:
 #: Payloads smaller than this stay in-band by default: below a few hundred
 #: bytes the pickled control record is as cheap as the slot bookkeeping.
 OOB_MIN_BYTES = 512
+
+#: glibc ``mallopt`` parameters, and the values the allocator's dynamic
+#: thresholds reach by themselves after one big ``free``: 32 MiB is its
+#: ``DEFAULT_MMAP_THRESHOLD_MAX`` on 64-bit, twice that its own trim ratio
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+_heap_kept = False
+
+
+@any_thread
+def keep_payload_heap() -> None:
+    """Tell the allocator, once per process, to keep freed payload blocks.
+
+    glibc serves a MiB-sized ``bytes`` from ``mmap``, or trims it off the
+    heap top on ``free``, so every copy out of a ring slot and every result
+    a task function builds is handed fresh zeroed pages by the kernel —
+    ~260 minor faults per MiB value, several times the cost of the copy
+    itself.  Called by the codec's two per-value loops when a value goes out
+    of band (:func:`repro.net.wire.place_values` /
+    :func:`~repro.net.wire.fetch_values`), so a process that only moves
+    small values never gets here; a forked child inherits the setting.  Up
+    to 64 MiB of freed heap is then retained instead of returned.
+
+    Nothing is set when the operator already decided (glibc's own
+    ``MALLOC_MMAP_THRESHOLD_`` / ``MALLOC_TRIM_THRESHOLD_`` variables), and
+    an allocator without ``mallopt`` (musl, macOS) is left alone silently.
+    Either call freezes glibc's dynamic thresholds, and a frozen trim
+    threshold above a *default* mmap threshold makes every MiB block an
+    ``mmap``/``munmap`` pair: the trim threshold is only raised once the
+    mmap threshold took.  A racing double call repeats the same two
+    settings, which is harmless.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ:
+        return
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+            mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    except Exception:
+        pass
 
 
 def oob_pack(value: Any) -> Any:

@@ -52,7 +52,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.annotations import any_thread
 from ..errors import ProtocolError
-from .serialization import OOB_MIN_BYTES, Batch, oob_pack, oob_unpack
+from .serialization import OOB_MIN_BYTES, Batch, keep_payload_heap, oob_pack, oob_unpack
 
 __all__ = [
     "DATA",
@@ -118,6 +118,7 @@ def place_values(
             tag, buffer, meta = packed
             length = _nbytes(buffer)
             if length >= min_bytes or tag == "nd":
+                keep_payload_heap()
                 entry = place(tag, buffer, meta, length)
                 refused = entry is None
             if entry is None and isinstance(value, memoryview):
@@ -142,6 +143,7 @@ def fetch_values(
         if entry[0] == "inline":
             values.append(entry[1])
             continue
+        keep_payload_heap()
         tag, view, meta = fetch(entry)
         try:
             values.append(oob_unpack(tag, view, meta, copy=True))

@@ -13,7 +13,9 @@ unless the caller shares an instance between maps and simulations):
   no polling on any path;
 * dispatch is **fair round-robin**: each round starts one source later than
   the previous one and gives every ready source exactly one unit of work,
-  so a hot pool with a backlog cannot starve a simulated channel;
+  so a hot pool with a backlog cannot starve a simulated channel (a pool
+  result that arrives while its ask is parked goes down the stream from the
+  selector callback that read it, one per readable event);
 * when a sink aborts (a ``find`` hit), the scheduler immediately fans the
   cancellation out to every registered pool's not-yet-started frames
   instead of letting them compute results nobody can receive.
@@ -69,6 +71,11 @@ class EventLoopScheduler:
         self._running = False
         self._closed = False
         self._dispatch_listeners: List[Callable[[EventSource], None]] = []
+        #: the running pump's abort predicate, until its fan-out has happened
+        self._aborted: Optional[Callable[[], bool]] = None
+        #: first exception a :meth:`dispatch_now` delivery raised; the pump
+        #: re-raises it out of :meth:`run`
+        self._callback_error: Optional[BaseException] = None
         # counters for tests and benches
         self.rounds = 0
         self.dispatches = 0
@@ -172,6 +179,37 @@ class EventLoopScheduler:
                     listener(source)
         self.rounds += 1
         return dispatched
+
+    @loop_only
+    def dispatch_now(self, source: EventSource) -> None:
+        """One unit of *source*'s work, from the loop callback that made it
+        ready instead of one pump round later.
+
+        For a source whose readiness is a selector event (a pool: one
+        readable pipe, one result), so the per-source fairness bound of
+        :meth:`dispatch_round` holds: one event, one dispatch, and the loop
+        serves every other callback before this source's next one.  The pump
+        is woken only for what only it can do — a source that is still ready
+        (a backlog goes through the fair round), the abort fan-out (within
+        one delivery of a ``find`` hit), and an exception: asyncio logs and
+        drops what escapes a reader callback, so the first one is kept here
+        and the pump re-raises it out of :meth:`run`.  Between runs nothing
+        is delivered: the work waits for the next run's first round.
+        """
+        if self._wake_event is None:
+            return
+        try:
+            if source.dispatch():
+                self.dispatches += 1
+                for listener in self._dispatch_listeners:
+                    listener(source)
+            aborted = self._aborted
+            if source.ready() or (aborted is not None and aborted()):
+                self.wake_from_loop()
+        except BaseException as exc:
+            if self._callback_error is None:
+                self._callback_error = exc
+            self.wake_from_loop()
 
     def cancel_pools(self, force: bool = False) -> int:
         """Fan cancellation out to every source (pool frames not yet started).
@@ -281,6 +319,7 @@ class EventLoopScheduler:
         finally:
             unmark_loop_thread(previous_owner)
             self._running = False
+            self._callback_error = None
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None

@@ -16,7 +16,10 @@ loop — a pool's worker pipes and a gateway's sockets on its selector, a
 paced simulation on its timers, a port behind its thread-safe wake — so the
 pump arms every source, awaits the one wake event, and yields to loop
 callbacks after each productive round (that is when the selector files the
-pool replies which arrived meanwhile).
+pool replies which arrived meanwhile).  A pool's reader callback delivers
+the result it read itself (``scheduler.dispatch_now``); the pump stays the
+place where its backlog, the abort fan-out and an exception such a delivery
+raised are handled — the last one re-raised from here, out of ``run()``.
 
 The pump never blocks the thread on any single source, and it checks the
 abort predicate between rounds so a ``find`` hit cancels the pools' queued
@@ -74,12 +77,16 @@ async def async_pump(
         sink.on_done(lambda _sink: scheduler.wake())
 
     trace = getattr(scheduler, "trace", None)
+    # Sources that deliver from their own loop callback (dispatch_now) wake
+    # the pump when this turns true, and park what they raise for it.
+    scheduler._aborted = aborted
 
     def fan_out_cancellation() -> bool:
         nonlocal cancelled
         if cancelled or aborted is None or not aborted():
             return cancelled
         cancelled = True
+        scheduler._aborted = None
         if on_abort is not None:
             count = on_abort()
             scheduler.cancellations += count
@@ -90,7 +97,11 @@ async def async_pump(
         return True
 
     try:
-        while not all(sink.done for sink in sinks):
+        while True:
+            if scheduler._callback_error is not None:
+                raise scheduler._callback_error  # run() clears it
+            if all(sink.done for sink in sinks):
+                break
             # ``>=`` so a deadline of "now" fires on the round that reaches
             # it: with a strict ``>`` (and a coarse monotonic clock),
             # ``timeout=0`` could never fire on the first round.
@@ -149,3 +160,4 @@ async def async_pump(
         fan_out_cancellation()
     finally:
         scheduler._wake_event = None
+        scheduler._aborted = None

@@ -7,9 +7,12 @@ one small interface, :class:`EventSource`:
   :class:`~repro.pool.process_pool.ProcessPoolWorker`.  The pipes of its
   worker processes sit on the loop's selector from the moment they start; a
   readable pipe is a child's reply, filed the moment the loop sees it (which
-  also hands that child its next frame).  Dispatch delivers exactly one
-  result per round (fairness), cascading through the stream machinery on
-  the loop thread.
+  also hands that child its next frame) and, when it answers the parked
+  ask, delivered from that same callback
+  (:meth:`~repro.sched.event_loop.EventLoopScheduler.dispatch_now`).
+  Dispatch delivers exactly one result — per readable event, or per round
+  for a backlog (fairness) — cascading through the stream machinery on the
+  loop thread.
 * :class:`SimEventSource` — a discrete-event
   :class:`~repro.sim.scheduler.Scheduler` (simulated channels, heartbeats,
   failure schedules).  Dispatch processes exactly one simulated event.  By
@@ -136,9 +139,14 @@ class PoolEventSource(EventSource):
             loop.remove_writer(child)
 
     def _on_readable(self, child: Any) -> None:
-        self.pool.receive(child)
-        # A failed receive closes the pool: the pump must look again too.
-        if self.pool.deliverable or self.pool.closed:
+        pool = self.pool
+        pool.receive(child)
+        if pool.deliverable:
+            # The reply just read (or one filed behind it) answers the
+            # parked ask: down the stream now, not one loop turn later.
+            self._scheduler.dispatch_now(self)
+        # A failed receive closes the pool: the pump must look again.
+        if pool.closed:
             self._scheduler.wake_from_loop()
 
     def _on_writable(self, child: Any) -> None:

@@ -85,6 +85,8 @@ class TestThreadedEndpoint:
             assert nonzero(body, "pando_lender_values_read_total")
             assert nonzero(body, "pando_pool_")
             assert nonzero(body, "pando_sched_wakeups_total")
+            assert nonzero(body, 'pando_process_minor_faults_total{process="master"}')
+            assert 'pando_process_minor_faults_total{process="children"}' in body
             assert overhead_count(body, "pipe") > 0
         finally:
             dmap.close()

@@ -192,8 +192,8 @@ class TestCancellationFanOut:
             # The cancelled frames never computed: fewer results came back
             # than frames were submitted.
             assert pool.results_returned < pool.tasks_submitted
-            # The hit arrived on the round that completed the sink, so the
-            # fan-out ran after the loop — once, and traced.
+            # The hit arrived on the delivery that completed the sink, so
+            # the fan-out ran after the loop — once, and traced.
             fanouts = dmap.obs.trace.events("abort_fanout")
             assert len(fanouts) == 1
             assert fanouts[0].fields["cancelled"] == pool.tasks_cancelled
@@ -274,6 +274,27 @@ class TestFailureModes:
             assert time.monotonic() - started < 5.0
         finally:
             sched.close()
+
+    @pytest.mark.parametrize("kwargs", [{"shards": 1}, {"shards": 2, "ordered": False}])
+    def test_a_sink_that_raises_on_a_pool_result_raises_out_of_drive(self, kwargs):
+        """A pool result goes down the stream from a loop reader callback,
+        where asyncio logs and drops an escaping exception: the scheduler
+        has to carry it to ``drive()`` itself, not report a stall."""
+        seen = []
+
+        def on_result(value):
+            seen.append(value)
+            if len(seen) == 5:
+                raise RuntimeError("the sink failed on its 5th result")
+
+        with DistributedMap(batch_size=1, **kwargs) as dmap:
+            sink = pull(values(list(range(40))), dmap, drain(on_result))
+            for _ in range(kwargs["shards"]):
+                dmap.add_process_pool("repro.pool.workloads:square", processes=2)
+            with pytest.raises(RuntimeError, match="5th result"):
+                dmap.drive(sink, timeout=5)
+            assert len(seen) == 5
+            assert dmap.scheduler.stalls == 0
 
     def test_run_requires_a_sink(self):
         sched = EventLoopScheduler()

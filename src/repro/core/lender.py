@@ -182,6 +182,8 @@ class StreamLender:
         self._reorder = ReorderBuffer()
         self._ready_unordered: Deque[Any] = deque()
         self._substreams: List[SubStream] = []
+        #: sub-streams not yet closed (what shard placement balances on)
+        self.open_substreams = 0
 
     # ------------------------------------------------------------------ API
     def __call__(self, read: Source) -> Source:
@@ -215,6 +217,7 @@ class StreamLender:
             return None
         sub = SubStream(self, next(self._ids))
         self._substreams.append(sub)
+        self.open_substreams += 1
         self.stats.substreams_opened += 1
         self.stats.lent_per_substream.setdefault(sub.id, 0)
         self.stats.results_per_substream.setdefault(sub.id, 0)
@@ -353,6 +356,7 @@ class StreamLender:
             return
         sub.closed = True
         sub.close_reason = end
+        self.open_substreams -= 1
         if is_error(end):
             self.stats.substreams_failed += 1
             if self.on_trace is not None:

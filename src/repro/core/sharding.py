@@ -164,17 +164,19 @@ class ShardedLender:
         Remaining ties are broken by the number of sub-streams ever opened
         (then by index), which spreads synchronous workers — whose
         sub-streams complete and close before the next attachment —
-        round-robin instead of piling them on shard 0.
+        round-robin instead of piling them on shard 0.  Both counts are kept
+        by the shard's lender as sub-streams open and close, so a placement
+        costs the same with a thousand workers attached as with two.
         """
         depths: Optional[List[int]] = None
         if self.max_buffer is not None and self._branches is not None:
             depths = self._branches.buffer_depths
 
         def load(index: int) -> tuple:
-            subs = self._shards[index].substreams
-            open_count = sum(1 for sub in subs if not sub.closed)
+            lender = self._shards[index]
             backlog = -depths[index] if depths is not None else 0
-            return (open_count, backlog, len(subs), index)
+            ever_opened = lender.stats.substreams_opened
+            return (lender.open_substreams, backlog, ever_opened, index)
 
         return min(range(len(self._shards)), key=load)
 

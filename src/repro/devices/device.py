@@ -33,6 +33,9 @@ class CoreSlot:
         self.busy_until = 0.0
         self.tasks_completed = 0
         self.busy_time = 0.0
+        #: the running task's next step, while it can still fire (a core runs
+        #: one task, one chunk at a time) — what :meth:`SimDevice.crash` cancels
+        self.pending: Optional[ScheduledEvent] = None
 
 
 class SimDevice:
@@ -70,7 +73,6 @@ class SimDevice:
         self.tasks_stopped = 0
         self.last_completion_at: Optional[float] = None
         self._queue: Deque[Tuple[str, float, CompletionCallback]] = deque()
-        self._pending_events: List[ScheduledEvent] = []
         self._crash_listeners: List[Callable[["SimDevice"], None]] = []
         self._task_ids = itertools.count()
 
@@ -139,6 +141,7 @@ class SimDevice:
 
         def step() -> None:
             nonlocal remaining
+            core.pending = None
             if self.crashed:
                 return
             remaining -= 1
@@ -152,8 +155,7 @@ class SimDevice:
                     self.tasks_stopped += 1
                     self._drain_queue()
                     return
-                event = self.scheduler.call_later(chunk_duration, step)
-                self._pending_events.append(event)
+                core.pending = self.scheduler.call_later(chunk_duration, step)
                 return
             core.busy = False
             core.tasks_completed += 1
@@ -161,8 +163,7 @@ class SimDevice:
             callback(None, duration)
             self._drain_queue()
 
-        event = self.scheduler.call_later(chunk_duration, step)
-        self._pending_events.append(event)
+        core.pending = self.scheduler.call_later(chunk_duration, step)
 
     def _drain_queue(self) -> None:
         while self._queue:
@@ -179,9 +180,10 @@ class SimDevice:
             return
         self.crashed = True
         self.crashed_at = self.scheduler.now
-        for event in self._pending_events:
-            event.cancel()
-        self._pending_events.clear()
+        for core in self.cores:
+            if core.pending is not None:
+                core.pending.cancel()
+                core.pending = None
         self._queue.clear()
         for listener in list(self._crash_listeners):
             listener(self)

@@ -171,6 +171,8 @@ class ChannelEndpoint:
             return
         self._incoming(None, cb)
 
+    _source_read.pull_role = "source"
+
     def _sink(self, read: Source) -> None:
         """Sink half: eagerly read local values and send them to the peer."""
 

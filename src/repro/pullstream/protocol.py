@@ -122,6 +122,8 @@ class ProtocolChecker:
     random-testing application inspects.
     """
 
+    pull_role = "source"
+
     def __init__(self, source: Source, name: str = "source") -> None:
         self._source = source
         self._name = name

@@ -14,9 +14,14 @@ The deadline, the stall diagnosis, the abort fan-out, the counters, the
 trace events and the wait itself exist once.  Every source lives on the
 loop — a pool's worker pipes and a gateway's sockets on its selector, a
 paced simulation on its timers, a port behind its thread-safe wake — so the
-pump arms every source, awaits the one wake event, and yields to loop
-callbacks after each productive round (that is when the selector files the
-pool replies which arrived meanwhile).  A pool's reader callback delivers
+pump arms every source and awaits the one wake event.  While rounds stay
+productive it does not wait, and gives the loop's callbacks a turn once per
+:data:`LOOP_TURN_INTERVAL` of dispatching rather than once per round: on an
+unpaced simulation every round is one sim event, and a loop turn each
+(``epoll``, a handle, a task step) cost more than the event.  A pool's
+reader callback, a gateway socket, a loop timer or a thread-safe wake is
+therefore served at most that interval plus one dispatch late while
+round-dispatched sources are busy.  A pool's reader callback delivers
 the result it read itself (``scheduler.dispatch_now``); the pump stays the
 place where its backlog, the abort fan-out and an exception such a delivery
 raised are handled — the last one re-raised from here, out of ``run()``.
@@ -37,6 +42,10 @@ from ..errors import PandoError
 from ..pullstream.sinks import SinkResult
 
 __all__ = ["async_pump"]
+
+#: Longest the pump dispatches productive rounds back to back before it
+#: gives the loop's other callbacks a turn (seconds of ``time.monotonic``).
+LOOP_TURN_INTERVAL = 0.001
 
 
 async def async_pump(
@@ -96,6 +105,7 @@ async def async_pump(
             trace.emit("abort_fanout", cancelled=count)
         return True
 
+    last_turn = time.monotonic()
     try:
         while True:
             if scheduler._callback_error is not None:
@@ -115,11 +125,13 @@ async def async_pump(
                 raise PandoError("EventLoopScheduler.run timed out")
             fan_out_cancellation()
             if scheduler.dispatch_round() > 0:
-                # Something moved; re-check the sinks before waiting.  An
-                # explicit zero-sleep yields to loop callbacks (pipe
-                # readers, timers, thread-safe wakes) so a dispatch storm
-                # cannot starve them.
-                await asyncio.sleep(0)
+                # Something moved; re-check the sinks before waiting.  Once
+                # per LOOP_TURN_INTERVAL an explicit zero-sleep yields to
+                # loop callbacks (pipe readers, timers, thread-safe wakes)
+                # so a dispatch storm cannot starve them.
+                if time.monotonic() - last_turn >= LOOP_TURN_INTERVAL:
+                    await asyncio.sleep(0)
+                    last_turn = time.monotonic()
                 continue
             if all(sink.done for sink in sinks):
                 break
@@ -151,6 +163,7 @@ async def async_pump(
             # pump task itself awaits it, with no helper task per wait.
             timer = loop.call_later(budget, wake.set)
             await wake.wait()
+            last_turn = time.monotonic()
             if loop.time() < timer.when():
                 scheduler.wakeups += 1
             timer.cancel()

@@ -1,10 +1,11 @@
 """Discrete-event scheduler driving all simulated deployments.
 
-The scheduler is a priority queue of ``(time, sequence, callback)`` events on
-a :class:`~repro.sim.clock.VirtualClock`.  Components schedule work with
-:meth:`Scheduler.call_later` / :meth:`Scheduler.call_at` /
-:meth:`Scheduler.call_soon`; the simulation is advanced with :meth:`run`,
-:meth:`run_until` or :meth:`run_for`.
+The scheduler is a heap of ``(time, sequence, event)`` entries on a
+:class:`~repro.sim.clock.VirtualClock`; ``(time, sequence)`` is unique, so the
+heap orders entries by comparing two numbers and never reaches the event.
+Components schedule work with :meth:`Scheduler.call_later` /
+:meth:`Scheduler.call_at` / :meth:`Scheduler.call_soon`; the simulation is
+advanced with :meth:`run`, :meth:`run_until` or :meth:`run_for`.
 
 Determinism: events scheduled for the same instant run in scheduling order
 (FIFO), so a simulation with a fixed random seed is fully reproducible — a
@@ -42,9 +43,6 @@ class ScheduledEvent:
         """Prevent the callback from running (no-op if it already ran)."""
         self.cancelled = True
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         flag = " cancelled" if self.cancelled else ""
         return f"<ScheduledEvent t={self.time:.6f}{flag}>"
@@ -59,7 +57,7 @@ class Scheduler:
 
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self._queue: List[ScheduledEvent] = []
+        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._running = False
         self.events_processed = 0
@@ -81,8 +79,9 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule an event in the past: {timestamp} < {self.clock.now}"
             )
-        event = ScheduledEvent(timestamp, next(self._seq), callback, args)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = ScheduledEvent(timestamp, seq, callback, args)
+        heapq.heappush(self._queue, (timestamp, seq, event))
         return event
 
     def call_later(
@@ -110,17 +109,21 @@ class Scheduler:
         detection (an idle simulation cannot make progress) and to pace
         virtual time against the wall clock.
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Process exactly one live event; False when the queue is empty.
 
         The single-event granularity is what makes the simulation fair to
         interleave with other ready-callback sources on one event loop: a
-        long event cascade yields between events instead of monopolising the
-        dispatcher.
+        long event cascade returns to the dispatcher between events, so the
+        run stops on the very event that completes its sink and every other
+        source gets its round.  When the loop's own callbacks get a turn is
+        the pump's decision (:data:`repro.sched.pump.LOOP_TURN_INTERVAL`),
+        not one turn per event.
         """
         if self.next_event_time() is None:
             return False
@@ -146,7 +149,7 @@ class Scheduler:
         """Process events with time <= *timestamp*, then set the clock there."""
         self._running = True
         try:
-            while self._queue and self._queue[0].time <= timestamp:
+            while self._queue and self._queue[0][0] <= timestamp:
                 self._step()
         finally:
             self._running = False
@@ -159,10 +162,10 @@ class Scheduler:
         return self.run_until(self.clock.now + duration)
 
     def _step(self) -> None:
-        event = heapq.heappop(self._queue)
+        timestamp, _seq, event = heapq.heappop(self._queue)
         if event.cancelled:
             return
-        self.clock.advance_to(event.time)
+        self.clock.advance_to(timestamp)
         self.events_processed += 1
         if self.max_events is not None and self.events_processed > self.max_events:
             raise SimulationError(

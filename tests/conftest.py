@@ -170,6 +170,19 @@ def substream_driver():
 
 
 @pytest.fixture
+def assert_open_counts():
+    """Check each lender's kept open-sub-stream count against the scan of
+    its sub-streams that the count replaced (the reference stays here)."""
+
+    def check(*lenders):
+        for lender in lenders:
+            scanned = sum(1 for sub in lender.substreams if not sub.closed)
+            assert lender.open_substreams == scanned, (lender, scanned)
+
+    return check
+
+
+@pytest.fixture
 def echo_fn():
     """A trivial Pando processing function echoing its input."""
 

@@ -6,13 +6,15 @@ test drives a :class:`StreamLender` with 220 sub-streams whose crash points
 come from the :class:`repro.sim.failures.ChurnModel` generator, and asserts
 exactly-once delivery, input ordering, and that :class:`LenderStats` balances
 (``values_lent == results_delivered + outstanding + relendable +
-values_relent``).
+values_relent``).  After every attach and every delivery step the lender's
+kept open-sub-stream count is compared with a scan of its sub-streams.
 """
 
 from __future__ import annotations
 
 from repro.core import StreamLender
-from repro.pullstream import collect, pull, values
+from repro.errors import StreamAborted, WorkerCrashed
+from repro.pullstream import DONE, collect, pull, values
 from repro.sim.failures import ChurnModel
 
 WORKERS = 220
@@ -26,7 +28,9 @@ def lend(lender):
 
 
 class TestChurn:
-    def test_exactly_once_under_random_crash_stop_churn(self, substream_driver):
+    def test_exactly_once_under_random_crash_stop_churn(
+        self, substream_driver, assert_open_counts
+    ):
         lender = StreamLender()
         inputs = list(range(INPUTS))
         output = pull(values(inputs), lender, collect())
@@ -60,6 +64,7 @@ class TestChurn:
                 # spread instead of being swallowed by the first joiner.
                 driver = substream_driver(sub, auto_deliver=False, max_in_flight=1)
             drivers.append(driver.start())
+            assert_open_counts(lender)
 
         # Round-robin delivery until the stream drains (bounded, so a
         # liveness regression fails the test instead of hanging it).
@@ -69,7 +74,9 @@ class TestChurn:
             for driver in drivers:
                 if not driver.crashed:
                     driver.deliver_all()
+                    assert_open_counts(lender)
         assert output.done
+        assert lender.open_substreams == 0
 
         # Exactly once, in input order.
         assert output.result() == [value * 10 for value in inputs]
@@ -100,3 +107,46 @@ class TestChurn:
         assert (
             stats.substreams_failed + stats.substreams_closed == stats.substreams_opened
         )
+
+
+class TestOpenCount:
+    """``open_substreams`` moves exactly where ``sub.closed`` flips."""
+
+    def test_every_way_a_substream_closes(self, substream_driver, assert_open_counts):
+        lender = StreamLender()
+        read = pull(values(list(range(20))), lender)
+        subs = [lend(lender) for _ in range(5)]
+        assert_open_counts(lender)
+        assert lender.open_substreams == 5
+
+        # Worker-side abort of the borrow stream.
+        subs[0].source(DONE, lambda end, value: None)
+        assert_open_counts(lender)
+        assert lender.open_substreams == 4
+        # A double close: the result stream then errors on the same sub-stream.
+        subs[0].sink(lambda end, cb: cb(WorkerCrashed("late"), None))
+        assert_open_counts(lender)
+        assert lender.open_substreams == 4
+
+        # A crash-stop while holding a value, then a normal end.
+        substream_driver(subs[1], crash_after=1, auto_deliver=False).start()
+        assert_open_counts(lender)
+        assert lender.open_substreams == 3
+        subs[2].sink(lambda end, cb: cb(DONE, None))
+        assert_open_counts(lender)
+        assert lender.open_substreams == 2
+
+        # Downstream abort closes whatever is still open, once.
+        read(DONE, lambda end, value: None)
+        assert_open_counts(lender)
+        assert lender.open_substreams == 0
+        subs[3].source(DONE, lambda end, value: None)
+        assert_open_counts(lender)
+        assert lender.open_substreams == 0
+
+        # lend_stream on an ended output opens nothing.
+        refused = []
+        assert lender.lend_stream(lambda err, sub: refused.append((err, sub))) is None
+        assert isinstance(refused[0][0], StreamAborted) and refused[0][1] is None
+        assert_open_counts(lender)
+        assert lender.open_substreams == 0

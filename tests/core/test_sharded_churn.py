@@ -14,12 +14,19 @@ completion order), where the order assertion relaxes to exactly-once
 permutation delivery — and additionally covers the shard whose workers all
 die after its slice completed (the dead-shard short-circuit must terminate
 the merged stream instead of wedging on a shard that can never answer).
+
+Every attach and every delivery step of these runs also compares each shard's
+kept open-sub-stream count with a scan of its sub-streams, and a hypothesis
+test holds ``least_loaded_shard()`` to the scanning reference kept here.
 """
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
 from repro.core import ShardedLender
-from repro.pullstream import collect, pull, values
+from repro.errors import WorkerCrashed
+from repro.pullstream import DONE, collect, pull, values
 from repro.sim.failures import ChurnModel
 
 SHARDS = 4
@@ -33,14 +40,15 @@ def lend(lender):
     return box[0]
 
 
-def build_churn_run(sharded, substream_driver, workers=WORKERS, inputs=INPUTS,
-                    seed=1234):
+def build_churn_run(sharded, substream_driver, check, workers=WORKERS,
+                    inputs=INPUTS, seed=1234):
     """Attach *workers* churning drivers to *sharded*; returns the pieces.
 
     The churn schedule is deterministic for a given *seed*: roughly half the
     workers crash after a known number of borrows, the rest survive, and
     every shard keeps at least one survivor (asserted, or the run would
     legitimately stall waiting for volunteers on a depleted shard).
+    *check* (the ``assert_open_counts`` fixture) runs after every attach.
     """
     input_values = list(range(inputs))
     output = pull(values(input_values), sharded, collect())
@@ -69,6 +77,7 @@ def build_churn_run(sharded, substream_driver, workers=WORKERS, inputs=INPUTS,
         else:
             driver = substream_driver(sub, auto_deliver=False, max_in_flight=1)
         drivers.append(driver.start())
+        check(*sharded.shards)
 
     survivors_per_shard = [0] * sharded.shard_count
     for worker_id, shard in zip(worker_ids, placements):
@@ -79,13 +88,14 @@ def build_churn_run(sharded, substream_driver, workers=WORKERS, inputs=INPUTS,
     return input_values, output, drivers, placements
 
 
-def drive_to_completion(output, drivers, rounds):
+def drive_to_completion(sharded, output, drivers, rounds, check):
     for _round in range(rounds):
         if output.done:
             break
         for driver in drivers:
             if not driver.crashed:
                 driver.deliver_all()
+                check(*sharded.shards)
     assert output.done
 
 
@@ -123,10 +133,12 @@ def assert_shard_accounting(sharded, inputs, workers):
 
 
 class TestShardedChurn:
-    def test_exactly_once_global_order_under_churn(self, substream_driver):
+    def test_exactly_once_global_order_under_churn(
+        self, substream_driver, assert_open_counts
+    ):
         sharded = ShardedLender(shards=SHARDS)
         inputs, output, drivers, placements = build_churn_run(
-            sharded, substream_driver
+            sharded, substream_driver, assert_open_counts
         )
 
         # Least-loaded placement spreads the attachments across every shard.
@@ -136,7 +148,9 @@ class TestShardedChurn:
         for shard in range(SHARDS):
             assert placements.count(shard) >= WORKERS // (2 * SHARDS)
 
-        drive_to_completion(output, drivers, rounds=10 * INPUTS)
+        drive_to_completion(
+            sharded, output, drivers, 10 * INPUTS, assert_open_counts
+        )
 
         # Exactly once, in global input order.
         assert output.result() == [value * 10 for value in inputs]
@@ -148,7 +162,9 @@ class TestShardedChurn:
 
 
 class TestUnorderedShardedChurn:
-    def test_exactly_once_permutation_under_churn(self, substream_driver):
+    def test_exactly_once_permutation_under_churn(
+        self, substream_driver, assert_open_counts
+    ):
         """The ordered churn schedule, replayed against ``ordered=False``:
         every input is answered exactly once (a permutation, nothing lost or
         duplicated across ~220 joining/crashing workers) and the per-shard
@@ -156,31 +172,39 @@ class TestUnorderedShardedChurn:
         sharded = ShardedLender(shards=SHARDS, ordered=False)
         assert not sharded.ordered
         inputs, output, drivers, placements = build_churn_run(
-            sharded, substream_driver
+            sharded, substream_driver, assert_open_counts
         )
         for shard in range(SHARDS):
             assert placements.count(shard) >= WORKERS // (2 * SHARDS)
 
-        drive_to_completion(output, drivers, rounds=10 * INPUTS)
+        drive_to_completion(
+            sharded, output, drivers, 10 * INPUTS, assert_open_counts
+        )
 
         # Exactly once: a permutation of the expected results.
         assert sorted(output.result()) == [value * 10 for value in inputs]
         assert_shard_accounting(sharded, INPUTS, WORKERS)
 
-    def test_bounded_split_buffer_survives_churn(self, substream_driver):
+    def test_bounded_split_buffer_survives_churn(
+        self, substream_driver, assert_open_counts
+    ):
         """The churn run with ``max_buffer=2``: back-pressure must not cost
         liveness (every shard keeps a survivor, so every parked pump is
         eventually released) and delivery stays exactly-once."""
         sharded = ShardedLender(shards=SHARDS, ordered=False, max_buffer=2)
         inputs, output, drivers, _placements = build_churn_run(
-            sharded, substream_driver
+            sharded, substream_driver, assert_open_counts
         )
-        drive_to_completion(output, drivers, rounds=10 * INPUTS)
+        drive_to_completion(
+            sharded, output, drivers, 10 * INPUTS, assert_open_counts
+        )
         assert sorted(output.result()) == [value * 10 for value in inputs]
         assert sharded._branches.buffer_depths == [0] * SHARDS
         assert_shard_accounting(sharded, INPUTS, WORKERS)
 
-    def test_no_wedge_when_a_shards_workers_all_die(self, substream_driver):
+    def test_no_wedge_when_a_shards_workers_all_die(
+        self, substream_driver, assert_open_counts
+    ):
         """A shard whose workers all crash after its slice completed cannot
         wedge the merged stream: the dead-shard short-circuit terminates it
         once every read value has been delivered."""
@@ -202,8 +226,10 @@ class TestUnorderedShardedChurn:
                 break
             for driver in doomed:
                 driver.deliver_all()
+                assert_open_counts(*sharded.shards)
         for driver in doomed:
             driver.crash()
+            assert_open_counts(*sharded.shards)
         assert output.done
         assert sorted(output.result()) == [value * 10 for value in inputs]
 
@@ -212,3 +238,73 @@ def lend_on(sharded, shard):
     box = []
     sharded.lend_stream(lambda err, sub: box.append(sub), shard=shard)
     return box[0]
+
+
+def scanned_least_loaded(sharded):
+    """``least_loaded_shard`` as it was before the lenders kept the count:
+    copy every shard's sub-stream list and count the open ones."""
+    depths = None
+    if sharded.max_buffer is not None and sharded._branches is not None:
+        depths = sharded._branches.buffer_depths
+
+    def load(index):
+        subs = sharded.shards[index].substreams
+        open_count = sum(1 for sub in subs if not sub.closed)
+        backlog = -depths[index] if depths is not None else 0
+        return (open_count, backlog, len(subs), index)
+
+    return min(range(sharded.shard_count), key=load)
+
+
+class TestPlacementAgainstTheScan:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shards=st.integers(min_value=1, max_value=5),
+        ordered=st.booleans(),
+        max_buffer=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["attach", "pin", "borrow", "close", "crash", "abort"]),
+                st.integers(min_value=0, max_value=63),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_least_loaded_shard_matches_the_reference_scan(
+        self, shards, ordered, max_buffer, ops
+    ):
+        """Random attach / borrow / close / crash sequences: placement and
+        the per-shard counts agree with the scan after every operation.
+        Borrows that nobody answers leave values in the split buffers, so
+        with *max_buffer* the depth tie-break is live."""
+        sharded = ShardedLender(shards=shards, ordered=ordered, max_buffer=max_buffer)
+        read = pull(values(list(range(40))), sharded)
+        subs = []
+
+        def check():
+            for lender in sharded.shards:
+                scanned = sum(1 for sub in lender.substreams if not sub.closed)
+                assert lender.open_substreams == scanned
+            assert sharded.least_loaded_shard() == scanned_least_loaded(sharded)
+
+        check()
+        for op, pick in ops:
+            if op in ("attach", "pin"):
+                shard = pick % shards if op == "pin" else None
+                expected = scanned_least_loaded(sharded) if shard is None else shard
+                sub = sharded.lend_stream(lambda err, sub: None, shard=shard)
+                if sub is not None:  # None once the output was aborted
+                    assert sub.shard == expected
+                    subs.append(sub)
+            elif op == "abort":
+                if pick == 0:  # rare: it ends every shard
+                    read(DONE, lambda end, value: None)
+            elif subs:
+                sub = subs[pick % len(subs)]
+                if op == "borrow":
+                    sub.source(None, lambda end, value: None)
+                elif op == "close":
+                    sub.source(DONE, lambda end, value: None)
+                else:
+                    sub.sink(lambda end, cb: cb(WorkerCrashed("gone"), None))
+            check()

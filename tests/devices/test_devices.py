@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.devices import (
@@ -158,3 +161,67 @@ class TestSimDevice:
         assert device.tasks_completed == 1
         assert device.total_busy_time == pytest.approx(1.0)
         assert device.utilisation(window=2.0) == pytest.approx(0.5)
+
+
+class _Completion:
+    """A completion callback a test can hold weakly."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, err, duration):
+        self.log.append(err)
+
+
+class TestTimerHandles:
+    """A device keeps only the step handles that can still fire."""
+
+    @pytest.mark.parametrize("task_chunk", [None, 0.25])
+    def test_finished_tasks_leave_no_handle_behind(self, scheduler, task_chunk):
+        device = SimDevice(device_by_name("mbpro-2016"), scheduler)  # 2 cores
+        device.task_chunk = task_chunk
+        log, refs = [], []
+        for _ in range(12):
+            callback = _Completion(log)
+            refs.append(weakref.ref(callback))
+            device.execute("raytrace", 1.0, callback)
+        del callback
+        scheduler.run()
+        assert log == [None] * 12
+        assert all(core.pending is None for core in device.cores)
+        # The fired handles pinned step -> callback: with them dropped, the
+        # device (still alive) keeps none of the finished tasks reachable.
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 12
+
+    def test_crash_mid_task_cancels_the_pending_step(self, scheduler):
+        device = SimDevice(device_by_name("novena"), scheduler, cores=1)
+        device.task_chunk = 100.0
+        completions = []
+        device.execute("collatz", 1000.0, lambda err, d: completions.append(err))
+        device.execute("collatz", 1000.0, lambda err, d: completions.append(err))
+        chunk = device.task_duration("collatz", 1000.0) / 10
+        scheduler.run_until(2.5 * chunk)  # two chunks done, the third pending
+        handle = device.cores[0].pending
+        assert handle is not None and not handle.cancelled
+        device.crash()
+        assert handle.cancelled and device.cores[0].pending is None
+        before = scheduler.events_processed
+        scheduler.run()
+        assert scheduler.events_processed == before  # nothing left to fire
+        assert completions == []  # neither the running nor the queued task
+
+    def test_queued_task_behind_a_busy_core_still_starts(self, scheduler):
+        device = SimDevice(device_by_name("iphone-se"), scheduler, cores=1)
+        device.task_chunk = 0.5
+        finished = []
+        for tag in "abc":
+            device.execute(
+                "raytrace", 1.0, lambda err, d, tag=tag: finished.append((tag, scheduler.now))
+            )
+        assert device.cores[0].pending is not None
+        scheduler.run()
+        one = device.task_duration("raytrace", 1.0)
+        assert [tag for tag, _ in finished] == ["a", "b", "c"]
+        assert [at for _, at in finished] == pytest.approx([one, 2 * one, 3 * one])
+        assert device.cores[0].pending is None

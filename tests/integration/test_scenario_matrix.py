@@ -11,8 +11,13 @@ any cell can be replayed with ``pando simulate --matrix --cell <name>``.
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
+from repro.core.distributed_map import DistributedMap
+from repro.pullstream import duplex_pair, pull, values
 from repro.sim.matrix import (
     MatrixSearchApplication,
     abort_cell,
@@ -115,6 +120,42 @@ def test_thousand_volunteer_cell_within_wall_budget():
         f"scale cell took {cell_result.wall_seconds:.1f}s wall "
         f"(seed={cell.seed}, events={cell_result.events_processed})"
     )
+
+
+# ------------------------------------------------- joining costs no introspection
+@pytest.fixture
+def signature_calls(monkeypatch):
+    """Calls ``repro`` code makes to :func:`inspect.signature` (``pull()``
+    falls back to it for a module that carries no ``pull_role``)."""
+    calls = []
+    real = inspect.signature
+
+    def counting(obj, *args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("repro."):
+            calls.append((caller, obj))
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(inspect, "signature", counting)
+    return calls
+
+
+def test_a_fleet_joins_without_introspection(signature_calls):
+    """Every source an attach path hands to ``pull()`` is tagged: twenty
+    volunteers used to cost twenty ``inspect.signature`` calls."""
+    cell_result = run_verified(scale_cell(volunteers=20, inputs=60, seed=1))
+    assert len(cell_result.outputs) == 60
+    assert signature_calls == []
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_local_attach_paths_make_no_introspection(signature_calls, debug):
+    with DistributedMap(batch_size=2, debug=debug) as dmap:
+        pull(values([1, 2, 3]), dmap)
+        near, _far = duplex_pair()
+        dmap.add_channel(near)
+        dmap.add_local_worker(lambda value, cb: cb(None, value))
+    assert signature_calls == []
 
 
 # ------------------------------------------- bounded-tail cancellation

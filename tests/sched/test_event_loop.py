@@ -447,6 +447,92 @@ class TestSimIntegration:
             sched.close()
 
 
+class TestLoopTurns:
+    """The pump gives the loop a turn by time, not by round: under a source
+    that is never idle everything else is still served within a bound, and a
+    run still stops on the very round that completes its sink."""
+
+    @staticmethod
+    def storm():
+        """An unpaced sim whose one event re-schedules itself for ever."""
+        sim = Scheduler(VirtualClock())
+
+        def again():
+            sim.call_later(0.001, again)
+
+        sim.call_soon(again)
+        return sim
+
+    def test_a_thread_fed_port_is_served_within_50ms_of_a_storm(self):
+        sched = EventLoopScheduler()
+        try:
+            sched.register_sim(self.storm())
+            port = sched.register_pushable()
+            latencies = []
+            sink = drain(op=lambda sent: latencies.append(time.monotonic() - sent))(
+                port.pushable
+            )
+
+            def producer():
+                for _ in range(10):
+                    time.sleep(0.01)
+                    port.push(time.monotonic())
+                port.end()
+
+            thread = threading.Thread(target=producer)
+            thread.start()
+            sched.run(sink, timeout=30)
+            thread.join(10)
+            assert len(latencies) == 10
+            assert max(latencies) < 0.05
+        finally:
+            sched.close()
+
+    def test_the_deadline_fires_under_a_storm(self):
+        sched = EventLoopScheduler()
+        try:
+            sched.register_sim(self.storm())
+            sink = collect()(Pushable())  # never completes
+            started = time.monotonic()
+            with pytest.raises(PandoError, match="timed out"):
+                sched.run(sink, timeout=0.2)
+            assert time.monotonic() - started < 0.5
+        finally:
+            sched.close()
+
+    def test_a_pool_beside_a_storm_delivers_exactly_once(self):
+        with DistributedMap(batch_size=1) as dmap:
+            dmap.scheduler.register_sim(self.storm())
+            inputs = list(range(40))
+            sink = pull(values(inputs), dmap, collect())
+            handle = dmap.add_process_pool("repro.pool.workloads:square", processes=1)
+            dmap.drive(sink, timeout=30)
+            assert sink.result() == [value * value for value in inputs]
+            assert handle.pool.results_returned == len(inputs)
+
+    def test_the_run_stops_on_the_event_that_completes_the_sink(self):
+        sim = Scheduler(VirtualClock())
+        buffer = Pushable()
+        sink = collect()(buffer)
+        ran = []
+        for index in range(1, 5000):
+            sim.call_later(index * 0.001, ran.append, index)
+        sim.call_later(5.0, lambda: (buffer.push("last"), buffer.end()))
+        for index in range(100):  # still queued when the sink completes
+            sim.call_later(6.0 + index, ran.append, "late")
+        sched = EventLoopScheduler()
+        try:
+            sched.register_sim(sim)
+            sched.run(sink, timeout=30)
+            assert sink.result() == ["last"]
+            assert ran == list(range(1, 5000))
+            assert sim.events_processed == 5000
+            assert sched.rounds == 5000
+            assert sim.pending() == 100
+        finally:
+            sched.close()
+
+
 class TestDispatchListener:
     def test_listener_observes_every_dispatch(self):
         sched = EventLoopScheduler()

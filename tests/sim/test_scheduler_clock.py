@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
 from repro.sim.failures import ChurnModel, FailureEvent, FailureSchedule
+from repro.sim.matrix import run_cell, scale_cell
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import (
     LAN_PROFILE,
@@ -16,6 +18,7 @@ from repro.sim.network import (
     WAN_PROFILE,
     profile_for_setting,
 )
+from repro.sim.scheduler import Scheduler
 
 
 class TestVirtualClock:
@@ -271,3 +274,76 @@ class TestSchedulerStepping:
     def test_step_on_empty_queue(self, scheduler):
         assert scheduler.next_event_time() is None
         assert scheduler.step() is False
+
+
+class TestHeapOrder:
+    """The heap holds ``(time, seq, event)`` tuples: the firing order is
+    the sort order of ``(time, seq)`` over the live events, nothing else."""
+
+    #: few distinct delays, so many events share an instant
+    schedules = st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.booleans()),
+        max_size=40,
+    )
+
+    @staticmethod
+    def build(schedule):
+        """Schedule ``(delay, cancel?)`` pairs; returns the scheduler, the
+        list the callbacks append their index to, and the live events as
+        ``(time, seq, index)`` in the order they must fire."""
+        sim = Scheduler(VirtualClock())
+        fired = []
+        events = [
+            sim.call_later(delay, fired.append, index)
+            for index, (delay, _cancel) in enumerate(schedule)
+        ]
+        for event, (_delay, cancel) in zip(events, schedule):
+            if cancel:
+                event.cancel()
+        live = sorted(
+            (event.time, event.seq, index)
+            for index, event in enumerate(events)
+            if not event.cancelled
+        )
+        return sim, fired, live
+
+    @settings(max_examples=150, deadline=None)
+    @given(schedule=schedules)
+    def test_firing_order_is_time_then_sequence(self, schedule):
+        sim, fired, live = self.build(schedule)
+        assert sim.pending() == len(schedule)  # cancelled ones included
+        sim.run()
+        assert fired == [index for _time, _seq, index in live]
+        assert sim.events_processed == len(live)
+        assert sim.pending() == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(schedule=schedules)
+    def test_next_event_time_is_exact_step_by_step(self, schedule):
+        sim, fired, live = self.build(schedule)
+        for when, _seq, index in live:
+            assert sim.next_event_time() == when
+            assert sim.step()
+            assert fired[-1] == index and sim.now == when
+        assert sim.next_event_time() is None
+        assert not sim.step()
+
+    @settings(max_examples=150, deadline=None)
+    @given(schedule=schedules, until=st.sampled_from([0.0, 0.25, 1.0, 1.75, 3.0]))
+    def test_run_until_fires_nothing_later_than_its_bound(self, schedule, until):
+        sim, fired, live = self.build(schedule)
+        sim.run_until(until)
+        assert fired == [index for when, _seq, index in live if when <= until]
+        assert sim.now == until
+        sim.run()
+        assert fired == [index for _time, _seq, index in live]
+
+
+class TestCellDeterminism:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_runs_of_a_scale_cell_agree(self, seed):
+        first = run_cell(scale_cell(volunteers=50, inputs=150, seed=seed))
+        second = run_cell(scale_cell(volunteers=50, inputs=150, seed=seed))
+        assert first.outputs == second.outputs
+        assert first.result.completed_at == second.result.completed_at
+        assert first.events_processed == second.events_processed

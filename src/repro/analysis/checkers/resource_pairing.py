@@ -12,8 +12,11 @@ dynamically; this checker enforces the static shape that makes it true:
   another holder;
 * the same discipline for ``shared_memory.SharedMemory(...)`` handles
   (``close``/``unlink`` or escape), for ``Process(...)`` handles (``join``
-  or escape to an owner whose children exit by themselves at EOF) and for
-  both ends of a ``Pipe()``/``socketpair()`` (``close`` or escape);
+  or escape to an owner whose children exit by themselves at EOF), for
+  both ends of a ``Pipe()``/``socketpair()`` (``close`` or escape) and for a
+  socket that was created, connected or accepted (``close``, or escape to
+  the ``Endpoint`` that owns it from then on and closes it in its own
+  ``close``);
 * an acquire expression whose result is *discarded* is flagged outright —
   there is no way to ever release it.
 
@@ -25,8 +28,10 @@ arithmetic, and calls on the acquiring object itself
 (``ring.write(slot, data)``) — keep the obligation alive.  ``if slot is
 None:`` narrowing understands the non-blocking acquire (``None`` means
 the ring was exhausted: nothing to release on that branch), and a release
-inside ``try/finally`` covers every exit that passes through it.  Raising
-paths are exempt, consistent with the other path checkers.
+inside ``try/finally`` covers every exit that passes through it, and an
+acquire that is the last statement of a ``try`` body holds nothing in its own
+handlers (it raised instead).  Raising paths are exempt, consistent with the
+other path checkers.
 """
 
 from __future__ import annotations
@@ -61,6 +66,10 @@ _CONSTRUCTORS = {
     "Process": ("process", ""),
     "Pipe": ("pipe", ""),
     "socketpair": ("pipe", ""),
+    "socket": ("socket", ""),
+    "create_server": ("socket", ""),
+    "create_connection": ("socket", ""),
+    "accept": ("socket", ""),
 }
 
 
@@ -87,6 +96,7 @@ _DESCRIPTIONS = {
     "shm": "shared-memory handle",
     "process": "worker process",
     "pipe": "pipe end",
+    "socket": "socket",
 }
 
 
@@ -184,18 +194,20 @@ class _ResourceWalker(StructuredWalker):
     @staticmethod
     def _bound_names(targets: list, acquire: Optional[Tuple[str, str]]) -> List[str]:
         """The variables an acquire statement binds handles to: one name,
-        or — ``a, b = Pipe()`` — the two ends of a pipe."""
+        — ``a, b = Pipe()`` — the two ends of a pipe, or — ``sock, address =
+        listener.accept()`` — the socket of the pair."""
         if acquire is None or len(targets) != 1:
             return []
         target = targets[0]
         if isinstance(target, ast.Name):
             return [target.id]
-        if (
-            acquire[0] == "pipe"
-            and isinstance(target, ast.Tuple)
-            and all(isinstance(element, ast.Name) for element in target.elts)
+        if isinstance(target, ast.Tuple) and all(
+            isinstance(element, ast.Name) for element in target.elts
         ):
-            return [element.id for element in target.elts]
+            if acquire[0] == "pipe":
+                return [element.id for element in target.elts]
+            if acquire[0] == "socket":
+                return [target.elts[0].id]
         return []
 
     def _acquire_in(self, value: ast.expr) -> Optional[Tuple[str, str]]:
@@ -209,6 +221,19 @@ class _ResourceWalker(StructuredWalker):
                     if kind is not None:
                         return kind
         return None
+
+    def handler_snapshots(self, stmt: ast.Try, intermediate: list) -> list:
+        # ``try: sock, address = listener.accept()`` / ``except OSError:
+        # return`` — an acquire that raised acquired nothing, so the state
+        # after it is not one its own handler can see.
+        last = stmt.body[-1]
+        if (
+            len(intermediate) == len(stmt.body)
+            and isinstance(last, ast.Assign)
+            and self._acquire_in(last.value) is not None
+        ):
+            return intermediate[:-1]
+        return intermediate
 
     def narrow(self, state: _State, test: ast.expr, branch: bool) -> Optional[_State]:
         base = super().narrow(state, test, branch)

@@ -302,7 +302,7 @@ class StructuredWalker:
             intermediate: List[set] = []
             body_out = self.walk(stmt.body, states, intermediate=intermediate)
             handler_entry = set(states)
-            for snapshot in intermediate:
+            for snapshot in self.handler_snapshots(stmt, intermediate):
                 handler_entry |= snapshot
             handler_entry = _cap(handler_entry)
             merged = FlowOut()
@@ -338,6 +338,12 @@ class StructuredWalker:
         return out
 
     _stmt_TryStar = _stmt_Try
+
+    def handler_snapshots(self, stmt: ast.Try, intermediate: List[set]) -> List[set]:
+        """The after-statement states of *stmt*'s body a handler may be
+        entered from.  All of them by default — the last one stands in for
+        whatever its statement did before it raised."""
+        return intermediate
 
     def _apply_finallys(self, state: object) -> Iterable[object]:
         """Run every enclosing ``finally`` body over *state* (innermost first)."""

@@ -6,8 +6,9 @@ original Pando with in-process equivalents that preserve the properties
 Pando relies on — ordered duplex delivery, heartbeat-based failure
 detection, connection setup cost, latency and bandwidth (see DESIGN.md,
 substitution table).  :mod:`~repro.net.ws_transport` is the exception: an
-actual asyncio websocket server and client, so external volunteer processes
-join a live master over TCP.
+actual websocket server and client on real sockets, so external volunteer
+processes join a live master over TCP; :mod:`~repro.net.endpoint` is the
+master's end of any real worker's byte stream, a pool child's pipe included.
 """
 
 from .serialization import (
@@ -28,13 +29,12 @@ from .websocket import WebSocketConnection
 from .webrtc import WebRTCConnection
 from .signaling import Deployment, PublicServer
 from .nat import NATConfig, NATModel
+from .endpoint import Endpoint
 from .ws_transport import (
     LoopClock,
-    WsConnection,
     WsVolunteerGateway,
     connect_websocket,
     pack_wire_frame,
-    pack_wire_parts,
     unpack_wire_frame,
 )
 
@@ -64,11 +64,10 @@ __all__ = [
     "PublicServer",
     "NATConfig",
     "NATModel",
+    "Endpoint",
     "LoopClock",
-    "WsConnection",
     "WsVolunteerGateway",
     "connect_websocket",
     "pack_wire_frame",
-    "pack_wire_parts",
     "unpack_wire_frame",
 ]

@@ -73,7 +73,9 @@ DATA = "data"
 RESULT = "result"
 
 _CONTROL_LENGTH = struct.Struct("!I")
-_PIPE_LENGTH = struct.Struct("!Q")
+#: the length prefix of a pipe message (what :data:`repro.net.endpoint.PIPE`
+#: parses on the master's side of a pool pipe)
+PIPE_LENGTH = struct.Struct("!Q")
 
 #: below this a pipe message goes out as one write; above it nothing is
 #: copied behind the length prefix
@@ -298,7 +300,7 @@ def decode(payload: Any, trusted: bool) -> Tuple[Dict[str, Any], Optional[List[A
 def pipe_message(parts: List[Any]) -> List[Any]:
     """*parts* as a pool pipe carries them: an 8-byte length in front."""
     size = payload_size(parts)
-    prefix = _PIPE_LENGTH.pack(size)
+    prefix = PIPE_LENGTH.pack(size)
     if size < _ONE_WRITE_BYTES:
         return [b"".join((prefix, *parts))]
     return [prefix, *parts]
@@ -316,8 +318,10 @@ def _read(sock: socket.socket, size: int) -> bytearray:
 
 
 def read_pipe_message(sock: socket.socket) -> bytearray:
-    """Read one :func:`pipe_message` from *sock* (waits for all of it)."""
-    (size,) = _PIPE_LENGTH.unpack(_read(sock, _PIPE_LENGTH.size))
+    """Read one :func:`pipe_message` from *sock*, waiting for all of it — for
+    a pool child, which has nothing else to do meanwhile.  The master reads
+    its end incrementally (:class:`repro.net.endpoint.Endpoint`)."""
+    (size,) = PIPE_LENGTH.unpack(_read(sock, PIPE_LENGTH.size))
     return _read(sock, size)
 
 
@@ -327,9 +331,10 @@ def read_pipe_message(sock: socket.socket) -> bytearray:
 
 
 class Frame:
-    """One DATA frame in flight: what its RESULT is checked against."""
+    """One DATA frame, from packing to delivery: what its RESULT is checked
+    against, and what its sender keeps with it meanwhile."""
 
-    __slots__ = ("seq", "was_batch", "count", "trace")
+    __slots__ = ("seq", "was_batch", "count", "trace", "parts", "size", "slots", "reply")
 
     def __init__(
         self, seq: int, was_batch: bool, count: int, trace: Optional[Dict[str, Any]]
@@ -341,6 +346,15 @@ class Frame:
         #: the sender's own trace dict (the wire copy was packed before
         #: ``serialize_s`` was recorded, so this one stays authoritative)
         self.trace = trace
+        #: the packed message, until it is handed to a socket
+        self.parts: Optional[List[Any]] = None
+        #: bytes of the message before its transport's framing
+        self.size = 0
+        #: shared-memory ring slots the frame owns (``transport="shm"`` pools)
+        self.slots: Sequence[int] = ()
+        #: ``(ok, values)`` — or ``(False, error)`` — once answered, for a
+        #: sender that delivers in another order than answers arrive (a pool)
+        self.reply: Optional[Tuple[bool, Any]] = None
 
     def unwrap(self, values: List[Any]) -> Any:
         """The stream element a result's *values* stand for."""

@@ -1,24 +1,28 @@
-"""Real websocket volunteer transport on the asyncio event loop.
+"""Real websocket volunteer transport on the scheduler's event loop.
 
 Everything else under ``repro.net`` simulates the network; this module is the
 wire.  It binds an actual RFC 6455 websocket server (stdlib-only: the
 handshake is HTTP + SHA-1, frames are length-prefixed with client-side
-masking, heartbeats are real ping/pong control frames) to the PR-4 event-loop
+masking, heartbeats are real ping/pong control frames) to the event-loop
 primitives so **external worker processes attach to a live master over
 TCP** — the paper's deployment story (volunteers on the same LAN or VPN),
 minus the browser:
 
-* :class:`WsConnection` — one established websocket, either side, on an
-  ``asyncio`` stream pair.  Sends are synchronous buffered writes (safe on
-  the loop thread); receives are awaited, with ping/pong answered inline.
+* A websocket, either side, is an :class:`~repro.net.endpoint.Endpoint` — the
+  object a pool child's pipe is to its pool — on a socket this module
+  accepts or connects itself: first with the
+  :data:`~repro.net.endpoint.HTTP_HEAD` framing for the upgrade, then with
+  :class:`~repro.net.endpoint.WS`.  No stream reader, no task per
+  connection: a readable socket is read from the loop's selector as far as
+  it goes, and whatever is whole is filed on the endpoint (the data path,
+  copy by copy, is described there).
 * The payload of each websocket binary frame is one frame of
   :mod:`repro.net.wire`, the codec every transport shares: a control record
   followed by the out-of-band buffers of its large ``bytes``/array values.
   One DATA frame carries one stream value or one
   :class:`~repro.net.serialization.Batch` of them, answered in order by one
-  RESULT frame.  (:func:`pack_wire_parts`, :func:`pack_wire_frame` and
-  :func:`unpack_wire_frame` are that codec under the names this module had
-  for it.)
+  RESULT frame.  (:func:`pack_wire_frame` and :func:`unpack_wire_frame` are
+  that codec under the names this module had for it.)
 * :class:`LoopClock` — a real-clock facade (``now`` + ``call_later``) over
   the asyncio loop, so the unchanged
   :class:`~repro.net.heartbeat.HeartbeatMonitor` drives membership on wall
@@ -26,35 +30,13 @@ minus the browser:
   of silence.
 * :class:`WsVolunteerGateway` — the server, registered on an
   :class:`~repro.sched.event_loop.EventLoopScheduler` as an
-  :class:`~repro.sched.sources.EventSource`.  Each volunteer that completes
-  the hello/welcome exchange is attached to the
-  :class:`~repro.core.distributed_map.DistributedMap` as an ordinary
-  channel worker: results flow back through a thread-safe
-  :class:`~repro.sched.sources.PushablePort`, and a volunteer that vanishes
-  mid-frame (socket reset, SIGKILL, heartbeat timeout) fails its sub-stream
-  so the lender re-lends its borrowed values and the sharded master
-  rebalances — the existing crash-stop paths, now triggered by a real wire.
-
-The data path touches every payload byte once per direction, plus the mask
-RFC 6455 demands of clients.  Sending: the codec hands ``[u32 length,
-control pickle, *the values' own buffers]`` to the connection as parts,
-:func:`encode_ws_frame` joins header and parts into the one ``bytearray``
-that goes to the socket, and a volunteer's frame is masked in that buffer.
-Receiving: one frame's payload is read in one piece (the stream readers are
-created with :data:`READ_LIMIT`, so a tile-sized frame lands without the
-transport being paused and resumed), a masked payload moves once into the
-``bytearray`` it is unmasked in, and the codec slices ``memoryview``
-objects out of the payload, so the owned copy ``oob_unpack`` makes for the
-user function is the only other one.
-
-The mask itself is four stride-4 "lanes" — bytes ``i, i+4, i+8, …`` all meet
-key byte ``i`` — each sliced out, run through a 256-entry
-``bytes.translate`` table and assigned back: three C loops over a quarter of
-the frame, against the two big-integer conversions and a frame-sized
-repeated key of the usual ``int.from_bytes`` XOR (about 4x slower).  numpy
-would XOR faster still, but its import costs every freshly spawned volunteer
-~130 ms of start-up, more than the mask costs in hundreds of frames; the
-tables are built on first use, so importing this module builds none.
+  :class:`~repro.sched.sources.EventSource`.  A hello attaches the volunteer
+  to the :class:`~repro.core.distributed_map.DistributedMap` as an ordinary
+  channel worker, a RESULT is pushed straight into that channel's source, and
+  a volunteer that vanishes mid-frame (socket reset, SIGKILL, heartbeat
+  timeout) fails its sub-stream so the lender re-lends its borrowed values
+  and the sharded master rebalances — the existing crash-stop paths, now
+  triggered by a real wire.
 
 Trust model: a volunteer is somebody else's machine.  It downloads the
 master's code and sends back *data* (paper Fig. 2), so the two directions of
@@ -70,73 +52,57 @@ else (a class instance, a numpy scalar, an array nested inside a list) is
 refused like a forged frame: close code 1002, a ``frame_refused`` trace
 event, that volunteer's sub-stream failed and its values re-lent.  Every
 RESULT is also checked against the frame it answers (in turn, as many values
-as were sent).  What the *master* sends, a volunteer reads with plain pickle
-— the welcome may carry the processing function itself, and a volunteer
-runs the master's code by design, exactly as the paper's volunteers execute
-the bundle they download.  So: joining a master means trusting it; serving
-volunteers does not mean trusting them with more than wrong answers.
+as were sent), and until its hello has been welcomed a connection may not
+announce a message larger than :data:`PRE_HELLO_MAX_FRAME`.  What the
+*master* sends, a volunteer reads with plain pickle — the welcome may carry
+the processing function itself, and a volunteer runs the master's code by
+design, exactly as the paper's volunteers execute the bundle they download.
+So: joining a master means trusting it; serving volunteers does not mean
+trusting them with more than wrong answers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
-import functools
 import hashlib
 import itertools
 import os
-import struct
-import threading
+import socket
 from collections import deque
-from contextlib import suppress
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..analysis.annotations import any_thread, loop_only
+from ..analysis.annotations import loop_only
 from ..errors import ConnectionClosed, PandoError, ProtocolError, TaskError
 from ..pullstream.duplex import Duplex
 from ..pullstream.protocol import DONE, End, is_error
 from ..pullstream.pushable import Pushable
 from ..pullstream.sinks import eager_pump
-from ..sched.sources import EventSource, PushablePort
-from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
+from ..sched.sources import EventSource
 from . import wire
-from .serialization import OOB_MIN_BYTES, Batch
+from .endpoint import (  # noqa: F401 - OP_BINARY and encode_ws_frame are perf/'s names
+    DEFAULT_MAX_FRAME,
+    HTTP_HEAD,
+    OP_BINARY,
+    WS,
+    Endpoint,
+    encode_ws_frame,
+)
+from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
+from .serialization import OOB_MIN_BYTES
 
 __all__ = [
     "LoopClock",
-    "WsConnection",
     "WsVolunteerGateway",
     "connect_websocket",
     "pack_wire_frame",
-    "pack_wire_parts",
     "unpack_wire_frame",
     "parse_ws_url",
     "WIRE_VERSION",
 ]
 
-# --------------------------------------------------------------------------
-# RFC 6455 essentials
-# --------------------------------------------------------------------------
-
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-OP_CONT = 0x0
-OP_TEXT = 0x1
-OP_BINARY = 0x2
-OP_CLOSE = 0x8
-OP_PING = 0x9
-OP_PONG = 0xA
-
-#: Refuse frames larger than this (a corrupted length prefix must fail
-#: loudly, not allocate gigabytes).
-DEFAULT_MAX_FRAME = 256 * 1024 * 1024
-
-#: ``StreamReader`` limit of both ends.  The reader pauses the transport at
-#: twice its limit, and asyncio's 64 KiB default turns one 512 KiB tile frame
-#: into several pause/resume round trips through the selector; with 1 MiB,
-#: frames up to 2 MiB land without one.
-READ_LIMIT = 1 << 20
 
 #: Bump when the control-record schema changes incompatibly.
 WIRE_VERSION = 1
@@ -151,9 +117,24 @@ BYE = "bye"
 #: worker ids of volunteers that announce no name: ``ws-1``, ``ws-2``, ...
 NAME_PREFIX = "ws"
 
-#: how long :meth:`WsVolunteerGateway.stop` waits for in-flight byes before
-#: force-closing
+#: how long :meth:`WsVolunteerGateway.stop` serves late hellos and waits for
+#: in-flight byes before force-closing
 STOP_GRACE = 0.5
+
+#: Largest message a connection may announce before its hello is welcomed (a
+#: hello record is under 1 KiB): an anonymous peer cannot make the master
+#: allocate the 256 MiB a volunteer's frame may be.
+PRE_HELLO_MAX_FRAME = 64 * 1024
+
+#: a connection that has not been welcomed by then is dropped
+HANDSHAKE_TIMEOUT = 30.0
+
+_BAD_REQUEST = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
+
+
+# --------------------------------------------------------------------------
+# The HTTP upgrade
+# --------------------------------------------------------------------------
 
 
 def _accept_key(key: str) -> str:
@@ -161,161 +142,35 @@ def _accept_key(key: str) -> str:
     return base64.b64encode(digest).decode("ascii")
 
 
-@functools.lru_cache(maxsize=256)
-def _xor_table(key_byte: int) -> bytes:
-    """The 256-entry ``bytes.translate`` table XOR-ing with *key_byte*."""
-    return bytes(value ^ key_byte for value in range(256))
-
-
-def _apply_mask(buffer: bytearray, key: bytes, start: int = 0) -> None:
-    """XOR ``buffer[start:]`` in place with the repeating 4-byte *key*.
-
-    Byte ``start + i`` meets ``key[i % 4]``, so the bytes of one key byte
-    form a stride-4 lane: each lane is sliced out, run through that key
-    byte's translate table and assigned back — three C loops over a quarter
-    of the buffer, no per-byte Python and no whole-buffer temporary.
-    """
-    for lane in range(4):
-        if key[lane]:
-            index = slice(start + lane, None, 4)
-            buffer[index] = buffer[index].translate(_xor_table(key[lane]))
-
-
-def encode_ws_frame(opcode: int, payload: Any, mask: bool) -> bytearray:
-    """Encode one unfragmented websocket frame (FIN set).
-
-    *payload* is one bytes-like object or a list of them (the parts
-    :func:`repro.net.wire.encode` hands over): header and parts are joined into
-    the frame buffer once, and a masked frame is XOR-ed in that buffer.
-    """
-    parts = payload if isinstance(payload, (list, tuple)) else (payload,)
-    length = wire.payload_size(parts)
-    header = bytearray([0x80 | opcode])
-    mask_bit = 0x80 if mask else 0
-    if length < 126:
-        header.append(mask_bit | length)
-    elif length < 1 << 16:
-        header.append(mask_bit | 126)
-        header += struct.pack("!H", length)
-    else:
-        header.append(mask_bit | 127)
-        header += struct.pack("!Q", length)
-    key = os.urandom(4) if mask else b""
-    header += key
-    frame = bytearray().join((header, *parts))
-    if mask:
-        _apply_mask(frame, key, len(header))
-    return frame
-
-
-async def _read_ws_frame(
-    reader: asyncio.StreamReader, max_frame: int, masked: bool
-) -> Tuple[bool, int, Any]:
-    """Read one frame; returns ``(fin, opcode, unmasked payload)``.
-
-    Every refusal happens on the header, before a payload byte is read: a
-    data frame longer than *max_frame*, a control frame that is fragmented
-    or longer than 125 bytes (RFC 6455 §5.5), and a frame whose mask bit is
-    not *masked* (§5.1: clients mask, servers do not, so a server reads
-    with ``masked=True``).  A masked payload is unmasked in its own buffer.
-    """
-    head = await reader.readexactly(2)
-    fin = bool(head[0] & 0x80)
-    opcode = head[0] & 0x0F
-    has_key = bool(head[1] & 0x80)
-    length = head[1] & 0x7F
-    if has_key != masked:
-        got, wanted = ("a masked", "unmasked") if has_key else ("an unmasked", "masked")
-        raise ProtocolError(
-            f"received {got} websocket frame on the side that accepts only "
-            f"{wanted} ones (RFC 6455 §5.1)"
-        )
-    if opcode & 0x8:
-        if length > 125 or not fin:
-            raise ProtocolError(
-                f"websocket control frame 0x{opcode:x} is fragmented or longer "
-                f"than 125 bytes"
-            )
-    elif length == 126:
-        (length,) = struct.unpack("!H", await reader.readexactly(2))
-    elif length == 127:
-        (length,) = struct.unpack("!Q", await reader.readexactly(8))
-    if length > max_frame:
-        raise ProtocolError(
-            f"websocket frame of {length} bytes exceeds the {max_frame} byte limit"
-        )
-    key = await reader.readexactly(4) if has_key else None
-    payload = await reader.readexactly(length) if length else b""
-    if key is not None and length:
-        payload = bytearray(payload)
-        _apply_mask(payload, key)
-    return fin, opcode, payload
-
-
-async def server_handshake(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, timeout: float = 10.0
-) -> Dict[str, str]:
-    """Answer the HTTP upgrade request; returns the request headers."""
-    request = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout)
-    lines = request.decode("latin-1").split("\r\n")
+def _head_lines(head: Any) -> Tuple[str, Dict[str, str]]:
+    """The start line and the (lower-cased) header fields of an HTTP head."""
+    lines = bytes(head).decode("latin-1").split("\r\n")
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         name, sep, value = line.partition(":")
         if sep:
             headers[name.strip().lower()] = value.strip()
+    return lines[0], headers
+
+
+def upgrade_response(request: Any) -> bytes:
+    """The ``101`` answering the upgrade *request* head; a
+    :class:`~repro.errors.ProtocolError` when it is not one."""
+    start, headers = _head_lines(request)
     key = headers.get("sec-websocket-key")
     if (
         "websocket" not in headers.get("upgrade", "").lower()
-        or not lines[0].startswith("GET ")
+        or not start.startswith("GET ")
         or key is None
     ):
-        writer.write(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
-        raise ProtocolError(f"not a websocket upgrade request: {lines[0]!r}")
-    writer.write(
-        (
-            "HTTP/1.1 101 Switching Protocols\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            f"Sec-WebSocket-Accept: {_accept_key(key)}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-    )
-    await writer.drain()
-    return headers
-
-
-async def client_handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    host: str,
-    path: str = "/",
-    timeout: float = 10.0,
-) -> None:
-    """Send the HTTP upgrade request and validate the 101 response."""
-    key = base64.b64encode(os.urandom(16)).decode("ascii")
-    writer.write(
-        (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {host}\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\n"
-            "Sec-WebSocket-Version: 13\r\n"
-            "\r\n"
-        ).encode("latin-1")
-    )
-    await writer.drain()
-    response = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout)
-    lines = response.decode("latin-1").split("\r\n")
-    if " 101 " not in lines[0] + " ":
-        raise ProtocolError(f"websocket upgrade refused: {lines[0]!r}")
-    accept = None
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep and name.strip().lower() == "sec-websocket-accept":
-            accept = value.strip()
-    if accept != _accept_key(key):
-        raise ProtocolError("websocket upgrade returned a bad Sec-WebSocket-Accept")
+        raise ProtocolError(f"not a websocket upgrade request: {start!r}")
+    return (
+        "HTTP/1.1 101 Switching Protocols\r\n"
+        "Upgrade: websocket\r\n"
+        "Connection: Upgrade\r\n"
+        f"Sec-WebSocket-Accept: {_accept_key(key)}\r\n"
+        "\r\n"
+    ).encode("latin-1")
 
 
 def parse_ws_url(url: str) -> Tuple[str, int, str]:
@@ -328,11 +183,60 @@ def parse_ws_url(url: str) -> Tuple[str, int, str]:
     return parts.hostname, parts.port or 80, parts.path or "/"
 
 
+async def connect_websocket(
+    url: str, timeout: float = 10.0, max_frame: int = DEFAULT_MAX_FRAME
+) -> Tuple[Endpoint, "asyncio.Queue[Any]"]:
+    """Open and upgrade a client connection to *url* (``ws://host:port``).
+
+    Returns the connection — an :class:`~repro.net.endpoint.Endpoint` with the
+    client side's :class:`~repro.net.endpoint.WS` framing, read and flushed
+    by the running loop — and the queue everything it files arrives on: each
+    message, then the exception its stream ended with.
+    """
+    host, port, path = parse_ws_url(url)
+    loop = asyncio.get_running_loop()
+    # off the loop: resolves, and tries every address, under the one timeout
+    sock = await loop.run_in_executor(None, socket.create_connection, (host, port), timeout)
+    # frames are written whole; waiting to coalesce them only adds latency
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    endpoint = Endpoint(sock, HTTP_HEAD)
+    messages: "asyncio.Queue[Any]" = asyncio.Queue()
+
+    def on_filed(endpoint: Endpoint) -> None:
+        while endpoint.inbox:
+            messages.put_nowait(endpoint.inbox.popleft())
+
+    try:
+        endpoint.watch(loop, on_filed)
+        key = base64.b64encode(os.urandom(16)).decode("ascii")
+        request = (
+            f"GET {path} HTTP/1.1\r\n"
+            f"Host: {host}:{port}\r\n"
+            "Upgrade: websocket\r\n"
+            "Connection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {key}\r\n"
+            "Sec-WebSocket-Version: 13\r\n"
+            "\r\n"
+        )
+        endpoint.write([request.encode("latin-1")])
+        response = await asyncio.wait_for(messages.get(), timeout)
+        if isinstance(response, Exception):
+            raise response
+        start, headers = _head_lines(response)
+        if " 101 " not in start + " ":
+            raise ProtocolError(f"websocket upgrade refused: {start!r}")
+        if headers.get("sec-websocket-accept") != _accept_key(key):
+            raise ProtocolError("websocket upgrade returned a bad Sec-WebSocket-Accept")
+    except BaseException:
+        endpoint.close()
+        raise
+    endpoint.framing = WS(client_side=True, max_frame=max_frame)
+    return endpoint, messages
+
+
 # --------------------------------------------------------------------------
 # The codec under this module's names for it
 # --------------------------------------------------------------------------
-
-pack_wire_parts = wire.encode
 
 
 def pack_wire_frame(
@@ -351,175 +255,6 @@ def unpack_wire_frame(payload: Any) -> Dict[str, Any]:
     if values is not None:
         record["values"] = values
     return record
-
-
-# --------------------------------------------------------------------------
-# One established websocket
-# --------------------------------------------------------------------------
-
-
-class WsConnection:
-    """One websocket on an asyncio stream pair (either side of the wire).
-
-    Sends are plain buffered ``StreamWriter.write`` calls — safe to issue
-    synchronously from the dispatch thread, with back-pressure provided at
-    the protocol level by the :class:`~repro.core.limiter.Limiter` window
-    (at most *window* frames are ever un-answered).  :meth:`recv` awaits
-    the next data message, answering pings and counting pongs on the way;
-    every received frame also notifies the traffic listener, which is how
-    the heartbeat monitor's ``touch`` sees data frames as liveness proof.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        client_side: bool,
-        peer: str = "?",
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._client_side = client_side
-        self.peer = peer
-        self.max_frame = max_frame
-        self.closed = False
-        self._close_sent = False
-        self._fragments: List[Any] = []
-        self._on_traffic: Optional[Callable[[], None]] = None
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.pings_sent = 0
-        self.pings_received = 0
-        self.pongs_received = 0
-
-    # -- sending (synchronous, buffered) -----------------------------------
-    def _write_frame(self, opcode: int, payload: Any) -> None:
-        if self.closed or self._writer.is_closing():
-            raise ConnectionClosed(f"websocket to {self.peer} is closed")
-        frame = encode_ws_frame(opcode, payload, mask=self._client_side)
-        # A view, so a partial socket write keeps a slice of this buffer
-        # instead of copying the unsent tail.
-        self._writer.write(memoryview(frame))
-        self.frames_sent += 1
-        self.bytes_sent += len(frame)
-
-    def send_bytes(self, payload: Any) -> None:
-        """Send one binary message.
-
-        *payload* is a packed wire frame, or the list of parts
-        :func:`repro.net.wire.encode` returns — the parts are copied once,
-        straight into the websocket frame.
-        """
-        self._write_frame(OP_BINARY, payload)
-
-    def send_ping(self) -> None:
-        self._write_frame(OP_PING, b"hb")
-        self.pings_sent += 1
-
-    def send_close(self, code: int = 1000) -> None:
-        if self._close_sent:
-            return
-        self._close_sent = True
-        with suppress(Exception):
-            self._write_frame(OP_CLOSE, struct.pack("!H", code))
-
-    async def drain(self) -> None:
-        """Await the transport's write buffer (volunteer-side flow control)."""
-        await self._writer.drain()
-
-    # -- receiving ----------------------------------------------------------
-    def on_traffic(self, listener: Optional[Callable[[], None]]) -> None:
-        """Call *listener* after every received frame (heartbeat ``touch``)."""
-        self._on_traffic = listener
-
-    async def recv(self) -> Any:
-        """Next data message (a bytes-like), or ``None`` once finished.
-
-        ``None`` covers every way a websocket ends: a clean CLOSE frame, an
-        EOF, or a reset — the callers distinguish graceful from crash-stop
-        at the protocol layer (a ``bye`` record precedes a clean close).
-        A peer that breaks the framing rules — wrong mask direction, an
-        oversized or fragmented control frame, a message growing past
-        ``max_frame`` whole or in pieces — gets close code 1002 and the
-        caller a :class:`~repro.errors.ProtocolError`.
-        """
-        if self.closed:
-            return None
-        try:
-            while True:
-                # max_frame bounds the whole message, fragments included
-                fin, opcode, payload = await _read_ws_frame(
-                    self._reader,
-                    self.max_frame - sum(map(len, self._fragments)),
-                    masked=not self._client_side,
-                )
-                self.frames_received += 1
-                self.bytes_received += len(payload)
-                if self._on_traffic is not None:
-                    self._on_traffic()
-                if opcode == OP_PING:
-                    self.pings_received += 1
-                    with suppress(ConnectionClosed):
-                        self._write_frame(OP_PONG, payload)
-                elif opcode == OP_PONG:
-                    self.pongs_received += 1
-                elif opcode == OP_CLOSE:
-                    self.send_close()
-                    self.closed = True
-                    return None
-                elif opcode in (OP_BINARY, OP_TEXT, OP_CONT):
-                    if (opcode == OP_CONT) != bool(self._fragments):
-                        raise ProtocolError(
-                            "continuation frame without a start"
-                            if opcode == OP_CONT
-                            else "data frame inside a fragmented message"
-                        )
-                    if fin and not self._fragments:
-                        return payload  # the common case: one unfragmented frame
-                    self._fragments.append(payload)
-                    if fin:
-                        message = b"".join(self._fragments)
-                        self._fragments = []
-                        return message
-                # unknown control opcodes are ignored (forward compatibility)
-        except ProtocolError:
-            self.send_close(1002)
-            self.closed = True
-            raise
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            self.closed = True
-            return None
-
-    # -- lifecycle ----------------------------------------------------------
-    def close_transport(self) -> None:
-        """Drop the TCP transport (idempotent, never raises)."""
-        self.closed = True
-        with suppress(Exception):
-            self._writer.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        side = "client" if self._client_side else "server"
-        state = "closed" if self.closed else "open"
-        return f"<WsConnection {side} {state} peer={self.peer}>"
-
-
-async def connect_websocket(
-    url: str, timeout: float = 10.0, max_frame: int = DEFAULT_MAX_FRAME
-) -> WsConnection:
-    """Open and upgrade a client connection to *url* (``ws://host:port``)."""
-    host, port, path = parse_ws_url(url)
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port, limit=READ_LIMIT), timeout
-    )
-    try:
-        await client_handshake(reader, writer, f"{host}:{port}", path, timeout=timeout)
-    except BaseException:
-        writer.close()
-        raise
-    return WsConnection(reader, writer, client_side=True, peer=url, max_frame=max_frame)
 
 
 # --------------------------------------------------------------------------
@@ -555,55 +290,52 @@ class LoopClock:
 # --------------------------------------------------------------------------
 
 
-class _GatewayVolunteer:
-    """Master-side bookkeeping for one websocket volunteer."""
+class _Volunteer:
+    """Master-side bookkeeping for one connection, from accept to departure."""
 
-    def __init__(self, conn: WsConnection, hello: Dict[str, Any]) -> None:
-        self.conn = conn
-        self.hello = hello
+    def __init__(self, endpoint: Endpoint, peer: str) -> None:
+        self.endpoint = endpoint
+        self.peer = peer
+        #: the connection's framing once it has upgraded
+        self.ws: Optional[WS] = None
+        #: drops the connection if it is not welcomed in time
+        self.timer: Any = None
+        #: has a turn in the gateway's dispatch order
+        self.waiting = False
+        #: set by the welcome; None for a connection that has not joined
         self.worker_id: Optional[str] = None
-        self.handle: Any = None
-        self.port: Optional[PushablePort] = None
+        self.pushable: Optional[Pushable] = None
         self.monitor: Optional[HeartbeatMonitor] = None
         self.record: Any = None
-        #: set by the gateway dispatch once attach succeeded (or was refused)
-        self.attached = asyncio.Event()
-        self.rejected = False
         #: termination marker once the volunteer can no longer receive values
         self.close_reason: End = None
-        self.seq = 0
-        self.values_sent = 0
-        self.results_received = 0
-        #: DATA frames sent and not answered yet, oldest first — what each
-        #: RESULT is checked against (:func:`repro.net.wire.claim`)
-        self.frames: Deque[wire.Frame] = deque()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "lost" if self.close_reason is not None else "open"
-        return f"<_GatewayVolunteer {self.worker_id} {state}>"
 
 
 class WsVolunteerGateway(EventSource):
     """Accept real websocket volunteers into a :class:`DistributedMap`.
 
-    The gateway is an :class:`~repro.sched.sources.EventSource`: connection
-    handler tasks (running on the scheduler's loop whenever it spins) only
-    *enqueue* membership events and push results into per-volunteer
-    :class:`~repro.sched.sources.PushablePort` ingresses; every stream
-    mutation — attaching the sub-stream, recording a departure — happens in
-    :meth:`dispatch` on the dispatch thread, preserving the single-threaded
-    pull-stream invariant.
+    The gateway is an :class:`~repro.sched.sources.EventSource` whose unit of
+    work is one message a volunteer's :class:`~repro.net.endpoint.Endpoint`
+    filed — its hello, a RESULT, its bye, the end of its stream — delivered
+    the way a pool's reply is: from the reader callback that filed it
+    (``scheduler.dispatch_now``) or, for a backlog, from the pump's fair
+    round; nothing between runs.  The reader callbacks only read and file
+    (and answer the HTTP upgrade, which is nobody else's business); every
+    stream mutation — attaching the sub-stream, pushing a result, recording a
+    departure — happens in :meth:`dispatch`, so an exception a sink raises on
+    a volunteer's result comes out of ``drive()`` as it does for a pool's.
 
-    Lifecycle: :meth:`start` binds the server and registers the gateway
-    (the URL to hand volunteers is :attr:`url`); volunteers may connect any
-    time — handshakes complete while ``drive()`` spins the loop; a volunteer
-    that vanishes mid-frame (reset, kill, heartbeat silence) fails its
-    sub-stream, so the lender re-lends its borrowed values elsewhere — and
-    so does one that breaks the protocol (bad framing, a record that does
-    not decode without resolving a global, a RESULT that does not match the
-    frame it answers), after close code 1002 and a ``frame_refused`` trace
-    event; and :meth:`stop` (called by ``DistributedMap.close``) tears down
-    the server and every connection.
+    Lifecycle: :meth:`start` binds the listening socket and registers the
+    gateway (the URL to hand volunteers is :attr:`url`); volunteers may
+    connect any time — they are accepted and upgraded whenever the loop
+    spins, welcomed while ``drive()`` does; a volunteer that vanishes
+    mid-frame (reset, kill, heartbeat silence) fails its sub-stream, so the
+    lender re-lends its borrowed values elsewhere — and so does one that
+    breaks the protocol (bad framing, a record that does not decode without
+    resolving a global, a RESULT that does not match the frame it answers),
+    after close code 1002 and a ``frame_refused`` trace event; and
+    :meth:`stop` (called by ``DistributedMap.close``) serves whoever is still
+    knocking, then tears down the listener and every connection.
 
     A drive with zero connected volunteers waits (the master's ordinary
     "waiting for volunteers" state) — pass ``timeout=`` to ``drive`` as the
@@ -644,14 +376,16 @@ class WsVolunteerGateway(EventSource):
         #: (join/leave/crash records with wall-clock timestamps)
         self.registry = registry
         self.url: Optional[str] = None
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener: Optional[socket.socket] = None
         self._clock: Optional[LoopClock] = None
-        self._inbox: Deque[Tuple[Any, ...]] = deque()
-        self._inbox_lock = threading.Lock()
-        self._volunteers: Dict[str, _GatewayVolunteer] = {}
-        #: connection handler tasks still running (any stage, hello included)
-        self._handlers: Set[asyncio.Task] = set()
-        self._reap: List[_GatewayVolunteer] = []
+        #: every open connection, joined or not, by its endpoint
+        self._connections: Dict[Endpoint, _Volunteer] = {}
+        #: the joined ones by worker id
+        self._volunteers: Dict[str, _Volunteer] = {}
+        #: connections with filed messages, in the order they get their turn
+        self._turns: Deque[_Volunteer] = deque()
+        #: set by whatever :meth:`stop` waits for, while it waits
+        self._settling: Optional[asyncio.Event] = None
         self._ids = itertools.count(1)
         # counters for tests and benches
         self.volunteers_joined = 0
@@ -672,239 +406,237 @@ class WsVolunteerGateway(EventSource):
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> str:
-        """Bind the websocket server and return its ``ws://`` URL."""
-        if self._server is not None:
+        """Bind the listening socket and return its ``ws://`` URL."""
+        if self._listener is not None:
             raise PandoError("WsVolunteerGateway is already started")
         loop = self.scheduler.loop
         self._clock = LoopClock(loop)
-        self._server = self.scheduler.run_coroutine(
-            asyncio.start_server(
-                self._handle_connection, self.host, self.port, limit=READ_LIMIT
-            )
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        listener = socket.create_server((self.host, self.port), family=family)
+        listener.setblocking(False)
+        self._listener = listener
+        self.port = listener.getsockname()[1]
         self.url = f"ws://{self.host}:{self.port}"
+        loop.add_reader(listener, self._on_accept)
         self.scheduler.register(self)
         return self.url
 
     def stop(self) -> None:
-        """Close the server and every volunteer connection (idempotent)."""
-        server, self._server = self._server, None
+        """Close the listener and every volunteer connection (idempotent)."""
+        listener = self._listener
         if self.scheduler.closed:
-            # The loop is gone: drop the transports synchronously.
-            if server is not None:
-                server.close()
-            for volunteer in self._volunteers.values():
-                volunteer.conn.close_transport()
+            # The loop is gone: drop the sockets synchronously.
+            self._listener = None
+            if listener is not None:
+                listener.close()
+            for volunteer in list(self._connections.values()):
+                volunteer.endpoint.close()
             return
-
-        async def _shutdown() -> None:
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-            # A hello still queued is answered now (welcomed, or told the
-            # stream is over) while the loop can still deliver the answer.
-            self._drain_inbox()
+        if listener is not None:
+            # Whoever connected while nobody spun the loop is served like any
+            # late volunteer — welcomed, or told the stream is over — instead
+            # of finding a dead socket.
+            self._on_accept()
+            self._listener = None
+            self.scheduler.loop.remove_reader(listener)
+            listener.close()
+        if self._connections:
             # The loop stops spinning the instant the last sink completes,
             # which is typically *before* the volunteers' bye frames arrive.
-            # Give the handlers a short grace window so a volunteer that
-            # finished cleanly is recorded as a leave, not a crash, and a
-            # refused one reads its END instead of a dead socket.
-            tasks = list(self._handlers)
-            if tasks:
-                await asyncio.wait(tasks, timeout=STOP_GRACE)
-            for volunteer in list(self._volunteers.values()):
-                if volunteer.close_reason is None:
-                    volunteer.close_reason = ConnectionClosed("gateway stopped")
-                volunteer.conn.send_close()
-                volunteer.conn.close_transport()
-            pending = [task for task in tasks if not task.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            # Give them a short grace window so a volunteer that finished
+            # cleanly is recorded as a leave, not a crash, and a refused one
+            # reads its END instead of a dead socket.
+            self.scheduler.run_coroutine(self._settle())
+        for volunteer in list(self._connections.values()):
+            self._finish(volunteer, ConnectionClosed("gateway stopped"))
 
-        if server is not None or self._handlers:
-            self.scheduler.run_coroutine(_shutdown())
-        # Settle the membership bookkeeping the teardown just enqueued.
-        self._drain_inbox()
+    async def _settle(self) -> None:
+        """Dispatch what is filed and what still arrives until every
+        connection is gone or :data:`STOP_GRACE` has passed."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + STOP_GRACE
+        self._settling = asyncio.Event()
+        try:
+            while True:
+                while self.dispatch():
+                    pass
+                remaining = deadline - loop.time()
+                if not self._connections or remaining <= 0:
+                    return
+                self._settling.clear()
+                try:
+                    await asyncio.wait_for(self._settling.wait(), remaining)
+                except asyncio.TimeoutError:
+                    return
+        finally:
+            self._settling = None
 
     # ------------------------------------------------------- EventSource API
     def ready(self) -> bool:
-        with self._inbox_lock:
-            return bool(self._inbox)
+        return bool(self._turns)
 
     @loop_only
     def dispatch(self) -> bool:
-        with self._inbox_lock:
-            if not self._inbox:
-                return False
-            event = self._inbox.popleft()
-        kind = event[0]
-        if kind == "join":
-            self._attach(event[1])
-        elif kind == "left":
-            self._record_left(event[1], event[2])
-        self._reap_ports()
-        return True
-
-    def _drain_inbox(self) -> None:
-        while self.dispatch():
-            pass
+        """Handle one filed message; connections with a backlog take turns."""
+        while self._turns:
+            volunteer = self._turns.popleft()
+            inbox = volunteer.endpoint.inbox
+            volunteer.waiting = len(inbox) > 1
+            if volunteer.waiting:
+                self._turns.append(volunteer)
+            if inbox:  # else: finished since it queued
+                self._handle(volunteer, inbox.popleft())
+                return True
+        return False
 
     def live(self) -> bool:
-        # An open server may accept a volunteer at any moment; a volunteer
-        # may answer at any moment.  Only a stopped gateway with no
+        # An open listener may accept a volunteer at any moment; a connection
+        # may file a message at any moment.  Only a stopped gateway with no
         # connections left cannot contribute progress.
-        if self._server is not None:
-            return True
-        with self._inbox_lock:
-            if self._inbox:
-                return True
-        return any(v.close_reason is None for v in self._volunteers.values())
+        return self._listener is not None or bool(self._connections)
 
     # --------------------------------------------------- connection handling
-    @any_thread
-    def _enqueue(self, event: Tuple[Any, ...]) -> None:
-        with self._inbox_lock:
-            self._inbox.append(event)
-        self.scheduler.wake()
+    @loop_only
+    def _on_accept(self) -> None:
+        """Take every connection the listening socket holds."""
+        loop = self.scheduler.loop
+        while True:
+            try:
+                sock, address = self._listener.accept()
+            except OSError:  # nothing left to accept (or nothing acceptable)
+                return
+            # frames are written whole; waiting to coalesce them only adds latency
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            volunteer = _Volunteer(Endpoint(sock, HTTP_HEAD), f"{address[0]}:{address[1]}")
+            self._connections[volunteer.endpoint] = volunteer
+            volunteer.timer = loop.call_later(HANDSHAKE_TIMEOUT, self._finish, volunteer, None)
+            volunteer.endpoint.watch(loop, self._on_filed)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        finally:
-            self._handlers.discard(task)
-            # Idempotent; covers a handler cancelled before its hello.
-            writer.close()
+    @loop_only
+    def _on_filed(self, endpoint: Endpoint) -> None:
+        """A connection's endpoint filed something: queue its turn, and take
+        it now when a run is spinning."""
+        volunteer = self._connections[endpoint]
+        if volunteer.ws is None:
+            self._upgrade(volunteer)
+        if endpoint.inbox and not volunteer.waiting:
+            volunteer.waiting = True
+            self._turns.append(volunteer)
+        if self._settling is not None:
+            self._settling.set()
+        elif self._turns:
+            self.scheduler.dispatch_now(self)
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "?"
+    def _upgrade(self, volunteer: _Volunteer) -> None:
+        """Answer the HTTP upgrade request — here, not in a dispatch: it
+        touches no stream, and a volunteer may knock between runs."""
+        endpoint = volunteer.endpoint
+        request = endpoint.inbox.popleft()
         try:
-            await server_handshake(reader, writer)
-        except Exception:
-            with suppress(Exception):
-                writer.close()
-            return
-        conn = WsConnection(
-            reader, writer, client_side=False, peer=peer, max_frame=self.max_frame
-        )
+            if isinstance(request, Exception):
+                raise request
+            endpoint.write([upgrade_response(request)])
+        except ProtocolError:
+            endpoint.write([_BAD_REQUEST])
+            self._finish(volunteer, None)
+        except EOFError:
+            self._finish(volunteer, None)
+        else:
+            volunteer.ws = endpoint.framing = WS(
+                client_side=False, max_frame=PRE_HELLO_MAX_FRAME
+            )
+
+    def _handle(self, volunteer: _Volunteer, message: Any) -> None:
+        """One filed message of an upgraded connection (dispatch thread)."""
         try:
-            payload = await asyncio.wait_for(conn.recv(), 30.0)
-        except Exception:
-            conn.close_transport()
-            return
-        if payload is None:
-            conn.close_transport()
-            return
-        try:
-            hello, _values = wire.decode(payload, trusted=False)
-        except ProtocolError as exc:
-            self._refuse(conn, peer, exc)
-            conn.close_transport()
-            return
-        if hello.get("kind") != HELLO:
-            conn.close_transport()
-            return
-        volunteer = _GatewayVolunteer(conn, hello)
-        self._enqueue(("join", volunteer))
-        await volunteer.attached.wait()
-        if volunteer.rejected:
-            # Too late (the map has terminated): tell the volunteer the
-            # stream is over, so it goes home cleanly instead of seeing a
-            # connection that died during the handshake.
-            with suppress(Exception):
-                conn.send_bytes(wire.encode({"kind": END, "error": None}))
-                conn.send_close(1001)
-                await conn.drain()
-            conn.close_transport()
-            return
-        crashed = True  # crash-stop unless a clean bye/close arrives
-        reason: Optional[BaseException] = None
-        try:
-            while True:
-                payload = await conn.recv()
-                if payload is None:
-                    reason = ConnectionClosed(
-                        f"volunteer {volunteer.worker_id} connection closed"
+            if isinstance(message, Exception):
+                raise message
+            if volunteer.worker_id is not None:
+                self.bytes_received += len(message)
+            # A volunteer sends data, never code: no global is resolved.
+            record, values = wire.decode(message, trusted=False)
+            kind = record.get("kind")
+            if volunteer.worker_id is None:
+                if kind == HELLO:
+                    self._attach(volunteer, record)
+                else:
+                    self._finish(volunteer, None)
+            elif kind == wire.RESULT:
+                frame = volunteer.endpoint.claim(record, values)
+                if not record["ok"]:
+                    # the error travelled as its repr: data, never an object
+                    cause = RuntimeError(record.get("error") or "unknown error")
+                    self._finish(
+                        volunteer,
+                        TaskError(f"frame {frame.seq} of volunteer {volunteer.worker_id}", cause),
                     )
-                    break
-                self.bytes_received += len(payload)
-                # A volunteer sends data, never code: no global is resolved.
-                record, values = wire.decode(payload, trusted=False)
-                kind = record.get("kind")
-                if kind == wire.RESULT:
-                    frame = wire.claim(volunteer.frames, record, values)
-                    if not record["ok"]:
-                        reason = TaskError(
-                            f"volunteer {volunteer.worker_id} task failed: "
-                            f"{record.get('error') or 'unknown error'}"
-                        )
-                        break
-                    volunteer.results_received += frame.count
-                    self.results_received += frame.count
-                    if frame.trace is not None:
-                        self.obs.observe_frame(frame.trace)
-                    volunteer.port.push(frame.unwrap(values))
-                elif kind == BYE:
-                    crashed = False
-                    break
-                # unknown kinds are ignored (forward compatibility)
-        except asyncio.CancelledError:
-            # gateway.stop() cancelled us; bookkeeping still runs below.
-            crashed = False
+                    return
+                self.results_received += frame.count
+                if frame.trace is not None:
+                    self.obs.observe_frame(frame.trace)
+                # stop() only settles membership: nothing goes down the
+                # stream between runs.
+                if self._settling is None:
+                    volunteer.pushable.push(frame.unwrap(values))
+            elif kind == BYE:
+                self._finish(volunteer, DONE)
+            # unknown kinds are ignored (forward compatibility)
         except ProtocolError as exc:
             # Broken framing, a forged record, a result out of turn: fail
-            # this volunteer only.
-            reason = exc
-            self._refuse(conn, volunteer.worker_id, exc)
-        finally:
-            self._finish_connection(volunteer, crashed, reason)
+            # this volunteer only — close 1002, and say so.
+            if self.obs is not None:
+                self.obs.trace.emit(
+                    "frame_refused", worker=volunteer.worker_id or volunteer.peer, reason=str(exc)
+                )
+            self._finish(volunteer, exc, code=1002)
+        except EOFError:
+            self._finish(
+                volunteer,
+                ConnectionClosed(f"volunteer {volunteer.worker_id} connection closed"),
+            )
+        except ConnectionClosed as exc:  # the heartbeat's verdict
+            self._finish(volunteer, exc)
 
-    def _refuse(self, conn: WsConnection, worker: Optional[str], exc: ProtocolError) -> None:
-        """Answer a frame the protocol forbids: close 1002, and say so."""
-        conn.send_close(1002)
-        if self.obs is not None:
-            self.obs.trace.emit("frame_refused", worker=worker, reason=str(exc))
+    def _finish(self, volunteer: _Volunteer, reason: End, code: int = 1000) -> None:
+        """The connection is over: close it and settle the membership.
 
-    def _finish_connection(
-        self,
-        volunteer: _GatewayVolunteer,
-        crashed: bool,
-        reason: Optional[BaseException],
-    ) -> None:
-        """Terminate the volunteer's result stream and queue the bookkeeping.
-
-        Runs on the loop thread (handler task).  The port operations only
-        enqueue — the stream machinery sees the termination on the next
-        dispatch round, strictly after any results that arrived before it.
+        *reason* is ``DONE`` after a bye, else the error the volunteer is lost
+        to (``None`` for a connection that never joined).  A crash-stop
+        terminates the volunteer's result stream with the error — strictly
+        after the results filed before it — so the lender re-lends what it
+        still borrowed.
         """
-        conn = volunteer.conn
-        if volunteer.port is None:
-            # Never attached (stop() raced the hello, or attach was refused).
-            conn.close_transport()
+        endpoint = volunteer.endpoint
+        if self._connections.pop(endpoint, None) is None:
+            return
+        volunteer.timer.cancel()
+        if volunteer.ws is not None:
+            endpoint.write(volunteer.ws.close(code))
+        endpoint.close()
+        endpoint.inbox.clear()
+        if self._settling is not None:
+            self._settling.set()
+        if volunteer.worker_id is None:
             return
         if volunteer.close_reason is None:
-            volunteer.close_reason = (
-                (reason or ConnectionClosed(f"volunteer {volunteer.worker_id} lost"))
-                if crashed
-                else DONE
-            )
-        if is_error(volunteer.close_reason):
-            volunteer.port.error(volunteer.close_reason)
+            volunteer.close_reason = reason
+        crashed = is_error(volunteer.close_reason)
+        volunteer.monitor.stop()
+        self.registry.mark_left(
+            volunteer.record.volunteer_id, self._clock.now, crashed=crashed
+        )
+        if crashed:
+            self.volunteers_crashed += 1
         else:
-            volunteer.port.end()
-        conn.close_transport()
-        self._enqueue(("left", volunteer, is_error(volunteer.close_reason)))
+            self.volunteers_left += 1
+        self.pings_sent += volunteer.ws.pings_sent
+        self._volunteers.pop(volunteer.worker_id, None)
+        if crashed:
+            volunteer.pushable.error(volunteer.close_reason)
+        else:
+            volunteer.pushable.end()
 
-    def _suspect(self, volunteer: _GatewayVolunteer) -> None:
+    def _suspect(self, volunteer: _Volunteer) -> None:
         """Heartbeat timeout: declare the volunteer dead (crash-stop)."""
         if volunteer.close_reason is not None:
             return
@@ -915,76 +647,69 @@ class WsVolunteerGateway(EventSource):
                 worker=volunteer.worker_id,
                 timeout=self.heartbeat_timeout,
             )
-        error = ConnectionClosed(
+        volunteer.close_reason = ConnectionClosed(
             f"volunteer {volunteer.worker_id} suspected: no traffic for "
             f"{self.heartbeat_timeout}s"
         )
-        volunteer.close_reason = error
-        if volunteer.port is not None:
-            volunteer.port.error(error)
-        # Dropping the transport unblocks the reader task, whose exit path
+        # Filed behind what already arrived; the dispatch that reaches it
         # records the departure.
-        volunteer.conn.close_transport()
+        volunteer.endpoint.fail(volunteer.close_reason)
 
     # ------------------------------------------------------------- dispatch
     @loop_only
-    def _attach(self, volunteer: _GatewayVolunteer) -> None:
+    def _attach(self, volunteer: _Volunteer, hello: Dict[str, Any]) -> None:
         """Wire one hello'd volunteer into the map (dispatch thread)."""
-        hello = volunteer.hello
+        endpoint, ws = volunteer.endpoint, volunteer.ws
         tabs = max(1, int(hello.get("tabs", 1) or 1))
         worker_id = self._claim_worker_id(hello.get("name"))
-        port: Optional[PushablePort] = None
+        volunteer.pushable = Pushable()
+        volunteer.worker_id = worker_id
+        welcome = {
+            "kind": WELCOME,
+            "version": WIRE_VERSION,
+            "worker_id": worker_id,
+            "fn_ref": self.fn_ref,
+            "frame_batch": self.frame_batch,
+            "heartbeat_interval": self.heartbeat_interval,
+            "heartbeat_timeout": self.heartbeat_timeout,
+        }
         try:
-            pushable = Pushable()
-            port = PushablePort(self.scheduler, pushable)
-            self.scheduler.register(port)
-            volunteer.port = port
-            volunteer.worker_id = worker_id
-            welcome = {
-                "kind": WELCOME,
-                "version": WIRE_VERSION,
-                "worker_id": worker_id,
-                "fn_ref": self.fn_ref,
-                "frame_batch": self.frame_batch,
-                "heartbeat_interval": self.heartbeat_interval,
-                "heartbeat_timeout": self.heartbeat_timeout,
-            }
-            volunteer.conn.send_bytes(wire.encode(welcome))
-            window = self.window if self.window is not None else tabs + 1
-            volunteer.handle = self.dmap.add_channel(
-                Duplex(source=pushable, sink=self._make_ws_sink(volunteer)),
+            endpoint.write(ws.wrap(wire.encode(welcome)))
+            self.dmap.add_channel(
+                Duplex(source=volunteer.pushable, sink=self._make_ws_sink(volunteer)),
                 worker_id=worker_id,
-                batch_size=window,
+                batch_size=self.window if self.window is not None else tabs + 1,
                 frame_batch=self.frame_batch,
             )
         except Exception:
-            # Late attach (map already terminated) or a dead socket: refuse.
-            volunteer.rejected = True
-            volunteer.port = None
-            if port is not None:
-                self.scheduler.unregister(port)
-            volunteer.attached.set()
+            # Too late (the map has terminated): tell the volunteer the
+            # stream is over, so it goes home cleanly instead of seeing a
+            # connection that died during the handshake.  It hangs up, or
+            # the handshake timer does.
+            volunteer.worker_id = None
+            endpoint.write(ws.wrap(wire.encode({"kind": END, "error": None})))
+            endpoint.write(ws.close(1001))
             return
+        volunteer.timer.cancel()
+        ws.max_frame = self.max_frame
         self._volunteers[worker_id] = volunteer
         volunteer.record = self.registry.register(
-            host=volunteer.conn.peer,
+            host=volunteer.peer,
             device_name=str(hello.get("name") or worker_id),
             protocol="ws",
             joined_at=self._clock.now,
             tabs=tabs,
         )
-        monitor = HeartbeatMonitor(
+        volunteer.monitor = HeartbeatMonitor(
             self._clock,
-            send=volunteer.conn.send_ping,
+            send=lambda: endpoint.write(ws.ping()),
             on_failure=lambda: self._suspect(volunteer),
             interval=self.heartbeat_interval,
             timeout=self.heartbeat_timeout,
         )
-        volunteer.monitor = monitor
-        volunteer.conn.on_traffic(monitor.touch)
-        monitor.start()
+        endpoint.touch = volunteer.monitor.touch
+        volunteer.monitor.start()
         self.volunteers_joined += 1
-        volunteer.attached.set()
 
     def _claim_worker_id(self, requested: Any) -> str:
         base = str(requested) if requested else f"{NAME_PREFIX}-{next(self._ids)}"
@@ -994,36 +719,8 @@ class WsVolunteerGateway(EventSource):
             worker_id = f"{base}-{next(suffix)}"
         return worker_id
 
-    @loop_only
-    def _record_left(self, volunteer: _GatewayVolunteer, crashed: bool) -> None:
-        if volunteer.monitor is not None:
-            volunteer.monitor.stop()
-        if volunteer.record is not None:
-            self.registry.mark_left(
-                volunteer.record.volunteer_id, self._clock.now, crashed=crashed
-            )
-        if crashed:
-            self.volunteers_crashed += 1
-        else:
-            self.volunteers_left += 1
-        self.pings_sent += volunteer.conn.pings_sent
-        if volunteer.worker_id is not None:
-            self._volunteers.pop(volunteer.worker_id, None)
-        self._reap.append(volunteer)
-
-    def _reap_ports(self) -> None:
-        """Unregister the ports of departed volunteers once they drained."""
-        still_waiting: List[_GatewayVolunteer] = []
-        for volunteer in self._reap:
-            port = volunteer.port
-            if port is not None and port.live():
-                still_waiting.append(volunteer)  # queued results not yet ported
-            elif port is not None:
-                self.scheduler.unregister(port)
-        self._reap = still_waiting
-
     # ------------------------------------------------------------- the sink
-    def _make_ws_sink(self, volunteer: _GatewayVolunteer) -> Callable[[Any], None]:
+    def _make_ws_sink(self, volunteer: _Volunteer) -> Callable[[Any], None]:
         """The duplex sink sending sub-stream values to one volunteer.
 
         Mirrors the simulated channel sink: eagerly drain the (limited)
@@ -1031,64 +728,34 @@ class WsVolunteerGateway(EventSource):
         volunteer is gone, abort the upstream with the close reason so the
         lender re-lends whatever this volunteer still borrowed.
         """
-        conn = volunteer.conn
+        endpoint, ws = volunteer.endpoint, volunteer.ws
 
         def on_value(value: Any) -> None:
-            was_batch = isinstance(value, Batch)
-            values = list(value.values) if was_batch else [value]
-            volunteer.seq += 1
-            record = {"kind": wire.DATA, "seq": volunteer.seq}
-            trace = (
-                self.obs.begin_frame("ws", values=len(values))
-                if self.obs is not None
-                else None
-            )
-            if trace is not None:
-                # The trace dict rides the wire record; the volunteer echoes
-                # it back in the RESULT record with exec_s added.
-                record["trace"] = trace
             try:
-                parts = wire.encode(record, values)
-                volunteer.frames.append(
-                    wire.Frame(volunteer.seq, was_batch, len(values), trace)
-                )
-                conn.send_bytes(parts)
+                frame = endpoint.send_frame(value, self.obs, "ws")
             except Exception as exc:
-                # The socket died under the write: crash-stop.  The pump
-                # aborts the upstream through closed_reason on its next turn.
+                # A value that cannot travel: crash-stop.  The pump aborts
+                # the upstream through closed_reason on its next turn.
                 if volunteer.close_reason is None:
                     volunteer.close_reason = ConnectionClosed(
                         f"write to volunteer {volunteer.worker_id} failed: {exc!r}"
                     )
                 return
-            wire_bytes = wire.payload_size(parts)
-            if trace is not None:
-                self.obs.end_serialize(trace)
-                self.obs.observe_payload("ws", wire_bytes)
-            self.bytes_sent += wire_bytes
-            volunteer.values_sent += len(values)
-            self.values_sent += len(values)
+            if frame.trace is not None:
+                self.obs.observe_payload("ws", frame.size)
+            self.bytes_sent += frame.size
+            self.values_sent += frame.count
             self.frames_sent += 1
 
         def on_end(end: End) -> None:
             # Upstream terminated (all work done, or the map aborted): tell
             # the volunteer to stop waiting for frames and go home.
-            if volunteer.close_reason is None and not conn.closed:
-                with suppress(Exception):
-                    conn.send_bytes(
-                        wire.encode(
-                            {"kind": END, "error": repr(end) if is_error(end) else None}
-                        )
-                    )
-
-        def closed_reason() -> End:
-            reason = volunteer.close_reason
-            if reason is None:
-                return None
-            return reason if is_error(reason) else DONE
+            if volunteer.close_reason is None:
+                error = repr(end) if is_error(end) else None
+                endpoint.write(ws.wrap(wire.encode({"kind": END, "error": error})))
 
         def sink(read: Any) -> None:
-            eager_pump(read, on_value, on_end, closed_reason)
+            eager_pump(read, on_value, on_end, lambda: volunteer.close_reason)
 
         sink.pull_role = "sink"
         return sink
@@ -1104,7 +771,7 @@ class WsVolunteerGateway(EventSource):
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "open" if self._server is not None else "stopped"
+        state = "open" if self._listener is not None else "stopped"
         return (
             f"<WsVolunteerGateway {state} url={self.url} "
             f"volunteers={len(self._volunteers)} joined={self.volunteers_joined}>"

@@ -27,10 +27,13 @@ so a child never idles between frames — and the rest wait in a master-side
 queue, where cancelling one is a ``pop``.  A child answers each with one
 RESULT message; each child works first-in first-out and the master keeps the
 frames in borrow order, so results are delivered in that order whichever
-child finished first.  There is no thread on either side: the master never
-blocks on a write (what a child's pipe does not take at once waits in that
-child's outbox until the pipe is writable), so a child blocked writing a
-large result can always be read.
+child finished first.  The master's end of each pipe is an
+:class:`~repro.net.endpoint.Endpoint` with the :data:`~repro.net.endpoint.PIPE`
+framing — what a websocket volunteer is to its gateway.  There is no thread
+on either side and the master never waits on a pipe: what a child's pipe does
+not take at once waits in the endpoint's outbox, so a child blocked writing a
+large result can always be read, and a reply is read as it arrives, so a child
+stopped halfway through writing one holds up nobody else.
 
 Crash-stop: a task that raises errors the result stream when its frame
 reaches the head of the line, and a child that dies (EOF on its pipe)
@@ -43,13 +46,14 @@ child exits by itself and ``multiprocessing.active_children()`` reaps it.
 Who reads the pipes depends on who drives the stream.  Under a
 :class:`~repro.core.distributed_map.DistributedMap` the pool is
 ``blocking=False`` and registered with the map's
-:class:`~repro.sched.EventLoopScheduler`: its pipes sit on the loop's
-selector (:class:`~repro.sched.sources.PoolEventSource`), an ask whose
+:class:`~repro.sched.EventLoopScheduler`: its endpoints sit on the loop's
+selector (put there by :class:`~repro.sched.sources.PoolEventSource` through
+``Endpoint.watch``, as a gateway does with a volunteer's), an ask whose
 head-of-line result is not in yet is parked, and :meth:`poll` delivers it
 later — which is what lets several pools pump concurrently from one
 interpreter thread.  A bare pool behind a plain ``pull`` has no driver, so
-the blocking default waits on the children's pipes itself until the head
-frame's result is in.
+the blocking default ``select``s on the children's pipes itself until the
+head frame's result is in.
 
 ``transport="shm"`` moves the frame *payloads* off the pipe: large
 ``bytes``/array values are written once into a
@@ -65,18 +69,20 @@ the pipe, exactly as with ``transport="pipe"``.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import pickle
 import select
 import socket
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, List, Optional, Set
 
 from ..analysis.annotations import loop_only
 from ..errors import PandoError, ProtocolError, WorkerCrashed
 from ..net import wire
-from ..net.serialization import OOB_MIN_BYTES, Batch
+from ..net.endpoint import PIPE, Endpoint, data_frame
+from ..net.serialization import OOB_MIN_BYTES
 from ..net.shm_ring import ShmRing, pack_frame, unpack_frame
 from ..pullstream.protocol import DONE, Callback, End, Source, is_error
 from ..pullstream.sinks import eager_pump
@@ -115,48 +121,6 @@ def _child_main(sock: socket.socket, *config: Any) -> None:
     for inherited in list(_MASTER_ENDS):
         inherited.close()
     serve_frames(sock, *config)
-
-
-class _Frame(wire.Frame):
-    """One submitted frame, from submit to delivery."""
-
-    __slots__ = ("parts", "slots", "reply")
-
-    def __init__(
-        self,
-        seq: int,
-        was_batch: bool,
-        count: int,
-        trace: Optional[dict],
-        parts: List[Any],
-        slots: List[int],
-    ) -> None:
-        super().__init__(seq, was_batch, count, trace)
-        #: the packed message, until it is handed to a child
-        self.parts: Optional[List[Any]] = parts
-        #: ring slots the frame owns (``transport="shm"``)
-        self.slots = slots
-        #: ``(ok, values)`` — or ``(False, error)`` — once the child answered
-        self.reply: Optional[Tuple[bool, Any]] = None
-
-
-class _Child:
-    """One worker process and the master's end of its pipe."""
-
-    def __init__(self, process: Any, sock: socket.socket) -> None:
-        self.process = process
-        self.sock = sock
-        #: frames handed to the child and not answered yet, oldest first
-        self.frames: Deque[_Frame] = deque()
-        #: bytes the pipe has not taken yet (see ``ProcessPoolWorker.flush``)
-        self.outbox: Deque[Any] = deque()
-
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
-    def close(self) -> None:
-        _MASTER_ENDS.discard(self.sock)
-        self.sock.close()
 
 
 class ProcessPoolWorker:
@@ -246,16 +210,17 @@ class ProcessPoolWorker:
         self.cancel_flag: Optional[CancelFlag] = (
             CancelFlag() if cancel_chunk is not None else None
         )
-        #: the worker processes (empty until the first frame, and after shutdown)
-        self.children: List[_Child] = []
+        #: the master's end of each child's pipe, ``.process`` being the child
+        #: (empty until the first frame, and after shutdown)
+        self.children: List[Endpoint] = []
         #: the :class:`~repro.sched.sources.PoolEventSource` whose loop reads
         #: the pipes, when a scheduler drives this pool
         self.watcher: Optional[Any] = None
         self._next_seq = 0
         #: submitted, undelivered frames in submission (= borrow) order
-        self._pending: Deque[_Frame] = deque()
+        self._pending: Deque[wire.Frame] = deque()
         #: the tail of ``_pending`` no child has room for yet
-        self._queue: Deque[_Frame] = deque()
+        self._queue: Deque[wire.Frame] = deque()
         self._upstream_ended: End = None
         self._result_waiting: Optional[Callback] = None
         self._closed: End = None
@@ -300,25 +265,22 @@ class ProcessPoolWorker:
         sink.pull_role = "sink"
         return sink
 
+    def _stage(self, slots: List[int], values: List[Any]) -> List[Any]:
+        """Move a frame's large values into ring slots (appended to *slots*);
+        the control entries that name them travel in their place."""
+        entries, acquired = pack_frame(self.ring, values, min_bytes=self._shm_min_bytes)
+        slots.extend(acquired)
+        if self.obs is not None and self.obs.enabled:
+            self.obs.observe_payload(
+                self.transport, sum(entry[2] for entry in entries if entry[0] == "shm")
+            )
+        return entries
+
     def _submit(self, value: Any) -> None:
-        # Every submission is a frame: an un-batched value travels as a
-        # frame of one, which ``_deliver`` unwraps again.
-        was_batch = isinstance(value, Batch)
-        values = list(value.values) if was_batch else [value]
-        trace = (
-            self.obs.begin_frame(self.transport, values=len(values))
-            if self.obs is not None
-            else None
-        )
-        payload: Any = values
         slots: List[int] = []
-        if self.ring is not None:
-            payload, slots = pack_frame(self.ring, values, min_bytes=self._shm_min_bytes)
-        record = {"kind": wire.DATA, "seq": self._next_seq}
-        if trace is not None:
-            record["trace"] = trace
+        stage = functools.partial(self._stage, slots) if self.ring is not None else None
         try:
-            parts = wire.pipe_message(wire.encode(record, payload))
+            frame = data_frame(value, self._next_seq, PIPE, self.obs, self.transport, stage)
         except Exception as exc:
             # A value that cannot cross the pipe fails the worker like a
             # crash would: the stream errors and the lender re-lends.
@@ -326,24 +288,17 @@ class ProcessPoolWorker:
                 self.ring.release_all(slots)
             self._shutdown(exc)
             return
+        frame.slots = slots
         if not self.children:
             self._spawn()
-        frame = _Frame(self._next_seq, was_batch, len(values), trace, parts, slots)
         self._next_seq += 1
         self._pending.append(frame)
         child = min(self.children, key=lambda child: len(child.frames))
         if len(child.frames) < CHILD_DEPTH:
-            self._send(child, frame)
+            child.send(frame)
         else:
             self._queue.append(frame)
-        if trace is not None:
-            if self.ring is not None:
-                self.obs.observe_payload(
-                    self.transport,
-                    sum(entry[2] for entry in payload if entry[0] == "shm"),
-                )
-            self.obs.end_serialize(trace)
-        self.values_dispatched += len(values)
+        self.values_dispatched += frame.count
         self.tasks_submitted += 1
         if self._result_waiting is not None:
             if self.blocking:
@@ -368,77 +323,55 @@ class ProcessPoolWorker:
         for _ in range(self.processes):
             master_end, child_end = socket.socketpair()
             _MASTER_ENDS.add(master_end)
-            child = _Child(
-                multiprocessing.Process(
+            child = Endpoint(
+                master_end,
+                PIPE,
+                process=multiprocessing.Process(
                     target=_child_main,
                     args=(child_end, self.fn_ref, shm, cancel),
                     daemon=True,
                 ),
-                master_end,
             )
             try:
                 child.process.start()
             except BaseException:
-                child.close()
+                self._close_child(child)
                 raise
             finally:
                 child_end.close()
             self.children.append(child)
             if self.watcher is not None:
-                self.watcher.watch(child)
+                child.watch(self.watcher.loop, self.watcher.on_filed)
 
-    def _send(self, child: _Child, frame: _Frame) -> None:
-        child.frames.append(frame)
-        child.outbox.extend(frame.parts)
-        frame.parts = None
-        if not self.flush(child) and self.watcher is not None:
-            self.watcher.watch_writes(child)
+    @staticmethod
+    def _close_child(child: Endpoint) -> None:
+        _MASTER_ENDS.discard(child.sock)
+        child.close()
 
-    def flush(self, child: _Child) -> bool:
-        """Write what *child*'s pipe takes without blocking; True once its
-        outbox is empty.
-
-        The master never waits on a write: a child busy writing a large
-        result does not read, and waiting for it while it waits for the
-        master to read would deadlock.  The rest goes when the pipe is
-        writable again (``_pump``, or the event loop's writer).
-        """
-        outbox = child.outbox
-        while outbox:
-            data = outbox[0]
+    def receive(self, child: Endpoint) -> None:
+        """File the replies *child*'s endpoint read, refilling the child
+        after each; how its stream ended, if it did, ends this worker."""
+        while child.inbox and self._closed is None:
+            message = child.inbox.popleft()
             try:
-                sent = child.sock.send(data, socket.MSG_DONTWAIT)
-            except BlockingIOError:
-                return False
-            except OSError:
-                # The child is gone; EOF on the read side reports the crash.
-                outbox.clear()
-                return True
-            if sent < len(data):
-                outbox[0] = memoryview(data)[sent:]
-                return False
-            outbox.popleft()
-        return True
-
-    def receive(self, child: _Child) -> None:
-        """File the reply waiting on *child*'s pipe and refill the child."""
-        try:
-            # Plain pickle by declaration: the far end is a process this
-            # master forked, running the master's own code.
-            record, values = wire.decode(wire.read_pipe_message(child.sock), trusted=True)
-            frame = wire.claim(child.frames, record, values)
-        except ProtocolError as exc:
-            self._shutdown(ProtocolError(f"pool child {child.process.pid}: {exc}"))
-            return
-        except (EOFError, OSError) as exc:
-            # EOF or a reset: the child died, and this worker with it.
-            self._shutdown(
-                WorkerCrashed(f"pool child {child.process.pid} failed: {exc!r}")
-            )
-            return
-        frame.reply = (True, values) if record["ok"] else (False, record.get("error"))
-        if self._queue:
-            self._send(child, self._queue.popleft())
+                if isinstance(message, Exception):
+                    raise message
+                # Plain pickle by declaration: the far end is a process this
+                # master forked, running the master's own code.
+                record, values = wire.decode(message, trusted=True)
+                frame = child.claim(record, values)
+            except ProtocolError as exc:
+                self._shutdown(ProtocolError(f"pool child {child.process.pid}: {exc}"))
+                return
+            except EOFError as exc:
+                # EOF or a reset: the child died, and this worker with it.
+                self._shutdown(
+                    WorkerCrashed(f"pool child {child.process.pid} failed: {exc!r}")
+                )
+                return
+            frame.reply = (True, values) if record["ok"] else (False, record.get("error"))
+            if self._queue:
+                child.send(self._queue.popleft())
 
     def _pump(self, timeout: Optional[float]) -> None:
         """Wait up to *timeout* seconds (None: until something moves) on the
@@ -446,9 +379,9 @@ class ProcessPoolWorker:
         stalled = [child for child in self.children if child.outbox]
         readable, writable, _ = select.select(self.children, stalled, (), timeout)
         for child in writable:
-            self.flush(child)
+            child.flush()
         for child in readable:
-            if self._closed is None:  # a failed receive closes every pipe
+            if self._closed is None and child.read():  # a failed receive closes every pipe
                 self.receive(child)
 
     # --------------------------------------------------------- source side
@@ -660,9 +593,7 @@ class ProcessPoolWorker:
         # after the frame it is running (see repro.pool.tasks.serve_frames).
         children, self.children = self.children, []
         for child in children:
-            if self.watcher is not None:
-                self.watcher.unwatch(child)
-            child.close()
+            self._close_child(child)
         self._drop_queue()
         if self.ring is not None:
             # Reap every frame's slots — delivered frames already released

@@ -8,14 +8,16 @@ unless the caller shares an instance between maps and simulations):
 * every waitable is registered as an :class:`~repro.sched.sources.EventSource`
   (pools, simulations, thread-safe pushable ports, gateways, custom sources);
 * there is one way to wait: on the loop.  A pool's worker pipes sit on the
-  loop's selector beside the gateway's sockets, timers pace simulations,
-  and other threads cross over through :meth:`EventLoopScheduler.wake` —
-  no polling on any path;
+  loop's selector beside a gateway's volunteer sockets (each an
+  :class:`~repro.net.endpoint.Endpoint`), timers pace simulations, and other
+  threads cross over through :meth:`EventLoopScheduler.wake` — no polling on
+  any path;
 * dispatch is **fair round-robin**: each round starts one source later than
   the previous one and gives every ready source exactly one unit of work,
   so a hot pool with a backlog cannot starve a simulated channel (a pool
-  result that arrives while its ask is parked goes down the stream from the
-  selector callback that read it, one per readable event);
+  result that arrives while its ask is parked, and a message a volunteer's
+  socket filed, go down the stream from the selector callback that read
+  them, one per readable event);
 * when a sink aborts (a ``find`` hit), the scheduler immediately fans the
   cancellation out to every registered pool's not-yet-started frames
   instead of letting them compute results nobody can receive.
@@ -97,20 +99,6 @@ class EventLoopScheduler:
         self._sources.append(source)
         return source
 
-    def unregister(self, source: EventSource) -> bool:
-        """Remove *source* from the round-robin order (False when absent).
-
-        Safe to call from a dispatch: the round in progress iterates a
-        snapshot, so removal takes effect from the next round.  Used by the
-        websocket gateway to retire the ports of departed volunteers instead
-        of letting dead sources accumulate across churn.
-        """
-        try:
-            self._sources.remove(source)
-        except ValueError:
-            return False
-        return True
-
     def register_pool(self, pool: Any) -> PoolEventSource:
         """Register a non-blocking :class:`ProcessPoolWorker` for delivery."""
         source = PoolEventSource(self, pool)
@@ -160,8 +148,7 @@ class EventLoopScheduler:
         property the hypothesis suite pins down.  Returns the number of
         sources that made progress.
         """
-        # Snapshot: a dispatch may register (a volunteer joining) or
-        # unregister (a departed port reaped) sources mid-round; the round in
+        # Snapshot: a dispatch may register sources mid-round; the round in
         # progress keeps iterating the membership it started with.
         sources = list(self._sources)
         count = len(sources)
@@ -186,9 +173,10 @@ class EventLoopScheduler:
         ready instead of one pump round later.
 
         For a source whose readiness is a selector event (a pool: one
-        readable pipe, one result), so the per-source fairness bound of
-        :meth:`dispatch_round` holds: one event, one dispatch, and the loop
-        serves every other callback before this source's next one.  The pump
+        readable pipe, one result; a gateway: one filed message), so the
+        per-source fairness bound of :meth:`dispatch_round` holds: one event,
+        one dispatch, and the loop serves every other callback before this
+        source's next one.  The pump
         is woken only for what only it can do — a source that is still ready
         (a backlog goes through the fair round), the abort fan-out (within
         one delivery of a ``find`` hit), and an exception: asyncio logs and

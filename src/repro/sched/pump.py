@@ -21,8 +21,8 @@ unpaced simulation every round is one sim event, and a loop turn each
 (``epoll``, a handle, a task step) cost more than the event.  A pool's
 reader callback, a gateway socket, a loop timer or a thread-safe wake is
 therefore served at most that interval plus one dispatch late while
-round-dispatched sources are busy.  A pool's reader callback delivers
-the result it read itself (``scheduler.dispatch_now``); the pump stays the
+round-dispatched sources are busy.  A pool's or a gateway's reader callback
+delivers what it read itself (``scheduler.dispatch_now``); the pump stays the
 place where its backlog, the abort fan-out and an exception such a delivery
 raised are handled — the last one re-raised from here, out of ``run()``.
 

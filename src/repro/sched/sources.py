@@ -4,11 +4,13 @@ Every kind of asynchronous work the master process waits on is adapted to
 one small interface, :class:`EventSource`:
 
 * :class:`PoolEventSource` — a non-blocking
-  :class:`~repro.pool.process_pool.ProcessPoolWorker`.  The pipes of its
-  worker processes sit on the loop's selector from the moment they start; a
-  readable pipe is a child's reply, filed the moment the loop sees it (which
-  also hands that child its next frame) and, when it answers the parked
-  ask, delivered from that same callback
+  :class:`~repro.pool.process_pool.ProcessPoolWorker`.  The master's end of
+  each worker process's pipe is an :class:`~repro.net.endpoint.Endpoint` on
+  the loop's selector from the moment the process starts — the same object,
+  put there by the same ``Endpoint.watch``, as a websocket volunteer's socket
+  under its gateway.  A readable pipe is read as far as it goes; a reply that
+  is whole is filed (which also hands that child its next frame) and, when it
+  answers the parked ask, delivered from that same callback
   (:meth:`~repro.sched.event_loop.EventLoopScheduler.dispatch_now`).
   Dispatch delivers exactly one result — per readable event, or per round
   for a backlog (fairness) — cascading through the stream machinery on the
@@ -21,8 +23,9 @@ one small interface, :class:`EventSource`:
   ``time_scale`` real seconds) and arming plants a loop timer for the next
   due event.
 * :class:`PushablePort` — a thread-safe ingress into the single-threaded
-  pull-stream world.  Any thread may :meth:`~PushablePort.push`; dispatch
-  transfers the value into the wrapped
+  pull-stream world, for **foreign threads only** (a user's producer thread;
+  nothing of the master's own runs on one).  Any thread may
+  :meth:`~PushablePort.push`; dispatch transfers the value into the wrapped
   :class:`~repro.pullstream.pushable.Pushable` on the loop thread, so the
   stream machinery still never runs concurrently.
 
@@ -55,8 +58,8 @@ class EventSource:
         one simulated event) — fairness across sources depends on it.
     ``live()``
         The source may become ready later without any local dispatch (a
-        pool future completing, a paced simulation timer, an external
-        producer).  The scheduler declares a stall when no source is ready
+        worker's reply arriving on its socket, a paced simulation timer, an
+        external producer).  The scheduler declares a stall when no source is ready
         or live while a sink is still pending.
     ``arm()``
         Install wake-ups (pipe readers, loop timers) so the scheduler's
@@ -100,9 +103,17 @@ class PoolEventSource(EventSource):
             )
         self._scheduler = scheduler
         self.pool = pool
+        # The pool watches the children it starts later the same way.  Not
+        # ``arm()``: the pump only arms before it waits, and beside a source
+        # that is always ready it never waits — the replies must be read anyway.
         pool.watcher = self
         for child in pool.children:
-            self.watch(child)
+            child.watch(self.loop, self.on_filed)
+
+    @property
+    def loop(self) -> Any:
+        """The loop whose selector reads the pool's pipes."""
+        return self._scheduler.loop
 
     def ready(self) -> bool:
         return self.pool.deliverable
@@ -116,29 +127,9 @@ class PoolEventSource(EventSource):
         # arrives; anything else needs outside help to progress.
         return self.pool.waiting and self.pool.pending > 0
 
-    # -- the pool's pipes on the loop's selector (called by the pool) -------
-    # Not ``arm()``: the pump only arms before it waits, and beside a source
-    # that is always ready it never waits — the replies must be read anyway.
-    def watch(self, child: Any) -> None:
-        """Read *child*'s pipe from the loop, from now until :meth:`unwatch`.
-
-        A pipe that owes no frame is silent — unless its child died, which
-        is worth knowing at once too.
-        """
-        self._scheduler.loop.add_reader(child, self._on_readable, child)
-
-    def watch_writes(self, child: Any) -> None:
-        """Flush *child*'s stalled outbox from the loop as its pipe takes it."""
-        self._scheduler.loop.add_writer(child, self._on_writable, child)
-
-    def unwatch(self, child: Any) -> None:
-        """Take *child*'s pipe off the selector (the pool is about to close it)."""
-        loop = self._scheduler._loop  # None once the scheduler is closed
-        if loop is not None:
-            loop.remove_reader(child)
-            loop.remove_writer(child)
-
-    def _on_readable(self, child: Any) -> None:
+    @loop_only
+    def on_filed(self, child: Any) -> None:
+        """*child*'s endpoint filed a reply, or the way its pipe ended."""
         pool = self.pool
         pool.receive(child)
         if pool.deliverable:
@@ -148,10 +139,6 @@ class PoolEventSource(EventSource):
         # A failed receive closes the pool: the pump must look again.
         if pool.closed:
             self._scheduler.wake_from_loop()
-
-    def _on_writable(self, child: Any) -> None:
-        if self.pool.flush(child):
-            self._scheduler.loop.remove_writer(child)
 
     def cancel_pending(self, force: bool = False) -> int:
         return self.pool.cancel_pending(force=force)

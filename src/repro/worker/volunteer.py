@@ -14,8 +14,12 @@ Two kinds live here:
   welcome frame (the paper's "volunteers download the code from the
   master"), and processes DATA frames on a small thread pool — one thread
   per "tab" — until the master says END, the process is told to stop, or
-  the wire dies.  ``pando volunteer ws://host:port`` (see :func:`main`)
-  wraps it for the command line.
+  the wire dies.  Its end of the websocket is the same
+  :class:`~repro.net.endpoint.Endpoint` the gateway holds the other end
+  with, on this process's own asyncio loop: it keeps that loop (and the tab
+  threads) because it must answer pings while a tab computes.
+  ``pando volunteer ws://host:port`` (see :func:`main`) wraps it for the
+  command line.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import functools
 import multiprocessing
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -226,22 +229,34 @@ async def _volunteer_session(
     loop = asyncio.get_running_loop()
     report = VolunteerReport()
     try:
-        conn = await connect_websocket(url, timeout=connect_timeout)
+        endpoint, messages = await connect_websocket(url, timeout=connect_timeout)
     except Exception as exc:
         report.error = f"connect failed: {exc!r}"
         return report
+    ws = endpoint.framing
     monitor: Optional[HeartbeatMonitor] = None
+
+    def send(record: Dict[str, Any]) -> None:
+        endpoint.write(ws.wrap(wire.encode(record)))
+
+    async def receive() -> Optional[Any]:
+        """The master's next message, decoded; None once the wire is done (a
+        clean close, an EOF, a reset, a hang-up of our own)."""
+        message = await messages.get()
+        if isinstance(message, ProtocolError):
+            raise message
+        if isinstance(message, Exception):
+            return None
+        # Plain pickle by declaration: the welcome may carry the function
+        # itself, and a volunteer runs its master's code by design.
+        return wire.decode(message, trusted=True)
+
     try:
-        hello = {"kind": HELLO, "version": WIRE_VERSION, "name": name, "tabs": tabs}
-        conn.send_bytes(wire.encode(hello))
-        await conn.drain()
-        payload = await asyncio.wait_for(conn.recv(), connect_timeout)
-        if payload is None:
+        send({"kind": HELLO, "version": WIRE_VERSION, "name": name, "tabs": tabs})
+        first = await asyncio.wait_for(receive(), connect_timeout)
+        if first is None:
             raise ConnectionClosed("master closed the connection during the handshake")
-        # Plain pickle by declaration, here and for every frame below: the
-        # welcome may carry the function itself, and a volunteer runs its
-        # master's code by design.
-        welcome, _values = wire.decode(payload, trusted=True)
+        welcome = first[0]
         if welcome.get("kind") == END:
             # Refused: the stream had already terminated when we knocked.
             # Nothing to do and nothing went wrong — go home cleanly.
@@ -260,16 +275,16 @@ async def _volunteer_session(
 
         def suspect_master() -> None:
             report.suspected_master = True
-            conn.close_transport()
+            endpoint.fail(ConnectionClosed("the master went silent"))
 
         monitor = HeartbeatMonitor(
             LoopClock(loop),
-            send=conn.send_ping,
+            send=lambda: endpoint.write(ws.ping()),
             on_failure=suspect_master,
             interval=float(welcome.get("heartbeat_interval") or DEFAULT_INTERVAL),
             timeout=float(welcome.get("heartbeat_timeout") or DEFAULT_TIMEOUT),
         )
-        conn.on_traffic(monitor.touch)
+        endpoint.touch = monitor.touch
         monitor.start()
 
         results: "asyncio.Queue[Optional[asyncio.Future]]" = asyncio.Queue()
@@ -289,19 +304,14 @@ async def _volunteer_session(
                 if future is None:
                     return
                 parts, count, failure = await future
-                if failure is not None:
-                    report.error = f"task failed: {failure!r}"
-                try:
-                    conn.send_bytes(parts)
-                    await conn.drain()
-                except Exception as exc:
-                    if report.error is None:
-                        report.error = f"send failed: {exc!r}"
-                    return
+                # Never waits: the master's Limiter bounds what can pile up
+                # in the outbox to its window of frames.
+                endpoint.write(ws.wrap(parts))
                 if failure is not None:
                     # The master has been told (a RESULT with ok false) and
                     # fails this sub-stream: the session is over.
-                    conn.close_transport()
+                    report.error = f"task failed: {failure!r}"
+                    endpoint.fail(ConnectionClosed("a task failed"))
                     return
                 report.frames_processed += 1
                 report.values_processed += count
@@ -311,10 +321,10 @@ async def _volunteer_session(
             submitted = 0
             try:
                 while True:
-                    payload = await conn.recv()
-                    if payload is None:
+                    frame = await receive()
+                    if frame is None:
                         break
-                    record, values = wire.decode(payload, trusted=True)
+                    record, values = frame
                     kind = record.get("kind")
                     if kind == wire.DATA:
                         await results.put(
@@ -333,11 +343,12 @@ async def _volunteer_session(
         monitor.stop()
         if report.error is None and not report.suspected_master:
             if end_received or max_frames is not None:
-                with suppress(Exception):
-                    conn.send_bytes(wire.encode({"kind": BYE}))
-                    await conn.drain()
-                    conn.send_close()
-                    await conn.drain()
+                send({"kind": BYE})
+                endpoint.write(ws.close())
+                # the bye is said once the socket took it
+                deadline = loop.time() + connect_timeout
+                while endpoint.outbox and loop.time() < deadline:
+                    await asyncio.sleep(0.001)
                 report.graceful = True
             else:
                 report.error = "connection lost before the stream ended"
@@ -347,9 +358,9 @@ async def _volunteer_session(
     finally:
         if monitor is not None:
             monitor.stop()
-        report.pings_received = conn.pings_received
-        report.pongs_received = conn.pongs_received
-        conn.close_transport()
+        report.pings_received = ws.pings_received
+        report.pongs_received = ws.pongs_received
+        endpoint.close()
     return report
 
 

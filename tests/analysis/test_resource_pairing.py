@@ -71,6 +71,20 @@ class TestSeededViolations:
         assert len(findings) == 1
         assert "'ours'" in findings[0].message
 
+    def test_leaked_accepted_socket_is_caught(self, findings_of):
+        findings = findings_of(
+            """
+            def admit(listener, banned):
+                sock, address = listener.accept()
+                if address[0] in banned:
+                    return None  # bug: the connection is neither closed nor owned
+                return Endpoint(sock, HTTP_HEAD)
+            """,
+            CHECK,
+        )
+        assert len(findings) == 1
+        assert "socket 'sock'" in findings[0].message
+
     def test_discarded_acquire_is_caught(self, findings_of):
         findings = findings_of(
             """
@@ -118,6 +132,30 @@ class TestCleanExemplars:
                 ring.write(slot, data)
                 ring.release(slot)
                 return True
+            """,
+            CHECK,
+        )
+
+    def test_an_endpoint_owns_the_socket_it_is_given(self, findings_of):
+        # Endpoint.close() closes it: handing the socket over is the release.
+        assert not findings_of(
+            """
+            def admit(self, listener):
+                try:
+                    sock, address = listener.accept()
+                except OSError:
+                    return  # nothing to accept: nothing was acquired
+                sock.setsockopt(IPPROTO_TCP, TCP_NODELAY, 1)
+                self.connections.append(Endpoint(sock, HTTP_HEAD))
+
+            def dial(address):
+                sock = socket.socket()
+                try:
+                    sock.connect(address)
+                except OSError:
+                    sock.close()
+                    raise
+                return Endpoint(sock, HTTP_HEAD)
             """,
             CHECK,
         )

@@ -1,7 +1,7 @@
 """The one frame codec: fuzzed from the network side, round-tripped from ours.
 
-``wire.decode(..., trusted=False)`` and ``_read_ws_frame`` are the two
-functions that read bytes a network peer chose.  Whatever those bytes are —
+``wire.decode(..., trusted=False)`` and the ``WS`` framing are the two
+places that read bytes a network peer chose.  Whatever those bytes are —
 arbitrary, a valid frame cut short anywhere, a valid frame with a length
 field rewritten — the outcome is a value, a ``ProtocolError`` or the end of
 the stream: never another exception, never a hang (each example has a
@@ -13,7 +13,6 @@ placed in — the tail, a ring slot, the control record — it comes back equal.
 from __future__ import annotations
 
 import ast
-import asyncio
 import pathlib
 import socket
 import struct
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.net import wire
 from repro.net.shm_ring import ShmRing, load_entry, pack_frame, store_entry, unpack_frame
-from repro.net.ws_transport import OP_BINARY, WsConnection, _read_ws_frame, encode_ws_frame
+from repro.net.endpoint import OP_BINARY, WS, encode_ws_frame
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -264,44 +263,27 @@ class TestDecodeFuzz:
 
 
 # --------------------------------------------------------------------------
-# _read_ws_frame against a peer
+# The WS framing against a peer
 # --------------------------------------------------------------------------
 
 MAX_FRAME = 4096
 
 
-class CountingReader(asyncio.StreamReader):
-    """Records the largest read anyone asked of it."""
-
-    largest = 0
-
-    async def readexactly(self, n):
-        self.largest = max(self.largest, n)
-        return await super().readexactly(n)
-
-
-def read_outcome(data: bytes, masked: bool):
-    """Frames read from *data* until it ends: a list of payload lengths, then
-    ``"eof"`` or ``"refused"``."""
-
-    async def go():
-        reader = CountingReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        seen = []
-        try:
-            while True:
-                _fin, _opcode, payload = await _read_ws_frame(reader, MAX_FRAME, masked)
-                assert len(payload) <= MAX_FRAME
-                seen.append(len(payload))
-        except asyncio.IncompleteReadError:
-            seen.append("eof")
-        except ProtocolError:
-            seen.append("refused")
-        assert reader.largest <= max(MAX_FRAME, 8), reader.largest
-        return seen
-
-    return asyncio.run(asyncio.wait_for(go(), 5))
+def read_outcome(read_stream, data: bytes, masked: bool):
+    """Messages read from *data* until it ends: a list of their lengths, then
+    ``"eof"`` or ``"refused"``.  No buffer is ever sized by the peer instead
+    of by the limit."""
+    filed, _written, endpoint = read_stream(
+        WS(client_side=not masked, max_frame=MAX_FRAME), data
+    )
+    assert endpoint.finished
+    assert endpoint._payload is None or len(endpoint._payload) <= MAX_FRAME
+    *messages, end = filed
+    assert all(len(message) <= MAX_FRAME for message in messages)
+    assert isinstance(end, (EOFError, ProtocolError)), end
+    return [len(message) for message in messages] + [
+        "refused" if isinstance(end, ProtocolError) else "eof"
+    ]
 
 
 class TestReadFrameFuzz:
@@ -309,16 +291,16 @@ class TestReadFrameFuzz:
     @given(data=st.binary(max_size=200), masked=st.booleans())
     @example(data=bytes([0x82, 127]) + b"\xff" * 8, masked=False)
     @example(data=bytes([0x82, 0xFF]) + b"\xff" * 12, masked=True)
-    def test_arbitrary_bytes(self, data, masked):
-        assert read_outcome(data, masked)[-1] in ("eof", "refused")
+    def test_arbitrary_bytes(self, data, masked, read_stream):
+        assert read_outcome(read_stream, data, masked)[-1] in ("eof", "refused")
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.sampled_from([0, 5, 125, 126, 300, MAX_FRAME]), masked=st.booleans())
-    def test_every_truncation_of_a_valid_frame_ends_the_stream(self, size, masked):
+    def test_every_truncation_of_a_valid_frame_ends_the_stream(self, size, masked, read_stream):
         frame = bytes(encode_ws_frame(OP_BINARY, b"p" * size, mask=masked))
-        assert read_outcome(frame, masked) == [size, "eof"]
+        assert read_outcome(read_stream, frame, masked) == [size, "eof"]
         for cut in range(len(frame)):
-            assert read_outcome(frame[:cut], masked) == ["eof"], cut
+            assert read_outcome(read_stream, frame[:cut], masked) == ["eof"], cut
 
     @settings(max_examples=200, deadline=2000)
     @given(
@@ -326,39 +308,31 @@ class TestReadFrameFuzz:
         header=st.binary(min_size=2, max_size=10),
         masked=st.booleans(),
     )
-    def test_a_rewritten_header(self, size, header, masked):
+    def test_a_rewritten_header(self, size, header, masked, read_stream):
         frame = bytearray(encode_ws_frame(OP_BINARY, b"p" * size, mask=masked))
         frame[: len(header)] = header
-        assert read_outcome(bytes(frame), masked)[-1] in ("eof", "refused")
+        assert read_outcome(read_stream, bytes(frame), masked)[-1] in ("eof", "refused")
 
     @settings(max_examples=100, deadline=2000)
-    @given(data=st.binary(max_size=200), client_side=st.booleans())
-    def test_recv_ends_in_a_message_none_or_a_protocol_error(self, data, client_side):
-        class Writer:
-            def write(self, data):
-                pass
-
-            def is_closing(self):
-                return False
-
-            def close(self):
-                pass
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            conn = WsConnection(reader, Writer(), client_side=client_side, max_frame=MAX_FRAME)
-            try:
-                while await conn.recv() is not None:
-                    pass
-            except ProtocolError:
-                pass
-            assert conn.closed
-
-        asyncio.run(asyncio.wait_for(go(), 5))
-
-
+    @given(
+        data=st.binary(max_size=200),
+        client_side=st.booleans(),
+        cuts=st.lists(st.integers(0, 200), max_size=4),
+    )
+    def test_recv_ends_in_a_message_none_or_a_protocol_error(
+        self, data, client_side, cuts, read_stream
+    ):
+        # However the bytes arrive: messages, then the one way the stream
+        # ended, and a refusal is answered with a close frame.
+        filed, written, endpoint = read_stream(
+            WS(client_side, max_frame=MAX_FRAME), data, [cut % (len(data) + 1) for cut in cuts]
+        )
+        assert endpoint.finished
+        assert not any(isinstance(item, Exception) for item in filed[:-1])
+        assert isinstance(filed[-1], (EOFError, ProtocolError))
+        if isinstance(filed[-1], ProtocolError):
+            # the last thing written is a close frame (8 bytes masked, 4 not)
+            assert written[-8 if client_side else -4] == 0x88
 # --------------------------------------------------------------------------
 # Who may know the layout
 # --------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Properties first (the four-lane mask against a byte-wise reference, frames
 assembled from mixed parts), then ``tracemalloc`` pins on how many copies of
 a frame each direction holds at once — a copy count, not a timing — and the
-regressions for the framing rules :meth:`WsConnection.recv` enforces and for
-the late-volunteer refusal.
+regressions for the framing rules :class:`~repro.net.endpoint.WS` enforces and
+for the late-volunteer refusal.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -25,18 +26,19 @@ from hypothesis import strategies as st
 
 from repro.core.distributed_map import DistributedMap
 from repro.errors import ProtocolError
-from repro.net.ws_transport import (
+from repro.net import wire
+from repro.net.endpoint import (
     OP_BINARY,
     OP_CLOSE,
     OP_CONT,
     OP_PING,
-    WsConnection,
+    OP_PONG,
+    WS,
+    Endpoint,
     _apply_mask,
-    _read_ws_frame,
     encode_ws_frame,
-    pack_wire_parts,
-    unpack_wire_frame,
 )
+from repro.net.ws_transport import unpack_wire_frame
 from repro.pullstream import collect, from_iterable, pull, take
 from repro.worker import volunteer as volunteer_module
 from repro.worker import run_volunteer
@@ -46,37 +48,6 @@ MIB = 1 << 20
 
 def reference_mask(data: bytes, key: bytes) -> bytes:
     return bytes(byte ^ key[index % 4] for index, byte in enumerate(data))
-
-
-class FakeWriter:
-    """The slice of ``StreamWriter`` a :class:`WsConnection` uses."""
-
-    def __init__(self, keep: bool = True) -> None:
-        self.keep = keep
-        self.written = []
-        self.closed = False
-
-    def write(self, data) -> None:
-        if self.keep:
-            self.written.append(bytes(data))
-
-    def is_closing(self) -> bool:
-        return self.closed
-
-    def close(self) -> None:
-        self.closed = True
-
-    async def drain(self) -> None:
-        pass
-
-
-def connection(data: bytes, client_side: bool, **kwargs):
-    """A connection whose peer already sent *data* and hung up."""
-    reader = asyncio.StreamReader(limit=4 * MIB)
-    reader.feed_data(data)
-    reader.feed_eof()
-    writer = FakeWriter()
-    return WsConnection(reader, writer, client_side=client_side, **kwargs), writer
 
 
 def raw_frame(opcode: int, payload: bytes, fin: bool = True, key: bytes = b"") -> bytes:
@@ -133,7 +104,7 @@ class TestVolunteerColdStart:
         # numpy, no lint runner, no http.server, no mask table built yet.
         probe = (
             "import sys, repro.worker.volunteer\n"
-            "from repro.net.ws_transport import _xor_table\n"
+            "from repro.net.endpoint import _xor_table\n"
             "heavy = ['numpy', 'http.server', 'repro.analysis.runner',\n"
             "         'repro.analysis.checkers', 'repro.obs.http_endpoint']\n"
             "print([name for name in heavy if name in sys.modules],\n"
@@ -166,45 +137,52 @@ class TestVolunteerColdStart:
 _part = st.tuples(st.binary(max_size=300), st.sampled_from(["bytes", "bytearray", "view"]))
 
 
-def _decode(frame, masked):
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(bytes(frame))
-        reader.feed_eof()
-        return await _read_ws_frame(reader, 1 << 26, masked=masked)
+def recv_all(read_stream, data, client_side: bool, **kwargs):
+    """``(messages, written, ws)`` for a connection whose peer sent *data* and
+    hung up; what the framing refuses raises."""
+    ws = WS(client_side, **kwargs)
+    (*messages, end), written, _endpoint = read_stream(ws, bytes(data))
+    if isinstance(end, ProtocolError):
+        raise end
+    return messages, written, ws
 
-    return asyncio.run(go())
+
+def _decode(read_stream, frame, masked):
+    """The one message *frame* amounts to, read by the side that accepts it."""
+    assert frame[0] == 0x80 | OP_BINARY  # FIN set, binary
+    (message,) = recv_all(read_stream, frame, client_side=not masked)[0]
+    return message
 
 
 class TestFrameAssembly:
     @settings(max_examples=60, deadline=None)
     @given(parts=st.lists(_part, max_size=6), mask=st.booleans())
-    def test_mixed_parts_decode_to_their_concatenation(self, parts, mask):
+    def test_mixed_parts_decode_to_their_concatenation(self, parts, mask, read_stream):
         shapes = {"bytes": bytes, "bytearray": bytearray, "view": memoryview}
         shaped = [shapes[kind](data) for data, kind in parts]
         frame = encode_ws_frame(OP_BINARY, shaped, mask=mask)
-        fin, opcode, payload = _decode(frame, masked=mask)
-        assert fin and opcode == OP_BINARY
-        assert payload == b"".join(data for data, _kind in parts)
+        assert _decode(read_stream, frame, masked=mask) == b"".join(
+            data for data, _kind in parts
+        )
         # the caller's buffers are read, never written
         assert [bytes(part) for part in shaped] == [data for data, _kind in parts]
 
     @pytest.mark.parametrize("mask", [False, True])
-    def test_one_buffer_and_a_list_of_it_encode_alike(self, mask):
+    def test_one_buffer_and_a_list_of_it_encode_alike(self, mask, read_stream):
         payload = bytes(range(256)) * 300  # 76800 bytes: the 64-bit length form
-        single = _decode(encode_ws_frame(OP_BINARY, payload, mask=mask), masked=mask)
-        listed = _decode(encode_ws_frame(OP_BINARY, [payload], mask=mask), masked=mask)
-        assert single == listed == (True, OP_BINARY, payload)
+        single = _decode(read_stream, encode_ws_frame(OP_BINARY, payload, mask=mask), masked=mask)
+        listed = _decode(read_stream, encode_ws_frame(OP_BINARY, [payload], mask=mask), masked=mask)
+        assert single == listed == payload
 
     def test_masked_frames_use_a_fresh_key(self):
         frames = {bytes(encode_ws_frame(OP_BINARY, b"x" * 8, mask=True)[2:6]) for _ in range(8)}
         assert len(frames) > 1
 
-    def test_wire_parts_roundtrip_through_a_frame(self):
+    def test_wire_parts_roundtrip_through_a_frame(self, read_stream):
         values = [b"a" * 5000, bytearray(b"b" * 700), 7, memoryview(b"c" * 2048)]
-        parts = pack_wire_parts({"kind": "data", "seq": 3}, values, oob_min_bytes=512)
+        parts = wire.encode({"kind": "data", "seq": 3}, values, oob_min_bytes=512)
         assert parts[2:] == [values[0], values[1], values[3]]  # the values' own buffers
-        _fin, _opcode, payload = _decode(encode_ws_frame(OP_BINARY, parts, mask=True), masked=True)
+        payload = _decode(read_stream, encode_ws_frame(OP_BINARY, parts, mask=True), masked=True)
         record = unpack_wire_frame(payload)
         assert record["seq"] == 3
         assert record["values"] == [b"a" * 5000, bytearray(b"b" * 700), 7, b"c" * 2048]
@@ -228,33 +206,37 @@ def _traced_peak(fn) -> int:
 class TestCopyCount:
     def test_sending_a_frame_holds_one_buffer_and_two_lane_temporaries(self):
         tile = os.urandom(MIB)
-        conn = WsConnection(None, FakeWriter(keep=False), client_side=True)
+        ours, theirs = socket.socketpair()  # a peer that does not read
+        with theirs:
+            endpoint = Endpoint(ours, WS(client_side=True))
 
-        def send():
-            conn.send_bytes(pack_wire_parts({"kind": "data", "seq": 1}, [tile]))
+            def send():
+                endpoint.write(endpoint.framing.wrap(wire.encode({"kind": "data", "seq": 1}, [tile])))
 
-        peak = _traced_peak(send)
-        # the frame (1x) + one lane and its translation (2 x 0.25x)
-        assert MIB <= peak <= 1.75 * MIB, peak / MIB
-        assert conn.frames_sent == 1 and conn.bytes_sent > MIB
+            peak = _traced_peak(send)
+            # the frame (1x) + one lane and its translation (2 x 0.25x); what
+            # the socket did not take waits in the outbox as a view of it
+            assert MIB <= peak <= 1.75 * MIB, peak / MIB
+            assert 0 < wire.payload_size(endpoint.outbox) < MIB + 64
+            endpoint.close()
 
-    def test_receiving_a_frame_holds_at_most_the_frame_and_the_values(self):
+    def test_receiving_a_frame_holds_at_most_the_frame_and_the_values(self, read_stream):
         tile = os.urandom(MIB // 2)
-        wire = b"".join(pack_wire_parts({"kind": "result", "seq": 1}, [tile, tile]))
-        data = raw_frame(OP_BINARY, wire, key=b"\x11\x22\x33\x44")
+        payload = b"".join(wire.encode({"kind": "result", "seq": 1}, [tile, tile]))
+        data = raw_frame(OP_BINARY, payload, key=b"\x11\x22\x33\x44")
 
-        async def receive():
-            tracemalloc.start()  # inside the loop: its own set-up is not the path's
-            try:
-                conn, _writer = connection(data, client_side=False)
-                record = unpack_wire_frame(await conn.recv())
-                return record, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def receive():
+            (message, _end), _written, _endpoint = read_stream(WS(client_side=False), data)
+            return unpack_wire_frame(message)
 
-        record, peak = asyncio.run(receive())
+        tracemalloc.start()
+        try:
+            record = receive()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert record["values"] == [tile, tile]
-        # the reader's buffer and the frame (2x), then the frame and its
+        # the frame, received into the buffer it is unmasked in, and its
         # lanes (1.5x), then the frame and the owned values (2x)
         assert peak <= 2.75 * len(data), peak / len(data)
 
@@ -264,94 +246,76 @@ class TestCopyCount:
 # --------------------------------------------------------------------------
 
 
-def recv_all(data: bytes, client_side: bool, **kwargs):
-    """Messages received until the connection finishes; also the writer."""
-
-    async def go():
-        conn, writer = connection(data, client_side, **kwargs)
-        messages = []
-        while True:
-            message = await conn.recv()
-            if message is None:
-                return messages, writer, conn
-            messages.append(bytes(message))
-
-    return asyncio.run(go())
-
-
 KEY = b"\xa1\xb2\xc3\xd4"
 
 
 class TestMaskDirection:
-    def test_gateway_side_refuses_an_unmasked_frame(self):
+    def test_gateway_side_refuses_an_unmasked_frame(self, read_stream):
         with pytest.raises(ProtocolError, match="an unmasked websocket frame"):
-            recv_all(raw_frame(OP_BINARY, b"hello"), client_side=False)
+            recv_all(read_stream, raw_frame(OP_BINARY, b"hello"), client_side=False)
 
-    def test_volunteer_side_refuses_a_masked_frame(self):
+    def test_volunteer_side_refuses_a_masked_frame(self, read_stream):
         with pytest.raises(ProtocolError, match="a masked websocket frame"):
-            recv_all(raw_frame(OP_BINARY, b"hello", key=KEY), client_side=True)
+            recv_all(read_stream, raw_frame(OP_BINARY, b"hello", key=KEY), client_side=True)
 
-    def test_each_side_accepts_the_other_sides_frames(self):
+    def test_each_side_accepts_the_other_sides_frames(self, read_stream):
         # What a client connection writes, a server connection reads, and back.
-        client = WsConnection(None, FakeWriter(), client_side=True)
-        client.send_bytes([b"from the ", bytearray(b"volunteer")])
-        sent = b"".join(client._writer.written)
+        sent = b"".join(WS(client_side=True).wrap([b"from the ", bytearray(b"volunteer")]))
         assert sent[1] & 0x80  # volunteers still mask
-        assert recv_all(sent, client_side=False)[0] == [b"from the volunteer"]
+        assert recv_all(read_stream, sent, client_side=False)[0] == [b"from the volunteer"]
 
-        server = WsConnection(None, FakeWriter(), client_side=False)
-        server.send_bytes(b"from the master")
-        sent = b"".join(server._writer.written)
+        sent = b"".join(WS(client_side=False).wrap(b"from the master"))
         assert not sent[1] & 0x80  # the master never does
-        assert recv_all(sent, client_side=True)[0] == [b"from the master"]
+        assert recv_all(read_stream, sent, client_side=True)[0] == [b"from the master"]
 
-    def test_a_refusal_answers_with_close_code_1002(self):
-        async def go():
-            conn, writer = connection(raw_frame(OP_BINARY, b"x"), client_side=False)
-            with pytest.raises(ProtocolError):
-                await conn.recv()
-            return conn, writer
-
-        conn, writer = asyncio.run(go())
-        assert conn.closed
-        assert writer.written == [bytes([0x80 | OP_CLOSE, 2]) + struct.pack("!H", 1002)]
+    def test_a_refusal_answers_with_close_code_1002(self, read_stream):
+        filed, written, endpoint = read_stream(
+            WS(client_side=False), raw_frame(OP_BINARY, b"x"), eof=False
+        )
+        assert len(filed) == 1 and isinstance(filed[0], ProtocolError)
+        assert endpoint.finished
+        assert written == bytes([0x80 | OP_CLOSE, 2]) + struct.pack("!H", 1002)
 
 
 class TestControlFrames:
-    def test_control_frame_longer_than_125_bytes_is_refused(self):
+    def test_control_frame_longer_than_125_bytes_is_refused(self, read_stream):
         with pytest.raises(ProtocolError, match="control frame"):
-            recv_all(raw_frame(OP_PING, b"p" * 126), client_side=True)
+            recv_all(read_stream, raw_frame(OP_PING, b"p" * 126), client_side=True)
 
-    def test_fragmented_control_frame_is_refused(self):
+    def test_fragmented_control_frame_is_refused(self, read_stream):
         with pytest.raises(ProtocolError, match="control frame"):
-            recv_all(raw_frame(OP_PING, b"hb", fin=False), client_side=True)
+            recv_all(read_stream, raw_frame(OP_PING, b"hb", fin=False), client_side=True)
 
-    def test_the_refusal_precedes_the_payload(self):
+    def test_the_refusal_precedes_the_payload(self, read_stream):
         # Only the 2-byte header ever arrives: the refusal must not wait for
-        # the 2^63 bytes the header announces.
+        # the 2^63 bytes the header announces — and allocates none of them.
         header = bytes([0x80 | OP_PING, 127])
+        filed, _written, _endpoint = read_stream(WS(client_side=True), header, eof=False)
         with pytest.raises(ProtocolError, match="control frame"):
-            recv_all(header, client_side=True)
+            raise filed[0]
 
-    def test_a_125_byte_ping_is_answered(self):
+    def test_a_125_byte_ping_is_answered(self, read_stream):
         data = raw_frame(OP_PING, b"p" * 125) + raw_frame(OP_BINARY, b"after")
-        messages, writer, conn = recv_all(data, client_side=True)
+        messages, written, ws = recv_all(read_stream, data, client_side=True)
         assert messages == [b"after"]
-        assert conn.pings_received == 1
-        _fin, opcode, payload = _decode(writer.written[0], masked=True)
-        assert (opcode, payload) == (0xA, b"p" * 125)
+        assert ws.pings_received == 1
+        # the answer is one masked pong with the ping's payload
+        assert written[0] == 0x80 | OP_PONG and written[1] == 0x80 | 125
+        pong = bytearray(written[6:])
+        _apply_mask(pong, written[2:6])
+        assert pong == b"p" * 125
 
 
 class TestFragmentBound:
-    def test_pieces_that_each_fit_cannot_outgrow_max_frame(self):
+    def test_pieces_that_each_fit_cannot_outgrow_max_frame(self, read_stream):
         # 4 x 40 bytes, each under the 100-byte limit, 160 in total.
         data = raw_frame(OP_BINARY, b"a" * 40, fin=False) + b"".join(
             raw_frame(OP_CONT, b"a" * 40, fin=False) for _ in range(3)
         )
         with pytest.raises(ProtocolError, match="exceeds"):
-            recv_all(data, client_side=True, max_frame=100)
+            recv_all(read_stream, data, client_side=True, max_frame=100)
 
-    def test_a_fragmented_message_of_exactly_max_frame_passes(self):
+    def test_a_fragmented_message_of_exactly_max_frame_passes(self, read_stream):
         data = (
             raw_frame(OP_BINARY, b"a" * 40, fin=False)
             + raw_frame(OP_PING, b"hb")  # control frames may interleave
@@ -359,24 +323,24 @@ class TestFragmentBound:
             + raw_frame(OP_CONT, b"c" * 20)
             + raw_frame(OP_BINARY, b"d" * 100)  # the budget is per message
         )
-        messages, _writer, conn = recv_all(data, client_side=True, max_frame=100)
+        messages, _written, ws = recv_all(read_stream, data, client_side=True, max_frame=100)
         assert messages == [b"a" * 40 + b"b" * 40 + b"c" * 20, b"d" * 100]
-        assert conn.pings_received == 1
+        assert ws.pings_received == 1
 
-    def test_a_new_message_inside_a_fragmented_one_is_refused(self):
+    def test_a_new_message_inside_a_fragmented_one_is_refused(self, read_stream):
         data = raw_frame(OP_BINARY, b"abc", fin=False) + raw_frame(OP_BINARY, b"def")
         with pytest.raises(ProtocolError, match="inside a fragmented message"):
-            recv_all(data, client_side=True)
+            recv_all(read_stream, data, client_side=True)
         with pytest.raises(ProtocolError, match="without a start"):
-            recv_all(raw_frame(OP_CONT, b"def"), client_side=True)
+            recv_all(read_stream, raw_frame(OP_CONT, b"def"), client_side=True)
 
-    def test_masked_fragments_reassemble(self):
+    def test_masked_fragments_reassemble(self, read_stream):
         data = (
             raw_frame(OP_BINARY, b"abc", fin=False, key=KEY)
             + raw_frame(OP_CONT, b"", fin=False, key=KEY)
             + raw_frame(OP_CONT, b"defg", key=KEY)
         )
-        assert recv_all(data, client_side=False)[0] == [b"abcdefg"]
+        assert recv_all(read_stream, data, client_side=False)[0] == [b"abcdefg"]
 
 
 # --------------------------------------------------------------------------
@@ -436,7 +400,7 @@ class TestLateVolunteer:
         assert gateway.volunteers_joined == 1  # the refused ones never joined
 
     def test_hello_queued_at_stop_is_answered_and_exits_gracefully(self, caplog):
-        """Regression: a volunteer whose hello sat in the gateway's inbox
+        """Regression: a volunteer whose hello was filed but not dispatched
         when ``stop()`` ran was answered by the final dispatch, but the loop
         never spun again — its handler task was destroyed pending and the
         volunteer left on its own heartbeat suspicion."""
@@ -451,8 +415,8 @@ class TestLateVolunteer:
             target=lambda: box.setdefault("late", run_volunteer(gateway.url)), daemon=True
         )
         late.start()
-        # Spin the loop without dispatching: the handler task shakes hands,
-        # queues the hello and parks until the gateway answers it.
+        # Spin the loop without dispatching: the connection is accepted and
+        # upgraded, and its hello is filed until the gateway takes it.
         deadline = time.monotonic() + 15
         while not gateway.ready() and time.monotonic() < deadline:
             dmap.scheduler.run_coroutine(asyncio.sleep(0.02))
@@ -470,3 +434,34 @@ class TestLateVolunteer:
         assert report.graceful and report.error is None
         assert not report.suspected_master
         assert "Task was destroyed" not in caplog.text
+
+    def test_a_volunteer_still_connecting_at_close_exits_zero(self):
+        """Regression: a volunteer whose connection sat in the listening
+        socket's backlog when ``close()`` ran — nobody had spun the loop since
+        it dialled — found the socket reset (``connect failed``, exit 1)
+        instead of being served like any other late volunteer."""
+        dmap = DistributedMap()
+        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+        sink = pull(from_iterable(range(4)), dmap, collect())
+        box = {}
+        first = threading.Thread(
+            target=lambda: box.setdefault("first", run_volunteer(gateway.url)), daemon=True
+        )
+        first.start()
+        try:
+            dmap.drive(sink, timeout=30)
+            assert sink.result() == [0, -1, -2, -3]
+            late = threading.Thread(
+                target=lambda: box.setdefault("late", volunteer_module.main([gateway.url])),
+                daemon=True,
+            )
+            late.start()
+            time.sleep(0.5)  # it has dialled and waits for its upgrade; the loop stands still
+        finally:
+            dmap.close()
+            first.join(10)
+        late.join(10)
+        assert not late.is_alive()
+        assert box["late"] == 0
+        assert box["first"].graceful
+        assert gateway.volunteers_crashed == 0 and gateway.suspicions == 0

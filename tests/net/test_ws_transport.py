@@ -13,29 +13,34 @@ import asyncio
 import gc
 import logging
 import pickle
+import socket
 import struct
 import threading
+import time
+import tracemalloc
 
 import pytest
 
 from repro.core.distributed_map import DistributedMap
 from repro.errors import PandoError, ProtocolError
 from repro.net import wire
-from repro.net.ws_transport import (
+from repro.net.endpoint import (
+    HTTP_HEAD,
     OP_BINARY,
-    OP_CLOSE,
     OP_CONT,
+    WS,
+    Endpoint,
+    _apply_mask,
+    encode_ws_frame,
+)
+from repro.net.ws_transport import (
     WIRE_VERSION,
     LoopClock,
-    WsConnection,
-    _apply_mask,
-    _read_ws_frame,
     connect_websocket,
-    encode_ws_frame,
     pack_wire_frame,
     parse_ws_url,
-    server_handshake,
     unpack_wire_frame,
+    upgrade_response,
 )
 from repro.pullstream import collect, from_iterable, pull
 from repro.worker import run_volunteer
@@ -94,14 +99,13 @@ class TestWireCodec:
 # --------------------------------------------------------------------------
 
 
-def _decode(data: bytes, masked: bool, max_frame: int = 1 << 26):
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await _read_ws_frame(reader, max_frame, masked)
-
-    return asyncio.run(go())
+def received(read_stream, data: bytes, masked: bool, max_frame: int = 1 << 26):
+    """The messages the side that accepts *masked* frames files for *data*;
+    a refusal raises."""
+    *messages, end = read_stream(WS(client_side=not masked, max_frame=max_frame), data)[0]
+    if isinstance(end, ProtocolError):
+        raise end
+    return messages
 
 
 class TestFraming:
@@ -118,43 +122,23 @@ class TestFraming:
 
     @pytest.mark.parametrize("size", [0, 5, 125, 126, 65535, 65536, 100_000])
     @pytest.mark.parametrize("mask", [False, True])
-    def test_encode_decode_roundtrip(self, size, mask):
+    def test_encode_decode_roundtrip(self, size, mask, read_stream):
         payload = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
-        fin, opcode, out = _decode(encode_ws_frame(OP_BINARY, payload, mask=mask), mask)
-        assert fin and opcode == OP_BINARY
-        assert out == payload
+        frame = encode_ws_frame(OP_BINARY, payload, mask=mask)
+        assert frame[0] == 0x80 | OP_BINARY  # FIN set, one binary frame
+        assert received(read_stream, frame, mask) == [payload]
 
-    def test_oversized_frame_is_refused(self):
+    def test_oversized_frame_is_refused(self, read_stream):
         frame = encode_ws_frame(OP_BINARY, b"x" * 1000, mask=False)
         with pytest.raises(ProtocolError):
-            _decode(frame, masked=False, max_frame=100)
+            received(read_stream, frame, masked=False, max_frame=100)
 
-    def test_fragmented_message_reassembles(self):
+    def test_fragmented_message_reassembles(self, read_stream):
         # FIN=0 BINARY then FIN=1 CONT — hand-built headers.
         first = bytes([OP_BINARY, 3]) + b"abc"
         final = bytes([0x80 | OP_CONT, 3]) + b"def"
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(first + final)
-            reader.feed_eof()
-            writer_closed = []
-
-            class _W:
-                def write(self, data):
-                    pass
-
-                def is_closing(self):
-                    return False
-
-                def close(self):
-                    writer_closed.append(True)
-
-            # unmasked frames: this is the volunteer's end of the wire
-            conn = WsConnection(reader, _W(), client_side=True)
-            return await conn.recv()
-
-        assert asyncio.run(go()) == b"abcdef"
+        # unmasked frames: this is the volunteer's end of the wire
+        assert received(read_stream, first + final, masked=False) == [b"abcdef"]
 
     def test_parse_ws_url(self):
         assert parse_ws_url("ws://127.0.0.1:5000") == ("127.0.0.1", 5000, "/")
@@ -171,52 +155,63 @@ class TestFraming:
 class TestHandshake:
     def test_client_server_handshake_and_echo(self):
         async def go():
-            async def handler(reader, writer):
-                await server_handshake(reader, writer)
-                conn = WsConnection(reader, writer, client_side=False)
-                while True:
-                    payload = await conn.recv()
-                    if payload is None:
-                        break
-                    conn.send_bytes(payload)
-                conn.close_transport()
+            loop = asyncio.get_running_loop()
+            served = []
 
-            server = await asyncio.start_server(handler, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            conn = await connect_websocket(f"ws://127.0.0.1:{port}")
-            conn.send_bytes(b"ping me back")
-            await conn.drain()
-            echoed = await asyncio.wait_for(conn.recv(), 5)
-            conn.send_ping()
-            conn.send_close()
-            closed = await asyncio.wait_for(conn.recv(), 5)
-            conn.close_transport()
-            server.close()
-            await server.wait_closed()
-            return echoed, closed
+            def on_filed(endpoint):
+                while endpoint.inbox:
+                    message = endpoint.inbox.popleft()
+                    if isinstance(message, Exception):
+                        endpoint.close()
+                    elif endpoint.framing is HTTP_HEAD:
+                        endpoint.write([upgrade_response(message)])
+                        endpoint.framing = WS(client_side=False)
+                    else:
+                        endpoint.write(endpoint.framing.wrap(message))
 
-        echoed, closed = asyncio.run(go())
+            def on_accept():
+                served.append(Endpoint(listener.accept()[0], HTTP_HEAD))
+                served[-1].watch(loop, on_filed)
+
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                listener.setblocking(False)
+                loop.add_reader(listener, on_accept)
+                port = listener.getsockname()[1]
+                endpoint, messages = await connect_websocket(f"ws://127.0.0.1:{port}")
+                ws = endpoint.framing
+                endpoint.write(ws.wrap(b"ping me back"))
+                echoed = await asyncio.wait_for(messages.get(), 5)
+                endpoint.write(ws.ping())
+                endpoint.write(ws.close())
+                closed = await asyncio.wait_for(messages.get(), 5)
+                endpoint.close()
+                loop.remove_reader(listener)
+            return echoed, closed, ws, served
+
+        echoed, closed, ws, served = asyncio.run(go())
         assert echoed == b"ping me back"
-        assert closed is None
+        assert isinstance(closed, EOFError) and ws.close_code == 1000
+        assert ws.pongs_received == 1
+        assert [endpoint.closed for endpoint in served] == [True]
 
     def test_non_websocket_request_is_rejected(self):
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-            written = []
-
-            class _W:
-                def write(self, data):
-                    written.append(data)
-
-                async def drain(self):
-                    pass
-
-            with pytest.raises(ProtocolError):
-                await server_handshake(reader, _W())
-            return b"".join(written)
-
-        response = asyncio.run(go())
+        request = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"
+        with pytest.raises(ProtocolError):
+            upgrade_response(request)
+        # ... and a live gateway says so in HTTP, then hangs up
+        with DistributedMap() as dmap:
+            gateway = dmap.serve_volunteers()
+            with socket.create_connection(("127.0.0.1", gateway.port), timeout=5) as sock:
+                sock.sendall(request)
+                sock.setblocking(False)
+                response, deadline = b"", time.monotonic() + 10
+                while not response.endswith(b"\r\n\r\n") and time.monotonic() < deadline:
+                    dmap.scheduler.run_coroutine(asyncio.sleep(0.01))
+                    try:
+                        response += sock.recv(4096)
+                    except BlockingIOError:
+                        pass
+            assert gateway.live()  # still listening
         assert response.startswith(b"HTTP/1.1 400")
 
 
@@ -492,24 +487,20 @@ def hostile_session(url, forge, box, refused):
     values)`` and record how the gateway ends the connection."""
 
     async def session():
-        conn = await connect_websocket(url)
+        endpoint, messages = await connect_websocket(url)
+        ws = endpoint.framing
         try:
             hello = {"kind": "hello", "version": WIRE_VERSION, "name": "liar", "tabs": 1}
-            conn.send_bytes(wire.encode(hello))
-            await conn.drain()
-            welcome, _ = wire.decode(await conn.recv(), trusted=True)
+            endpoint.write(ws.wrap(wire.encode(hello)))
+            welcome, _ = wire.decode(await messages.get(), trusted=True)
             assert welcome["kind"] == "welcome"
-            record, values = wire.decode(await conn.recv(), trusted=True)
-            conn.send_bytes(forge(record, values))
-            await conn.drain()
-            while True:  # raw frames: recv() hides the close code
-                _fin, opcode, payload = await _read_ws_frame(
-                    conn._reader, 1 << 26, masked=False
-                )
-                if opcode == OP_CLOSE:
-                    return struct.unpack("!H", payload[:2])[0]
+            record, values = wire.decode(await messages.get(), trusted=True)
+            endpoint.write(ws.wrap(forge(record, values)))
+            while not isinstance(await messages.get(), Exception):
+                pass
+            return ws.close_code
         finally:
-            conn.close_transport()
+            endpoint.close()
 
     try:
         box["close"] = asyncio.run(asyncio.wait_for(session(), 20))
@@ -564,6 +555,53 @@ class TestHostilePeers:
         assert event.fields["worker"] == "liar"
         if lie == "a __reduce__ gadget":
             assert "builtins.exec" in event.fields["reason"]
+
+    def test_an_anonymous_peer_cannot_make_the_master_allocate(self):
+        """Before its hello is welcomed a connection may announce 64 KiB, not
+        the 256 MiB a volunteer's frame may be: the refusal — close 1002, a
+        ``frame_refused`` trace event — happens on the header, and nothing
+        near the announced size is ever allocated."""
+        dmap = DistributedMap()
+        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+        box = {}
+
+        async def session():
+            endpoint, messages = await connect_websocket(gateway.url)
+            try:
+                # a masked binary frame announcing 200 MiB, and its first KiB
+                header = bytes([0x80 | OP_BINARY, 0x80 | 127]) + struct.pack("!Q", 200 << 20)
+                endpoint.write([header + b"\0\0\0\0" + b"x" * 1024])
+                while not isinstance(await messages.get(), Exception):
+                    pass
+                return endpoint.framing.close_code
+            finally:
+                endpoint.close()
+
+        def peer():
+            try:
+                box["close"] = asyncio.run(asyncio.wait_for(session(), 20))
+            except Exception as exc:  # asserted below
+                box["close"] = exc
+
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=peer, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 20
+            while "close" not in box and time.monotonic() < deadline:
+                dmap.scheduler.run_coroutine(asyncio.sleep(0.01))
+                while gateway.dispatch():
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            dmap.close()
+            thread.join(10)
+        assert box["close"] == 1002
+        assert peak < 1 << 20, peak
+        (event,) = dmap.obs.trace.events("frame_refused")
+        assert "exceeds" in event.fields["reason"]
+        assert gateway.volunteers_joined == 0 and gateway.volunteers_crashed == 0
 
 
 class TestVolunteerCli:

@@ -25,9 +25,10 @@ import pytest
 
 from repro.core.distributed_map import DistributedMap
 from repro.core.limiter import Limiter
-from repro.errors import FrameCancelled, WorkerCrashed
+from repro.errors import FrameCancelled, PandoError, WorkerCrashed
+from repro.net import wire
 from repro.net.serialization import Batch
-from repro.pool import ProcessPoolWorker
+from repro.pool import ProcessPoolWorker, process_pool
 from repro.pullstream import collect, pull, values
 
 ECHO = "repro.pool.workloads:echo"
@@ -84,6 +85,38 @@ class TestNoBlockingWrite:
         with ProcessPoolWorker(ECHO, processes=1) as pool:
             sink = pull(values(inputs), Limiter(pool, 3), collect())
             assert sink.result() == inputs
+
+
+def stalls_mid_reply(sock, *_config):
+    """A pool child that writes half of its first reply and then stops —
+    descheduled, SIGSTOPped, swapped out — until the master hangs up."""
+    for inherited in list(process_pool._MASTER_ENDS):
+        inherited.close()
+    record, values_ = wire.decode(wire.read_pipe_message(sock), trusted=True)
+    reply = {"kind": wire.RESULT, "seq": record["seq"], "ok": True}
+    message = b"".join(wire.pipe_message(wire.encode(reply, values_)))
+    sock.sendall(message[: len(message) // 2])
+    while sock.recv(1 << 16):  # prefetched frames; then EOF once the pool closes
+        pass
+
+
+class TestASlowChildHoldsUpNobody:
+    def test_a_child_stalled_mid_reply_does_not_wedge_the_master(self, monkeypatch):
+        """The master used to wait on the loop thread for the *whole* reply
+        once its first byte was readable: every other pool's replies, every
+        gateway heartbeat and the pump's own timeout waited with it."""
+        monkeypatch.setattr(process_pool, "_child_main", stalls_mid_reply)
+        dmap = DistributedMap(batch_size=1)
+        sink = pull(values([b"v" * 4096, b"w" * 4096]), dmap, collect())
+        try:
+            dmap.add_process_pool(ECHO, processes=1)
+            started = time.monotonic()
+            with pytest.raises(PandoError, match="timed out"):
+                dmap.drive(sink, timeout=1)
+            assert 0.9 <= time.monotonic() - started < 3.0
+        finally:
+            dmap.close()
+        assert wait_for_no_children(5)
 
 
 class TestNothingATaskDoesEndsTheChild:

@@ -9,8 +9,9 @@ import pytest
 
 from repro.core.distributed_map import DistributedMap
 from repro.errors import PandoError
+from repro.net.endpoint import Endpoint
 from repro.pullstream import Pushable, collect, drain, find, pull, values
-from repro.sched import EventLoopScheduler, EventSource, PoolEventSource
+from repro.sched import EventLoopScheduler, EventSource
 from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import Scheduler
 
@@ -82,26 +83,26 @@ class TestOneWaitPath:
         def recording(cls, name, log):
             original = getattr(cls, name)
             monkeypatch.setattr(
-                cls, name, lambda self, *args: (log.append(args), original(self, *args))[1]
+                cls, name, lambda self, *args: (log.append(self), original(self, *args))[1]
             )
 
         crossings, watched, unwatched = [], [], []
         recording(EventLoopScheduler, "wake", crossings)
-        recording(PoolEventSource, "watch", watched)
-        recording(PoolEventSource, "unwatch", unwatched)
+        recording(Endpoint, "watch", watched)
+        recording(Endpoint, "close", unwatched)
         with DistributedMap(batch_size=1) as dmap:
             inputs = [{"sleep": 0.005, "i": i} for i in range(8)]
             sink = pull(values(inputs), dmap, collect())
             handle = dmap.add_process_pool(SLEEPER, processes=1)
             # The pipe went on the loop's selector when the child started.
-            assert watched == [(handle.pool.children[0],)]
+            assert watched == [handle.pool.children[0]]
             dmap.drive(sink, timeout=30)
             assert sink.result() == inputs
             assert dmap.scheduler.wakeups > 0
             # Nothing crossed over from another thread: the only thread-safe
             # wake is the sink reporting completion.
             assert len(crossings) == 1
-        # Shutdown took the pipe off the selector before closing it.
+        # Shutdown took the pipe off the selector as it closed it.
         assert unwatched == watched
 
     def test_a_port_registered_mid_run_wakes_the_same_wait(self):
@@ -161,17 +162,6 @@ class TestOneWaitPath:
             dmap.add_process_pool("repro.pool.workloads:times10", processes=1)
             dmap.drive(sink, timeout=30)
             assert sink.result() == [10, 20, 30]
-
-    def test_unregister_takes_a_source_out_of_the_rounds(self):
-        sched = EventLoopScheduler()
-        try:
-            port = sched.register_pushable()
-            assert sched.sources == [port]
-            assert sched.unregister(port)
-            assert not sched.unregister(port)  # absent
-            assert sched.sources == []
-        finally:
-            sched.close()
 
 
 class TestCancellationFanOut:
@@ -295,6 +285,30 @@ class TestFailureModes:
                 dmap.drive(sink, timeout=5)
             assert len(seen) == 5
             assert dmap.scheduler.stalls == 0
+
+    def test_a_sink_that_raises_on_a_volunteers_result_raises_out_of_drive(self):
+        """A volunteer's result goes down the stream from the reader callback
+        of its socket, exactly as a pool's does: same rule, same carrier."""
+        from repro.worker import run_volunteer
+
+        seen = []
+
+        def on_result(value):
+            seen.append(value)
+            if len(seen) == 3:
+                raise RuntimeError("the sink failed on its 3rd result")
+
+        with DistributedMap(batch_size=1) as dmap:
+            sink = pull(values(list(range(20))), dmap, drain(on_result))
+            gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+            volunteer = threading.Thread(target=run_volunteer, args=(gateway.url,), daemon=True)
+            volunteer.start()
+            with pytest.raises(RuntimeError, match="3rd result"):
+                dmap.drive(sink, timeout=10)
+            assert seen == [0, -1, -2]
+            assert dmap.scheduler.stalls == 0
+        volunteer.join(10)
+        assert not volunteer.is_alive()
 
     def test_run_requires_a_sink(self):
         sched = EventLoopScheduler()

@@ -17,7 +17,7 @@ import random
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.lender import StreamLender, UnorderedStreamLender
-from ..pullstream import collect, pull, values
+from ..pullstream import collect, eager_pump, pull, values
 from ..pullstream.protocol import DONE, check_protocol
 from .base import Application, NodeCallback, registry
 
@@ -55,28 +55,19 @@ def run_random_execution(seed: int, ordered: bool = True) -> Dict[str, Any]:
     processed_counts = {sub.id: 0 for sub in subs}
 
     def drive(sub) -> None:
-        state = {"active": True}
+        limit = crash_after[sub.id]
 
-        def ask() -> None:
-            if not state["active"]:
-                return
-            limit = crash_after[sub.id]
-            if limit is not None and processed_counts[sub.id] >= limit:
-                # Crash-stop: abort the borrow stream, never answer again.
-                state["active"] = False
-                sub.source(DONE, lambda _e, _v: None)
-                return
-            sub.source(None, answer)
-
-        def answer(end, value) -> None:
-            if end is not None:
-                state["active"] = False
-                return
+        def borrowed(value) -> None:
             processed_counts[sub.id] += 1
             results_to_send.setdefault(sub.id, []).append(value * 2)
-            ask()
 
-        ask()
+        def crashed() -> Optional[Any]:
+            # Crash-stop: abort the borrow stream, never answer again.
+            if limit is not None and processed_counts[sub.id] >= limit:
+                return DONE
+            return None
+
+        eager_pump(sub.source, borrowed, lambda _end: None, crashed)
 
     results_to_send: Dict[int, List[int]] = {}
     # Interleave: drive sub-streams in random order, then deliver results.
@@ -104,17 +95,11 @@ def run_random_execution(seed: int, ordered: bool = True) -> Dict[str, Any]:
         survivor_results = pushable()
         survivor.sink(survivor_results)
 
-        def mop_ask() -> None:
-            survivor.source(None, mop_answer)
-
-        def mop_answer(end, value) -> None:
-            if end is not None:
-                survivor_results.end()
-                return
-            survivor_results.push(value * 2)
-            mop_ask()
-
-        mop_ask()
+        eager_pump(
+            survivor.source,
+            lambda value: survivor_results.push(value * 2),
+            lambda _end: survivor_results.end(),
+        )
 
     ok = output.done
     delivered = list(output.value or []) if output.done else []

@@ -20,6 +20,14 @@ model (paper Table 1) independently of any communication protocol:
   through a reordering buffer; :class:`UnorderedStreamLender` relaxes this
   for synchronous-parallel-search workloads (paper section 4.2).
 
+The upstream pump and every sub-stream's result drain run on the core's one
+re-entrancy trampoline (:class:`~repro.pullstream.loop.Loop`, through
+:func:`~repro.pullstream.sinks.eager_pump` for the drain).  A borrower at the
+head of the ask queue is read for at once, so a framer asking again from its
+own answer's cascade still fills its frame; an ask queued behind others
+waits for the pump's next turn — a crowd of synchronous workers attached
+before the source is served on one stack instead of one nested read each.
+
 Usage mirrors the JavaScript ``pull-lend-stream`` module (paper Figure 9)::
 
     lender = StreamLender()
@@ -39,7 +47,9 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError, StreamAborted
+from ..pullstream.loop import Loop
 from ..pullstream.protocol import DONE, Callback, End, Source, is_error
+from ..pullstream.sinks import eager_pump
 from .reorder import ReorderBuffer
 
 __all__ = ["StreamLender", "UnorderedStreamLender", "SubStream", "LenderStats"]
@@ -105,40 +115,19 @@ class SubStream:
     # -- result side --------------------------------------------------------
     def _make_sink(self) -> Callable[[Source], None]:
         def sink(read: Source) -> None:
-            self._drive_results(read)
+            eager_pump(read, self._on_result, self._on_end)
 
         sink.pull_role = "sink"
         return sink
 
-    def _drive_results(self, read: Source) -> None:
-        state = {"looping": False, "pending": False}
+    def _on_result(self, result: Any) -> None:
+        # A closed sub-stream's late results are drained and dropped: its
+        # borrowed values were already re-lent.
+        if not self.closed:
+            self._lender._substream_result(self, result)
 
-        def ask() -> None:
-            if state["looping"]:
-                state["pending"] = True
-                return
-            state["looping"] = True
-            state["pending"] = True
-            while state["pending"]:
-                state["pending"] = False
-                answered = [False]
-
-                def answer(end: End, value: Any) -> None:
-                    answered[0] = True
-                    if end is not None:
-                        self._lender._close_substream(self, end)
-                        return
-                    if self.closed:
-                        return
-                    self._lender._substream_result(self, value)
-                    ask()
-
-                read(None, answer)
-                if not answered[0]:
-                    break
-            state["looping"] = False
-
-        ask()
+    def _on_end(self, end: End) -> None:
+        self._lender._close_substream(self, end)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "closed" if self.closed else "open"
@@ -184,6 +173,7 @@ class StreamLender:
         self._substreams: List[SubStream] = []
         #: sub-streams not yet closed (what shard placement balances on)
         self.open_substreams = 0
+        self._pump_upstream = Loop(self._read_upstream).run
 
     # ------------------------------------------------------------------ API
     def __call__(self, read: Source) -> Source:
@@ -247,7 +237,15 @@ class StreamLender:
             self._wait_on_others(sub, cb)
             return
         self._ask_queue.append((sub, cb))
-        self._pump_upstream()
+        if len(self._ask_queue) == 1:
+            # Next in line: read for this asker now, so a borrower asking
+            # again from its own answer's cascade (a framer filling a batch)
+            # is answered synchronously.  An ask behind others waits for the
+            # pump's next turn: nesting a read for someone else would recurse
+            # one level per queued synchronous worker.
+            self._read_upstream()
+        else:
+            self._pump_upstream()
 
     def _lend_failed_value(self, sub: SubStream, cb: Callback) -> None:
         index, value = self._failed.popleft()
@@ -268,8 +266,9 @@ class StreamLender:
             return
         self._parked.append((sub, cb))
 
-    def _pump_upstream(self) -> None:
-        """Lazily read the next input value if some borrower is waiting."""
+    def _read_upstream(self) -> None:
+        """One turn of the upstream pump: lazily read the next input value
+        if some borrower is waiting (its answer runs the next turn)."""
         if (
             self._upstream is None
             or self._reading_upstream
@@ -278,34 +277,33 @@ class StreamLender:
         ):
             return
         self._reading_upstream = True
+        self._upstream(None, self._upstream_answer)
 
-        def answer(end: End, value: Any) -> None:
-            self._reading_upstream = False
-            if end is not None:
-                self._upstream_end = end if is_error(end) else DONE
-                self._on_upstream_ended()
-                return
-            index = self._next_input_index
-            self._next_input_index += 1
-            self.stats.values_read += 1
-            borrower = self._pop_live_asker()
-            if borrower is None:
-                # Every asker disappeared while the read was in flight; keep
-                # the value for the next sub-stream that asks.
-                self._failed.append((index, value))
-                self._dispatch_failed()
-            else:
-                sub, cb = borrower
-                sub.borrowed.append((index, value))
-                self._outstanding += 1
-                self.stats.values_lent += 1
-                self.stats.lent_per_substream[sub.id] = (
-                    self.stats.lent_per_substream.get(sub.id, 0) + 1
-                )
-                cb(None, value)
-            self._pump_upstream()
-
-        self._upstream(None, answer)
+    def _upstream_answer(self, end: End, value: Any) -> None:
+        self._reading_upstream = False
+        if end is not None:
+            self._upstream_end = end if is_error(end) else DONE
+            self._on_upstream_ended()
+            return
+        index = self._next_input_index
+        self._next_input_index += 1
+        self.stats.values_read += 1
+        borrower = self._pop_live_asker()
+        if borrower is None:
+            # Every asker disappeared while the read was in flight; keep
+            # the value for the next sub-stream that asks.
+            self._failed.append((index, value))
+            self._dispatch_failed()
+        else:
+            sub, cb = borrower
+            sub.borrowed.append((index, value))
+            self._outstanding += 1
+            self.stats.values_lent += 1
+            self.stats.lent_per_substream[sub.id] = (
+                self.stats.lent_per_substream.get(sub.id, 0) + 1
+            )
+            cb(None, value)
+        self._pump_upstream()
 
     def _pop_live_asker(self) -> Optional[Tuple[SubStream, Callback]]:
         while self._ask_queue:
@@ -448,10 +446,13 @@ class StreamLender:
         if self._upstream is not None and self._upstream_end is None:
             self._upstream_end = self._output_end
             self._upstream(end, lambda _e, _v: None)
-        for sub, cb in list(self._ask_queue) + list(self._parked):
-            cb(self._termination_marker(), None)
+        # Empty the queues before answering: an answer's cascade closes its
+        # sub-stream, which must not find (and answer again) the same ask.
+        asks = list(self._ask_queue) + list(self._parked)
         self._ask_queue.clear()
         self._parked.clear()
+        for _sub, cb in asks:
+            cb(self._termination_marker(), None)
         # Close through the regular path so borrowed values are recycled,
         # ``outstanding`` returns to zero, and crashed sub-streams are counted
         # as failures — keeping ``values_lent == results_delivered +
@@ -498,6 +499,12 @@ class StreamLender:
     def ended(self) -> bool:
         """True once the output stream has terminated (downstream abort)."""
         return self._output_end is not None
+
+    @property
+    def work_done(self) -> bool:
+        """True once the input ended and every value read was answered: a
+        sub-stream attached now has nothing to borrow."""
+        return self._all_work_done()
 
     @property
     def outstanding(self) -> int:

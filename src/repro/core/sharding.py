@@ -156,7 +156,12 @@ class ShardedLender:
 
         Closed sub-streams — normal completion or crash-stop — do not count,
         so a shard that lost workers becomes the preferred placement for the
-        next attachment (rebalancing under churn).  With ``max_buffer`` set,
+        next attachment (rebalancing under churn).  A shard whose work is
+        done (its slice read and every value answered) comes after every
+        shard that still has some, whatever its count: a worker placed there
+        would borrow nothing, and a shard that just lost its last worker
+        counts as few open sub-streams as one whose workers all finished.
+        With ``max_buffer`` set,
         ties between equally-loaded shards break towards the shard whose
         split-branch buffer is **deepest**: that shard is the one whose
         stall is parking the shared input pump, so it is where an extra
@@ -176,7 +181,7 @@ class ShardedLender:
             lender = self._shards[index]
             backlog = -depths[index] if depths is not None else 0
             ever_opened = lender.stats.substreams_opened
-            return (lender.open_substreams, backlog, ever_opened, index)
+            return (lender.work_done, lender.open_substreams, backlog, ever_opened, index)
 
         return min(range(len(self._shards)), key=load)
 

@@ -58,7 +58,7 @@ from .sinks import (
     reduce,
 )
 from .split import SplitBranches, merge_ordered, merge_unordered, split
-from .async_map import async_map, async_map_ordered
+from .async_map import async_map
 from .pushable import Pushable, pushable
 from .duplex import Duplex, connect_duplex, duplex, duplex_pair
 from .cat import cat
@@ -122,7 +122,6 @@ __all__ = [
     "reduce",
     # async map
     "async_map",
-    "async_map_ordered",
     # pushable / duplex / cat
     "Pushable",
     "pushable",

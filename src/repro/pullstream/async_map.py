@@ -14,10 +14,34 @@ from typing import Any, Callable, Optional
 
 from .protocol import DONE, Callback, End, Source
 
-__all__ = ["async_map", "async_map_ordered"]
+__all__ = ["async_map", "apply_node"]
 
 NodeCallback = Callable[[Optional[BaseException], Any], None]
 AsyncFunction = Callable[[Any, NodeCallback], None]
+
+
+def apply_node(fn: AsyncFunction, value: Any, done: NodeCallback) -> None:
+    """Run ``fn(value, cb)`` and hand its first answer to ``done(err, result)``.
+
+    A second answer from *fn* is dropped.  An exception *fn* raises before
+    answering becomes its answer; one raised after it answered comes from
+    ``done``'s own continuation running inside a synchronous ``cb`` — it
+    propagates, since answering again would be dropped and lose it.
+    """
+    answered = False
+
+    def cb(err: Optional[BaseException], result: Any = None) -> None:
+        nonlocal answered
+        if not answered:
+            answered = True
+            done(err, result)
+
+    try:
+        fn(value, cb)
+    except Exception as exc:
+        if answered:
+            raise
+        cb(exc, None)
 
 
 def async_map(fn: AsyncFunction) -> Callable[[Source], Source]:
@@ -47,45 +71,31 @@ def async_map(fn: AsyncFunction) -> Callable[[Source], Source]:
                 cb(state["ended"], None)
                 return
 
+            def computed(err: Optional[BaseException], result: Any) -> None:
+                state["busy"] = False
+                pending_abort = state["abort_requested"]
+                if pending_abort is not None:
+                    state["ended"] = (
+                        pending_abort
+                        if isinstance(pending_abort, BaseException)
+                        else DONE
+                    )
+                    read(pending_abort, lambda _e, _v: None)
+                    return
+                if err is not None:
+                    state["ended"] = err
+                    # Abort upstream before reporting the error.
+                    read(err, lambda _e, _v: cb(err, None))
+                    return
+                cb(None, result)
+
             def upstream_answer(answer_end: End, value: Any) -> None:
                 if answer_end is not None:
                     state["ended"] = answer_end
                     cb(answer_end, None)
                     return
                 state["busy"] = True
-
-                answered = [False]
-
-                def node_cb(err: Optional[BaseException], result: Any = None) -> None:
-                    if answered[0]:
-                        return
-                    answered[0] = True
-                    state["busy"] = False
-                    pending_abort = state["abort_requested"]
-                    if pending_abort is not None:
-                        state["ended"] = (
-                            pending_abort
-                            if isinstance(pending_abort, BaseException)
-                            else DONE
-                        )
-                        read(pending_abort, lambda _e, _v: None)
-                        return
-                    if err is not None:
-                        state["ended"] = err
-                        # Abort upstream before reporting the error.
-                        read(err, lambda _e, _v: cb(err, None))
-                        return
-                    cb(None, result)
-
-                try:
-                    fn(value, node_cb)
-                except Exception as exc:
-                    if answered[0]:
-                        # Raised by the downstream continuation running
-                        # inside a synchronous ``node_cb``, not by *fn*:
-                        # answering again would be dropped, losing it.
-                        raise
-                    node_cb(exc, None)
+                apply_node(fn, value, computed)
 
             read(None, upstream_answer)
 
@@ -94,12 +104,3 @@ def async_map(fn: AsyncFunction) -> Callable[[Source], Source]:
 
     wrap.pull_role = "through"
     return wrap
-
-
-def async_map_ordered(fn: AsyncFunction) -> Callable[[Source], Source]:
-    """Alias of :func:`async_map`.
-
-    With a single in-flight value the output order trivially matches the
-    input order; the alias documents intent at call sites that rely on it.
-    """
-    return async_map(fn)

@@ -140,12 +140,13 @@ class ProtocolChecker:
             self._waiting = True
         self.trace.append(("request", end))
 
-        answered = [False]
+        answered = False
 
         def checked(answer_end: End, value: Any) -> None:
-            if answered[0]:
+            nonlocal answered
+            if answered:
                 raise ProtocolError(f"{self._name}: request answered twice")
-            answered[0] = True
+            answered = True
             if end is None:
                 self._waiting = False
             if self._ended is not None and answer_end is None:

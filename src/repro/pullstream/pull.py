@@ -59,29 +59,11 @@ def pull(*modules: Any) -> Any:
     if not modules:
         raise TypeError("pull() requires at least one module")
 
-    mods = list(modules)
-
-    if _is_source_like(mods[0]):
-        stream = mods[0]
-        rest = mods[1:]
-    else:
-        # Build a composed through: a function awaiting an upstream read.
-        def composed_through(read, _mods=tuple(mods)):
-            s = read
-            for module in _mods:
-                s = module(s)
-            return s
-
-        composed_through.pull_role = "through"
-        return composed_through
-
-    result: Any = stream
-    for index, module in enumerate(rest):
+    if not _is_source_like(modules[0]):
+        return compose(*modules)
+    result: Any = modules[0]
+    for module in modules[1:]:
         result = module(result)
-        # A sink returns something that is not a readable source; once we hit
-        # a non-callable (or the last module), we simply return it.
-        if index == len(rest) - 1:
-            return result
     return result
 
 

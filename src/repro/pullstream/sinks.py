@@ -6,9 +6,10 @@ sink cannot always return its result synchronously; each sink therefore
 returns a :class:`SinkResult` whose ``value`` becomes available once the
 stream terminated, and accepts an optional ``done`` callback.
 
-A naive recursive implementation would exhaust Python's call stack on long
-synchronous streams (ask -> answer -> ask -> ...), so the asking loop is
-implemented with a re-entrancy trampoline.
+Every sink is :func:`eager_pump`, the one drain loop, which runs on the
+pull-stream core's one trampoline (:class:`~repro.pullstream.loop.Loop`) so
+long synchronous streams (ask -> answer -> ask -> ...) iterate instead of
+exhausting Python's call stack.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from ..errors import PandoError
+from .loop import Loop
 from .protocol import DONE, End, Source, is_error
 
 __all__ = [
@@ -89,112 +91,51 @@ class SinkResult:
         return f"<SinkResult {state} value={self.value!r}>"
 
 
-def _ask_loop(
-    read: Source,
-    on_value: Callable[[Any], bool],
-    finish: Callable[[End], None],
-    on_abort: Optional[Callable[[], None]] = None,
-) -> None:
-    """Drive *read* until termination without unbounded recursion.
-
-    ``on_value`` returns False to abort the stream early; *on_abort* (if
-    given) runs right before the abort is issued upstream.
-    """
-    state = {"looping": False, "pending": False, "aborted": False}
-
-    def ask() -> None:
-        if state["looping"]:
-            state["pending"] = True
-            return
-        state["looping"] = True
-        state["pending"] = True
-        while state["pending"]:
-            state["pending"] = False
-            answered = [False]
-
-            def answer(end: End, value: Any) -> None:
-                answered[0] = True
-                if end is not None:
-                    finish(end)
-                    return
-                if state["aborted"]:
-                    return
-                keep_going = on_value(value)
-                if keep_going is False:
-                    state["aborted"] = True
-                    if on_abort is not None:
-                        on_abort()
-                    read(DONE, lambda _e, _v: finish(DONE))
-                    return
-                ask()
-
-            read(None, answer)
-            if not answered[0]:
-                # The answer will arrive asynchronously; the ask loop resumes
-                # from within ``answer`` via a fresh call to ``ask``.
-                break
-        state["looping"] = False
-
-    ask()
-
-
 def eager_pump(
     read: Source,
-    on_value: Callable[[Any], None],
+    on_value: Callable[[Any], Any],
     on_end: Callable[[End], None],
-    closed_reason: Callable[[], End],
+    closed_reason: Optional[Callable[[], End]] = None,
 ) -> None:
-    """Eagerly drain *read*, the way a network-channel sink does.
+    """Drain *read* as fast as it answers: the one drain loop.
 
-    Channel-style duplex sinks (simulated channels, the process pool) all
-    share this shape: keep asking as fast as the upstream answers, hand each
-    value to ``on_value``, report upstream termination to ``on_end``, and —
-    when ``closed_reason()`` becomes non-``None`` because the local endpoint
-    closed — abort the upstream with that reason, dropping any value whose
-    answer was already in flight (exactly like a message written to a dead
-    socket; StreamLender's fault tolerance re-lends it).  Implemented with
-    the usual re-entrancy trampoline so long synchronous streams do not
-    recurse.
+    Every sink runs on it — the ones below, and the channel-style duplex
+    sinks (simulated channels, the process pool, the websocket gateway, a
+    lender sub-stream's result side).  Each value goes to ``on_value``;
+    returning ``False`` aborts the upstream, and ``on_end`` then receives
+    ``DONE`` once the upstream acknowledges.  An upstream termination goes
+    to ``on_end``.  When ``closed_reason()`` turns non-``None`` because the
+    local endpoint closed, the upstream is aborted with that reason and any
+    value whose answer was already in flight is dropped (exactly like a
+    message written to a dead socket; StreamLender's fault tolerance
+    re-lends it).  Synchronous answers iterate on :class:`Loop` instead of
+    recursing.
     """
-    state = {"looping": False, "pending": False}
 
     def ask() -> None:
-        if state["looping"]:
-            state["pending"] = True
-            return
-        state["looping"] = True
-        state["pending"] = True
-        while state["pending"]:
-            state["pending"] = False
-            reason = closed_reason()
-            if reason is not None:
-                read(reason, lambda _e, _v: None)
-                break
-            answered = [False]
-
-            def answer(end: End, value: Any) -> None:
-                answered[0] = True
-                if end is not None:
-                    on_end(end)
-                    return
-                if closed_reason() is not None:
-                    # The value can no longer be delivered (the endpoint
-                    # closed while this answer was in flight); drop it and
-                    # re-enter the loop, which aborts the upstream with the
-                    # close reason.  Returning here instead would leave the
-                    # upstream open forever: a lender sub-stream would never
-                    # re-lend the values this worker still borrowed.
-                    ask()
-                    return
-                on_value(value)
-                ask()
-
+        reason = closed_reason() if closed_reason is not None else None
+        if reason is None:
             read(None, answer)
-            if not answered[0]:
-                break
-        state["looping"] = False
+        else:
+            read(reason, lambda _end, _value: None)
 
-    ask()
+    def answer(end: End, value: Any) -> None:
+        if end is not None:
+            on_end(end)
+        elif closed_reason is not None and closed_reason() is not None:
+            # The value can no longer be delivered (the endpoint closed while
+            # this answer was in flight): drop it, and the next turn aborts
+            # the upstream with the close reason — stopping here would leave
+            # the upstream open, and a lender sub-stream would never re-lend
+            # the values this worker still borrowed.
+            loop()
+        elif on_value(value) is False:
+            read(DONE, lambda _end, _value: on_end(DONE))
+        else:
+            loop()
+
+    loop = Loop(ask).run
+    loop()
 
 
 def drain(
@@ -213,8 +154,9 @@ def drain(
 
         def on_value(value: Any) -> bool:
             count["n"] += 1
-            if op is not None:
-                return op(value) is not False
+            if op is not None and op(value) is False:
+                result.aborted = True
+                return False
             return True
 
         def finish(end: End) -> None:
@@ -222,10 +164,7 @@ def drain(
             if done is not None:
                 done(end)
 
-        def on_abort() -> None:
-            result.aborted = True
-
-        _ask_loop(read, on_value, finish, on_abort=on_abort)
+        eager_pump(read, on_value, finish)
         return result
 
     sink.pull_role = "sink"
@@ -241,16 +180,12 @@ def collect(
         result = SinkResult()
         items: List[Any] = []
 
-        def on_value(value: Any) -> bool:
-            items.append(value)
-            return True
-
         def finish(end: End) -> None:
             result._finish(end, items)
             if done is not None:
                 done(end, items)
 
-        _ask_loop(read, on_value, finish)
+        eager_pump(read, items.append, finish)
         return result
 
     sink.pull_role = "sink"
@@ -268,16 +203,15 @@ def reduce(
         result = SinkResult()
         acc = {"value": initial}
 
-        def on_value(value: Any) -> bool:
+        def on_value(value: Any) -> None:
             acc["value"] = fn(acc["value"], value)
-            return True
 
         def finish(end: End) -> None:
             result._finish(end, acc["value"])
             if done is not None:
                 done(end, acc["value"])
 
-        _ask_loop(read, on_value, finish)
+        eager_pump(read, on_value, finish)
         return result
 
     sink.pull_role = "sink"
@@ -298,6 +232,7 @@ def find(
             if predicate(value):
                 found["value"] = value
                 found["hit"] = True
+                result.aborted = True
                 return False
             return True
 
@@ -306,10 +241,7 @@ def find(
             if done is not None:
                 done(end, result.value)
 
-        def on_abort() -> None:
-            result.aborted = True
-
-        _ask_loop(read, on_value, finish, on_abort=on_abort)
+        eager_pump(read, on_value, finish)
         return result
 
     sink.pull_role = "sink"

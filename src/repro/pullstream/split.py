@@ -20,6 +20,10 @@ lenders needs two new pull-stream combinators:
   where the first answer wins and holding a result back behind a slower
   sibling shard wastes exactly the latency the search cares about.
 
+The splitter's upstream pump runs on :class:`~repro.pullstream.loop.Loop`,
+the core's one re-entrancy trampoline: a branch asking again from inside a
+synchronous answer becomes the pump's next turn, not a nested read.
+
 Together they form the splitter/joiner pair around a
 :class:`~repro.core.sharding.ShardedLender`::
 
@@ -34,6 +38,7 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from ..errors import ProtocolError
+from .loop import Loop
 from .protocol import DONE, Callback, End, Source, is_error
 
 __all__ = ["SplitBranches", "split", "merge_ordered", "merge_unordered"]
@@ -130,7 +135,6 @@ def split(
         "ended": None,   # upstream termination
         "aborted": None, # branch-initiated abort
         "reading": False,
-        "pumping": False,
         "buffers": buffers,
         "max_buffer": max_buffer,
     }
@@ -182,11 +186,8 @@ def split(
         branch = state["next"] % n
         return waiting[branch] is None and len(buffers[branch]) >= max_buffer
 
-    def pump() -> None:
-        if state["pumping"]:
-            return
-        state["pumping"] = True
-        while (
+    def step() -> None:
+        if (
             state["ended"] is None
             and state["aborted"] is None
             and not state["reading"]
@@ -194,10 +195,9 @@ def split(
             and not next_branch_blocked()
         ):
             state["reading"] = True
-            read(None, answer)
-            if state["reading"]:
-                break  # asynchronous upstream: resumed from ``answer``
-        state["pumping"] = False
+            read(None, answer)  # ``answer`` runs the next turn
+
+    pump = Loop(step).run
 
     def abort(end: End, cb: Callback) -> None:
         if state["aborted"] is None:

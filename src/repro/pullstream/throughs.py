@@ -17,6 +17,12 @@ answer synchronously, the values already collected are shipped immediately.
 This matters under ``StreamLender``, which parks borrow asks until another
 sub-stream fails or the stream completes — a greedy ``batch`` would hold
 borrowed values hostage and deadlock the map.
+
+``batching``'s pump and ``map_batches``' element loop run on
+:class:`~repro.pullstream.loop.Loop`, the core's one re-entrancy trampoline,
+so long synchronous streams and frames of any size iterate instead of
+recursing; ``map_batches`` answers each node callback once through
+:func:`~repro.pullstream.async_map.apply_node`, as ``async_map`` does.
 """
 
 from __future__ import annotations
@@ -25,11 +31,12 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from ..errors import ProtocolError
+from .async_map import apply_node
+from .loop import Loop
 from .protocol import DONE, Callback, End, Source, is_error
 
 __all__ = [
     "map_",
-    "async_map_cb",
     "filter_",
     "filter_not",
     "take",
@@ -70,17 +77,6 @@ def map_(fn: Callable[[Any], Any]) -> Callable[[Source], Source]:
 
     wrap.pull_role = "through"
     return wrap
-
-
-def async_map_cb(fn: Callable[[Any, Callback], None]) -> Callable[[Source], Source]:
-    """Callback-style asynchronous map (see :mod:`repro.pullstream.async_map`).
-
-    Present here for symmetry with the JS module list; the richer
-    scheduler-aware version lives in ``async_map``.
-    """
-    from .async_map import async_map
-
-    return async_map(fn)
 
 
 def filter_(predicate: Callable[[Any], bool]) -> Callable[[Source], Source]:
@@ -316,17 +312,13 @@ def batching(size: int) -> Callable[[Source], Source]:
             "ended": None,    # upstream termination, delivered after the chunk
             "asking": False,  # an upstream ask is in flight
             "waiting": None,  # parked downstream callback
-            "pumping": False,
         }
 
-        def pump() -> None:
-            if state["pumping"]:
-                return
-            state["pumping"] = True
+        def step() -> None:
             while True:
                 cb = state["waiting"]
                 if cb is None:
-                    break
+                    return
                 chunk = state["chunk"]
                 if len(chunk) >= size or (
                     chunk and (state["ended"] is not None or state["asking"])
@@ -341,10 +333,11 @@ def batching(size: int) -> Callable[[Source], Source]:
                     cb(state["ended"], None)
                     continue
                 if state["asking"]:
-                    break  # empty chunk: wait for the in-flight answer
+                    return  # empty chunk: wait for the in-flight answer
                 state["asking"] = True
                 read(None, answer)
-            state["pumping"] = False
+
+        pump = Loop(step).run
 
         def answer(answer_end: End, value: Any) -> None:
             state["asking"] = False
@@ -453,69 +446,35 @@ def map_batches(
                 state["ended"] = exc
                 read(exc, lambda _e, _v: cb(exc, None))
 
-            def apply_one(value: Any, done: Callback) -> None:
-                answered = [False]
-
-                def node_cb(err: Optional[BaseException], result: Any = None) -> None:
-                    if answered[0]:
-                        return
-                    answered[0] = True
-                    done(err, result)
-
-                try:
-                    fn(value, node_cb)
-                except Exception as exc:
-                    if answered[0]:
-                        raise  # the downstream continuation's, not fn's
-                    node_cb(exc, None)
-
             def answer(answer_end: End, value: Any) -> None:
                 if answer_end is not None:
                     state["ended"] = answer_end
                     cb(answer_end, None)
                     return
                 if not isinstance(value, Batch):
-                    apply_one(
+                    apply_node(
+                        fn,
                         value,
                         lambda err, result: fail(err) if err is not None else cb(None, result),
                     )
                     return
                 elements = list(value.values)
                 results: list = []
-                # Trampoline over the elements: synchronous completions loop
-                # instead of recursing, so arbitrarily large frames cannot
-                # blow the call stack.
-                loop_state = {"active": False, "advance": False, "failed": False}
 
-                def proceed() -> None:
-                    if loop_state["active"]:
-                        loop_state["advance"] = True
-                        return
-                    loop_state["active"] = True
-                    loop_state["advance"] = True
-                    while loop_state["advance"] and not loop_state["failed"]:
-                        loop_state["advance"] = False
-                        if len(results) == len(elements):
-                            cb(None, Batch(results))
-                            break
-                        answered = [False]
+                def step() -> None:
+                    if len(results) == len(elements):
+                        cb(None, Batch(results))
+                    else:
+                        apply_node(fn, elements[len(results)], element_done)
 
-                        def element_done(
-                            err: Optional[BaseException], result: Any = None
-                        ) -> None:
-                            answered[0] = True
-                            if err is not None:
-                                loop_state["failed"] = True
-                                fail(err)
-                                return
-                            results.append(result)
-                            proceed()
+                def element_done(err: Optional[BaseException], result: Any) -> None:
+                    if err is not None:
+                        fail(err)
+                    else:
+                        results.append(result)
+                        proceed()
 
-                        apply_one(elements[len(results)], element_done)
-                        if not answered[0]:
-                            break  # async element: resumed from element_done
-                    loop_state["active"] = False
-
+                proceed = Loop(step).run
                 proceed()
 
             read(None, answer)

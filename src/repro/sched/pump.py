@@ -21,7 +21,8 @@ unpaced simulation every round is one sim event, and a loop turn each
 (``epoll``, a handle, a task step) cost more than the event.  A pool's
 reader callback, a gateway socket, a loop timer or a thread-safe wake is
 therefore served at most that interval plus one dispatch late while
-round-dispatched sources are busy.  A pool's or a gateway's reader callback
+round-dispatched sources are busy, and a foreign thread waiting for the GIL
+gets it within one switch interval.  A pool's or a gateway's reader callback
 delivers what it read itself (``scheduler.dispatch_now``); the pump stays the
 place where its backlog, the abort fan-out and an exception such a delivery
 raised are handled — the last one re-raised from here, out of ``run()``.
@@ -45,7 +46,15 @@ __all__ = ["async_pump"]
 
 #: Longest the pump dispatches productive rounds back to back before it
 #: gives the loop's other callbacks a turn (seconds of ``time.monotonic``).
-LOOP_TURN_INTERVAL = 0.001
+#: It must stay above CPython's GIL switch interval
+#: (``sys.getswitchinterval()``, 5 ms by default).  A turn polls the selector,
+#: which drops and at once retakes the GIL; that restarts the switch clock of
+#: a thread waiting for the GIL without handing it over, so turns closer
+#: together than the switch interval keep every other Python thread — a
+#: producer feeding a ``PushablePort``, the metrics endpoint — from running
+#: at all while the rounds stay productive.  Spaced wider, the waiting
+#: thread's clock runs out and the interpreter forces the hand-over.
+LOOP_TURN_INTERVAL = 0.01
 
 
 async def async_pump(

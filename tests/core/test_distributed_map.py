@@ -6,7 +6,17 @@ import pytest
 
 from repro.core import DistributedMap
 from repro.errors import PandoError
-from repro.pullstream import async_map, collect, count, duplex_pair, pull, take, values
+from repro.net.serialization import Batch
+from repro.pullstream import (
+    async_map,
+    collect,
+    count,
+    duplex_pair,
+    map_batches,
+    pull,
+    take,
+    values,
+)
 
 
 class TestLocalWorkers:
@@ -77,19 +87,45 @@ class TestLocalWorkers:
         assert dmap.stats.values_relent >= 1
 
     def test_many_synchronous_workers_never_stall_silently(self):
-        """Regression: 120 synchronous workers cascade deep enough to hit
-        the recursion limit; ``async_map`` swallowed the ``RecursionError``
-        raised by its own downstream continuation, so the run stopped at
-        ``values_read`` 92 with a pending sink and no error.  It must now
-        either complete or raise."""
+        """Regression: 120 synchronous workers attached before the source
+        cascaded one stack level per worker (lender -> worker -> lender)
+        into a ``RecursionError``, which ``async_map`` once also swallowed,
+        leaving a pending sink.  The run must complete."""
         dmap = DistributedMap()
         for _ in range(120):
             dmap.add_local_worker(lambda v, cb: cb(None, v))
-        try:
-            output = pull(values(range(1000)), dmap, collect())
-        except RecursionError:
-            return
+        output = pull(values(range(1000)), dmap, collect())
         assert output.result() == list(range(1000))
+
+    @pytest.mark.parametrize("attached", ["before", "after"])
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"ordered": False}, {"shards": 4}, {"shards": 4, "ordered": False}],
+        ids=["ordered", "unordered", "shards4", "shards4-unordered"],
+    )
+    @pytest.mark.parametrize("workers", [120, 1000])
+    def test_synchronous_crowds_deliver_every_result(self, workers, config, attached):
+        """Synchronous workers attached before the source are queued in the
+        lender; connecting the source must serve them on one stack, not
+        one nested read per worker."""
+        dmap = DistributedMap(**config)
+
+        def attach():
+            for _ in range(workers):
+                if dmap.closed:  # the first workers already finished the map
+                    break
+                dmap.add_local_worker(lambda v, cb: cb(None, v))
+
+        if attached == "before":
+            attach()
+        output = pull(values(range(1000)), dmap, collect())
+        if attached == "after":
+            attach()
+        results = output.result()
+        if config.get("ordered", True):
+            assert results == list(range(1000))
+        else:
+            assert sorted(results) == list(range(1000))
 
     def test_unordered_mode(self, square_fn):
         dmap = DistributedMap(ordered=False)
@@ -122,6 +158,40 @@ class TestChannelWorkers:
         dmap.add_channel(local_end)
         dmap.add_local_worker(square_fn)
         assert output.result() == [value * value for value in range(8)]
+
+    @pytest.mark.parametrize("attached", ["before", "after"])
+    def test_framed_channel_ships_full_frames(self, attached):
+        """A framer asking again from its own answer's cascade is answered
+        synchronously, so it fills its frame — also when its first ask was
+        queued before the source was connected."""
+        dmap = DistributedMap()
+        frames = []
+
+        def attach():
+            local_end, remote_end = duplex_pair()
+
+            def spy(read):
+                def frames_seen(end, cb):
+                    def answer(answer_end, value):
+                        if isinstance(value, Batch):
+                            frames.append(len(value.values))
+                        cb(answer_end, value)
+
+                    read(end, answer)
+
+                return frames_seen
+
+            mapper = map_batches(lambda v, cb: cb(None, v))
+            pull(remote_end.source, spy, mapper, remote_end.sink)
+            dmap.add_channel(local_end, frame_batch=4)
+
+        if attached == "before":
+            attach()
+        output = pull(values(range(40)), dmap, collect())
+        if attached == "after":
+            attach()
+        assert output.result() == list(range(40))
+        assert frames == [4] * 10
 
     def test_per_channel_batch_override(self):
         dmap = DistributedMap(batch_size=1)

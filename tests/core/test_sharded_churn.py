@@ -242,7 +242,8 @@ def lend_on(sharded, shard):
 
 def scanned_least_loaded(sharded):
     """``least_loaded_shard`` as it was before the lenders kept the count:
-    copy every shard's sub-stream list and count the open ones."""
+    copy every shard's sub-stream list and count the open ones (a shard with
+    no work left sorts last either way)."""
     depths = None
     if sharded.max_buffer is not None and sharded._branches is not None:
         depths = sharded._branches.buffer_depths
@@ -251,7 +252,7 @@ def scanned_least_loaded(sharded):
         subs = sharded.shards[index].substreams
         open_count = sum(1 for sub in subs if not sub.closed)
         backlog = -depths[index] if depths is not None else 0
-        return (open_count, backlog, len(subs), index)
+        return (sharded.shards[index].work_done, open_count, backlog, len(subs), index)
 
     return min(range(sharded.shard_count), key=load)
 

@@ -85,14 +85,33 @@ class TestShardedLender:
     ):
         """Unbounded splitter: buffer depths are not consulted (the pump is
         never parked by a backlog), so the equal-load tie falls back to the
-        lowest index as before."""
+        lowest index as before.  Shard 0's worker borrows its whole slice
+        but holds the results, so shard 0 still has work."""
         sharded = ShardedLender(shards=2)
         pull(values(list(range(12))), sharded, collect())
-        substream_driver(lend(sharded, shard=0)).start()
+        substream_driver(
+            lend(sharded, shard=0), auto_deliver=False, max_in_flight=6
+        ).start()
         lend(sharded, shard=1)
         assert sharded._branches.buffer_depths[1] > 0
         assert sharded.least_loaded_shard() == 0
         assert lend(sharded).shard == 0
+
+    def test_a_finished_shard_loses_the_tie_to_a_depleted_one(
+        self, substream_driver
+    ):
+        """Shard 0's worker finished its slice while shard 1's only worker
+        crashed with values borrowed: both count no open sub-stream and one
+        ever opened, and the replacement must go where the work is."""
+        sharded = ShardedLender(shards=2)
+        output = pull(values(list(range(12))), sharded, collect())
+        substream_driver(lend(sharded, shard=0)).start()
+        substream_driver(lend(sharded, shard=1), crash_after=2).start()
+        assert sharded.shards[0].work_done and not sharded.shards[1].work_done
+        assert [lender.open_substreams for lender in sharded.shards] == [0, 0]
+        assert sharded.least_loaded_shard() == 1
+        substream_driver(lend(sharded)).start()
+        assert sorted(output.result()) == [value * 10 for value in range(12)]
 
     def test_worker_crash_is_contained_to_its_shard(self, substream_driver):
         sharded = ShardedLender(shards=2)

@@ -19,13 +19,20 @@ fall-through exit either
 Raising paths are exempt — an exception transfers the obligation to the
 caller, and flagging them would drown the signal (validation guards raise
 before any async work starts).
+
+A **stage** object parks an ask in a slot (``self.cb = cb``) and answers it
+from a bound-method continuation that has no callback parameter of its
+own.  Such a method starts with the ask handed off (it is in the slot); once
+it *takes* the ask out — rebinds the slot, usually
+``cb, self.cb = self.cb, None`` — every path must answer or hand off what it
+took, under the same rules.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..findings import Finding
 from ..flow import StructuredWalker
@@ -141,6 +148,93 @@ class _CallbackWalker(StructuredWalker):
         )
 
 
+class _SlotWalker(_CallbackWalker):
+    """Walk a stage's continuation: the callback lives in ``self.<slot>``."""
+
+    def __init__(self, slots: Set[str], path: str, qualname: str) -> None:
+        super().__init__(f"self.{sorted(slots)[0]}", path, qualname)
+        self.slots = slots
+        #: local names the taken ask was bound to
+        self.aliases: Set[str] = set()
+
+    def _is_cb(self, node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in self.aliases
+        return self._slot_of(node) is not None
+
+    def _references_cb(self, node: ast.AST) -> bool:
+        return any(self._is_cb(child) for child in ast.walk(node))
+
+    def _slot_of(self, node: ast.AST) -> Optional[str]:
+        attr = _self_attr(node)
+        return attr if attr in self.slots else None
+
+    def eval_assign(self, state: _State, node: ast.stmt) -> _State:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        value = getattr(node, "value", None)
+        if len(targets) != 1 or value is None:
+            return super().eval_assign(state, node)
+        target = targets[0]
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            pairs = list(zip(target.elts, value.elts))
+        else:
+            pairs = [(target, value)]
+        took = False
+        for element, element_value in pairs:
+            slot = self._slot_of(element)
+            if slot is not None and not self._is_cb(element_value):
+                # The slot is emptied: the ask is now this method's to answer.
+                took = True
+                self.cb_name = f"self.{slot}"
+                state = self.eval_expr(state, element_value)
+            elif isinstance(element, ast.Name) and self._slot_of(element_value):
+                self.aliases.add(element.id)
+            else:
+                state = self.eval_expr(state, element_value)
+                if slot is not None:
+                    state = _State(state.calls, True)  # parked again
+        if took:
+            state = _State(0, False)
+        return state
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``X`` when *node* is ``self.X``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _stage_slots(module) -> Dict[str, Set[str]]:
+    """Class name -> the slots its methods park an ask's callback in."""
+    slots: Dict[str, Set[str]] = {}
+    for qualname, fn in module.functions.items():
+        owner = qualname.rpartition(".")[0]
+        cb_name = _callback_param(fn) if _is_method(module, owner, fn) else None
+        if cb_name is None:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and getattr(node.value, "id", None) == cb_name:
+                for target in node.targets:
+                    attr = _self_attr(target)
+                    if attr is not None:
+                        slots.setdefault(owner, set()).add(attr)
+    return slots
+
+
+def _is_method(module, owner: str, fn: ast.AST) -> bool:
+    params = fn.args.posonlyargs + fn.args.args
+    return (
+        owner.rpartition(".")[2] in module.classes
+        and bool(params)
+        and params[0].arg == "self"
+    )
+
+
 def _callback_param(fn: ast.AST) -> Optional[str]:
     args = fn.args
     names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
@@ -163,13 +257,21 @@ def _callback_param(fn: ast.AST) -> Optional[str]:
 def check(modules) -> List[Finding]:
     findings: List[Finding] = []
     for module in modules:
+        stage_slots = _stage_slots(module)
         for qualname, fn in module.functions.items():
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             cb_name = _callback_param(fn)
-            if cb_name is None:
+            if cb_name is not None:
+                walker = _CallbackWalker(cb_name, module.path, qualname)
+                walker.run(fn.body, _State(0, False))
+                findings.extend(walker.findings)
                 continue
-            walker = _CallbackWalker(cb_name, module.path, qualname)
-            walker.run(fn.body, _State(0, False))
-            findings.extend(walker.findings)
+            owner, _, name = qualname.rpartition(".")
+            slots = stage_slots.get(owner)
+            if slots and name != "__init__" and _is_method(module, owner, fn):
+                # a continuation starts with the ask still parked in its slot
+                walker = _SlotWalker(slots, module.path, qualname)
+                walker.run(fn.body, _State(0, True))
+                findings.extend(walker.findings)
     return findings

@@ -48,7 +48,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError, StreamAborted
 from ..pullstream.loop import Loop
-from ..pullstream.protocol import DONE, Callback, End, Source, is_error
+from ..pullstream.protocol import DONE, Callback, End, Source, ignore_answer, is_error
 from ..pullstream.sinks import eager_pump
 from .reorder import ReorderBuffer
 
@@ -95,30 +95,28 @@ class SubStream:
 
     pull_role = "duplex"
 
+    __slots__ = ("_lender", "id", "closed", "close_reason", "borrowed", "shard")
+
     def __init__(self, lender: "StreamLender", substream_id: int) -> None:
         self._lender = lender
         self.id = substream_id
         self.closed = False
         self.close_reason: End = None
         self.borrowed: Deque[Tuple[int, Any]] = deque()
-        self.source = self._make_source()
-        self.sink = self._make_sink()
+        #: index of the lender shard it was lent from (set by ``ShardedLender``)
+        self.shard = 0
 
     # -- borrow side --------------------------------------------------------
-    def _make_source(self) -> Source:
-        def read(end: End, cb: Callback) -> None:
-            self._lender._substream_ask(self, end, cb)
+    def source(self, end: End, cb: Callback) -> None:
+        self._lender._substream_ask(self, end, cb)
 
-        read.pull_role = "source"
-        return read
+    source.pull_role = "source"
 
     # -- result side --------------------------------------------------------
-    def _make_sink(self) -> Callable[[Source], None]:
-        def sink(read: Source) -> None:
-            eager_pump(read, self._on_result, self._on_end)
+    def sink(self, read: Source) -> None:
+        eager_pump(read, self._on_result, self._on_end)
 
-        sink.pull_role = "sink"
-        return sink
+    sink.pull_role = "sink"
 
     def _on_result(self, result: Any) -> None:
         # A closed sub-stream's late results are drained and dropped: its
@@ -445,7 +443,7 @@ class StreamLender:
         self._output_end = end if is_error(end) else DONE
         if self._upstream is not None and self._upstream_end is None:
             self._upstream_end = self._output_end
-            self._upstream(end, lambda _e, _v: None)
+            self._upstream(end, ignore_answer)
         # Empty the queues before answering: an answer's cascade closes its
         # sub-stream, which must not find (and answer again) the same ask.
         asks = list(self._ask_queue) + list(self._parked)

@@ -11,7 +11,7 @@ network latency is hidden (paper sections 5.2-5.5, "batch size").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import ProtocolError
 from ..pullstream.duplex import Duplex
@@ -39,6 +39,18 @@ class Limiter:
 
     pull_role = "through"
 
+    __slots__ = (
+        "channel",
+        "limit",
+        "_in_flight",
+        "_max_in_flight",
+        "_gated_ask",
+        "_upstream",
+        "_ended",
+        "_upstream_cb",
+        "_channel_cb",
+    )
+
     def __init__(self, channel: Duplex, limit: int = 1) -> None:
         if limit < 1:
             raise ValueError("Limiter window must be >= 1")
@@ -46,12 +58,14 @@ class Limiter:
         self.limit = limit
         self._in_flight = 0
         self._max_in_flight = 0
-        #: asks from the channel sink waiting for the window to open
-        self._gated_ask: Optional[tuple] = None
+        #: the channel sink's ask waiting for the window to open
+        self._gated_ask: Optional[Callback] = None
         self._upstream: Optional[Source] = None
         self._ended: End = None
-        self.source = self._make_source()
-        self.sink = self._make_sink()
+        #: the channel sink's ask forwarded upstream (it asks one at a time)
+        self._upstream_cb: Optional[Callback] = None
+        #: the downstream's ask forwarded to the channel's source
+        self._channel_cb: Optional[Callback] = None
 
     # ------------------------------------------------------------------ API
     def __call__(self, read: Source) -> Source:
@@ -70,15 +84,13 @@ class Limiter:
         return self._max_in_flight
 
     # ----------------------------------------------------------- sink side
-    def _make_sink(self) -> Callable[[Source], None]:
-        def sink(read: Source) -> None:
-            if self._upstream is not None:
-                raise ProtocolError("Limiter sink connected twice")
-            self._upstream = read
-            self.channel.sink(self._gated_read)
+    def sink(self, read: Source) -> None:
+        if self._upstream is not None:
+            raise ProtocolError("Limiter sink connected twice")
+        self._upstream = read
+        self.channel.sink(self._gated_read)
 
-        sink.pull_role = "sink"
-        return sink
+    sink.pull_role = "sink"
 
     def _gated_read(self, end: End, cb: Callback) -> None:
         """The source handed to the channel's sink: upstream, but gated."""
@@ -93,54 +105,54 @@ class Limiter:
             if self._gated_ask is not None:
                 cb(ProtocolError("Limiter asked twice concurrently"), None)
                 return
-            self._gated_ask = (end, cb)
+            self._gated_ask = cb
             return
         self._forward_upstream(cb)
 
     def _forward_upstream(self, cb: Callback) -> None:
         assert self._upstream is not None
+        self._upstream_cb = cb
+        self._upstream(None, self._upstream_answer)
 
-        def answer(answer_end: End, value: Any) -> None:
-            if answer_end is not None:
-                self._terminate(answer_end)
-                cb(self._ended, None)
-                return
-            self._in_flight += 1
-            self._max_in_flight = max(self._max_in_flight, self._in_flight)
-            cb(None, value)
-
-        self._upstream(None, answer)
+    def _upstream_answer(self, end: End, value: Any) -> None:
+        cb, self._upstream_cb = self._upstream_cb, None
+        if end is not None:
+            self._terminate(end)
+            cb(self._ended, None)
+            return
+        self._in_flight += 1
+        if self._in_flight > self._max_in_flight:
+            self._max_in_flight = self._in_flight
+        cb(None, value)
 
     # --------------------------------------------------------- source side
-    def _make_source(self) -> Source:
-        def read(end: End, cb: Callback) -> None:
-            if end is not None:
-                self._terminate(end)
-                self.channel.source(end, cb)
-                return
+    def source(self, end: End, cb: Callback) -> None:
+        if end is not None:
+            self._terminate(end)
+            self.channel.source(end, cb)
+            return
+        self._channel_cb = cb
+        self.channel.source(None, self._channel_answer)
 
-            def answer(answer_end: End, value: Any) -> None:
-                if answer_end is None:
-                    self._in_flight = max(0, self._in_flight - 1)
-                    self._release_gate()
-                else:
-                    # The channel's result stream terminated (worker done or
-                    # crashed): the window will never reopen, so a parked
-                    # gated ask must be failed/released too — otherwise the
-                    # channel sink waits forever and the callback leaks.
-                    self._terminate(answer_end)
-                cb(answer_end, value)
+    source.pull_role = "source"
 
-            self.channel.source(None, answer)
-
-        read.pull_role = "source"
-        return read
+    def _channel_answer(self, end: End, value: Any) -> None:
+        cb, self._channel_cb = self._channel_cb, None
+        if end is None:
+            self._in_flight = max(0, self._in_flight - 1)
+            self._release_gate()
+        else:
+            # The channel's result stream terminated (worker done or
+            # crashed): the window will never reopen, so a parked
+            # gated ask must be failed/released too — otherwise the
+            # channel sink waits forever and the callback leaks.
+            self._terminate(end)
+        cb(end, value)
 
     def _release_gate(self) -> None:
         if self._gated_ask is None or self._in_flight >= self.limit:
             return
-        _end, cb = self._gated_ask
-        self._gated_ask = None
+        cb, self._gated_ask = self._gated_ask, None
         self._forward_upstream(cb)
 
     def _terminate(self, end: End) -> None:
@@ -148,8 +160,7 @@ class Limiter:
         if self._ended is None:
             self._ended = end if is_error(end) else DONE
         if self._gated_ask is not None:
-            _end, gated_cb = self._gated_ask
-            self._gated_ask = None
+            gated_cb, self._gated_ask = self._gated_ask, None
             gated_cb(self._ended, None)
 
 

@@ -6,6 +6,11 @@ device's calibrated per-application rate (see
 :mod:`repro.devices.profiles`), and can crash (crash-stop) at a scheduled
 time, after which every queued and running task is silently dropped — exactly
 the failure mode Pando tolerates (paper section 2.3).
+
+A running task is a small slots object whose bound ``step`` sits in the
+scheduler; nothing on a task's path references itself, so a finished (or
+crashed) task and the worker's callback chain behind it are freed by
+refcount, never left to the cyclic collector.
 """
 
 from __future__ import annotations
@@ -36,6 +41,58 @@ class CoreSlot:
         #: the running task's next step, while it can still fire (a core runs
         #: one task, one chunk at a time) — what :meth:`SimDevice.crash` cancels
         self.pending: Optional[ScheduledEvent] = None
+
+
+class _Task:
+    """One task on one core; the scheduler holds its bound :meth:`step`.
+
+    Once the last step fired (or a crash's cancelled one left the
+    scheduler) nothing references the task.  A closure that rescheduled
+    itself would hold itself through its own cell: a cycle per value that
+    only the cyclic collector frees.
+    """
+
+    __slots__ = ("device", "core", "remaining", "chunk_duration", "duration", "callback")
+
+    def __init__(
+        self,
+        device: "SimDevice",
+        core: CoreSlot,
+        chunks: int,
+        duration: float,
+        callback: CompletionCallback,
+    ) -> None:
+        self.device = device
+        self.core = core
+        self.remaining = chunks
+        self.chunk_duration = duration / chunks
+        self.duration = duration
+        self.callback = callback
+
+    def step(self) -> None:
+        device = self.device
+        core = self.core
+        core.pending = None
+        if device.crashed:
+            return
+        self.remaining -= 1
+        core.busy_time += self.chunk_duration
+        if self.remaining > 0:
+            if device.stop_check is not None and device.stop_check():
+                # Abandon between chunks: the core frees immediately and
+                # the task never calls back — this is what bounds the
+                # post-abort tail to at most one chunk of virtual time.
+                core.busy = False
+                device.tasks_stopped += 1
+                device._drain_queue()
+                return
+            core.pending = device.scheduler.call_later(self.chunk_duration, self.step)
+            return
+        core.busy = False
+        core.tasks_completed += 1
+        device.last_completion_at = device.scheduler.now
+        self.callback(None, self.duration)
+        device._drain_queue()
 
 
 class SimDevice:
@@ -134,36 +191,10 @@ class SimDevice:
         chunks = 1
         if self.task_chunk is not None and cost > self.task_chunk:
             chunks = math.ceil(cost / self.task_chunk)
-        chunk_duration = duration / chunks
         core.busy = True
         core.busy_until = self.scheduler.now + duration
-        remaining = chunks
-
-        def step() -> None:
-            nonlocal remaining
-            core.pending = None
-            if self.crashed:
-                return
-            remaining -= 1
-            core.busy_time += chunk_duration
-            if remaining > 0:
-                if self.stop_check is not None and self.stop_check():
-                    # Abandon between chunks: the core frees immediately and
-                    # the task never calls back — this is what bounds the
-                    # post-abort tail to at most one chunk of virtual time.
-                    core.busy = False
-                    self.tasks_stopped += 1
-                    self._drain_queue()
-                    return
-                core.pending = self.scheduler.call_later(chunk_duration, step)
-                return
-            core.busy = False
-            core.tasks_completed += 1
-            self.last_completion_at = self.scheduler.now
-            callback(None, duration)
-            self._drain_queue()
-
-        core.pending = self.scheduler.call_later(chunk_duration, step)
+        task = _Task(self, core, chunks, duration, callback)
+        core.pending = self.scheduler.call_later(task.chunk_duration, task.step)
 
     def _drain_queue(self) -> None:
         while self._queue:

@@ -175,28 +175,28 @@ class ChannelEndpoint:
 
     def _sink(self, read: Source) -> None:
         """Sink half: eagerly read local values and send them to the peer."""
-
-        def on_end(answer_end: End) -> None:
-            # Local producer finished: half-close so results still in flight
-            # from the peer can be received; a producer error closes the
-            # whole connection.
-            if not self.closed and not is_error(answer_end):
-                self.close_write(reason="producer ended")
-            elif not self.closed:
-                self.close(reason=f"producer error: {answer_end!r}")
-
         eager_pump(
             read,
             on_value=self.send,
-            on_end=on_end,
-            closed_reason=lambda: (
-                (self.close_reason if self.close_reason is not None else DONE)
-                if self.closed
-                else None
-            ),
+            on_end=self._producer_ended,
+            closed_reason=self._sink_closed_reason,
         )
 
     _sink.pull_role = "sink"
+
+    def _producer_ended(self, end: End) -> None:
+        # Local producer finished: half-close so results still in flight
+        # from the peer can be received; a producer error closes the whole
+        # connection.
+        if not self.closed and not is_error(end):
+            self.close_write(reason="producer ended")
+        elif not self.closed:
+            self.close(reason=f"producer error: {end!r}")
+
+    def _sink_closed_reason(self) -> End:
+        if not self.closed:
+            return None
+        return self.close_reason if self.close_reason is not None else DONE
 
     # ------------------------------------------------------------ messaging
     def send(self, payload: Any) -> None:

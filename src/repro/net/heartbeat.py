@@ -107,30 +107,28 @@ class HeartbeatMonitor:
     def _schedule_send(self) -> None:
         if self._stopped or self._failed:
             return
+        self._send_event = self.scheduler.call_later(self.interval, self._beat)
 
-        def beat() -> None:
-            if self._stopped or self._failed:
-                return
-            self._send()
-            self._schedule_send()
-
-        self._send_event = self.scheduler.call_later(self.interval, beat)
+    def _beat(self) -> None:
+        if self._stopped or self._failed:
+            return
+        self._send()
+        self._schedule_send()
 
     def _schedule_check(self) -> None:
         if self._stopped or self._failed:
             return
-
-        def check() -> None:
-            if self._stopped or self._failed:
-                return
-            silence = self.scheduler.now - self._last_seen
-            if silence >= self.timeout:
-                self._failed = True
-                self.stop()
-                self._on_failure()
-                return
-            self._schedule_check()
-
         # Re-check shortly after the moment the timeout could first expire.
         delay = max(self.timeout - (self.scheduler.now - self._last_seen), 1e-6)
-        self._check_event = self.scheduler.call_later(delay, check)
+        self._check_event = self.scheduler.call_later(delay, self._check)
+
+    def _check(self) -> None:
+        if self._stopped or self._failed:
+            return
+        silence = self.scheduler.now - self._last_seen
+        if silence >= self.timeout:
+            self._failed = True
+            self.stop()
+            self._on_failure()
+            return
+        self._schedule_check()

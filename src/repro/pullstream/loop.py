@@ -10,20 +10,25 @@ iteration of its ``while`` loop.  An answer that arrives later finds the
 loop idle and starts it afresh.  No per-iteration state: one flag pair per
 stream.
 
-Every drain loop (the sinks, the channel sinks, a lender sub-stream's result
-side), the lender's upstream pump, ``batching``, ``map_batches`` and
-``split`` run on it.
+The one drain loop (:func:`~repro.pullstream.sinks.eager_pump`: every sink,
+the channel sinks, a lender sub-stream's result side) is a subclass whose
+``step`` is a method; the lender's upstream pump, ``batching``,
+``map_batches`` and ``split`` run on a ``Loop(step)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = ["Loop"]
 
 
 class Loop:
     """Call ``step()`` once per ``run()``, iterating instead of recursing.
+
+    ``Loop(step)`` calls the given function; a subclass built with
+    ``Loop()`` defines ``step`` as a method instead, so a stage that is its
+    own loop neither stores a bound method of itself nor forms a cycle.
 
     An exception raised by a step propagates out of the outermost ``run()``
     and leaves the loop idle, so a failing continuation is neither swallowed
@@ -32,8 +37,9 @@ class Loop:
 
     __slots__ = ("step", "running", "again")
 
-    def __init__(self, step: Callable[[], None]) -> None:
-        self.step = step
+    def __init__(self, step: Optional[Callable[[], None]] = None) -> None:
+        if step is not None:
+            self.step = step
         self.running = False
         self.again = False
 

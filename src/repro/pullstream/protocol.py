@@ -45,6 +45,7 @@ __all__ = [
     "is_done",
     "is_error",
     "is_end",
+    "ignore_answer",
     "check_protocol",
     "ProtocolChecker",
 ]
@@ -104,6 +105,10 @@ def is_error(end: End) -> bool:
 def is_end(end: End) -> bool:
     """Return True when *end* signals any termination (normal or error)."""
     return end is not None
+
+
+def ignore_answer(_end: End, _value: Any) -> None:
+    """The answer callback of an abort nobody waits on."""
 
 
 class ProtocolChecker:

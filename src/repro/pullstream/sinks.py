@@ -9,7 +9,9 @@ stream terminated, and accepts an optional ``done`` callback.
 Every sink is :func:`eager_pump`, the one drain loop, which runs on the
 pull-stream core's one trampoline (:class:`~repro.pullstream.loop.Loop`) so
 long synchronous streams (ask -> answer -> ask -> ...) iterate instead of
-exhausting Python's call stack.
+exhausting Python's call stack.  A drain is one slots object, the loop and
+its continuations in one: draining allocates no closure per stream and
+nothing per value that outlives the value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Callable, List, Optional
 
 from ..errors import PandoError
 from .loop import Loop
-from .protocol import DONE, End, Source, is_error
+from .protocol import DONE, End, Source, ignore_answer, is_error
 
 __all__ = [
     "SinkResult",
@@ -111,31 +113,53 @@ def eager_pump(
     re-lends it).  Synchronous answers iterate on :class:`Loop` instead of
     recursing.
     """
+    _Drain(read, on_value, on_end, closed_reason).run()
 
-    def ask() -> None:
+
+class _Drain(Loop):
+    """:func:`eager_pump`'s state: the loop, its ask and its answer."""
+
+    __slots__ = ("read", "on_value", "on_end", "closed_reason")
+
+    def __init__(
+        self,
+        read: Source,
+        on_value: Callable[[Any], Any],
+        on_end: Callable[[End], None],
+        closed_reason: Optional[Callable[[], End]],
+    ) -> None:
+        super().__init__()
+        self.read = read
+        self.on_value = on_value
+        self.on_end = on_end
+        self.closed_reason = closed_reason
+
+    def step(self) -> None:
+        closed_reason = self.closed_reason
         reason = closed_reason() if closed_reason is not None else None
         if reason is None:
-            read(None, answer)
+            self.read(None, self.answer)
         else:
-            read(reason, lambda _end, _value: None)
+            self.read(reason, ignore_answer)
 
-    def answer(end: End, value: Any) -> None:
+    def answer(self, end: End, value: Any) -> None:
+        closed_reason = self.closed_reason
         if end is not None:
-            on_end(end)
+            self.on_end(end)
         elif closed_reason is not None and closed_reason() is not None:
             # The value can no longer be delivered (the endpoint closed while
             # this answer was in flight): drop it, and the next turn aborts
             # the upstream with the close reason — stopping here would leave
             # the upstream open, and a lender sub-stream would never re-lend
             # the values this worker still borrowed.
-            loop()
-        elif on_value(value) is False:
-            read(DONE, lambda _end, _value: on_end(DONE))
+            self.run()
+        elif self.on_value(value) is False:
+            self.read(DONE, self.aborted)
         else:
-            loop()
+            self.run()
 
-    loop = Loop(ask).run
-    loop()
+    def aborted(self, _end: End, _value: Any) -> None:
+        self.on_end(DONE)
 
 
 def drain(

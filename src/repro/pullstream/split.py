@@ -39,7 +39,7 @@ from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from ..errors import ProtocolError
 from .loop import Loop
-from .protocol import DONE, Callback, End, Source, is_error
+from .protocol import DONE, Callback, End, Source, ignore_answer, is_error
 
 __all__ = ["SplitBranches", "split", "merge_ordered", "merge_unordered"]
 
@@ -209,7 +209,7 @@ def split(
                 # An abort may be issued even while an upstream ask is in
                 # flight (the late answer is dropped above).
                 state["ended"] = state["aborted"]
-                read(end, lambda _e, _v: None)
+                read(end, ignore_answer)
         cb(termination(), None)
 
     def make_branch(index: int) -> Source:
@@ -291,7 +291,7 @@ def merge_ordered(
     def abort_sources(end: End, skip: Optional[int] = None) -> None:
         for index, source in enumerate(sources):
             if index != skip:
-                source(end, lambda _e, _v: None)
+                source(end, ignore_answer)
 
     def read(end: End, cb: Callback) -> None:
         if end is not None:
@@ -352,7 +352,7 @@ def merge_ordered(
         if is_error(state["ended"]):
             abort_sources(state["ended"])
         else:
-            sources[index](DONE, lambda _e, _v: None)
+            sources[index](DONE, ignore_answer)
         cb(state["ended"], None)
 
     read.pull_role = "source"
@@ -417,7 +417,7 @@ def merge_unordered(
         for index, source in enumerate(sources):
             if index != skip and not done[index]:
                 done[index] = True
-                source(end, lambda _e, _v: None)
+                source(end, ignore_answer)
 
     def completion_end() -> End:
         if total_end is not None:

@@ -77,26 +77,31 @@ class BrowserTab:
             if application is not None and hasattr(application, "cost")
             else 1.0
         )
+        self.device.execute(app_name, cost, _TabTask(self, value, cb).done)
 
-        def task_done(err: Optional[BaseException], duration: Any) -> None:
-            if err is not None or self.closed:
-                # Crash-stop: the result is never sent.
-                return
-            try:
-                result = self._compute_result(value)
-            except Exception as exc:
-                cb(exc, None)
-                return
-            self.items_processed += 1
-            if self.metrics is not None:
-                self.metrics.record_work(
-                    self.worker_id,
-                    timestamp=self.device.scheduler.now,
-                    duration=float(duration),
-                )
-            cb(None, result)
-
-        self.device.execute(app_name, cost, task_done)
+    def _task_done(
+        self,
+        value: Any,
+        cb: NodeCallback,
+        err: Optional[BaseException],
+        duration: Any,
+    ) -> None:
+        if err is not None or self.closed:
+            # Crash-stop: the result is never sent.
+            return  # pando-lint: ignore[callback-discipline]
+        try:
+            result = self._compute_result(value)
+        except Exception as exc:
+            cb(exc, None)
+            return
+        self.items_processed += 1
+        if self.metrics is not None:
+            self.metrics.record_work(
+                self.worker_id,
+                timestamp=self.device.scheduler.now,
+                duration=float(duration),
+            )
+        cb(None, result)
 
     def _compute_result(self, value: Any) -> Any:
         application = self.bundle.application
@@ -120,3 +125,17 @@ class BrowserTab:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "closed" if self.closed else "open"
         return f"<BrowserTab {self.worker_id} {state} processed={self.items_processed}>"
+
+
+class _TabTask:
+    """One value a tab handed to its device, waiting for the device's answer."""
+
+    __slots__ = ("tab", "value", "cb")
+
+    def __init__(self, tab: BrowserTab, value: Any, cb: NodeCallback) -> None:
+        self.tab = tab
+        self.value = value
+        self.cb = cb
+
+    def done(self, err: Optional[BaseException], duration: Any) -> None:
+        self.tab._task_done(self.value, self.cb, err, duration)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import textwrap
+
 CHECK = "callback-discipline"
 
 
@@ -163,5 +165,98 @@ class TestCleanExemplars:
             def plain(a, b):
                 return a + b
             """,
+            CHECK,
+        )
+
+
+_STAGE = """
+class Stage:
+    def __init__(self, read):
+        self.read = read
+        self.cb = None
+
+    def source(self, end, cb):
+        self.cb = cb
+        self.read(end, self.answer)
+
+    def answer(self, end, value):
+{body}
+"""
+
+
+def _stage(body: str) -> str:
+    """A stage whose ``answer`` continuation has *body*."""
+    return _STAGE.format(body=textwrap.indent(textwrap.dedent(body).strip("\n"), " " * 8))
+
+
+class TestBoundMethodStages:
+    """A continuation answering the ask its stage parked in ``self.cb``."""
+
+    def test_taken_ask_dropped_on_a_path_is_caught(self, findings_of):
+        findings = findings_of(
+            _stage(
+                """
+                cb, self.cb = self.cb, None
+                if end is not None:
+                    return  # bug: the taken ask is never answered
+                cb(None, value)
+                """
+            ),
+            CHECK,
+        )
+        assert len(findings) == 1
+        assert findings[0].function == "Stage.answer"
+        assert "'self.cb'" in findings[0].message
+
+    def test_clearing_the_slot_without_answering_is_caught(self, findings_of):
+        findings = findings_of(_stage("self.cb = None"), CHECK)
+        assert len(findings) == 1
+        assert "falls off the end" in findings[0].message
+
+    def test_answering_the_taken_ask_twice_is_caught(self, findings_of):
+        findings = findings_of(
+            _stage(
+                """
+                cb, self.cb = self.cb, None
+                cb(end, value)
+                cb(end, value)
+                """
+            ),
+            CHECK,
+        )
+        assert len(findings) == 1
+        assert "second" in findings[0].message
+
+    def test_take_then_answer_is_clean(self, findings_of):
+        assert not findings_of(
+            _stage(
+                """
+                cb, self.cb = self.cb, None
+                cb(end, value)
+                """
+            ),
+            CHECK,
+        )
+
+    def test_leaving_the_ask_parked_is_clean(self, findings_of):
+        assert not findings_of(
+            _stage(
+                """
+                if self.cb is None or value is None:
+                    return
+                self.read(None, self.answer)
+                """
+            ),
+            CHECK,
+        )
+
+    def test_passing_the_taken_ask_on_is_a_handoff(self, findings_of):
+        assert not findings_of(
+            _stage(
+                """
+                cb, self.cb = self.cb, None
+                self.read(end, cb)
+                """
+            ),
             CHECK,
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import weakref
 
 import pytest
@@ -189,10 +188,30 @@ class TestTimerHandles:
         scheduler.run()
         assert log == [None] * 12
         assert all(core.pending is None for core in device.cores)
-        # The fired handles pinned step -> callback: with them dropped, the
-        # device (still alive) keeps none of the finished tasks reachable.
-        gc.collect()
+        # A task is reachable only through its pending step: once the last
+        # step fired, refcounting alone frees it and its callback — the
+        # device (still alive) keeps none of the finished tasks reachable,
+        # and nothing waits for the cyclic collector.
         assert [ref() for ref in refs] == [None] * 12
+
+    def test_crashed_tasks_are_freed_once_their_step_leaves(self, scheduler):
+        device = SimDevice(device_by_name("novena"), scheduler, cores=1)
+        device.task_chunk = 100.0
+        log = []
+        running, queued = _Completion(log), _Completion(log)
+        device.execute("collatz", 1000.0, running)
+        device.execute("collatz", 1000.0, queued)
+        refs = [weakref.ref(running), weakref.ref(queued)]
+        del running, queued
+        chunk = device.task_duration("collatz", 1000.0) / 10
+        scheduler.run_until(2.5 * chunk)  # mid-task: the third chunk pending
+        device.crash()
+        assert refs[1]() is None  # the queue was cleared
+        assert refs[0]() is not None  # the cancelled step is still queued
+        scheduler.run()  # ... until the scheduler drops it
+        assert scheduler.pending() == 0
+        assert [ref() for ref in refs] == [None, None]
+        assert log == []
 
     def test_crash_mid_task_cancels_the_pending_step(self, scheduler):
         device = SimDevice(device_by_name("novena"), scheduler, cores=1)

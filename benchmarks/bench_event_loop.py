@@ -16,8 +16,9 @@ import os
 import threading
 
 from repro.net.channel import SimChannel
+from repro.pool import ProcessPoolWorker
 from repro.pullstream import async_map, collect, pull, values
-from repro.sched import EventLoopScheduler, PoolEventSource
+from repro.sched import EventLoopScheduler
 from repro.sim.clock import VirtualClock
 from repro.sim.network import LAN_PROFILE, NetworkModel
 from repro.sim.scheduler import Scheduler
@@ -64,7 +65,7 @@ def test_pool_and_sim_channel_interleave_in_one_thread(benchmark):
             trace = []
             sched.add_dispatch_listener(
                 lambda source: trace.append(
-                    "pool" if isinstance(source, PoolEventSource) else "sim"
+                    "pool" if isinstance(source, ProcessPoolWorker) else "sim"
                 )
             )
             dmap = DistributedMap(batch_size=2, scheduler=sched)

@@ -41,7 +41,6 @@ _POOL_FIELDS = (
     ("tasks_submitted", "Frames submitted to the pool."),
     ("values_dispatched", "Values dispatched to the pool across all frames."),
     ("results_returned", "Result values returned by the pool."),
-    ("tasks_cancelled", "Frames cancelled before their task ran (abort fan-out)."),
 )
 
 #: ShmRing counters exported per shm-transport worker as ``pando_shm_*``.
@@ -58,7 +57,7 @@ _SCHED_FIELDS = (
     ("rounds", "Dispatch rounds run by the scheduler's pump."),
     ("dispatches", "Source dispatches that made progress (rounds and loop callbacks)."),
     ("wakeups", "Wake events that ended a scheduler wait."),
-    ("cancellations", "Frames cancelled through the scheduler's fan-out."),
+    ("cancellations", "Frames the scheduler's fan-out told to stop (pool cancel flags)."),
     ("stalls", "Pump stalls diagnosed (each raised to the caller)."),
 )
 
@@ -201,7 +200,7 @@ class DistributedMap:
     :class:`~repro.sched.EventLoopScheduler` — its own private one, or the
     instance passed as ``scheduler`` to share one loop with a simulation or
     other maps (``"asyncio"`` is a synonym of the default).  Every process
-    pool delivers non-blocking and is registered with it on attachment, so
+    pool is registered with it on attachment, its pipes read by the loop, so
     any number of pools compute concurrently, sharded or not; anything but
     in-process workers completes under :meth:`drive`.
     """
@@ -345,7 +344,6 @@ class DistributedMap:
         fn_ref: Any,
         processes: Optional[int] = None,
         batch_size: Optional[int] = None,
-        window: Optional[int] = None,
         worker_id: Optional[str] = None,
         transport: str = "pipe",
         slot_count: Optional[int] = None,
@@ -361,17 +359,18 @@ class DistributedMap:
         node-style ``fn(value, cb)`` conventions are both supported).
 
         ``batch_size`` values (defaulting to the map's batch size) travel to
-        the pool in one frame — one inter-process round trip — and ``window``
-        frames are kept in flight by the :class:`Limiter` (defaulting to
-        ``processes + 1`` so every process stays busy while the head-of-line
-        result is awaited).  One handle therefore drives *processes*-way
-        parallelism through a single sub-stream, while crash-stop semantics
-        (a task error or a killed worker process) remain exactly those of a
-        remote channel: the sub-stream fails and borrowed values are re-lent.
+        the pool in one frame — one inter-process round trip — and the
+        :class:`Limiter` keeps ``processes + 1`` frames in flight
+        (:func:`~repro.pool.default_window`), so every process stays busy
+        while the head-of-line result is awaited.  One handle therefore
+        drives *processes*-way parallelism through a single sub-stream, while
+        crash-stop semantics (a task error or a killed worker process) remain
+        exactly those of a remote channel: the sub-stream fails and borrowed
+        values are re-lent.
 
-        The pool delivers non-blocking and is registered with the map's
-        scheduler: results arrive — and several pools pump concurrently —
-        under :meth:`drive`, never during attachment.
+        The pool is registered with the map's scheduler, whose loop reads its
+        pipes: results go down the stream — and several pools pump
+        concurrently — under :meth:`drive`, never during attachment.
 
         ``transport="shm"`` moves large ``bytes``/array payloads through a
         shared-memory slot ring instead of pickling them through the
@@ -381,8 +380,8 @@ class DistributedMap:
 
         ``cancel_chunk`` bounds the post-abort tail: frames poll a shared
         stop flag every *cancel_chunk* values, so the cancellation fan-out
-        of :meth:`drive` also stops frames that are already running — at
-        their next chunk boundary instead of after the whole batch.
+        of :meth:`drive` stops the frames the children hold — at their next
+        chunk boundary instead of after the whole batch.
         """
         from ..pool import ProcessPoolWorker, default_window
 
@@ -393,7 +392,6 @@ class DistributedMap:
         pool = ProcessPoolWorker(
             fn_ref,
             processes=processes,
-            blocking=False,
             transport=transport,
             slot_count=slot_count,
             slot_size=slot_size,
@@ -403,13 +401,11 @@ class DistributedMap:
         )
         try:
             frame = batch_size if batch_size is not None else self.batch_size
-            limiter = Limiter(
-                pool, window if window is not None else default_window(pool.processes)
-            )
+            limiter = Limiter(pool, default_window(pool.processes))
             # Register before lending: a failed lend leaves only an inert
             # source behind (the closed pool never reports ready), whereas a
             # failed registration after lending would orphan a sub-stream.
-            self.scheduler.register_pool(pool)
+            self.scheduler.register(pool)
             sub = self._lend_substream(worker_id)
         except Exception:
             pool.close()
@@ -418,7 +414,7 @@ class DistributedMap:
         handle = WorkerHandle(worker_id, sub, limiter, pool=pool)
         self._workers[worker_id] = handle
         self._pools.append(pool)
-        self._register_pool_collectors(worker_id, pool)
+        self._register_process_pool_collectors(worker_id, pool)
         return handle
 
     def serve_volunteers(
@@ -536,7 +532,7 @@ class DistributedMap:
                 labels={"process": process},
             )
 
-    def _register_pool_collectors(self, worker_id: str, pool: Any) -> None:
+    def _register_process_pool_collectors(self, worker_id: str, pool: Any) -> None:
         """Export one pool's counters (and its shm ring's) at scrape time."""
         registry = self.obs.registry
         labels = {"worker": worker_id}
@@ -648,19 +644,19 @@ class DistributedMap:
     ) -> None:
         """Pump the map's pools, volunteers and channels until *sinks* complete.
 
-        Pools park their result asks instead of blocking the interpreter
-        thread on the head-of-line result, gateways and ports only enqueue,
-        so somebody must deliver the ready work back into the stream
-        machinery: this spins the map's
-        :class:`~repro.sched.EventLoopScheduler` until the sinks complete.
-        All stream callbacks run on the calling thread, so the
-        single-threaded pull-stream machinery needs no locks.
+        A pool's children and a gateway's volunteers answer on sockets the
+        map's :class:`~repro.sched.EventLoopScheduler` reads, and ports only
+        enqueue, so somebody must spin that loop for their results to go
+        down the stream: this does, until the sinks complete.  All stream
+        callbacks run on the calling thread, so the single-threaded
+        pull-stream machinery needs no locks.
 
         Cancellation fan-out: the moment the map's output aborts — a
-        ``find`` sink hit, or any sink that cut the stream short — every
-        attached pool's submitted-but-not-yet-started frame is cancelled,
-        returning the cores immediately instead of computing results nobody
-        can receive.
+        ``find`` sink hit, or any sink that cut the stream short — the
+        lender's abort discards what the pools still owe, and every pool
+        whose sub-stream closed raises its cancel flag (``cancel_chunk``),
+        so the frames its children run stop at their next chunk boundary
+        instead of computing results nobody can receive.
 
         A map with only local workers completes during attachment; calling
         ``drive`` afterwards returns immediately.
@@ -673,17 +669,17 @@ class DistributedMap:
         self.scheduler.run(
             *sinks,
             timeout=timeout,
-            # the stream aborted: queued pool work is now garbage
+            # the stream aborted: pool work in flight is now garbage
             aborted=lambda: self.closed or any(sink.aborted for sink in sinks),
             on_abort=self._cancel_pool_pending,
         )
 
     def _cancel_pool_pending(self) -> int:
-        """Cancel every pool's submitted-but-not-yet-running frames.
+        """Fan the abort out to every pool.
 
         A pool whose sub-stream already closed (which an abort does to every
-        attached worker) is cancelled *forcibly*: its results are provably
-        undeliverable even though the stream termination may still be parked
+        attached worker) is cancelled *forcibly*: its results provably cannot
+        be delivered, even though the stream termination may still be parked
         in its Limiter gate on the way to the pool.
         """
         total = 0

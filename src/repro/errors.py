@@ -47,8 +47,8 @@ class FrameCancelled(PandoError):
     """A pool task stopped mid-frame because the cancel flag was raised.
 
     Raised child-side between chunks (see :mod:`repro.pool.cancel`); the
-    master only ever observes it on frames whose results are already
-    undeliverable (the stream aborted), so it is bookkeeping, not failure.
+    master only ever observes it on frames whose results can no longer be
+    delivered (the stream aborted), so it is bookkeeping, not failure.
     """
 
     def __init__(self, completed: int, total: int) -> None:

@@ -42,7 +42,7 @@ import os
 import socket
 import struct
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.annotations import loop_only
 from ..errors import ProtocolError
@@ -54,8 +54,11 @@ __all__ = [
     "HTTP_HEAD",
     "PIPE",
     "WS",
+    "close_inherited",
+    "close_owned",
     "data_frame",
     "encode_ws_frame",
+    "own_socket",
 ]
 
 #: staging buffer per endpoint: headers and messages smaller than this are
@@ -72,6 +75,25 @@ OP_PONG = 0xA
 #: Refuse messages larger than this (a corrupted length prefix must fail
 #: loudly, not allocate gigabytes).
 DEFAULT_MAX_FRAME = 256 * 1024 * 1024
+
+#: This process's open endpoint and listener sockets.  A forked child (a
+#: pool's worker) closes its copies first thing (:func:`close_inherited`): a
+#: peer reads EOF only once *every* copy is closed, so a copy left in a child
+#: would keep a volunteer's connection, a listener or a sibling's pipe open.
+_OWNED: Set[socket.socket] = set()
+own_socket = _OWNED.add
+
+
+def close_owned(sock: socket.socket) -> None:
+    """Close a socket :func:`own_socket` counted, and stop counting it."""
+    _OWNED.discard(sock)
+    sock.close()
+
+
+def close_inherited() -> None:
+    """In a freshly forked child: close the copies of the parent's sockets."""
+    while _OWNED:
+        _OWNED.pop().close()
 
 
 @functools.lru_cache(maxsize=256)
@@ -336,13 +358,14 @@ class Endpoint:
 
     *sock* is a connected stream socket, owned from here on:
     :meth:`close` closes it.  *process* is the worker process at the far end
-    when this master started it.  Off a loop (a bare blocking pool) the owner
-    calls :meth:`read` and :meth:`flush` itself when ``select`` says so;
-    :meth:`watch` puts both on an event loop instead.
+    when this master started it.  Off a loop (a bare pool that no scheduler
+    reads) the owner calls :meth:`read` and :meth:`flush` itself when
+    ``select`` says so; :meth:`watch` puts both on an event loop instead.
     """
 
     def __init__(self, sock: socket.socket, framing: Any, process: Any = None) -> None:
         sock.setblocking(False)
+        own_socket(sock)
         self.sock = sock
         self.framing = framing
         self.process = process
@@ -357,6 +380,9 @@ class Endpoint:
         self.seq = 0
         #: called whenever bytes arrive (a heartbeat monitor's ``touch``)
         self.touch: Optional[Callable[[], None]] = None
+        #: queued for a turn in its owner's dispatch order
+        #: (:class:`~repro.sched.sources.EndpointSource`)
+        self.has_turn = False
         self.closed = False
         #: the read side ended; the last thing filed says how
         self.finished = False
@@ -545,4 +571,4 @@ class Endpoint:
             loop.remove_reader(self.sock)
             loop.remove_writer(self.sock)
         self.outbox.clear()
-        self.sock.close()
+        close_owned(self.sock)

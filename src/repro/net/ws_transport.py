@@ -69,8 +69,7 @@ import hashlib
 import itertools
 import os
 import socket
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..analysis.annotations import loop_only
@@ -79,7 +78,7 @@ from ..pullstream.duplex import Duplex
 from ..pullstream.protocol import DONE, End, is_error
 from ..pullstream.pushable import Pushable
 from ..pullstream.sinks import eager_pump
-from ..sched.sources import EventSource
+from ..sched.sources import EndpointSource
 from . import wire
 from .endpoint import (  # noqa: F401 - OP_BINARY and encode_ws_frame are perf/'s names
     DEFAULT_MAX_FRAME,
@@ -87,7 +86,9 @@ from .endpoint import (  # noqa: F401 - OP_BINARY and encode_ws_frame are perf/'
     OP_BINARY,
     WS,
     Endpoint,
+    close_owned,
     encode_ws_frame,
+    own_socket,
 )
 from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
 from .serialization import OOB_MIN_BYTES
@@ -300,8 +301,6 @@ class _Volunteer:
         self.ws: Optional[WS] = None
         #: drops the connection if it is not welcomed in time
         self.timer: Any = None
-        #: has a turn in the gateway's dispatch order
-        self.waiting = False
         #: set by the welcome; None for a connection that has not joined
         self.worker_id: Optional[str] = None
         self.pushable: Optional[Pushable] = None
@@ -311,19 +310,20 @@ class _Volunteer:
         self.close_reason: End = None
 
 
-class WsVolunteerGateway(EventSource):
+class WsVolunteerGateway(EndpointSource):
     """Accept real websocket volunteers into a :class:`DistributedMap`.
 
-    The gateway is an :class:`~repro.sched.sources.EventSource` whose unit of
-    work is one message a volunteer's :class:`~repro.net.endpoint.Endpoint`
-    filed — its hello, a RESULT, its bye, the end of its stream — delivered
-    the way a pool's reply is: from the reader callback that filed it
-    (``scheduler.dispatch_now``) or, for a backlog, from the pump's fair
-    round; nothing between runs.  The reader callbacks only read and file
-    (and answer the HTTP upgrade, which is nobody else's business); every
-    stream mutation — attaching the sub-stream, pushing a result, recording a
-    departure — happens in :meth:`dispatch`, so an exception a sink raises on
-    a volunteer's result comes out of ``drive()`` as it does for a pool's.
+    The gateway is an :class:`~repro.sched.sources.EndpointSource` — the
+    same turn-taking over endpoints a process pool is — whose unit of work is
+    one message a volunteer's :class:`~repro.net.endpoint.Endpoint` filed:
+    its hello, a RESULT, its bye, the end of its stream.  It is handled from
+    the reader callback that filed it (``scheduler.dispatch_now``) or, for a
+    backlog, from the pump's fair round; nothing between runs.  The reader
+    callbacks only read and file (and answer the HTTP upgrade, which is
+    nobody else's business); every stream mutation — attaching the
+    sub-stream, pushing a result, recording a departure — happens in
+    :meth:`handle`, so an exception a sink raises on a volunteer's result
+    comes out of ``drive()`` as it does for a pool's.
 
     Lifecycle: :meth:`start` binds the listening socket and registers the
     gateway (the URL to hand volunteers is :attr:`url`); volunteers may
@@ -357,6 +357,7 @@ class WsVolunteerGateway(EventSource):
     ) -> None:
         if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
             raise PandoError("heartbeat interval and timeout must be positive")
+        super().__init__()
         self.dmap = dmap
         self.scheduler = dmap.scheduler
         self.host = host
@@ -382,8 +383,6 @@ class WsVolunteerGateway(EventSource):
         self._connections: Dict[Endpoint, _Volunteer] = {}
         #: the joined ones by worker id
         self._volunteers: Dict[str, _Volunteer] = {}
-        #: connections with filed messages, in the order they get their turn
-        self._turns: Deque[_Volunteer] = deque()
         #: set by whatever :meth:`stop` waits for, while it waits
         self._settling: Optional[asyncio.Event] = None
         self._ids = itertools.count(1)
@@ -414,6 +413,7 @@ class WsVolunteerGateway(EventSource):
         family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
         listener = socket.create_server((self.host, self.port), family=family)
         listener.setblocking(False)
+        own_socket(listener)
         self._listener = listener
         self.port = listener.getsockname()[1]
         self.url = f"ws://{self.host}:{self.port}"
@@ -428,7 +428,7 @@ class WsVolunteerGateway(EventSource):
             # The loop is gone: drop the sockets synchronously.
             self._listener = None
             if listener is not None:
-                listener.close()
+                close_owned(listener)
             for volunteer in list(self._connections.values()):
                 volunteer.endpoint.close()
             return
@@ -439,7 +439,7 @@ class WsVolunteerGateway(EventSource):
             self._on_accept()
             self._listener = None
             self.scheduler.loop.remove_reader(listener)
-            listener.close()
+            close_owned(listener)
         if self._connections:
             # The loop stops spinning the instant the last sink completes,
             # which is typically *before* the volunteers' bye frames arrive.
@@ -472,23 +472,6 @@ class WsVolunteerGateway(EventSource):
             self._settling = None
 
     # ------------------------------------------------------- EventSource API
-    def ready(self) -> bool:
-        return bool(self._turns)
-
-    @loop_only
-    def dispatch(self) -> bool:
-        """Handle one filed message; connections with a backlog take turns."""
-        while self._turns:
-            volunteer = self._turns.popleft()
-            inbox = volunteer.endpoint.inbox
-            volunteer.waiting = len(inbox) > 1
-            if volunteer.waiting:
-                self._turns.append(volunteer)
-            if inbox:  # else: finished since it queued
-                self._handle(volunteer, inbox.popleft())
-                return True
-        return False
-
     def live(self) -> bool:
         # An open listener may accept a volunteer at any moment; a connection
         # may file a message at any moment.  Only a stopped gateway with no
@@ -510,22 +493,18 @@ class WsVolunteerGateway(EventSource):
             volunteer = _Volunteer(Endpoint(sock, HTTP_HEAD), f"{address[0]}:{address[1]}")
             self._connections[volunteer.endpoint] = volunteer
             volunteer.timer = loop.call_later(HANDSHAKE_TIMEOUT, self._finish, volunteer, None)
-            volunteer.endpoint.watch(loop, self._on_filed)
+            self.watch(volunteer.endpoint)
 
     @loop_only
-    def _on_filed(self, endpoint: Endpoint) -> None:
-        """A connection's endpoint filed something: queue its turn, and take
-        it now when a run is spinning."""
+    def on_filed(self, endpoint: Endpoint) -> None:
+        """A connection's endpoint filed something: answer its upgrade
+        request, if that is what it is, then take turns as any endpoint."""
         volunteer = self._connections[endpoint]
         if volunteer.ws is None:
             self._upgrade(volunteer)
-        if endpoint.inbox and not volunteer.waiting:
-            volunteer.waiting = True
-            self._turns.append(volunteer)
+        super().on_filed(endpoint)
         if self._settling is not None:
             self._settling.set()
-        elif self._turns:
-            self.scheduler.dispatch_now(self)
 
     def _upgrade(self, volunteer: _Volunteer) -> None:
         """Answer the HTTP upgrade request — here, not in a dispatch: it
@@ -546,8 +525,9 @@ class WsVolunteerGateway(EventSource):
                 client_side=False, max_frame=PRE_HELLO_MAX_FRAME
             )
 
-    def _handle(self, volunteer: _Volunteer, message: Any) -> None:
+    def handle(self, endpoint: Endpoint, message: Any) -> None:
         """One filed message of an upgraded connection (dispatch thread)."""
+        volunteer = self._connections[endpoint]
         try:
             if isinstance(message, Exception):
                 raise message

@@ -22,38 +22,40 @@ channel adapters, which is why a ``Limiter`` belongs in front).  The children
 are spawned on the first frame; a frame is one DATA message in the codec's
 layout (:mod:`repro.net.wire`: large ``bytes``/array values ride behind the
 control record instead of going through the pickler) written straight to the
-least-loaded child — at most one frame running and one prefetched per child,
-so a child never idles between frames — and the rest wait in a master-side
-queue, where cancelling one is a ``pop``.  A child answers each with one
-RESULT message; each child works first-in first-out and the master keeps the
-frames in borrow order, so results are delivered in that order whichever
-child finished first.  The master's end of each pipe is an
-:class:`~repro.net.endpoint.Endpoint` with the :data:`~repro.net.endpoint.PIPE`
-framing — what a websocket volunteer is to its gateway.  There is no thread
-on either side and the master never waits on a pipe: what a child's pipe does
+least-loaded child.  The master keeps no queue of its own: under the
+``processes + 1`` window of :func:`default_window` some child always holds
+fewer than two frames when the next one comes, so a child never idles
+between frames; a bare pool with no ``Limiter`` leaves the rest in the
+endpoints' outboxes.  A child answers each frame with one RESULT message;
+each child works first-in first-out and the master keeps the frames in borrow
+order, so results go out in that order whichever child finished first.
+
+Results leave the way a volunteer's do: pushed into a
+:class:`~repro.pullstream.pushable.Pushable`, the pool's result source, every
+frame whose reply is in at the head of the line.  A failed head errors the
+stream after the results ahead of it, a dead child (EOF on its pipe) at once
+— ``StreamLender`` treats either as a failed worker and re-lends the borrowed
+values elsewhere — and an upstream that ended with nothing owed ends it; a
+downstream abort reaches the teardown through the pushable's ``on_close``.
+``close()`` only closes the pipes: a child stops at EOF — after the frame it
+is running, never computing a prefetched one, because answering on the closed
+pipe fails first — so every child exits by itself and
+``multiprocessing.active_children()`` reaps it.
+
+The master's end of each pipe is an :class:`~repro.net.endpoint.Endpoint`
+with the :data:`~repro.net.endpoint.PIPE` framing — what a websocket
+volunteer is to its gateway — and the pool is an
+:class:`~repro.sched.sources.EndpointSource`, as the gateway is: registered
+with a :class:`~repro.sched.EventLoopScheduler` (``DistributedMap`` does it on
+attachment), its endpoints sit on the loop's selector and each reply is
+handled from the reader callback that filed it, which is what lets several
+pools pump concurrently from one interpreter thread.  A bare pool behind a
+plain ``pull`` has no scheduler, so its source ``select``s on the children's
+pipes itself until the head frame's result is in.  There is no thread on
+either side and the master never waits on a write: what a child's pipe does
 not take at once waits in the endpoint's outbox, so a child blocked writing a
-large result can always be read, and a reply is read as it arrives, so a child
-stopped halfway through writing one holds up nobody else.
-
-Crash-stop: a task that raises errors the result stream when its frame
-reaches the head of the line, and a child that dies (EOF on its pipe)
-errors it at once; ``StreamLender`` treats either as a failed worker and
-re-lends the borrowed values elsewhere.  ``close()`` only closes the pipes:
-a child stops at EOF — after the frame it is running, never computing a
-prefetched one, because answering on the closed pipe fails first — so every
-child exits by itself and ``multiprocessing.active_children()`` reaps it.
-
-Who reads the pipes depends on who drives the stream.  Under a
-:class:`~repro.core.distributed_map.DistributedMap` the pool is
-``blocking=False`` and registered with the map's
-:class:`~repro.sched.EventLoopScheduler`: its endpoints sit on the loop's
-selector (put there by :class:`~repro.sched.sources.PoolEventSource` through
-``Endpoint.watch``, as a gateway does with a volunteer's), an ask whose
-head-of-line result is not in yet is parked, and :meth:`poll` delivers it
-later — which is what lets several pools pump concurrently from one
-interpreter thread.  A bare pool behind a plain ``pull`` has no driver, so
-the blocking default ``select``s on the children's pipes itself until the
-head frame's result is in.
+large result can always be read, and a reply is read as it arrives, so a
+child stopped halfway through writing one holds up nobody else.
 
 ``transport="shm"`` moves the frame *payloads* off the pipe: large
 ``bytes``/array values are written once into a
@@ -61,8 +63,8 @@ head frame's result is in.
 (slot index, length, dtype tag) crosses the pipe, cutting the per-frame
 copying that dominates no-op pool throughput on big payloads.  Slot
 lifetime is tied to the frame: acquired on submit, reused by the child for
-the result, released when the result is read — or when the frame is
-cancelled, fails, or the pool shuts down, so the ring cannot leak.  A
+the result, released when the result is pushed (its payloads copied out) —
+or when the frame fails or the pool shuts down, so the ring cannot leak.  A
 payload that fits no slot (or finds the ring exhausted) stays in-band on
 the pipe, exactly as with ``transport="pipe"``.
 """
@@ -76,40 +78,30 @@ import pickle
 import select
 import socket
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Set
+from typing import Any, Callable, Deque, List, Optional
 
-from ..analysis.annotations import loop_only
 from ..errors import PandoError, ProtocolError, WorkerCrashed
 from ..net import wire
-from ..net.endpoint import PIPE, Endpoint, data_frame
+from ..net.endpoint import PIPE, Endpoint, close_inherited, data_frame
 from ..net.serialization import OOB_MIN_BYTES
 from ..net.shm_ring import ShmRing, pack_frame, unpack_frame
-from ..pullstream.protocol import DONE, Callback, End, Source, is_error
+from ..pullstream.protocol import DONE, End, Source, is_error
+from ..pullstream.pushable import Pushable
 from ..pullstream.sinks import eager_pump
+from ..sched.sources import EndpointSource
 from .cancel import CancelFlag
 from .tasks import FunctionRef, resolve_callable, serve_frames
 
 __all__ = ["ProcessPoolWorker", "default_window"]
-
-#: frames a child holds at most: the one it runs and one prefetched behind it
-CHILD_DEPTH = 2
-
-#: Master-side pipe ends open in this process.  A forked child inherits a
-#: copy of every one of them — its own, its earlier siblings', other pools' —
-#: and closes them first thing: a pipe only reports EOF once *every* copy of
-#: the far end is closed, and EOF is how a child learns that its master
-#: closed the pool or died.
-_MASTER_ENDS: Set[socket.socket] = set()
 
 
 def default_window(processes: Optional[int]) -> int:
     """Limiter window that keeps *processes* workers busy plus one in reserve.
 
     Frames, not values: ``processes + 1`` in flight is one frame running in
-    every child and a single prefetched frame among them all — ``CHILD_DEPTH``
-    lets each child hold one, this window fills only one of those places.
-    Filling all of them (``processes * CHILD_DEPTH``) was measured when pool
-    results started going down the stream from the reader callback: +1-2 %
+    every child and a single prefetched frame among them all.  A prefetched
+    frame in every child (``2 * processes``) was measured when pool results
+    started going down the stream from the reader callback: +1-2 %
     ``values_per_s`` on ``tiny_ordered`` for +30 % p95 (every extra frame
     in flight is a value waiting in a queue), so it stays.
     """
@@ -117,13 +109,13 @@ def default_window(processes: Optional[int]) -> int:
 
 
 def _child_main(sock: socket.socket, *config: Any) -> None:
-    """Entry point of a pool child (see :func:`repro.pool.tasks.serve_frames`)."""
-    for inherited in list(_MASTER_ENDS):
-        inherited.close()
+    """Entry point of a pool child (see :func:`repro.pool.tasks.serve_frames`):
+    first the copies of the master's sockets go (:func:`close_inherited`)."""
+    close_inherited()
     serve_frames(sock, *config)
 
 
-class ProcessPoolWorker:
+class ProcessPoolWorker(EndpointSource):
     """Duplex channel whose far side is a set of worker processes.
 
     Parameters
@@ -135,12 +127,6 @@ class ProcessPoolWorker:
     processes:
         Number of children (defaults to ``os.cpu_count()``); all are started
         when the first frame is submitted.
-    blocking:
-        When True (the default), the source waits on the children's pipes
-        until the head-of-line result is in — for a bare pool behind a plain
-        ``pull``.  When False, such an ask is parked and delivered by
-        :meth:`poll` — the mode every pool under a ``DistributedMap`` runs
-        in, where the map's scheduler reads the pipes.
     transport:
         ``"pipe"`` (the default) sends whole frames through the child's
         pipe; ``"shm"`` moves large ``bytes``/array payloads through a
@@ -159,6 +145,11 @@ class ProcessPoolWorker:
         of a frame.  A forced cancellation fan-out (or shutdown) raises the
         flag, so a frame already running stops at its next chunk boundary
         instead of computing the whole batch.
+
+    Who reads the pipes follows from registration: once an
+    :class:`~repro.sched.EventLoopScheduler` has the pool
+    (``scheduler.register(pool)``), its loop does; until then the source
+    waits on them itself.
     """
 
     pull_role = "duplex"
@@ -167,7 +158,6 @@ class ProcessPoolWorker:
         self,
         fn_ref: FunctionRef,
         processes: Optional[int] = None,
-        blocking: bool = True,
         transport: str = "pipe",
         slot_count: Optional[int] = None,
         slot_size: Optional[int] = None,
@@ -189,9 +179,9 @@ class ProcessPoolWorker:
                 "slot_count/slot_size/shm_min_bytes tune the shared-memory "
                 "ring and require transport='shm'"
             )
+        super().__init__()
         self.fn_ref = fn_ref
         self.processes = processes or os.cpu_count() or 1
-        self.blocking = blocking
         self.transport = transport
         #: the owning map's observability plane (frame tracing), or None
         self.obs = obs
@@ -213,23 +203,18 @@ class ProcessPoolWorker:
         #: the master's end of each child's pipe, ``.process`` being the child
         #: (empty until the first frame, and after shutdown)
         self.children: List[Endpoint] = []
-        #: the :class:`~repro.sched.sources.PoolEventSource` whose loop reads
-        #: the pipes, when a scheduler drives this pool
-        self.watcher: Optional[Any] = None
         self._next_seq = 0
-        #: submitted, undelivered frames in submission (= borrow) order
+        #: submitted frames not pushed yet, in submission (= borrow) order;
+        #: every one of them is in a child's pipe
         self._pending: Deque[wire.Frame] = deque()
-        #: the tail of ``_pending`` no child has room for yet
-        self._queue: Deque[wire.Frame] = deque()
         self._upstream_ended: End = None
-        self._result_waiting: Optional[Callback] = None
         self._closed: End = None
+        #: the result stream: replies are pushed here in borrow order
+        self.results = Pushable(on_close=self._shutdown)
         # counters for benches and tests
         self.tasks_submitted = 0
         self.values_dispatched = 0
         self.results_returned = 0
-        #: frames cancelled before they were handed to a child
-        self.tasks_cancelled = 0
         self.source = self._make_source()
         self.sink = self._make_sink()
 
@@ -251,14 +236,10 @@ class ProcessPoolWorker:
     # ----------------------------------------------------------- sink side
     def _make_sink(self) -> Callable[[Source], None]:
         def sink(read: Source) -> None:
-            def on_end(answer_end: End) -> None:
-                self._upstream_ended = answer_end if is_error(answer_end) else DONE
-                self._maybe_finish()
-
             eager_pump(
                 read,
                 on_value=self._submit,
-                on_end=on_end,
+                on_end=self._upstream_end,
                 closed_reason=lambda: self._closed,
             )
 
@@ -293,19 +274,17 @@ class ProcessPoolWorker:
             self._spawn()
         self._next_seq += 1
         self._pending.append(frame)
-        child = min(self.children, key=lambda child: len(child.frames))
-        if len(child.frames) < CHILD_DEPTH:
-            child.send(frame)
-        else:
-            self._queue.append(frame)
+        min(self.children, key=lambda child: len(child.frames)).send(frame)
         self.values_dispatched += frame.count
         self.tasks_submitted += 1
-        if self._result_waiting is not None:
-            if self.blocking:
-                waiting, self._result_waiting = self._result_waiting, None
-                self._deliver(waiting)
-            else:
-                self.poll()
+        if self.scheduler is None and self.results.waiting:
+            # A bare pool's result ask came before this frame: answer it.
+            self._await_head()
+
+    def _upstream_end(self, end: End) -> None:
+        self._upstream_ended = end if is_error(end) else DONE
+        if not self._pending:
+            self._shutdown(self._upstream_ended)
 
     # ------------------------------------------------------ children, pipes
     def _spawn(self) -> None:
@@ -322,7 +301,6 @@ class ProcessPoolWorker:
         )
         for _ in range(self.processes):
             master_end, child_end = socket.socketpair()
-            _MASTER_ENDS.add(master_end)
             child = Endpoint(
                 master_end,
                 PIPE,
@@ -335,254 +313,122 @@ class ProcessPoolWorker:
             try:
                 child.process.start()
             except BaseException:
-                self._close_child(child)
+                child.close()
                 raise
             finally:
                 child_end.close()
             self.children.append(child)
-            if self.watcher is not None:
-                child.watch(self.watcher.loop, self.watcher.on_filed)
+            if self.scheduler is not None:
+                self.watch(child)
 
-    @staticmethod
-    def _close_child(child: Endpoint) -> None:
-        _MASTER_ENDS.discard(child.sock)
-        child.close()
+    def attach(self, scheduler: Any) -> None:
+        """From registration on, *scheduler*'s loop reads the pipes."""
+        super().attach(scheduler)
+        for child in self.children:
+            self.watch(child)
 
-    def receive(self, child: Endpoint) -> None:
-        """File the replies *child*'s endpoint read, refilling the child
-        after each; how its stream ended, if it did, ends this worker."""
-        while child.inbox and self._closed is None:
-            message = child.inbox.popleft()
-            try:
-                if isinstance(message, Exception):
-                    raise message
-                # Plain pickle by declaration: the far end is a process this
-                # master forked, running the master's own code.
-                record, values = wire.decode(message, trusted=True)
-                frame = child.claim(record, values)
-            except ProtocolError as exc:
-                self._shutdown(ProtocolError(f"pool child {child.process.pid}: {exc}"))
+    def live(self) -> bool:
+        # Frames owed are answered when a reply arrives.
+        return bool(self._pending)
+
+    def handle(self, child: Endpoint, message: Any) -> None:
+        """File one of *child*'s replies and push what is now at the head of
+        the line; how its stream ended, if that is the message, ends this
+        worker."""
+        try:
+            if isinstance(message, Exception):
+                raise message
+            # Plain pickle by declaration: the far end is a process this
+            # master forked, running the master's own code.
+            record, values = wire.decode(message, trusted=True)
+            frame = child.claim(record, values)
+        except ProtocolError as exc:
+            self._shutdown(ProtocolError(f"pool child {child.process.pid}: {exc}"))
+            return
+        except EOFError as exc:
+            # EOF or a reset: the child died, and this worker with it.
+            self._shutdown(WorkerCrashed(f"pool child {child.process.pid} failed: {exc!r}"))
+            return
+        frame.reply = (True, values) if record["ok"] else (False, record.get("error"))
+        self._push_heads()
+
+    def _push_heads(self) -> None:
+        """Push every frame whose reply is in at the head of borrow order; a
+        failed one errors the stream behind them, and nothing left owed to
+        an ended upstream ends it."""
+        pending, ring = self._pending, self.ring
+        while pending and pending[0].reply is not None:
+            frame = pending.popleft()
+            ok, result = frame.reply
+            if ring is not None:
+                # Copy the payloads out, then release the frame's slots —
+                # the "release on result read" half of slot ownership.
+                if ok:
+                    result = unpack_frame(ring, result)
+                ring.release_all(frame.slots)
+            if not ok:
+                self._shutdown(result)
                 return
-            except EOFError as exc:
-                # EOF or a reset: the child died, and this worker with it.
-                self._shutdown(
-                    WorkerCrashed(f"pool child {child.process.pid} failed: {exc!r}")
-                )
-                return
-            frame.reply = (True, values) if record["ok"] else (False, record.get("error"))
-            if self._queue:
-                child.send(self._queue.popleft())
-
-    def _pump(self, timeout: Optional[float]) -> None:
-        """Wait up to *timeout* seconds (None: until something moves) on the
-        children's pipes: flush stalled sends, file the replies that came."""
-        stalled = [child for child in self.children if child.outbox]
-        readable, writable, _ = select.select(self.children, stalled, (), timeout)
-        for child in writable:
-            child.flush()
-        for child in readable:
-            if self._closed is None and child.read():  # a failed receive closes every pipe
-                self.receive(child)
+            self.results_returned += len(result)
+            if frame.trace is not None:
+                self.obs.observe_frame(frame.trace)
+            self.results.push(frame.unwrap(result))
+        if not pending and self._upstream_ended is not None:
+            self._shutdown(self._upstream_ended)
 
     # --------------------------------------------------------- source side
     def _make_source(self) -> Source:
-        def read(end: End, cb: Callback) -> None:
-            if end is not None:
-                self._shutdown(end if is_error(end) else DONE)
-                cb(end if is_error(end) else DONE, None)
-                return
-            if self._result_waiting is not None:
-                cb(ProtocolError("ProcessPoolWorker source asked twice concurrently"), None)
-                return
-            # Termination is checked before ``_pending``: close() drops the
-            # pending frames, and a read after it reports the close reason.
-            if self._closed is not None:
-                cb(self._termination(), None)
-                return
-            if self._pending:
-                if self.blocking or self._pending[0].reply is not None:
-                    self._deliver(cb)
-                else:
-                    self._result_waiting = cb
-                return
-            if self._upstream_ended is not None:
-                termination = self._termination()
-                self._shutdown(termination)
-                cb(termination, None)
-                return
-            self._result_waiting = cb
+        results = self.results
+
+        def read(end: End, cb: Any) -> None:
+            if end is None and self.scheduler is None and not results.buffered:
+                self._await_head()
+            results(end, cb)
 
         read.pull_role = "source"
         return read
 
-    def _deliver(self, cb: Callback) -> None:
-        """Answer with the oldest pending frame's result (a blocking pool
-        first waits on the pipes until it is in)."""
-        frame = self._pending[0]
-        while frame.reply is None:
-            self._pump(None)
-            if self._closed is not None:
-                # A child died: the shutdown dropped every pending frame.
-                cb(self._closed, None)
-                return
-        self._pending.popleft()
-        (ok, result), trace = frame.reply, frame.trace
-        if not ok:
-            # The frame can never be consumed: its slots go back to the ring
-            # before the crash-stop teardown (shutdown would also reap them,
-            # but release-before-teardown keeps the accounting exact).
-            if self.ring is not None:
-                self.ring.release_all(frame.slots)
-            self._shutdown(result)
-            cb(result, None)
-            return
-        if self.ring is not None:
-            # Copy the payloads out, then release the frame's slots — the
-            # "release on result read" half of the slot-ownership protocol.
-            result = unpack_frame(self.ring, result)
-            self.ring.release_all(frame.slots)
-        self.results_returned += len(result)
-        if trace is not None:
-            self.obs.observe_frame(trace)
-        cb(None, frame.unwrap(result))
+    def _await_head(self) -> None:
+        """No scheduler reads the pipes: wait on them until the head frame's
+        result is pushed (or the pool closed)."""
+        pending = self._pending
+        head = pending[0] if pending else None
+        while pending and pending[0] is head:
+            stalled = [child for child in self.children if child.outbox]
+            readable, writable, _ = select.select(self.children, stalled, ())
+            for child in writable:
+                child.flush()
+            for child in readable:
+                child.read()
+                while child.inbox and self._closed is None:
+                    self.handle(child, child.inbox.popleft())
 
-    def _termination(self) -> End:
-        """Termination marker with consistent precedence: an error stored by
-        the close reason wins, then an upstream error, then DONE."""
-        if is_error(self._closed):
-            return self._closed
-        if is_error(self._upstream_ended):
-            return self._upstream_ended
-        return DONE
-
-    def _maybe_finish(self) -> None:
-        """Answer a parked result ask once the borrow side ended and drained."""
-        if self._result_waiting is None or self._pending:
-            return
-        if self._upstream_ended is None and self._closed is None:
-            return
-        waiting, self._result_waiting = self._result_waiting, None
-        termination = self._termination()
-        self._shutdown(termination)
-        waiting(termination, None)
-
-    # ----------------------------------------------------- polled delivery
-    @loop_only
-    def poll(self, limit: Optional[int] = None) -> bool:
-        """Deliver ready results to a parked ask (non-blocking mode).
-
-        Returns True when at least one result (or the final termination) was
-        handed to the parked callback.  The delivery cascade usually parks a
-        fresh ask, so the loop keeps draining as long as the new head-of-line
-        result is already in.  *limit* bounds the number of results
-        delivered per call — the event-loop scheduler polls with ``limit=1``
-        so one hot pool with a backlog of results cannot starve the other
-        sources sharing its dispatch round.  Without a scheduler watching
-        the pipes, the call first looks at them itself (without waiting).
-        """
-        if self.watcher is None and self._result_waiting is not None:
-            self._pump(0)
-        delivered = False
-        budget = limit
-        while (
-            self._result_waiting is not None
-            and self._pending
-            and self._pending[0].reply is not None
-            and (budget is None or budget > 0)
-        ):
-            waiting, self._result_waiting = self._result_waiting, None
-            self._deliver(waiting)
-            delivered = True
-            if budget is not None:
-                budget -= 1
-        if (
-            self._result_waiting is not None
-            and not self._pending
-            and (self._upstream_ended is not None or self._closed is not None)
-        ):
-            self._maybe_finish()
-            delivered = True
-        return delivered
-
+    # ------------------------------------------------------- cancellation
     def cancel_pending(self, force: bool = False) -> int:
-        """Cancel every submitted frame that no child holds yet.
-
-        Returns the number of frames cancelled (also accumulated in
-        :attr:`tasks_cancelled`).  This is the cancellation fan-out fast
-        path: after a downstream abort (a ``find`` hit), the results of the
-        frames still queued behind the children's can never be delivered,
-        so computing them only wastes the cores.
-
-        Cancelling is only legal once no result can still be consumed — a
-        frame removed from the pending queue would otherwise be silently
-        missing from the result stream (or, in a lender composition, be
-        matched against the wrong borrowed value).  The pool itself can only
-        prove that once it is closed, where shutdown has already reaped the
-        queue — so without *force* the call is a conservative no-op.
-        *force* is for the driver that **knows** the downstream aborted
-        out-of-band (the abort may still be parked in a Limiter gate on its
-        way here): the caller asserts no delivered result will be consumed.
-        A forced cancellation that empties the queue shuts the pool down —
-        with no frame in a child and the downstream gone, nothing can ever
-        be owed again.
+        """The abort fan-out, for a driver that **knows** the downstream
+        aborted (*force*: the abort may still be parked in a Limiter gate on
+        its way here; without it, nothing).  Every frame is in a child and
+        the lender's abort discards its result, so the pool only raises its
+        :class:`CancelFlag` — the frames stop at their next chunk boundary —
+        and, owing nothing, closes.  Returns the frames the flag reaches.
         """
-        if not force and self._closed is None:
+        if not force or self._closed is not None:
             return 0
+        flagged = 0
         if self.cancel_flag is not None:
-            # Raise the shared flag first: the frames the children hold are
-            # beyond cancelling, but they poll this between chunks — the
-            # bounded-tail half of the fan-out.
             self.cancel_flag.set()
-        cancelled = self._drop_queue()
-        if (
-            force
-            and not self._pending
-            and self._upstream_ended is None
-            and self._closed is None
-        ):
+            flagged = len(self._pending)
+        if not self._pending:
             self._shutdown(DONE)
-        else:
-            # Dropping the queued frames may leave nothing owed: answer a
-            # parked result ask with the termination so the sub-stream
-            # closes now.
-            self._maybe_finish()
-        return cancelled
-
-    def _drop_queue(self) -> int:
-        """Forget the frames no child holds (always the tail of ``_pending``);
-        they never ran, so their payload slots go straight back to the ring."""
-        cancelled = len(self._queue)
-        for _ in range(cancelled):
-            frame = self._pending.pop()
-            if self.ring is not None:
-                self.ring.release_all(frame.slots)
-        self._queue.clear()
-        self.tasks_cancelled += cancelled
-        return cancelled
-
-    @property
-    def waiting(self) -> bool:
-        """True while a result ask is parked (awaiting poll or new input)."""
-        return self._result_waiting is not None
-
-    @property
-    def deliverable(self) -> bool:
-        """True when :meth:`poll` would hand something to the parked ask."""
-        if self._result_waiting is None:
-            return False
-        if self._pending:
-            return self._pending[0].reply is not None
-        return self._upstream_ended is not None or self._closed is not None
-
-    @property
-    def head_started(self) -> bool:
-        """True once the oldest pending frame has been handed to a child."""
-        return len(self._pending) > len(self._queue)  # the queue is the tail
+        return flagged
 
     # ------------------------------------------------------------ lifecycle
     def _shutdown(self, reason: End) -> None:
-        if self._closed is None:
-            self._closed = reason if reason is not None else DONE
+        """Tear the pool down once (idempotent) and end the result stream:
+        with the error, or — after what was pushed — normally."""
+        if self._closed is not None:
+            return
+        self._closed = reason if reason is not None else DONE
         if self.cancel_flag is not None:
             # Set-then-unlink: children already attached read the raised
             # byte through their existing mapping; children attaching after
@@ -593,25 +439,26 @@ class ProcessPoolWorker:
         # after the frame it is running (see repro.pool.tasks.serve_frames).
         children, self.children = self.children, []
         for child in children:
-            self._close_child(child)
-        self._drop_queue()
+            child.close()
+        self._turns.clear()
         if self.ring is not None:
-            # Reap every frame's slots — delivered frames already released
-            # theirs, and nothing after shutdown can consume the rest — then
-            # drop the block.  The counters stay readable for leak checks.
+            # Reap the slots of every frame nothing can consume now — pushed
+            # frames already released theirs — then drop the block.  The
+            # counters stay readable for leak checks.
             for frame in self._pending:
                 self.ring.release_all(frame.slots)
             self.ring.close()
-        # Dropped frames must not be delivered by a later read: the read
-        # reports the recorded close reason instead.
         self._pending.clear()
-        # A parked result ask must be answered on *any* termination —
-        # including close() — so the sub-stream closes and its borrowed
-        # values are re-lent instead of being silently stranded (the same
-        # leak the Limiter gated-ask fix addresses).
-        if self._result_waiting is not None:
-            waiting, self._result_waiting = self._result_waiting, None
-            waiting(self._closed, None)
+        # An error the pool closed on wins, then an upstream error, then DONE.
+        if is_error(self._closed):
+            self.results.error(self._closed)
+        elif is_error(self._upstream_ended):
+            self.results.error(self._upstream_ended)
+        else:
+            self.results.end()
+        if self.scheduler is not None:
+            # The lender re-lends now: the pump must look again.
+            self.scheduler.wake_from_loop()
 
     def close(self) -> None:
         """Close the children's pipes (idempotent); each child exits by

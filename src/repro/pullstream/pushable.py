@@ -113,6 +113,11 @@ class Pushable:
         return self._ended is not None
 
     @property
+    def waiting(self) -> bool:
+        """True while a read is parked, waiting for a push."""
+        return self._waiting is not None
+
+    @property
     def buffered(self) -> int:
         """Number of values currently waiting to be pulled."""
         return len(self._buffer)

@@ -1,10 +1,11 @@
 """Asyncio scheduler subsystem: one event loop driving every delivery source.
 
-The master process waits on heterogeneous asynchronous work — process-pool
-futures, simulated-network timers, values pushed from other threads.  This
-package makes one Python process behave like the paper's event-driven
-master: every waitable registers with an :class:`EventLoopScheduler`, which
-dispatches their parked asks as they fire, fairly, on a single thread.
+The master process waits on heterogeneous asynchronous work — worker-process
+pipes, volunteer sockets, simulated-network timers, values pushed from other
+threads.  This package makes one Python process behave like the paper's
+event-driven master: every waitable registers with an
+:class:`EventLoopScheduler`, which dispatches their work as it arrives,
+fairly, on a single thread.
 
 Quick example — two pools on one unsharded master, computing concurrently::
 
@@ -21,13 +22,13 @@ Quick example — two pools on one unsharded master, computing concurrently::
 
 from .event_loop import EventLoopScheduler
 from .pump import async_pump
-from .sources import EventSource, PoolEventSource, PushablePort, SimEventSource
+from .sources import EndpointSource, EventSource, PushablePort, SimEventSource
 
 __all__ = [
     "EventLoopScheduler",
     "async_pump",
+    "EndpointSource",
     "EventSource",
-    "PoolEventSource",
     "PushablePort",
     "SimEventSource",
 ]

@@ -6,21 +6,23 @@ an :class:`EventLoopScheduler`, the only driver a
 unless the caller shares an instance between maps and simulations):
 
 * every waitable is registered as an :class:`~repro.sched.sources.EventSource`
-  (pools, simulations, thread-safe pushable ports, gateways, custom sources);
+  (pools, simulations, thread-safe pushable ports, gateways, custom sources),
+  and registering hands the source its scheduler;
 * there is one way to wait: on the loop.  A pool's worker pipes sit on the
   loop's selector beside a gateway's volunteer sockets (each an
-  :class:`~repro.net.endpoint.Endpoint`), timers pace simulations, and other
-  threads cross over through :meth:`EventLoopScheduler.wake` — no polling on
-  any path;
+  :class:`~repro.net.endpoint.Endpoint`, both owners an
+  :class:`~repro.sched.sources.EndpointSource`), timers pace simulations,
+  and other threads cross over through :meth:`EventLoopScheduler.wake` — no
+  polling on any path;
 * dispatch is **fair round-robin**: each round starts one source later than
   the previous one and gives every ready source exactly one unit of work,
-  so a hot pool with a backlog cannot starve a simulated channel (a pool
-  result that arrives while its ask is parked, and a message a volunteer's
-  socket filed, go down the stream from the selector callback that read
-  them, one per readable event);
+  so a hot pool with a backlog cannot starve a simulated channel (a reply a
+  child's pipe or a volunteer's socket filed goes down the stream from the
+  selector callback that read it, one message per readable event);
 * when a sink aborts (a ``find`` hit), the scheduler immediately fans the
-  cancellation out to every registered pool's not-yet-started frames
-  instead of letting them compute results nobody can receive.
+  cancellation out to every registered pool, whose cancel flag stops the
+  frames its children run instead of letting them compute results nobody
+  can receive.
 
 All stream callbacks run on the thread that called :meth:`run`, so the
 single-threaded pull-stream machinery needs no locks — exactly the
@@ -41,7 +43,7 @@ from ..analysis.annotations import (
 from ..errors import PandoError
 from ..pullstream.pushable import Pushable
 from ..pullstream.sinks import SinkResult
-from .sources import EventSource, PoolEventSource, PushablePort, SimEventSource
+from .sources import EventSource, PushablePort, SimEventSource
 
 __all__ = ["EventLoopScheduler"]
 
@@ -91,18 +93,15 @@ class EventLoopScheduler:
 
     # ------------------------------------------------------------ registry
     def register(self, source: EventSource) -> EventSource:
-        """Register *source* (appended to the round-robin order)."""
+        """Register *source* (appended to the round-robin order) and hand it
+        this scheduler (``source.attach``) — a process pool, for one, reads
+        its pipes on this loop from then on."""
         if self._closed:
             raise PandoError("EventLoopScheduler is closed")
         if source in self._sources:
             raise PandoError("source is already registered with this scheduler")
         self._sources.append(source)
-        return source
-
-    def register_pool(self, pool: Any) -> PoolEventSource:
-        """Register a non-blocking :class:`ProcessPoolWorker` for delivery."""
-        source = PoolEventSource(self, pool)
-        self.register(source)
+        source.attach(self)
         return source
 
     def register_sim(
@@ -115,15 +114,11 @@ class EventLoopScheduler:
         wall-clock seconds (loop timers wake the scheduler when the next
         event is due).
         """
-        source = SimEventSource(self, sim, time_scale=time_scale)
-        self.register(source)
-        return source
+        return self.register(SimEventSource(sim, time_scale=time_scale))
 
     def register_pushable(self, pushable: Optional[Pushable] = None) -> PushablePort:
         """Register (and return) a thread-safe ingress port."""
-        source = PushablePort(self, pushable)
-        self.register(source)
-        return source
+        return self.register(PushablePort(pushable))
 
     @property
     def sources(self) -> List[EventSource]:
@@ -172,11 +167,11 @@ class EventLoopScheduler:
         """One unit of *source*'s work, from the loop callback that made it
         ready instead of one pump round later.
 
-        For a source whose readiness is a selector event (a pool: one
-        readable pipe, one result; a gateway: one filed message), so the
-        per-source fairness bound of :meth:`dispatch_round` holds: one event,
-        one dispatch, and the loop serves every other callback before this
-        source's next one.  The pump
+        For a source whose readiness is a selector event (an
+        :class:`~repro.sched.sources.EndpointSource`: one readable pipe or
+        socket, one filed message), so the per-source fairness bound of
+        :meth:`dispatch_round` holds: one event, one dispatch, and the loop
+        serves every other callback before this source's next one.  The pump
         is woken only for what only it can do — a source that is still ready
         (a backlog goes through the fair round), the abort fan-out (within
         one delivery of a ``find`` hit), and an exception: asyncio logs and
@@ -200,18 +195,18 @@ class EventLoopScheduler:
             self.wake_from_loop()
 
     def cancel_pools(self, force: bool = False) -> int:
-        """Fan cancellation out to every source (pool frames not yet started).
+        """Fan cancellation out to every source (a pool's cancel flag).
 
         Without *force* the fan-out is conservative: each source only
-        cancels work it can prove undeliverable itself (see
+        cancels what it can prove nobody will consume (see
         :meth:`~repro.pool.process_pool.ProcessPoolWorker.cancel_pending`),
-        which for a pool is nothing before it closed.  *force* carries the
+        which for a pool is nothing.  *force* carries the
         caller's assertion that **every** registered pool's results are now
         garbage — the contract of :meth:`run`'s ``aborted`` predicate, which
         is how the abort fallback calls this.  Drivers that know exactly
         which pools serve an aborted stream pass ``on_abort`` to :meth:`run`
         instead — ``DistributedMap`` does, forcing only the pools whose
-        sub-stream closed.  Returns the number of frames cancelled across
+        sub-stream closed.  Returns the number of frames told to stop across
         all sources; also accumulated in :attr:`cancellations`.
         """
         cancelled = sum(source.cancel_pending(force=force) for source in self._sources)

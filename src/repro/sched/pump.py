@@ -162,8 +162,7 @@ async def async_pump(
                 raise PandoError(
                     "EventLoopScheduler stalled: a sink has not completed and "
                     "no registered source can make progress (is every shard "
-                    "served by at least one worker, and is every pool "
-                    "non-blocking?)"
+                    "served by at least one worker?)"
                 )
             budget = safety_net
             if deadline is not None:

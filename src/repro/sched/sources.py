@@ -3,18 +3,13 @@
 Every kind of asynchronous work the master process waits on is adapted to
 one small interface, :class:`EventSource`:
 
-* :class:`PoolEventSource` — a non-blocking
-  :class:`~repro.pool.process_pool.ProcessPoolWorker`.  The master's end of
-  each worker process's pipe is an :class:`~repro.net.endpoint.Endpoint` on
-  the loop's selector from the moment the process starts — the same object,
-  put there by the same ``Endpoint.watch``, as a websocket volunteer's socket
-  under its gateway.  A readable pipe is read as far as it goes; a reply that
-  is whole is filed (which also hands that child its next frame) and, when it
-  answers the parked ask, delivered from that same callback
-  (:meth:`~repro.sched.event_loop.EventLoopScheduler.dispatch_now`).
-  Dispatch delivers exactly one result — per readable event, or per round
-  for a backlog (fairness) — cascading through the stream machinery on the
-  loop thread.
+* :class:`EndpointSource` — work that arrives as messages on
+  :class:`~repro.net.endpoint.Endpoint` objects on the loop's selector: a
+  process pool's worker pipes, a websocket gateway's volunteer sockets.  The
+  reader callback that filed a message queues that endpoint's turn and takes
+  one at once (:meth:`~repro.sched.event_loop.EventLoopScheduler.dispatch_now`);
+  a backlog goes through the pump's fair round, one message per dispatch,
+  endpoints with filed messages taking turns.
 * :class:`SimEventSource` — a discrete-event
   :class:`~repro.sim.scheduler.Scheduler` (simulated channels, heartbeats,
   failure schedules).  Dispatch processes exactly one simulated event.  By
@@ -41,10 +36,9 @@ from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
 from ..analysis.annotations import any_thread, loop_only
-from ..errors import PandoError
 from ..pullstream.pushable import Pushable
 
-__all__ = ["EventSource", "PoolEventSource", "SimEventSource", "PushablePort"]
+__all__ = ["EventSource", "EndpointSource", "SimEventSource", "PushablePort"]
 
 
 class EventSource:
@@ -67,6 +61,14 @@ class EventSource:
         wake-up comes from the scheduler's loop: its selector, its timers,
         or ``scheduler.wake()`` from another thread.
     """
+
+    #: the scheduler dispatching this source, handed over by :meth:`attach`
+    scheduler: Any = None
+
+    def attach(self, scheduler: Any) -> None:
+        """Called by ``EventLoopScheduler.register``: *scheduler* hands itself
+        to the source it is about to dispatch."""
+        self.scheduler = scheduler
 
     def ready(self) -> bool:  # pragma: no cover - interface default
         return False
@@ -91,57 +93,56 @@ class EventSource:
         return 0
 
 
-class PoolEventSource(EventSource):
-    """Event-loop delivery for one non-blocking process pool."""
+class EndpointSource(EventSource):
+    """An event source whose unit of work is one message an endpoint filed.
 
-    def __init__(self, scheduler: Any, pool: Any) -> None:
-        if getattr(pool, "blocking", False):
-            raise PandoError(
-                "EventLoopScheduler requires a non-blocking pool source: a "
-                "blocking ProcessPoolWorker monopolises the loop thread on "
-                "its children's pipes (construct it with blocking=False)"
-            )
-        self._scheduler = scheduler
-        self.pool = pool
-        # The pool watches the children it starts later the same way.  Not
-        # ``arm()``: the pump only arms before it waits, and beside a source
-        # that is always ready it never waits — the replies must be read anyway.
-        pool.watcher = self
-        for child in pool.children:
-            child.watch(self.loop, self.on_filed)
+    Subclasses put their endpoints on the scheduler loop with :meth:`watch`
+    and implement :meth:`handle`.  ``ready`` means a turn is queued;
+    ``dispatch`` hands one filed message to ``handle``, the endpoints with a
+    backlog taking turns; the reader callback (:meth:`on_filed`) queues the
+    endpoint's turn and takes one at once, so a reply goes down the stream
+    from the callback that read it — and, between runs, waits for the next
+    run's first round.
+    """
 
-    @property
-    def loop(self) -> Any:
-        """The loop whose selector reads the pool's pipes."""
-        return self._scheduler.loop
+    def __init__(self) -> None:
+        #: endpoints with filed messages, in the order they get their turn
+        self._turns: Deque[Any] = deque()
+
+    def watch(self, endpoint: Any) -> None:
+        """Read and flush *endpoint* from the scheduler's loop."""
+        endpoint.watch(self.scheduler.loop, self.on_filed)
+
+    @loop_only
+    def on_filed(self, endpoint: Any) -> None:
+        """*endpoint* filed something: queue its turn, and take one now."""
+        if endpoint.inbox and not endpoint.has_turn:
+            endpoint.has_turn = True
+            self._turns.append(endpoint)
+        if self._turns:
+            self.scheduler.dispatch_now(self)
 
     def ready(self) -> bool:
-        return self.pool.deliverable
+        return bool(self._turns)
 
     @loop_only
     def dispatch(self) -> bool:
-        return self.pool.poll(limit=1)
+        turns = self._turns
+        while turns:
+            endpoint = turns.popleft()
+            inbox = endpoint.inbox
+            endpoint.has_turn = len(inbox) > 1
+            if endpoint.has_turn:
+                turns.append(endpoint)
+            if inbox:  # else: finished since it queued
+                self.handle(endpoint, inbox.popleft())
+                return True
+        return False
 
-    def live(self) -> bool:
-        # A parked ask with frames in the children is answered when a reply
-        # arrives; anything else needs outside help to progress.
-        return self.pool.waiting and self.pool.pending > 0
-
-    @loop_only
-    def on_filed(self, child: Any) -> None:
-        """*child*'s endpoint filed a reply, or the way its pipe ended."""
-        pool = self.pool
-        pool.receive(child)
-        if pool.deliverable:
-            # The reply just read (or one filed behind it) answers the
-            # parked ask: down the stream now, not one loop turn later.
-            self._scheduler.dispatch_now(self)
-        # A failed receive closes the pool: the pump must look again.
-        if pool.closed:
-            self._scheduler.wake_from_loop()
-
-    def cancel_pending(self, force: bool = False) -> int:
-        return self.pool.cancel_pending(force=force)
+    def handle(self, endpoint: Any, message: Any) -> None:  # pragma: no cover
+        """One filed *message* of *endpoint*: a decoded frame's bytes, or
+        the exception the endpoint's stream ended with."""
+        raise NotImplementedError
 
 
 class SimEventSource(EventSource):
@@ -154,12 +155,9 @@ class SimEventSource(EventSource):
     with the pace anchored at the first dispatch.
     """
 
-    def __init__(
-        self, scheduler: Any, sim: Any, time_scale: Optional[float] = None
-    ) -> None:
+    def __init__(self, sim: Any, time_scale: Optional[float] = None) -> None:
         if time_scale is not None and time_scale <= 0:
             raise ValueError("time_scale must be positive (or None to run eagerly)")
-        self._scheduler = scheduler
         self.sim = sim
         self.time_scale = time_scale
         self._anchor_real: Optional[float] = None
@@ -201,7 +199,7 @@ class SimEventSource(EventSource):
             return
         remaining = due - time.monotonic()
         if remaining > 0:
-            self._scheduler.wake_after(remaining)
+            self.scheduler.wake_after(remaining)
 
 
 class PushablePort(EventSource):
@@ -214,8 +212,7 @@ class PushablePort(EventSource):
     stack (or any producer thread) inject values into a running pipeline.
     """
 
-    def __init__(self, scheduler: Any, pushable: Optional[Pushable] = None) -> None:
-        self._scheduler = scheduler
+    def __init__(self, pushable: Optional[Pushable] = None) -> None:
         self.pushable = pushable if pushable is not None else Pushable()
         self._lock = threading.Lock()
         self._inbox: Deque[Tuple[str, Any]] = deque()
@@ -247,7 +244,7 @@ class PushablePort(EventSource):
             if op[0] != "value":
                 self._sealed = True
             self._inbox.append(op)
-        self._scheduler.wake()
+        self.scheduler.wake()
 
     # -- scheduler side (loop thread) --------------------------------------
     def ready(self) -> bool:

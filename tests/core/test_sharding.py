@@ -297,13 +297,13 @@ class TestDistributedMapSharded:
         assert sink.result() == [v * v for v in range(20)]
         assert [s.results_delivered for s in dmap.lender.shard_stats] == [10, 10]
 
-    def test_pools_are_non_blocking_and_drive_completes(self):
+    def test_pools_are_read_by_the_scheduler_and_drive_completes(self):
         dmap = DistributedMap(shards=2, batch_size=2)
         sink = pull(values(list(range(12))), dmap, collect())
         try:
             first = dmap.add_process_pool("repro.pool.workloads:square", processes=1)
             second = dmap.add_process_pool("repro.pool.workloads:square", processes=1)
-            assert not first.pool.blocking and not second.pool.blocking
+            assert first.pool.scheduler is second.pool.scheduler is dmap.scheduler
             assert (first.shard, second.shard) == (0, 1)
             dmap.drive(sink, timeout=60)
             assert sink.result() == [v * v for v in range(12)]

@@ -27,6 +27,7 @@ from repro.core.distributed_map import DistributedMap
 from repro.core.limiter import Limiter
 from repro.errors import FrameCancelled, PandoError, WorkerCrashed
 from repro.net import wire
+from repro.net.endpoint import close_inherited
 from repro.net.serialization import Batch
 from repro.pool import ProcessPoolWorker, process_pool
 from repro.pullstream import collect, pull, values
@@ -50,8 +51,8 @@ def returns_unpicklable(value):
 
 
 def read_error(pool, inputs):
-    """Feed *inputs* to a bare blocking *pool*; return what its source
-    answers the first ask with."""
+    """Feed *inputs* to a bare *pool* (no scheduler reads it); return what
+    its source answers the first ask with."""
     pool.sink(values(inputs))
     answers = []
     pool.source(None, lambda end, value: answers.append(end))
@@ -67,20 +68,20 @@ def wait_for_no_children(seconds):
 
 class TestNoBlockingWrite:
     def test_large_frames_both_ways_do_not_deadlock(self):
-        """4 MiB in, 4 MiB out, three frames in flight on one child: the
-        child blocks writing a result while the master still has frames to
+        """4 MiB in, 4 MiB out, two frames in flight on one child: the
+        child blocks writing a result while the master still has a frame to
         send it.  A master that waited on that write would never read."""
         inputs = [bytes([index]) * (4 << 20) for index in range(6)]
         dmap = DistributedMap(batch_size=1)
         sink = pull(values(inputs), dmap, collect())
         try:
-            dmap.add_process_pool(ECHO, processes=1, window=3)
+            dmap.add_process_pool(ECHO, processes=1)
             dmap.drive(sink, timeout=30)
             assert sink.result() == inputs
         finally:
             dmap.close()
 
-    def test_a_bare_blocking_pool_flushes_its_outbox_too(self):
+    def test_a_bare_pool_flushes_its_outbox_too(self):
         inputs = [bytes([index]) * (4 << 20) for index in range(4)]
         with ProcessPoolWorker(ECHO, processes=1) as pool:
             sink = pull(values(inputs), Limiter(pool, 3), collect())
@@ -90,8 +91,7 @@ class TestNoBlockingWrite:
 def stalls_mid_reply(sock, *_config):
     """A pool child that writes half of its first reply and then stops —
     descheduled, SIGSTOPped, swapped out — until the master hangs up."""
-    for inherited in list(process_pool._MASTER_ENDS):
-        inherited.close()
+    close_inherited()
     record, values_ = wire.decode(wire.read_pipe_message(sock), trusted=True)
     reply = {"kind": wire.RESULT, "seq": record["seq"], "ok": True}
     message = b"".join(wire.pipe_message(wire.encode(reply, values_)))
@@ -215,16 +215,13 @@ class TestChildrenExitByThemselves:
     def test_close_stops_after_the_running_frame(self, tmp_path, monkeypatch):
         log = tmp_path / "completions.log"
         monkeypatch.setenv("PANDO_COMPLETION_LOG", str(log))
-        pool = ProcessPoolWorker(
-            "repro.pool.workloads:log_completion", processes=1, blocking=False
-        )
+        pool = ProcessPoolWorker("repro.pool.workloads:log_completion", processes=1)
         pool.sink(values([{"sleep": 0.3, "i": 0}, {"i": 1}, {"i": 2}]))
-        assert pool.head_started and pool.pending == 3
+        assert pool.pending == 3
         pool.close()
-        assert pool.tasks_cancelled == 1  # the third never left the master
         assert wait_for_no_children(2)
         # The child ran the frame it had (or found) and stopped at the
-        # closed pipe: the prefetched frame was never computed.
+        # closed pipe: the frames behind it were never computed.
         assert [line.split()[1] for line in log.read_text().splitlines()] == ["0"]
         assert pool.results_returned == 0
 
@@ -273,6 +270,43 @@ class TestChildrenExitByThemselves:
                 if still_running(pid):
                     os.kill(pid, signal.SIGKILL)
         assert survivors == []
+
+
+class TestChildrenHoldNoMasterSocket:
+    def test_a_volunteer_socket_accepted_before_the_fork_closes_with_the_master(self):
+        """A forked pool child inherits every socket the master has open and
+        must close its copies first thing: a peer reads EOF only once every
+        copy is closed, so a volunteer's connection — and the gateway's
+        listener — would otherwise outlive the master closing them for as
+        long as the child lives."""
+        import asyncio
+        import socket
+
+        dmap = DistributedMap()
+        gateway = dmap.serve_volunteers()
+        peer = socket.create_connection((gateway.host, gateway.port), timeout=5)
+        pool = ProcessPoolWorker(SLEEPER, processes=1)
+        child = None
+        try:
+            deadline = time.monotonic() + 5
+            while not gateway._connections and time.monotonic() < deadline:
+                dmap.scheduler.run_coroutine(asyncio.sleep(0.01))
+            assert gateway._connections, "the gateway never accepted the peer"
+            pool.sink(values([{"sleep": 3.0}]))  # forks the child, which sleeps
+            child = pool.children[0].process
+            gateway.stop()
+            peer.settimeout(1.5)
+            assert peer.recv(1) == b""  # EOF, not a timeout
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection((gateway.host, gateway.port), timeout=1).close()
+            assert child.is_alive()
+        finally:
+            peer.close()
+            pool.close()
+            dmap.close()
+            if child is not None:
+                child.kill()
+                child.join(5)
 
 
 def still_running(pid):

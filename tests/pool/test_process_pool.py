@@ -149,73 +149,127 @@ class TestTerminationPrecedence:
         pool.source(None, lambda end, value: answers.append(end))
         assert answers == [boom]
 
-    def test_maybe_finish_honours_the_close_error(self):
-        """Regression: ``_maybe_finish`` ignored an error stored in
-        ``_closed`` and reported from ``_upstream_ended`` only; it now shares
-        the read path's precedence (close error > upstream error > DONE)."""
-        from repro.pullstream import DONE
+    def test_a_parked_ask_is_answered_with_the_termination(self):
+        """A result ask parked with nothing owed is answered by whatever ends
+        the pool, with the read path's precedence (close error > upstream
+        error > DONE)."""
+        from repro.pullstream import pushable
 
-        pool = ProcessPoolWorker("repro.pool.workloads:echo", processes=1)
-        boom = RuntimeError("torn down")
-        answers = []
-        pool._result_waiting = lambda end, value: answers.append(end)
-        pool._closed = boom
-        pool._upstream_ended = DONE
-        pool._maybe_finish()
-        assert answers == [boom]
-        assert pool._termination() is boom
-        pool.close()
-
-
-class TestNonBlockingDelivery:
-    def test_parked_ask_is_delivered_by_poll(self):
-        from repro.pullstream import DONE, pushable
-
-        pool = ProcessPoolWorker(
-            "repro.pool.workloads:sleep_echo", processes=1, blocking=False
-        )
-        try:
+        boom, upstream_failed = RuntimeError("torn down"), RuntimeError("upstream")
+        for end_upstream, close_with, expected in (
+            (False, boom, boom),
+            (True, boom, boom),
+            (True, None, upstream_failed),
+        ):
+            pool = ProcessPoolWorker("repro.pool.workloads:echo", processes=1)
             source = pushable()
             pool.sink(source)
             answers = []
-            pool.source(None, lambda end, value: answers.append((end, value)))
-            frame = {"sleep": 0.05, "index": 41}
-            source.push(frame)
-            assert answers == []  # parked: the result is not awaited inline
-            while not pool.poll():
-                pass
-            assert answers == [(None, frame)]
-            source.end()
-            answers.clear()
-            # With the upstream drained and ended, the ask answers inline.
-            pool.source(None, lambda end, value: answers.append((end, value)))
-            assert answers == [(DONE, None)]
-        finally:
-            pool.close()
+            pool.source(None, lambda end, value: answers.append(end))
+            assert answers == []  # parked: nothing is owed yet
+            if close_with is not None:
+                pool._upstream_ended = upstream_failed if end_upstream else None
+                pool._shutdown(close_with)
+            else:
+                source.error(upstream_failed)
+            assert answers == [expected]
+            assert pool.closed
 
-    def test_head_future_and_waiting_expose_driver_state(self):
-        """What a driver reads off a pool: ``waiting`` (an ask is parked),
-        ``pending`` (frames owed), ``head_started`` (the oldest is in a
-        child) and ``deliverable`` (``poll`` would answer the ask)."""
-        from repro.pullstream import pushable
 
-        pool = ProcessPoolWorker(
-            "repro.pool.workloads:sleep_echo", processes=1, blocking=False
-        )
-        try:
-            source = pushable()
-            pool.sink(source)
-            assert (pool.pending, pool.head_started) == (0, False)
-            pool.source(None, lambda end, value: None)
-            assert pool.waiting and not pool.deliverable
-            source.push({"sleep": 0.05, "index": 0})
-            assert (pool.pending, pool.head_started) == (1, True)
-            assert not pool.deliverable  # still computing
-            while not pool.poll():
-                pass
-            assert pool.pending == 0
-        finally:
-            pool.close()
+class TestSchedulerDelivery:
+    """A pool registered with a scheduler is read by the scheduler's loop:
+    an ask waits for a run instead of the pipes, and a reply goes down the
+    stream from the reader callback that read it."""
+
+    def test_a_registered_pool_is_read_by_the_run(self):
+        from repro.core.limiter import Limiter
+        from repro.sched import EventLoopScheduler
+
+        frames = [{"sleep": 0.02, "index": index} for index in range(4)]
+        with EventLoopScheduler() as sched:
+            with ProcessPoolWorker(
+                "repro.pool.workloads:sleep_echo", processes=1
+            ) as pool:
+                sched.register(pool)
+                assert pool.scheduler is sched
+                sink = pull(values(frames), Limiter(pool, 2), collect())
+                # The ask did not wait on the pipes: it waits for a run.
+                assert pool.pending == 2 and pool.live() and not sink.done
+                sched.run(sink, timeout=30)
+                assert sink.result() == frames
+                assert not pool.live() and not pool.ready()
+
+    def test_a_reply_read_between_runs_waits_for_the_next_run(self):
+        """A reply the loop reads while no run spins (``run_coroutine``) is
+        filed and given a turn, but nothing goes down the stream until the
+        next ``run()`` takes that turn in its first round."""
+        import asyncio
+        import time
+
+        from repro.core.limiter import Limiter
+        from repro.sched import EventLoopScheduler
+
+        frame = {"sleep": 0.0, "index": 7}
+        with EventLoopScheduler() as sched:
+            with ProcessPoolWorker(
+                "repro.pool.workloads:sleep_echo", processes=1
+            ) as pool:
+                sched.register(pool)
+                sink = pull(values([frame]), Limiter(pool, 1), collect())
+                deadline = time.monotonic() + 30
+                while not pool.ready() and time.monotonic() < deadline:
+                    sched.run_coroutine(asyncio.sleep(0.01))
+                assert pool.ready(), "the reply was never read"
+                assert pool.pending == 1 and pool.results_returned == 0
+                assert not sink.done
+                sched.run(sink, timeout=30)
+                assert sink.result() == [frame]
+                assert pool.results_returned == 1
+
+
+class TestBarePool:
+    """A pool no scheduler reads, behind ``Limiter(pool, 1)`` and a plain
+    ``pull``: its source waits on the children's pipes itself."""
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_round_trips_in_order(self, transport):
+        from repro.core.limiter import Limiter
+
+        options = {"slot_size": 1 << 16, "slot_count": 4} if transport == "shm" else {}
+        inputs = [bytes([index]) * 8192 for index in range(12)]
+        with ProcessPoolWorker(
+            "repro.pool.workloads:echo", processes=1, transport=transport, **options
+        ) as pool:
+            sink = pull(values(inputs), Limiter(pool, 1), collect())
+            assert sink.result() == inputs
+            assert pool.closed and pool.scheduler is None
+        if transport == "shm":
+            assert pool.ring.slots_acquired == pool.ring.slots_released > 0
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_close_mid_stream_ends_the_results(self, transport):
+        from repro.core.limiter import Limiter
+        from repro.pullstream import drain
+
+        options = {"slot_size": 1 << 16, "slot_count": 4} if transport == "shm" else {}
+        inputs = [bytes([index]) * 8192 for index in range(12)]
+        seen = []
+        with ProcessPoolWorker(
+            "repro.pool.workloads:echo", processes=1, transport=transport, **options
+        ) as pool:
+
+            def on_value(value):
+                seen.append(value)
+                if len(seen) == 3:
+                    pool.close()
+
+            sink = pull(values(inputs), Limiter(pool, 1), drain(on_value))
+            sink.result()
+            # The frame submitted behind the third result was dropped.
+            assert seen == inputs[:3]
+            assert pool.closed and pool.pending == 0
+        if transport == "shm":
+            assert pool.ring.slots_acquired == pool.ring.slots_released
 
 
 class TestDistributedMapPoolBackend:
@@ -331,16 +385,6 @@ class TestDistributedMapPoolBackend:
         source.end()
         assert output.result() == [1]
         assert dmap.lender.outstanding == 0
-
-    def test_invalid_window_does_not_leak_the_pool(self):
-        dmap = DistributedMap()
-        pull(values([1]), dmap, collect())
-        with pytest.raises(ValueError):
-            dmap.add_process_pool(
-                "repro.pool.workloads:echo", processes=1, window=0
-            )
-        assert dmap._pools == []
-        assert dmap.workers == {}
 
     def test_attach_after_abort_raises_without_spawning(self):
         from repro.pullstream import count, take

@@ -14,8 +14,9 @@ The package provides:
 * :mod:`repro.devices` — the Table-2 device catalogue and simulated devices;
 * :mod:`repro.sim` — virtual clock, discrete-event scheduler, network
   profiles, failure injection, metrics and deployment scenarios;
-* :mod:`repro.master` / :mod:`repro.worker` — the Pando master process and
-  browser-tab volunteers;
+* :mod:`repro.master` / :mod:`repro.worker` — the worker-code bundler, the
+  volunteer registry, and the simulated browser-tab and real websocket
+  volunteers;
 * :mod:`repro.apps` — the seven applications of the paper's section 4;
 * :mod:`repro.cli` — the Unix-pipeline command-line interface;
 * :mod:`repro.bench` — the harness regenerating every table and figure of the
@@ -58,7 +59,7 @@ from .core import (
     limit,
     stubborn,
 )
-from .master import Bundle, MasterConfig, PandoMaster, bundle_function, bundle_module
+from .master import Bundle, bundle_function, bundle_module
 from .pool import ProcessPoolWorker
 from .sched import EventLoopScheduler
 from .errors import (
@@ -106,10 +107,8 @@ __all__ = [
     "ProcessPoolWorker",
     # event-loop scheduler
     "EventLoopScheduler",
-    # master
+    # worker-code bundling
     "Bundle",
-    "MasterConfig",
-    "PandoMaster",
     "bundle_function",
     "bundle_module",
     # errors

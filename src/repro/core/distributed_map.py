@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import PandoError
+from ..master.registry import VolunteerRegistry
 from ..obs.trace import Observability
 from ..pullstream import async_map, batching, pull, unbatching
 from ..pullstream.duplex import Duplex
@@ -59,6 +60,13 @@ _SCHED_FIELDS = (
     ("wakeups", "Wake events that ended a scheduler wait."),
     ("cancellations", "Frames the scheduler's fan-out told to stop (pool cancel flags)."),
     ("stalls", "Pump stalls diagnosed (each raised to the caller)."),
+)
+
+#: VolunteerRegistry tallies exported as ``pando_volunteers_*``.
+_VOLUNTEER_FIELDS = (
+    ("joins", "Volunteers that joined, simulated or over a websocket gateway."),
+    ("leaves", "Volunteers that left cleanly."),
+    ("crashes", "Volunteers that crashed."),
 )
 
 #: WsVolunteerGateway counters exported per gateway as ``pando_ws_*``.
@@ -122,12 +130,10 @@ class MapStats:
     Unknown attributes proxy to the lender's (aggregate)
     :class:`~repro.core.lender.LenderStats`, so code that reads
     ``dmap.stats.values_read`` is oblivious to this wrapper.  The volunteer
-    plane aggregates every websocket gateway the map serves **and** every
-    registry attached with
-    :meth:`DistributedMap.attach_volunteer_registry` — join/leave/crash
-    tallies come from the registries (a gateway records through its own
-    registry, so counting both would double), connection-level counters
-    from the gateways.
+    plane reads join/leave/crash tallies from the map's one
+    :attr:`DistributedMap.registry` — simulated and websocket volunteers
+    both record there — and connection-level counters from every websocket
+    gateway the map serves.
     """
 
     def __init__(self, dmap: "DistributedMap") -> None:
@@ -138,22 +144,14 @@ class MapStats:
 
     @property
     def volunteers(self) -> Dict[str, Any]:
-        """Aggregate volunteer-plane tallies across gateways and registries."""
-        dmap = self._dmap
-        registries: List[Any] = []
-        for gateway in dmap._gateways:
-            registry = getattr(gateway, "registry", None)
-            if registry is not None and not any(r is registry for r in registries):
-                registries.append(registry)
-        for registry in dmap._volunteer_registries:
-            if not any(r is registry for r in registries):
-                registries.append(registry)
-        gateways = dmap._gateways
+        """Registry tallies plus counters summed across the gateways."""
+        registry = self._dmap.registry
+        gateways = self._dmap._gateways
         return {
-            "joined": sum(r.joins for r in registries),
-            "left": sum(r.leaves for r in registries),
-            "crashed": sum(r.crashes for r in registries),
-            "active": sum(len(r.active) for r in registries),
+            "joined": registry.joins,
+            "left": registry.leaves,
+            "crashed": registry.crashes,
+            "active": len(registry.active),
             "suspicions": sum(g.suspicions for g in gateways),
             "frames_sent": sum(g.frames_sent for g in gateways),
             "values_sent": sum(g.values_sent for g in gateways),
@@ -259,7 +257,9 @@ class DistributedMap:
         self._pools: List[Any] = []
         self._gateways: List[Any] = []
         self._metrics_endpoints: List[Any] = []
-        self._volunteer_registries: List[Any] = []
+        #: every volunteer that joined this map, simulated or over a
+        #: websocket gateway, with its join/leave/crash record
+        self.registry = VolunteerRegistry()
         self._counter = 0
         #: this map's observability plane — metrics registry, trace-event
         #: ring buffer, and the per-frame tracer threaded through the
@@ -464,32 +464,6 @@ class DistributedMap:
         self._metrics_endpoints.append(endpoint)
         return endpoint
 
-    def attach_volunteer_registry(self, registry: Any) -> None:
-        """Fold *registry*'s volunteer tallies into :attr:`stats`.
-
-        The master's :class:`~repro.master.registry.VolunteerRegistry` — or
-        any object with ``joins``/``leaves``/``crashes`` counters and an
-        ``active`` list — joins the map's volunteer-plane aggregation, so
-        simulated deployments (which never open a websocket gateway) report
-        volunteer churn through the same ``stats.as_dict()`` shape as real
-        ones.  Registering twice is a no-op.
-        """
-        if any(existing is registry for existing in self._volunteer_registries):
-            return
-        self._volunteer_registries.append(registry)
-        labels = {"source": f"registry-{len(self._volunteer_registries)}"}
-        for field, help_text in (
-            ("joins", "Volunteers that joined, per attached registry."),
-            ("leaves", "Volunteers that left cleanly, per attached registry."),
-            ("crashes", "Volunteers that crashed, per attached registry."),
-        ):
-            self.obs.registry.register_callback(
-                f"pando_volunteers_{field}_total",
-                help_text,
-                (lambda reg=registry, name=field: getattr(reg, name)),
-                labels=labels,
-            )
-
     def _register_core_collectors(self) -> None:
         """Export the lender, scheduler and page-fault counters at scrape time.
 
@@ -512,6 +486,12 @@ class DistributedMap:
                 f"pando_sched_{field}_total",
                 help_text,
                 (lambda sched=self.scheduler, name=field: getattr(sched, name, 0)),
+            )
+        for field, help_text in _VOLUNTEER_FIELDS:
+            registry.register_callback(
+                f"pando_volunteers_{field}_total",
+                help_text,
+                (lambda volunteers=self.registry, name=field: getattr(volunteers, name)),
             )
         try:
             import resource
@@ -741,8 +721,8 @@ class DistributedMap:
         Attribute access proxies to the underlying
         :class:`~repro.core.lender.LenderStats` (``stats.values_read`` etc.
         keep working unchanged); :meth:`MapStats.as_dict` additionally folds
-        in the websocket gateway counters and the volunteer-registry
-        tallies, so one snapshot covers both the stream plane and the
+        in the volunteer registry's tallies and the websocket gateway
+        counters, so one snapshot covers both the stream plane and the
         volunteer plane.
         """
         return MapStats(self)

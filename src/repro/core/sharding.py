@@ -73,20 +73,18 @@ class ShardedLender:
         shards: int = 2,
         *,
         ordered: bool = True,
-        lender_factory: Optional[Callable[[], StreamLender]] = None,
         max_buffer: Optional[int] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("ShardedLender needs at least one shard")
         if max_buffer is not None and max_buffer < 1:
             raise ValueError("max_buffer must be >= 1 (or None for unbounded)")
-        if lender_factory is None:
-            lender_factory = StreamLender if ordered else UnorderedStreamLender
         self.ordered = ordered
         self.max_buffer = max_buffer
         #: ``TraceLog.emit``-shaped hook; see :meth:`set_trace`
         self.on_trace: Optional[Callable[..., object]] = None
-        self._shards: List[StreamLender] = [lender_factory() for _ in range(shards)]
+        lender = StreamLender if ordered else UnorderedStreamLender
+        self._shards: List[StreamLender] = [lender() for _ in range(shards)]
         self._branches: Optional[SplitBranches] = None
         self._output: Optional[Source] = None
 

@@ -1,8 +1,7 @@
-"""Pando master process: bundling, volunteer registry, deployment."""
+"""Pando master process: bundling and the volunteer registry."""
 
 from .bundler import PANDO_PROTOCOL, Bundle, bundle_function, bundle_module
 from .registry import VolunteerRecord, VolunteerRegistry
-from .master import MasterConfig, PandoMaster
 
 __all__ = [
     "PANDO_PROTOCOL",
@@ -11,6 +10,4 @@ __all__ = [
     "bundle_module",
     "VolunteerRecord",
     "VolunteerRegistry",
-    "MasterConfig",
-    "PandoMaster",
 ]

@@ -20,7 +20,6 @@ reaches StreamLender.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, List, Optional
 
 from ..errors import ConnectionClosed
@@ -35,8 +34,6 @@ from .message import CLOSE, CONTROL, DATA, HEARTBEAT, Message
 from .serialization import Batch
 
 __all__ = ["ChannelEndpoint", "SimChannel"]
-
-_channel_ids = itertools.count()
 
 
 class ChannelEndpoint:
@@ -305,7 +302,7 @@ class SimChannel:
     ) -> None:
         self.scheduler = scheduler
         self.network = network
-        self.id = next(_channel_ids)
+        self.id = next(network.channel_ids)
         self.local = ChannelEndpoint(
             self,
             host=local_host,

@@ -21,8 +21,6 @@ from ..sim.scheduler import Scheduler
 
 __all__ = ["Deployment", "PublicServer"]
 
-_deployment_ids = itertools.count(1)
-
 
 @dataclass
 class Deployment:
@@ -55,6 +53,7 @@ class PublicServer:
         self.network = network
         self.host = host
         self._deployments: Dict[str, Deployment] = {}
+        self._deployment_ids = itertools.count(1)
         self.signalling_messages = 0
 
     # ------------------------------------------------------------ master API
@@ -64,7 +63,7 @@ class PublicServer:
         on_join_request: Callable[[str, Dict[str, Any]], None],
     ) -> Deployment:
         """Register a deployment and return its public URL record."""
-        deployment_id = f"d{next(_deployment_ids)}"
+        deployment_id = f"d{next(self._deployment_ids)}"
         deployment = Deployment(
             deployment_id=deployment_id,
             master_host=master_host,

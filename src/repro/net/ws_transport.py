@@ -353,7 +353,6 @@ class WsVolunteerGateway(EndpointSource):
         heartbeat_interval: float = DEFAULT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_TIMEOUT,
         max_frame: int = DEFAULT_MAX_FRAME,
-        registry: Any = None,
     ) -> None:
         if heartbeat_interval <= 0 or heartbeat_timeout <= 0:
             raise PandoError("heartbeat interval and timeout must be positive")
@@ -368,14 +367,9 @@ class WsVolunteerGateway(EndpointSource):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_frame = max_frame
-        if registry is None:
-            # Imported lazily: repro.master imports repro.net back.
-            from ..master.registry import VolunteerRegistry
-
-            registry = VolunteerRegistry()
-        #: the master's :class:`~repro.master.registry.VolunteerRegistry`
-        #: (join/leave/crash records with wall-clock timestamps)
-        self.registry = registry
+        #: the map's :class:`~repro.master.registry.VolunteerRegistry`, where
+        #: each volunteer's join/leave/crash is recorded (loop-clock times)
+        self.registry = dmap.registry
         self.url: Optional[str] = None
         self._listener: Optional[socket.socket] = None
         self._clock: Optional[LoopClock] = None

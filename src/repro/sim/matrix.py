@@ -483,7 +483,7 @@ def run_cell(cell: MatrixCell) -> CellResult:
         task_chunk=cell.task_chunk,
     )
     scenario = DeploymentScenario(config)
-    dmap = scenario.master.distributed_map
+    dmap = scenario.dmap
     try:
         pool_ids: List[str] = []
         if cell.pool is not None:

@@ -17,6 +17,7 @@ connectivity (used by the failure injector).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -119,6 +120,9 @@ class NetworkModel:
         self._rng = random.Random(seed)
         self.bytes_sent: Dict[Tuple[str, str], int] = {}
         self.messages_sent: Dict[Tuple[str, str], int] = {}
+        #: ids of the channels opened over this network, so a seeded run
+        #: labels its connections the same whatever ran before it
+        self.channel_ids = itertools.count()
 
     def set_link(self, host_a: str, host_b: str, profile: LinkProfile) -> None:
         """Register a specific *profile* for the pair (order-independent)."""

@@ -1,9 +1,13 @@
 """Deployment scenarios: build and run complete simulated Pando deployments.
 
-A :class:`DeploymentScenario` assembles every piece of the system — master,
-public server, volunteers with their devices, network model, failure
-schedule — for one of the paper's three settings (LAN, VPN, WAN) and runs it
-in virtual time.  Two modes are provided:
+A :class:`DeploymentScenario` assembles every piece of the system — the
+master's :class:`~repro.core.distributed_map.DistributedMap`, public server,
+volunteers with their devices, network model, failure schedule — for one of
+the paper's three settings (LAN, VPN, WAN) and runs it in virtual time.  The
+scenario is also the deployment's master side (paper Figure 7): it serves the
+bundled worker code, accepts each volunteer that opens its URL into the map's
+volunteer registry, and wires one simulated channel per browser tab, through
+the map's ``Limiter``, to a fresh sub-stream.  Three modes are provided:
 
 * :meth:`DeploymentScenario.run_measurement` reproduces the paper's
   methodology (section 5.1): an effectively infinite input stream is
@@ -12,7 +16,10 @@ in virtual time.  Two modes are provided:
   this regenerates the rows of Table 2;
 * :meth:`DeploymentScenario.run_to_completion` processes a finite list of
   inputs until the output stream ends — used by integration tests, the
-  Figure-4 deployment example and the fault-tolerance experiments.
+  Figure-4 deployment example and the fault-tolerance experiments;
+* :meth:`DeploymentScenario.run_on_loop` steps the simulation as a source
+  of the map's event loop, beside real process pools — the scenario
+  matrix's mode.
 """
 
 from __future__ import annotations
@@ -21,12 +28,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..apps.base import Application
+from ..core.distributed_map import DistributedMap
 from ..devices.profiles import DeviceProfile, devices_for_setting
-from ..errors import DeploymentError
+from ..errors import DeploymentError, PandoError
 from ..master.bundler import bundle_function
-from ..master.master import MasterConfig, PandoMaster
-from ..net.signaling import PublicServer
-from ..pullstream import collect, drain, from_iterable, pull
+from ..master.registry import VolunteerRecord
+from ..net.signaling import Deployment, PublicServer
+from ..net.webrtc import WebRTCConnection
+from ..net.websocket import WebSocketConnection
+from ..pullstream import collect, drain, from_iterable, pull, through
+from ..pullstream.sinks import SinkResult
 from ..worker.volunteer import SimVolunteer
 from .failures import FailureSchedule
 from .metrics import MetricsCollector, ThroughputReport
@@ -39,6 +50,11 @@ __all__ = ["ScenarioConfig", "ScenarioResult", "DeploymentScenario", "default_ba
 PAPER_BATCH_SIZES = {"lan": 2, "vpn": 2, "wan": 4, "loopback": 2}
 #: transports used by the paper per setting
 PAPER_TRANSPORTS = {"lan": "websocket", "vpn": "websocket", "wan": "webrtc", "loopback": "websocket"}
+#: transports a deployment can open its volunteer channels with
+TRANSPORTS = ("websocket", "webrtc")
+#: the master's host in the network model, and the URL it serves on the LAN
+MASTER_HOST = "master"
+LOCAL_URL = f"http://{MASTER_HOST}:5000"
 
 
 def default_batch_size(setting: str) -> int:
@@ -78,6 +94,17 @@ class ScenarioConfig:
     #: work units per device execution chunk; tasks poll the scenario's stop
     #: request between chunks (bounded-tail cancellation); None = whole task
     task_chunk: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        transport = self.resolved_transport()
+        if transport not in TRANSPORTS:
+            raise DeploymentError(
+                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
+            )
+        if self.resolved_batch_size() < 1:
+            raise DeploymentError("batch_size must be >= 1")
+        if self.shards < 1:
+            raise DeploymentError("shards must be >= 1")
 
     def resolved_devices(self) -> List[DeviceProfile]:
         return list(
@@ -135,6 +162,8 @@ class DeploymentScenario:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.app = config.application
+        self.transport = config.resolved_transport()
+        self.batch_size = config.resolved_batch_size()
         self.scheduler = Scheduler()
         self.network = NetworkModel(
             default_profile=profile_for_setting(config.setting), seed=config.seed
@@ -145,32 +174,26 @@ class DeploymentScenario:
             if config.resolved_public_server()
             else None
         )
-        self.master = PandoMaster(
-            bundle_function(
-                self.app.processing_function(),
-                name=self.app.name,
-                application=self.app,
-            ),
-            config=MasterConfig(
-                batch_size=config.resolved_batch_size(),
-                transport=config.resolved_transport(),
-                ordered=config.ordered,
-                heartbeat_interval=config.heartbeat_interval,
-                heartbeat_timeout=config.heartbeat_timeout,
-                shards=config.shards,
-                split_buffer=config.split_buffer,
-            ),
-            scheduler=self.scheduler,
-            network=self.network,
-            public_server=self.public_server,
-            metrics=self.metrics,
-            host="master",
+        self.bundle = bundle_function(
+            self.app.processing_function(), name=self.app.name, application=self.app
         )
+        # The map owns its EventLoopScheduler (the async pump driving pools
+        # and SimEventSources); `self.scheduler` is the discrete-event
+        # simulation clock — different planes.
+        self.dmap = DistributedMap(
+            ordered=config.ordered,
+            batch_size=self.batch_size,
+            shards=config.shards,
+            split_buffer=config.split_buffer,
+        )
+        #: human-readable deployment log (startup messages, joins, crashes)
+        self.log: List[str] = []
+        #: the public-server registration, once :meth:`serve` made one
+        self.deployment: Optional[Deployment] = None
         self.volunteers: Dict[str, SimVolunteer] = {}
         #: every volunteer ever built, including replaced rejoin incarnations
         self.incarnations: List[SimVolunteer] = []
         self._rejoin_counts: Dict[str, int] = {}
-        self._serve_url: Optional[str] = None
         self._stop = False
         #: virtual time at which the output sink completed / aborted, if any
         self.completed_virtual: Optional[float] = None
@@ -188,7 +211,7 @@ class DeploymentScenario:
             setting = (profile.setting or default_setting).lower()
             if setting != default_setting:
                 self.network.set_link(
-                    self.master.host, profile.name, profile_for_setting(setting)
+                    MASTER_HOST, profile.name, profile_for_setting(setting)
                 )
 
     def _build_volunteers(self) -> None:
@@ -208,7 +231,6 @@ class DeploymentScenario:
         device.stop_check = lambda: self._stop
 
     def _schedule_joins(self, url: str) -> None:
-        self._serve_url = url
         for name, volunteer in self.volunteers.items():
             join_time = self.config.join_times.get(name, 0.0)
             if self.public_server is not None:
@@ -216,7 +238,7 @@ class DeploymentScenario:
                     join_time, volunteer.join_url, url, self.public_server
                 )
             else:
-                self.scheduler.call_at(join_time, volunteer.join, self.master)
+                self.scheduler.call_at(join_time, volunteer.join, self)
 
     def _schedule_failures(self) -> None:
         schedule = self.config.failure_schedule
@@ -275,10 +297,122 @@ class DeploymentScenario:
         self._prepare_device(volunteer)
         self.volunteers[name] = volunteer
         self.incarnations.append(volunteer)
-        if self.public_server is not None and self._serve_url is not None:
-            volunteer.join_url(self._serve_url, self.public_server)
+        if self.deployment is not None:
+            volunteer.join_url(self.deployment.url, self.public_server)
         else:
-            volunteer.join(self.master)
+            volunteer.join(self)
+
+    # ----------------------------------------------------------- master side
+    def serve(self) -> str:
+        """Start serving the volunteer code and return the volunteer URL.
+
+        Mirrors the paper's startup message ``Serving volunteer code at
+        http://...:5000``.  With a public server, the deployment is
+        registered there and its public URL is returned instead of the LAN
+        one.
+        """
+        self.log.append(f"Serving volunteer code at {LOCAL_URL}")
+        if self.public_server is None:
+            return LOCAL_URL
+        self.deployment = self.public_server.register_deployment(
+            master_host=MASTER_HOST,
+            on_join_request=lambda _host, info: self.accept_volunteer(info["volunteer"]),
+        )
+        self.log.append(f"Public deployment available at {self.deployment.url}")
+        return self.deployment.url
+
+    def shutdown(self) -> None:
+        """End the deployment (DP1: the tool shuts down after its task)."""
+        if self.deployment is not None:
+            self.public_server.shutdown_deployment(self.deployment.deployment_id)
+        self.log.append("Deployment shut down")
+
+    def accept_volunteer(self, volunteer: SimVolunteer) -> None:
+        """Register *volunteer*, ship it the bundle, then open its tabs."""
+        tabs = volunteer.requested_tabs
+        record = self.dmap.registry.register(
+            host=volunteer.host,
+            device_name=volunteer.device.name,
+            protocol=self.transport,
+            joined_at=self.scheduler.now,
+            tabs=tabs,
+        )
+        self.log.append(
+            f"[{self.scheduler.now:10.3f}] volunteer {record.volunteer_id} "
+            f"({volunteer.device.name}, {tabs} tab(s)) joining via {self.transport}"
+        )
+        # The volunteer downloads the worker code bundle over HTTP first.
+        download_delay = self.network.delay(
+            MASTER_HOST, volunteer.host, self.bundle.size_bytes
+        )
+        self.scheduler.call_later(download_delay, self._open_tabs, volunteer, record)
+
+    def _open_tabs(self, volunteer: SimVolunteer, record: VolunteerRecord) -> None:
+        for index in range(record.tabs):
+            self._open_channel(volunteer, record, index)
+
+    def _open_channel(
+        self, volunteer: SimVolunteer, record: VolunteerRecord, tab_index: int
+    ) -> None:
+        options = dict(
+            local_host=MASTER_HOST,
+            remote_host=volunteer.host,
+            heartbeat_interval=self.config.heartbeat_interval,
+            heartbeat_timeout=self.config.heartbeat_timeout,
+        )
+        if self.transport == "webrtc":
+            channel = WebRTCConnection(
+                self.scheduler, self.network, signalling_server=self.public_server, **options
+            )
+        else:
+            channel = WebSocketConnection(self.scheduler, self.network, **options)
+
+        def connected(err: Optional[BaseException], _channel: Any) -> None:
+            if err is not None:
+                self.log.append(
+                    f"[{self.scheduler.now:10.3f}] connection to "
+                    f"{record.volunteer_id} tab {tab_index} failed: {err!r}"
+                )
+                return
+            worker_id = f"{volunteer.device.name}#{tab_index}"
+            try:
+                self.dmap.add_channel(
+                    channel.local.duplex, worker_id=worker_id, batch_size=self.batch_size
+                )
+            except PandoError:
+                # The job terminated (completed or was aborted) while this
+                # tab was still connecting — an early find() hit beats a
+                # high-latency WAN handshake.  Turn the late volunteer away
+                # instead of letting the error escape the event loop.
+                self.log.append(
+                    f"[{self.scheduler.now:10.3f}] worker {worker_id} "
+                    f"connected after the job terminated; turned away"
+                )
+                channel.local.close("job-terminated")
+                return
+            channel.local.on_close(
+                lambda reason: self._on_channel_closed(record, reason)
+            )
+            volunteer.attach_tab(tab_index, channel.remote, self.bundle, self.metrics)
+            self.log.append(
+                f"[{self.scheduler.now:10.3f}] worker {worker_id} connected "
+                f"(batch={self.batch_size})"
+            )
+
+        channel.connect(connected)
+
+    def _on_channel_closed(
+        self, record: VolunteerRecord, reason: Optional[BaseException]
+    ) -> None:
+        crashed = reason is not None
+        self.dmap.registry.mark_left(
+            record.volunteer_id, self.scheduler.now, crashed=crashed
+        )
+        if crashed:
+            self.log.append(
+                f"[{self.scheduler.now:10.3f}] lost {record.volunteer_id} "
+                f"({record.device_name}): {reason}"
+            )
 
     # ------------------------------------------------------------- stopping
     def request_stop(self) -> None:
@@ -290,16 +424,22 @@ class DeploymentScenario:
         return self._stop
 
     # ------------------------------------------------------------ execution
+    def _start(self, inputs: Iterable[Any], sink: Any) -> SinkResult:
+        """Serve, schedule churn and joins, and pull *inputs* through the map
+        and the output counter into *sink*."""
+        url = self.serve()
+        self._schedule_failures()
+        self._schedule_joins(url)
+        counted = through(on_value=lambda _value: self.metrics.record_output())
+        return pull(from_iterable(inputs), self.dmap, counted, sink)
+
     def run_measurement(self) -> ScenarioResult:
         """Measure steady-state throughput over the configured window."""
         config = self.config
         inputs = (
             self.app.wrap_input(value) for value in self.app.generate_inputs(None)
         )
-        url = self.master.serve()
-        self._schedule_failures()
-        self._schedule_joins(url)
-        sink_result = pull(from_iterable(inputs), self.master, drain())
+        self._start(inputs, drain())
 
         # Warm-up, then measure.
         self.metrics.enabled = False
@@ -307,7 +447,7 @@ class DeploymentScenario:
         self.metrics.start_window(self.scheduler.now)
         self.scheduler.run_until(config.warmup + config.duration)
         self.metrics.end_window(self.scheduler.now)
-        self.master.shutdown()
+        self.shutdown()
 
         report = self.metrics.report(self.app.name, config.setting)
         return self._result(report=report, outputs=None, completed_at=None)
@@ -320,17 +460,14 @@ class DeploymentScenario:
     ) -> ScenarioResult:
         """Process a finite input list until the output stream terminates."""
         values = [self.app.wrap_input(v) if wrap else v for v in inputs]
-        url = self.master.serve()
-        self._schedule_failures()
-        self._schedule_joins(url)
-        sink_result = pull(from_iterable(values), self.master, collect())
+        sink_result = self._start(values, collect())
 
         self.metrics.start_window(self.scheduler.now)
         self.scheduler.run(
             until=lambda: sink_result.done or self.scheduler.now > max_virtual_time
         )
         self.metrics.end_window(self.scheduler.now)
-        self.master.shutdown()
+        self.shutdown()
 
         if not sink_result.done:
             raise DeploymentError(
@@ -368,14 +505,7 @@ class DeploymentScenario:
         (``scenario_result()`` builds the report afterwards).
         """
         values = [self.app.wrap_input(v) if wrap else v for v in inputs]
-        url = self.master.serve()
-        self._schedule_failures()
-        self._schedule_joins(url)
-        sink_result = pull(
-            from_iterable(values),
-            self.master,
-            sink if sink is not None else collect(),
-        )
+        sink_result = self._start(values, sink if sink is not None else collect())
 
         def stamp(result: Any) -> None:
             # Runs the instant the sink completes — inside the sim dispatch
@@ -389,13 +519,12 @@ class DeploymentScenario:
 
         sink_result.on_done(stamp)
         self.metrics.start_window(self.scheduler.now)
-        dmap = self.master.distributed_map
-        dmap.scheduler.register_sim(self.scheduler)
-        dmap.drive(sink_result, timeout=timeout)
+        self.dmap.scheduler.register_sim(self.scheduler)
+        self.dmap.drive(sink_result, timeout=timeout)
         if drain_for > 0.0:
             self.scheduler.run_for(drain_for)
         self.metrics.end_window(self.scheduler.now)
-        self.master.shutdown()
+        self.shutdown()
         return sink_result
 
     def scenario_result(self, sink_result: Any) -> ScenarioResult:
@@ -419,19 +548,20 @@ class DeploymentScenario:
         outputs: Optional[List[Any]],
         completed_at: Optional[float],
     ) -> ScenarioResult:
+        volunteers = self.dmap.registry
         registry = {
-            "joins": self.master.registry.joins,
-            "crashes": self.master.registry.crashes,
-            "leaves": self.master.registry.leaves,
-            "volunteers": len(self.master.registry),
+            "joins": volunteers.joins,
+            "crashes": volunteers.crashes,
+            "leaves": volunteers.leaves,
+            "volunteers": len(volunteers),
         }
         return ScenarioResult(
             report=report,
             outputs=outputs,
             completed_at=completed_at,
-            lender_stats=self.master.stats.as_dict(),
+            lender_stats=self.dmap.stats.as_dict(),
             registry=registry,
-            log=self.master.log,
+            log=list(self.log),
             network_bytes=self.network.total_bytes(),
             scheduler_events=self.scheduler.events_processed,
         )

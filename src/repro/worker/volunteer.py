@@ -89,10 +89,10 @@ class SimVolunteer:
         self.device.on_crash(lambda _device: self._crash_tabs())
 
     # ------------------------------------------------------------------ join
-    def join(self, master) -> None:
+    def join(self, scenario) -> None:
         """Join a deployment directly (same LAN / VPN as the master)."""
         self.joined = True
-        master.accept_volunteer(self, tabs=self.requested_tabs)
+        scenario.accept_volunteer(self)
 
     def join_url(self, url: str, public_server: PublicServer) -> None:
         """Join a deployment by opening its public URL (WAN scenario)."""
@@ -100,7 +100,7 @@ class SimVolunteer:
         public_server.join(
             url,
             volunteer_host=self.host,
-            info={"volunteer": self, "tabs": self.requested_tabs},
+            info={"volunteer": self},
         )
 
     def attach_tab(

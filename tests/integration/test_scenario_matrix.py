@@ -98,6 +98,29 @@ def test_golden_cell_pins_placement_and_stats():
     assert cell_result.events_processed == 108
 
 
+#: what the ``matrix`` job's cells produce: virtual completion time, sim
+#: events, network bytes and, where churn shapes them, registry tallies
+MATRIX_PINS = {
+    "abort-skew": (abort_cell, 1.9537125418897863, 3539, 516138, None),
+    "scale-1000": (scale_cell, 0.8396388363743484, 12806, 100479266, (1000, 345)),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(MATRIX_PINS))
+def test_matrix_cells_are_pinned(name):
+    """Fixed-seed matrix cells reproduce their simulated outputs exactly."""
+    build, completed_at, events, network_bytes, joins_leaves = MATRIX_PINS[name]
+    cell_result = run_verified(build())
+    assert cell_result.cell.name == name
+    result = cell_result.result
+    assert result.completed_at == pytest.approx(completed_at, rel=1e-9)
+    assert cell_result.events_processed == events
+    assert result.network_bytes == network_bytes
+    if joins_leaves is not None:
+        assert (result.registry["joins"], result.registry["leaves"]) == joins_leaves
+
+
 def test_golden_cell_is_deterministic_across_runs():
     first = run_cell(golden_cell())
     second = run_cell(golden_cell())

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import CollatzApplication, RaytraceApplication
 from repro.devices import LAN_DEVICES, VPN_DEVICES, WAN_DEVICES
+from repro.devices.profiles import devices_for_setting
 from repro.errors import DeploymentError
 from repro.sim.failures import FailureSchedule
 from repro.sim.scenario import (
@@ -42,7 +43,7 @@ class TestRunToCompletion:
             application=app, setting="vpn", devices=VPN_DEVICES[:3]
         )
         scenario = DeploymentScenario(config)
-        assert scenario.master.config.transport == "websocket"
+        assert scenario.transport == "websocket"
         outcome = scenario.run_to_completion(app.generate_inputs(12))
         assert len(outcome.outputs) == 12
 
@@ -52,7 +53,7 @@ class TestRunToCompletion:
             application=app, setting="wan", devices=WAN_DEVICES[:3]
         )
         scenario = DeploymentScenario(config)
-        assert scenario.master.config.transport == "webrtc"
+        assert scenario.transport == "webrtc"
         assert scenario.public_server is not None
         outcome = scenario.run_to_completion(app.generate_inputs(9))
         assert len(outcome.outputs) == 9
@@ -192,3 +193,70 @@ class TestFaultTolerance:
         outcome = DeploymentScenario(config).run_to_completion(app.generate_inputs(16))
         angles = [result["angle"] for result in outcome.outputs]
         assert angles == sorted(angles)
+
+
+class TestSimulatedOutputsPinned:
+    """Seeded runs reproduce bit for bit: virtual times, event counts,
+    network bytes and registry tallies are pinned for the paths the matrix's
+    golden cell does not cover (a WAN deployment through the public server
+    and WebRTC, and a LAN measurement window)."""
+
+    @staticmethod
+    def wan_scenario():
+        app = CollatzApplication()
+        first = devices_for_setting("wan")[0].name
+        config = ScenarioConfig(
+            application=app,
+            setting="wan",
+            failure_schedule=FailureSchedule().crash(1.0, first).join(2.0, first),
+            heartbeat_interval=0.5,
+            heartbeat_timeout=1.5,
+        )
+        return DeploymentScenario(config), app.generate_inputs(120)
+
+    @staticmethod
+    def lan_crash_scenario():
+        app = CollatzApplication()
+        config = ScenarioConfig(
+            application=app,
+            setting="lan",
+            devices=lan_subset("novena", "iphone-se"),
+            failure_schedule=FailureSchedule().crash(1.0, "novena"),
+            heartbeat_interval=0.5,
+            heartbeat_timeout=1.5,
+        )
+        return DeploymentScenario(config), app.generate_inputs(40)
+
+    def test_wan_run_is_pinned(self):
+        scenario, inputs = self.wan_scenario()
+        outcome = scenario.run_to_completion(inputs)
+        assert outcome.completed_at == pytest.approx(8.151597250529782, rel=1e-9)
+        assert outcome.scheduler_events == 889
+        assert outcome.network_bytes == 850352
+        assert outcome.registry == {
+            "joins": 8, "crashes": 1, "leaves": 0, "volunteers": 8
+        }
+        assert scenario.public_server.signalling_messages == 16
+        assert len(outcome.outputs) == 120
+
+    def test_lan_measurement_is_pinned(self):
+        config = ScenarioConfig(
+            application=CollatzApplication(), setting="lan", duration=10.0, warmup=2.0
+        )
+        outcome = DeploymentScenario(config).run_measurement()
+        assert outcome.report.total_items == 219
+        assert outcome.report.output_items == 221
+        assert outcome.scheduler_events == 1285
+        assert outcome.network_bytes == 565143
+
+    @pytest.mark.parametrize("build", ["wan_scenario", "lan_crash_scenario"])
+    def test_log_does_not_depend_on_earlier_runs(self, build):
+        """Channel and deployment ids are taken per run, so the second of
+        two identical runs in one process logs exactly what the first did."""
+        logs = []
+        for _ in range(2):
+            scenario, inputs = getattr(self, build)()
+            logs.append(scenario.run_to_completion(inputs).log)
+        # the lines that name a channel and a deployment are in it
+        assert any(" lost volunteer-" in line for line in logs[0])
+        assert logs[0] == logs[1]

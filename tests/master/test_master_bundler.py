@@ -1,4 +1,4 @@
-"""Tests for the bundler, volunteer registry and the PandoMaster."""
+"""Tests for the bundler, the volunteer registry and a deployment's master side."""
 
 from __future__ import annotations
 
@@ -6,15 +6,10 @@ import textwrap
 
 import pytest
 
+from repro.apps import CollatzApplication
 from repro.errors import BundlingError, DeploymentError
-from repro.master import (
-    MasterConfig,
-    PandoMaster,
-    VolunteerRegistry,
-    bundle_function,
-    bundle_module,
-)
-from repro.pullstream import collect, pull, values
+from repro.master import VolunteerRegistry, bundle_function, bundle_module
+from repro.sim.scenario import DeploymentScenario, ScenarioConfig
 
 
 class TestBundler:
@@ -118,56 +113,49 @@ class TestVolunteerRegistry:
         assert len(registry) == 2
 
 
-class TestMasterConfig:
+class TestScenarioConfigValidation:
+    """The deployment's startup options are validated by its one config."""
+
     def test_defaults(self):
-        config = MasterConfig()
-        assert config.batch_size == 2
-        assert config.transport == "websocket"
+        config = ScenarioConfig(application=CollatzApplication())
+        assert config.resolved_batch_size() == 2
+        assert config.resolved_transport() == "websocket"
 
     def test_invalid_transport(self):
         with pytest.raises(DeploymentError):
-            MasterConfig(transport="carrier-pigeon")
+            ScenarioConfig(application=CollatzApplication(), transport="carrier-pigeon")
 
     def test_invalid_batch_size(self):
         with pytest.raises(DeploymentError):
-            MasterConfig(batch_size=0)
+            ScenarioConfig(application=CollatzApplication(), batch_size=0)
 
-
-class TestPandoMasterLocal:
-    def test_local_workers_process_stream(self, square_fn):
-        master = PandoMaster(square_fn)
-        output = pull(values([1, 2, 3, 4]), master, collect())
-        master.add_local_worker()
-        assert output.result() == [1, 4, 9, 16]
-
-    def test_serve_announces_local_url(self, square_fn):
-        master = PandoMaster(square_fn, config=MasterConfig(port=5000))
-        url = master.serve()
-        assert url.startswith("http://")
-        assert any("Serving volunteer code" in line for line in master.log)
-
-    def test_output_counted_in_metrics(self, square_fn):
-        master = PandoMaster(square_fn)
-        master.metrics.start_window(0.0)
-        output = pull(values([1, 2, 3]), master, collect())
-        master.add_local_worker()
-        output.result()
-        assert master.metrics.output_items == 3
-
-    def test_accept_volunteer_requires_simulation_context(self, square_fn):
-        master = PandoMaster(square_fn)
-
-        class FakeVolunteer:
-            host = "x"
-            device = None
-
+    def test_invalid_shards(self):
         with pytest.raises(DeploymentError):
-            master.accept_volunteer(FakeVolunteer())
+            ScenarioConfig(application=CollatzApplication(), shards=0)
 
-    def test_stats_and_workers_exposed(self, square_fn):
-        master = PandoMaster(square_fn)
-        output = pull(values([1]), master, collect())
-        master.add_local_worker()
-        output.result()
-        assert master.stats.values_read == 1
-        assert master.workers
+
+class TestDeploymentScenarioMasterSide:
+    def test_local_workers_process_stream(self):
+        app = CollatzApplication()
+        scenario = DeploymentScenario(ScenarioConfig(application=app, devices=[]))
+        scenario.dmap.add_local_worker(scenario.bundle.apply)
+        inputs = [app.wrap_input(value) for value in app.generate_inputs(4)]
+        expected = []
+        for value in inputs:
+            scenario.bundle.apply(value, lambda err, result: expected.append(result))
+        outcome = scenario.run_to_completion(inputs, wrap=False)
+        assert outcome.outputs == expected
+
+    def test_serve_announces_local_url(self):
+        scenario = DeploymentScenario(ScenarioConfig(application=CollatzApplication()))
+        url = scenario.serve()
+        assert url.startswith("http://")
+        assert any("Serving volunteer code" in line for line in scenario.log)
+
+    def test_output_counted_in_metrics(self):
+        app = CollatzApplication()
+        scenario = DeploymentScenario(ScenarioConfig(application=app, devices=[]))
+        scenario.dmap.add_local_worker(scenario.bundle.apply)
+        outcome = scenario.run_to_completion(app.generate_inputs(3))
+        assert len(outcome.outputs) == 3
+        assert scenario.metrics.output_items == 3

@@ -1,24 +1,21 @@
-"""The map's stats snapshot folds in the volunteer plane (PR 9 satellite).
+"""The map's stats snapshot folds in the volunteer plane.
 
 ``DistributedMap.stats`` stays a drop-in proxy for the lender's counters
-while adding a ``volunteers`` aggregation over every served gateway and
-every registry attached with ``attach_volunteer_registry`` — the path a
-simulated :class:`~repro.master.master.PandoMaster` deployment uses, since
-it never opens a websocket gateway.
+while adding a ``volunteers`` aggregation: join/leave/crash tallies from the
+map's own :class:`~repro.master.registry.VolunteerRegistry` — where a
+simulated deployment and every websocket gateway record their volunteers —
+and connection counters from the gateways.
 """
 
 from __future__ import annotations
 
 from repro.core import DistributedMap
-from repro.master.registry import VolunteerRegistry
 
 
-class TestAttachedRegistry:
+class TestMapRegistry:
     def test_tallies_fold_into_stats(self):
         dmap = DistributedMap()
-        registry = VolunteerRegistry()
-        dmap.attach_volunteer_registry(registry)
-        dmap.attach_volunteer_registry(registry)  # identity-deduped no-op
+        registry = dmap.registry
         first = registry.register(
             host="h1", device_name="laptop", protocol="websocket", joined_at=0.0
         )
@@ -40,15 +37,14 @@ class TestAttachedRegistry:
 
     def test_registry_counters_are_scrapeable(self):
         dmap = DistributedMap()
-        registry = VolunteerRegistry()
-        dmap.attach_volunteer_registry(registry)
-        registry.register(
+        dmap.registry.register(
             host="h", device_name="laptop", protocol="websocket", joined_at=0.0
         )
         try:
             text = dmap.obs.registry.render_prometheus()
-            assert 'pando_volunteers_joins_total{source="registry-1"} 1' in text
-            assert 'pando_volunteers_crashes_total{source="registry-1"} 0' in text
+            assert "pando_volunteers_joins_total 1" in text
+            assert "pando_volunteers_leaves_total 0" in text
+            assert "pando_volunteers_crashes_total 0" in text
         finally:
             dmap.close()
 

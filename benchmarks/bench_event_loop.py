@@ -2,9 +2,11 @@
 
 The claim checked here, on a **single unsharded master**: a process pool and
 a simulated network channel make progress **interleaved in one thread** —
-both workers deliver results, their dispatches alternate on the same event
-loop, every stream callback runs on the calling thread, and the merged
-output preserves input order with exactly-once delivery.
+both workers deliver results, their deliveries alternate on the same event
+loop (the pool's from its pipe's reader callback, the channel's from a
+simulated event, a timer on the loop's heap), every stream callback runs on
+the calling thread, and the merged output preserves input order with
+exactly-once delivery.
 
 Run with ``--benchmark-only -s`` for the measured numbers, or in fast mode
 (``REPRO_BENCH_FAST=1 ... --benchmark-disable``) as a smoke test.
@@ -65,9 +67,11 @@ def test_pool_and_sim_channel_interleave_in_one_thread(benchmark):
             trace = []
             sched.add_dispatch_listener(
                 lambda source: trace.append(
-                    "pool" if isinstance(source, ProcessPoolWorker) else "sim"
+                    "pool" if isinstance(source, ProcessPoolWorker) else "other"
                 )
             )
+            # the channel's results arrive as simulated events, not dispatches
+            channel.local.on_receive(lambda _payload: trace.append("sim"))
             dmap = DistributedMap(batch_size=2, scheduler=sched)
             sink = pull(values(inputs), dmap, collect())
             try:
@@ -91,7 +95,7 @@ def test_pool_and_sim_channel_interleave_in_one_thread(benchmark):
     switches = sum(1 for before, after in zip(trace, trace[1:]) if before != after)
     print(
         f"\npool+channel: per-worker {per_worker}, "
-        f"dispatches sim={trace.count('sim')} pool={trace.count('pool')} "
+        f"deliveries sim={trace.count('sim')} pool={trace.count('pool')} "
         f"switches={switches}"
     )
     # Exactly once, in input order, across the two transports.
@@ -99,8 +103,8 @@ def test_pool_and_sim_channel_interleave_in_one_thread(benchmark):
     assert stats.results_delivered == count
     # Both the pool and the channel made progress...
     assert len(per_worker) == 2 and all(delivered > 0 for delivered in per_worker)
-    # ... interleaved: the dispatch trace switches between the sim source
-    # and the pool source (not all of one, then all of the other).
+    # ... interleaved: the delivery trace switches between the simulated
+    # channel and the pool (not all of one, then all of the other).
     assert switches >= 2, trace
     # ... and every stream callback ran on the driving thread: the loop
     # interleaves sources, it does not parallelise the stream machinery.

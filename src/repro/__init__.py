@@ -7,8 +7,9 @@ The package provides:
   sinks, async-map, pushable, duplex);
 * :mod:`repro.core` — the paper's contribution: ``StreamLender``, ``Limiter``,
   ``stubborn`` and ``DistributedMap``;
-* :mod:`repro.sched` — the asyncio scheduler subsystem: one event loop
-  driving pools, simulated channels and pushable ports concurrently;
+* :mod:`repro.sched` — the master's event loop (a selector and one timer
+  heap on a real or a virtual clock) driving pools, gateways, simulated
+  events and pushable ports;
 * :mod:`repro.net` — simulated WebSocket/WebRTC channels, heartbeats,
   signalling server and NAT model;
 * :mod:`repro.devices` — the Table-2 device catalogue and simulated devices;

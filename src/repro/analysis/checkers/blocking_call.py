@@ -10,10 +10,13 @@ machinery and flags the classic blocking calls inside it:
 * ``<future>.result()`` with no ``timeout`` — the bounded form used by the
   pool's blocking fallback is fine;
 * ``<lock/sem/cond>.acquire()`` with no arguments (untimed);
-* ``<queue>.get()`` / ``<event/cond>.wait()`` with no arguments.
+* ``<queue>.get()`` / ``<event/cond>.wait()`` with no arguments;
+* ``select(...)`` in any form, bounded or not, anywhere but the loop's own
+  wait (:data:`SANCTIONED_WAIT`, ``Loop._poll``): the loop waits in one
+  place, so a second ``select`` is a second wait.
 
 Roots are the loop's own entry points: ``EventLoopScheduler``'s dispatch
-machinery, ``async_pump``, the ``ready``/``dispatch``/``live``/``arm``/
+machinery, ``Loop.run_once``, the ``ready``/``dispatch``/``live``/
 ``cancel_pending`` methods of every ``EventSource`` subclass, and any
 function declared ``@loop_only`` (loop-owned by definition).  Receiver
 matching is textual (a receiver mentioning ``future``, ``lock``, ``queue``
@@ -32,14 +35,17 @@ from ..findings import Finding
 CHECKER_ID = "blocking-call-on-loop"
 
 #: method names on EventSource subclasses that execute on the loop thread
-_SOURCE_METHODS = ("ready", "dispatch", "live", "arm", "cancel_pending")
+_SOURCE_METHODS = ("ready", "dispatch", "live", "cancel_pending")
 
 #: explicit loop entry points by qualname suffix
 _NAMED_ROOTS = (
     "EventLoopScheduler.dispatch_round",
     "EventLoopScheduler.run",
-    "async_pump",
+    "Loop.run_once",
 )
+
+#: the one function allowed to wait in ``select`` on the loop thread
+SANCTIONED_WAIT = "Loop._poll"
 
 
 def _receiver_text(func: ast.Attribute) -> str:
@@ -55,9 +61,13 @@ def _has_timeout(call: ast.Call) -> bool:
     return any(keyword.arg in ("timeout", "blocking", "block") for keyword in call.keywords)
 
 
-def _blocking_reason(call: ast.Call) -> Optional[str]:
-    """Why *call* blocks the loop thread, or None if it does not."""
+def _blocking_reason(call: ast.Call, qualname: str = "") -> Optional[str]:
+    """Why *call*, made in function *qualname*, blocks the loop thread, or
+    None if it does not."""
     func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name == "select" and not qualname.endswith(SANCTIONED_WAIT):
+        return f"select() is a second wait beside the loop's own ({SANCTIONED_WAIT})"
     if not isinstance(func, ast.Attribute):
         return None
     receiver = _receiver_text(func)
@@ -124,7 +134,7 @@ class _Search:
 
     def _scan(self, info: FunctionInfo, path: List[str]) -> None:
         for call in calls_in(info.node):
-            reason = _blocking_reason(call)
+            reason = _blocking_reason(call, info.qualname)
             if reason is None:
                 continue
             key = (info.module.path, call.lineno)

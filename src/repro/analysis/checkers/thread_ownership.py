@@ -5,7 +5,7 @@ scheduler/stream state is touched only from the event-loop thread.
 Foreign threads — ``threading.Thread`` targets, executor threads (a
 volunteer's tabs) and their done-callbacks — are allowed exactly two
 crossings into the loop:
-``scheduler.wake()`` (itself just ``loop.call_soon_threadsafe``) and the
+``scheduler.wake()`` (a byte on the loop's self-pipe) and the
 ``PushablePort`` ingress, which enqueues under a lock and wakes.
 
 :mod:`repro.analysis.annotations` makes the rule declarative:

@@ -55,11 +55,11 @@ _SHM_FIELDS = (
 
 #: EventLoopScheduler counters exported as ``pando_sched_*``.
 _SCHED_FIELDS = (
-    ("rounds", "Dispatch rounds run by the scheduler's pump."),
+    ("rounds", "Fair dispatch rounds plus timers fired by the scheduler's runs."),
     ("dispatches", "Source dispatches that made progress (rounds and loop callbacks)."),
     ("wakeups", "Wake events that ended a scheduler wait."),
     ("cancellations", "Frames the scheduler's fan-out told to stop (pool cancel flags)."),
-    ("stalls", "Pump stalls diagnosed (each raised to the caller)."),
+    ("stalls", "Scheduler stalls diagnosed (each raised to the caller)."),
 )
 
 #: VolunteerRegistry tallies exported as ``pando_volunteers_*``.
@@ -197,7 +197,8 @@ class DistributedMap:
     One driver: every map is pumped by an
     :class:`~repro.sched.EventLoopScheduler` — its own private one, or the
     instance passed as ``scheduler`` to share one loop with a simulation or
-    other maps (``"asyncio"`` is a synonym of the default).  Every process
+    other maps (the literal ``"asyncio"``, a name kept for the ``perf/``
+    suite, is a synonym of the default).  Every process
     pool is registered with it on attachment, its pipes read by the loop, so
     any number of pools compute concurrently, sharded or not; anything but
     in-process workers completes under :meth:`drive`.

@@ -23,7 +23,7 @@ from .serialization import (
 )
 from .shm_ring import ShmRing
 from .message import CLOSE, CONTROL, DATA, HEARTBEAT, Message
-from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
+from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor, LoopClock
 from .channel import ChannelEndpoint, SimChannel
 from .websocket import WebSocketConnection
 from .webrtc import WebRTCConnection
@@ -31,9 +31,7 @@ from .signaling import Deployment, PublicServer
 from .nat import NATConfig, NATModel
 from .endpoint import Endpoint
 from .ws_transport import (
-    LoopClock,
     WsVolunteerGateway,
-    connect_websocket,
     pack_wire_frame,
     unpack_wire_frame,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "Endpoint",
     "LoopClock",
     "WsVolunteerGateway",
-    "connect_websocket",
     "pack_wire_frame",
     "unpack_wire_frame",
 ]

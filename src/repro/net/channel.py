@@ -126,6 +126,12 @@ class ChannelEndpoint:
         self.crashed = True
         self._shutdown(ConnectionClosed(f"{self.label} crashed"), notify_source=False)
 
+    def teardown(self) -> None:
+        """Close this end where it stands, with no frame on the wire (the
+        deployment it belongs to went away): heartbeats stop, the source
+        ends and the close listeners run, as on a graceful close."""
+        self._shutdown(None)
+
     def on_close(self, listener: Callable[[Optional[BaseException]], None]) -> None:
         """Register *listener* to run when this endpoint closes or fails."""
         self._close_listeners.append(listener)

@@ -23,11 +23,6 @@ minus the browser:
   :class:`~repro.net.serialization.Batch` of them, answered in order by one
   RESULT frame.  (:func:`pack_wire_frame` and :func:`unpack_wire_frame` are
   that codec under the names this module had for it.)
-* :class:`LoopClock` — a real-clock facade (``now`` + ``call_later``) over
-  the asyncio loop, so the unchanged
-  :class:`~repro.net.heartbeat.HeartbeatMonitor` drives membership on wall
-  -clock time: pings every *interval*, crash-stop suspicion after *timeout*
-  of silence.
 * :class:`WsVolunteerGateway` — the server, registered on an
   :class:`~repro.sched.event_loop.EventLoopScheduler` as an
   :class:`~repro.sched.sources.EventSource`.  A hello attaches the volunteer
@@ -36,7 +31,13 @@ minus the browser:
   a volunteer that vanishes mid-frame (socket reset, SIGKILL, heartbeat
   timeout) fails its sub-stream so the lender re-lends its borrowed values
   and the sharded master rebalances — the existing crash-stop paths, now
-  triggered by a real wire.
+  triggered by a real wire.  The scheduler's loop is also the clock of each
+  volunteer's :class:`~repro.net.heartbeat.HeartbeatMonitor`: pings every
+  *interval*, crash-stop suspicion after *timeout* of silence.
+
+The client side of the upgrade, ``connect_websocket``, lives with the
+volunteer process (:mod:`repro.worker.volunteer`), the one module on an
+asyncio loop.
 
 Trust model: a volunteer is somebody else's machine.  It downloads the
 master's code and sends back *data* (paper Fig. 2), so the two directions of
@@ -63,11 +64,9 @@ trusting them with more than wrong answers.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import hashlib
 import itertools
-import os
 import socket
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
@@ -94,9 +93,7 @@ from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
 from .serialization import OOB_MIN_BYTES
 
 __all__ = [
-    "LoopClock",
     "WsVolunteerGateway",
-    "connect_websocket",
     "pack_wire_frame",
     "unpack_wire_frame",
     "parse_ws_url",
@@ -138,12 +135,12 @@ _BAD_REQUEST = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
 # --------------------------------------------------------------------------
 
 
-def _accept_key(key: str) -> str:
+def accept_key(key: str) -> str:
     digest = hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
     return base64.b64encode(digest).decode("ascii")
 
 
-def _head_lines(head: Any) -> Tuple[str, Dict[str, str]]:
+def head_lines(head: Any) -> Tuple[str, Dict[str, str]]:
     """The start line and the (lower-cased) header fields of an HTTP head."""
     lines = bytes(head).decode("latin-1").split("\r\n")
     headers: Dict[str, str] = {}
@@ -157,7 +154,7 @@ def _head_lines(head: Any) -> Tuple[str, Dict[str, str]]:
 def upgrade_response(request: Any) -> bytes:
     """The ``101`` answering the upgrade *request* head; a
     :class:`~repro.errors.ProtocolError` when it is not one."""
-    start, headers = _head_lines(request)
+    start, headers = head_lines(request)
     key = headers.get("sec-websocket-key")
     if (
         "websocket" not in headers.get("upgrade", "").lower()
@@ -169,7 +166,7 @@ def upgrade_response(request: Any) -> bytes:
         "HTTP/1.1 101 Switching Protocols\r\n"
         "Upgrade: websocket\r\n"
         "Connection: Upgrade\r\n"
-        f"Sec-WebSocket-Accept: {_accept_key(key)}\r\n"
+        f"Sec-WebSocket-Accept: {accept_key(key)}\r\n"
         "\r\n"
     ).encode("latin-1")
 
@@ -182,57 +179,6 @@ def parse_ws_url(url: str) -> Tuple[str, int, str]:
     if not parts.hostname:
         raise PandoError(f"url {url!r} has no host")
     return parts.hostname, parts.port or 80, parts.path or "/"
-
-
-async def connect_websocket(
-    url: str, timeout: float = 10.0, max_frame: int = DEFAULT_MAX_FRAME
-) -> Tuple[Endpoint, "asyncio.Queue[Any]"]:
-    """Open and upgrade a client connection to *url* (``ws://host:port``).
-
-    Returns the connection — an :class:`~repro.net.endpoint.Endpoint` with the
-    client side's :class:`~repro.net.endpoint.WS` framing, read and flushed
-    by the running loop — and the queue everything it files arrives on: each
-    message, then the exception its stream ended with.
-    """
-    host, port, path = parse_ws_url(url)
-    loop = asyncio.get_running_loop()
-    # off the loop: resolves, and tries every address, under the one timeout
-    sock = await loop.run_in_executor(None, socket.create_connection, (host, port), timeout)
-    # frames are written whole; waiting to coalesce them only adds latency
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    endpoint = Endpoint(sock, HTTP_HEAD)
-    messages: "asyncio.Queue[Any]" = asyncio.Queue()
-
-    def on_filed(endpoint: Endpoint) -> None:
-        while endpoint.inbox:
-            messages.put_nowait(endpoint.inbox.popleft())
-
-    try:
-        endpoint.watch(loop, on_filed)
-        key = base64.b64encode(os.urandom(16)).decode("ascii")
-        request = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\n"
-            "Sec-WebSocket-Version: 13\r\n"
-            "\r\n"
-        )
-        endpoint.write([request.encode("latin-1")])
-        response = await asyncio.wait_for(messages.get(), timeout)
-        if isinstance(response, Exception):
-            raise response
-        start, headers = _head_lines(response)
-        if " 101 " not in start + " ":
-            raise ProtocolError(f"websocket upgrade refused: {start!r}")
-        if headers.get("sec-websocket-accept") != _accept_key(key):
-            raise ProtocolError("websocket upgrade returned a bad Sec-WebSocket-Accept")
-    except BaseException:
-        endpoint.close()
-        raise
-    endpoint.framing = WS(client_side=True, max_frame=max_frame)
-    return endpoint, messages
 
 
 # --------------------------------------------------------------------------
@@ -256,34 +202,6 @@ def unpack_wire_frame(payload: Any) -> Dict[str, Any]:
     if values is not None:
         record["values"] = values
     return record
-
-
-# --------------------------------------------------------------------------
-# Real-clock heartbeat support
-# --------------------------------------------------------------------------
-
-
-class LoopClock:
-    """Real-clock scheduler facade over an asyncio loop.
-
-    Exposes exactly the slice of the simulation
-    :class:`~repro.sim.scheduler.Scheduler` interface that
-    :class:`~repro.net.heartbeat.HeartbeatMonitor` consumes — ``now`` and
-    ``call_later`` returning a cancellable handle — so the same monitor
-    implementation runs unchanged against wall-clock time: the timers are
-    loop timers, and they fire while the scheduler's run loop is spinning.
-    """
-
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-
-    @property
-    def now(self) -> float:
-        return self._loop.time()
-
-    def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> Any:
-        """Schedule *callback*; the returned ``TimerHandle`` has ``cancel()``."""
-        return self._loop.call_later(delay, callback, *args)
 
 
 # --------------------------------------------------------------------------
@@ -372,13 +290,15 @@ class WsVolunteerGateway(EndpointSource):
         self.registry = dmap.registry
         self.url: Optional[str] = None
         self._listener: Optional[socket.socket] = None
-        self._clock: Optional[LoopClock] = None
+        #: the loop's timer heap once started: handshake deadlines and
+        #: heartbeats, and the clock joins and departures are stamped with
+        self._clock: Any = None
         #: every open connection, joined or not, by its endpoint
         self._connections: Dict[Endpoint, _Volunteer] = {}
         #: the joined ones by worker id
         self._volunteers: Dict[str, _Volunteer] = {}
-        #: set by whatever :meth:`stop` waits for, while it waits
-        self._settling: Optional[asyncio.Event] = None
+        #: :meth:`stop` is serving the last messages (nothing goes down a stream)
+        self._settling = False
         self._ids = itertools.count(1)
         # counters for tests and benches
         self.volunteers_joined = 0
@@ -403,7 +323,7 @@ class WsVolunteerGateway(EndpointSource):
         if self._listener is not None:
             raise PandoError("WsVolunteerGateway is already started")
         loop = self.scheduler.loop
-        self._clock = LoopClock(loop)
+        self._clock = loop.timers
         family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
         listener = socket.create_server((self.host, self.port), family=family)
         listener.setblocking(False)
@@ -440,30 +360,19 @@ class WsVolunteerGateway(EndpointSource):
             # Give them a short grace window so a volunteer that finished
             # cleanly is recorded as a leave, not a crash, and a refused one
             # reads its END instead of a dead socket.
-            self.scheduler.run_coroutine(self._settle())
+            self._settling = True
+            try:
+                self.scheduler.spin(STOP_GRACE, until=self._settled)
+            finally:
+                self._settling = False
         for volunteer in list(self._connections.values()):
             self._finish(volunteer, ConnectionClosed("gateway stopped"))
 
-    async def _settle(self) -> None:
-        """Dispatch what is filed and what still arrives until every
-        connection is gone or :data:`STOP_GRACE` has passed."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + STOP_GRACE
-        self._settling = asyncio.Event()
-        try:
-            while True:
-                while self.dispatch():
-                    pass
-                remaining = deadline - loop.time()
-                if not self._connections or remaining <= 0:
-                    return
-                self._settling.clear()
-                try:
-                    await asyncio.wait_for(self._settling.wait(), remaining)
-                except asyncio.TimeoutError:
-                    return
-        finally:
-            self._settling = None
+    def _settled(self) -> bool:
+        """Handle what is filed; True once every connection is gone."""
+        while self.dispatch():
+            pass
+        return not self._connections
 
     # ------------------------------------------------------- EventSource API
     def live(self) -> bool:
@@ -476,7 +385,6 @@ class WsVolunteerGateway(EndpointSource):
     @loop_only
     def _on_accept(self) -> None:
         """Take every connection the listening socket holds."""
-        loop = self.scheduler.loop
         while True:
             try:
                 sock, address = self._listener.accept()
@@ -486,7 +394,9 @@ class WsVolunteerGateway(EndpointSource):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             volunteer = _Volunteer(Endpoint(sock, HTTP_HEAD), f"{address[0]}:{address[1]}")
             self._connections[volunteer.endpoint] = volunteer
-            volunteer.timer = loop.call_later(HANDSHAKE_TIMEOUT, self._finish, volunteer, None)
+            volunteer.timer = self._clock.call_later(
+                HANDSHAKE_TIMEOUT, self._finish, volunteer, None
+            )
             self.watch(volunteer.endpoint)
 
     @loop_only
@@ -497,8 +407,6 @@ class WsVolunteerGateway(EndpointSource):
         if volunteer.ws is None:
             self._upgrade(volunteer)
         super().on_filed(endpoint)
-        if self._settling is not None:
-            self._settling.set()
 
     def _upgrade(self, volunteer: _Volunteer) -> None:
         """Answer the HTTP upgrade request — here, not in a dispatch: it
@@ -550,7 +458,7 @@ class WsVolunteerGateway(EndpointSource):
                     self.obs.observe_frame(frame.trace)
                 # stop() only settles membership: nothing goes down the
                 # stream between runs.
-                if self._settling is None:
+                if not self._settling:
                     volunteer.pushable.push(frame.unwrap(values))
             elif kind == BYE:
                 self._finish(volunteer, DONE)
@@ -588,8 +496,6 @@ class WsVolunteerGateway(EndpointSource):
             endpoint.write(volunteer.ws.close(code))
         endpoint.close()
         endpoint.inbox.clear()
-        if self._settling is not None:
-            self._settling.set()
         if volunteer.worker_id is None:
             return
         if volunteer.close_reason is None:

@@ -456,9 +456,6 @@ class ProcessPoolWorker(EndpointSource):
             self.results.error(self._upstream_ended)
         else:
             self.results.end()
-        if self.scheduler is not None:
-            # The lender re-lends now: the pump must look again.
-            self.scheduler.wake_from_loop()
 
     def close(self) -> None:
         """Close the children's pipes (idempotent); each child exits by

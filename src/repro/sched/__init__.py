@@ -1,34 +1,21 @@
-"""Asyncio scheduler subsystem: one event loop driving every delivery source.
+"""The master's event loop: one selector, one timer heap, every source.
 
-The master process waits on heterogeneous asynchronous work — worker-process
-pipes, volunteer sockets, simulated-network timers, values pushed from other
-threads.  This package makes one Python process behave like the paper's
-event-driven master: every waitable registers with an
-:class:`EventLoopScheduler`, which dispatches their work as it arrives,
-fairly, on a single thread.
-
-Quick example — two pools on one unsharded master, computing concurrently::
-
-    from repro import DistributedMap, pull, values, collect
-
-    dmap = DistributedMap(batch_size=2)       # owns an EventLoopScheduler
-    sink = pull(values(inputs), dmap, collect())
-    dmap.add_process_pool("repro.pool.workloads:render_frame", processes=2)
-    dmap.add_process_pool("repro.pool.workloads:render_frame", processes=2)
-    dmap.drive(sink)          # spins the loop until the sink completes
-    frames = sink.result()
-    dmap.close()
+Every waitable of the master process — worker pipes, volunteer sockets,
+heartbeats and simulated events, values pushed from other threads — sits on
+one :class:`~repro.sched.loop.Loop`, whose clock is real or virtual; an
+:class:`EventLoopScheduler` dispatches their work fairly, on one thread,
+until its sinks complete (``DistributedMap.drive`` is a run of the map's).
 """
 
 from .event_loop import EventLoopScheduler
-from .pump import async_pump
-from .sources import EndpointSource, EventSource, PushablePort, SimEventSource
+from .loop import LOOP_TURN_INTERVAL, Loop
+from .sources import EndpointSource, EventSource, PushablePort
 
 __all__ = [
     "EventLoopScheduler",
-    "async_pump",
+    "LOOP_TURN_INTERVAL",
+    "Loop",
     "EndpointSource",
     "EventSource",
     "PushablePort",
-    "SimEventSource",
 ]

@@ -1,15 +1,10 @@
 """Virtual clock for the discrete-event simulator.
 
 All simulated components (network channels, devices, failure schedules)
-reference the same :class:`VirtualClock`.  Time is a float number of seconds;
-it only moves forward when the scheduler processes an event, so a five-minute
-Table-2 measurement window (paper section 5.1) runs in milliseconds of real
-time.
-
-Components that interleave simulated time with real time — the asyncio
-:class:`~repro.sched.EventLoopScheduler` pacing a simulation against the
-wall clock, metrics collectors — observe the clock through
-:meth:`VirtualClock.on_advance` listeners instead of polling it.
+reference the same :class:`VirtualClock`, the virtual one of the master
+loop's two clocks (:mod:`repro.sched.loop`).  Time is a float number of
+seconds that moves only when a timer fires, so a five-minute Table-2
+measurement window (paper section 5.1) runs in milliseconds of real time.
 """
 
 from __future__ import annotations
@@ -22,43 +17,31 @@ __all__ = ["VirtualClock"]
 class VirtualClock:
     """Monotonically increasing simulated time."""
 
+    #: the loop jumps this clock to the next timer instead of waiting for it
+    virtual = True
+
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        #: current simulated time in seconds; only the advance methods move it
+        self.now = float(start)
         self._listeners: List[Callable[[float, float], None]] = []
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def on_advance(self, listener: Callable[[float, float], None]) -> None:
-        """Register ``listener(previous, now)``, called after every advance.
-
-        Listeners fire only when time actually moved (a zero-delta advance is
-        silent), so an event cascade at one instant does not spam observers.
-        """
+        """Call ``listener(previous, now)`` whenever time actually moves."""
         self._listeners.append(listener)
 
     def advance_to(self, timestamp: float) -> None:
-        """Move the clock forward to *timestamp*.
-
-        Raises ``ValueError`` if that would move time backwards, which would
-        indicate a scheduler bug.
-        """
-        if timestamp < self._now:
-            raise ValueError(
-                f"cannot move time backwards: {timestamp} < {self._now}"
-            )
-        previous, self._now = self._now, float(timestamp)
-        if self._now > previous:
-            for listener in list(self._listeners):
-                listener(previous, self._now)
+        """Move forward to *timestamp*; ``ValueError`` if that is the past."""
+        previous = self.now
+        if timestamp <= previous:
+            if timestamp < previous:
+                raise ValueError(f"cannot move time backwards: {timestamp} < {previous}")
+            return
+        self.now = float(timestamp)
+        for listener in self._listeners and list(self._listeners):
+            listener(previous, self.now)
 
     def advance_by(self, delta: float) -> None:
         """Move the clock forward by *delta* seconds."""
         if delta < 0:
             raise ValueError(f"cannot advance by a negative delta: {delta}")
-        self.advance_to(self._now + float(delta))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<VirtualClock t={self._now:.6f}>"
+        self.advance_to(self.now + float(delta))

@@ -11,9 +11,10 @@ together with the environment that cell runs under — a synthetic volunteer
 fleet (LAN/VPN/WAN latency mix, seeded per-device rates), diurnal churn
 waves, healing partitions, skewed stragglers, and optionally a
 bounded-tail abort (a ``find`` sink plus chunked tasks and a pool
-cancellation flag).  :func:`run_cell` executes any cell through a
-``SimEventSource`` on the event loop — thousand-volunteer deployments run
-in *virtual* time, wall-clock cost is the loop dispatch only — and
+cancellation flag).  :func:`run_cell` executes any cell on the map's
+event loop, the simulation's events firing as its timers — thousand-volunteer
+deployments run in *virtual* time, wall-clock cost is the event callbacks
+only — and
 :func:`verify_cell` checks the invariants every cell must satisfy:
 
 * **exactly-once delivery** — output ids are a permutation of input ids

@@ -17,8 +17,8 @@ the map's ``Limiter``, to a fresh sub-stream.  Three modes are provided:
 * :meth:`DeploymentScenario.run_to_completion` processes a finite list of
   inputs until the output stream ends — used by integration tests, the
   Figure-4 deployment example and the fault-tolerance experiments;
-* :meth:`DeploymentScenario.run_on_loop` steps the simulation as a source
-  of the map's event loop, beside real process pools — the scenario
+* :meth:`DeploymentScenario.run_on_loop` runs the simulation's events as
+  timers of the map's event loop, beside real process pools — the scenario
   matrix's mode.
 """
 
@@ -177,9 +177,9 @@ class DeploymentScenario:
         self.bundle = bundle_function(
             self.app.processing_function(), name=self.app.name, application=self.app
         )
-        # The map owns its EventLoopScheduler (the async pump driving pools
-        # and SimEventSources); `self.scheduler` is the discrete-event
-        # simulation clock — different planes.
+        # The map owns its EventLoopScheduler; `self.scheduler` is the
+        # simulation's timer heap on its virtual clock, which run_on_loop
+        # hands to the map's loop.
         self.dmap = DistributedMap(
             ordered=config.ordered,
             batch_size=self.batch_size,
@@ -195,6 +195,9 @@ class DeploymentScenario:
         self.incarnations: List[SimVolunteer] = []
         self._rejoin_counts: Dict[str, int] = {}
         self._stop = False
+        #: the output of the run in progress, once :meth:`_start` pulled it
+        self._output: Optional[SinkResult] = None
+        self._shut_down = False
         #: virtual time at which the output sink completed / aborted, if any
         self.completed_virtual: Optional[float] = None
         self.aborted_virtual: Optional[float] = None
@@ -322,9 +325,23 @@ class DeploymentScenario:
         return self.deployment.url
 
     def shutdown(self) -> None:
-        """End the deployment (DP1: the tool shuts down after its task)."""
+        """End the deployment (DP1: the tool shuts down after its task).
+
+        Once the output stream is over, every volunteer still attached is
+        released the way a leave releases it: both ends of each of its
+        channels close, so the heartbeats stop and the asks parked on the
+        channel end.  Nothing goes on the wire and the registry records no
+        departure — the deployment went away, nobody left.
+        """
         if self.deployment is not None:
             self.public_server.shutdown_deployment(self.deployment.deployment_id)
+        self._shut_down = True
+        if self._output is not None and self._output.done:
+            for volunteer in self.incarnations:
+                for tab in volunteer.tabs.values():
+                    if tab.endpoint is not None:
+                        tab.endpoint.teardown()
+                        tab.endpoint.peer.teardown()
         self.log.append("Deployment shut down")
 
     def accept_volunteer(self, volunteer: SimVolunteer) -> None:
@@ -404,6 +421,8 @@ class DeploymentScenario:
     def _on_channel_closed(
         self, record: VolunteerRecord, reason: Optional[BaseException]
     ) -> None:
+        if self._shut_down:
+            return
         crashed = reason is not None
         self.dmap.registry.mark_left(
             record.volunteer_id, self.scheduler.now, crashed=crashed
@@ -431,7 +450,8 @@ class DeploymentScenario:
         self._schedule_failures()
         self._schedule_joins(url)
         counted = through(on_value=lambda _value: self.metrics.record_output())
-        return pull(from_iterable(inputs), self.dmap, counted, sink)
+        self._output = pull(from_iterable(inputs), self.dmap, counted, sink)
+        return self._output
 
     def run_measurement(self) -> ScenarioResult:
         """Measure steady-state throughput over the configured window."""
@@ -489,13 +509,13 @@ class DeploymentScenario:
         timeout: Optional[float] = None,
         drain_for: float = 0.0,
     ):
-        """Drive the deployment through a ``SimEventSource`` on the event loop.
+        """Drive the deployment on the map's event loop.
 
-        The simulation clock is registered with the map's
-        :class:`~repro.sched.EventLoopScheduler` as an unpaced source, so
-        virtual time advances as fast as the loop dispatches — and real
-        (wall-clock) sources such as process pools attached to the master
-        pump in the same rounds.  This is the scenario-matrix execution mode.
+        The simulation's heap becomes the timer heap of the map's
+        :class:`~repro.sched.EventLoopScheduler` loop, unpaced, so virtual
+        time jumps from event to event — and real (wall-clock) sources such
+        as process pools attached to the master are served by the same
+        loop.  This is the scenario-matrix execution mode.
 
         *sink* defaults to ``collect()``; pass e.g. ``find(...)`` for abort
         scenarios.  *timeout* bounds the **wall-clock** run.  *drain_for*

@@ -17,21 +17,25 @@ Two kinds live here:
   the wire dies.  Its end of the websocket is the same
   :class:`~repro.net.endpoint.Endpoint` the gateway holds the other end
   with, on this process's own asyncio loop: it keeps that loop (and the tab
-  threads) because it must answer pings while a tab computes.
-  ``pando volunteer ws://host:port`` (see :func:`main`) wraps it for the
-  command line.
+  threads) because it must answer pings while a tab computes, and is the
+  one module of the package that imports asyncio.  :func:`connect_websocket`
+  is its client half of the upgrade.  ``pando volunteer ws://host:port``
+  (see :func:`main`) wraps it for the command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import base64
 import functools
 import multiprocessing
+import os
+import socket
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.annotations import any_thread
 from ..devices.device import SimDevice
@@ -40,7 +44,8 @@ from ..errors import ConnectionClosed, PandoError, ProtocolError
 from ..master.bundler import Bundle
 from ..net.channel import ChannelEndpoint
 from ..net import wire
-from ..net.heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
+from ..net.endpoint import DEFAULT_MAX_FRAME, HTTP_HEAD, WS, Endpoint
+from ..net.heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor, LoopClock
 from ..net.signaling import PublicServer
 from ..net.ws_transport import (
     BYE,
@@ -48,8 +53,9 @@ from ..net.ws_transport import (
     HELLO,
     WELCOME,
     WIRE_VERSION,
-    LoopClock,
-    connect_websocket,
+    accept_key,
+    head_lines,
+    parse_ws_url,
 )
 from ..pool.tasks import answer, resolve_callable, run_batch
 from ..sim.metrics import MetricsCollector
@@ -59,6 +65,7 @@ from .worker import BrowserTab
 __all__ = [
     "SimVolunteer",
     "VolunteerReport",
+    "connect_websocket",
     "run_volunteer",
     "spawn_volunteer_process",
     "main",
@@ -216,6 +223,57 @@ def run_volunteer(
             connect_timeout=connect_timeout,
         )
     )
+
+
+async def connect_websocket(
+    url: str, timeout: float = 10.0, max_frame: int = DEFAULT_MAX_FRAME
+) -> Tuple[Endpoint, "asyncio.Queue[Any]"]:
+    """Open and upgrade a client connection to *url* (``ws://host:port``).
+
+    Returns the connection — an :class:`~repro.net.endpoint.Endpoint` with the
+    client side's :class:`~repro.net.endpoint.WS` framing, read and flushed
+    by the running asyncio loop — and the queue everything it files arrives
+    on: each message, then the exception its stream ended with.
+    """
+    host, port, path = parse_ws_url(url)
+    loop = asyncio.get_running_loop()
+    # off the loop: resolves, and tries every address, under the one timeout
+    sock = await loop.run_in_executor(None, socket.create_connection, (host, port), timeout)
+    # frames are written whole; waiting to coalesce them only adds latency
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    endpoint = Endpoint(sock, HTTP_HEAD)
+    messages: "asyncio.Queue[Any]" = asyncio.Queue()
+
+    def on_filed(endpoint: Endpoint) -> None:
+        while endpoint.inbox:
+            messages.put_nowait(endpoint.inbox.popleft())
+
+    try:
+        endpoint.watch(loop, on_filed)
+        key = base64.b64encode(os.urandom(16)).decode("ascii")
+        request = (
+            f"GET {path} HTTP/1.1\r\n"
+            f"Host: {host}:{port}\r\n"
+            "Upgrade: websocket\r\n"
+            "Connection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {key}\r\n"
+            "Sec-WebSocket-Version: 13\r\n"
+            "\r\n"
+        )
+        endpoint.write([request.encode("latin-1")])
+        response = await asyncio.wait_for(messages.get(), timeout)
+        if isinstance(response, Exception):
+            raise response
+        start, headers = head_lines(response)
+        if " 101 " not in start + " ":
+            raise ProtocolError(f"websocket upgrade refused: {start!r}")
+        if headers.get("sec-websocket-accept") != accept_key(key):
+            raise ProtocolError("websocket upgrade returned a bad Sec-WebSocket-Accept")
+    except BaseException:
+        endpoint.close()
+        raise
+    endpoint.framing = WS(client_side=True, max_frame=max_frame)
+    return endpoint, messages
 
 
 async def _volunteer_session(

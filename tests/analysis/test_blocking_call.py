@@ -69,8 +69,38 @@ class TestSeededViolations:
         assert len(findings) == 1
         assert "EventSource hook" in findings[0].detail
 
+    def test_a_second_select_on_the_loop_is_caught_even_when_bounded(self, findings_of):
+        findings = findings_of(
+            """
+            import select
+
+            class EventSource:
+                pass
+
+            class PipeSource(EventSource):
+                def dispatch(self):
+                    select.select(self.pipes, (), (), 0.5)  # bug: a second wait
+            """,
+            CHECK,
+        )
+        assert len(findings) == 1
+        assert "select()" in findings[0].message
+
 
 class TestCleanExemplars:
+    def test_the_loops_own_poll_is_the_sanctioned_wait(self, findings_of):
+        assert not findings_of(
+            """
+            class Loop:
+                def run_once(self, timeout):
+                    return self._poll(timeout)
+
+                def _poll(self, wait):
+                    return self._selector.select(wait)
+            """,
+            CHECK,
+        )
+
     def test_bounded_result_is_a_deliberate_tradeoff(self, findings_of):
         assert not findings_of(
             """

@@ -1,6 +1,14 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+``PANDO_TEST_SHUFFLE=<seed>`` runs the collected tests in an order shuffled
+with that seed (and prints it), so a test that only passes after another
+one — process-global state an earlier test left behind — shows up.
+"""
 
 from __future__ import annotations
+
+import os
+import random
 
 import pytest
 
@@ -19,12 +27,20 @@ def pytest_addoption(parser):
 
 
 def pytest_collection_modifyitems(config, items):
+    seed = os.environ.get("PANDO_TEST_SHUFFLE")
+    if seed:
+        random.Random(seed).shuffle(items)
     if config.getoption("--run-slow"):
         return
     skip_slow = pytest.mark.skip(reason="needs --run-slow")
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+def pytest_report_header(config):
+    seed = os.environ.get("PANDO_TEST_SHUFFLE")
+    return f"test order shuffled with PANDO_TEST_SHUFFLE={seed}" if seed else None
 
 
 @pytest.fixture

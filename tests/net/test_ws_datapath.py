@@ -9,7 +9,6 @@ for the late-volunteer refusal.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import os
 import socket
@@ -352,7 +351,7 @@ def spin_until(dmap, gateway, predicate, timeout=15.0):
     """Spin the map's loop (outside any drive) until *predicate* holds."""
     deadline = time.monotonic() + timeout
     while not predicate() and time.monotonic() < deadline:
-        dmap.scheduler.run_coroutine(asyncio.sleep(0.02))
+        dmap.scheduler.spin(0.02)
         while gateway.dispatch():
             pass
     return predicate()
@@ -419,7 +418,7 @@ class TestLateVolunteer:
         # upgraded, and its hello is filed until the gateway takes it.
         deadline = time.monotonic() + 15
         while not gateway.ready() and time.monotonic() < deadline:
-            dmap.scheduler.run_coroutine(asyncio.sleep(0.02))
+            dmap.scheduler.spin(0.02)
         assert gateway.ready()
         # The map terminates before any dispatch round sees the hello.
         dmap.add_local_worker(lambda v, cb: cb(None, -v))

@@ -33,10 +33,9 @@ from repro.net.endpoint import (
     _apply_mask,
     encode_ws_frame,
 )
+from repro.net.heartbeat import LoopClock
 from repro.net.ws_transport import (
     WIRE_VERSION,
-    LoopClock,
-    connect_websocket,
     pack_wire_frame,
     parse_ws_url,
     unpack_wire_frame,
@@ -44,6 +43,7 @@ from repro.net.ws_transport import (
 )
 from repro.pullstream import collect, from_iterable, pull
 from repro.worker import run_volunteer
+from repro.worker.volunteer import connect_websocket
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class TestHandshake:
                 sock.setblocking(False)
                 response, deadline = b"", time.monotonic() + 10
                 while not response.endswith(b"\r\n\r\n") and time.monotonic() < deadline:
-                    dmap.scheduler.run_coroutine(asyncio.sleep(0.01))
+                    dmap.scheduler.spin(0.01)
                     try:
                         response += sock.recv(4096)
                     except BlockingIOError:
@@ -589,7 +589,7 @@ class TestHostilePeers:
             thread.start()
             deadline = time.monotonic() + 20
             while "close" not in box and time.monotonic() < deadline:
-                dmap.scheduler.run_coroutine(asyncio.sleep(0.01))
+                dmap.scheduler.spin(0.01)
                 while gateway.dispatch():
                     pass
             peak = tracemalloc.get_traced_memory()[1]

@@ -279,7 +279,6 @@ class TestChildrenHoldNoMasterSocket:
         copy is closed, so a volunteer's connection — and the gateway's
         listener — would otherwise outlive the master closing them for as
         long as the child lives."""
-        import asyncio
         import socket
 
         dmap = DistributedMap()
@@ -290,7 +289,7 @@ class TestChildrenHoldNoMasterSocket:
         try:
             deadline = time.monotonic() + 5
             while not gateway._connections and time.monotonic() < deadline:
-                dmap.scheduler.run_coroutine(asyncio.sleep(0.01))
+                dmap.scheduler.spin(0.01)
             assert gateway._connections, "the gateway never accepted the peer"
             pool.sink(values([{"sleep": 3.0}]))  # forks the child, which sleeps
             child = pool.children[0].process

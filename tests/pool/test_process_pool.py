@@ -200,10 +200,9 @@ class TestSchedulerDelivery:
                 assert not pool.live() and not pool.ready()
 
     def test_a_reply_read_between_runs_waits_for_the_next_run(self):
-        """A reply the loop reads while no run spins (``run_coroutine``) is
+        """A reply the loop reads while no run turns it (``spin``) is
         filed and given a turn, but nothing goes down the stream until the
         next ``run()`` takes that turn in its first round."""
-        import asyncio
         import time
 
         from repro.core.limiter import Limiter
@@ -218,7 +217,7 @@ class TestSchedulerDelivery:
                 sink = pull(values([frame]), Limiter(pool, 1), collect())
                 deadline = time.monotonic() + 30
                 while not pool.ready() and time.monotonic() < deadline:
-                    sched.run_coroutine(asyncio.sleep(0.01))
+                    sched.spin(0.01)
                 assert pool.ready(), "the reply was never read"
                 assert pool.pending == 1 and pool.results_returned == 0
                 assert not sink.done

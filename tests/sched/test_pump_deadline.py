@@ -1,4 +1,4 @@
-"""Regression test: async_pump's deadline is inclusive (timeout=0 fires).
+"""Regression test: a run's deadline is inclusive (timeout=0 fires).
 
 The deadline check used a strict ``>``; with ``timeout=0`` (deadline "now")
 and a coarse monotonic clock the first rounds could pass the check and the

@@ -1,11 +1,10 @@
-"""Sink-completion wake-ups: the pump must not lean on the safety net.
+"""Sink-completion wake-ups: a run must not lean on the safety net.
 
-ROADMAP follow-on of the scheduler PR: ``async_pump`` re-checks
-``sink.done`` between dispatch rounds, so a run whose only remaining
-progress happens *outside* the rounds — a pipeline fed and finished from a
-producer thread — used to terminate only when the poll-interval safety net
-expired.  The pump now registers a ``SinkResult.on_done`` callback that
-wakes the loop (thread-safely) the instant the sink completes.
+A run whose only remaining progress happens *outside* the dispatch rounds —
+a pipeline fed and finished from a producer thread — once terminated only
+when the poll-interval safety net expired.  A run registers a
+``SinkResult.on_done`` callback that raises the loop's stop flag and wakes
+it (thread-safely) the instant the sink completes.
 """
 
 from __future__ import annotations

@@ -32,7 +32,11 @@ goes to the socket, and a volunteer's frame is masked in that buffer.
 Receiving: a payload that is not already whole in the staging buffer is
 received straight into the ``bytearray`` it is unmasked in, and the codec
 slices ``memoryview`` objects out of it, so the owned copy ``oob_unpack`` makes
-for the user function is the only other one.
+for the user function is the only other one.  The two directions mask with
+two kernels: a volunteer with stdlib-only stride-4 lanes
+(:func:`_apply_mask`), so a freshly spawned one never imports numpy; the
+master, the only side that receives masked frames, with one in-place numpy
+XOR over 32-bit words (:func:`_unmask`), the cheaper by ~40x.
 """
 
 from __future__ import annotations
@@ -103,22 +107,45 @@ def _xor_table(key_byte: int) -> bytes:
 
 
 def _apply_mask(buffer: bytearray, key: bytes, start: int = 0) -> None:
-    """XOR ``buffer[start:]`` in place with the repeating 4-byte *key*.
+    """XOR ``buffer[start:]`` in place with the repeating 4-byte *key*: the
+    client's kernel, which masks what a volunteer sends.
 
     Byte ``start + i`` meets ``key[i % 4]``, so the bytes of one key byte
     form a stride-4 lane: each lane is sliced out, run through that key
     byte's translate table and assigned back — three C loops over a quarter
     of the buffer, no per-byte Python and no whole-buffer temporary, against
     the two big-integer conversions and a frame-sized repeated key of the usual
-    ``int.from_bytes`` XOR (about 4x slower).  numpy would XOR faster still,
-    but its import costs every freshly spawned volunteer ~130 ms of start-up,
-    more than the mask costs in hundreds of frames; the tables are built on
-    first use, so importing this module builds none.
+    ``int.from_bytes`` XOR (about 4x slower).  It stays stdlib-only because a
+    spawned volunteer must not pay numpy's import (~170 ms with two starting
+    at once on two cores) before its hello; the tables are built on first
+    use, so importing this module builds none.
     """
     for lane in range(4):
         if key[lane]:
             index = slice(start + lane, None, 4)
             buffer[index] = buffer[index].translate(_xor_table(key[lane]))
+
+
+def _unmask(payload: bytearray, key: bytes) -> None:
+    """XOR *payload* in place with the repeating 4-byte *key*: the server's
+    kernel, which unmasks what a volunteer sent.
+
+    Only the master receives masked frames (a client refuses them), so this
+    kernel may use numpy: the payload is XOR-ed in place as native 32-bit
+    words against the key read as one — a single vectorised pass, ~40x the
+    lanes' speed, with no temporary — and the at most three tail bytes by
+    hand.  numpy is imported here, on the first masked frame, never when this
+    module is, so a volunteer that imports this module and masks with
+    :func:`_apply_mask` stays numpy-free.
+    """
+    import numpy
+
+    count = len(payload) // 4
+    if count:
+        words = numpy.frombuffer(payload, numpy.uint32, count)
+        words ^= numpy.frombuffer(key, numpy.uint32)
+    for index in range(4 * count, len(payload)):
+        payload[index] ^= key[index & 3]
 
 
 def encode_ws_frame(opcode: int, payload: Any, mask: bool) -> bytearray:
@@ -270,8 +297,8 @@ class WS:
         return size, length
 
     def frame(self, payload: bytearray, write: Write) -> Any:
-        if self._key and payload:
-            _apply_mask(payload, self._key)
+        if self._key:
+            _unmask(payload, self._key)
         opcode = self._opcode
         if opcode == OP_PING:
             self.pings_received += 1

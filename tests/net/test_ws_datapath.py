@@ -1,7 +1,8 @@
 """The websocket data path: lane masking, copy-free frames, hostile wires.
 
-Properties first (the four-lane mask against a byte-wise reference, frames
-assembled from mixed parts), then ``tracemalloc`` pins on how many copies of
+Properties first (both mask kernels, the volunteer's four lanes and the
+master's word XOR, against a byte-wise reference; frames assembled from mixed
+parts), then ``tracemalloc`` pins on how many copies of
 a frame each direction holds at once — a copy count, not a timing — and the
 regressions for the framing rules :class:`~repro.net.endpoint.WS` enforces and
 for the late-volunteer refusal.
@@ -35,6 +36,7 @@ from repro.net.endpoint import (
     WS,
     Endpoint,
     _apply_mask,
+    _unmask,
     encode_ws_frame,
 )
 from repro.net.ws_transport import unpack_wire_frame
@@ -43,6 +45,8 @@ from repro.worker import volunteer as volunteer_module
 from repro.worker import run_volunteer
 
 MIB = 1 << 20
+KEY = b"\xa1\xb2\xc3\xd4"
+ZERO_KEY = b"\x00\x00\x00\x00"
 
 
 def reference_mask(data: bytes, key: bytes) -> bytes:
@@ -76,7 +80,15 @@ mask_lengths = st.one_of(
 )
 
 
+def patterned(seed: int, length: int) -> bytes:
+    pattern = seed.to_bytes(4, "big") + bytes(range(256))
+    return (pattern * (length // len(pattern) + 1))[:length]
+
+
 class TestLaneMask:
+    """Each kernel is called by name: the client's lanes mask what a
+    volunteer sends, the server's word XOR unmasks what the master receives."""
+
     @settings(max_examples=120, deadline=None)
     @given(
         length=mask_lengths,
@@ -84,11 +96,13 @@ class TestLaneMask:
         start=st.integers(0, 17),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(length=70, key=b"\x00\x00\x00\x00", start=3, seed=1)
+    @example(length=70, key=ZERO_KEY, start=3, seed=1)
     @example(length=9, key=b"\x00\xff\x00\x01", start=0, seed=2)
-    def test_equals_bytewise_xor_and_is_an_involution(self, length, key, start, seed):
-        pattern = seed.to_bytes(4, "big") + bytes(range(256))
-        data = (pattern * ((start + length) // len(pattern) + 1))[: start + length]
+    @example(length=0, key=KEY, start=5, seed=3)
+    def test_client_kernel_equals_bytewise_xor_and_is_an_involution(
+        self, length, key, start, seed
+    ):
+        data = patterned(seed, start + length)
         buffer = bytearray(data)
         _apply_mask(buffer, key, start)
         assert buffer[:start] == data[:start]  # the header is left alone
@@ -96,18 +110,63 @@ class TestLaneMask:
         _apply_mask(buffer, key, start)
         assert buffer == data
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        length=mask_lengths,
+        key=st.binary(min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(length=70, key=ZERO_KEY, seed=1)
+    @example(length=0, key=KEY, seed=2)
+    @example(length=3, key=KEY, seed=3)
+    def test_server_kernel_equals_bytewise_xor_and_is_an_involution(self, length, key, seed):
+        data = patterned(seed, length)
+        buffer = bytearray(data)
+        _unmask(buffer, key)
+        assert buffer == reference_mask(data, key)
+        _unmask(buffer, key)
+        assert buffer == data
+
+    @pytest.mark.parametrize("key", [KEY, ZERO_KEY], ids=["key", "zero-key"])
+    @pytest.mark.parametrize("tail", range(4))
+    def test_both_kernels_on_a_tile_frame_with_each_tail(self, tail, key):
+        # a 512 KiB tile's payload, plus the 0-3 bytes the server kernel
+        # XORs by hand; 14 bytes is the header of a masked 64-bit-length frame
+        data = patterned(tail, 512 * 1024 + tail)
+        expected = reference_mask(data, key)
+        header = b"\x82\xff" + bytes(12)
+        sent = bytearray(header + data)
+        _apply_mask(sent, key, len(header))
+        assert sent == header + expected
+        received = bytearray(data)
+        _unmask(received, key)
+        assert received == expected
+        _unmask(received, key)
+        _apply_mask(sent, key, len(header))
+        assert received == data and sent == header + data
+
 
 class TestVolunteerColdStart:
     def test_importing_the_volunteer_stays_light(self):
         # A spawned volunteer pays this import before it can say hello: no
         # numpy, no lint runner, no http.server, no mask table built yet.
+        # Masking a 1 MiB result and reading a frame from the master keep it
+        # numpy-free: only the master's kernel uses numpy.
         probe = (
-            "import sys, repro.worker.volunteer\n"
-            "from repro.net.endpoint import _xor_table\n"
+            "import select, socket, sys, repro.worker.volunteer\n"
+            "from repro.net.endpoint import OP_BINARY, WS, Endpoint, _xor_table, encode_ws_frame\n"
+            "tables = _xor_table.cache_info().currsize\n"
+            "frame = encode_ws_frame(OP_BINARY, bytes(range(256)) * 4096, mask=True)\n"
+            "assert len(frame) == 14 + (1 << 20) and frame[1] & 0x80\n"
+            "ours, theirs = socket.socketpair()\n"
+            "endpoint = Endpoint(ours, WS(client_side=True))\n"
+            "theirs.sendall(b''.join(WS(client_side=False).wrap(b'from the master')))\n"
+            "while not endpoint.inbox and select.select([ours], [], [], 10)[0]:\n"
+            "    endpoint.read()\n"
+            "assert list(endpoint.inbox) == [b'from the master'], endpoint.inbox\n"
             "heavy = ['numpy', 'http.server', 'repro.analysis.runner',\n"
             "         'repro.analysis.checkers', 'repro.obs.http_endpoint']\n"
-            "print([name for name in heavy if name in sys.modules],\n"
-            "      _xor_table.cache_info().currsize)\n"
+            "print([name for name in heavy if name in sys.modules], tables)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
@@ -228,6 +287,7 @@ class TestCopyCount:
             (message, _end), _written, _endpoint = read_stream(WS(client_side=False), data)
             return unpack_wire_frame(message)
 
+        _unmask(bytearray(8), KEY)  # numpy's one-time import is not a copy
         tracemalloc.start()
         try:
             record = receive()
@@ -235,17 +295,21 @@ class TestCopyCount:
         finally:
             tracemalloc.stop()
         assert record["values"] == [tile, tile]
-        # the frame, received into the buffer it is unmasked in, and its
-        # lanes (1.5x), then the frame and the owned values (2x)
+        # the frame, received into the buffer it is unmasked in, then the
+        # frame and the owned values (2x)
         assert peak <= 2.75 * len(data), peak / len(data)
+
+    def test_unmasking_a_frame_xors_it_in_place(self):
+        payload = bytearray(os.urandom(MIB))
+        _unmask(bytearray(8), KEY)  # numpy's import happens outside the trace
+        peak = _traced_peak(lambda: _unmask(payload, KEY))
+        # no frame-sized temporary, not even a lane of one
+        assert peak < 64 * 1024, peak
 
 
 # --------------------------------------------------------------------------
 # Hostile wire: what recv() refuses
 # --------------------------------------------------------------------------
-
-
-KEY = b"\xa1\xb2\xc3\xd4"
 
 
 class TestMaskDirection:

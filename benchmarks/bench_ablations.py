@@ -1,4 +1,4 @@
-"""Ablations of Pando's design choices (DESIGN.md section 5).
+"""Ablations of Pando's design choices (README, "Running the tests and benches").
 
 * ordering: ordered vs unordered StreamLender on a finite workload;
 * transport: WebSocket vs WebRTC on the same (VPN) deployment;

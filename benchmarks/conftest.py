@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark measures one experiment of the paper's evaluation (see
-DESIGN.md's per-experiment index).  The simulated measurements are
+Every benchmark measures one experiment of the paper's evaluation (see the
+paper-bench index in the README's "Running the tests and benches").  The simulated measurements are
 deterministic, so each is run once (``pedantic`` with a single round); the
 pull-stream/StreamLender micro-benchmarks use pytest-benchmark's normal
 calibrated timing.

@@ -10,8 +10,9 @@ The package provides:
 * :mod:`repro.sched` — the master's event loop (a selector and one timer
   heap on a real or a virtual clock) driving pools, gateways, simulated
   events and pushable ports;
-* :mod:`repro.net` — simulated WebSocket/WebRTC channels, heartbeats,
-  signalling server and NAT model;
+* :mod:`repro.net` — the simulated WebSocket/WebRTC connection (one setup
+  table row per transport), heartbeats, the signalling server, and the real
+  wire: endpoint, frame codec and websocket gateway;
 * :mod:`repro.devices` — the Table-2 device catalogue and simulated devices;
 * :mod:`repro.sim` — virtual clock, discrete-event scheduler, network
   profiles, failure injection, metrics and deployment scenarios;

@@ -1,4 +1,4 @@
-"""Ablations of Pando's design choices (DESIGN.md section 5).
+"""Ablations of Pando's design choices (README, "Running the tests and benches").
 
 Three design decisions the paper discusses are made measurable here:
 

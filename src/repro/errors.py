@@ -69,11 +69,7 @@ class ConnectionClosed(PandoError):
 
 
 class SignallingError(PandoError):
-    """WebRTC signalling through the public server failed."""
-
-
-class NATTraversalError(ConnectionClosed):
-    """Direct WebRTC connectivity could not be established through NAT."""
+    """The public server has no active deployment at the URL a volunteer opened."""
 
 
 class BundlingError(PandoError):

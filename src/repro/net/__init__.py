@@ -1,11 +1,12 @@
-"""Network substrate: simulated channels, transports, signalling, NAT — and
-one real wire.
+"""Network substrate: the simulated connection, signalling — and one real
+wire.
 
-Most of these modules replace the browser WebSocket/WebRTC stacks of the
-original Pando with in-process equivalents that preserve the properties
-Pando relies on — ordered duplex delivery, heartbeat-based failure
-detection, connection setup cost, latency and bandwidth (see DESIGN.md,
-substitution table).  :mod:`~repro.net.ws_transport` is the exception: an
+:mod:`~repro.net.channel` replaces the browser WebSocket/WebRTC stacks of
+the original Pando with one in-process connection that preserves the
+properties Pando relies on — ordered duplex delivery, heartbeat-based
+failure detection, connection setup cost, latency and bandwidth (see the
+README's "Architecture map"); the two transports differ only in their row
+of its setup table.  :mod:`~repro.net.ws_transport` is the exception: an
 actual websocket server and client on real sockets, so external volunteer
 processes join a live master over TCP; :mod:`~repro.net.endpoint` is the
 master's end of any real worker's byte stream, a pool child's pipe included.
@@ -22,13 +23,9 @@ from .serialization import (
     oob_unpack,
 )
 from .shm_ring import ShmRing
-from .message import CLOSE, CONTROL, DATA, HEARTBEAT, Message
 from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor, LoopClock
-from .channel import ChannelEndpoint, SimChannel
-from .websocket import WebSocketConnection
-from .webrtc import WebRTCConnection
+from .channel import TRANSPORTS, ChannelEndpoint, SimChannel
 from .signaling import Deployment, PublicServer
-from .nat import NATConfig, NATModel
 from .endpoint import Endpoint
 from .ws_transport import (
     WsVolunteerGateway,
@@ -46,22 +43,14 @@ __all__ = [
     "oob_pack",
     "oob_unpack",
     "ShmRing",
-    "CLOSE",
-    "CONTROL",
-    "DATA",
-    "HEARTBEAT",
-    "Message",
     "DEFAULT_INTERVAL",
     "DEFAULT_TIMEOUT",
     "HeartbeatMonitor",
     "ChannelEndpoint",
     "SimChannel",
-    "WebSocketConnection",
-    "WebRTCConnection",
+    "TRANSPORTS",
     "Deployment",
     "PublicServer",
-    "NATConfig",
-    "NATModel",
     "Endpoint",
     "LoopClock",
     "WsVolunteerGateway",

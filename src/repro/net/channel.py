@@ -1,25 +1,39 @@
-"""Simulated duplex message channels exposed as pull-streams.
+"""The simulated volunteer connection, exposed as a pull-stream duplex.
 
 A :class:`SimChannel` connects two :class:`ChannelEndpoint` objects — one on
-the master's host, one on the volunteer's host.  Each endpoint exposes a
-pull-stream :class:`~repro.pullstream.duplex.Duplex`:
+the master's host, one on the volunteer's host — over one of the paper's two
+transports.  The simulator models only what Pando relies on from either:
+the connection's setup cost and its ordered, latency-charged frames.  The
+setup cost is one row of :data:`TRANSPORTS`:
+
+* a WebSocket (LAN, VPN) costs a TCP handshake plus the HTTP upgrade, two
+  round trips on the direct path;
+* a WebRTC data channel (the WAN setting, paper section 5.4) first relays
+  offer/answer and ICE candidates through the
+  :class:`~repro.net.signaling.PublicServer` (two relayed round trips, when
+  the deployment has a server), then pays ICE checks plus the DTLS handshake,
+  1.5 round trips on the direct path.
+
+Each endpoint exposes a pull-stream :class:`~repro.pullstream.duplex.Duplex`:
 
 * its **sink** eagerly drains the values produced upstream and sends each as
   a data frame to the peer (this eagerness is exactly why Pando needs the
   ``Limiter`` module in front of the channel, paper section 2.4.3);
 * its **source** produces the payloads received from the peer.
 
-Frames are delivered through the discrete-event scheduler after the delay
-computed by the :class:`~repro.sim.network.NetworkModel` for the pair of
-hosts, so latency, jitter and payload size all influence timing.  Endpoints
-run a :class:`~repro.net.heartbeat.HeartbeatMonitor`; an endpoint that
-crashes (crash-stop) simply goes silent and the peer discovers the failure
-through the heartbeat timeout, erroring its source — which is how the failure
+A frame is a timer on the discrete-event scheduler, ``peer._receive(kind,
+payload)`` at the arrival time the :class:`~repro.sim.network.NetworkModel`
+computes for the pair of hosts, so latency, jitter and payload size all
+influence timing.  Endpoints run a
+:class:`~repro.net.heartbeat.HeartbeatMonitor`; an endpoint that crashes
+(crash-stop) simply goes silent and the peer discovers the failure through
+the heartbeat timeout, erroring its source — which is how the failure
 reaches StreamLender.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, List, Optional
 
 from ..errors import ConnectionClosed
@@ -30,10 +44,21 @@ from ..pullstream.sinks import eager_pump
 from ..sim.network import NetworkModel
 from ..sim.scheduler import Scheduler
 from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
-from .message import CLOSE, CONTROL, DATA, HEARTBEAT, Message
-from .serialization import Batch
+from .serialization import Batch, estimate_size
+from .signaling import PublicServer
 
-__all__ = ["ChannelEndpoint", "SimChannel"]
+__all__ = ["ChannelEndpoint", "SimChannel", "TRANSPORTS"]
+
+#: per transport: the channel label's prefix, the setup round trips on the
+#: direct path, and the signalling round trips relayed through the public
+#: server before it (none when the deployment has no server)
+TRANSPORTS = {"websocket": ("ws", 2.0, 0), "webrtc": ("rtc", 1.5, 2)}
+
+#: frame kinds; a heartbeat is charged 8 bytes on the wire, a close 16 and a
+#: data frame its payload's estimated size, at least 16
+DATA = "data"
+HEARTBEAT = "heartbeat"
+CLOSE = "close"
 
 
 class ChannelEndpoint:
@@ -91,16 +116,14 @@ class ChannelEndpoint:
         if self._heartbeats_enabled:
             self.heartbeat.start()
 
-    def close(self, reason: Optional[str] = None) -> None:
+    def close(self) -> None:
         """Gracefully close the whole connection: notify the peer and stop."""
         if self.closed:
             return
-        self._transmit(
-            Message.close(sender=self.label, reason={"half": False, "reason": reason})
-        )
+        self._transmit(CLOSE, False, 16)
         self._shutdown(None)
 
-    def close_write(self, reason: Optional[str] = None) -> None:
+    def close_write(self) -> None:
         """Half-close: no more data will be sent, but receiving continues.
 
         Used when the local producer's stream ended while results from the
@@ -110,9 +133,7 @@ class ChannelEndpoint:
         if self.closed or self._write_closed:
             return
         self._write_closed = True
-        self._transmit(
-            Message.close(sender=self.label, reason={"half": True, "reason": reason})
-        )
+        self._transmit(CLOSE, True, 16)
         if self._read_ended:
             self._shutdown(None)
 
@@ -169,7 +190,7 @@ class ChannelEndpoint:
         if end is not None:
             # The local consumer aborts: close the connection.
             if not self.closed:
-                self.close(reason="consumer aborted")
+                self.close()
             self._incoming(end, cb)
             return
         self._incoming(None, cb)
@@ -192,9 +213,9 @@ class ChannelEndpoint:
         # from the peer can be received; a producer error closes the whole
         # connection.
         if not self.closed and not is_error(end):
-            self.close_write(reason="producer ended")
+            self.close_write()
         elif not self.closed:
-            self.close(reason=f"producer error: {end!r}")
+            self.close()
 
     def _sink_closed_reason(self) -> End:
         if not self.closed:
@@ -208,24 +229,20 @@ class ChannelEndpoint:
             return  # dropped by _transmit anyway; keep the counters truthful
         self.data_frames_sent += 1
         self.values_sent += len(payload) if isinstance(payload, Batch) else 1
-        self._transmit(Message.data(payload, sender=self.label))
-
-    def send_control(self, payload: Any) -> None:
-        """Send a control frame (signalling) to the peer."""
-        self._transmit(Message.control(payload, sender=self.label))
+        self._transmit(DATA, payload, max(16, estimate_size(payload)))
 
     def _send_heartbeat(self) -> None:
-        self._transmit(Message.heartbeat(sender=self.label))
+        self._transmit(HEARTBEAT, None, 8)
 
-    def _transmit(self, message: Message) -> None:
-        if self.closed and message.kind != CLOSE:
+    def _transmit(self, kind: str, payload: Any, size_bytes: int) -> None:
+        if self.closed and kind != CLOSE:
             return
         peer = self.peer
         if peer is None:
             return
         self.messages_sent += 1
-        self.bytes_sent += message.size_bytes
-        delay = self.channel.message_delay(self.host, peer.host, message.size_bytes)
+        self.bytes_sent += size_bytes
+        delay = self.channel.network.delay(self.host, peer.host, size_bytes)
         # WebSocket and WebRTC data channels are ordered transports: a frame
         # never overtakes one sent before it, even when jitter would make its
         # raw propagation delay shorter.
@@ -233,35 +250,28 @@ class ChannelEndpoint:
             self.channel.scheduler.now + delay, self._last_arrival + 1e-9
         )
         self._last_arrival = arrival
-        self.channel.scheduler.call_at(arrival, peer._receive, message)
+        self.channel.scheduler.call_at(arrival, peer._receive, kind, payload)
 
-    def _receive(self, message: Message) -> None:
+    def _receive(self, kind: str, payload: Any) -> None:
         if self.closed:
             return
         self.messages_received += 1
         self.heartbeat.touch()
-        if message.kind == HEARTBEAT:
-            return
-        if message.kind == CLOSE:
-            half = isinstance(message.payload, dict) and message.payload.get("half")
-            if half:
-                # The peer will send no more data; results we still owe it can
-                # continue to flow until our own producer ends too.
+        if kind == DATA:
+            self._incoming.push(payload)
+            for listener in list(self._receive_listeners):
+                listener(payload)
+        elif kind == CLOSE:
+            if payload:
+                # A half-close: the peer will send no more data; results we
+                # still owe it can continue to flow until our own producer
+                # ends too.
                 self._read_ended = True
                 self._incoming.end()
                 if self._write_closed:
                     self._shutdown(None)
             else:
                 self._shutdown(None)
-            return
-        if message.kind == DATA:
-            self._incoming.push(message.payload)
-            for listener in list(self._receive_listeners):
-                listener(message.payload)
-            return
-        if message.kind == CONTROL:
-            self.channel.on_control(self, message.payload)
-            return
 
     def _on_heartbeat_failure(self) -> None:
         if self.trace is not None:
@@ -284,17 +294,10 @@ class ChannelEndpoint:
 
 
 class SimChannel:
-    """A bidirectional connection between two hosts.
-
-    Subclasses (:class:`~repro.net.websocket.WebSocketConnection`,
-    :class:`~repro.net.webrtc.WebRTCConnection`) model protocol-specific
-    connection establishment; the base class provides the two endpoints and
-    frame delivery.
-    """
-
-    #: extra one-way trips required to establish the connection
-    SETUP_ROUND_TRIPS = 1.0
-    protocol = "sim"
+    """A bidirectional connection between two hosts over *transport*, a key
+    of :data:`TRANSPORTS` (``"websocket"``, Pando's default, or
+    ``"webrtc"``); *signalling_server* relays a WebRTC connection's
+    signalling."""
 
     def __init__(
         self,
@@ -302,66 +305,72 @@ class SimChannel:
         network: NetworkModel,
         local_host: str,
         remote_host: str,
+        transport: str = "websocket",
+        signalling_server: Optional[PublicServer] = None,
         heartbeat_interval: float = DEFAULT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_TIMEOUT,
         heartbeats_enabled: bool = True,
     ) -> None:
+        if transport not in TRANSPORTS:
+            raise ValueError(
+                f"unknown transport {transport!r}; expected one of {sorted(TRANSPORTS)}"
+            )
+        prefix, self.setup_round_trips, signalling_round_trips = TRANSPORTS[transport]
+        self.transport = transport
         self.scheduler = scheduler
         self.network = network
-        self.id = next(network.channel_ids)
-        self.local = ChannelEndpoint(
-            self,
-            host=local_host,
-            label=f"{self.protocol}-{self.id}:{local_host}",
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            heartbeats_enabled=heartbeats_enabled,
+        self.signalling_server = signalling_server
+        #: round trips relayed through the public server before the direct
+        #: path comes up
+        self.signalling_round_trips = (
+            signalling_round_trips if signalling_server is not None else 0
         )
-        self.remote = ChannelEndpoint(
-            self,
-            host=remote_host,
-            label=f"{self.protocol}-{self.id}:{remote_host}",
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            heartbeats_enabled=heartbeats_enabled,
+        self.id = next(network.channel_ids)
+        self.local, self.remote = (
+            ChannelEndpoint(
+                self,
+                host=host,
+                label=f"{prefix}-{self.id}:{host}",
+                heartbeat_interval=heartbeat_interval,
+                heartbeat_timeout=heartbeat_timeout,
+                heartbeats_enabled=heartbeats_enabled,
+            )
+            for host in (local_host, remote_host)
         )
         self.local.peer = self.remote
         self.remote.peer = self.local
         self.established = False
         self.established_at: Optional[float] = None
-        #: when set, every frame is relayed through this host (TURN-style),
-        #: paying the latency of both hops instead of the direct path.
-        self.relay_host: Optional[str] = None
-
-    def message_delay(self, sender: str, receiver: str, size_bytes: int) -> float:
-        """Delivery delay of one frame, accounting for an optional relay."""
-        if self.relay_host is None:
-            return self.network.delay(sender, receiver, size_bytes)
-        return self.network.delay(sender, self.relay_host, size_bytes) + self.network.delay(
-            self.relay_host, receiver, size_bytes
-        )
 
     # ------------------------------------------------------------------ API
     def connect(self, cb: Callable[[Optional[BaseException], "SimChannel"], None]) -> None:
-        """Establish the connection, then call ``cb(err, channel)``.
+        """Establish the connection, then call ``cb(None, channel)``.
 
-        The base implementation charges ``SETUP_ROUND_TRIPS`` round trips of
-        latency between the two hosts.
+        Each signalling round trip is one
+        :meth:`~repro.net.signaling.PublicServer.relay_signal`; then the
+        direct path costs the transport's setup round trips of the link's
+        RTT.  A simulated connection always comes up.
         """
-        profile = self.network.profile(self.local.host, self.remote.host)
-        setup_delay = self.SETUP_ROUND_TRIPS * profile.rtt
+        self._signal(self.signalling_round_trips, cb)
 
-        def established() -> None:
-            self.established = True
-            self.established_at = self.scheduler.now
-            self.local.start()
-            self.remote.start()
-            cb(None, self)
+    def _signal(self, round_trips: int, cb: Callable, _payload: Any = None) -> None:
+        if round_trips:
+            self.signalling_server.relay_signal(
+                self.local.host,
+                self.remote.host,
+                "offer/answer",
+                functools.partial(self._signal, round_trips - 1, cb),
+            )
+            return
+        rtt = self.network.profile(self.local.host, self.remote.host).rtt
+        self.scheduler.call_later(self.setup_round_trips * rtt, self._established, cb)
 
-        self.scheduler.call_later(setup_delay, established)
-
-    def on_control(self, endpoint: ChannelEndpoint, payload: Any) -> None:
-        """Hook for subclasses that exchange control frames (signalling)."""
+    def _established(self, cb: Callable) -> None:
+        self.established = True
+        self.established_at = self.scheduler.now
+        self.local.start()
+        self.remote.start()
+        cb(None, self)
 
     def close(self) -> None:
         """Close both endpoints gracefully."""
@@ -370,6 +379,6 @@ class SimChannel:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"<{type(self).__name__} #{self.id} "
+            f"<SimChannel {self.transport} #{self.id} "
             f"{self.local.host}<->{self.remote.host} established={self.established}>"
         )

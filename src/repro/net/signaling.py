@@ -1,12 +1,12 @@
 """Public signalling server (``pando-server`` equivalent).
 
-When volunteers cannot reach the master directly (different networks, NAT),
+When volunteers cannot reach the master directly (different networks),
 Pando deploys a small public server — on Heroku's free tier or a Raspberry
 Pi — whose only jobs are (1) serving the volunteer code at a public URL and
 (2) relaying WebRTC signalling messages between a joining volunteer and the
 master until their direct connection is established (paper section 2.4.3).
 Since signalling requires little resources, the server never carries the
-computation data itself (unless a channel explicitly falls back to relaying).
+computation data itself.
 """
 
 from __future__ import annotations

@@ -247,7 +247,6 @@ class ScheduleInfo:
     #: since churned/partitioned/slowed devices under-process by design
     disturbed_names: List[str] = field(default_factory=list)
     scheduled_crashes: int = 0
-    scheduled_leaves: int = 0
     scheduled_rejoins: int = 0
 
 
@@ -447,7 +446,6 @@ def build_schedule(cell: MatrixCell, profiles: List[DeviceProfile]) -> ScheduleI
             info.scheduled_crashes += 1
             departed.add(event.worker_id)
         elif event.kind == "leave":
-            info.scheduled_leaves += 1
             departed.add(event.worker_id)
         elif event.kind == "join" and event.worker_id in departed:
             info.scheduled_rejoins += 1
@@ -639,13 +637,9 @@ def verify_cell(cell_result: CellResult) -> List[str]:
             f"joins={registry['joins']} outside "
             f"[{joins_floor}, {cell.volunteers + info.scheduled_rejoins}]"
         )
-    # A scheduled *leave* can still register as a crash when it lands while
-    # the channel is connecting (the tab goes silent before it ever opens),
-    # so crashes are bounded by all scheduled departures, not crashes alone.
-    departures = info.scheduled_crashes + info.scheduled_leaves
-    if registry["crashes"] > departures:
+    if registry["crashes"] > info.scheduled_crashes:
         violations.append(
-            f"crashes={registry['crashes']} > scheduled departures={departures}"
+            f"crashes={registry['crashes']} > scheduled crashes={info.scheduled_crashes}"
         )
     if registry["crashes"] + registry["leaves"] > registry["joins"]:
         violations.append("crashes + leaves exceed joins")

@@ -44,9 +44,6 @@ class LinkProfile:
     jitter: float
     #: usable bandwidth in bytes per second
     bandwidth: float
-    #: probability that establishing a direct (WebRTC) connection fails and
-    #: must fall back to a relayed path — models NAT traversal difficulties
-    nat_failure_rate: float = 0.0
 
     def one_way_delay(self, size_bytes: int, rng: Optional[random.Random] = None) -> float:
         """Delivery delay for a message of *size_bytes* bytes."""
@@ -79,11 +76,8 @@ VPN_PROFILE = LinkProfile(
 )
 
 #: WAN to PlanetLab EU nodes over WebRTC: tens to low hundreds of
-#: milliseconds RTT, more jitter, NAT traversal occasionally slow
-#: (paper section 5.4).
-WAN_PROFILE = LinkProfile(
-    name="wan", latency=0.045, jitter=0.020, bandwidth=10e6 / 8, nat_failure_rate=0.05
-)
+#: milliseconds RTT and more jitter (paper section 5.4).
+WAN_PROFILE = LinkProfile(name="wan", latency=0.045, jitter=0.020, bandwidth=10e6 / 8)
 
 
 def profile_for_setting(setting: str) -> LinkProfile:
@@ -141,13 +135,6 @@ class NetworkModel:
         self.bytes_sent[key] = self.bytes_sent.get(key, 0) + size_bytes
         self.messages_sent[key] = self.messages_sent.get(key, 0) + 1
         return profile.one_way_delay(size_bytes, self._rng)
-
-    def nat_blocks_direct_connection(self, host_a: str, host_b: str) -> bool:
-        """Sample whether NAT traversal between the two hosts fails."""
-        profile = self.profile(host_a, host_b)
-        if profile.nat_failure_rate <= 0:
-            return False
-        return self._rng.random() < profile.nat_failure_rate
 
     @staticmethod
     def _key(host_a: str, host_b: str) -> Tuple[str, str]:

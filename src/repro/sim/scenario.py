@@ -6,8 +6,11 @@ volunteers with their devices, network model, failure schedule — for one of
 the paper's three settings (LAN, VPN, WAN) and runs it in virtual time.  The
 scenario is also the deployment's master side (paper Figure 7): it serves the
 bundled worker code, accepts each volunteer that opens its URL into the map's
-volunteer registry, and wires one simulated channel per browser tab, through
-the map's ``Limiter``, to a fresh sub-stream.  Three modes are provided:
+volunteer registry, and wires one :class:`~repro.net.channel.SimChannel` per
+browser tab, through the map's ``Limiter``, to a fresh sub-stream.  The
+setting picks the transport the paper used (WebSocket on the LAN and VPN,
+WebRTC through the public server on the WAN); a transport is only a row of
+the channel's setup-cost table.  Three modes are provided:
 
 * :meth:`DeploymentScenario.run_measurement` reproduces the paper's
   methodology (section 5.1): an effectively infinite input stream is
@@ -33,9 +36,8 @@ from ..devices.profiles import DeviceProfile, devices_for_setting
 from ..errors import DeploymentError, PandoError
 from ..master.bundler import bundle_function
 from ..master.registry import VolunteerRecord
+from ..net.channel import TRANSPORTS, SimChannel
 from ..net.signaling import Deployment, PublicServer
-from ..net.webrtc import WebRTCConnection
-from ..net.websocket import WebSocketConnection
 from ..pullstream import collect, drain, from_iterable, pull, through
 from ..pullstream.sinks import SinkResult
 from ..worker.volunteer import SimVolunteer
@@ -50,8 +52,6 @@ __all__ = ["ScenarioConfig", "ScenarioResult", "DeploymentScenario", "default_ba
 PAPER_BATCH_SIZES = {"lan": 2, "vpn": 2, "wan": 4, "loopback": 2}
 #: transports used by the paper per setting
 PAPER_TRANSPORTS = {"lan": "websocket", "vpn": "websocket", "wan": "webrtc", "loopback": "websocket"}
-#: transports a deployment can open its volunteer channels with
-TRANSPORTS = ("websocket", "webrtc")
 #: the master's host in the network model, and the URL it serves on the LAN
 MASTER_HOST = "master"
 LOCAL_URL = f"http://{MASTER_HOST}:5000"
@@ -99,7 +99,7 @@ class ScenarioConfig:
         transport = self.resolved_transport()
         if transport not in TRANSPORTS:
             raise DeploymentError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
+                f"unknown transport {transport!r}; expected one of {sorted(TRANSPORTS)}"
             )
         if self.resolved_batch_size() < 1:
             raise DeploymentError("batch_size must be >= 1")
@@ -371,26 +371,18 @@ class DeploymentScenario:
     def _open_channel(
         self, volunteer: SimVolunteer, record: VolunteerRecord, tab_index: int
     ) -> None:
-        options = dict(
-            local_host=MASTER_HOST,
-            remote_host=volunteer.host,
+        channel = SimChannel(
+            self.scheduler,
+            self.network,
+            MASTER_HOST,
+            volunteer.host,
+            transport=self.transport,
+            signalling_server=self.public_server,
             heartbeat_interval=self.config.heartbeat_interval,
             heartbeat_timeout=self.config.heartbeat_timeout,
         )
-        if self.transport == "webrtc":
-            channel = WebRTCConnection(
-                self.scheduler, self.network, signalling_server=self.public_server, **options
-            )
-        else:
-            channel = WebSocketConnection(self.scheduler, self.network, **options)
 
-        def connected(err: Optional[BaseException], _channel: Any) -> None:
-            if err is not None:
-                self.log.append(
-                    f"[{self.scheduler.now:10.3f}] connection to "
-                    f"{record.volunteer_id} tab {tab_index} failed: {err!r}"
-                )
-                return
+        def connected(_err: None, _channel: SimChannel) -> None:
             worker_id = f"{volunteer.device.name}#{tab_index}"
             try:
                 self.dmap.add_channel(
@@ -405,7 +397,7 @@ class DeploymentScenario:
                     f"[{self.scheduler.now:10.3f}] worker {worker_id} "
                     f"connected after the job terminated; turned away"
                 )
-                channel.local.close("job-terminated")
+                channel.local.close()
                 return
             channel.local.on_close(
                 lambda reason: self._on_channel_closed(record, reason)

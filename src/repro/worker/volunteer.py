@@ -93,6 +93,7 @@ class SimVolunteer:
         self.tabs: Dict[int, BrowserTab] = {}
         self.joined = False
         self.crashed = False
+        self.left = False
         self.device.on_crash(lambda _device: self._crash_tabs())
 
     # ------------------------------------------------------------------ join
@@ -126,6 +127,11 @@ class SimVolunteer:
             # The device crashed while the connection was being established.
             endpoint.crash()
             return tab
+        if self.left:
+            # The volunteer left while the connection was being established:
+            # the late tab says goodbye like the others did.
+            endpoint.close()
+            return tab
         tab.attach(endpoint, bundle, metrics)
         return tab
 
@@ -139,7 +145,7 @@ class SimVolunteer:
 
     def leave(self) -> None:
         """Leave gracefully: close every tab so the master is notified."""
-        self.crashed = True
+        self.left = True
         for tab in self.tabs.values():
             tab.close()
 
@@ -155,7 +161,12 @@ class SimVolunteer:
         return sum(tab.items_processed for tab in self.tabs.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "crashed" if self.crashed else ("joined" if self.joined else "idle")
+        state = (
+            "crashed" if self.crashed
+            else "left" if self.left
+            else "joined" if self.joined
+            else "idle"
+        )
         return (
             f"<SimVolunteer {self.profile.name} {state} tabs={len(self.tabs)} "
             f"processed={self.items_processed}>"

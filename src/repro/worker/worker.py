@@ -62,7 +62,7 @@ class BrowserTab:
         """Close the tab gracefully (the volunteer leaves on purpose)."""
         self.closed = True
         if self.endpoint is not None:
-            self.endpoint.close(reason="tab closed")
+            self.endpoint.close()
 
     # ------------------------------------------------------------ processing
     def _process(self, value: Any, cb: NodeCallback) -> None:

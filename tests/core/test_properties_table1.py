@@ -1,7 +1,8 @@
 """Executable version of the paper's Table 1: programming-model properties.
 
 Each test exercises one row of Table 1 on the public API, so this module also
-serves as the reproduction artefact for experiment T1 (see DESIGN.md).
+serves as the reproduction artefact for experiment T1 (see the README's
+"Running the tests and benches").
 """
 
 from __future__ import annotations

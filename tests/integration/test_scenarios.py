@@ -169,6 +169,25 @@ class TestFaultTolerance:
         assert len(outcome.outputs) == 30
         assert outcome.registry["crashes"] == 0
 
+    def test_leave_while_tabs_connect_is_not_a_crash(self):
+        """A volunteer that leaves before its tabs' channels are up closes
+        them gracefully once they are: the master records a leave and
+        re-lends at once, without waiting out a heartbeat timeout."""
+        app = CollatzApplication()
+        config = ScenarioConfig(
+            application=app,
+            setting="lan",
+            devices=devices_for_setting("lan")[:2],
+            failure_schedule=FailureSchedule().leave(0.001, "novena"),
+            heartbeat_interval=0.5,
+            heartbeat_timeout=1.5,
+        )
+        outcome = DeploymentScenario(config).run_to_completion(app.generate_inputs(40))
+        assert len(outcome.outputs) == 40
+        assert outcome.registry["crashes"] == 0
+        assert outcome.registry["leaves"] == 1
+        assert not any("no heartbeat" in line for line in outcome.log)
+
     def test_all_but_one_device_crash(self):
         app = CollatzApplication()
         schedule = FailureSchedule().crash(1.0, "novena").crash(1.5, "mbair-2011")

@@ -9,6 +9,7 @@ import pytest
 from repro.apps import CollatzApplication
 from repro.errors import BundlingError, DeploymentError
 from repro.master import VolunteerRegistry, bundle_function, bundle_module
+from repro.net.channel import TRANSPORTS
 from repro.sim.scenario import DeploymentScenario, ScenarioConfig
 
 
@@ -124,6 +125,11 @@ class TestScenarioConfigValidation:
     def test_invalid_transport(self):
         with pytest.raises(DeploymentError):
             ScenarioConfig(application=CollatzApplication(), transport="carrier-pigeon")
+
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    def test_every_transport_row_is_accepted(self, transport):
+        config = ScenarioConfig(application=CollatzApplication(), transport=transport)
+        assert config.resolved_transport() == transport
 
     def test_invalid_batch_size(self):
         with pytest.raises(DeploymentError):

@@ -1,14 +1,16 @@
-"""Tests for simulated channels, heartbeats and failure detection."""
+"""Tests for the simulated connection: its transports, frames, heartbeats
+and failure detection."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConnectionClosed
-from repro.net.channel import SimChannel
+from repro.net.channel import TRANSPORTS, SimChannel
 from repro.net.heartbeat import HeartbeatMonitor
-from repro.net.websocket import WebSocketConnection
+from repro.net.signaling import PublicServer
 from repro.pullstream import async_map, collect, pull, values
+from repro.sim.network import WAN_PROFILE, NetworkModel
 
 
 def connect(channel):
@@ -144,6 +146,43 @@ class TestSimChannel:
         scheduler.run_until(scheduler.now + 1.0)
         assert channel.remote.messages_received == 0
 
+    def test_frames_arrive_in_send_order_despite_jitter(self, scheduler):
+        """A small frame sent after a large one would overtake it on raw
+        delay alone; the channel is ordered, so it never does."""
+        network = NetworkModel(default_profile=WAN_PROFILE, seed=7)
+        channel = connect(
+            SimChannel(scheduler, network, "master", "node", heartbeats_enabled=False)
+        )
+        sent = [{"size_bytes": 200_000, "n": 0}, 1, {"size_bytes": 200_000, "n": 2}, 3, 4]
+        received = pull(channel.remote.duplex.source, collect())
+        channel.local.duplex.sink(values(sent))
+        scheduler.run(until=lambda: received.done)
+        assert received.value == sent
+
+    def test_half_close_both_ways_closes_both_ends(self, scheduler, network):
+        channel = connect(SimChannel(scheduler, network, "a", "b"))
+        reasons = []
+        channel.local.on_close(reasons.append)
+        channel.remote.on_close(reasons.append)
+        channel.local.close_write()
+        scheduler.run_until(scheduler.now + 1.0)
+        assert not channel.local.closed and not channel.remote.closed
+        channel.remote.close_write()
+        scheduler.run_until(scheduler.now + 1.0)
+        assert channel.local.closed and channel.remote.closed
+        assert reasons == [None, None]
+
+    def test_teardown_puts_no_frame_on_the_wire(self, scheduler, network):
+        channel = connect(SimChannel(scheduler, network, "a", "b"))
+        reasons = []
+        channel.local.on_close(reasons.append)
+        before = network.total_bytes()
+        channel.local.teardown()
+        assert channel.local.closed and reasons == [None]
+        assert network.total_bytes() == before
+        assert channel.remote.messages_received == 0
+        assert not channel.remote.closed
+
     def test_byte_counters(self, scheduler, network):
         channel = connect(SimChannel(scheduler, network, "a", "b"))
         channel.local.send({"size_bytes": 1000})
@@ -151,11 +190,157 @@ class TestSimChannel:
         assert channel.local.bytes_sent >= 1000
         assert network.total_bytes() >= 1000
 
-    def test_websocket_setup_cost(self, scheduler, network):
-        start = scheduler.now
-        connect(WebSocketConnection(scheduler, network, "a", "b"))
+
+class TestFrameSizes:
+    """Each frame kind is charged its wire size, on the endpoint and on the
+    network model alike."""
+
+    @staticmethod
+    def charged(channel, network, send):
+        before = (channel.local.bytes_sent, network.total_bytes())
+        send()
+        return (
+            channel.local.bytes_sent - before[0],
+            network.total_bytes() - before[1],
+        )
+
+    @pytest.fixture
+    def channel(self, scheduler, network):
+        return connect(
+            SimChannel(scheduler, network, "master", "laptop", heartbeats_enabled=False)
+        )
+
+    def test_data_frame_is_charged_its_payload_size(self, channel, network):
+        sized = self.charged(channel, network, lambda: channel.local.send({"size_bytes": 1000}))
+        assert sized == (1000, 1000)
+
+    def test_data_frame_is_at_least_16_bytes(self, channel, network):
+        assert self.charged(channel, network, lambda: channel.local.send(1)) == (16, 16)
+
+    def test_heartbeat_frame_is_8_bytes(self, channel, network):
+        assert self.charged(channel, network, channel.local._send_heartbeat) == (8, 8)
+
+    def test_nothing_is_charged_once_closed(self, channel, network):
+        channel.local.close()
+        assert self.charged(channel, network, lambda: channel.local.send(1)) == (0, 0)
+        assert self.charged(channel, network, channel.local._send_heartbeat) == (0, 0)
+        assert self.charged(channel, network, channel.local.close) == (0, 0)
+        assert channel.local.data_frames_sent == 0
+
+    def test_close_frames_are_16_bytes(self, scheduler, channel, network):
+        assert self.charged(channel, network, channel.local.close_write) == (16, 16)
+        assert self.charged(channel, network, channel.local.close) == (16, 16)
+        # the peer's source ended on the first (half) close; no frame carries
+        # anything after the full one
+        at_remote = pull(channel.remote.duplex.source, collect())
+        scheduler.run_until(scheduler.now + 1.0)
+        assert at_remote.done and channel.remote.closed
+
+
+class TestTransports:
+    """WebSocket and WebRTC are two rows of the channel's setup table."""
+
+    @staticmethod
+    def setup_time(channel):
+        start = channel.scheduler.now
+        connect(channel)
+        return channel.scheduler.now - start
+
+    @staticmethod
+    def wan():
+        return NetworkModel(default_profile=WAN_PROFILE, seed=1)
+
+    def test_websocket_setup_costs_two_round_trips(self, scheduler, network):
+        channel = SimChannel(scheduler, network, "a", "b", transport="websocket")
         rtt = network.profile("a", "b").rtt
-        assert scheduler.now - start >= 2 * rtt * 0.99
+        assert self.setup_time(channel) >= 2 * rtt * 0.99
+        assert channel.local.label.startswith("ws-")
+
+    def test_webrtc_through_a_server_signals_twice_per_connect(self, scheduler):
+        network = self.wan()
+        server = PublicServer(scheduler, network)
+        for connects in (1, 2):
+            channel = connect(
+                SimChannel(scheduler, network, "master", "planetlab-node",
+                           transport="webrtc", signalling_server=server)
+            )
+            assert channel.established
+            assert server.signalling_messages == 2 * connects
+        assert channel.local.label.startswith("rtc-")
+        received = pull(channel.remote.duplex.source, collect())
+        channel.local.duplex.sink(values(["over-webrtc"]))
+        scheduler.run(until=lambda: received.done)
+        assert received.value == ["over-webrtc"]
+
+    def test_setup_slower_than_websocket(self, scheduler):
+        """WebRTC setup through signalling costs more than a WebSocket."""
+        network = self.wan()
+        server = PublicServer(scheduler, network)
+        ws_setup = self.setup_time(SimChannel(scheduler, network, "master", "node"))
+        rtc_setup = self.setup_time(
+            SimChannel(scheduler, network, "master", "node",
+                       transport="webrtc", signalling_server=server)
+        )
+        assert rtc_setup > ws_setup
+
+    def test_webrtc_without_a_server_costs_one_and_a_half_round_trips(
+        self, scheduler, network
+    ):
+        channel = SimChannel(scheduler, network, "a", "b", transport="webrtc")
+        rtt = network.profile("a", "b").rtt
+        assert self.setup_time(channel) == pytest.approx(1.5 * rtt)
+
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    def test_each_row_sets_label_and_direct_setup(self, scheduler, network, transport):
+        prefix, setup_round_trips, _ = TRANSPORTS[transport]
+        channel = SimChannel(scheduler, network, "a", "b", transport=transport)
+        rtt = network.profile("a", "b").rtt
+        assert self.setup_time(channel) == pytest.approx(setup_round_trips * rtt)
+        assert channel.signalling_round_trips == 0
+        assert channel.local.label == f"{prefix}-{channel.id}:a"
+        assert channel.remote.label == f"{prefix}-{channel.id}:b"
+
+    def test_websocket_sends_no_signalling_through_a_server(self, scheduler, network):
+        server = PublicServer(scheduler, network)
+        channel = SimChannel(scheduler, network, "a", "b", signalling_server=server)
+        rtt = network.profile("a", "b").rtt
+        assert self.setup_time(channel) == pytest.approx(2 * rtt)
+        assert server.signalling_messages == 0
+
+    def test_webrtc_signals_then_pays_its_direct_setup(self, scheduler):
+        """The direct path's 1.5 RTT start once the last relayed signal is
+        delivered."""
+        network = self.wan()
+        server = PublicServer(scheduler, network)
+        relayed_at = []
+        relay = server.relay_signal
+
+        def traced(sender, receiver, payload, cb):
+            def delivered(message):
+                relayed_at.append(scheduler.now)
+                cb(message)
+
+            relay(sender, receiver, payload, delivered)
+
+        server.relay_signal = traced
+        channel = connect(
+            SimChannel(scheduler, network, "master", "node",
+                       transport="webrtc", signalling_server=server)
+        )
+        assert len(relayed_at) == 2 and relayed_at[0] < relayed_at[1]
+        rtt = network.profile("master", "node").rtt
+        assert channel.established_at - relayed_at[-1] == pytest.approx(1.5 * rtt)
+
+    def test_channel_ids_count_per_network_model(self, scheduler):
+        first = NetworkModel(seed=1)
+        ids = [SimChannel(scheduler, first, "a", "b").id for _ in range(3)]
+        assert ids == [0, 1, 2]
+        # a fresh model starts again: no count is shared between runs
+        assert SimChannel(scheduler, NetworkModel(seed=1), "a", "b").id == 0
+
+    def test_an_unknown_transport_is_refused(self, scheduler, network):
+        with pytest.raises(ValueError, match="carrier-pigeon"):
+            SimChannel(scheduler, network, "a", "b", transport="carrier-pigeon")
 
 
 class TestBatchedFraming:

@@ -1,4 +1,4 @@
-"""Tests for serialization helpers and wire messages."""
+"""Tests for serialization helpers and batch frames."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.message import CLOSE, CONTROL, DATA, HEARTBEAT, Message
 from repro.net.serialization import (
     SizedPayload,
     decode_binary,
@@ -96,34 +95,6 @@ class TestEstimateSize:
     def test_sized_payload_equality(self):
         assert SizedPayload("a", 10) == SizedPayload("a", 10)
         assert SizedPayload("a", 10) != SizedPayload("a", 11)
-
-
-class TestMessage:
-    def test_data_message_size(self):
-        message = Message.data({"size_bytes": 1000}, sender="master")
-        assert message.kind == DATA
-        assert message.size_bytes == 1000
-        assert message.sender == "master"
-
-    def test_data_message_minimum_size(self):
-        assert Message.data(1).size_bytes >= 16
-
-    def test_heartbeat_is_small(self):
-        assert Message.heartbeat().size_bytes <= 16
-        assert Message.heartbeat().kind == HEARTBEAT
-
-    def test_close_carries_reason(self):
-        message = Message.close(reason="done")
-        assert message.kind == CLOSE
-        assert message.payload == "done"
-
-    def test_control(self):
-        assert Message.control({"type": "offer"}).kind == CONTROL
-
-    def test_sequence_numbers_increase(self):
-        first = Message.data(1)
-        second = Message.data(2)
-        assert second.seq > first.seq
 
 
 class TestBatchFrames:

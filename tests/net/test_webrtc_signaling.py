@@ -1,14 +1,14 @@
-"""Tests for the public signalling server, WebRTC connections and NAT model."""
+"""Tests for the public server that relays joins and WebRTC signalling.
+
+A WebRTC connection's use of it is tested with the channel's transports in
+``test_channel.py``.
+"""
 
 from __future__ import annotations
 
 
-from repro.errors import NATTraversalError, SignallingError
-from repro.net.nat import NATConfig, NATModel
+from repro.errors import SignallingError
 from repro.net.signaling import PublicServer
-from repro.net.webrtc import WebRTCConnection
-from repro.pullstream import collect, pull, values
-from repro.sim.network import NetworkModel, WAN_PROFILE
 
 
 class TestPublicServer:
@@ -53,110 +53,3 @@ class TestPublicServer:
         assert delivered == [{"sdp": "offer"}]
         assert scheduler.now > start
         assert server.signalling_messages == 1
-
-
-class TestNATModel:
-    def test_open_hosts_always_connect(self, network):
-        model = NATModel(network)
-        assert model.direct_connection_possible("a", "b")
-
-    def test_configured_host(self, network):
-        model = NATModel(network)
-        model.configure(NATConfig(host="phone", behind_nat=True, traversal_failure_rate=1.0))
-        assert not model.direct_connection_possible("master", "phone")
-
-    def test_default_config(self, network):
-        model = NATModel(network)
-        config = model.config_for("unknown-host")
-        assert not config.behind_nat
-
-
-class TestWebRTCConnection:
-    def _wan_network(self, seed=1):
-        return NetworkModel(default_profile=WAN_PROFILE, seed=seed)
-
-    def test_connect_through_signalling_server(self, scheduler):
-        network = self._wan_network()
-        server = PublicServer(scheduler, network)
-        channel = WebRTCConnection(
-            scheduler, network, "master", "planetlab-node", signalling_server=server
-        )
-        done = []
-        channel.connect(lambda err, ch: done.append(err))
-        scheduler.run(until=lambda: bool(done))
-        assert done[0] is None
-        assert channel.established
-        assert server.signalling_messages >= channel.SIGNALLING_ROUND_TRIPS
-
-    def test_connect_without_server_is_direct(self, scheduler, network):
-        channel = WebRTCConnection(scheduler, network, "a", "b")
-        done = []
-        channel.connect(lambda err, ch: done.append(err))
-        scheduler.run(until=lambda: bool(done))
-        assert done[0] is None
-
-    def test_setup_slower_than_websocket(self, scheduler):
-        """WebRTC setup through signalling costs more than a WebSocket."""
-        from repro.net.websocket import WebSocketConnection
-
-        network = self._wan_network()
-        server = PublicServer(scheduler, network)
-        ws_done, rtc_done = [], []
-        ws = WebSocketConnection(scheduler, network, "master", "node")
-        ws.connect(lambda err, ch: ws_done.append(scheduler.now))
-        scheduler.run(until=lambda: bool(ws_done))
-        ws_setup = ws_done[0]
-
-        rtc = WebRTCConnection(
-            scheduler, network, "master", "node", signalling_server=server
-        )
-        start = scheduler.now
-        rtc.connect(lambda err, ch: rtc_done.append(scheduler.now - start))
-        scheduler.run(until=lambda: bool(rtc_done))
-        assert rtc_done[0] > ws_setup
-
-    def test_nat_failure_without_fallback(self, scheduler):
-        network = self._wan_network()
-        nat = NATModel(network)
-        nat.configure(NATConfig(host="behind", behind_nat=True, traversal_failure_rate=1.0))
-        channel = WebRTCConnection(
-            scheduler, network, "master", "behind",
-            nat_model=nat, relay_fallback=False,
-        )
-        outcome = []
-        channel.connect(lambda err, ch: outcome.append(err))
-        scheduler.run(until=lambda: bool(outcome))
-        assert isinstance(outcome[0], NATTraversalError)
-
-    def test_nat_failure_with_relay_fallback(self, scheduler):
-        network = self._wan_network()
-        server = PublicServer(scheduler, network)
-        nat = NATModel(network)
-        nat.configure(NATConfig(host="behind", behind_nat=True, traversal_failure_rate=1.0))
-        channel = WebRTCConnection(
-            scheduler, network, "master", "behind",
-            signalling_server=server, nat_model=nat, relay_fallback=True,
-        )
-        outcome = []
-        channel.connect(lambda err, ch: outcome.append(err))
-        scheduler.run(until=lambda: bool(outcome))
-        assert outcome[0] is None
-        assert channel.used_relay
-        assert channel.relay_host == server.host
-
-    def test_data_still_flows_over_relay(self, scheduler):
-        network = self._wan_network()
-        server = PublicServer(scheduler, network)
-        nat = NATModel(network)
-        nat.configure(NATConfig(host="behind", behind_nat=True, traversal_failure_rate=1.0))
-        channel = WebRTCConnection(
-            scheduler, network, "master", "behind",
-            signalling_server=server, nat_model=nat, relay_fallback=True,
-        )
-        ready = []
-        channel.connect(lambda err, ch: ready.append(err))
-        scheduler.run(until=lambda: bool(ready))
-        received = pull(channel.remote.duplex.source, collect())
-        channel.local.duplex.sink(values(["via-relay"]))
-        scheduler.run(until=lambda: received.done)
-        assert received.value == ["via-relay"]

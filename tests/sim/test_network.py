@@ -84,13 +84,3 @@ def test_delay_accumulates_per_link_not_per_direction():
     model.delay("b", "a", 200)
     assert model.bytes_sent == {("a", "b"): 300}
     assert model.messages_sent == {("a", "b"): 2}
-
-
-def test_nat_blocking_samples_only_natted_profiles():
-    model = NetworkModel(default_profile=LAN_PROFILE, seed=7)
-    # LAN has no NAT failure rate: never blocks, never consumes randomness.
-    assert not any(model.nat_blocks_direct_connection("a", "b") for _ in range(50))
-    model.set_link("a", "w", WAN_PROFILE)
-    outcomes = [model.nat_blocks_direct_connection("a", "w") for _ in range(2000)]
-    rate = sum(outcomes) / len(outcomes)
-    assert 0.0 < rate < 0.15  # around the profile's 5%

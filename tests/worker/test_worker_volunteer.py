@@ -103,6 +103,19 @@ class TestSimVolunteer:
         volunteer.attach_tab(0, channel.remote, bundle_function(square_fn))
         assert channel.remote.crashed
 
+    def test_attach_after_leave_closes_endpoint_gracefully(
+        self, scheduler, network, square_fn
+    ):
+        volunteer = SimVolunteer(device_by_name("novena"), scheduler)
+        volunteer.leave()
+        channel = connect(SimChannel(scheduler, network, "master", "novena"))
+        at_master = pull(channel.local.duplex.source, collect())
+        volunteer.attach_tab(0, channel.remote, bundle_function(square_fn))
+        scheduler.run_until(scheduler.now + 1.0)
+        assert channel.remote.closed and not channel.remote.crashed
+        assert at_master.done and at_master.end is not None
+        assert not isinstance(at_master.end, Exception)
+
     def test_leave_closes_gracefully(self, scheduler, network, square_fn):
         volunteer = SimVolunteer(device_by_name("iphone-se"), scheduler)
         channel = connect(SimChannel(scheduler, network, "master", "iphone-se"))

@@ -32,95 +32,71 @@ Quickstart (local, in-process workers)::
     result = pull(values(range(10)), dmap, collect())
     dmap.add_local_worker(lambda x, cb: cb(None, x * x))
     assert result.result() == [x * x for x in range(10)]
+
+The names below resolve on first use (PEP 562): ``import repro`` loads none
+of these subpackages, so a process that needs one module of the package —
+a volunteer, a pool child — pays for that module alone.
 """
 
-from . import pullstream
-from .pullstream import (
-    DONE,
-    async_map,
-    batch,
-    collect,
-    count,
-    drain,
-    filter_,
-    from_iterable,
-    infinite,
-    map_,
-    pull,
-    take,
-    through,
-    values,
-)
-from .core import (
-    DistributedMap,
-    Limiter,
-    ReorderBuffer,
-    StreamLender,
-    UnorderedStreamLender,
-    WorkerHandle,
-    limit,
-    stubborn,
-)
-from .master import Bundle, bundle_function, bundle_module
-from .pool import ProcessPoolWorker
-from .sched import EventLoopScheduler
-from .errors import (
-    BundlingError,
-    ConnectionClosed,
-    DeploymentError,
-    ExternalTransferError,
-    PandoError,
-    ProtocolError,
-    StreamAborted,
-    TaskError,
-    WorkerCrashed,
-)
+from typing import Any
+
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # pull-stream essentials re-exported at top level
-    "pullstream",
-    "DONE",
-    "async_map",
-    "batch",
-    "collect",
-    "count",
-    "drain",
-    "filter_",
-    "from_iterable",
-    "infinite",
-    "map_",
-    "pull",
-    "take",
-    "through",
-    "values",
-    # core abstractions
-    "DistributedMap",
-    "Limiter",
-    "ReorderBuffer",
-    "StreamLender",
-    "UnorderedStreamLender",
-    "WorkerHandle",
-    "limit",
-    "stubborn",
-    # process-pool backend
-    "ProcessPoolWorker",
-    # event-loop scheduler
-    "EventLoopScheduler",
-    # worker-code bundling
-    "Bundle",
-    "bundle_function",
-    "bundle_module",
-    # errors
-    "BundlingError",
-    "ConnectionClosed",
-    "DeploymentError",
-    "ExternalTransferError",
-    "PandoError",
-    "ProtocolError",
-    "StreamAborted",
-    "TaskError",
-    "WorkerCrashed",
-]
+_EXPORTS = _lazy.by_name(
+    {
+        # pull-stream essentials re-exported at top level
+        "pullstream": (
+            "pullstream",
+            "DONE",
+            "async_map",
+            "batch",
+            "collect",
+            "count",
+            "drain",
+            "filter_",
+            "from_iterable",
+            "infinite",
+            "map_",
+            "pull",
+            "take",
+            "through",
+            "values",
+        ),
+        # core abstractions
+        "core": (
+            "DistributedMap",
+            "Limiter",
+            "ReorderBuffer",
+            "StreamLender",
+            "UnorderedStreamLender",
+            "WorkerHandle",
+            "limit",
+            "stubborn",
+        ),
+        # process-pool backend
+        "pool": ("ProcessPoolWorker",),
+        # event-loop scheduler
+        "sched": ("EventLoopScheduler",),
+        # worker-code bundling
+        "master": ("Bundle", "bundle_function", "bundle_module"),
+        "errors": (
+            "BundlingError",
+            "ConnectionClosed",
+            "DeploymentError",
+            "ExternalTransferError",
+            "PandoError",
+            "ProtocolError",
+            "StreamAborted",
+            "TaskError",
+            "WorkerCrashed",
+        ),
+    }
+)
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> Any:
+    return _lazy.resolve(__name__, _EXPORTS, name)

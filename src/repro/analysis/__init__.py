@@ -26,9 +26,9 @@ flagged line.
 
 from __future__ import annotations
 
-import importlib
 from typing import Any
 
+from .. import _lazy
 from .annotations import (
     any_thread,
     enable_thread_asserts,
@@ -42,23 +42,16 @@ from .annotations import (
 # The annotations above are on the import path of every hot module (sched,
 # pool, net, worker); the lint runner and its checkers are not, so their
 # names resolve on first use (PEP 562) and a volunteer never imports them.
-_LAZY = {
-    "Finding": "findings",
-    "format_finding": "findings",
-    "AnalyzedModule": "runner",
-    "LintResult": "runner",
-    "analyze_paths": "runner",
-    "run_checkers": "runner",
-}
+_LAZY = _lazy.by_name(
+    {
+        "findings": ("Finding", "format_finding"),
+        "runner": ("AnalyzedModule", "LintResult", "analyze_paths", "run_checkers"),
+    }
+)
 
 
 def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+    return _lazy.resolve(__name__, _LAZY, name)
 
 
 __all__ = [

@@ -109,10 +109,6 @@ class LintResult:
     files: int = 0
     functions: int = 0
 
-    @property
-    def total_raised(self) -> int:
-        return len(self.findings) + self.suppressed + self.baselined
-
 
 def run_checkers(
     modules: Sequence[AnalyzedModule],

@@ -290,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "volunteer":
         # ``pando volunteer ws://host:port`` joins a live master as a real
         # websocket volunteer; it has its own option set
-        from ..worker.volunteer import main as volunteer_main
+        from ..worker.ws_volunteer import main as volunteer_main
 
         return volunteer_main(argv[1:])
     if argv and argv[0] == "simulate":

@@ -430,7 +430,7 @@ class DistributedMap:
         Binds a :class:`~repro.net.ws_transport.WsVolunteerGateway` on
         *host*:*port* (0 picks a free port) and registers it with the map's
         scheduler.  Every process that runs ``pando volunteer <gateway.url>`` (or
-        :func:`~repro.worker.volunteer.run_volunteer`) while :meth:`drive`
+        :func:`~repro.worker.ws_volunteer.run_volunteer`) while :meth:`drive`
         spins becomes an ordinary channel worker: *fn_ref* travels to it in
         the welcome frame, a heartbeat monitor guards its liveness, and a
         volunteer that vanishes mid-frame fails its sub-stream so the lender

@@ -68,17 +68,19 @@ class VolunteerRegistry:
         self.joins += 1
         return record
 
-    def mark_left(self, volunteer_id: str, timestamp: float, crashed: bool = False) -> None:
-        """Record the departure (graceful or crash) of a volunteer."""
+    def mark_left(self, volunteer_id: str, timestamp: float, crashed: bool = False) -> bool:
+        """Record the departure (graceful or crash) of a volunteer; False when
+        it is unknown or its departure was already recorded."""
         record = self._records.get(volunteer_id)
         if record is None or record.left_at is not None:
-            return
+            return False
         record.left_at = timestamp
         record.crashed = crashed
         if crashed:
             self.crashes += 1
         else:
             self.leaves += 1
+        return True
 
     def get(self, volunteer_id: str) -> Optional[VolunteerRecord]:
         return self._records.get(volunteer_id)

@@ -6,37 +6,22 @@ message or heartbeat is received from the peer within a time bound, the
 connection is declared dead and the values lent to that worker are
 re-submitted elsewhere.  :class:`HeartbeatMonitor` implements both sides of
 this mechanism on top of any clock exposing ``now`` and
-``call_later(delay, fn)``: the master loop's
-:class:`~repro.sched.loop.Timers` (on a virtual clock for the simulated
-channels, the real one for the live websocket gateway), or
-:class:`LoopClock` over a volunteer process's asyncio loop.
+``call_later(delay, fn)``: a :class:`~repro.sched.loop.Loop`'s
+:class:`~repro.sched.loop.Timers` — the master's, on a virtual clock for the
+simulated channels and the real one for the live websocket gateway, or a
+volunteer process's own, on the real clock.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-__all__ = ["HeartbeatMonitor", "LoopClock", "DEFAULT_INTERVAL", "DEFAULT_TIMEOUT"]
+__all__ = ["HeartbeatMonitor", "DEFAULT_INTERVAL", "DEFAULT_TIMEOUT"]
 
 #: Default heartbeat period in seconds (WebSocket ping interval).
 DEFAULT_INTERVAL = 1.0
 #: Default suspicion timeout in seconds (a few missed heartbeats).
 DEFAULT_TIMEOUT = 3.0
-
-
-class LoopClock:
-    """``now`` and ``call_later`` over an asyncio-style loop (``time()`` and
-    ``call_later``): what a volunteer process's monitor runs on."""
-
-    def __init__(self, loop: Any) -> None:
-        self._loop = loop
-
-    @property
-    def now(self) -> float:
-        return self._loop.time()
-
-    def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> Any:
-        return self._loop.call_later(delay, callback, *args)
 
 
 class HeartbeatMonitor:
@@ -46,10 +31,9 @@ class HeartbeatMonitor:
     ----------
     scheduler:
         Any clock-and-timers provider: ``now`` (seconds) plus
-        ``call_later(delay, fn)`` returning a cancellable handle — the
+        ``call_later(delay, fn)`` returning a cancellable handle — a
         loop's :class:`~repro.sched.loop.Timers` (a simulation
-        :class:`~repro.sim.scheduler.Scheduler` is one), or a
-        :class:`LoopClock`.
+        :class:`~repro.sim.scheduler.Scheduler` is one).
     send:
         Called every *interval* seconds to emit a heartbeat frame to the peer.
     on_failure:
@@ -76,7 +60,7 @@ class HeartbeatMonitor:
         self._last_seen = scheduler.now
         self._stopped = False
         self._failed = False
-        #: cancellable timer handles (a loop Timer or an asyncio TimerHandle)
+        #: cancellable timer handles (:class:`~repro.sched.loop.Timer` entries)
         self._send_event: Optional[Any] = None
         self._check_event: Optional[Any] = None
 

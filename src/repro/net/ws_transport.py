@@ -35,9 +35,11 @@ minus the browser:
   volunteer's :class:`~repro.net.heartbeat.HeartbeatMonitor`: pings every
   *interval*, crash-stop suspicion after *timeout* of silence.
 
-The client side of the upgrade, ``connect_websocket``, lives with the
-volunteer process (:mod:`repro.worker.volunteer`), the one module on an
-asyncio loop.
+The names both ends agree on (the session's record kinds, the accept key,
+``ws://`` URLs) live in the leaf :mod:`repro.net.ws_protocol`; the client side
+of the upgrade, ``connect_websocket``, lives with the volunteer process
+(:mod:`repro.worker.ws_volunteer`), on that process's own
+:class:`~repro.sched.loop.Loop`.
 
 Trust model: a volunteer is somebody else's machine.  It downloads the
 master's code and sends back *data* (paper Fig. 2), so the two directions of
@@ -64,12 +66,9 @@ trusting them with more than wrong answers.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import itertools
 import socket
-from typing import Any, Callable, Dict, List, Optional, Tuple
-from urllib.parse import urlsplit
+from typing import Any, Callable, Dict, List, Optional
 
 from ..analysis.annotations import loop_only
 from ..errors import ConnectionClosed, PandoError, ProtocolError, TaskError
@@ -91,26 +90,13 @@ from .endpoint import (  # noqa: F401 - OP_BINARY and encode_ws_frame are perf/'
 )
 from .heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
 from .serialization import OOB_MIN_BYTES
+from .ws_protocol import BYE, END, HELLO, WELCOME, WIRE_VERSION, accept_key, head_lines
 
 __all__ = [
     "WsVolunteerGateway",
     "pack_wire_frame",
     "unpack_wire_frame",
-    "parse_ws_url",
-    "WIRE_VERSION",
 ]
-
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-#: Bump when the control-record schema changes incompatibly.
-WIRE_VERSION = 1
-
-# Control-record kinds of the volunteer session around the codec's DATA and
-# RESULT.
-HELLO = "hello"
-WELCOME = "welcome"
-END = "end"
-BYE = "bye"
 
 #: worker ids of volunteers that announce no name: ``ws-1``, ``ws-2``, ...
 NAME_PREFIX = "ws"
@@ -135,22 +121,6 @@ _BAD_REQUEST = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
 # --------------------------------------------------------------------------
 
 
-def accept_key(key: str) -> str:
-    digest = hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
-    return base64.b64encode(digest).decode("ascii")
-
-
-def head_lines(head: Any) -> Tuple[str, Dict[str, str]]:
-    """The start line and the (lower-cased) header fields of an HTTP head."""
-    lines = bytes(head).decode("latin-1").split("\r\n")
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    return lines[0], headers
-
-
 def upgrade_response(request: Any) -> bytes:
     """The ``101`` answering the upgrade *request* head; a
     :class:`~repro.errors.ProtocolError` when it is not one."""
@@ -169,16 +139,6 @@ def upgrade_response(request: Any) -> bytes:
         f"Sec-WebSocket-Accept: {accept_key(key)}\r\n"
         "\r\n"
     ).encode("latin-1")
-
-
-def parse_ws_url(url: str) -> Tuple[str, int, str]:
-    """Split a ``ws://host:port/path`` URL into ``(host, port, path)``."""
-    parts = urlsplit(url)
-    if parts.scheme != "ws":
-        raise PandoError(f"unsupported url {url!r}: only ws:// is implemented")
-    if not parts.hostname:
-        raise PandoError(f"url {url!r} has no host")
-    return parts.hostname, parts.port or 80, parts.path or "/"
 
 
 # --------------------------------------------------------------------------
@@ -639,16 +599,6 @@ class WsVolunteerGateway(EndpointSource):
 
         sink.pull_role = "sink"
         return sink
-
-    # ----------------------------------------------------------- inspection
-    @property
-    def active_volunteers(self) -> List[str]:
-        """Worker ids of the currently attached volunteers."""
-        return [
-            worker_id
-            for worker_id, volunteer in self._volunteers.items()
-            if volunteer.close_reason is None
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "open" if self._listener is not None else "stopped"

@@ -6,9 +6,9 @@ ring buffer and the per-frame tracer) and :mod:`repro.obs.http_endpoint`
 (the stdlib HTTP scrape server behind ``DistributedMap.serve_metrics``).
 """
 
-import importlib
 from typing import Any
 
+from .. import _lazy
 from .registry import (
     DEFAULT_BYTES_BUCKETS,
     DEFAULT_SECONDS_BUCKETS,
@@ -22,12 +22,12 @@ from .trace import Observability, TraceEvent, TraceLog
 # Every map imports this package for the tracer; only a process that serves
 # metrics needs the endpoint (and ``http.server`` behind it), so the name
 # resolves on first use (PEP 562).
+_LAZY = {"ThreadedMetricsEndpoint": "http_endpoint"}
+
+
 def __getattr__(name: str) -> Any:
-    if name != "ThreadedMetricsEndpoint":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.http_endpoint"), name)
-    globals()[name] = value
-    return value
+    return _lazy.resolve(__name__, _LAZY, name)
+
 
 __all__ = [
     "Counter",

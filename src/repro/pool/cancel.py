@@ -20,7 +20,6 @@ the flag as raised: a vanished master means nobody wants the results.
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
 
 __all__ = ["CancelFlag", "flag_is_set"]
 
@@ -29,6 +28,8 @@ class CancelFlag:
     """One shared byte: 0 = keep working, 1 = stop at the next chunk."""
 
     def __init__(self) -> None:
+        from multiprocessing import shared_memory
+
         self._shm = shared_memory.SharedMemory(create=True, size=1)
         self._shm.buf[0] = 0
         self._owner_pid = os.getpid()
@@ -88,6 +89,10 @@ def flag_is_set(name: str) -> bool:
     """
     shm = _ATTACHED.get(name)
     if shm is None:
+        # imported here, not with the module: a volunteer imports the task
+        # runners beside this and never opens a flag
+        from multiprocessing import shared_memory
+
         try:
             # Cached for the life of the child process on purpose — the
             # master owns (and unlinks) the block; children only map it.

@@ -124,9 +124,10 @@ class Timers:
 
 
 class Loop:
-    """The selector, the timer heap and the self-pipe of one process.  Its
-    file-object API is asyncio's, so an :class:`~repro.net.endpoint.Endpoint`
-    sits on either kind of loop."""
+    """The selector, the timer heap and the self-pipe of one process: the
+    master's, or a volunteer process's own.  Its file-object API
+    (``add_reader``/``add_writer`` and their removal) is what an
+    :class:`~repro.net.endpoint.Endpoint` watches a socket with."""
 
     def __init__(self) -> None:
         self.timers = Timers()

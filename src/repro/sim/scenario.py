@@ -416,10 +416,11 @@ class DeploymentScenario:
         if self._shut_down:
             return
         crashed = reason is not None
-        self.dmap.registry.mark_left(
+        # one line per volunteer: its first closed tab records the departure
+        departed = self.dmap.registry.mark_left(
             record.volunteer_id, self.scheduler.now, crashed=crashed
         )
-        if crashed:
+        if crashed and departed:
             self.log.append(
                 f"[{self.scheduler.now:10.3f}] lost {record.volunteer_id} "
                 f"({record.device_name}): {reason}"
@@ -429,10 +430,6 @@ class DeploymentScenario:
     def request_stop(self) -> None:
         """Ask every device to abandon work at its next chunk boundary."""
         self._stop = True
-
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop
 
     # ------------------------------------------------------------ execution
     def _start(self, inputs: Iterable[Any], sink: Any) -> SinkResult:

@@ -279,3 +279,14 @@ class TestSimulatedOutputsPinned:
         # the lines that name a channel and a deployment are in it
         assert any(" lost volunteer-" in line for line in logs[0])
         assert logs[0] == logs[1]
+
+    def test_a_crashed_volunteer_is_lost_once_in_the_log(self):
+        """novena contributes two tabs, so its crash closes two channels;
+        the registry records one departure and the log says so once."""
+        scenario, inputs = self.lan_crash_scenario()
+        outcome = scenario.run_to_completion(inputs)
+        (novena,) = [r for r in scenario.dmap.registry.records if r.device_name == "novena"]
+        assert novena.tabs == 2 and novena.crashed
+        lost = [line for line in outcome.log if " lost " in line]
+        assert len(lost) == 1 and f" lost {novena.volunteer_id} " in lost[0], lost
+        assert outcome.registry["crashes"] == 1

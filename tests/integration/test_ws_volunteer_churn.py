@@ -16,11 +16,9 @@ import signal
 import threading
 import time
 
-import pytest
-
 from repro.core.distributed_map import DistributedMap
 from repro.pullstream import collect, from_iterable, pull
-from repro.worker import spawn_volunteer_process
+from repro.worker.ws_volunteer import spawn_volunteer_process
 
 SLEEP_ECHO = "repro.pool.workloads:sleep_echo"
 

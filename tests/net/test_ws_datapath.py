@@ -41,8 +41,8 @@ from repro.net.endpoint import (
 )
 from repro.net.ws_transport import unpack_wire_frame
 from repro.pullstream import collect, from_iterable, pull, take
-from repro.worker import volunteer as volunteer_module
-from repro.worker import run_volunteer
+from repro.worker import ws_volunteer as volunteer_module
+from repro.worker.ws_volunteer import run_volunteer
 
 MIB = 1 << 20
 KEY = b"\xa1\xb2\xc3\xd4"
@@ -153,7 +153,7 @@ class TestVolunteerColdStart:
         # Masking a 1 MiB result and reading a frame from the master keep it
         # numpy-free: only the master's kernel uses numpy.
         probe = (
-            "import select, socket, sys, repro.worker.volunteer\n"
+            "import select, socket, sys, repro.worker.ws_volunteer\n"
             "from repro.net.endpoint import OP_BINARY, WS, Endpoint, _xor_table, encode_ws_frame\n"
             "tables = _xor_table.cache_info().currsize\n"
             "frame = encode_ws_frame(OP_BINARY, bytes(range(256)) * 4096, mask=True)\n"
@@ -175,17 +175,67 @@ class TestVolunteerColdStart:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["[]", "0"]
 
-    def test_lazy_package_names_still_resolve(self):
-        import repro.analysis
-        import repro.obs
+    def test_the_volunteer_imports_none_of_the_master(self):
+        # A fresh interpreter, as a spawned volunteer is: the client module
+        # loads the endpoint, the codec, the heartbeat, the task runner and
+        # a bare loop — no asyncio, no executor, nothing of the master, the
+        # simulation, the devices or the observability plane.
+        probe = (
+            "import sys, repro.worker.ws_volunteer\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        loaded = set(out.stdout.split())
+        assert "repro.sched.loop" in loaded and "repro.pool.tasks" in loaded
+        forbidden = [
+            "asyncio",
+            "concurrent.futures",
+            "repro.core",
+            "repro.sim",
+            "repro.obs",
+            "repro.devices",
+            "repro.master",
+            "repro.pullstream",
+            "repro.pool.process_pool",
+            "repro.sched.event_loop",
+            "repro.net.ws_transport",
+        ]
+        assert [
+            name
+            for name in sorted(loaded)
+            if any(name == bad or name.startswith(bad + ".") for bad in forbidden)
+        ] == []
 
-        for package in (repro.analysis, repro.obs):
+    def test_lazy_package_names_still_resolve(self):
+        import repro
+        import repro.analysis
+        import repro.net
+        import repro.obs
+        import repro.pool
+        import repro.sched
+        import repro.worker
+
+        packages = (
+            repro,
+            repro.analysis,
+            repro.net,
+            repro.obs,
+            repro.pool,
+            repro.sched,
+            repro.worker,
+        )
+        for package in packages:
             for name in package.__all__:
-                assert getattr(package, name) is not None
-        with pytest.raises(AttributeError):
-            repro.obs.no_such_name
-        with pytest.raises(AttributeError):
-            repro.analysis.no_such_name
+                assert getattr(package, name) is not None, (package.__name__, name)
+            with pytest.raises(AttributeError):
+                package.no_such_name
+        assert repro.pullstream.__name__ == "repro.pullstream"
+        assert repro.pool.workloads.__name__ == "repro.pool.workloads"
+        assert repro.worker.spawn_volunteer_process.__module__ == "repro.worker.ws_volunteer"
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Tests for the real websocket volunteer transport.
 
-Unit layers first (wire codec, RFC 6455 framing, handshake, LoopClock), then
-in-process integration: a live :class:`WsVolunteerGateway` on a real loopback
-socket with volunteers running :func:`repro.worker.run_volunteer` in threads.
+Unit layers first (wire codec, RFC 6455 framing, handshake), then in-process
+integration: a live :class:`WsVolunteerGateway` on a real loopback socket with
+volunteers running :func:`repro.worker.ws_volunteer.run_volunteer` in threads.
 Process-level churn (SIGKILL / SIGSTOP) lives in
 ``tests/integration/test_ws_volunteer_churn.py``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import logging
 import pickle
@@ -33,17 +32,11 @@ from repro.net.endpoint import (
     _apply_mask,
     encode_ws_frame,
 )
-from repro.net.heartbeat import LoopClock
-from repro.net.ws_transport import (
-    WIRE_VERSION,
-    pack_wire_frame,
-    parse_ws_url,
-    unpack_wire_frame,
-    upgrade_response,
-)
+from repro.net.ws_protocol import WIRE_VERSION, parse_ws_url
+from repro.net.ws_transport import pack_wire_frame, unpack_wire_frame, upgrade_response
 from repro.pullstream import collect, from_iterable, pull
-from repro.worker import run_volunteer
-from repro.worker.volunteer import connect_websocket
+from repro.sched.loop import Loop
+from repro.worker.ws_volunteer import connect_websocket, next_message, run_volunteer
 
 
 # --------------------------------------------------------------------------
@@ -154,45 +147,59 @@ class TestFraming:
 
 class TestHandshake:
     def test_client_server_handshake_and_echo(self):
-        async def go():
-            loop = asyncio.get_running_loop()
-            served = []
+        # the server's end sits on the client's own loop: each turn serves both
+        loop = Loop()
+        served = []
 
-            def on_filed(endpoint):
-                while endpoint.inbox:
-                    message = endpoint.inbox.popleft()
-                    if isinstance(message, Exception):
-                        endpoint.close()
-                    elif endpoint.framing is HTTP_HEAD:
-                        endpoint.write([upgrade_response(message)])
-                        endpoint.framing = WS(client_side=False)
-                    else:
-                        endpoint.write(endpoint.framing.wrap(message))
+        def on_filed(endpoint):
+            while endpoint.inbox:
+                message = endpoint.inbox.popleft()
+                if isinstance(message, Exception):
+                    endpoint.close()
+                elif endpoint.framing is HTTP_HEAD:
+                    endpoint.write([upgrade_response(message)])
+                    endpoint.framing = WS(client_side=False)
+                else:
+                    endpoint.write(endpoint.framing.wrap(message))
 
-            def on_accept():
-                served.append(Endpoint(listener.accept()[0], HTTP_HEAD))
-                served[-1].watch(loop, on_filed)
+        def on_accept():
+            served.append(Endpoint(listener.accept()[0], HTTP_HEAD))
+            served[-1].watch(loop, on_filed)
 
+        try:
             with socket.create_server(("127.0.0.1", 0)) as listener:
                 listener.setblocking(False)
                 loop.add_reader(listener, on_accept)
                 port = listener.getsockname()[1]
-                endpoint, messages = await connect_websocket(f"ws://127.0.0.1:{port}")
+                endpoint = connect_websocket(loop, f"ws://127.0.0.1:{port}")
+                loop.timers.call_later(5, endpoint.fail, TimeoutError("no echo"))
                 ws = endpoint.framing
                 endpoint.write(ws.wrap(b"ping me back"))
-                echoed = await asyncio.wait_for(messages.get(), 5)
+                echoed = next_message(loop, endpoint)
                 endpoint.write(ws.ping())
                 endpoint.write(ws.close())
-                closed = await asyncio.wait_for(messages.get(), 5)
+                closed = next_message(loop, endpoint)
                 endpoint.close()
                 loop.remove_reader(listener)
-            return echoed, closed, ws, served
-
-        echoed, closed, ws, served = asyncio.run(go())
+        finally:
+            loop.close()
         assert echoed == b"ping me back"
         assert isinstance(closed, EOFError) and ws.close_code == 1000
         assert ws.pongs_received == 1
         assert [endpoint.closed for endpoint in served] == [True]
+
+    def test_an_unanswered_upgrade_times_out_on_a_timer(self):
+        loop = Loop()
+        try:
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                port = listener.getsockname()[1]
+                started = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    connect_websocket(loop, f"ws://127.0.0.1:{port}", timeout=0.2)
+                assert time.monotonic() - started < 5
+        finally:
+            loop.close()
+        assert loop.timers.next_event_time() is None  # the deadline is gone
 
     def test_non_websocket_request_is_rejected(self):
         request = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"
@@ -213,25 +220,6 @@ class TestHandshake:
                         pass
             assert gateway.live()  # still listening
         assert response.startswith(b"HTTP/1.1 400")
-
-
-class TestLoopClock:
-    def test_now_and_call_later(self):
-        async def go():
-            loop = asyncio.get_running_loop()
-            clock = LoopClock(loop)
-            fired = []
-            before = clock.now
-            handle = clock.call_later(0.01, lambda: fired.append(clock.now))
-            cancelled = clock.call_later(10.0, lambda: fired.append("never"))
-            cancelled.cancel()
-            await asyncio.sleep(0.05)
-            assert handle is not None
-            return before, fired
-
-        before, fired = asyncio.run(go())
-        assert len(fired) == 1
-        assert fired[0] >= before + 0.01
 
 
 # --------------------------------------------------------------------------
@@ -485,28 +473,27 @@ LIES = {
 def hostile_session(url, forge, box, refused):
     """Join as ``liar``, answer the first DATA frame with ``forge(record,
     values)`` and record how the gateway ends the connection."""
-
-    async def session():
-        endpoint, messages = await connect_websocket(url)
+    loop = Loop()
+    try:
+        endpoint = connect_websocket(loop, url)
+        loop.timers.call_later(20, endpoint.fail, TimeoutError("the gateway never hung up"))
         ws = endpoint.framing
         try:
             hello = {"kind": "hello", "version": WIRE_VERSION, "name": "liar", "tabs": 1}
             endpoint.write(ws.wrap(wire.encode(hello)))
-            welcome, _ = wire.decode(await messages.get(), trusted=True)
+            welcome, _ = wire.decode(next_message(loop, endpoint), trusted=True)
             assert welcome["kind"] == "welcome"
-            record, values = wire.decode(await messages.get(), trusted=True)
+            record, values = wire.decode(next_message(loop, endpoint), trusted=True)
             endpoint.write(ws.wrap(forge(record, values)))
-            while not isinstance(await messages.get(), Exception):
+            while not isinstance(next_message(loop, endpoint), Exception):
                 pass
-            return ws.close_code
+            box["close"] = ws.close_code
         finally:
             endpoint.close()
-
-    try:
-        box["close"] = asyncio.run(asyncio.wait_for(session(), 20))
     except Exception as exc:  # reported through the box, asserted by the test
         box["close"] = exc
     finally:
+        loop.close()
         refused.set()
 
 
@@ -565,23 +552,24 @@ class TestHostilePeers:
         gateway = dmap.serve_volunteers(fn_ref="operator:neg")
         box = {}
 
-        async def session():
-            endpoint, messages = await connect_websocket(gateway.url)
-            try:
-                # a masked binary frame announcing 200 MiB, and its first KiB
-                header = bytes([0x80 | OP_BINARY, 0x80 | 127]) + struct.pack("!Q", 200 << 20)
-                endpoint.write([header + b"\0\0\0\0" + b"x" * 1024])
-                while not isinstance(await messages.get(), Exception):
-                    pass
-                return endpoint.framing.close_code
-            finally:
-                endpoint.close()
-
         def peer():
+            loop = Loop()
             try:
-                box["close"] = asyncio.run(asyncio.wait_for(session(), 20))
+                endpoint = connect_websocket(loop, gateway.url)
+                loop.timers.call_later(20, endpoint.fail, TimeoutError("never refused"))
+                try:
+                    # a masked binary frame announcing 200 MiB, and its first KiB
+                    header = bytes([0x80 | OP_BINARY, 0x80 | 127]) + struct.pack("!Q", 200 << 20)
+                    endpoint.write([header + b"\0\0\0\0" + b"x" * 1024])
+                    while not isinstance(next_message(loop, endpoint), Exception):
+                        pass
+                    box["close"] = endpoint.framing.close_code
+                finally:
+                    endpoint.close()
             except Exception as exc:  # asserted below
                 box["close"] = exc
+            finally:
+                loop.close()
 
         tracemalloc.start()
         try:
@@ -630,7 +618,7 @@ class TestVolunteerCli:
         assert "cli-vol" in capsys.readouterr().err
 
     def test_cli_reports_connect_failure(self, capsys):
-        from repro.worker.volunteer import main as volunteer_main
+        from repro.worker.ws_volunteer import main as volunteer_main
 
         code = volunteer_main(["ws://127.0.0.1:9", "--fn", "operator:neg"])
         assert code == 1

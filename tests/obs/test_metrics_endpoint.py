@@ -17,7 +17,7 @@ import pytest
 from repro.core import DistributedMap
 from repro.pool.workloads import large_payload_inputs
 from repro.pullstream import collect, pull, values
-from repro.worker import run_volunteer
+from repro.worker.ws_volunteer import run_volunteer
 
 ECHO = "repro.pool.workloads:echo"
 SLEEP_BLOB = "repro.pool.workloads:sleep_blob"

@@ -16,7 +16,7 @@ import pytest
 from repro.core import DistributedMap
 from repro.pool.workloads import invert_tile, large_payload_inputs
 from repro.pullstream import collect, from_iterable, pull, values
-from repro.worker import run_volunteer
+from repro.worker.ws_volunteer import run_volunteer
 
 INVERT = "repro.pool.workloads:invert_tile"
 

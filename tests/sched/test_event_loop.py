@@ -291,7 +291,7 @@ class TestFailureModes:
     def test_a_sink_that_raises_on_a_volunteers_result_raises_out_of_drive(self):
         """A volunteer's result goes down the stream from the reader callback
         of its socket, exactly as a pool's does: same rule, same carrier."""
-        from repro.worker import run_volunteer
+        from repro.worker.ws_volunteer import run_volunteer
 
         seen = []
 

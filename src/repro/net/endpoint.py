@@ -32,11 +32,13 @@ goes to the socket, and a volunteer's frame is masked in that buffer.
 Receiving: a payload that is not already whole in the staging buffer is
 received straight into the ``bytearray`` it is unmasked in, and the codec
 slices ``memoryview`` objects out of it, so the owned copy ``oob_unpack`` makes
-for the user function is the only other one.  The two directions mask with
-two kernels: a volunteer with stdlib-only stride-4 lanes
-(:func:`_apply_mask`), so a freshly spawned one never imports numpy; the
-master, the only side that receives masked frames, with one in-place numpy
-XOR over 32-bit words (:func:`_unmask`), the cheaper by ~40x.
+for the user function is the only other one.  Both directions mask with one
+kernel, :func:`_mask`: stdlib stride-4 lanes until numpy is loaded, then one
+in-place XOR over 32-bit words, the cheaper by ~60x.  The master loads numpy
+on its first masked frame; a volunteer only once its answers have cost the
+lanes about what the import costs (:func:`load_word_mask`), so a freshly
+spawned one says hello and answers without paying numpy's import, and a
+short session never pays it.
 """
 
 from __future__ import annotations
@@ -106,46 +108,56 @@ def _xor_table(key_byte: int) -> bytes:
     return bytes(value ^ key_byte for value in range(256))
 
 
-def _apply_mask(buffer: bytearray, key: bytes, start: int = 0) -> None:
-    """XOR ``buffer[start:]`` in place with the repeating 4-byte *key*: the
-    client's kernel, which masks what a volunteer sends.
+#: numpy, once :func:`load_word_mask` has run in this process; until then
+#: :func:`_mask` runs the stdlib lanes
+_numpy: Any = None
 
-    Byte ``start + i`` meets ``key[i % 4]``, so the bytes of one key byte
-    form a stride-4 lane: each lane is sliced out, run through that key
-    byte's translate table and assigned back — three C loops over a quarter
-    of the buffer, no per-byte Python and no whole-buffer temporary, against
-    the two big-integer conversions and a frame-sized repeated key of the usual
-    ``int.from_bytes`` XOR (about 4x slower).  It stays stdlib-only because a
-    spawned volunteer must not pay numpy's import (~170 ms with two starting
-    at once on two cores) before its hello; the tables are built on first
-    use, so importing this module builds none.
+
+def load_word_mask() -> None:
+    """Import numpy into :func:`_mask`'s slot, so masking becomes one word XOR.
+
+    The master's framing calls it on its first masked frame; a volunteer
+    calls it on a thread of its own once its answers have added up to what
+    the import costs, so the ~110-170 ms import never stands between a spawn
+    and a result.
     """
-    for lane in range(4):
-        if key[lane]:
-            index = slice(start + lane, None, 4)
-            buffer[index] = buffer[index].translate(_xor_table(key[lane]))
-
-
-def _unmask(payload: bytearray, key: bytes) -> None:
-    """XOR *payload* in place with the repeating 4-byte *key*: the server's
-    kernel, which unmasks what a volunteer sent.
-
-    Only the master receives masked frames (a client refuses them), so this
-    kernel may use numpy: the payload is XOR-ed in place as native 32-bit
-    words against the key read as one — a single vectorised pass, ~40x the
-    lanes' speed, with no temporary — and the at most three tail bytes by
-    hand.  numpy is imported here, on the first masked frame, never when this
-    module is, so a volunteer that imports this module and masks with
-    :func:`_apply_mask` stays numpy-free.
-    """
+    global _numpy
     import numpy
 
-    count = len(payload) // 4
-    if count:
-        words = numpy.frombuffer(payload, numpy.uint32, count)
-        words ^= numpy.frombuffer(key, numpy.uint32)
-    for index in range(4 * count, len(payload)):
-        payload[index] ^= key[index & 3]
+    _numpy = numpy
+
+
+def _mask(buffer: bytearray, key: bytes, start: int = 0) -> None:
+    """XOR ``buffer[start:]`` in place with the repeating 4-byte *key*: the
+    one RFC 6455 mask kernel, which masks what a volunteer sends and unmasks
+    what the master receives.
+
+    Once :func:`load_word_mask` has filled the slot, the bytes are XOR-ed in
+    place as native 32-bit words against the key read as one — one vectorised
+    pass with no temporary, ~60x the lanes' speed — and the at most three
+    bytes on either side of the words by hand.  Until then byte ``start + i``
+    meets ``key[i % 4]``, so the bytes of one key byte form a stride-4 lane:
+    each lane is sliced out, run through that key byte's translate table and
+    assigned back — three C loops over a quarter of the buffer, stdlib only.
+    The tables are built on first use, so importing this module builds none.
+    """
+    numpy = _numpy
+    if numpy is None:
+        for lane in range(4):
+            if key[lane]:
+                index = slice(start + lane, None, 4)
+                buffer[index] = buffer[index].translate(_xor_table(key[lane]))
+        return
+    # The words start at an offset that is a multiple of 4, with the key
+    # turned to match: a frame header of 14 bytes would otherwise make every
+    # word unaligned, ~3x slower.  The bytes before and after them go by hand.
+    skip = min(-start % 4, len(buffer) - start)
+    count = (len(buffer) - start - skip) // 4
+    if count > 0:
+        words = numpy.frombuffer(buffer, numpy.uint32, count, start + skip)
+        words ^= numpy.frombuffer(key[skip:] + key[:skip], numpy.uint32)
+    for index in (*range(start, start + skip), *range(start + skip + 4 * count, len(buffer))):
+        buffer[index] ^= key[(index - start) & 3]
 
 
 def encode_ws_frame(opcode: int, payload: Any, mask: bool) -> bytearray:
@@ -171,7 +183,7 @@ def encode_ws_frame(opcode: int, payload: Any, mask: bool) -> bytearray:
     header += key
     frame = bytearray().join((header, *parts))
     if mask:
-        _apply_mask(frame, key, len(header))
+        _mask(frame, key, len(header))
     return frame
 
 
@@ -298,7 +310,9 @@ class WS:
 
     def frame(self, payload: bytearray, write: Write) -> Any:
         if self._key:
-            _unmask(payload, self._key)
+            if _numpy is None:
+                load_word_mask()
+            _mask(payload, self._key)
         opcode = self._opcode
         if opcode == OP_PING:
             self.pings_received += 1

@@ -252,11 +252,13 @@ def oob_pack(value: Any) -> Any:
             value = value.cast("B")
         return ("raw", value, None)
     # Only a process that has imported numpy can hold an array: asking
-    # sys.modules keeps a pool of plain values (and a volunteer) numpy-free.
-    numpy = sys.modules.get("numpy")
+    # sys.modules keeps a pool of plain values (and a volunteer) numpy-free,
+    # and getattr copes with a numpy whose import another thread is still
+    # running (a volunteer's mask loader), which may not have ``ndarray`` yet.
+    ndarray = getattr(sys.modules.get("numpy"), "ndarray", None)
     if (
-        numpy is not None
-        and isinstance(value, numpy.ndarray)
+        ndarray is not None
+        and isinstance(value, ndarray)
         and value.ndim >= 1
         and value.size  # a view with a zero in its shape cannot be cast
         and value.flags["C_CONTIGUOUS"]

@@ -14,7 +14,9 @@ after a crash, so this module imports only what a session runs: the errors,
 the endpoint and its framing, the wire codec and the names both ends agree
 on, the heartbeat, the frame runner of :mod:`repro.pool.tasks` and the bare
 loop of :mod:`repro.sched.loop` — nothing of the master, the simulation or
-the observability plane.
+the observability plane.  numpy, which only makes the RFC 6455 mask cheaper,
+is imported on a thread of its own once a session's answers have added up to
+what the import costs.
 
 Its end of the websocket is the same :class:`~repro.net.endpoint.Endpoint`
 the gateway holds the other end with, on this process's own
@@ -45,7 +47,7 @@ from typing import Any, Deque, Dict, List, Optional
 from ..analysis.annotations import any_thread
 from ..errors import ConnectionClosed, PandoError, ProtocolError
 from ..net import wire
-from ..net.endpoint import DEFAULT_MAX_FRAME, HTTP_HEAD, WS, Endpoint
+from ..net.endpoint import DEFAULT_MAX_FRAME, HTTP_HEAD, WS, Endpoint, load_word_mask
 from ..net.heartbeat import DEFAULT_INTERVAL, DEFAULT_TIMEOUT, HeartbeatMonitor
 from ..net.ws_protocol import (
     BYE,
@@ -73,6 +75,16 @@ __all__ = [
 #: a message, a tab's wake-up or a timer ends the wait first.
 _IDLE_WAIT = 1.0
 
+#: Answer bytes a session masks with the stride-4 lanes before it starts
+#: importing numpy for the word XOR.  At ~2.6 ms per MiB the lanes have then
+#: cost about what the import does (~110-170 ms in the interpreter plus
+#: ~70-100 ms of BLAS threads starting, on two cores), so a session that
+#: ends sooner never pays for an import it could not earn back, and a longer
+#: one pays at most twice what knowing its length up front would have cost
+#: (the rent-or-buy rule).  An import at the first answer instead halves a
+#: freshly spawned pair's throughput for its first ~0.2 s.
+_LANE_BYTES_BEFORE_IMPORT = 64 * 1024 * 1024
+
 
 @dataclass
 class VolunteerReport:
@@ -85,6 +97,7 @@ class VolunteerReport:
     #: *max_frames* reached), False when the wire died or a task failed
     graceful: bool = False
     #: True when the volunteer's own heartbeat monitor suspected the master
+    #: (``error`` says so too: the session was abandoned)
     suspected_master: bool = False
     error: Optional[str] = None
     pings_received: int = 0
@@ -208,6 +221,8 @@ def _session(
     monitor: Optional[HeartbeatMonitor] = None
     jobs: "SimpleQueue[Any]" = SimpleQueue()
     threads: List[threading.Thread] = []
+    # numpy's import, started once the lanes have masked enough (_serve)
+    loader = threading.Thread(target=load_word_mask, name="mask-loader", daemon=True)
 
     def send(record: Dict[str, Any]) -> None:
         endpoint.write(ws.wrap(wire.encode(record)))
@@ -246,6 +261,7 @@ def _session(
 
         def suspect_master() -> None:
             report.suspected_master = True
+            report.error = "the master went silent"
             endpoint.fail(ConnectionClosed("the master went silent"))
 
         monitor = HeartbeatMonitor(
@@ -265,9 +281,9 @@ def _session(
             )
             thread.start()
             threads.append(thread)
-        end_received = _serve(loop, endpoint, jobs, report, max_frames)
+        end_received = _serve(loop, endpoint, jobs, report, max_frames, loader)
         monitor.stop()
-        if report.error is None and not report.suspected_master:
+        if report.error is None:
             if end_received or max_frames is not None:
                 send({"kind": BYE})
                 endpoint.write(ws.close())
@@ -294,6 +310,8 @@ def _session(
             jobs.put(None)
         for thread in threads:
             thread.join()
+        if loader.ident is not None:
+            loader.join()  # no process exits in the middle of an import
         report.pings_received = ws.pings_received
         report.pongs_received = ws.pongs_received
         endpoint.close()
@@ -306,6 +324,7 @@ def _serve(
     jobs: "SimpleQueue[Any]",
     report: VolunteerReport,
     max_frames: Optional[int],
+    loader: threading.Thread,
 ) -> bool:
     """Hand the master's DATA frames to the tabs and write their answers in
     arrival order, until END (True), *max_frames* frames or the end of the
@@ -313,11 +332,16 @@ def _serve(
 
     Each frame handed out has a slot (an empty list) on ``pending``, oldest
     first; its tab appends ``(parts, count, failure)`` and wakes the loop, so
-    only the loop thread writes to the socket.
+    only the loop thread writes to the socket.  Once the answers written
+    add up to :data:`_LANE_BYTES_BEFORE_IMPORT`, *loader* starts numpy's
+    import, which turns the mask kernel from stride-4 lanes into one word
+    XOR: a session pays for it only after it has delivered results, and one
+    that answers little or nothing never does.
     """
     ws = endpoint.framing
     pending: Deque[List[Any]] = deque()
     submitted = 0
+    answered_bytes = 0
     receiving = True
     end_received = False
     while receiving or pending:
@@ -332,6 +356,9 @@ def _serve(
                 report.error = f"task failed: {failure!r}"
                 endpoint.fail(ConnectionClosed("a task failed"))
                 return False
+            answered_bytes += wire.payload_size(parts)
+            if answered_bytes >= _LANE_BYTES_BEFORE_IMPORT and loader.ident is None:
+                loader.start()
             report.frames_processed += 1
             report.values_processed += count
         if not (receiving and endpoint.inbox):

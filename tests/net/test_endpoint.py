@@ -31,7 +31,7 @@ from repro.net.endpoint import (
     STAGING_BYTES,
     WS,
     Endpoint,
-    _apply_mask,
+    _mask,
 )
 from repro.net.serialization import Batch
 
@@ -51,7 +51,7 @@ def ws_frame(opcode: int, payload: bytes, fin: bool = True, key: bytes = b"") ->
         head += bytes([mask_bit | 127]) + struct.pack("!Q", len(payload))
     body = bytearray(payload)
     if key:
-        _apply_mask(body, key)
+        _mask(body, key)
     return head + key + bytes(body)
 
 
@@ -65,7 +65,7 @@ def control_frames(written: bytes, masked: bool):
         at += 2
         body = bytearray(written[at + 4 * masked : at + 4 * masked + length])
         if masked:
-            _apply_mask(body, written[at : at + 4])
+            _mask(body, written[at : at + 4])
         frames.append((opcode, bytes(body)))
         at += 4 * masked + length
     return frames

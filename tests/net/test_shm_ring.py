@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,14 @@ class TestOobCodec:
         assert rebuilt.dtype == array.dtype
         assert rebuilt.shape == array.shape
         assert (rebuilt == array).all()
+
+    def test_a_numpy_still_being_imported_packs_nothing(self, monkeypatch):
+        """Regression: a volunteer imports numpy on a thread of its own while
+        its tabs pack answers; a value packed meanwhile met a numpy module
+        without ``ndarray`` yet and failed its task with AttributeError."""
+        monkeypatch.setitem(sys.modules, "numpy", types.ModuleType("numpy"))
+        assert oob_pack(7) is None
+        assert oob_pack({"n": 1}) is None
 
     def test_zero_copy_unpack_aliases_the_buffer(self):
         array = np.arange(100, dtype=np.int64)

@@ -1,15 +1,16 @@
-"""The websocket data path: lane masking, copy-free frames, hostile wires.
+"""The websocket data path: the mask kernel, copy-free frames, hostile wires.
 
-Properties first (both mask kernels, the volunteer's four lanes and the
-master's word XOR, against a byte-wise reference; frames assembled from mixed
-parts), then ``tracemalloc`` pins on how many copies of
-a frame each direction holds at once — a copy count, not a timing — and the
-regressions for the framing rules :class:`~repro.net.endpoint.WS` enforces and
-for the late-volunteer refusal.
+Properties first (both paths of the one mask kernel, the stdlib lanes and the
+numpy word XOR, against a byte-wise reference; frames assembled from mixed
+parts), then when a volunteer loads numpy, ``tracemalloc`` pins on how many
+copies of a frame each direction holds at once — a copy count, not a timing —
+and the regressions for the framing rules :class:`~repro.net.endpoint.WS`
+enforces and for the late-volunteer refusal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import socket
@@ -20,12 +21,14 @@ import threading
 import time
 import tracemalloc
 
+import numpy
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distributed_map import DistributedMap
 from repro.errors import ProtocolError
+from repro.net import endpoint as endpoint_module
 from repro.net import wire
 from repro.net.endpoint import (
     OP_BINARY,
@@ -35,14 +38,13 @@ from repro.net.endpoint import (
     OP_PONG,
     WS,
     Endpoint,
-    _apply_mask,
-    _unmask,
+    _mask,
     encode_ws_frame,
 )
 from repro.net.ws_transport import unpack_wire_frame
 from repro.pullstream import collect, from_iterable, pull, take
 from repro.worker import ws_volunteer as volunteer_module
-from repro.worker.ws_volunteer import run_volunteer
+from repro.worker.ws_volunteer import run_volunteer, spawn_volunteer_process
 
 MIB = 1 << 20
 KEY = b"\xa1\xb2\xc3\xd4"
@@ -69,8 +71,20 @@ def raw_frame(opcode: int, payload: bytes, fin: bool = True, key: bytes = b"") -
 
 
 # --------------------------------------------------------------------------
-# The lane mask
+# The mask kernel
 # --------------------------------------------------------------------------
+
+#: what the kernel's numpy slot holds on each path
+PATHS = {"lanes": None, "words": numpy}
+
+
+@contextlib.contextmanager
+def pinned(path):
+    """Run the mask kernel on *path*, whatever this process has loaded."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(endpoint_module, "_numpy", PATHS[path])
+        yield
+
 
 #: lengths 0-70, then around 64 KiB and around 64 KiB *per lane*
 mask_lengths = st.one_of(
@@ -85,9 +99,9 @@ def patterned(seed: int, length: int) -> bytes:
     return (pattern * (length // len(pattern) + 1))[:length]
 
 
-class TestLaneMask:
-    """Each kernel is called by name: the client's lanes mask what a
-    volunteer sends, the server's word XOR unmasks what the master receives."""
+class TestMaskKernel:
+    """Both paths of the one kernel: the lanes a volunteer masks with until
+    numpy is loaded, and the word XOR after that (the master's only path)."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -99,51 +113,39 @@ class TestLaneMask:
     @example(length=70, key=ZERO_KEY, start=3, seed=1)
     @example(length=9, key=b"\x00\xff\x00\x01", start=0, seed=2)
     @example(length=0, key=KEY, start=5, seed=3)
-    def test_client_kernel_equals_bytewise_xor_and_is_an_involution(
-        self, length, key, start, seed
-    ):
+    @example(length=70, key=ZERO_KEY, start=0, seed=1)
+    @example(length=0, key=KEY, start=0, seed=2)
+    @example(length=3, key=KEY, start=0, seed=3)
+    def test_each_path_equals_bytewise_xor_and_is_an_involution(self, length, key, start, seed):
         data = patterned(seed, start + length)
-        buffer = bytearray(data)
-        _apply_mask(buffer, key, start)
-        assert buffer[:start] == data[:start]  # the header is left alone
-        assert buffer[start:] == reference_mask(data[start:], key)
-        _apply_mask(buffer, key, start)
-        assert buffer == data
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        length=mask_lengths,
-        key=st.binary(min_size=4, max_size=4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(length=70, key=ZERO_KEY, seed=1)
-    @example(length=0, key=KEY, seed=2)
-    @example(length=3, key=KEY, seed=3)
-    def test_server_kernel_equals_bytewise_xor_and_is_an_involution(self, length, key, seed):
-        data = patterned(seed, length)
-        buffer = bytearray(data)
-        _unmask(buffer, key)
-        assert buffer == reference_mask(data, key)
-        _unmask(buffer, key)
-        assert buffer == data
+        # the header is left alone
+        expected = data[:start] + reference_mask(data[start:], key)
+        for path in PATHS:
+            buffer = bytearray(data)
+            with pinned(path):
+                _mask(buffer, key, start)
+                assert buffer == expected, path
+                _mask(buffer, key, start)
+            assert buffer == data, path
 
     @pytest.mark.parametrize("key", [KEY, ZERO_KEY], ids=["key", "zero-key"])
     @pytest.mark.parametrize("tail", range(4))
-    def test_both_kernels_on_a_tile_frame_with_each_tail(self, tail, key):
-        # a 512 KiB tile's payload, plus the 0-3 bytes the server kernel
-        # XORs by hand; 14 bytes is the header of a masked 64-bit-length frame
+    def test_each_path_on_a_tile_frame_with_each_tail(self, tail, key):
+        # a 512 KiB tile's payload, plus the 0-3 bytes the words leave over;
+        # 14 bytes is the header of a masked 64-bit-length frame
         data = patterned(tail, 512 * 1024 + tail)
         expected = reference_mask(data, key)
         header = b"\x82\xff" + bytes(12)
-        sent = bytearray(header + data)
-        _apply_mask(sent, key, len(header))
-        assert sent == header + expected
-        received = bytearray(data)
-        _unmask(received, key)
-        assert received == expected
-        _unmask(received, key)
-        _apply_mask(sent, key, len(header))
-        assert received == data and sent == header + data
+        for path in PATHS:
+            sent = bytearray(header + data)
+            received = bytearray(data)
+            with pinned(path):
+                _mask(sent, key, len(header))
+                _mask(received, key)
+                assert sent == header + expected and received == expected, path
+                _mask(sent, key, len(header))
+                _mask(received, key)
+            assert sent == header + data and received == data, path
 
 
 class TestVolunteerColdStart:
@@ -174,6 +176,69 @@ class TestVolunteerColdStart:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["[]", "0"]
+
+    def test_a_refused_session_never_imports_numpy(self):
+        # A volunteer that knocks after the stream ended is refused with END
+        # at the welcome: it answered nothing, so it starts no mask loader.
+        dmap = DistributedMap()
+        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+        sink = pull(from_iterable(range(2)), dmap, collect())
+        dmap.add_local_worker(lambda value, cb: cb(None, -value))
+        assert sink.result() == [0, -1]
+        probe = (
+            "import sys, threading\n"
+            "from repro.worker.ws_volunteer import run_volunteer\n"
+            "report = run_volunteer(sys.argv[1])\n"
+            "assert report.graceful and report.error is None, report\n"
+            "assert report.frames_processed == 0, report\n"
+            "assert [t.name for t in threading.enumerate()] == ['MainThread']\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        try:
+            ((status, stderr),) = run_probes(dmap, gateway, [(probe, "")])
+        finally:
+            dmap.close()
+        assert status == 0, stderr
+
+    def test_numpy_is_imported_only_after_enough_answers_and_waited_for(self):
+        # Three volunteers that each leave after one frame, so each answers
+        # exactly one of the three values: one spawned as perf and the churn
+        # tests spawn them, and two in fresh interpreters that look at
+        # themselves once the session is over.  One small answer is far
+        # below what earns the import back: no numpy.  With the budget at one
+        # byte the same answer starts the loader, and the session does not
+        # return before the import is done.
+        dmap = DistributedMap()
+        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+        sink = pull(from_iterable(range(3)), dmap, collect())
+        spawned = spawn_volunteer_process(gateway.url, max_frames=1)
+        session = (
+            "import sys, threading\n"
+            "from repro.net import endpoint\n"
+            "from repro.worker import ws_volunteer\n"
+            "if sys.argv[2]:\n"
+            "    ws_volunteer._LANE_BYTES_BEFORE_IMPORT = int(sys.argv[2])\n"
+            "report = ws_volunteer.run_volunteer(sys.argv[1], max_frames=1)\n"
+            "assert report.graceful and report.error is None, report\n"
+            "assert report.frames_processed == 1, report\n"
+            "assert [t.name for t in threading.enumerate()] == ['MainThread']\n"
+        )
+        short = session + "assert 'numpy' not in sys.modules\n"
+        paid = session + "assert endpoint._numpy is not None\n"
+        try:
+            statuses = run_probes(
+                dmap,
+                gateway,
+                [(short, ""), (paid, "1")],
+                sink=sink,
+            )
+            assert sorted(sink.result()) == [-2, -1, 0]
+        finally:
+            dmap.close()
+            spawned.join(20)
+        for status, stderr in statuses:
+            assert status == 0, stderr
+        assert spawned.exitcode == 0
 
     def test_the_volunteer_imports_none_of_the_master(self):
         # A fresh interpreter, as a spawned volunteer is: the client module
@@ -312,19 +377,21 @@ def _traced_peak(fn) -> int:
 
 
 class TestCopyCount:
-    def test_sending_a_frame_holds_one_buffer_and_two_lane_temporaries(self):
+    # the frame (1x), plus on the lanes one lane and its translation
+    # (2 x 0.25x); the words need no temporary
+    @pytest.mark.parametrize("path, bound", [("lanes", 1.75), ("words", 1.1)])
+    def test_sending_a_frame_holds_one_buffer_and_the_paths_temporaries(self, path, bound):
         tile = os.urandom(MIB)
         ours, theirs = socket.socketpair()  # a peer that does not read
-        with theirs:
+        with theirs, pinned(path):
             endpoint = Endpoint(ours, WS(client_side=True))
 
             def send():
                 endpoint.write(endpoint.framing.wrap(wire.encode({"kind": "data", "seq": 1}, [tile])))
 
             peak = _traced_peak(send)
-            # the frame (1x) + one lane and its translation (2 x 0.25x); what
-            # the socket did not take waits in the outbox as a view of it
-            assert MIB <= peak <= 1.75 * MIB, peak / MIB
+            # what the socket did not take waits in the outbox as a view of it
+            assert MIB <= peak <= bound * MIB, peak / MIB
             assert 0 < wire.payload_size(endpoint.outbox) < MIB + 64
             endpoint.close()
 
@@ -337,13 +404,13 @@ class TestCopyCount:
             (message, _end), _written, _endpoint = read_stream(WS(client_side=False), data)
             return unpack_wire_frame(message)
 
-        _unmask(bytearray(8), KEY)  # numpy's one-time import is not a copy
-        tracemalloc.start()
-        try:
-            record = receive()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with pinned("words"):
+            tracemalloc.start()
+            try:
+                record = receive()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert record["values"] == [tile, tile]
         # the frame, received into the buffer it is unmasked in, then the
         # frame and the owned values (2x)
@@ -351,8 +418,8 @@ class TestCopyCount:
 
     def test_unmasking_a_frame_xors_it_in_place(self):
         payload = bytearray(os.urandom(MIB))
-        _unmask(bytearray(8), KEY)  # numpy's import happens outside the trace
-        peak = _traced_peak(lambda: _unmask(payload, KEY))
+        with pinned("words"):
+            peak = _traced_peak(lambda: _mask(payload, KEY))
         # no frame-sized temporary, not even a lane of one
         assert peak < 64 * 1024, peak
 
@@ -415,7 +482,7 @@ class TestControlFrames:
         # the answer is one masked pong with the ping's payload
         assert written[0] == 0x80 | OP_PONG and written[1] == 0x80 | 125
         pong = bytearray(written[6:])
-        _apply_mask(pong, written[2:6])
+        _mask(pong, written[2:6])
         assert pong == b"p" * 125
 
 
@@ -469,6 +536,38 @@ def spin_until(dmap, gateway, predicate, timeout=15.0):
         while gateway.dispatch():
             pass
     return predicate()
+
+
+def run_probes(dmap, gateway, probes, sink=None):
+    """Run each ``(source, argument)`` of *probes* in a fresh interpreter as
+    ``python -c source URL argument``, serving them — by driving *sink*, or
+    by spinning the loop — until they exit; returns their ``(exit status,
+    stderr)``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-c", source, gateway.url, argument],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for source, argument in probes
+    ]
+    try:
+        if sink is not None:
+            dmap.drive(sink, timeout=30)
+        assert spin_until(
+            dmap,
+            gateway,
+            lambda: all(process.poll() is not None for process in processes),
+            timeout=30,
+        )
+    finally:
+        for process in processes:
+            if process.poll() is None:
+                process.kill()
+    return [(process.returncode, process.communicate()[1]) for process in processes]
 
 
 class TestLateVolunteer:

@@ -29,10 +29,10 @@ from repro.net.endpoint import (
     OP_CONT,
     WS,
     Endpoint,
-    _apply_mask,
+    _mask,
     encode_ws_frame,
 )
-from repro.net.ws_protocol import WIRE_VERSION, parse_ws_url
+from repro.net.ws_protocol import WELCOME, WIRE_VERSION, parse_ws_url
 from repro.net.ws_transport import pack_wire_frame, unpack_wire_frame, upgrade_response
 from repro.pullstream import collect, from_iterable, pull
 from repro.sched.loop import Loop
@@ -105,12 +105,12 @@ class TestFraming:
     def test_mask_is_an_involution(self):
         payload, key = b"hello websocket world", b"\x12\x34\x56\x78"
         buffer = bytearray(payload)
-        _apply_mask(buffer, key)
+        _mask(buffer, key)
         assert buffer == bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-        _apply_mask(buffer, key)
+        _mask(buffer, key)
         assert buffer == payload
         empty = bytearray()
-        _apply_mask(empty, key)
+        _mask(empty, key)
         assert empty == b""
 
     @pytest.mark.parametrize("size", [0, 5, 125, 126, 65535, 65536, 100_000])
@@ -378,6 +378,59 @@ class TestGatewayIntegration:
         assert report.graceful and not report.suspected_master
         assert report.pings_received >= 1  # master pinged the volunteer
         assert gateway.suspicions == 0
+
+    def test_a_master_that_stops_reading_fails_the_session(self):
+        """Regression: a session abandoned because the volunteer's own
+        heartbeat suspected the master ended with no error, so the spawned
+        process exited 0 and ``pando volunteer`` returned 0."""
+        loop = Loop()
+        served, hellos = [], []
+
+        def on_filed(endpoint):
+            # upgrade, take the hello, welcome with a 0.1 s / 0.3 s heartbeat
+            while endpoint.inbox:
+                message = endpoint.inbox.popleft()
+                if isinstance(message, Exception):
+                    return
+                if endpoint.framing is HTTP_HEAD:
+                    endpoint.write([upgrade_response(message)])
+                    endpoint.framing = WS(client_side=False)
+                else:
+                    hellos.append(wire.decode(message, trusted=False)[0])
+                    welcome = {
+                        "kind": WELCOME,
+                        "worker_id": "silent-1",
+                        "fn_ref": "operator:neg",
+                        "heartbeat_interval": 0.1,
+                        "heartbeat_timeout": 0.3,
+                    }
+                    endpoint.write(endpoint.framing.wrap(wire.encode(welcome)))
+
+        def on_accept():
+            served.append(Endpoint(listener.accept()[0], HTTP_HEAD))
+            served[-1].watch(loop, on_filed)
+
+        try:
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                listener.setblocking(False)
+                loop.add_reader(listener, on_accept)
+                port = listener.getsockname()[1]
+                thread, box = start_volunteer_thread(f"ws://127.0.0.1:{port}")
+                deadline = time.monotonic() + 10
+                while not (hellos and not served[0].outbox) and time.monotonic() < deadline:
+                    loop.run_once(0.05)
+                assert hellos and hellos[0]["kind"] == "hello"
+                # the welcome is on the wire; from here on nothing reads
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            for endpoint in served:
+                endpoint.close()
+            loop.close()
+        report = box["report"]
+        assert report.suspected_master
+        assert not report.graceful
+        assert report.error is not None
 
     def test_batched_frames_roundtrip(self):
         # frame_batch > 1 coalesces values into Batch frames on the wire and

@@ -39,7 +39,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--split-buffer", type=int, default=4,
-        help="per-shard input buffer cap (bounds memory if a shard stalls)",
+        help="per-shard input buffer cap (bounds memory if a shard stalls; "
+        "--ordered only: unordered shards take values on demand)",
     )
     parser.add_argument(
         "--ordered", action="store_true",

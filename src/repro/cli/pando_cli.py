@@ -116,9 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="split_buffer",
-        help="with --shards > 1: cap the splitter's per-shard input buffer "
-        "at this many values, back-pressuring the faster shards when one "
-        "shard stalls (default: unbounded)",
+        help="with --shards > 1: cap the round-robin splitter's per-shard "
+        "input buffer at this many values, back-pressuring the faster shards "
+        "when one shard stalls (default: unbounded); ordered runs only, "
+        "--unordered shards take values on demand and buffer none",
     )
     parser.add_argument(
         "--count",
@@ -213,9 +214,10 @@ def run_pipeline(
     pool per shard (splitting *workers* processes between them, remainder
     first, at least one each) and drives them concurrently; the local
     backend attaches at least one worker per shard so every shard is served.
-    ``ordered=False`` on a sharded run merges the shard outputs in
-    completion order, and *split_buffer* caps the splitter's per-shard
-    buffering (see :class:`~repro.core.distributed_map.DistributedMap`).
+    ``ordered=False`` on a sharded run hands each value to the shard that
+    asks first and merges the shard outputs in completion order;
+    *split_buffer* caps the ordered splitter's per-shard buffering (see
+    :class:`~repro.core.distributed_map.DistributedMap`).
 
     ``pool_transport="shm"`` moves large payloads through each pool's
     shared-memory slot ring instead of the children's pipes.

@@ -184,15 +184,18 @@ class DistributedMap:
     speed).
 
     With ``shards=N`` the map becomes a **multi-master**: the input is
-    round-robin split across N independent
-    :class:`~repro.core.sharding.ShardedLender` shards (each its own reorder
-    buffer, failure queue and stats) and the outputs are merged back in
-    global input order — or, with ``ordered=False``, in completion order
-    across all shards, so a search hit computed on any shard is delivered
-    the moment it is ready.  Workers are placed on the least-loaded shard.
-    ``split_buffer=N`` bounds the splitter's per-shard buffering: a shard
-    stalled N values behind parks the input pump (back-pressure on the
-    faster shards) instead of growing its backlog without bound.
+    split across N independent :class:`~repro.core.sharding.ShardedLender`
+    shards (each its own reorder buffer, failure queue and stats).  Ordered
+    shards get the input round-robin and their outputs are merged back in
+    global input order; with ``ordered=False`` each value goes to the shard
+    whose workers asked for one first and the outputs are merged in
+    completion order, so a search hit computed on any shard is delivered the
+    moment it is ready.  Workers are placed on the least-loaded shard.
+    ``split_buffer=N`` bounds the round-robin splitter's per-shard buffering
+    (ordered shards only; unordered shards take values on demand and never
+    buffer): a shard stalled N values behind parks the input pump
+    (back-pressure on the faster shards) instead of growing its backlog
+    without bound.
 
     One driver: every map is pumped by an
     :class:`~repro.sched.EventLoopScheduler` — its own private one, or the

@@ -203,6 +203,13 @@ class StreamLender:
             )
             cb(error, None)
             return None
+        return self._open_substream(cb)
+
+    def _open_substream(
+        self, cb: Callable[[Optional[BaseException], Optional[SubStream]], None]
+    ) -> SubStream:
+        """Create a sub-stream whatever the output's state; one lent after
+        an abort ends on its first borrow."""
         sub = SubStream(self, next(self._ids))
         self._substreams.append(sub)
         self.open_substreams += 1

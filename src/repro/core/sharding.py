@@ -17,14 +17,26 @@ Each shard keeps the full Table-1 property set (lazy, conservative,
 fault-tolerant, adaptive, ordered) for its slice of the input; the
 round-robin assignment makes the merged interleaving equal to the global
 input order.  With ``ordered=False`` the shards become
-:class:`~repro.core.lender.UnorderedStreamLender`\\ s joined by
-:func:`~repro.pullstream.split.merge_unordered` instead: results flow
-downstream in completion order across **all** shards, serving the
-synchronous-parallel-search workloads (paper section 4.2) where the first
-answer wins.  Workers attach to a shard through :meth:`lend_stream`, which
-places them on the least-loaded shard by default; crash-stopped workers stop
-counting towards a shard's load, so churn rebalances later attachments
-towards depleted shards.
+:class:`~repro.core.lender.UnorderedStreamLender`\\ s fed by
+:func:`~repro.pullstream.split.share` and joined by
+:func:`~repro.pullstream.split.merge_unordered` instead::
+
+                 ┌─ branch 0 ─ UnorderedStreamLender #0 ─┐
+    input ─ share┤                                       ├ merge_unordered
+                 └─ branch 1 ─ UnorderedStreamLender #1 ─┘
+
+No interleaving has to be rebuilt, so the input is not dealt round-robin:
+each value goes to the shard that has waited longest for one, the lender's
+own lazy rule applied across shards, and a shard that falls behind takes
+fewer values instead of queueing its round-robin share behind its stall.
+Results flow downstream in completion order across **all** shards, serving
+the synchronous-parallel-search workloads (paper section 4.2) where the
+first answer wins.
+
+Workers attach to a shard through :meth:`lend_stream`, which places them on
+the least-loaded shard by default; crash-stopped workers stop counting
+towards a shard's load, so churn rebalances later attachments towards
+depleted shards.
 
 Fault containment is per shard: a worker crash re-lends its borrowed values
 inside its own shard only — the other shards never stall behind the repair.
@@ -38,8 +50,14 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..errors import ProtocolError
-from ..pullstream.protocol import DONE, End, Source
-from ..pullstream.split import SplitBranches, merge_ordered, merge_unordered, split
+from ..pullstream.protocol import DONE, Callback, End, Source, is_error
+from ..pullstream.split import (
+    SplitBranches,
+    merge_ordered,
+    merge_unordered,
+    share,
+    split,
+)
 from .lender import LenderStats, StreamLender, SubStream, UnorderedStreamLender
 
 __all__ = ["ShardedLender"]
@@ -63,7 +81,9 @@ class ShardedLender:
     (see :func:`~repro.pullstream.split.split`): a shard that stalls
     *max_buffer* values behind parks the input pump — back-pressuring its
     faster siblings — instead of accumulating its share of every value
-    pumped on their behalf.
+    pumped on their behalf.  It bounds the ordered splitter only: unordered
+    shards are fed by :func:`~repro.pullstream.split.share`, which buffers
+    nothing, and accept the argument without using it.
     """
 
     pull_role = "through"
@@ -87,26 +107,42 @@ class ShardedLender:
         self._shards: List[StreamLender] = [lender() for _ in range(shards)]
         self._branches: Optional[SplitBranches] = None
         self._output: Optional[Source] = None
+        #: the consumer's abort of the merged output
+        self._output_end: End = None
 
     # ------------------------------------------------------------------ API
     def __call__(self, read: Source) -> Source:
         """Connect the upstream *read* and return the merged output source."""
         if self._branches is not None:
             raise ProtocolError("ShardedLender is already connected to an upstream")
-        self._branches = split(
-            read,
-            len(self._shards),
-            on_end=self._on_upstream_end,
-            max_buffer=self.max_buffer,
-        )
+        if self.ordered:
+            self._branches = split(
+                read,
+                len(self._shards),
+                on_end=self._on_upstream_end,
+                max_buffer=self.max_buffer,
+            )
+            join = merge_ordered
+        else:
+            self._branches = share(
+                read, len(self._shards), on_end=self._on_upstream_end
+            )
+            join = merge_unordered
         outputs = [
             lender(branch) for lender, branch in zip(self._shards, self._branches)
         ]
-        join = merge_ordered if self.ordered else merge_unordered
         self._output = join(
             outputs, total=self._known_total, total_end=self._upstream_end_marker
         )
-        return self._output
+        merged = self._output
+
+        def output(end: End, cb: Callback) -> None:
+            if end is not None and self._output_end is None:
+                self._output_end = end if is_error(end) else DONE
+            merged(end, cb)
+
+        output.pull_role = "source"
+        return output
 
     def lend_stream(
         self,
@@ -134,7 +170,14 @@ class ShardedLender:
                 sub.shard = shard
             cb(err, sub)
 
-        return self._shards[shard].lend_stream(tagged)
+        lender = self._shards[shard]
+        if lender.ended and self._output_end is None:
+            # The joiner retired this shard because the merged output has
+            # every value (or errored); the consumer did not abort, so a late
+            # worker gets a sub-stream that ends on its first borrow, as on a
+            # drained single lender.
+            return lender._open_substream(tagged)
+        return lender.lend_stream(tagged)
 
     def set_trace(self, emit: Callable[..., object]) -> None:
         """Install *emit* (``TraceLog.emit``-shaped) across the composition.
@@ -159,7 +202,7 @@ class ShardedLender:
         shard that still has some, whatever its count: a worker placed there
         would borrow nothing, and a shard that just lost its last worker
         counts as few open sub-streams as one whose workers all finished.
-        With ``max_buffer`` set,
+        With ``max_buffer`` set (on unordered shards every depth is zero),
         ties between equally-loaded shards break towards the shard whose
         split-branch buffer is **deepest**: that shard is the one whose
         stall is parking the shared input pump, so it is where an extra
@@ -250,9 +293,15 @@ class ShardedLender:
 
     @property
     def ended(self) -> bool:
-        """True once any shard's output was aborted (downstream abort or a
-        shard error reaches every other shard through the joiner)."""
-        return any(lender.ended for lender in self._shards)
+        """True once the consumer aborted the merged output, as
+        :attr:`StreamLender.ended <repro.core.lender.StreamLender.ended>`.
+
+        A shard the joiner retired (its slice delivered, or nothing to read
+        before the input ended) does not count: the map's output merely
+        drained, and a worker attaching now gets a sub-stream that ends on
+        its first borrow.
+        """
+        return self._output_end is not None
 
     @property
     def outstanding(self) -> int:

@@ -80,6 +80,9 @@ class ChannelEndpoint:
         self.closed = False
         self.crashed = False
         self.close_reason: Optional[BaseException] = None
+        #: the peer closed the whole connection (it left), as opposed to the
+        #: two half-closes of a stream that ran out of data
+        self.peer_closed = False
         self._incoming = Pushable()
         self._outgoing_aborted = False
         self._last_arrival = 0.0
@@ -271,6 +274,7 @@ class ChannelEndpoint:
                 if self._write_closed:
                     self._shutdown(None)
             else:
+                self.peer_closed = True
                 self._shutdown(None)
 
     def _on_heartbeat_failure(self) -> None:

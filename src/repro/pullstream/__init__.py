@@ -57,7 +57,7 @@ from .sinks import (
     on_end,
     reduce,
 )
-from .split import SplitBranches, merge_ordered, merge_unordered, split
+from .split import SplitBranches, merge_ordered, merge_unordered, share, split
 from .async_map import async_map
 from .pushable import Pushable, pushable
 from .duplex import Duplex, connect_duplex, duplex, duplex_pair
@@ -108,6 +108,7 @@ __all__ = [
     "SplitBranches",
     "merge_ordered",
     "merge_unordered",
+    "share",
     "split",
     # sinks
     "SinkResult",

@@ -1,14 +1,21 @@
-"""Round-robin stream splitting and in-order merging (multi-master support).
+"""Stream splitting and merging (multi-master support).
 
 A single :class:`~repro.core.lender.StreamLender` is one ordering domain: one
 reorder buffer, one upstream pump.  Sharding the master across several
-lenders needs two new pull-stream combinators:
+lenders needs a splitter and a joiner:
 
 * :func:`split` fans one source out into *n* **branch** sources, assigning
   value ``i`` of the input to branch ``i % n`` (round-robin).  Branches pull
   independently and lazily: the upstream is only read while some branch has
   an unanswered ask, and values destined for a branch that is not currently
-  asking are buffered until it does.
+  asking are buffered until it does (up to *max_buffer* each).
+* :func:`share` fans one source out **on demand**: each upstream value goes
+  to the branch that has waited longest for one, and nothing is buffered.
+  It is the lender's own rule (a value is lent only when a worker asks for
+  one, so faster workers get more) applied to whole shards, and it
+  serves unordered shards, where no interleaving has to be reconstructed: a
+  shard that falls behind takes fewer values instead of queueing its
+  round-robin share behind its stall.
 * :func:`merge_ordered` joins *n* sources back into one by interleaving them
   in turn order (source 0, 1, ..., n-1, 0, ...).  When the sources are the
   ordered outputs of lenders fed by :func:`split`, the interleaving
@@ -20,12 +27,13 @@ lenders needs two new pull-stream combinators:
   where the first answer wins and holding a result back behind a slower
   sibling shard wastes exactly the latency the search cares about.
 
-The splitter's upstream pump runs on :class:`~repro.pullstream.loop.Loop`,
+Both splitters' upstream pumps run on :class:`~repro.pullstream.loop.Loop`,
 the core's one re-entrancy trampoline: a branch asking again from inside a
 synchronous answer becomes the pump's next turn, not a nested read.
 
-Together they form the splitter/joiner pair around a
-:class:`~repro.core.sharding.ShardedLender`::
+The splitter/joiner pairs around a
+:class:`~repro.core.sharding.ShardedLender` are ``split``/``merge_ordered``
+(global input order) and ``share``/``merge_unordered`` (completion order)::
 
     branches = split(read, n)
     merged = merge_ordered([lender(branch) for lender, branch
@@ -35,17 +43,17 @@ Together they form the splitter/joiner pair around a
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from .loop import Loop
 from .protocol import DONE, Callback, End, Source, ignore_answer, is_error
 
-__all__ = ["SplitBranches", "split", "merge_ordered", "merge_unordered"]
+__all__ = ["SplitBranches", "split", "share", "merge_ordered", "merge_unordered"]
 
 
 class SplitBranches(List[Source]):
-    """The branch sources returned by :func:`split`.
+    """The branch sources returned by :func:`split` and :func:`share`.
 
     Behaves as a plain list of sources, with introspection properties used by
     the sharded master: how many values the splitter has read from the
@@ -76,13 +84,38 @@ class SplitBranches(List[Source]):
 
     @property
     def buffer_depths(self) -> List[int]:
-        """Values currently buffered per branch (index = branch id)."""
+        """Values currently buffered per branch (index = branch id); all
+        zeros for :func:`share`, which never buffers."""
         return [len(buffer) for buffer in self._state["buffers"]]
 
     @property
     def max_buffer(self) -> Optional[int]:
         """The per-branch buffer cap (``None`` when unbounded)."""
         return self._state["max_buffer"]
+
+
+def _termination(state: dict) -> End:
+    """The end every branch ask is answered with once no value can come."""
+    if is_error(state["aborted"]):
+        return state["aborted"]
+    if is_error(state["ended"]):
+        return state["ended"]
+    return DONE
+
+
+def _abort_upstream(
+    state: dict, read: Source, end: End, flush_end: Callable[[], None]
+) -> None:
+    """A branch aborted: end every parked branch ask and abort the upstream
+    (once; an upstream ask may still be in flight, its late answer is
+    dropped)."""
+    if state["aborted"] is not None:
+        return
+    state["aborted"] = end if is_error(end) else DONE
+    flush_end()
+    if state["ended"] is None:
+        state["ended"] = state["aborted"]
+        read(end, ignore_answer)
 
 
 def split(
@@ -139,20 +172,13 @@ def split(
         "max_buffer": max_buffer,
     }
 
-    def termination() -> End:
-        if is_error(state["aborted"]):
-            return state["aborted"]
-        if is_error(state["ended"]):
-            return state["ended"]
-        return DONE
-
     def flush_end() -> None:
         """Answer every parked branch ask once no more values can arrive."""
         for index in range(n):
             cb = waiting[index]
             if cb is not None and not buffers[index]:
                 waiting[index] = None
-                cb(termination(), None)
+                cb(_termination(state), None)
 
     def answer(end: End, value: Any) -> None:
         state["reading"] = False
@@ -199,26 +225,17 @@ def split(
 
     pump = Loop(step).run
 
-    def abort(end: End, cb: Callback) -> None:
-        if state["aborted"] is None:
-            state["aborted"] = end if is_error(end) else DONE
-            for buffer in buffers:
-                buffer.clear()
-            flush_end()
-            if state["ended"] is None:
-                # An abort may be issued even while an upstream ask is in
-                # flight (the late answer is dropped above).
-                state["ended"] = state["aborted"]
-                read(end, ignore_answer)
-        cb(termination(), None)
-
     def make_branch(index: int) -> Source:
         def branch(end: End, cb: Callback) -> None:
             if end is not None:
-                abort(end, cb)
+                if state["aborted"] is None:
+                    for buffer in buffers:
+                        buffer.clear()
+                _abort_upstream(state, read, end, flush_end)
+                cb(_termination(state), None)
                 return
             if state["aborted"] is not None:
-                cb(termination(), None)
+                cb(_termination(state), None)
                 return
             if buffers[index]:
                 cb(None, buffers[index].popleft())
@@ -227,7 +244,7 @@ def split(
                 pump()
                 return
             if state["ended"] is not None:
-                cb(termination(), None)
+                cb(_termination(state), None)
                 return
             if waiting[index] is not None:
                 cb(
@@ -238,6 +255,103 @@ def split(
                 )
                 return
             waiting[index] = cb
+            pump()
+
+        branch.pull_role = "source"
+        return branch
+
+    return SplitBranches([make_branch(index) for index in range(n)], state)
+
+
+def share(
+    read: Source,
+    n: int,
+    on_end: Optional[Callable[[End], None]] = None,
+) -> SplitBranches:
+    """Split *read* into *n* branch sources that take values on demand.
+
+    The upstream is read only while some branch has a parked ask, one value
+    per read, and each value answers the **oldest** parked ask: the branch
+    that has waited longest gets it.  Nothing is ever buffered, so a branch
+    that stops asking holds no values back from its siblings — the order of
+    the values across branches follows the order of the asks, which is why
+    only a completion-order joiner (:func:`merge_unordered`) can sit behind
+    it.
+
+    Terminations follow :func:`split`: when the upstream ends, every parked
+    and later ask is answered with the termination and *on_end* is called
+    once; when any branch aborts, the upstream is aborted and every other
+    branch is answered with the termination.  A second concurrent ask on one
+    branch is answered with a :class:`~repro.errors.ProtocolError`.
+    """
+    if n < 1:
+        raise ValueError("share requires at least one branch")
+    parked: Deque[Tuple[int, Callback]] = deque()  # oldest ask first
+    asking = [False] * n
+    state = {
+        "next": 0,       # values read from the upstream so far
+        "ended": None,   # upstream termination
+        "aborted": None, # branch-initiated abort
+        "reading": False,
+        "buffers": [()] * n,
+        "max_buffer": None,
+    }
+
+    def flush_end() -> None:
+        while parked:
+            index, cb = parked.popleft()
+            asking[index] = False
+            cb(_termination(state), None)
+
+    def answer(end: End, value: Any) -> None:
+        state["reading"] = False
+        if state["aborted"] is not None:
+            return  # late answer after a branch abort; the value is dropped
+        if end is not None:
+            state["ended"] = end if is_error(end) else DONE
+            flush_end()
+            if on_end is not None:
+                on_end(state["ended"])
+            return
+        state["next"] += 1
+        # A read is only issued for a parked ask, and only an answer or a
+        # termination takes one off the queue.
+        index, cb = parked.popleft()
+        asking[index] = False
+        cb(None, value)
+        pump()
+
+    def step() -> None:
+        if (
+            parked
+            and state["ended"] is None
+            and state["aborted"] is None
+            and not state["reading"]
+        ):
+            state["reading"] = True
+            read(None, answer)  # ``answer`` runs the next turn
+
+    pump = Loop(step).run
+
+    def make_branch(index: int) -> Source:
+        def branch(end: End, cb: Callback) -> None:
+            if end is not None:
+                _abort_upstream(state, read, end, flush_end)
+                cb(_termination(state), None)
+                return
+            if state["ended"] is not None or state["aborted"] is not None:
+                cb(_termination(state), None)
+                return
+            if asking[index]:
+                cb(
+                    ProtocolError(
+                        f"share branch {index} asked twice concurrently"
+                    ),
+                    None,
+                )
+                return
+            asking[index] = True
+            parked.append((index, cb))
             pump()
 
         branch.pull_role = "source"
@@ -372,7 +486,7 @@ def merge_unordered(
     first; later answers are buffered and satisfy subsequent downstream asks
     without re-asking.  No interleaving discipline is imposed, so joining the
     outputs of :class:`~repro.core.lender.UnorderedStreamLender` shards fed
-    by :func:`split` yields the "first answer wins" semantics the paper's
+    by :func:`share` yields the "first answer wins" semantics the paper's
     synchronous parallel search (crypto mining, section 4.2) needs: a hit
     found on a fast shard is never held back behind a slower sibling.
 

@@ -36,7 +36,7 @@ from ..devices.profiles import DeviceProfile, devices_for_setting
 from ..errors import DeploymentError, PandoError
 from ..master.bundler import bundle_function
 from ..master.registry import VolunteerRecord
-from ..net.channel import TRANSPORTS, SimChannel
+from ..net.channel import TRANSPORTS, ChannelEndpoint, SimChannel
 from ..net.signaling import Deployment, PublicServer
 from ..pullstream import collect, drain, from_iterable, pull, through
 from ..pullstream.sinks import SinkResult
@@ -400,7 +400,7 @@ class DeploymentScenario:
                 channel.local.close()
                 return
             channel.local.on_close(
-                lambda reason: self._on_channel_closed(record, reason)
+                lambda reason: self._on_channel_closed(record, channel.local, reason)
             )
             volunteer.attach_tab(tab_index, channel.remote, self.bundle, self.metrics)
             self.log.append(
@@ -411,11 +411,18 @@ class DeploymentScenario:
         channel.connect(connected)
 
     def _on_channel_closed(
-        self, record: VolunteerRecord, reason: Optional[BaseException]
+        self,
+        record: VolunteerRecord,
+        endpoint: ChannelEndpoint,
+        reason: Optional[BaseException],
     ) -> None:
         if self._shut_down:
             return
         crashed = reason is not None
+        if not crashed and not endpoint.peer_closed:
+            # The master closed it: the tab's sub-stream ran out of inputs
+            # (both half-closes) or the job ended.  The volunteer stays.
+            return
         # one line per volunteer: its first closed tab records the departure
         departed = self.dmap.registry.mark_left(
             record.volunteer_id, self.scheduler.now, crashed=crashed

@@ -100,13 +100,18 @@ def drive_to_completion(sharded, output, drivers, rounds, check):
 
 
 def assert_shard_accounting(sharded, inputs, workers):
-    """Per-shard slice accounting and the conservativeness invariant."""
+    """Per-shard slice accounting and the conservativeness invariant.
+
+    An ordered shard reads exactly its round-robin slice; an unordered one
+    reads what its workers asked for, so only its own reads and deliveries
+    must match (and all shards' reads add up to the input, below).
+    """
     shards = sharded.shard_count
     for shard, lender in enumerate(sharded.shards):
         stats = lender.stats
-        expected = len(range(shard, inputs, shards))
-        assert stats.values_read == expected
-        assert stats.results_delivered == expected
+        if sharded.ordered:
+            assert stats.values_read == len(range(shard, inputs, shards))
+        assert stats.results_delivered == stats.values_read
         assert lender.outstanding == 0
         assert lender.relendable == 0
         assert stats.values_lent == (
@@ -181,25 +186,30 @@ class TestUnorderedShardedChurn:
             sharded, output, drivers, 10 * INPUTS, assert_open_counts
         )
 
-        # Exactly once: a permutation of the expected results.
+        # Exactly once: a permutation of the expected results, and every
+        # value read by exactly one shard (on demand, not in round-robin
+        # slices).
         assert sorted(output.result()) == [value * 10 for value in inputs]
         assert_shard_accounting(sharded, INPUTS, WORKERS)
 
     def test_bounded_split_buffer_survives_churn(
         self, substream_driver, assert_open_counts
     ):
-        """The churn run with ``max_buffer=2``: back-pressure must not cost
-        liveness (every shard keeps a survivor, so every parked pump is
-        eventually released) and delivery stays exactly-once."""
+        """The churn run with ``max_buffer=2``: unordered shards take values
+        on demand, so the cap bounds nothing — no branch buffers a value at
+        any step of the run — and delivery stays exactly-once."""
         sharded = ShardedLender(shards=SHARDS, ordered=False, max_buffer=2)
+
+        def check(*lenders):
+            assert_open_counts(*lenders)
+            assert sharded._branches.buffer_depths == [0] * SHARDS
+
         inputs, output, drivers, _placements = build_churn_run(
-            sharded, substream_driver, assert_open_counts
+            sharded, substream_driver, check
         )
-        drive_to_completion(
-            sharded, output, drivers, 10 * INPUTS, assert_open_counts
-        )
+        assert sharded._branches.max_buffer is None
+        drive_to_completion(sharded, output, drivers, 10 * INPUTS, check)
         assert sorted(output.result()) == [value * 10 for value in inputs]
-        assert sharded._branches.buffer_depths == [0] * SHARDS
         assert_shard_accounting(sharded, INPUTS, WORKERS)
 
     def test_no_wedge_when_a_shards_workers_all_die(

@@ -161,8 +161,10 @@ class TestShardedLender:
         assert output.result() == [0, 10, 20]
 
     def test_unordered_delivers_in_completion_order(self, substream_driver):
-        """A fast shard's results are not held back behind a slow sibling:
-        the first deliveries all come from shard 1 while shard 0 stalls."""
+        """A fast shard's results are not held back behind a slow sibling,
+        and a stalled shard holds no values back from it: while shard 0
+        sits on the one value it asked for, shard 1 takes and delivers every
+        other value."""
         from repro.pullstream import tap
 
         sharded = ShardedLender(shards=2, ordered=False)
@@ -173,11 +175,12 @@ class TestShardedLender:
             lend(sharded, shard=0), auto_deliver=False, max_in_flight=1
         ).start()
         fast = substream_driver(lend(sharded, shard=1)).start()
-        # Shard 1 (odd inputs) has delivered everything it can; shard 0
-        # holds its first result back.  In ordered mode nothing would have
-        # reached the sink yet (global value 0 belongs to shard 0).
+        # Shard 0 asked first and took value 0; the idle shard 1 took every
+        # value it asked for after that.  In ordered mode nothing would have
+        # reached the sink yet (global value 0 comes first).
         assert not output.done
-        assert delivered == [value * 10 for value in (1, 3, 5, 7, 9)]
+        assert delivered == [value * 10 for value in range(1, 10)]
+        assert [stats.values_read for stats in sharded.shard_stats] == [1, 9]
         slow.deliver_all()
         while not output.done:
             slow.deliver_all()
@@ -331,6 +334,9 @@ class TestDistributedMapSharded:
             dmap.close()
 
     def test_unordered_sharded_map_local_workers(self):
+        """A synchronous local worker drains the whole input through its own
+        shard as it attaches (values go where they are asked for); the
+        second worker attaches to the drained map without an error."""
         dmap = DistributedMap(ordered=False, shards=2)
         assert not dmap.lender.ordered
         sink = pull(values(list(range(20))), dmap, collect())
@@ -340,6 +346,24 @@ class TestDistributedMapSharded:
         assert [handle.shard for handle in handles] == [0, 1]
         assert sorted(sink.result()) == [v * v for v in range(20)]
         assert dmap.stats.results_delivered == 20
+        assert [s.values_read for s in dmap.lender.shard_stats] == [20, 0]
+
+    def test_a_worker_attaching_after_the_unordered_drain_is_accepted(self):
+        """The joiner retires a shard that never read a value once the
+        merged output has every value; that is a drain, not an abort, so a
+        late worker is accepted as on an unsharded map and its sub-stream
+        ends on its first borrow."""
+        dmap = DistributedMap(ordered=False, shards=2)
+        sink = pull(values(list(range(4))), dmap, collect())
+        first = dmap.add_local_worker(lambda v, cb: cb(None, v + 1))
+        assert sorted(sink.result()) == [1, 2, 3, 4]
+        assert dmap.lender.shards[1].ended  # retired by the joiner
+        assert not dmap.lender.ended and not dmap.closed
+        late = dmap.add_local_worker(lambda v, cb: cb(None, v + 1))
+        assert (first.shard, late.shard) == (0, 1)
+        assert late.closed
+        assert dmap.stats.results_delivered == 4
+        assert [s.values_read for s in dmap.lender.shard_stats] == [4, 0]
 
     def test_unordered_sharded_pools_drive_completes(self):
         dmap = DistributedMap(ordered=False, shards=2, batch_size=2)

@@ -102,7 +102,7 @@ def test_golden_cell_pins_placement_and_stats():
 #: events, network bytes and, where churn shapes them, registry tallies
 MATRIX_PINS = {
     "abort-skew": (abort_cell, 1.9537125418897863, 3539, 516138, None),
-    "scale-1000": (scale_cell, 0.8396388363743484, 12806, 100479266, (1000, 345)),
+    "scale-1000": (scale_cell, 0.839023928386177, 13021, 100480226, (1000, 0)),
 }
 
 
@@ -143,6 +143,16 @@ def test_thousand_volunteer_cell_within_wall_budget():
         f"scale cell took {cell_result.wall_seconds:.1f}s wall "
         f"(seed={cell.seed}, events={cell_result.events_processed})"
     )
+
+
+def test_a_cell_without_churn_records_no_departures():
+    """A sharded cell schedules no churn, so nobody leaves: a channel the
+    master closes because its tab's sub-stream ran out of inputs (both
+    half-closes, before the run completes) is not a volunteer leaving."""
+    cell_result = run_verified(scale_cell(volunteers=40, inputs=120))
+    assert cell_result.schedule_info.schedule is None
+    registry = cell_result.result.registry
+    assert (registry["joins"], registry["crashes"], registry["leaves"]) == (40, 0, 0)
 
 
 # ------------------------------------------------- joining costs no introspection

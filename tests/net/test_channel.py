@@ -125,6 +125,7 @@ class TestSimChannel:
         scheduler.run_until(scheduler.now + 1.0)
         assert at_remote.done
         assert at_remote.end is not None and not isinstance(at_remote.end, Exception)
+        assert channel.remote.peer_closed and not channel.local.peer_closed
 
     def test_crash_detected_by_heartbeat_timeout(self, scheduler, network):
         channel = connect(
@@ -171,6 +172,8 @@ class TestSimChannel:
         scheduler.run_until(scheduler.now + 1.0)
         assert channel.local.closed and channel.remote.closed
         assert reasons == [None, None]
+        # a stream that ran out of data both ways: nobody closed on the other
+        assert not channel.local.peer_closed and not channel.remote.peer_closed
 
     def test_teardown_puts_no_frame_on_the_wire(self, scheduler, network):
         channel = connect(SimChannel(scheduler, network, "a", "b"))

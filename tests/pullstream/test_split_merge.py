@@ -1,4 +1,4 @@
-"""Tests for the round-robin splitter/joiner pair (multi-master support)."""
+"""Tests for the splitters and joiners (multi-master support)."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from repro.pullstream import (
     merge_unordered,
     pull,
     pushable,
+    share,
     split,
     values,
 )
@@ -134,6 +135,109 @@ class TestSplit:
     def test_requires_at_least_one_branch(self):
         with pytest.raises(ValueError):
             split(values([1]), 0)
+
+
+class TestShare:
+    def test_each_value_goes_to_the_branch_that_asks(self):
+        branches = share(values(list(range(6))), 3)
+        # One branch asking alone takes every value: nothing is set aside
+        # for its idle siblings.
+        assert [ask(branches[2])[1] for _ in range(4)] == [0, 1, 2, 3]
+        assert ask(branches[0]) == (None, 4)
+        assert ask(branches[1]) == (None, 5)
+        assert branches.buffer_depths == [0, 0, 0]
+        assert branches.max_buffer is None
+        for branch in branches:
+            assert ask(branch)[0] is DONE
+        assert branches.values_read == 6
+
+    def test_lazy_until_a_branch_asks(self):
+        reads = []
+
+        def counting(end, cb):
+            reads.append(end)
+            values([1, 2, 3, 4])(end, cb)
+
+        branches = share(counting, 2)
+        assert reads == []
+        assert ask(branches[1])[1] == 1
+        assert len(reads) == 1
+
+    def test_the_longest_waiting_ask_is_answered_first(self):
+        source = pushable()
+        branches = share(source, 3)
+        answers = []
+        for index in (2, 0, 1):
+            branches[index](
+                None, lambda end, value, index=index: answers.append((index, value))
+            )
+        assert answers == []
+        source.push("a")
+        source.push("b")
+        assert answers == [(2, "a"), (0, "b")]
+        # a branch asking again queues behind the one still waiting
+        branches[2](None, lambda end, value: answers.append((2, value)))
+        source.push("c")
+        source.push("d")
+        assert answers[2:] == [(1, "c"), (2, "d")]
+
+    def test_parked_and_later_asks_get_the_termination(self):
+        source = pushable()
+        ends = []
+        branches = share(source, 2, on_end=ends.append)
+        answers = []
+        branches[0](None, lambda end, value: answers.append((end, value)))
+        branches[1](None, lambda end, value: answers.append((end, value)))
+        source.push(7)
+        source.end()
+        assert answers == [(None, 7), (DONE, None)]
+        assert ask(branches[0])[0] is DONE
+        assert ends == [DONE]
+        assert branches.upstream_ended and branches.values_read == 1
+
+    def test_error_termination_propagates(self):
+        boom = RuntimeError("boom")
+
+        def erroring(end, cb):
+            cb(boom, None)
+
+        branches = share(erroring, 2)
+        assert ask(branches[0])[0] is boom
+        assert ask(branches[1])[0] is boom
+        assert branches.upstream_end is boom
+
+    def test_branch_abort_aborts_upstream_and_answers_siblings(self):
+        upstream_aborts = []
+        inner = pushable()
+
+        def observed(end, cb):
+            if end is not None:
+                upstream_aborts.append(end)
+            inner(end, cb)
+
+        boom = RuntimeError("branch failed")
+        branches = share(observed, 2)
+        parked = []
+        branches[1](None, lambda end, value: parked.append(end))
+        end, _ = abort(branches[0], boom)
+        assert end is boom
+        assert upstream_aborts == [boom]
+        assert parked == [boom]
+        assert ask(branches[1])[0] is boom
+
+    def test_concurrent_branch_ask_is_a_protocol_error(self):
+        source = pushable()
+        branches = share(source, 2)
+        first = []
+        branches[1](None, lambda end, value: first.append(value))
+        end, _ = ask(branches[1])
+        assert isinstance(end, ProtocolError)
+        source.push(3)
+        assert first == [3]  # the parked ask is still served
+
+    def test_requires_at_least_one_branch(self):
+        with pytest.raises(ValueError):
+            share(values([]), 0)
 
 
 class TestSplitMaxBuffer:

@@ -11,7 +11,11 @@ that
   delivery;
 * with ``max_buffer=N`` no branch ever buffers more than N values;
 * a downstream abort delivers a distinct prefix/subset of the input, aborts
-  the upstream exactly once, and leaves every branch buffer empty.
+  the upstream exactly once, and leaves every branch buffer empty;
+* ``share`` hands each upstream value to exactly one branch, the one whose
+  parked ask is oldest, reads nothing while no ask is parked, and answers
+  every parked ask exactly once, over random interleavings of branch asks,
+  branch aborts and upstream values, ends and errors.
 
 The asynchrony that generates interesting interleavings comes from a *relay*
 inserted between each branch and the joiner: the relay forwards asks
@@ -25,7 +29,16 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.pullstream import DONE, is_error, merge_ordered, merge_unordered, split, values
+from repro.errors import ProtocolError
+from repro.pullstream import (
+    DONE,
+    is_error,
+    merge_ordered,
+    merge_unordered,
+    share,
+    split,
+    values,
+)
 
 
 class Relay:
@@ -199,3 +212,128 @@ def test_abort_points_never_duplicate_or_wedge(
         else:
             assert sorted(outputs) == run["inputs"]
     assert run["depth_violations"] == []
+
+
+# ------------------------------------------------------------------ share
+class HeldUpstream:
+    """An upstream whose reads wait for the test to answer them, checking
+    that ``share`` only reads for a parked ask, one read at a time, and
+    never once the upstream ended or was aborted."""
+
+    def __init__(self, model):
+        self.model = model
+        self.pending = None  # the callback of the read in flight
+        self.ended = False
+        self.aborts = []
+
+    def __call__(self, end, cb):
+        if end is not None:
+            self.aborts.append(end)
+            cb(end, None)
+            return
+        assert self.pending is None, "a second read while one is in flight"
+        assert self.model.parked, "read with no parked ask"
+        assert not self.ended and not self.aborts, "read after the end"
+        self.pending = cb
+
+    def answer(self, end, value=None):
+        cb, self.pending = self.pending, None
+        if end is not None:
+            self.ended = True
+        cb(end, value)
+
+
+class ShareModel:
+    """The oracle: parked asks in arrival order, each answered once."""
+
+    def __init__(self, n_branches):
+        self.parked = []       # ask ids, oldest first
+        self.branch_of = {}
+        self.asking = [None] * n_branches  # the parked ask id per branch
+        self.answers = {}      # ask id -> (end, value)
+        self.delivered = []    # (branch, value) in delivery order
+        self.ids = 0
+        self.branches = None
+        self.rechain = set()   # branches that ask again from their answer
+
+    def ask(self, branch):
+        ask_id = self.ids
+        self.ids += 1
+        if self.asking[branch] is not None:
+            box = []
+            self.branches[branch](None, lambda end, value: box.append(end))
+            assert len(box) == 1 and isinstance(box[0], ProtocolError)
+            return
+        self.asking[branch] = ask_id
+        self.branch_of[ask_id] = branch
+        self.parked.append(ask_id)
+        self.branches[branch](None, lambda end, value: self.on_answer(ask_id, end, value))
+
+    def on_answer(self, ask_id, end, value):
+        assert ask_id not in self.answers, "an ask answered twice"
+        self.answers[ask_id] = (end, value)
+        branch = self.branch_of[ask_id]
+        if end is None:
+            assert self.parked[0] == ask_id, "a value skipped an older ask"
+            self.delivered.append((branch, value))
+        self.parked.remove(ask_id)
+        self.asking[branch] = None
+        if end is None and branch in self.rechain:
+            self.ask(branch)  # re-entrant: asks again inside its answer
+
+
+SHARE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["ask", "ask", "ask", "value", "value", "end", "fail", "abort"]),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_branches=st.integers(min_value=1, max_value=4),
+    ops=SHARE_OPS,
+    rechain=st.sets(st.integers(min_value=0, max_value=3), max_size=2),
+)
+def test_share_hands_each_value_to_the_oldest_parked_ask(n_branches, ops, rechain):
+    model = ShareModel(n_branches)
+    model.rechain = rechain
+    upstream = HeldUpstream(model)
+    branches = share(upstream, n_branches)
+    model.branches = branches
+    sent = []
+    boom = RuntimeError("upstream failed")
+    for op, pick in ops:
+        if op == "ask":
+            model.ask(pick % n_branches)
+        elif op == "abort":
+            end = DONE if pick % 2 else RuntimeError("branch failed")
+            box = []
+            branches[pick % n_branches](end, lambda e, v: box.append(e))
+            assert len(box) == 1
+        elif upstream.pending is not None:
+            # After a branch abort the read in flight still gets its answer:
+            # ``share`` drops it.
+            if op == "value":
+                value = len(sent) if not upstream.aborts else "late"
+                if not upstream.aborts:
+                    sent.append(value)
+                upstream.answer(None, value)
+            else:
+                upstream.answer(DONE if op == "end" else boom)
+        assert branches.buffer_depths == [0] * n_branches
+        # Nothing is read unless an ask is parked, and a parked ask always
+        # has a read in flight for it while the upstream is open.
+        if model.parked and not branches.upstream_ended:
+            assert upstream.pending is not None
+    # Each value read reached exactly one branch, in the order it was read.
+    assert [value for _branch, value in model.delivered] == sent
+    assert branches.values_read == len(sent)
+    # Close the upstream: every ask still parked is answered, exactly once.
+    if upstream.pending is not None:
+        upstream.answer(DONE)
+    assert model.parked == []
+    assert set(model.answers) == set(model.branch_of)
+    assert len(upstream.aborts) <= 1

@@ -210,14 +210,16 @@ def crypto_search_inputs(
 ) -> Tuple[List[Dict[str, Any]], int]:
     """Build a skewed crypto-search input set and return ``(items, nonce)``.
 
-    Attempts landing on shard 0 (indices ``0 mod shards``) are *slow*:
-    *slow_count* nonces checked against an impossible difficulty, so the
-    whole range is scanned and no hit is found.  The other shards' attempts
-    are tiny no-hit probes, except ``hit_index`` which contains a
-    precomputed valid nonce at the real *difficulty_bits*.  An ordered merge
-    must therefore deliver every slow attempt before ``hit_index``; a
-    completion-order merge delivers the hit as soon as its shard computes
-    it.
+    Attempts at indices ``0 mod shards`` are *slow*: *slow_count* nonces
+    checked against an impossible difficulty, so the whole range is scanned
+    and no hit is found.  The other attempts are tiny no-hit probes, except
+    ``hit_index`` which contains a precomputed valid nonce at the real
+    *difficulty_bits*.  On an ordered (round-robin) sharded map every slow
+    attempt lands on shard 0, and the ordered merge must deliver each one
+    before ``hit_index``.  An unordered sharded map hands values to whichever
+    shard asks first, so the slow attempts land on both shards and the hit
+    may wait in a pool's window behind one of them; the completion-order
+    merge still delivers it as soon as it is computed.
     """
     from ..apps.crypto import find_valid_nonce
 

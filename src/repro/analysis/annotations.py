@@ -20,12 +20,16 @@ machine-checkable property:
   checker walks *through* it, so everything an ``@any_thread`` function
   calls must itself be thread-safe or a crossing.
 
-Both decorators are free at call time unless the runtime asserts are
-enabled (``enable_thread_asserts()`` or the ``PANDO_THREAD_ASSERTS=1``
-environment variable), in which case ``@loop_only`` verifies the caller's
-thread identity against the thread registered by
-:func:`mark_loop_thread` — the dynamic complement the test suite uses to
-prove the annotations themselves are placed correctly.
+``@any_thread`` is free at call time: it only tags the function.
+``@loop_only`` is not: it returns a wrapper that runs on every call, asserts
+off or on — on CPython 3.11 (Xeon, 2 vCPUs) a wrapped method call costs
+~0.32 µs against ~0.06 µs called directly, and a pool reply passes through
+about five of them per value.  With the runtime asserts enabled
+(``enable_thread_asserts()`` or the ``PANDO_THREAD_ASSERTS=1`` environment
+variable) that wrapper also verifies the caller's thread identity against
+the thread registered by :func:`mark_loop_thread` — the dynamic complement
+the test suite uses to prove the annotations themselves are placed
+correctly.
 """
 
 from __future__ import annotations

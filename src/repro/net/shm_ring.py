@@ -21,6 +21,31 @@ that does not fit any slot, or finds the ring exhausted, simply stays
 in-band on the pipe: the ring degrades to the old transport, it never
 blocks and never drops.
 
+Every release in :class:`~repro.pool.process_pool.ProcessPoolWorker` is one
+of three, and none can hand a slot to a new frame while a child may still
+write to it:
+
+* ``_push_heads``, after the frame's reply has been copied out: the reply
+  is the child's last word on that frame — it wrote its results into the
+  slots *before* sending it — so the child is done with them;
+* ``_submit``, when packing the frame fails: the frame was never sent, so
+  no child has heard of its slots;
+* ``_shutdown``, just before ``ring.close()``: a child may still be running
+  one of those frames, but the closed ring acquires nothing again, so the
+  released slots are never reissued (the child's own mapping stays valid
+  until it exits).
+
+Reuse order: the free list is a stack — :meth:`ShmRing.acquire` reissues
+the slot released most recently, and a fresh ring hands out slot 0 first,
+then 1, and so on.  The slots a pool ever touches are therefore exactly
+``range(ring.peak_in_use)``, its in-flight high-water mark, which the
+Limiter window bounds: the ring *reserves* ``slot_count × slot_size`` of
+``/dev/shm`` but only the pages of the slots in that range ever become
+resident, in the master and in the children.  A FIFO free list walked every
+slot of the ring even at a window of a few frames (``tiles_shm``: 8 tiles in
+flight through 64 × 1 MiB slots touched all 64 MiB on both sides), and
+each slot it reissued was the one used least recently.
+
 Entry format (pickled inside the frame's control record)::
 
     ("inline", value, spare)              # in-band; *spare* is a slot the
@@ -40,9 +65,8 @@ start method, with the attachment cached per process.
 from __future__ import annotations
 
 import os
-from collections import deque
 from multiprocessing import shared_memory
-from typing import Any, Deque, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PandoError
 from .serialization import OOB_MIN_BYTES, oob_unpack
@@ -60,8 +84,10 @@ __all__ = [
 ]
 
 #: Default ring geometry: 32 slots of 1 MiB keeps two batched Limiter
-#: windows of large frames in flight while staying a rounding error on any
-#: host's /dev/shm.  Both knobs are per-pool configurable.
+#: windows of large frames in flight.  That is the reservation on /dev/shm, a
+#: rounding error on any host; what becomes resident is only the slots the
+#: window has had in flight at once (see "Reuse order" above).  Both knobs
+#: are per-pool configurable.
 DEFAULT_SLOT_COUNT = 32
 DEFAULT_SLOT_SIZE = 1 << 20
 
@@ -73,7 +99,8 @@ class ShmRing:
     processes (see :func:`attach_ring`) only read and write slot contents
     they were handed via control records.  ``acquire`` never blocks: it
     returns ``None`` when the ring is exhausted, which callers treat as the
-    in-band fallback.
+    in-band fallback.  It reissues the most recently released slot, so
+    the slots ever handed out are ``range(peak_in_use)``.
     """
 
     def __init__(
@@ -94,11 +121,13 @@ class ShmRing:
         # Fork-started pool children inherit this object; only the
         # creating process may unlink the block (see close()).
         self._owner_pid = os.getpid()
-        self._free: Deque[int] = deque(range(slot_count))
+        # A stack with slot 0 on top: acquire pops, release pushes.
+        self._free: List[int] = list(range(slot_count - 1, -1, -1))
         self._held: Set[int] = set()
         # counters for benches and the leak assertions of the test suite
         self.slots_acquired = 0
         self.slots_released = 0
+        self._peak_in_use = 0
         #: payloads that stayed in-band (too large for a slot, or exhausted)
         self.fallbacks = 0
         #: payload bytes moved through slots (both directions, master side)
@@ -112,6 +141,12 @@ class ShmRing:
         return len(self._held)
 
     @property
+    def peak_in_use(self) -> int:
+        """The most slots ever held at once: the ring's resident footprint
+        in slots, since only ``range(peak_in_use)`` was ever handed out."""
+        return self._peak_in_use
+
+    @property
     def free_slots(self) -> int:
         return len(self._free)
 
@@ -120,12 +155,15 @@ class ShmRing:
         return self._shm is None
 
     def acquire(self) -> Optional[int]:
-        """Take a free slot, or ``None`` when the ring is exhausted/closed."""
+        """Take the most recently released free slot, or ``None`` when the
+        ring is exhausted/closed."""
         if self._shm is None or not self._free:
             return None
-        slot = self._free.popleft()
+        slot = self._free.pop()
         self._held.add(slot)
         self.slots_acquired += 1
+        if len(self._held) > self._peak_in_use:
+            self._peak_in_use = len(self._held)
         return slot
 
     def release(self, slot: int) -> None:

@@ -13,7 +13,10 @@ geometries and frame interleavings:
   (``free + in_use == slot_count``) holds at every step;
 * **graceful fallback** — a payload larger than the largest slot (or
   arriving when the ring is exhausted) travels in-band and still
-  round-trips exactly.
+  round-trips exactly;
+* **footprint follows the window** — whatever the interleaving of acquires
+  and releases, the slots ever handed out are exactly
+  ``range(ring.peak_in_use)``.
 
 The child side runs in-process here (the helpers are the same module-level
 functions the executor children import), which keeps hypothesis shrinking
@@ -176,6 +179,36 @@ class TestNoLeaks:
                 ring.release_all(slots)
             assert ring.in_use == 0
             assert ring.slots_acquired == ring.slots_released
+
+
+class TestFootprint:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=10)),
+            max_size=40,
+        ),
+        slot_count=st.integers(min_value=1, max_value=8),
+    )
+    def test_the_slots_ever_handed_out_are_the_peak_in_use(self, script, slot_count):
+        """Acquire (True) or release the *pick*-th held slot (False), in any
+        order: the ring reissues released slots before it touches a new one,
+        so the distinct slots it has handed out are ``range(peak_in_use)``."""
+        with ShmRing(slot_count=slot_count, slot_size=64) as ring:
+            held, seen, peak = [], set(), 0
+            for acquire, pick in script:
+                if acquire:
+                    slot = ring.acquire()
+                    if slot is not None:
+                        held.append(slot)
+                        seen.add(slot)
+                elif held:
+                    ring.release(held.pop(pick % len(held)))
+                peak = max(peak, len(held))
+                assert ring.peak_in_use == peak
+                assert seen == set(range(ring.peak_in_use))
+            ring.release_all(held)
+            assert ring.peak_in_use == peak
 
 
 class TestFallback:

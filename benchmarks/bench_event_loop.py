@@ -1,6 +1,6 @@
 """Event-loop scheduler: interleaved transports on one thread.
 
-The claim checked here, on a **single unsharded master**: a process pool and
+The claim checked here, on **one master**: a process pool and
 a simulated network channel make progress **interleaved in one thread** —
 both workers deliver results, their deliveries alternate on the same event
 loop (the pool's from its pipe's reader callback, the channel's from a

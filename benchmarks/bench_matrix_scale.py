@@ -2,7 +2,7 @@
 
 The scale cell of the scenario matrix (``repro.sim.matrix.scale_cell``)
 deploys ≥1000 heterogeneous volunteers across LAN/VPN/WAN links and pushes
-3000 inputs through a 4-shard unordered master, all in *virtual* time on
+3000 inputs through one unordered lender, all in *virtual* time on
 one unpaced event loop.  The quantity this bench reports is the simulator's
 leverage: simulated deployment seconds per wall-clock second, and scheduler
 events per wall-clock second — the numbers that justify running the whole

@@ -3,7 +3,7 @@
 
 Every `DistributedMap` is driven by an `EventLoopScheduler`; every pool
 attached to it is registered there and delivers as its children answer, so
-all pools compute concurrently without sharding.  Passing a scheduler
+all pools compute concurrently behind one lender.  Passing a scheduler
 instance shares one loop between the map and a simulated network channel,
 which then interleaves with the pools on the same thread.
 

@@ -1,18 +1,20 @@
 #!/usr/bin/env python
-"""Crypto search across an unordered sharded master: first answer wins.
+"""Crypto search on an unordered master: first answer wins.
 
 The paper's motivating search scenario (section 4.2): many attempts test
 nonce ranges against a difficulty target, exactly one contains a valid
 nonce, and the only result anybody cares about is the first hit.  An
 *ordered* master would hold that hit hostage until every earlier attempt
-completed; ``DistributedMap(shards=N, ordered=False)`` merges the shard
-outputs in completion order instead, so the hit is delivered the moment any
-shard computes it — and the ``find`` sink then aborts the whole pipeline
-(early termination), cancelling the attempts still queued on every shard.
+completed; ``DistributedMap(ordered=False)`` releases each result the moment
+any worker computes it — and the ``find`` sink then aborts the whole
+pipeline (early termination), cancelling the attempts still queued.
+
+Two one-process pools serve the map.  Attempt 0 is slow; whichever pool
+takes it, the other one reaches the hit after a few quick probes.
 
 Run with::
 
-    python examples/unordered_search.py --shards 2 --slow-count 100000
+    python examples/unordered_search.py --slow-count 100000
 
 Add ``--ordered`` to watch the same search pay the in-order delivery tax.
 """
@@ -26,61 +28,46 @@ from repro import DistributedMap, pull
 from repro.pool.workloads import crypto_search_inputs
 from repro.pullstream import find, values
 
+POOLS = 2
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument(
         "--slow-count", type=int, default=100_000,
-        help="nonces per slow attempt (the ranges the hit must not wait for)",
+        help="nonces in the slow attempt (the range the hit must not wait for)",
     )
     parser.add_argument(
         "--values", type=int, default=12, help="number of search attempts"
     )
     parser.add_argument(
-        "--split-buffer", type=int, default=4,
-        help="per-shard input buffer cap (bounds memory if a shard stalls; "
-        "--ordered only: unordered shards take values on demand)",
-    )
-    parser.add_argument(
         "--ordered", action="store_true",
-        help="use the ordered merge instead, for comparison",
+        help="deliver in input order instead, for comparison",
     )
     args = parser.parse_args()
-    if args.shards < 2:
-        parser.error("--shards must be >= 2 (the unordered merge joins "
-                     "multiple shards; use ordered=False on an unsharded "
-                     "map for single-lender completion order)")
     if args.values < 2:
-        parser.error("--values must be >= 2 (one slow attempt plus the hit)")
+        parser.error("--values must be >= 2 (the slow attempt plus the hit)")
 
-    # The hit must land on a fast shard (index % shards != 0) and inside the
-    # input; prefer a later index so the in-order delivery tax is visible.
-    hit_index = 5 if args.values > 5 and 5 % args.shards != 0 else 1
+    # A later hit makes the in-order delivery tax visible.
+    hit_index = min(5, args.values - 1)
     attempts, nonce = crypto_search_inputs(
-        args.slow_count, shards=args.shards, values=args.values,
-        hit_index=hit_index,
+        args.slow_count, values=args.values, hit_index=hit_index
     )
+    mode = "ordered" if args.ordered else "unordered"
     print(f"searching {args.values} attempts for nonce {nonce} "
-          f"on {args.shards} shards ({'ordered' if args.ordered else 'unordered'})")
+          f"on {POOLS} pools ({mode})")
 
     started = time.perf_counter()
-    dmap = DistributedMap(
-        ordered=args.ordered,
-        shards=args.shards,
-        batch_size=1,
-        split_buffer=args.split_buffer,
-    )
+    dmap = DistributedMap(ordered=args.ordered, batch_size=1)
     # ``find`` delivers the first hit and aborts the stream: early
-    # termination fans out through the completion-order merge to every
-    # shard, its workers, and the input.
+    # termination fans out to every pool and the input.
     sink = pull(
         values(attempts),
         dmap,
         find(lambda result: result.get("found")),
     )
     try:
-        for _ in range(args.shards):
+        for _ in range(POOLS):
             dmap.add_process_pool(
                 "repro.pool.workloads:search_nonces", processes=1, batch_size=1
             )

@@ -1,11 +1,12 @@
 """Thread-ownership annotations for the single-threaded stream world.
 
-The whole pull-stream machinery — lender, limiter, splitter, sinks — runs
-without locks because every callback is dispatched on exactly one thread:
-the thread spinning :meth:`~repro.sched.event_loop.EventLoopScheduler.run`
-(which is what ``DistributedMap.drive`` calls).  Work arrives from other
-threads only through the two sanctioned crossings, ``scheduler.wake()`` and
-:class:`~repro.sched.sources.PushablePort`.
+The whole pull-stream machinery — lender, limiter, sinks — runs without
+locks because every callback is dispatched on the thread that turns the
+loop: :meth:`~repro.sched.event_loop.EventLoopScheduler.run` (which is what
+``DistributedMap.drive`` calls) on the master, the session of
+:func:`~repro.worker.ws_volunteer.run_volunteer` in a volunteer.  Work
+arrives from other threads only through the two sanctioned crossings,
+``scheduler.wake()`` and :class:`~repro.sched.sources.PushablePort`.
 
 That contract used to live in docstrings.  These decorators make it a
 machine-checkable property:
@@ -26,10 +27,15 @@ off or on — on CPython 3.11 (Xeon, 2 vCPUs) a wrapped method call costs
 ~0.32 µs against ~0.06 µs called directly, and a pool reply passes through
 about five of them per value.  With the runtime asserts enabled
 (``enable_thread_asserts()`` or the ``PANDO_THREAD_ASSERTS=1`` environment
-variable) that wrapper also verifies the caller's thread identity against
-the thread registered by :func:`mark_loop_thread` — the dynamic complement
-the test suite uses to prove the annotations themselves are placed
-correctly.
+variable) that wrapper also checks that the caller is one of the threads
+registered by :func:`mark_loop_thread`: the creator of each
+:class:`~repro.sched.loop.Loop` until that loop is closed, and the thread
+inside ``EventLoopScheduler.run``.  A master and an in-process volunteer
+each pass on their own thread, while a tab, an executor or a scrape thread
+raises.  While no thread is registered nothing is checked.  The suite arms
+the check on product code in ``tests/analysis/test_thread_asserts_armed.py``:
+a map with a process pool and an in-process volunteer, driven to
+completion.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, Dict, FrozenSet, Optional, TypeVar
 
 from ..errors import ThreadOwnershipError
 
@@ -48,7 +54,7 @@ __all__ = [
     "thread_asserts_enabled",
     "mark_loop_thread",
     "unmark_loop_thread",
-    "loop_thread_ident",
+    "loop_thread_idents",
     "ownership_of",
 ]
 
@@ -58,7 +64,8 @@ F = TypeVar("F", bound=Callable[..., Any])
 OWNERSHIP_ATTR = "__pando_thread_ownership__"
 
 _asserts_enabled = os.environ.get("PANDO_THREAD_ASSERTS", "") not in ("", "0")
-_loop_thread: Optional[int] = None
+#: ident -> how many times it is marked (nested marks of one thread count)
+_loop_threads: Dict[int, int] = {}
 
 
 def enable_thread_asserts(enabled: bool = True) -> None:
@@ -72,28 +79,32 @@ def thread_asserts_enabled() -> bool:
     return _asserts_enabled
 
 
-def mark_loop_thread(ident: Optional[int] = None) -> Optional[int]:
-    """Register *ident* (default: the current thread) as the dispatch thread.
-
-    Returns the previously registered ident so callers can restore it —
-    :meth:`EventLoopScheduler.run` marks on entry and restores on exit, which
-    keeps nested/sequential runs composable.
+def mark_loop_thread(ident: Optional[int] = None) -> int:
+    """Register *ident* (default: the current thread) as a thread that turns
+    a loop, and return it: pass it to :func:`unmark_loop_thread` when the
+    thread stops.  Marks nest — a thread stays registered until each of its
+    marks is undone — so sequential and nested runs compose.
     """
-    global _loop_thread
-    previous = _loop_thread
-    _loop_thread = ident if ident is not None else threading.get_ident()
-    return previous
+    if ident is None:
+        ident = threading.get_ident()
+    _loop_threads[ident] = _loop_threads.get(ident, 0) + 1
+    return ident
 
 
-def unmark_loop_thread(previous: Optional[int] = None) -> None:
-    """Deregister the dispatch thread (restoring *previous* when given)."""
-    global _loop_thread
-    _loop_thread = previous
+def unmark_loop_thread(ident: Optional[int] = None) -> None:
+    """Undo one mark of *ident* (default: the current thread)."""
+    if ident is None:
+        ident = threading.get_ident()
+    count = _loop_threads.get(ident, 0)
+    if count > 1:
+        _loop_threads[ident] = count - 1
+    else:
+        _loop_threads.pop(ident, None)
 
 
-def loop_thread_ident() -> Optional[int]:
-    """The currently registered dispatch thread ident, if any."""
-    return _loop_thread
+def loop_thread_idents() -> FrozenSet[int]:
+    """The idents of the threads currently registered as turning a loop."""
+    return frozenset(_loop_threads)
 
 
 def loop_only(fn: F) -> F:
@@ -106,14 +117,14 @@ def loop_only(fn: F) -> F:
 
     @functools.wraps(fn)
     def guarded(*args: Any, **kwargs: Any) -> Any:
-        if _asserts_enabled and _loop_thread is not None:
+        if _asserts_enabled and _loop_threads:
             current = threading.get_ident()
-            if current != _loop_thread:
+            if current not in _loop_threads:
                 raise ThreadOwnershipError(
                     f"{fn.__qualname__} is @loop_only but was entered from "
-                    f"thread {current} while thread {_loop_thread} owns the "
-                    f"dispatch loop; route the call through PushablePort or "
-                    f"scheduler.wake()"
+                    f"thread {current}, which turns no loop (threads "
+                    f"{sorted(_loop_threads)} do); route the call through "
+                    f"PushablePort or scheduler.wake()"
                 )
         return fn(*args, **kwargs)
 

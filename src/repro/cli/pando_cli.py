@@ -96,30 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the pipe transparently)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="number of master shards (multi-master): the input is "
-        "round-robin split across this many independent lenders and merged "
-        "back in input order; with --backend pool, one pool is attached per "
-        "shard and they pump concurrently",
-    )
-    parser.add_argument(
         "--unordered",
         action="store_true",
-        help="release results in completion order instead of input order; "
-        "with --shards > 1, shard outputs are merged in completion order "
-        "(first answer wins across shards)",
-    )
-    parser.add_argument(
-        "--split-buffer",
-        type=int,
-        default=None,
-        dest="split_buffer",
-        help="with --shards > 1: cap the round-robin splitter's per-shard "
-        "input buffer at this many values, back-pressuring the faster shards "
-        "when one shard stalls (default: unbounded); ordered runs only, "
-        "--unordered shards take values on demand and buffer none",
+        help="release results in completion order instead of input order "
+        "(first answer wins)",
     )
     parser.add_argument(
         "--count",
@@ -159,18 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pool_sizes(workers: int, pools: int) -> List[int]:
-    """Split *workers* processes across *pools* pools, remainder first.
-
-    Every pool gets at least one process (a shard cannot be served by an
-    empty pool), so the total is ``max(workers, pools)`` — never silently
-    less than requested.
-    """
-    workers = max(1, workers)
-    base, remainder = divmod(workers, pools)
-    return [max(1, base + (1 if index < remainder else 0)) for index in range(pools)]
-
-
 def _read_stdin(as_json: bool) -> Iterator[Any]:
     for line in sys.stdin:
         line = line.rstrip("\n")
@@ -195,8 +163,6 @@ def run_pipeline(
     ordered: bool = True,
     backend: str = "local",
     fn_ref: Any = None,
-    shards: int = 1,
-    split_buffer: Optional[int] = None,
     pool_transport: str = "pipe",
     metrics_port: Optional[int] = None,
     stats_out: Any = None,
@@ -204,20 +170,12 @@ def run_pipeline(
 ) -> List[Any]:
     """Run the distributed map and return the results.
 
-    ``backend="local"`` attaches *workers* in-process workers applying the
-    bundle's function synchronously; ``backend="pool"`` attaches one process
-    pool of *workers* OS processes executing *fn_ref* (any reference accepted
-    by :func:`repro.pool.tasks.resolve_callable`, defaulting to the bundle's
-    function, which must then be picklable).
-
-    With ``shards > 1`` the master is sharded: the pool backend attaches one
-    pool per shard (splitting *workers* processes between them, remainder
-    first, at least one each) and drives them concurrently; the local
-    backend attaches at least one worker per shard so every shard is served.
-    ``ordered=False`` on a sharded run hands each value to the shard that
-    asks first and merges the shard outputs in completion order;
-    *split_buffer* caps the ordered splitter's per-shard buffering (see
-    :class:`~repro.core.distributed_map.DistributedMap`).
+    ``backend="local"`` attaches *workers* (at least one) in-process
+    workers applying the bundle's function synchronously; ``backend="pool"``
+    attaches one process pool of *workers* OS processes executing *fn_ref*
+    (any reference accepted by :func:`repro.pool.tasks.resolve_callable`,
+    defaulting to the bundle's function, which must then be picklable).
+    ``ordered=False`` releases each result as soon as it is computed.
 
     ``pool_transport="shm"`` moves large payloads through each pool's
     shared-memory slot ring instead of the children's pipes.
@@ -228,12 +186,7 @@ def run_pipeline(
     writable text stream) receives the structured metrics snapshot — every
     registered family as JSON — after the run completes.
     """
-    dmap = DistributedMap(
-        ordered=ordered,
-        batch_size=batch_size,
-        shards=shards,
-        split_buffer=split_buffer,
-    )
+    dmap = DistributedMap(ordered=ordered, batch_size=batch_size)
     if metrics_port is not None:
         endpoint = dmap.serve_metrics(port=metrics_port)
         if status_out is not None:
@@ -241,22 +194,21 @@ def run_pipeline(
     sink = pull(from_iterable(inputs), dmap, collect())
     try:
         if backend == "pool":
-            for processes in _pool_sizes(workers, max(1, shards)):
-                dmap.add_process_pool(
-                    fn_ref if fn_ref is not None else bundle.function,
-                    processes=processes,
-                    batch_size=batch_size,
-                    transport=pool_transport,
-                )
+            dmap.add_process_pool(
+                fn_ref if fn_ref is not None else bundle.function,
+                processes=max(1, workers),
+                batch_size=batch_size,
+                transport=pool_transport,
+            )
         else:
-            for _ in range(max(1, workers, shards)):
+            for _ in range(max(1, workers)):
                 dmap.add_local_worker(bundle.apply)
         if backend == "pool":
             # Only pools need pumping.  A local-backend run that has not
             # completed (every worker crash-stopped) is the ordinary
             # "master waits for more volunteers" state, which sink.result()
             # below reports accurately — drive()'s pool-stall diagnostic
-            # would misattribute it to pools/shards that do not exist.
+            # would misattribute it to pools that do not exist.
             dmap.drive(sink)
         results = sink.result()
         if stats_out is not None:
@@ -320,19 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("either a module file or --app is required")
         return 2  # pragma: no cover - parser.error raises
 
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-        return 2  # pragma: no cover - parser.error raises
-    if args.split_buffer is not None and args.split_buffer < 1:
-        parser.error("--split-buffer must be >= 1")
-        return 2  # pragma: no cover - parser.error raises
-    if args.split_buffer is not None and args.shards == 1:
-        parser.error("--split-buffer requires --shards > 1")
-        return 2  # pragma: no cover - parser.error raises
-    if args.shards > 1 and args.simulate is not None:
-        parser.error("--simulate does not support --shards (simulated "
-                     "deployments run a single master)")
-        return 2  # pragma: no cover - parser.error raises
     if args.pool_transport != "pipe" and args.backend != "pool":
         parser.error("--pool-transport requires --backend pool (only the "
                      "process-pool backend moves payloads between processes)")
@@ -366,8 +305,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ordered=not args.unordered,
         backend=args.backend,
         fn_ref=fn_ref,
-        shards=args.shards,
-        split_buffer=args.split_buffer,
         pool_transport=args.pool_transport,
         metrics_port=args.metrics_port,
         stats_out=stderr if args.stats_json else None,

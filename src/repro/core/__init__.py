@@ -16,7 +16,6 @@ This package contains the paper's primary contribution:
 from .reorder import ReorderBuffer
 from .lender import LenderStats, StreamLender, SubStream, UnorderedStreamLender
 from .limiter import Limiter, limit
-from .sharding import ShardedLender
 from .stubborn import StubbornStats, stubborn
 from .distributed_map import DistributedMap, WorkerHandle
 
@@ -28,7 +27,6 @@ __all__ = [
     "UnorderedStreamLender",
     "Limiter",
     "limit",
-    "ShardedLender",
     "StubbornStats",
     "stubborn",
     "DistributedMap",

@@ -22,11 +22,10 @@ from ..pullstream.sinks import SinkResult
 from ..sched import EventLoopScheduler
 from .lender import StreamLender, SubStream, UnorderedStreamLender
 from .limiter import Limiter
-from .sharding import ShardedLender
 
 __all__ = ["DistributedMap", "MapStats", "WorkerHandle"]
 
-#: LenderStats fields exported per shard as ``pando_lender_*`` families.
+#: LenderStats fields exported as ``pando_lender_*`` families.
 _LENDER_FIELDS = (
     ("values_read", "Values read from the map's input stream."),
     ("values_lent", "Values lent to worker sub-streams (first lends)."),
@@ -103,9 +102,6 @@ class WorkerHandle:
         #: the :class:`~repro.pool.process_pool.ProcessPoolWorker` backing
         #: this worker, when the process-pool backend is used
         self.pool = pool
-        #: index of the lender shard this worker was placed on (0 when the
-        #: map is not sharded)
-        self.shard = getattr(substream, "shard", 0)
 
     @property
     def closed(self) -> bool:
@@ -127,7 +123,7 @@ class WorkerHandle:
 class MapStats:
     """Live view of a map's lender counters plus its volunteer plane.
 
-    Unknown attributes proxy to the lender's (aggregate)
+    Unknown attributes proxy to the lender's
     :class:`~repro.core.lender.LenderStats`, so code that reads
     ``dmap.stats.values_read`` is oblivious to this wrapper.  The volunteer
     plane reads join/leave/crash tallies from the map's one
@@ -183,19 +179,12 @@ class DistributedMap:
     enables parallel processing on multicore architectures" at full hardware
     speed).
 
-    With ``shards=N`` the map becomes a **multi-master**: the input is
-    split across N independent :class:`~repro.core.sharding.ShardedLender`
-    shards (each its own reorder buffer, failure queue and stats).  Ordered
-    shards get the input round-robin and their outputs are merged back in
-    global input order; with ``ordered=False`` each value goes to the shard
-    whose workers asked for one first and the outputs are merged in
-    completion order, so a search hit computed on any shard is delivered the
-    moment it is ready.  Workers are placed on the least-loaded shard.
-    ``split_buffer=N`` bounds the round-robin splitter's per-shard buffering
-    (ordered shards only; unordered shards take values on demand and never
-    buffer): a shard stalled N values behind parks the input pump
-    (back-pressure on the faster shards) instead of growing its backlog
-    without bound.
+    The map is one lender (paper Figure 7): a
+    :class:`~repro.core.lender.StreamLender`, or with ``ordered=False`` an
+    :class:`~repro.core.lender.UnorderedStreamLender` that releases each
+    result the moment it is computed, so a search hit is never held back
+    behind a slower worker.  ``shards`` and ``split_buffer`` are accepted
+    and ignored, names kept for the ``perf/`` suite.
 
     One driver: every map is pumped by an
     :class:`~repro.sched.EventLoopScheduler` — its own private one, or the
@@ -203,7 +192,7 @@ class DistributedMap:
     other maps (the literal ``"asyncio"``, a name kept for the ``perf/``
     suite, is a synonym of the default).  Every process
     pool is registered with it on attachment, its pipes read by the loop, so
-    any number of pools compute concurrently, sharded or not; anything but
+    any number of pools compute concurrently; anything but
     in-process workers completes under :meth:`drive`.
     """
 
@@ -222,17 +211,8 @@ class DistributedMap:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if split_buffer is not None and shards == 1:
-            raise ValueError(
-                "split_buffer requires shards > 1 (an unsharded map has no "
-                "splitter to bound)"
-            )
         self.ordered = ordered
         self.batch_size = batch_size
-        self.shards = shards
-        self.split_buffer = split_buffer
         if isinstance(scheduler, str) and scheduler != "asyncio":
             raise ValueError(
                 f"unknown scheduler {scheduler!r}: pass an EventLoopScheduler "
@@ -242,13 +222,7 @@ class DistributedMap:
         #: the :class:`~repro.sched.EventLoopScheduler` driving this map;
         #: :meth:`close` closes it only when the map created it
         self.scheduler = EventLoopScheduler() if self._owns_scheduler else scheduler
-        if shards > 1:
-            #: the single lender or the sharded multi-master composition
-            self.lender: Any = ShardedLender(
-                shards, ordered=ordered, max_buffer=split_buffer
-            )
-        else:
-            self.lender = StreamLender() if ordered else UnorderedStreamLender()
+        self.lender = StreamLender() if ordered else UnorderedStreamLender()
         #: with ``debug=True`` every worker sub-stream is wrapped in a
         #: :class:`~repro.pullstream.protocol.ProtocolChecker`, so a lender
         #: or limiter protocol violation raises at the faulty call instead
@@ -274,10 +248,7 @@ class DistributedMap:
         self.obs = Observability(enabled=bool(metrics), job_id=job_id)
         if self.scheduler.trace is None:
             self.scheduler.trace = self.obs.trace
-        if shards > 1:
-            self.lender.set_trace(self.obs.trace.emit)
-        else:
-            self.lender.on_trace = self.obs.trace.emit
+        self.lender.on_trace = self.obs.trace.emit
         self._register_core_collectors()
 
     # ------------------------------------------------------------------ API
@@ -476,15 +447,12 @@ class DistributedMap:
         the callbacks read them live at scrape/snapshot time only.
         """
         registry = self.obs.registry
-        for index, stats in enumerate(self.per_shard_stats):
-            labels = {"shard": index}
-            for field, help_text in _LENDER_FIELDS:
-                registry.register_callback(
-                    f"pando_lender_{field}_total",
-                    help_text,
-                    (lambda stats=stats, name=field: getattr(stats, name)),
-                    labels=labels,
-                )
+        for field, help_text in _LENDER_FIELDS:
+            registry.register_callback(
+                f"pando_lender_{field}_total",
+                help_text,
+                (lambda stats=self.lender.stats, name=field: getattr(stats, name)),
+            )
         for field, help_text in _SCHED_FIELDS:
             registry.register_callback(
                 f"pando_sched_{field}_total",
@@ -647,8 +615,7 @@ class DistributedMap:
 
         Raises :class:`~repro.errors.PandoError` when *timeout* (seconds)
         elapses, or when no source can make progress while a sink is still
-        pending (e.g. a shard whose input cannot be processed because no
-        worker serves it).
+        pending.
         """
         self.scheduler.run(
             *sinks,
@@ -730,17 +697,6 @@ class DistributedMap:
         volunteer plane.
         """
         return MapStats(self)
-
-    @property
-    def per_shard_stats(self):
-        """Per-shard :class:`~repro.core.lender.LenderStats`, uniformly.
-
-        A one-element list on an unsharded map, so reporting code does not
-        need to care which lender topology backs the map.
-        """
-        if self.shards > 1:
-            return self.lender.shard_stats
-        return [self.lender.stats]
 
     def _next_worker_id(self) -> str:
         # Skip ids an explicit attach already took, so a generated id can

@@ -95,7 +95,7 @@ class SubStream:
 
     pull_role = "duplex"
 
-    __slots__ = ("_lender", "id", "closed", "close_reason", "borrowed", "shard")
+    __slots__ = ("_lender", "id", "closed", "close_reason", "borrowed")
 
     def __init__(self, lender: "StreamLender", substream_id: int) -> None:
         self._lender = lender
@@ -103,8 +103,6 @@ class SubStream:
         self.closed = False
         self.close_reason: End = None
         self.borrowed: Deque[Tuple[int, Any]] = deque()
-        #: index of the lender shard it was lent from (set by ``ShardedLender``)
-        self.shard = 0
 
     # -- borrow side --------------------------------------------------------
     def source(self, end: End, cb: Callback) -> None:
@@ -169,7 +167,7 @@ class StreamLender:
         self._reorder = ReorderBuffer()
         self._ready_unordered: Deque[Any] = deque()
         self._substreams: List[SubStream] = []
-        #: sub-streams not yet closed (what shard placement balances on)
+        #: sub-streams not yet closed
         self.open_substreams = 0
         self._pump_upstream = Loop(self._read_upstream).run
 

@@ -30,7 +30,7 @@ minus the browser:
   channel worker, a RESULT is pushed straight into that channel's source, and
   a volunteer that vanishes mid-frame (socket reset, SIGKILL, heartbeat
   timeout) fails its sub-stream so the lender re-lends its borrowed values
-  and the sharded master rebalances — the existing crash-stop paths, now
+  to the survivors — the existing crash-stop paths, now
   triggered by a real wire.  The scheduler's loop is also the clock of each
   volunteer's :class:`~repro.net.heartbeat.HeartbeatMonitor`: pings every
   *interval*, crash-stop suspicion after *timeout* of silence.

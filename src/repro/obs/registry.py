@@ -276,8 +276,7 @@ class MetricsRegistry:
         """Export ``fn()`` as one sample of family *name* at scrape time.
 
         Multiple callbacks may share a family (one per label set) — the
-        registration pattern for per-shard lender stats and per-pool
-        counters.  *kind* sets the exposition TYPE (``counter``/``gauge``).
+        registration pattern for per-pool and per-gateway counters.  *kind* sets the exposition TYPE (``counter``/``gauge``).
         """
         if kind not in ("counter", "gauge"):
             raise PandoError(f"callback kind must be counter or gauge, not {kind!r}")

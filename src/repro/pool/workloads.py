@@ -203,30 +203,28 @@ IMPOSSIBLE_BITS = 192
 
 def crypto_search_inputs(
     slow_count: int,
-    shards: int = 2,
     values: int = 12,
     hit_index: int = 5,
     difficulty_bits: int = 12,
 ) -> Tuple[List[Dict[str, Any]], int]:
     """Build a skewed crypto-search input set and return ``(items, nonce)``.
 
-    Attempts at indices ``0 mod shards`` are *slow*: *slow_count* nonces
-    checked against an impossible difficulty, so the whole range is scanned
-    and no hit is found.  The other attempts are tiny no-hit probes, except
-    ``hit_index`` which contains a precomputed valid nonce at the real
-    *difficulty_bits*.  On an ordered (round-robin) sharded map every slow
-    attempt lands on shard 0, and the ordered merge must deliver each one
-    before ``hit_index``.  An unordered sharded map hands values to whichever
-    shard asks first, so the slow attempts land on both shards and the hit
-    may wait in a pool's window behind one of them; the completion-order
-    merge still delivers it as soon as it is computed.
+    Attempt 0 is the one *slow* attempt: *slow_count* nonces checked against
+    an impossible difficulty, so the whole range is scanned and no hit is
+    found.  The other attempts are tiny no-hit probes, except ``hit_index``
+    which contains a precomputed valid nonce at the real *difficulty_bits*.
+
+    An ordered map must deliver the slow attempt before the hit.  An
+    unordered map lends on demand: whichever worker takes attempt 0 is busy
+    with it (and holds at most the rest of its window behind it), so with
+    two or more workers and the hit past the first worker's window, another
+    worker computes the hit after a few probes — whichever worker takes
+    which index.
     """
     from ..apps.crypto import find_valid_nonce
 
     if not 0 < hit_index < values:
-        raise ValueError("hit_index must fall inside the input range")
-    if hit_index % shards == 0:
-        raise ValueError("hit_index must not land on the slow shard 0")
+        raise ValueError("hit_index must fall inside the input, after the slow attempt 0")
     block = "pando-unordered-bench"
     nonce = find_valid_nonce(block, difficulty_bits)
     items = []
@@ -238,10 +236,10 @@ def crypto_search_inputs(
                 "count": nonce + 1,
                 "difficulty_bits": difficulty_bits,
             })
-        elif index % shards == 0:
+        elif index == 0:
             items.append({
                 "block": block,
-                "start": 10_000_000 + index * slow_count,
+                "start": 10_000_000,
                 "count": slow_count,
                 "difficulty_bits": IMPOSSIBLE_BITS,
             })

@@ -57,7 +57,7 @@ from .sinks import (
     on_end,
     reduce,
 )
-from .split import SplitBranches, merge_ordered, merge_unordered, share, split
+from .split import merge_unordered, split
 from .async_map import async_map
 from .pushable import Pushable, pushable
 from .duplex import Duplex, connect_duplex, duplex, duplex_pair
@@ -105,10 +105,7 @@ __all__ = [
     "unbatching",
     "unique",
     # splitter / joiner
-    "SplitBranches",
-    "merge_ordered",
     "merge_unordered",
-    "share",
     "split",
     # sinks
     "SinkResult",

@@ -35,7 +35,7 @@ DEFAULT_POLL_INTERVAL = 0.05
 
 _STALLED = (
     "EventLoopScheduler stalled: a sink has not completed and no registered "
-    "source can make progress (is every shard served by at least one worker?)"
+    "source can make progress"
 )
 
 
@@ -175,7 +175,7 @@ class EventLoopScheduler:
         loop.stopping = True  # the first pass looks at the sinks and the abort
         cancelled = False
         self._running = True
-        previous_owner = mark_loop_thread()  # checked in debug mode only
+        owner = mark_loop_thread()  # checked in debug mode only
         try:
             while True:
                 if self._callback_error is not None:
@@ -207,7 +207,7 @@ class EventLoopScheduler:
                 if loop.run_once(wait, burst=not self._sources):
                     loop.stopping = True
         finally:
-            unmark_loop_thread(previous_owner)
+            unmark_loop_thread(owner)
             self._running = False
             self._callback_error = None
             self.rounds += timers.events_processed - fired

@@ -22,6 +22,7 @@ import time
 from functools import partialmethod
 from typing import Any, Callable, List, Optional
 
+from ..analysis.annotations import mark_loop_thread, unmark_loop_thread
 from ..errors import PandoError, SimulationError
 
 __all__ = ["LOOP_TURN_INTERVAL", "Loop", "MonotonicClock", "Timer", "Timers"]
@@ -127,7 +128,12 @@ class Loop:
     """The selector, the timer heap and the self-pipe of one process: the
     master's, or a volunteer process's own.  Its file-object API
     (``add_reader``/``add_writer`` and their removal) is what an
-    :class:`~repro.net.endpoint.Endpoint` watches a socket with."""
+    :class:`~repro.net.endpoint.Endpoint` watches a socket with.
+
+    The thread that creates a loop owns it until :meth:`close`: it is
+    registered with :func:`~repro.analysis.annotations.mark_loop_thread`,
+    so ``@loop_only`` code passes the runtime thread asserts there — on the
+    master's thread and on an in-process volunteer's alike."""
 
     def __init__(self) -> None:
         self.timers = Timers()
@@ -145,6 +151,7 @@ class Loop:
         self.stopping = False
         #: waits a file event or a wake-up cut short
         self.wakeups = 0
+        self._owner = mark_loop_thread()
 
     def use_timers(self, timers: Timers, time_scale: Optional[float] = None) -> None:
         """Fire *timers* (a simulation's heap) from now on; with *time_scale*
@@ -256,6 +263,7 @@ class Loop:
             self._closed = True
             for closable in (self._selector, self._waker, self._wake_end):
                 closable.close()
+            unmark_loop_thread(self._owner)
 
     def is_closed(self) -> bool:
         return self._closed

@@ -5,7 +5,7 @@ deployment shape at a time.  This module turns :class:`DeploymentScenario`
 into a *matrix*: a :class:`MatrixCell` declares one point in the cross
 product
 
-    {ordered, unordered} x {single, sharded} x {pipe, shm pool | pure sim}
+    {ordered, unordered} x {pipe, shm pool | pure sim}
 
 together with the environment that cell runs under — a synthetic volunteer
 fleet (LAN/VPN/WAN latency mix, seeded per-device rates), diurnal churn
@@ -22,8 +22,7 @@ only — and
 * **stats balance** — the lender counters reconcile with the schedule
   (``values_read``/``results_delivered`` match the input count);
 * **trace balance** — rotation-proof trace totals agree with the lender
-  counters (``substream_failed`` events vs failed sub-streams,
-  ``shard_place`` events vs opened sub-streams on sharded cells);
+  counters (``substream_failed`` events vs failed sub-streams);
 * **registry balance** — every volunteer incarnation is accounted for
   (joins = registered volunteers, crashes bounded by the schedule);
 * **proportional placement** — faster devices processed more items.
@@ -199,7 +198,6 @@ class MatrixCell:
 
     name: str
     ordered: bool = True
-    shards: int = 1
     #: process pool transport ("pipe" | "shm"), or None for a pure-sim cell
     pool: Optional[str] = None
     volunteers: int = 6
@@ -288,23 +286,19 @@ class CellResult:
 
 
 def full_matrix(volunteers: int = 6, inputs: int = 48, seed: int = 42) -> List[MatrixCell]:
-    """The 8-cell {ordered} x {shards} x {transport} grid, churned.
+    """The 4-cell {ordered} x {transport} grid, churned.
 
     Every grid cell runs the same environment — a heterogeneous fleet with
     one churn wave, a healing partition and a straggler — so the axes are
     the only thing that varies between cells.
     """
     cells = []
-    for ordered, shards, transport in itertools.product(
-        (True, False), (1, 3), ("pipe", "shm")
-    ):
+    for ordered, transport in itertools.product((True, False), ("pipe", "shm")):
         order_label = "ordered" if ordered else "unordered"
-        shard_label = "sharded" if shards > 1 else "single"
         cells.append(
             MatrixCell(
-                name=f"{order_label}-{shard_label}-{transport}",
+                name=f"{order_label}-{transport}",
                 ordered=ordered,
-                shards=shards,
                 pool=transport,
                 volunteers=volunteers,
                 inputs=inputs,
@@ -321,7 +315,7 @@ def full_matrix(volunteers: int = 6, inputs: int = 48, seed: int = 42) -> List[M
 def smoke_matrix() -> List[MatrixCell]:
     """The tier-1 subset: opposite corners of the grid."""
     by_name = {cell.name: cell for cell in full_matrix()}
-    return [by_name["ordered-single-pipe"], by_name["unordered-sharded-shm"]]
+    return [by_name["ordered-pipe"], by_name["unordered-shm"]]
 
 
 def golden_cell() -> MatrixCell:
@@ -329,7 +323,6 @@ def golden_cell() -> MatrixCell:
     return MatrixCell(
         name="golden",
         ordered=True,
-        shards=1,
         pool=None,
         volunteers=4,
         inputs=32,
@@ -341,7 +334,8 @@ def golden_cell() -> MatrixCell:
 
 
 def scale_cell(volunteers: int = 1000, inputs: int = 3000, seed: int = 9001) -> MatrixCell:
-    """The planet-scale cell: >= 1000 volunteers, pure virtual time.
+    """The planet-scale cell: >= 1000 volunteers on one unordered lender,
+    pure virtual time.
 
     Heartbeats dominate event counts at this scale, so the interval is
     raised — membership is still heartbeat-driven, just coarser.
@@ -349,7 +343,6 @@ def scale_cell(volunteers: int = 1000, inputs: int = 3000, seed: int = 9001) -> 
     return MatrixCell(
         name=f"scale-{volunteers}",
         ordered=False,
-        shards=4,
         pool=None,
         volunteers=volunteers,
         inputs=inputs,
@@ -375,7 +368,6 @@ def abort_cell(seed: int = 1303) -> MatrixCell:
     return MatrixCell(
         name="abort-skew",
         ordered=False,
-        shards=1,
         pool=None,
         volunteers=5,
         inputs=60,
@@ -478,7 +470,6 @@ def run_cell(cell: MatrixCell) -> CellResult:
         heartbeat_timeout=cell.heartbeat_timeout,
         failure_schedule=info.schedule,
         seed=cell.seed,
-        shards=cell.shards,
         task_chunk=cell.task_chunk,
     )
     scenario = DeploymentScenario(config)
@@ -608,11 +599,6 @@ def verify_cell(cell_result: CellResult) -> List[str]:
         violations.append(
             f"trace substream_failed={counts.get('substream_failed', 0)} "
             f"!= stats substreams_failed={stats['substreams_failed']}"
-        )
-    if cell.shards > 1 and counts.get("shard_place", 0) != stats["substreams_opened"]:
-        violations.append(
-            f"trace shard_place={counts.get('shard_place', 0)} "
-            f"!= substreams_opened={stats['substreams_opened']}"
         )
 
     # ---------------------------------------------------- registry balance

@@ -87,10 +87,6 @@ class ScenarioConfig:
     #: deliver outputs in input order (False = unordered StreamLender)
     ordered: bool = True
     seed: Optional[int] = 42
-    #: lender shards on the master (1 = single master)
-    shards: int = 1
-    #: bounded split buffer per shard (requires ``shards > 1``)
-    split_buffer: Optional[int] = None
     #: work units per device execution chunk; tasks poll the scenario's stop
     #: request between chunks (bounded-tail cancellation); None = whole task
     task_chunk: Optional[float] = None
@@ -103,8 +99,6 @@ class ScenarioConfig:
             )
         if self.resolved_batch_size() < 1:
             raise DeploymentError("batch_size must be >= 1")
-        if self.shards < 1:
-            raise DeploymentError("shards must be >= 1")
 
     def resolved_devices(self) -> List[DeviceProfile]:
         return list(
@@ -180,12 +174,7 @@ class DeploymentScenario:
         # The map owns its EventLoopScheduler; `self.scheduler` is the
         # simulation's timer heap on its virtual clock, which run_on_loop
         # hands to the map's loop.
-        self.dmap = DistributedMap(
-            ordered=config.ordered,
-            batch_size=self.batch_size,
-            shards=config.shards,
-            split_buffer=config.split_buffer,
-        )
+        self.dmap = DistributedMap(ordered=config.ordered, batch_size=self.batch_size)
         #: human-readable deployment log (startup messages, joins, crashes)
         self.log: List[str] = []
         #: the public-server registration, once :meth:`serve` made one

@@ -10,7 +10,7 @@ from repro.analysis.annotations import (
     any_thread,
     enable_thread_asserts,
     loop_only,
-    loop_thread_ident,
+    loop_thread_idents,
     mark_loop_thread,
     ownership_of,
     thread_asserts_enabled,
@@ -23,11 +23,11 @@ from repro.errors import ThreadOwnershipError
 def asserts_enabled():
     """Enable the runtime checks and register this thread as the loop."""
     previously_enabled = thread_asserts_enabled()
-    previous_owner = mark_loop_thread()
+    owner = mark_loop_thread()
     enable_thread_asserts(True)
     yield
     enable_thread_asserts(previously_enabled)
-    unmark_loop_thread(previous_owner)
+    unmark_loop_thread(owner)
 
 
 def _call_in_thread(fn):
@@ -64,8 +64,38 @@ class TestLoopOnly:
 
         assert dispatch() == "dispatched"
 
+    def test_every_marked_thread_passes_and_the_rest_raise(self, asserts_enabled):
+        # a master and an in-process volunteer each turn a loop of their own
+        @loop_only
+        def dispatch():
+            return "dispatched"
+
+        other_loop = threading.Event()
+        done = threading.Event()
+        box = {}
+
+        def volunteer_thread():
+            owner = mark_loop_thread()
+            try:
+                box["result"] = dispatch()
+            finally:
+                other_loop.set()
+                done.wait(10)
+                unmark_loop_thread(owner)
+
+        thread = threading.Thread(target=volunteer_thread)
+        thread.start()
+        try:
+            assert other_loop.wait(10)
+            assert box["result"] == "dispatched"
+            assert dispatch() == "dispatched"  # this thread is marked too
+            assert isinstance(_call_in_thread(dispatch), ThreadOwnershipError)
+        finally:
+            done.set()
+            thread.join(10)
+
     def test_no_check_when_asserts_disabled(self):
-        previous_owner = mark_loop_thread()
+        owner = mark_loop_thread()
         previously_enabled = thread_asserts_enabled()
         enable_thread_asserts(False)
         try:
@@ -77,12 +107,12 @@ class TestLoopOnly:
             assert _call_in_thread(dispatch) is None
         finally:
             enable_thread_asserts(previously_enabled)
-            unmark_loop_thread(previous_owner)
+            unmark_loop_thread(owner)
 
     def test_no_check_when_loop_unmarked(self, asserts_enabled):
-        previous = loop_thread_ident()
-        unmark_loop_thread()
+        unmark_loop_thread()  # the fixture's mark
         try:
+            assert loop_thread_idents() == frozenset()
 
             @loop_only
             def dispatch():
@@ -90,7 +120,7 @@ class TestLoopOnly:
 
             assert _call_in_thread(dispatch) is None
         finally:
-            mark_loop_thread(previous)
+            mark_loop_thread()
 
     def test_tag_survives_the_wrapper(self):
         @loop_only
@@ -121,30 +151,59 @@ class TestAnyThread:
 
 
 class TestLoopThreadRegistry:
-    def test_mark_returns_previous_for_restore(self):
-        first = mark_loop_thread(111)
+    def test_marks_nest_per_thread(self):
+        assert mark_loop_thread(111) == 111
         try:
-            assert loop_thread_ident() == 111
-            second = mark_loop_thread(222)
-            assert second == 111
-            assert loop_thread_ident() == 222
-            unmark_loop_thread(second)
-            assert loop_thread_ident() == 111
+            assert mark_loop_thread(222) == 222
+            mark_loop_thread(222)
+            assert {111, 222} <= loop_thread_idents()
+            unmark_loop_thread(222)
+            assert 222 in loop_thread_idents()  # one mark of two undone
+            unmark_loop_thread(222)
+            assert 222 not in loop_thread_idents()
+            assert 111 in loop_thread_idents()
         finally:
-            unmark_loop_thread(first)
+            unmark_loop_thread(111)
+        assert 111 not in loop_thread_idents()
+
+    def test_a_loop_marks_its_creator_until_closed(self):
+        from repro.sched.loop import Loop
+
+        box = {}
+
+        def creator():
+            loop = Loop()
+            box["open"] = loop_thread_idents()
+            loop.close()
+            loop.close()  # idempotent: one mark, undone once
+            box["closed"] = loop_thread_idents()
+            box["me"] = threading.get_ident()
+
+        thread = threading.Thread(target=creator)
+        thread.start()
+        thread.join(10)
+        assert box["me"] in box["open"]
+        assert box["me"] not in box["closed"]
 
     def test_scheduler_run_marks_and_restores(self):
-        # EventLoopScheduler.run registers its thread for the duration of
-        # the run and restores the previous owner afterwards.
-        from repro.pullstream import collect, pull, values
+        # EventLoopScheduler.run registers its thread while it turns the
+        # loop (which this thread also owns from its creation to close())
+        # and leaves the other marks alone.
+        from repro.pullstream import drain
         from repro.sched.event_loop import EventLoopScheduler
 
-        sentinel = mark_loop_thread(12345)
+        me = threading.get_ident()
+        seen = []
+        mark_loop_thread(12345)
         try:
             scheduler = EventLoopScheduler()
-            sink = pull(values([1, 2, 3]), collect())  # completes synchronously
+            port = scheduler.register_pushable()
+            sink = drain(lambda _value: seen.append(loop_thread_idents()))(port.pushable)
+            port.push(1)
+            port.end()
             scheduler.run(sink, timeout=5)
+            assert seen == [frozenset({12345, me})]
             scheduler.close()
-            assert loop_thread_ident() == 12345
+            assert loop_thread_idents() == frozenset({12345})
         finally:
-            unmark_loop_thread(sentinel)
+            unmark_loop_thread(12345)

@@ -35,6 +35,32 @@ class TestRunPipeline:
         results = run_pipeline(bundle, [3, 2, 1], workers=1, batch_size=1, ordered=False)
         assert sorted(results) == [1, 4, 9]
 
+    def test_local_backend_failure_keeps_the_accurate_diagnostic(self):
+        """Regression: run_pipeline called drive() unconditionally, so a
+        local-backend run whose workers all crash-stopped raised the
+        pool-stall message instead of the accurate 'stream has not
+        terminated yet' volunteer-wait semantics."""
+        from repro.errors import PandoError
+
+        def failing(value, cb):
+            cb(RuntimeError("always fails"), None)
+
+        bundle = bundle_function(failing)
+        with pytest.raises(PandoError, match="not terminated"):
+            run_pipeline(bundle, [1, 2, 3], workers=2, batch_size=1)
+
+    def test_unordered_run(self, capsys):
+        code = main(["--app", "collatz", "--count", "4", "--unordered"])
+        assert code == 0
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.strip().splitlines()]
+        assert len(lines) == 4
+
+    @pytest.mark.parametrize("flag", ["--shards", "--split-buffer"])
+    def test_the_multi_master_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["--app", "collatz", "--count", "2", flag, "2"])
+
 
 class TestMainWithBuiltinApps:
     def test_collatz_app_generates_and_processes(self, capsys):
@@ -102,84 +128,6 @@ class TestCompanionTools:
         assert summary["frames"] == 3
 
 
-class TestSharding:
-    def test_pool_sizes_distribute_the_remainder(self):
-        from repro.cli.pando_cli import _pool_sizes
-
-        assert _pool_sizes(4, 3) == [2, 1, 1]   # nothing silently dropped
-        assert _pool_sizes(6, 2) == [3, 3]
-        assert _pool_sizes(1, 2) == [1, 1]      # every shard needs a pool
-        assert _pool_sizes(0, 1) == [1]
-
-    def test_sharded_local_pipeline(self, square_fn):
-        bundle = bundle_function(square_fn)
-        results = run_pipeline(
-            bundle, list(range(10)), workers=1, batch_size=2, shards=2
-        )
-        assert results == [v * v for v in range(10)]
-
-    def test_local_backend_failure_keeps_the_accurate_diagnostic(self):
-        """Regression: run_pipeline called drive() unconditionally, so a
-        local-backend run whose workers all crash-stopped raised the
-        pool-stall message instead of the accurate 'stream has not
-        terminated yet' volunteer-wait semantics."""
-        from repro.errors import PandoError
-
-        def failing(value, cb):
-            cb(RuntimeError("always fails"), None)
-
-        bundle = bundle_function(failing)
-        with pytest.raises(PandoError, match="not terminated"):
-            run_pipeline(bundle, [1, 2, 3], workers=2, batch_size=1)
-
-    def test_unordered_sharded_pipeline(self, square_fn):
-        bundle = bundle_function(square_fn)
-        results = run_pipeline(
-            bundle, list(range(10)), workers=1, batch_size=2, shards=2,
-            ordered=False,
-        )
-        assert sorted(results) == [v * v for v in range(10)]
-
-    def test_sharded_pipeline_with_split_buffer(self, square_fn):
-        bundle = bundle_function(square_fn)
-        results = run_pipeline(
-            bundle, list(range(12)), workers=1, batch_size=2, shards=2,
-            split_buffer=1,
-        )
-        assert results == [v * v for v in range(12)]
-
-    def test_unordered_with_shards_accepted(self, capsys):
-        code = main(["--app", "collatz", "--count", "4", "--shards", "2",
-                     "--unordered"])
-        assert code == 0
-        lines = [json.loads(line)
-                 for line in capsys.readouterr().out.strip().splitlines()]
-        assert len(lines) == 4
-
-    def test_split_buffer_requires_shards(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--app", "collatz", "--count", "2", "--split-buffer", "4"])
-        with pytest.raises(SystemExit):
-            main(["--app", "collatz", "--count", "2", "--shards", "2",
-                  "--split-buffer", "0"])
-
-    def test_split_buffer_sharded_run(self, capsys):
-        code = main(["--app", "collatz", "--count", "4", "--shards", "2",
-                     "--split-buffer", "2"])
-        assert code == 0
-        lines = [json.loads(line)
-                 for line in capsys.readouterr().out.strip().splitlines()]
-        assert len(lines) == 4
-
-    def test_shards_rejected_with_simulate(self, capsys):
-        """Regression: --simulate returned before the --shards validation,
-        silently ignoring the flag (even an invalid --shards 0 exited 0)."""
-        with pytest.raises(SystemExit):
-            main(["--app", "collatz", "--simulate", "lan", "--shards", "2"])
-        with pytest.raises(SystemExit):
-            main(["--app", "collatz", "--simulate", "lan", "--shards", "0"])
-
-
 class TestPoolTransportFlag:
     def test_shm_transport_pool_run(self, capsys):
         """The full pipeline over the shared-memory transport: small app
@@ -191,15 +139,6 @@ class TestPoolTransportFlag:
                  for line in capsys.readouterr().out.strip().splitlines()]
         assert len(lines) == 6
         assert all("steps" in line for line in lines)
-
-    def test_shm_transport_composes_with_shards(self, capsys):
-        code = main(["--app", "collatz", "--count", "6", "--workers", "2",
-                     "--backend", "pool", "--shards", "2",
-                     "--pool-transport", "shm"])
-        assert code == 0
-        lines = [json.loads(line)
-                 for line in capsys.readouterr().out.strip().splitlines()]
-        assert len(lines) == 6
 
     def test_shm_transport_requires_pool_backend(self, capsys):
         with pytest.raises(SystemExit):
@@ -241,8 +180,8 @@ class TestSimulateSubcommand:
         names = capsys.readouterr().out.split()
         assert "golden" in names
         assert "abort-skew" in names
-        assert "ordered-single-pipe" in names
-        assert len(names) == 11
+        assert "ordered-pipe" in names
+        assert len(names) == 7
 
     def test_single_cell_run_reports_ok(self, capsys):
         code = main(["simulate", "--matrix", "--cell", "golden"])

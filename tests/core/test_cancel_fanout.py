@@ -132,14 +132,14 @@ class TestShmSlotReleaseOnAbort:
             dmap.close()
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_unaborted_runs_cancel_nothing(shards):
+@pytest.mark.parametrize("pools", [1, 2])
+def test_unaborted_runs_cancel_nothing(pools):
     """The fast path must never fire on a clean drain."""
-    dmap = DistributedMap(batch_size=1, shards=shards)
+    dmap = DistributedMap(batch_size=1)
     inputs = [{"sleep": 0.001, "i": index} for index in range(8)]
     sink = pull(values(inputs), dmap, collect())
     try:
-        for _ in range(shards):
+        for _ in range(pools):
             dmap.add_process_pool(SLEEPER, processes=1)
         dmap.drive(sink, timeout=60)
         assert sink.result() == inputs

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DistributedMap
+from repro.core import DistributedMap, StreamLender, UnorderedStreamLender
 from repro.errors import PandoError
 from repro.net.serialization import Batch
 from repro.pullstream import (
@@ -100,8 +100,8 @@ class TestLocalWorkers:
     @pytest.mark.parametrize("attached", ["before", "after"])
     @pytest.mark.parametrize(
         "config",
-        [{}, {"ordered": False}, {"shards": 4}, {"shards": 4, "ordered": False}],
-        ids=["ordered", "unordered", "shards4", "shards4-unordered"],
+        [{}, {"ordered": False}],
+        ids=["ordered", "unordered"],
     )
     @pytest.mark.parametrize("workers", [120, 1000])
     def test_synchronous_crowds_deliver_every_result(self, workers, config, attached):
@@ -136,6 +136,16 @@ class TestLocalWorkers:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             DistributedMap(batch_size=0)
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_shards_and_split_buffer_are_ignored(self, ordered):
+        """Accepted for the ``perf/`` suite; every map is one lender."""
+        dmap = DistributedMap(ordered=ordered, shards=4, split_buffer=16)
+        expected = StreamLender if ordered else UnorderedStreamLender
+        assert type(dmap.lender) is expected
+        output = pull(values([3, 1, 2]), dmap, collect())
+        dmap.add_local_worker(lambda value, cb: cb(None, value * value))
+        assert sorted(output.result()) == [1, 4, 9]
 
 
 class TestChannelWorkers:

@@ -12,8 +12,8 @@ conservation, exactly-once delivery, order when ordered, every callback
 answered at most once (exactly once at termination) and
 ``open_substreams``.
 
-It runs against the four real configurations: ``StreamLender``,
-``UnorderedStreamLender`` and ``ShardedLender`` ordered and unordered.
+It runs against both real lenders: ``StreamLender`` and
+``UnorderedStreamLender``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core import ShardedLender, StreamLender, UnorderedStreamLender
+from repro.core import StreamLender, UnorderedStreamLender
 from repro.pullstream import DONE, ProtocolChecker, async_map, drain, pull, pushable
 
 
@@ -172,9 +172,9 @@ class LenderMachine(RuleBasedStateMachine):
     def finished(self) -> bool:
         return self.sink_end is not None or self.model.aborted
 
-    def attach(self, sync: bool, **where) -> None:
+    def attach(self, sync: bool) -> None:
         subs: list = []
-        self.lender.lend_stream(lambda err, sub: subs.append(sub), **where)
+        self.lender.lend_stream(lambda err, sub: subs.append(sub))
         if subs[0] is not None:
             self.workers.append(Worker(self, subs[0], sync))
 
@@ -245,17 +245,12 @@ class LenderMachine(RuleBasedStateMachine):
         self.abort_next = True
 
     # -- invariants ---------------------------------------------------------
-    def open_substreams(self) -> int:
-        if isinstance(self.lender, ShardedLender):
-            return sum(shard.open_substreams for shard in self.lender.shards)
-        return self.lender.open_substreams
-
     @invariant()
     def matches_the_model(self) -> None:
         model = self.model
         if not model.aborted:
             model.check_conservation()
-        assert self.open_substreams() == sum(
+        assert self.lender.open_substreams == sum(
             1 for w in self.workers if not w.sub.closed
         )
         for worker in self.workers:
@@ -271,20 +266,14 @@ class LenderMachine(RuleBasedStateMachine):
         if self.finished:
             # every borrow ask was answered (parked borrowers are released)
             assert not any(w.asks_pending for w in self.workers)
-            assert self.open_substreams() == 0
+            assert self.lender.open_substreams == 0
 
     def teardown(self) -> None:
-        # Liveness: with a synchronous worker (one per shard: a shard's
-        # slice of the input waits for a worker of its own), every value
-        # is delivered.
+        # Liveness: with a synchronous worker, every value is delivered.
         if self.finished or not self.connected:
             return
         self.end_source()
-        if isinstance(self.lender, ShardedLender):
-            for shard in range(self.lender.shard_count):
-                self.attach(True, shard=shard)
-        else:
-            self.attach(True)
+        self.attach(True)
         for worker in self.workers:
             worker.sync = True
             while worker.parked:
@@ -299,26 +288,13 @@ class UnorderedMachine(LenderMachine):
     ordered = False
 
 
-class ShardedOrderedMachine(LenderMachine):
-    make_lender = staticmethod(lambda: ShardedLender(3, ordered=True))
-
-
-class ShardedUnorderedMachine(LenderMachine):
-    make_lender = staticmethod(lambda: ShardedLender(3, ordered=False))
-    ordered = False
-
-
-MACHINES = [LenderMachine, UnorderedMachine, ShardedOrderedMachine, ShardedUnorderedMachine]
+MACHINES = [LenderMachine, UnorderedMachine]
 SETTINGS = settings(max_examples=30, stateful_step_count=25, deadline=None)
 
 TestStreamLenderModel = LenderMachine.TestCase
 TestUnorderedLenderModel = UnorderedMachine.TestCase
-TestShardedOrderedModel = ShardedOrderedMachine.TestCase
-TestShardedUnorderedModel = ShardedUnorderedMachine.TestCase
 TestStreamLenderModel.settings = SETTINGS
 TestUnorderedLenderModel.settings = SETTINGS
-TestShardedOrderedModel.settings = SETTINGS
-TestShardedUnorderedModel.settings = SETTINGS
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.__name__)

@@ -61,11 +61,17 @@ class TestExamples:
         assert "2 processes" in stdout
 
     def test_unordered_search_small(self):
-        stdout = run_example(
-            "unordered_search.py", "--slow-count", "20000", "--shards", "2"
-        )
+        stdout = run_example("unordered_search.py", "--slow-count", "20000")
+        assert "on 2 pools (unordered)" in stdout
         assert "found nonce" in stdout
         assert "cancelled" in stdout
+
+    def test_unordered_search_small_against_ordered(self):
+        stdout = run_example(
+            "unordered_search.py", "--slow-count", "20000", "--ordered"
+        )
+        assert "on 2 pools (ordered)" in stdout
+        assert "found nonce" in stdout
 
     def test_event_loop_master_small(self):
         stdout = run_example(

@@ -4,7 +4,7 @@ Every test runs declarative :class:`~repro.sim.matrix.MatrixCell` cells
 through the event loop in virtual time and asserts the matrix invariants
 (exactly-once delivery, stats/trace/registry balance, proportional
 placement) via :func:`~repro.sim.matrix.verify_cell`.  The smoke subset
-runs in tier-1; the full 8-cell grid is ``@pytest.mark.slow`` (CI's
+runs in tier-1; the full 4-cell grid is ``@pytest.mark.slow`` (CI's
 ``matrix`` job passes ``--run-slow``).  Seeds are printed on failure so
 any cell can be replayed with ``pando simulate --matrix --cell <name>``.
 """
@@ -63,14 +63,15 @@ def test_smoke_cells_satisfy_every_invariant(cell):
 @pytest.mark.slow
 @pytest.mark.parametrize("cell", full_matrix(), ids=lambda cell: cell.name)
 def test_full_matrix_grid(cell):
-    """All 8 {ordered} x {shards} x {transport} cells, churned."""
+    """All 4 {ordered} x {transport} cells, churned."""
     run_verified(cell)
 
 
 def test_grid_covers_every_axis_combination():
     cells = full_matrix()
-    axes = {(cell.ordered, cell.shards > 1, cell.pool) for cell in cells}
-    assert len(cells) == len(axes) == 8
+    axes = {(cell.ordered, cell.pool) for cell in cells}
+    assert len(cells) == len(axes) == 4
+    assert [cell.name for cell in smoke_matrix()] == ["ordered-pipe", "unordered-shm"]
 
 
 # ----------------------------------------------------------- golden cell
@@ -102,7 +103,7 @@ def test_golden_cell_pins_placement_and_stats():
 #: events, network bytes and, where churn shapes them, registry tallies
 MATRIX_PINS = {
     "abort-skew": (abort_cell, 1.9537125418897863, 3539, 516138, None),
-    "scale-1000": (scale_cell, 0.839023928386177, 13021, 100480226, (1000, 0)),
+    "scale-1000": (scale_cell, 0.8378917770509531, 12000, 100471890, (1000, 0)),
 }
 
 
@@ -146,7 +147,7 @@ def test_thousand_volunteer_cell_within_wall_budget():
 
 
 def test_a_cell_without_churn_records_no_departures():
-    """A sharded cell schedules no churn, so nobody leaves: a channel the
+    """A scale cell schedules no churn, so nobody leaves: a channel the
     master closes because its tab's sub-stream ran out of inputs (both
     half-closes, before the run completes) is not a volunteer leaving."""
     cell_result = run_verified(scale_cell(volunteers=40, inputs=120))

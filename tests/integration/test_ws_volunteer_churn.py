@@ -5,8 +5,7 @@ External volunteer processes (``spawn_volunteer_process``) join a live
 killed mid-frame — SIGKILL (socket dies, crash-stop detected on the wire)
 and SIGSTOP (socket stays open, only the heartbeat monitor can tell).  In
 every case the stream must complete exactly once: values borrowed by the
-dead volunteer are re-lent to the survivors, and on a sharded map a
-replacement volunteer is placed onto the depleted shard.
+dead volunteer are re-lent to the survivors.
 """
 
 from __future__ import annotations
@@ -75,47 +74,6 @@ class TestSigkillChurn:
         assert gateway.volunteers_left == 2
         assert gateway.suspicions == 0  # the wire died; no heartbeat verdict
         assert gateway.registry.crashes == 1
-
-    def test_sharded_unordered_with_replacement_volunteer(self):
-        # Two shards, one volunteer each.  Kill one mid-frame, then send a
-        # fresh volunteer: placement rebalancing must put it on the depleted
-        # shard so both shards finish, exactly once.
-        inputs = payloads(40)
-        dmap = DistributedMap(
-            scheduler="asyncio", batch_size=2, shards=2, ordered=False
-        )
-        sink = pull(from_iterable(inputs), dmap, collect())
-        gateway = dmap.serve_volunteers(fn_ref=SLEEP_ECHO)
-        victim = spawn_volunteer_process(gateway.url, name="victim")
-        survivor = spawn_volunteer_process(gateway.url, name="survivor")
-        killed = kill_when_busy(dmap, "victim", victim.pid)
-        replacement_box = {}
-
-        def send_replacement():
-            if killed.wait(30):
-                replacement_box["proc"] = spawn_volunteer_process(
-                    gateway.url, name="replacement"
-                )
-
-        threading.Thread(target=send_replacement, daemon=True).start()
-        try:
-            dmap.drive(sink, timeout=90)
-            result = sink.result()
-        finally:
-            dmap.close()
-            victim.join(10)
-            survivor.join(10)
-            replacement = replacement_box.get("proc")
-            if replacement is not None:
-                replacement.join(10)
-        assert killed.is_set(), "victim was never caught with work in flight"
-        assert sorted(value["n"] for value in result) == list(range(40))
-        assert gateway.volunteers_joined == 3
-        assert gateway.volunteers_crashed == 1
-        shards = {handle.shard for handle in dmap.workers.values()}
-        assert shards == {0, 1}  # the replacement landed on the empty shard
-        victim_shard = dmap.workers["victim"].shard
-        assert dmap.workers["replacement"].shard == victim_shard
 
 
 class TestSigstopSuspicion:

@@ -135,10 +135,6 @@ class TestScenarioConfigValidation:
         with pytest.raises(DeploymentError):
             ScenarioConfig(application=CollatzApplication(), batch_size=0)
 
-    def test_invalid_shards(self):
-        with pytest.raises(DeploymentError):
-            ScenarioConfig(application=CollatzApplication(), shards=0)
-
 
 class TestDeploymentScenarioMasterSide:
     def test_local_workers_process_stream(self):

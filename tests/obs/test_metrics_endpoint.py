@@ -2,7 +2,7 @@
 
 The endpoint answers scrapes from a daemon thread at any time: after
 ``drive()`` returned, on a map that never drove, and — the acceptance test —
-from a background thread *during* a live sharded multi-transport run.
+from a background thread *during* a live multi-transport run.
 """
 
 from __future__ import annotations
@@ -107,13 +107,13 @@ class TestThreadedEndpoint:
 
 
 class TestLiveScrapeAcceptance:
-    def test_live_scrape_during_sharded_multi_transport_run(self):
-        # The PR's acceptance scenario: a sharded map computing through a
+    def test_live_scrape_during_multi_transport_run(self):
+        # The acceptance scenario: one map computing through a
         # shm pool, a pipe pool, and a websocket volunteer at once, scraped
         # over HTTP *while* drive() runs.  sleep_blob (50 ms/value) keeps
         # the run alive long enough for the scraper to land mid-flight.
         items = large_payload_inputs(100, 8192)
-        dmap = DistributedMap(batch_size=2, shards=2)
+        dmap = DistributedMap(batch_size=2)
         sink = pull(values(items), dmap, collect())
         dmap.add_process_pool(SLEEP_BLOB, processes=1, transport="shm")
         dmap.add_process_pool(SLEEP_BLOB, processes=1, transport="pipe")
@@ -158,8 +158,7 @@ class TestLiveScrapeAcceptance:
             dmap.close()
             volunteer.join(10)
         scraper_thread.join(10)
-        # Shards merge results as they stream in: compare as a multiset.
-        assert sorted(results) == sorted(items)
+        assert results == items
         assert box["report"].graceful
         assert state["ok"], (
             "live scrape never saw all families non-zero; last body:\n"

@@ -89,21 +89,21 @@ class TestInputBuilders:
         assert len(set(items)) == 5
         assert all(len(item) == 4096 for item in items)
 
-    def test_crypto_search_inputs_hide_one_hit_off_the_slow_shard(self):
+    def test_crypto_search_inputs_hide_one_hit_behind_one_slow_attempt(self):
         items, nonce = crypto_search_inputs(
-            400, shards=3, values=7, hit_index=4, difficulty_bits=8
+            400, values=7, hit_index=4, difficulty_bits=8
         )
         assert len(items) == 7
-        # shard 0 carries the slow full-range scans, the hit sits elsewhere
-        assert [i for i, item in enumerate(items) if item["count"] == 400] == [0, 3, 6]
+        # attempt 0 is the one slow full-range scan, the hit sits later
+        assert [i for i, item in enumerate(items) if item["count"] == 400] == [0]
         results = [search_nonces(item) for item in items]
         assert [i for i, result in enumerate(results) if result["found"]] == [4]
         assert results[4]["nonce"] == nonce
 
-    @pytest.mark.parametrize("hit_index", [0, 12, 4])
+    @pytest.mark.parametrize("hit_index", [0, 12, -1])
     def test_crypto_search_inputs_reject_a_bad_hit_index(self, hit_index):
         with pytest.raises(ValueError):
-            crypto_search_inputs(10, shards=2, values=12, hit_index=hit_index)
+            crypto_search_inputs(10, values=12, hit_index=hit_index)
 
 
 class TestProcessPoolWorker:

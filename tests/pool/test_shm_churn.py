@@ -4,7 +4,7 @@ Mirror of ``tests/sched/test_sched_churn.py`` with the data plane under
 test: a **220-worker population** — two process pools running the
 shared-memory transport (real OS processes, payloads through
 :class:`~repro.net.shm_ring.ShmRing` slots) and 218 driver-backed workers
-churning with crash-stop failures — serves one sharded map over binary
+churning with crash-stop failures — serves one map over binary
 tile payloads.  The assertions are the transport's contract under churn:
 
 * exactly-once delivery (global order on the ordered map, a permutation on
@@ -29,7 +29,6 @@ from repro.sched import EventLoopScheduler
 from repro.sched.sources import EventSource
 from repro.sim.failures import ChurnModel
 
-SHARDS = 4
 WORKERS = 220
 DRIVERS = WORKERS - 2  # two shm pools complete the population
 INPUTS = 500
@@ -110,9 +109,8 @@ def build_churn_run(dmap, sched, substream_driver, seed=1234):
     assert len(crash_points) >= DRIVERS // 2, "churn should be substantial"
 
     drivers = []
-    surviving_shards = {handle.shard for handle in pool_handles}
     for worker_id in worker_ids:
-        sub = lend(dmap)  # least-loaded placement
+        sub = lend(dmap)
         if worker_id in crash_points:
             driver = substream_driver(
                 sub, fn=invert_tile, crash_after=crash_points[worker_id],
@@ -122,11 +120,7 @@ def build_churn_run(dmap, sched, substream_driver, seed=1234):
             driver = substream_driver(
                 sub, fn=invert_tile, auto_deliver=False, max_in_flight=1
             )
-            surviving_shards.add(sub.shard)
         drivers.append(driver.start())
-    # Liveness precondition: every shard keeps at least one server that
-    # never crashes (a pool or a surviving driver).
-    assert surviving_shards >= set(range(SHARDS)), surviving_shards
 
     sched.register(DriverStepSource(drivers))
     return input_values, output, pool_handles
@@ -139,9 +133,8 @@ def assert_accounting(dmap):
     assert total.substreams_opened == WORKERS
     assert total.values_lent == INPUTS + total.values_relent
     assert sum(total.lent_per_substream.values()) == total.values_lent
-    for lender in dmap.lender.shards:
-        assert lender.outstanding == 0
-        assert lender.relendable == 0
+    assert dmap.lender.outstanding == 0
+    assert dmap.lender.relendable == 0
 
 
 def assert_zero_leaked_slots(handle):
@@ -154,8 +147,7 @@ def assert_zero_leaked_slots(handle):
 @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
 def test_two_shm_pools_survive_churn(substream_driver, ordered):
     sched = EventLoopScheduler()
-    dmap = DistributedMap(ordered=ordered, batch_size=1, shards=SHARDS,
-                          scheduler=sched)
+    dmap = DistributedMap(ordered=ordered, batch_size=1, scheduler=sched)
     try:
         inputs, output, pool_handles = build_churn_run(
             dmap, sched, substream_driver

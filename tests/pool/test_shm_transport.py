@@ -194,7 +194,7 @@ class TestLeakProofLifecycle:
 
     def test_nonblocking_drive_round_trip(self):
         items = tiles(10)
-        dmap = DistributedMap(batch_size=2, shards=2)
+        dmap = DistributedMap(batch_size=2)
         sink = pull(values(items), dmap, collect())
         handles = [
             dmap.add_process_pool(INVERT, processes=1, transport="shm")

@@ -29,7 +29,7 @@ from repro.pullstream import (
     eager_pump,
     find,
     map_batches,
-    merge_ordered,
+    merge_unordered,
     pull,
     split,
     unbatching,
@@ -210,7 +210,7 @@ class recursion_limit:
         lambda src: pull(src, drain()),
         lambda src: pull(src, find(lambda v: v == -1)),
         lambda src: pull(src, batching(7), unbatching(), collect()),
-        lambda src: pull(merge_ordered(split(src, 3)), collect()),
+        lambda src: pull(merge_unordered(split(src, 3)), collect()),
     ],
     ids=["collect", "drain", "find", "batching", "split-merge"],
 )

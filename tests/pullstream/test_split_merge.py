@@ -1,4 +1,4 @@
-"""Tests for the splitters and joiners (multi-master support)."""
+"""Tests for the round-robin splitter and the completion-order joiner."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ from repro.errors import ProtocolError
 from repro.pullstream import (
     DONE,
     collect,
-    merge_ordered,
     merge_unordered,
     pull,
     pushable,
-    share,
     split,
     values,
 )
@@ -30,6 +28,22 @@ def abort(source, end=DONE):
     box = []
     source(end, lambda e, v: box.append((e, v)))
     return box[0]
+
+
+def counted(items):
+    """A values source that records every value it hands out."""
+    read = []
+    inner = values(items)
+
+    def source(end, cb):
+        def answer(answer_end, value):
+            if answer_end is None:
+                read.append(value)
+            cb(answer_end, value)
+
+        inner(end, answer)
+
+    return source, read
 
 
 class TestSplit:
@@ -55,21 +69,22 @@ class TestSplit:
         assert len(reads) == 1
 
     def test_values_for_idle_branches_are_buffered(self):
-        branches = split(values(list(range(6))), 2)
+        source, read = counted(list(range(6)))
+        branches = split(source, 2)
         # Branch 0 drains its half first; the odd values buffer for branch 1.
         assert [ask(branches[0])[1] for _ in range(3)] == [0, 2, 4]
-        assert branches.values_read >= 5
+        assert read == [0, 1, 2, 3, 4]
         assert [ask(branches[1])[1] for _ in range(3)] == [1, 3, 5]
 
     def test_termination_reaches_every_branch(self):
-        branches = split(values([0, 1]), 2)
+        source, read = counted([0, 1])
+        branches = split(source, 2)
         assert ask(branches[0]) == (None, 0)
         assert ask(branches[1]) == (None, 1)
         end0, _ = ask(branches[0])
         end1, _ = ask(branches[1])
         assert end0 is DONE and end1 is DONE
-        assert branches.upstream_ended
-        assert branches.values_read == 2
+        assert read == [0, 1]
 
     def test_error_termination_propagates(self):
         boom = RuntimeError("boom")
@@ -80,7 +95,6 @@ class TestSplit:
         branches = split(erroring, 2)
         assert ask(branches[0])[0] is boom
         assert ask(branches[1])[0] is boom
-        assert branches.upstream_end is boom
 
     def test_parked_ask_is_answered_on_upstream_end(self):
         source = pushable()
@@ -93,14 +107,6 @@ class TestSplit:
         assert answers == [(DONE, None)]
         # the skipped value 0 is still buffered for branch 0
         assert ask(branches[0]) == (None, 10)
-
-    def test_on_end_hook_fires_once(self):
-        ends = []
-        branches = split(values([0]), 2, on_end=ends.append)
-        assert ask(branches[0]) == (None, 0)
-        assert ask(branches[0])[0] is DONE
-        assert ask(branches[1])[0] is DONE
-        assert ends == [DONE]
 
     def test_branch_abort_aborts_upstream_and_siblings(self):
         upstream_aborts = []
@@ -137,109 +143,6 @@ class TestSplit:
             split(values([1]), 0)
 
 
-class TestShare:
-    def test_each_value_goes_to_the_branch_that_asks(self):
-        branches = share(values(list(range(6))), 3)
-        # One branch asking alone takes every value: nothing is set aside
-        # for its idle siblings.
-        assert [ask(branches[2])[1] for _ in range(4)] == [0, 1, 2, 3]
-        assert ask(branches[0]) == (None, 4)
-        assert ask(branches[1]) == (None, 5)
-        assert branches.buffer_depths == [0, 0, 0]
-        assert branches.max_buffer is None
-        for branch in branches:
-            assert ask(branch)[0] is DONE
-        assert branches.values_read == 6
-
-    def test_lazy_until_a_branch_asks(self):
-        reads = []
-
-        def counting(end, cb):
-            reads.append(end)
-            values([1, 2, 3, 4])(end, cb)
-
-        branches = share(counting, 2)
-        assert reads == []
-        assert ask(branches[1])[1] == 1
-        assert len(reads) == 1
-
-    def test_the_longest_waiting_ask_is_answered_first(self):
-        source = pushable()
-        branches = share(source, 3)
-        answers = []
-        for index in (2, 0, 1):
-            branches[index](
-                None, lambda end, value, index=index: answers.append((index, value))
-            )
-        assert answers == []
-        source.push("a")
-        source.push("b")
-        assert answers == [(2, "a"), (0, "b")]
-        # a branch asking again queues behind the one still waiting
-        branches[2](None, lambda end, value: answers.append((2, value)))
-        source.push("c")
-        source.push("d")
-        assert answers[2:] == [(1, "c"), (2, "d")]
-
-    def test_parked_and_later_asks_get_the_termination(self):
-        source = pushable()
-        ends = []
-        branches = share(source, 2, on_end=ends.append)
-        answers = []
-        branches[0](None, lambda end, value: answers.append((end, value)))
-        branches[1](None, lambda end, value: answers.append((end, value)))
-        source.push(7)
-        source.end()
-        assert answers == [(None, 7), (DONE, None)]
-        assert ask(branches[0])[0] is DONE
-        assert ends == [DONE]
-        assert branches.upstream_ended and branches.values_read == 1
-
-    def test_error_termination_propagates(self):
-        boom = RuntimeError("boom")
-
-        def erroring(end, cb):
-            cb(boom, None)
-
-        branches = share(erroring, 2)
-        assert ask(branches[0])[0] is boom
-        assert ask(branches[1])[0] is boom
-        assert branches.upstream_end is boom
-
-    def test_branch_abort_aborts_upstream_and_answers_siblings(self):
-        upstream_aborts = []
-        inner = pushable()
-
-        def observed(end, cb):
-            if end is not None:
-                upstream_aborts.append(end)
-            inner(end, cb)
-
-        boom = RuntimeError("branch failed")
-        branches = share(observed, 2)
-        parked = []
-        branches[1](None, lambda end, value: parked.append(end))
-        end, _ = abort(branches[0], boom)
-        assert end is boom
-        assert upstream_aborts == [boom]
-        assert parked == [boom]
-        assert ask(branches[1])[0] is boom
-
-    def test_concurrent_branch_ask_is_a_protocol_error(self):
-        source = pushable()
-        branches = share(source, 2)
-        first = []
-        branches[1](None, lambda end, value: first.append(value))
-        end, _ = ask(branches[1])
-        assert isinstance(end, ProtocolError)
-        source.push(3)
-        assert first == [3]  # the parked ask is still served
-
-    def test_requires_at_least_one_branch(self):
-        with pytest.raises(ValueError):
-            share(values([]), 0)
-
-
 class TestSplitMaxBuffer:
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -265,16 +168,17 @@ class TestSplitMaxBuffer:
         for _ in range(10):
             branches[0](None, lambda end, value: (answers.append(end),
                                                   got.append(value)))
-        assert branches.buffer_depths[1] <= 2
-        assert branches.buffer_depths == [0, 2]
         # Values 0, 2, 4 reached branch 0 before the pump parked on value 5
         # (branch 1's third buffered value); the remaining asks are parked.
         assert got[:3] == [0, 2, 4]
         assert len([e for e in answers if e is None]) == 3
         assert len(reads) == 5  # 0,1,2,3,4 read; 5 would overflow branch 1
+        # so branch 1 holds exactly its cap: 1 and 3
+        assert [ask(branches[1])[1] for _ in range(2)] == [1, 3]
 
     def test_slow_branch_resuming_releases_the_parked_pump(self):
-        branches = split(values(list(range(12))), 2, max_buffer=1)
+        source, read = counted(list(range(12)))
+        branches = split(source, 2, max_buffer=1)
         fast_answers = []
         slow_answers = []
 
@@ -292,7 +196,7 @@ class TestSplitMaxBuffer:
         # Two values delivered; the third ask parked (reading value 3 would
         # overflow branch 1's one-slot buffer).
         assert delivered(fast_answers) == [0, 2]
-        assert branches.buffer_depths == [0, 1]
+        assert read == [0, 1, 2]  # value 1 waits in branch 1's one slot
         # The slow branch drains its buffer: the parked pump resumes and the
         # outstanding fast ask is answered.
         branches[1](None, slow_cb)
@@ -302,7 +206,8 @@ class TestSplitMaxBuffer:
         for _ in range(8):
             branches[1](None, slow_cb)
             branches[0](None, fast_cb)
-            assert max(branches.buffer_depths) <= 1
+            delivered_total = len(delivered(fast_answers) + delivered(slow_answers))
+            assert len(read) - delivered_total <= 1
         assert delivered(fast_answers) == [0, 2, 4, 6, 8, 10]
         assert delivered(slow_answers) == [1, 3, 5, 7, 9, 11]
 
@@ -310,30 +215,46 @@ class TestSplitMaxBuffer:
         """A branch that is asking receives its value directly, so the cap
         only parks the pump for values that would actually buffer."""
         branches = split(values(list(range(6))), 2, max_buffer=1)
-        merged = merge_ordered(branches)
-        assert pull(merged, collect()).result() == list(range(6))
+        assert [ask(branches[index % 2])[1] for index in range(6)] == list(range(6))
 
     def test_abort_clears_bounded_buffers(self):
-        branches = split(values(list(range(10))), 2, max_buffer=2)
+        source, read = counted(list(range(10)))
+        branches = split(source, 2, max_buffer=2)
         assert [ask(branches[0])[1] for _ in range(3)] == [0, 2, 4]
-        assert branches.buffer_depths == [0, 2]
+        assert read == [0, 1, 2, 3, 4]  # 1 and 3 buffered for branch 1
         abort(branches[0])
-        assert branches.buffer_depths == [0, 0]
+        # the buffered values are dropped: branch 1 gets the termination
         assert ask(branches[1])[0] is DONE
 
     def test_merge_unordered_respects_the_cap(self):
         """Under an unordered merge the fast branch can run ahead, but the
         splitter still bounds the slow branch's backlog at the cap."""
-        branches = split(values(list(range(16))), 2, max_buffer=3)
+        source, read = counted(list(range(16)))
+        branches = split(source, 2, max_buffer=3)
+        handed = [[], []]
+
+        def tracked(index):
+            def branch(end, cb):
+                def answer(answer_end, value):
+                    if answer_end is None:
+                        handed[index].append(value)
+                    cb(answer_end, value)
+
+                branches[index](end, answer)
+
+            return branch
+
         depths = []
-        merged = merge_unordered(branches)
+        merged = merge_unordered([tracked(0), tracked(1)])
 
         def observing(end, cb):
             merged(end, cb)
-            depths.append(branches.buffer_depths[:])
+            for index in (0, 1):
+                owed = [value for value in read if value % 2 == index]
+                depths.append(len(owed) - len(handed[index]))
 
         assert sorted(pull(observing, collect()).result()) == list(range(16))
-        assert max(depth for pair in depths for depth in pair) <= 3
+        assert max(depths) <= 3
 
 
 class TestMergeUnordered:
@@ -436,45 +357,6 @@ class TestMergeUnordered:
         assert abort(merged)[0] is DONE
         assert sorted(aborts) == ["a", "b"]
 
-    def test_total_short_circuits_a_dead_source(self):
-        state = {"total": None}
-        parked = []
-        closed = []
-
-        def dead(end, cb):
-            if end is not None:
-                closed.append(end)
-                cb(DONE, None)
-                return
-            parked.append(cb)  # never answers, like a shard with no workers
-
-        merged = merge_unordered([values([7]), dead], total=lambda: state["total"])
-        assert ask(merged) == (None, 7)
-        answers = []
-        merged(None, lambda end, value: answers.append((end, value)))
-        assert answers == []
-        state["total"] = 1
-        merged.recheck()
-        assert answers == [(DONE, None)]
-        assert closed == [DONE]  # the dead straggler is shut down
-        assert ask(merged)[0] is DONE
-
-    def test_total_short_circuit_reports_the_upstream_error(self):
-        boom = RuntimeError("input failed")
-        closed = []
-
-        def dead(end, cb):
-            if end is not None:
-                closed.append(end)
-                cb(end, None)
-
-        merged = merge_unordered(
-            [values([0]), dead], total=lambda: 1, total_end=lambda: boom
-        )
-        assert ask(merged) == (None, 0)
-        assert ask(merged)[0] is boom
-        assert closed == [boom]
-
     def test_concurrent_ask_is_a_protocol_error(self):
         def never(end, cb):
             if end is not None:
@@ -488,126 +370,3 @@ class TestMergeUnordered:
     def test_requires_at_least_one_source(self):
         with pytest.raises(ValueError):
             merge_unordered([])
-
-
-class TestMergeOrdered:
-    def test_interleaves_round_robin(self):
-        branches = split(values(list(range(10))), 2)
-        merged = merge_ordered(branches)
-        assert pull(merged, collect()).result() == list(range(10))
-
-    def test_three_way_global_order(self):
-        branches = split(values(list(range(11))), 3)
-        merged = merge_ordered(branches)
-        assert pull(merged, collect()).result() == list(range(11))
-
-    def test_done_from_one_source_ends_the_merge(self):
-        merged = merge_ordered([values([1]), values([2])])
-        assert ask(merged) == (None, 1)
-        assert ask(merged) == (None, 2)
-        assert ask(merged)[0] is DONE
-
-    def test_error_from_one_source_aborts_the_others(self):
-        boom = RuntimeError("shard died")
-        aborted = []
-
-        def failing(end, cb):
-            cb(boom, None)
-
-        def healthy(end, cb):
-            if end is not None:
-                aborted.append(end)
-                cb(DONE, None)
-                return
-            cb(None, "unused")
-
-        merged = merge_ordered([failing, healthy])
-        end, _ = ask(merged)
-        assert end is boom
-        assert aborted == [boom]
-        assert ask(merged)[0] is boom  # terminal thereafter
-
-    def test_downstream_abort_reaches_every_source(self):
-        aborts = []
-
-        def make(name):
-            def source(end, cb):
-                if end is not None:
-                    aborts.append(name)
-                    cb(DONE, None)
-                    return
-                cb(None, name)
-
-            return source
-
-        merged = merge_ordered([make("a"), make("b")])
-        assert ask(merged) == (None, "a")
-        assert abort(merged)[0] is DONE
-        assert sorted(aborts) == ["a", "b"]
-
-    def test_total_short_circuit_reports_the_upstream_error(self):
-        """Regression: the short-circuit finished with DONE unconditionally,
-        presenting the partial results of an errored input as a clean
-        completion."""
-        boom = RuntimeError("input failed")
-        aborted = []
-
-        def dead(end, cb):
-            if end is not None:
-                aborted.append(end)
-                cb(end, None)
-
-        merged = merge_ordered(
-            [values([0]), dead], total=lambda: 1, total_end=lambda: boom
-        )
-        assert ask(merged) == (None, 0)
-        assert ask(merged)[0] is boom
-        assert aborted == [boom]  # the idle source is shut down with the error
-
-    def test_total_short_circuits_without_asking(self):
-        asks = []
-
-        def never(end, cb):
-            asks.append(end)  # would park forever on a real dead shard
-
-        merged = merge_ordered([values([7]), never], total=lambda: 1)
-        assert ask(merged) == (None, 7)
-        assert ask(merged)[0] is DONE
-        assert asks == []
-
-    def test_recheck_abandons_a_parked_ask(self):
-        """A joiner parked on a source that will never answer is released
-        when the total becomes known (the dead-shard scenario)."""
-        state = {"total": None}
-        parked = []
-
-        def dead(end, cb):
-            if end is not None:
-                cb(DONE, None)
-                return
-            parked.append(cb)  # never answers a value ask
-
-        merged = merge_ordered([values([0]), dead], total=lambda: state["total"])
-        assert ask(merged) == (None, 0)
-        answers = []
-        merged(None, lambda end, value: answers.append((end, value)))
-        assert answers == [] and len(parked) == 1
-        state["total"] = 1
-        merged.recheck()
-        assert answers == [(DONE, None)]
-        # the abandoned source ask stays unanswered without consequence
-        assert ask(merged)[0] is DONE
-
-    def test_concurrent_ask_is_a_protocol_error(self):
-        def never(end, cb):
-            if end is not None:
-                cb(DONE, None)
-
-        merged = merge_ordered([never])
-        merged(None, lambda end, value: None)
-        end, _ = ask(merged)
-        assert isinstance(end, ProtocolError)
-
-    def test_requires_at_least_one_source(self):
-        with pytest.raises(ValueError):
-            merge_ordered([])

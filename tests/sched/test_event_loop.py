@@ -233,18 +233,20 @@ class TestGenericAbortFanOut:
 
 class TestFailureModes:
     def test_stall_raises_instead_of_hanging(self):
-        """A shard no worker serves can never complete: the scheduler must
-        diagnose the stall, not wait forever."""
-        with DistributedMap(batch_size=1, shards=2) as dmap:
-            sink = pull(values(list(range(8))), dmap, collect())
-            # Only shard 0 gets a pool; shard 1 starves.
+        """A map whose only worker crash-stopped can never complete: the
+        scheduler must diagnose the stall, not wait forever."""
+        with DistributedMap(batch_size=1) as dmap:
+            # square("x") raises in the child: the pool's sub-stream fails
+            # and its values wait for a worker that never comes.
+            sink = pull(values(["x"] * 8), dmap, collect())
             dmap.add_process_pool(
-                "repro.pool.workloads:echo", processes=1, worker_id="only"
+                "repro.pool.workloads:square", processes=1, worker_id="only"
             )
             with pytest.raises(PandoError, match="stalled"):
                 dmap.drive(sink, timeout=30)
             assert dmap.scheduler.stalls == 1
             assert len(dmap.obs.trace.events("pump_stall")) == 1
+            assert dmap.stats.substreams_failed == 1
 
     def test_zero_timeout_fires_on_the_first_round_of_a_pool_only_map(self):
         with DistributedMap(batch_size=1) as dmap:
@@ -267,8 +269,8 @@ class TestFailureModes:
         finally:
             sched.close()
 
-    @pytest.mark.parametrize("kwargs", [{"shards": 1}, {"shards": 2, "ordered": False}])
-    def test_a_sink_that_raises_on_a_pool_result_raises_out_of_drive(self, kwargs):
+    @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+    def test_a_sink_that_raises_on_a_pool_result_raises_out_of_drive(self, ordered):
         """A pool result goes down the stream from a loop reader callback,
         where asyncio logs and drops an escaping exception: the scheduler
         has to carry it to ``drive()`` itself, not report a stall."""
@@ -279,9 +281,9 @@ class TestFailureModes:
             if len(seen) == 5:
                 raise RuntimeError("the sink failed on its 5th result")
 
-        with DistributedMap(batch_size=1, **kwargs) as dmap:
+        with DistributedMap(batch_size=1, ordered=ordered) as dmap:
             sink = pull(values(list(range(40))), dmap, drain(on_result))
-            for _ in range(kwargs["shards"]):
+            for _ in range(1 if ordered else 2):
                 dmap.add_process_pool("repro.pool.workloads:square", processes=2)
             with pytest.raises(RuntimeError, match="5th result"):
                 dmap.drive(sink, timeout=5)

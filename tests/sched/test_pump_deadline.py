@@ -13,8 +13,9 @@ import time
 
 import pytest
 
+from repro.core import DistributedMap
 from repro.errors import PandoError
-from repro.pullstream import collect, pull
+from repro.pullstream import collect, pull, values
 from repro.pullstream.pushable import Pushable
 from repro.sched import EventLoopScheduler
 
@@ -56,3 +57,22 @@ class TestPumpDeadline:
             assert sink.done
             scheduler.run(sink, timeout=0)  # returns without raising
             assert sink.result() == [1]
+
+    def test_timeout_fires_even_while_progressing(self):
+        """Regression: the deadline was only checked on rounds that made no
+        progress, so a steadily progressing run could overshoot it."""
+        dmap = DistributedMap(batch_size=1)
+        sink = pull(
+            values([{"sleep": 0.05, "index": i} for i in range(40)]),
+            dmap,
+            collect(),
+        )
+        try:
+            for _ in range(2):
+                dmap.add_process_pool(
+                    "repro.pool.workloads:sleep_echo", processes=1, batch_size=1
+                )
+            with pytest.raises(PandoError, match="timed out"):
+                dmap.drive(sink, timeout=0.15)
+        finally:
+            dmap.close()

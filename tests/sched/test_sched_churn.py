@@ -1,12 +1,12 @@
 """Fault-injection churn with heterogeneous sources on one event loop.
 
-Mirror of ``tests/core/test_sharded_churn.py`` with the asyncio scheduler in
-the driver's seat and a **mixed population of 220 workers**: two process
+One lender with the event-loop scheduler in the driver's seat and a
+**mixed population of 220 workers**: two process
 pools (real OS processes, futures completing on executor threads), one
 simulated network channel (frames delivered through a virtual-time
 scheduler stepped on the loop), and 217 driver-backed workers churning with
 crash-stop failures.  The test asserts that exactly-once delivery, the
-per-shard accounting invariants, and the participation of every transport
+lender's accounting invariants, and the participation of every transport
 survive the churn — and that every stream callback still runs on the one
 driving thread.
 """
@@ -27,7 +27,6 @@ from repro.sim.failures import ChurnModel
 from repro.sim.network import LAN_PROFILE, NetworkModel
 from repro.sim.scheduler import Scheduler
 
-SHARDS = 4
 WORKERS = 220
 DRIVERS = WORKERS - 3  # two pools and one channel complete the population
 INPUTS = 500
@@ -121,21 +120,15 @@ def build_mixed_run(dmap, sched, substream_driver, seed=1234):
     assert len(crash_points) >= DRIVERS // 2, "churn should be substantial"
 
     drivers = []
-    surviving_shards = {pool_handles[0].shard, pool_handles[1].shard,
-                        channel_handle.shard}
     for worker_id in worker_ids:
-        sub = lend(dmap)  # least-loaded placement
+        sub = lend(dmap)
         if worker_id in crash_points:
             driver = substream_driver(
                 sub, crash_after=crash_points[worker_id], auto_deliver=False
             )
         else:
             driver = substream_driver(sub, auto_deliver=False, max_in_flight=1)
-            surviving_shards.add(sub.shard)
         drivers.append(driver.start())
-    # Liveness precondition: every shard keeps at least one server that
-    # never crashes (a pool, the channel, or a surviving driver).
-    assert surviving_shards >= set(range(SHARDS)), surviving_shards
 
     sched.register(DriverStepSource(drivers))
     return (input_values, output, pool_handles, channel_handle,
@@ -149,16 +142,14 @@ def assert_accounting(dmap, workers_attached):
     assert total.substreams_opened == workers_attached
     assert total.values_lent == INPUTS + total.values_relent
     assert sum(total.lent_per_substream.values()) == total.values_lent
-    for lender in dmap.lender.shards:
-        assert lender.outstanding == 0
-        assert lender.relendable == 0
+    assert dmap.lender.outstanding == 0
+    assert dmap.lender.relendable == 0
 
 
 @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
 def test_mixed_sources_survive_churn(substream_driver, ordered):
     sched = EventLoopScheduler()
-    dmap = DistributedMap(ordered=ordered, batch_size=1, shards=SHARDS,
-                          scheduler=sched)
+    dmap = DistributedMap(ordered=ordered, batch_size=1, scheduler=sched)
     try:
         (inputs, output, pool_handles, channel_handle,
          callback_threads, main_thread) = build_mixed_run(
@@ -178,9 +169,7 @@ def test_mixed_sources_survive_churn(substream_driver, ordered):
         # Every transport participated in the computation.
         for handle in pool_handles:
             assert handle.pool.results_returned > 0
-        assert dmap.stats.results_per_substream[
-            (channel_handle.shard, channel_handle.substream.id)
-        ] > 0
+        assert dmap.stats.results_per_substream[channel_handle.substream.id] > 0
         # The single-threaded pull-stream invariant held throughout.
         assert callback_threads == {main_thread}
     finally:

@@ -108,7 +108,6 @@ def test_random_abort_points_deliver_exactly_the_hit(hit_id, seed, ordered):
     cell = MatrixCell(
         name=f"hyp-abort-{hit_id}",
         ordered=ordered,
-        shards=1,
         pool=None,
         volunteers=3,
         inputs=24,

@@ -140,6 +140,24 @@ class TestPoolTransportFlag:
         assert len(lines) == 6
         assert all("steps" in line for line in lines)
 
+    @pytest.mark.parametrize("order", [[], ["--unordered"]],
+                             ids=["ordered", "unordered"])
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_pool_run_matches_the_local_run(self, capsys, transport, order):
+        """Either transport, either order: a pool run answers every value
+        as the local backend does (in input order unless --unordered)."""
+        app = ["--app", "collatz", "--count", "8", "--workers", "2"]
+        assert main(app) == 0
+        expected = capsys.readouterr().out.strip().splitlines()
+        code = main(app + order + ["--backend", "pool",
+                                   "--pool-transport", transport])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        if order:
+            assert sorted(lines) == sorted(expected)
+        else:
+            assert lines == expected
+
     def test_shm_transport_requires_pool_backend(self, capsys):
         with pytest.raises(SystemExit):
             main(["--app", "collatz", "--count", "4",

@@ -1,4 +1,8 @@
-"""Tests for DistributedMap (the master-side composition)."""
+"""Tests for DistributedMap (the master-side composition).
+
+The channel, late-attachment and inspection cases also run on an
+``ordered=False`` map (the ``TestUnordered*`` subclasses at the bottom).
+"""
 
 from __future__ import annotations
 
@@ -17,6 +21,19 @@ from repro.pullstream import (
     take,
     values,
 )
+
+
+class MapCase:
+    """Build maps with ``ordered``; ``same`` compares the output as a
+    sequence on an ordered map and as a multiset otherwise."""
+
+    ordered = True
+
+    def same(self, results, expected):
+        if self.ordered:
+            assert results == expected
+        else:
+            assert sorted(results) == sorted(expected)
 
 
 class TestLocalWorkers:
@@ -148,33 +165,33 @@ class TestLocalWorkers:
         assert sorted(output.result()) == [1, 4, 9]
 
 
-class TestChannelWorkers:
+class TestChannelWorkers(MapCase):
     def test_add_channel_with_loopback_worker(self):
-        dmap = DistributedMap(batch_size=2)
+        dmap = DistributedMap(batch_size=2, ordered=self.ordered)
         output = pull(values(list(range(10))), dmap, collect())
         local_end, remote_end = duplex_pair()
         # the remote side applies the function
         pull(remote_end.source, async_map(lambda v, cb: cb(None, v + 100)), remote_end.sink)
         handle = dmap.add_channel(local_end, worker_id="remote-1")
-        assert output.result() == [value + 100 for value in range(10)]
+        self.same(output.result(), [value + 100 for value in range(10)])
         assert handle.limiter is not None
         assert handle.limiter.max_in_flight <= 2
 
     def test_mixed_channel_and_local_workers(self, square_fn):
-        dmap = DistributedMap(batch_size=1)
+        dmap = DistributedMap(batch_size=1, ordered=self.ordered)
         output = pull(values(list(range(8))), dmap, collect())
         local_end, remote_end = duplex_pair()
         pull(remote_end.source, async_map(lambda v, cb: cb(None, v * v)), remote_end.sink)
         dmap.add_channel(local_end)
         dmap.add_local_worker(square_fn)
-        assert output.result() == [value * value for value in range(8)]
+        self.same(output.result(), [value * value for value in range(8)])
 
     @pytest.mark.parametrize("attached", ["before", "after"])
     def test_framed_channel_ships_full_frames(self, attached):
         """A framer asking again from its own answer's cascade is answered
         synchronously, so it fills its frame — also when its first ask was
         queued before the source was connected."""
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         frames = []
 
         def attach():
@@ -200,11 +217,11 @@ class TestChannelWorkers:
         output = pull(values(range(40)), dmap, collect())
         if attached == "after":
             attach()
-        assert output.result() == list(range(40))
+        self.same(output.result(), list(range(40)))
         assert frames == [4] * 10
 
     def test_per_channel_batch_override(self):
-        dmap = DistributedMap(batch_size=1)
+        dmap = DistributedMap(batch_size=1, ordered=self.ordered)
         pull(count(4), dmap, collect())
         local_end, remote_end = duplex_pair()
         pull(remote_end.source, async_map(lambda v, cb: cb(None, v)), remote_end.sink)
@@ -212,26 +229,26 @@ class TestChannelWorkers:
         assert handle.limiter.limit == 5
 
 
-class TestLateAttachment:
+class TestLateAttachment(MapCase):
     """Attaching workers after the map's output finished must fail cleanly
     (regression: PandoError used to be raised from *inside* the lend_stream
     callback, after a Limiter had already been wired)."""
 
     def test_attach_after_output_drained_returns_closed_handle(self, square_fn):
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         output = pull(values([1, 2, 3]), dmap, collect())
         dmap.add_local_worker(square_fn)
-        assert output.result() == [1, 4, 9]
+        self.same(output.result(), [1, 4, 9])
         assert not dmap.closed  # drained normally, not aborted
         late = dmap.add_local_worker(square_fn, worker_id="latecomer")
         assert late.closed
         assert "latecomer" in dmap.workers
-        assert output.result() == [1, 4, 9]  # output unchanged
+        self.same(output.result(), [1, 4, 9])  # output unchanged
 
     def test_attach_after_abort_raises_before_wiring(self, square_fn):
         from repro.errors import PandoError
 
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         output = pull(count(100), dmap, take(2), collect())
         dmap.add_local_worker(square_fn)
         assert output.done
@@ -243,7 +260,7 @@ class TestLateAttachment:
     def test_attach_channel_after_abort_raises(self):
         from repro.errors import PandoError
 
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         output = pull(count(100), dmap, take(1), collect())
         dmap.add_local_worker(lambda v, cb: cb(None, v))
         assert output.done
@@ -253,9 +270,9 @@ class TestLateAttachment:
         assert "too-late" not in dmap.workers
 
 
-class TestInspection:
+class TestInspection(MapCase):
     def test_active_workers_and_stats(self, square_fn):
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         output = pull(values(list(range(5))), dmap, collect())
         dmap.add_local_worker(square_fn)
         output.result()
@@ -266,14 +283,26 @@ class TestInspection:
         assert dmap.active_workers == []
 
     def test_handle_in_flight(self, square_fn):
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         pull(values([1, 2, 3]), dmap, collect())
         handle = dmap.add_local_worker(square_fn)
         assert handle.in_flight == 0
 
     def test_lazy_with_take(self, square_fn):
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         output = pull(count(1000), dmap, take(3), collect())
         dmap.add_local_worker(square_fn)
-        assert output.result() == [1, 4, 9]
+        self.same(output.result(), [1, 4, 9])
         assert dmap.stats.values_read < 10
+
+
+class TestUnorderedChannelWorkers(TestChannelWorkers):
+    ordered = False
+
+
+class TestUnorderedLateAttachment(TestLateAttachment):
+    ordered = False
+
+
+class TestUnorderedInspection(TestInspection):
+    ordered = False

@@ -1,4 +1,10 @@
-"""Tests for StreamLender: basic behaviour, dynamics and ordering."""
+"""Tests for StreamLender: basic behaviour, dynamics and ordering.
+
+Every class except ``TestOrdering`` also runs against
+:class:`UnorderedStreamLender` (the ``TestUnordered*`` subclasses at the
+bottom): apart from the order of the output, the two lenders make the same
+promises.
+"""
 
 from __future__ import annotations
 
@@ -18,27 +24,40 @@ def lend(lender):
     return sub
 
 
-class TestBasicLending:
+class LenderCase:
+    """Run a test class against ``make``; ``same`` compares the output as
+    a sequence on the ordered lender and as a multiset otherwise."""
+
+    make = StreamLender
+
+    def same(self, results, expected):
+        if self.make is StreamLender:
+            assert results == expected
+        else:
+            assert sorted(results) == sorted(expected)
+
+
+class TestBasicLending(LenderCase):
     def test_single_substream_processes_everything(self, substream_driver):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(values([1, 2, 3, 4]), lender, collect())
         driver = substream_driver(lend(lender)).start()
         assert output.result() == [10, 20, 30, 40]
         assert driver.borrowed == [1, 2, 3, 4]
 
     def test_empty_input(self, substream_driver):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(values([]), lender, collect())
         substream_driver(lend(lender)).start()
         assert output.result() == []
 
     def test_no_substream_means_no_progress(self):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(values([1, 2, 3]), lender, collect())
         assert not output.done  # nobody to lend to: the stream waits
 
     def test_two_substreams_share_the_work(self, substream_driver):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(values(list(range(10))), lender, collect())
         # The first driver delivers results only when asked explicitly so the
         # second sub-stream gets a share of the work.
@@ -55,12 +74,12 @@ class TestBasicLending:
                 break
             first.deliver_all()
             second.deliver_all()
-        assert output.result() == [value * 10 for value in range(10)]
+        self.same(output.result(), [value * 10 for value in range(10)])
         assert len(first.borrowed) + len(second.borrowed) == 10
         assert len(first.borrowed) > 0 and len(second.borrowed) > 0
 
     def test_substream_joining_late_still_helps(self, substream_driver):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(values(list(range(6))), lender, collect())
         first = substream_driver(lend(lender), auto_deliver=False).start()
         # later, a second sub-stream joins dynamically
@@ -70,10 +89,10 @@ class TestBasicLending:
                 break
             first.deliver_all()
             second.deliver_all()
-        assert output.result() == [value * 10 for value in range(6)]
+        self.same(output.result(), [value * 10 for value in range(6)])
 
     def test_stats_track_lending(self, substream_driver):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(values([1, 2, 3]), lender, collect())
         substream_driver(lend(lender)).start()
         output.result()
@@ -125,7 +144,36 @@ class TestOrdering:
         assert sorted(output.result()) == [10, 20, 30, 40]
 
 
-class TestLaziness:
+    @pytest.mark.parametrize(
+        "make, held_back",
+        [(StreamLender, True), (UnorderedStreamLender, False)],
+        ids=["ordered", "unordered"],
+    )
+    def test_a_stalled_worker_holds_back_only_the_ordered_output(
+        self, substream_driver, make, held_back
+    ):
+        """While one worker sits on value 0, a second worker answers every
+        other value: the ordered output waits for value 0, the unordered
+        one passes the other answers on as they come."""
+        from repro.pullstream import tap
+
+        lender = make()
+        delivered = []
+        output = pull(values(list(range(10))), lender, tap(delivered.append),
+                      collect())
+        slow = substream_driver(
+            lend(lender), auto_deliver=False, max_in_flight=1
+        ).start()
+        fast = substream_driver(lend(lender)).start()
+        assert slow.borrowed == [0]
+        assert fast.borrowed == list(range(1, 10))
+        assert not output.done
+        assert delivered == ([] if held_back else [v * 10 for v in range(1, 10)])
+        slow.deliver_all()
+        assert sorted(output.result()) == [value * 10 for value in range(10)]
+
+
+class TestLaziness(LenderCase):
     def test_values_read_only_when_borrowed(self, substream_driver):
         pulled = []
 
@@ -136,7 +184,7 @@ class TestLaziness:
 
         from repro.pullstream import from_iterable
 
-        lender = StreamLender()
+        lender = self.make()
         output = pull(from_iterable(generator()), lender, take(3), collect())
         substream_driver(lend(lender)).start()
         assert output.result() == [0, 10, 20]
@@ -150,14 +198,14 @@ class TestLaziness:
             reads.append(end)
             cb(DONE, None)
 
-        lender = StreamLender()
+        lender = self.make()
         pull(spy_source, lender, collect())
         assert reads == []  # nothing read until a sub-stream asks
 
 
-class TestDownstreamAbort:
+class TestDownstreamAbort(LenderCase):
     def test_take_aborts_lender_and_upstream(self, substream_driver):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(count(100), lender, take(5), collect())
         substream_driver(lend(lender)).start()
         assert output.result() == [10, 20, 30, 40, 50]
@@ -167,7 +215,7 @@ class TestDownstreamAbort:
         assert isinstance(refused[0], (StreamAborted, Exception))
 
     def test_lend_after_abort_reports_error(self):
-        lender = StreamLender()
+        lender = self.make()
         output = pull(values([1]), lender, take(0), collect())
         assert output.result() == []
         errors = []
@@ -175,11 +223,11 @@ class TestDownstreamAbort:
         assert errors and errors[0] is not None
 
 
-class TestErrors:
+class TestErrors(LenderCase):
     def test_upstream_error_reaches_output(self, substream_driver):
         from repro.pullstream import error
 
-        lender = StreamLender()
+        lender = self.make()
         boom = RuntimeError("upstream exploded")
         output = pull(error(boom), lender, collect())
         substream_driver(lend(lender)).start()
@@ -189,7 +237,7 @@ class TestErrors:
     def test_upstream_error_after_values(self, substream_driver):
         from repro.pullstream import cat, error, values as values_
 
-        lender = StreamLender()
+        lender = self.make()
         boom = RuntimeError("late failure")
         output = pull(cat([values_([1, 2]), error(boom)]), lender, collect())
         substream_driver(lend(lender)).start()
@@ -198,16 +246,32 @@ class TestErrors:
         assert output.value == [10, 20]
 
     def test_double_upstream_connection_rejected(self):
-        lender = StreamLender()
+        lender = self.make()
         lender(values([1]))
         with pytest.raises(ProtocolError):
             lender(values([2]))
 
     def test_output_double_ask_reports_protocol_error(self):
-        lender = StreamLender()
+        lender = self.make()
         output_source = lender(values([1, 2]))
         results = []
         output_source(None, lambda end, value: results.append((end, value)))
         output_source(None, lambda end, value: results.append((end, value)))
         # the second concurrent ask is answered with a ProtocolError
         assert any(isinstance(end, ProtocolError) for end, _ in results)
+
+
+class TestUnorderedBasicLending(TestBasicLending):
+    make = UnorderedStreamLender
+
+
+class TestUnorderedLaziness(TestLaziness):
+    make = UnorderedStreamLender
+
+
+class TestUnorderedDownstreamAbort(TestDownstreamAbort):
+    make = UnorderedStreamLender
+
+
+class TestUnorderedErrors(TestErrors):
+    make = UnorderedStreamLender

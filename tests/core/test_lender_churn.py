@@ -12,7 +12,7 @@ kept open-sub-stream count is compared with a scan of its sub-streams.
 
 from __future__ import annotations
 
-from repro.core import StreamLender
+from repro.core import StreamLender, UnorderedStreamLender
 from repro.errors import StreamAborted, WorkerCrashed
 from repro.pullstream import DONE, collect, pull, values
 from repro.sim.failures import ChurnModel
@@ -28,10 +28,12 @@ def lend(lender):
 
 
 class TestChurn:
+    make = StreamLender
+
     def test_exactly_once_under_random_crash_stop_churn(
         self, substream_driver, assert_open_counts
     ):
-        lender = StreamLender()
+        lender = self.make()
         inputs = list(range(INPUTS))
         output = pull(values(inputs), lender, collect())
 
@@ -78,8 +80,12 @@ class TestChurn:
         assert output.done
         assert lender.open_substreams == 0
 
-        # Exactly once, in input order.
-        assert output.result() == [value * 10 for value in inputs]
+        # Exactly once, in input order (any order when unordered).
+        expected = [value * 10 for value in inputs]
+        if self.make is StreamLender:
+            assert output.result() == expected
+        else:
+            assert sorted(output.result()) == expected
 
         stats = lender.stats
         assert stats.values_read == INPUTS
@@ -112,8 +118,10 @@ class TestChurn:
 class TestOpenCount:
     """``open_substreams`` moves exactly where ``sub.closed`` flips."""
 
+    make = StreamLender
+
     def test_every_way_a_substream_closes(self, substream_driver, assert_open_counts):
-        lender = StreamLender()
+        lender = self.make()
         read = pull(values(list(range(20))), lender)
         subs = [lend(lender) for _ in range(5)]
         assert_open_counts(lender)
@@ -150,3 +158,11 @@ class TestOpenCount:
         assert isinstance(refused[0][0], StreamAborted) and refused[0][1] is None
         assert_open_counts(lender)
         assert lender.open_substreams == 0
+
+
+class TestUnorderedChurn(TestChurn):
+    make = UnorderedStreamLender
+
+
+class TestUnorderedOpenCount(TestOpenCount):
+    make = UnorderedStreamLender

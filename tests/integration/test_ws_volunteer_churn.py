@@ -75,6 +75,49 @@ class TestSigkillChurn:
         assert gateway.suspicions == 0  # the wire died; no heartbeat verdict
         assert gateway.registry.crashes == 1
 
+    def test_unordered_stream_takes_a_replacement_volunteer(self):
+        # One volunteer is killed mid-frame and the other leaves after four
+        # frames, so the stream can only finish through a fresh volunteer
+        # that joins after the kill.  It borrows from the same unordered
+        # lender, and every value comes back exactly once.
+        inputs = payloads(40)
+        dmap = DistributedMap(scheduler="asyncio", batch_size=2, ordered=False)
+        sink = pull(from_iterable(inputs), dmap, collect())
+        gateway = dmap.serve_volunteers(fn_ref=SLEEP_ECHO)
+        victim = spawn_volunteer_process(gateway.url, name="victim")
+        survivor = spawn_volunteer_process(
+            gateway.url, name="survivor", max_frames=4
+        )
+        killed = kill_when_busy(dmap, "victim", victim.pid)
+        replacement_box = {}
+
+        def send_replacement():
+            if killed.wait(30):
+                replacement_box["proc"] = spawn_volunteer_process(
+                    gateway.url, name="replacement"
+                )
+
+        threading.Thread(target=send_replacement, daemon=True).start()
+        try:
+            dmap.drive(sink, timeout=90)
+            result = sink.result()
+        finally:
+            dmap.close()
+            victim.join(10)
+            survivor.join(10)
+            replacement = replacement_box.get("proc")
+            if replacement is not None:
+                replacement.join(10)
+        assert killed.is_set(), "victim was never caught with work in flight"
+        assert sorted(value["n"] for value in result) == list(range(40))
+        assert gateway.volunteers_joined == 3
+        assert gateway.volunteers_crashed == 1
+        assert gateway.volunteers_left == 2
+        assert set(dmap.workers) == {"victim", "survivor", "replacement"}
+        assert dmap.stats.values_relent >= 1
+        per_substream = dmap.stats.results_per_substream
+        assert per_substream[dmap.workers["replacement"].substream.id] > 0
+
 
 class TestSigstopSuspicion:
     def test_heartbeat_suspects_a_stalled_volunteer(self):

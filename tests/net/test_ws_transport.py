@@ -243,9 +243,22 @@ def failing_fn(value):
     raise ValueError(f"cannot process {value!r}")
 
 
-class TestGatewayIntegration:
+class GatewayMapCases:
+    """Volunteer sessions serving a map built with ``ordered``; ``same``
+    compares the output as a sequence on an ordered map and as a
+    multiset otherwise.  ``TestGatewayIntegration`` runs them ordered,
+    ``TestUnorderedGatewayIntegration`` unordered."""
+
+    ordered = True
+
+    def same(self, results, expected):
+        if self.ordered:
+            assert results == expected
+        else:
+            assert sorted(results) == sorted(expected)
+
     def test_end_to_end_ordered_results(self):
-        dmap = DistributedMap(scheduler="asyncio", batch_size=2)
+        dmap = DistributedMap(scheduler="asyncio", batch_size=2, ordered=self.ordered)
         sink = pull(from_iterable(range(30)), dmap, collect())
         gateway = dmap.serve_volunteers(fn_ref="operator:neg")
         threads = [
@@ -254,7 +267,7 @@ class TestGatewayIntegration:
         ]
         try:
             dmap.drive(sink, timeout=30)
-            assert sink.result() == [-i for i in range(30)]
+            self.same(sink.result(), [-i for i in range(30)])
         finally:
             dmap.close()
             for thread, _box in threads:
@@ -276,18 +289,112 @@ class TestGatewayIntegration:
     def test_volunteer_supplies_its_own_function(self):
         # The master announces no function reference; the volunteer brings
         # one locally (the --module / --fn path of the CLI).
-        dmap = DistributedMap(scheduler="asyncio")
+        dmap = DistributedMap(scheduler="asyncio", ordered=self.ordered)
         sink = pull(from_iterable([1, 2, 3]), dmap, collect())
         gateway = dmap.serve_volunteers()  # fn_ref=None
         thread, box = start_volunteer_thread(gateway.url, fn_ref="operator:neg")
         try:
             dmap.drive(sink, timeout=30)
-            assert sink.result() == [-1, -2, -3]
+            self.same(sink.result(), [-1, -2, -3])
         finally:
             dmap.close()
             thread.join(10)
         assert box["report"].graceful
 
+    def test_task_error_fails_substream_and_relends(self):
+        # One volunteer whose function raises on every value: its sub-stream
+        # fails with a TaskError and everything it borrowed is re-lent to
+        # the healthy volunteer — the stream still completes exactly once.
+        dmap = DistributedMap(scheduler="asyncio", batch_size=2, ordered=self.ordered)
+        sink = pull(from_iterable(range(12)), dmap, collect())
+        gateway = dmap.serve_volunteers()
+        bad_thread, bad_box = start_volunteer_thread(
+            gateway.url, fn_ref=failing_fn, name="bad"
+        )
+        good_thread, good_box = start_volunteer_thread(
+            gateway.url, fn_ref="operator:neg", name="good"
+        )
+        try:
+            dmap.drive(sink, timeout=30)
+            self.same(sink.result(), [-i for i in range(12)])
+        finally:
+            dmap.close()
+            bad_thread.join(10)
+            good_thread.join(10)
+        assert bad_box["report"].error is not None
+        assert "task failed" in bad_box["report"].error
+        assert good_box["report"].error is None
+        assert gateway.volunteers_crashed == 1
+        assert gateway.registry.crashes == 1
+
+    def test_max_frames_graceful_leave_relends(self):
+        # A volunteer that answers two frames and leaves (bye) mid-stream:
+        # a graceful departure, not a crash, and no value is lost.
+        dmap = DistributedMap(scheduler="asyncio", batch_size=1, ordered=self.ordered)
+        sink = pull(from_iterable(range(16)), dmap, collect())
+        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
+        leaver_thread, leaver_box = start_volunteer_thread(
+            gateway.url, name="leaver", max_frames=2
+        )
+        stayer_thread, _stayer_box = start_volunteer_thread(
+            gateway.url, name="stayer"
+        )
+        try:
+            dmap.drive(sink, timeout=30)
+            self.same(sink.result(), [-i for i in range(16)])
+        finally:
+            dmap.close()
+            leaver_thread.join(10)
+            stayer_thread.join(10)
+        assert leaver_box["report"].graceful
+        assert leaver_box["report"].frames_processed == 2
+        assert gateway.volunteers_crashed == 0
+        assert gateway.volunteers_left == 2
+
+    def test_heartbeats_flow_without_false_suspicion(self):
+        # Aggressive ping interval over a slow workload: pings and pongs
+        # must flow in both directions and nobody gets suspected.
+        inputs = [{"sleep": 0.05, "n": i} for i in range(8)]
+        dmap = DistributedMap(scheduler="asyncio", ordered=self.ordered)
+        sink = pull(from_iterable(inputs), dmap, collect())
+        gateway = dmap.serve_volunteers(
+            fn_ref="repro.pool.workloads:sleep_echo",
+            heartbeat_interval=0.05,
+            heartbeat_timeout=2.0,
+        )
+        thread, box = start_volunteer_thread(gateway.url, name="steady")
+        try:
+            dmap.drive(sink, timeout=30)
+            self.same([v["n"] for v in sink.result()], list(range(8)))
+        finally:
+            dmap.close()
+            thread.join(10)
+        report = box["report"]
+        assert report.graceful and not report.suspected_master
+        assert report.pings_received >= 1  # master pinged the volunteer
+        assert gateway.suspicions == 0
+
+    def test_batched_frames_roundtrip(self):
+        # frame_batch > 1 coalesces values into Batch frames on the wire and
+        # the volunteer answers one Batch result frame per input frame.
+        dmap = DistributedMap(scheduler="asyncio", batch_size=4, ordered=self.ordered)
+        sink = pull(from_iterable(range(20)), dmap, collect())
+        gateway = dmap.serve_volunteers(
+            fn_ref="operator:neg", frame_batch=4, window=2
+        )
+        thread, box = start_volunteer_thread(gateway.url, name="batcher")
+        try:
+            dmap.drive(sink, timeout=30)
+            self.same(sink.result(), [-i for i in range(20)])
+        finally:
+            dmap.close()
+            thread.join(10)
+        report = box["report"]
+        assert report.values_processed == 20
+        assert report.frames_processed == 5  # 20 values / frame_batch 4
+
+
+class TestGatewayIntegration(GatewayMapCases):
     def test_no_function_anywhere_fails_the_session(self):
         # Neither side names a function: the volunteer refuses the welcome
         # and leaves; with no workers left the drive can only time out.
@@ -305,79 +412,6 @@ class TestGatewayIntegration:
         report = box["report"]
         assert report.error is not None
         assert "function reference" in report.error
-
-    def test_task_error_fails_substream_and_relends(self):
-        # One volunteer whose function raises on every value: its sub-stream
-        # fails with a TaskError and everything it borrowed is re-lent to
-        # the healthy volunteer — the stream still completes exactly once.
-        dmap = DistributedMap(scheduler="asyncio", batch_size=2)
-        sink = pull(from_iterable(range(12)), dmap, collect())
-        gateway = dmap.serve_volunteers()
-        bad_thread, bad_box = start_volunteer_thread(
-            gateway.url, fn_ref=failing_fn, name="bad"
-        )
-        good_thread, good_box = start_volunteer_thread(
-            gateway.url, fn_ref="operator:neg", name="good"
-        )
-        try:
-            dmap.drive(sink, timeout=30)
-            assert sink.result() == [-i for i in range(12)]
-        finally:
-            dmap.close()
-            bad_thread.join(10)
-            good_thread.join(10)
-        assert bad_box["report"].error is not None
-        assert "task failed" in bad_box["report"].error
-        assert good_box["report"].error is None
-        assert gateway.volunteers_crashed == 1
-        assert gateway.registry.crashes == 1
-
-    def test_max_frames_graceful_leave_relends(self):
-        # A volunteer that answers two frames and leaves (bye) mid-stream:
-        # a graceful departure, not a crash, and no value is lost.
-        dmap = DistributedMap(scheduler="asyncio", batch_size=1)
-        sink = pull(from_iterable(range(16)), dmap, collect())
-        gateway = dmap.serve_volunteers(fn_ref="operator:neg")
-        leaver_thread, leaver_box = start_volunteer_thread(
-            gateway.url, name="leaver", max_frames=2
-        )
-        stayer_thread, _stayer_box = start_volunteer_thread(
-            gateway.url, name="stayer"
-        )
-        try:
-            dmap.drive(sink, timeout=30)
-            assert sink.result() == [-i for i in range(16)]
-        finally:
-            dmap.close()
-            leaver_thread.join(10)
-            stayer_thread.join(10)
-        assert leaver_box["report"].graceful
-        assert leaver_box["report"].frames_processed == 2
-        assert gateway.volunteers_crashed == 0
-        assert gateway.volunteers_left == 2
-
-    def test_heartbeats_flow_without_false_suspicion(self):
-        # Aggressive ping interval over a slow workload: pings and pongs
-        # must flow in both directions and nobody gets suspected.
-        inputs = [{"sleep": 0.05, "n": i} for i in range(8)]
-        dmap = DistributedMap(scheduler="asyncio")
-        sink = pull(from_iterable(inputs), dmap, collect())
-        gateway = dmap.serve_volunteers(
-            fn_ref="repro.pool.workloads:sleep_echo",
-            heartbeat_interval=0.05,
-            heartbeat_timeout=2.0,
-        )
-        thread, box = start_volunteer_thread(gateway.url, name="steady")
-        try:
-            dmap.drive(sink, timeout=30)
-            assert [v["n"] for v in sink.result()] == list(range(8))
-        finally:
-            dmap.close()
-            thread.join(10)
-        report = box["report"]
-        assert report.graceful and not report.suspected_master
-        assert report.pings_received >= 1  # master pinged the volunteer
-        assert gateway.suspicions == 0
 
     def test_a_master_that_stops_reading_fails_the_session(self):
         """Regression: a session abandoned because the volunteer's own
@@ -432,29 +466,14 @@ class TestGatewayIntegration:
         assert not report.graceful
         assert report.error is not None
 
-    def test_batched_frames_roundtrip(self):
-        # frame_batch > 1 coalesces values into Batch frames on the wire and
-        # the volunteer answers one Batch result frame per input frame.
-        dmap = DistributedMap(scheduler="asyncio", batch_size=4)
-        sink = pull(from_iterable(range(20)), dmap, collect())
-        gateway = dmap.serve_volunteers(
-            fn_ref="operator:neg", frame_batch=4, window=2
-        )
-        thread, box = start_volunteer_thread(gateway.url, name="batcher")
-        try:
-            dmap.drive(sink, timeout=30)
-            assert sink.result() == [-i for i in range(20)]
-        finally:
-            dmap.close()
-            thread.join(10)
-        report = box["report"]
-        assert report.values_processed == 20
-        assert report.frames_processed == 5  # 20 values / frame_batch 4
-
     def test_connect_failure_is_reported_not_raised(self):
         report = run_volunteer("ws://127.0.0.1:9", connect_timeout=2.0)
         assert report.error is not None and "connect failed" in report.error
         assert report.worker_id is None
+
+
+class TestUnorderedGatewayIntegration(GatewayMapCases):
+    ordered = False
 
 
 # --------------------------------------------------------------------------

@@ -77,6 +77,16 @@ def read_completion_log(path):
 
 
 def test_running_frames_stop_within_one_value_of_the_abort(tmp_path, monkeypatch):
+    check_bounded_tail(tmp_path, monkeypatch, ordered=True)
+
+
+def test_an_unordered_search_stops_within_one_value_of_the_hit(tmp_path, monkeypatch):
+    """The same bound on an unordered map, where a first-hit search runs:
+    the hit goes down the stream as soon as it is answered."""
+    check_bounded_tail(tmp_path, monkeypatch, ordered=False)
+
+
+def check_bounded_tail(tmp_path, monkeypatch, ordered):
     log = tmp_path / "completions.log"
     monkeypatch.setenv("PANDO_COMPLETION_LOG", str(log))
     hit_index = 40
@@ -84,7 +94,7 @@ def test_running_frames_stop_within_one_value_of_the_abort(tmp_path, monkeypatch
         {"i": index, "sleep": 0.02, "hit": index == hit_index}
         for index in range(200)
     ]
-    dmap = DistributedMap(batch_size=4)
+    dmap = DistributedMap(batch_size=4, ordered=ordered)
     sink = pull(values(inputs), dmap, find(lambda value: value["hit"]))
     try:
         handle = dmap.add_process_pool(

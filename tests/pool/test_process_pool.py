@@ -272,13 +272,24 @@ class TestBarePool:
 
 
 class TestDistributedMapPoolBackend:
+    """Every case also runs on an ``ordered=False`` map (the subclass
+    below); ``same`` compares the output as a multiset there."""
+
+    ordered = True
+
+    def same(self, results, expected):
+        if self.ordered:
+            assert results == expected
+        else:
+            assert sorted(results) == sorted(expected)
+
     def test_results_in_input_order(self):
-        dmap = DistributedMap(batch_size=3)
+        dmap = DistributedMap(batch_size=3, ordered=self.ordered)
         output = pull(values(list(range(20))), dmap, collect())
         handle = dmap.add_process_pool("repro.pool.workloads:square", processes=2)
         try:
             dmap.drive(output, timeout=60)
-            assert output.result() == [value * value for value in range(20)]
+            self.same(output.result(), [value * value for value in range(20)])
         finally:
             dmap.close()
         assert handle.pool.values_dispatched == 20
@@ -287,22 +298,22 @@ class TestDistributedMapPoolBackend:
         assert handle.pool.tasks_submitted == 7
 
     def test_node_style_function(self):
-        dmap = DistributedMap(batch_size=2)
+        dmap = DistributedMap(batch_size=2, ordered=self.ordered)
         output = pull(values([1, 2, 3, 4]), dmap, collect())
         dmap.add_process_pool(node_increment, processes=2)
         try:
             dmap.drive(output, timeout=60)
-            assert output.result() == [2, 3, 4, 5]
+            self.same(output.result(), [2, 3, 4, 5])
         finally:
             dmap.close()
 
     def test_unbatched_frames(self):
-        dmap = DistributedMap(batch_size=1)
+        dmap = DistributedMap(batch_size=1, ordered=self.ordered)
         output = pull(values(list(range(6))), dmap, collect())
         handle = dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
         try:
             dmap.drive(output, timeout=60)
-            assert output.result() == list(range(6))
+            self.same(output.result(), list(range(6)))
         finally:
             dmap.close()
         assert handle.pool.tasks_submitted == 6
@@ -311,7 +322,7 @@ class TestDistributedMapPoolBackend:
         """A raising task closes the pool sub-stream; borrowed values are
         re-lent and a healthy worker completes the stream (the same
         containment as a crashing browser tab)."""
-        dmap = DistributedMap(batch_size=2)
+        dmap = DistributedMap(batch_size=2, ordered=self.ordered)
         output = pull(values(list(range(6))), dmap, collect())
         handle = dmap.add_process_pool(failing_task, processes=1)
         try:
@@ -322,23 +333,23 @@ class TestDistributedMapPoolBackend:
             assert dmap.lender.relendable >= 1
             assert dmap.stats.substreams_failed == 1
             dmap.add_local_worker(lambda v, cb: cb(None, v))
-            assert output.result() == list(range(6))
+            self.same(output.result(), list(range(6)))
         finally:
             dmap.close()
 
     def test_mixed_pool_and_local_workers(self):
-        dmap = DistributedMap(batch_size=2)
+        dmap = DistributedMap(batch_size=2, ordered=self.ordered)
         output = pull(values(list(range(24))), dmap, collect())
         dmap.add_process_pool("repro.pool.workloads:square", processes=2)
         dmap.add_local_worker(lambda v, cb: cb(None, v * v))
         try:
             dmap.drive(output, timeout=60)
-            assert output.result() == [value * value for value in range(24)]
+            self.same(output.result(), [value * value for value in range(24)])
         finally:
             dmap.close()
 
     def test_stats_balance_after_pool_run(self):
-        dmap = DistributedMap(batch_size=4)
+        dmap = DistributedMap(batch_size=4, ordered=self.ordered)
         output = pull(values(list(range(17))), dmap, collect())
         dmap.add_process_pool("repro.pool.workloads:echo", processes=2)
         try:
@@ -357,12 +368,12 @@ class TestDistributedMapPoolBackend:
         module.write_text(
             "exports = {'/pando/1.0.0': lambda value, cb: cb(None, value * 2)}\n"
         )
-        dmap = DistributedMap(batch_size=2)
+        dmap = DistributedMap(batch_size=2, ordered=self.ordered)
         output = pull(values([1, 2, 3]), dmap, collect())
         dmap.add_process_pool(("file", str(module)), processes=1)
         try:
             dmap.drive(output, timeout=60)
-            assert output.result() == [2, 4, 6]
+            self.same(output.result(), [2, 4, 6])
         finally:
             dmap.close()
 
@@ -373,7 +384,7 @@ class TestDistributedMapPoolBackend:
         from repro.pullstream import pushable
 
         source = pushable()
-        dmap = DistributedMap(batch_size=1)
+        dmap = DistributedMap(batch_size=1, ordered=self.ordered)
         output = pull(source, dmap, collect())
         handle = dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
         assert not handle.closed  # parked, waiting for the first input
@@ -382,16 +393,20 @@ class TestDistributedMapPoolBackend:
         source.push(1)
         dmap.add_local_worker(lambda v, cb: cb(None, v))
         source.end()
-        assert output.result() == [1]
+        self.same(output.result(), [1])
         assert dmap.lender.outstanding == 0
 
     def test_attach_after_abort_raises_without_spawning(self):
         from repro.pullstream import count, take
 
-        dmap = DistributedMap()
+        dmap = DistributedMap(ordered=self.ordered)
         output = pull(count(100), dmap, take(2), collect())
         dmap.add_local_worker(lambda v, cb: cb(None, v))
         assert output.done
         with pytest.raises(PandoError):
             dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
         assert dmap._pools == []
+
+
+class TestUnorderedDistributedMapPoolBackend(TestDistributedMapPoolBackend):
+    ordered = False

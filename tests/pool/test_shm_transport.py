@@ -1,9 +1,15 @@
-"""Pool-level tests for the shared-memory batch transport."""
+"""Pool-level tests for the shared-memory batch transport.
+
+The map-level round trips and fallbacks also run on an ``ordered=False``
+map (the ``TestUnordered*`` subclasses): the slots a frame holds do not
+depend on the order its results go down the stream.
+"""
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 import platform
 import subprocess
 import sys
@@ -57,15 +63,28 @@ class TestConstruction:
         assert pool.ring.closed  # close() reaps the ring with the executor
 
 
-class TestRoundTrip:
+class MapCase:
+    """Build maps with ``ordered``; ``same`` compares the output as a
+    sequence on an ordered map and as a multiset otherwise."""
+
+    ordered = True
+
+    def same(self, results, expected):
+        if self.ordered:
+            assert results == expected
+        else:
+            assert Counter(results) == Counter(expected)
+
+
+class TestRoundTrip(MapCase):
     def test_batched_bytes_round_trip(self):
         items = tiles(12)
-        dmap = DistributedMap(batch_size=3)
+        dmap = DistributedMap(batch_size=3, ordered=self.ordered)
         sink = pull(values(items), dmap, collect())
         handle = dmap.add_process_pool(INVERT, processes=2, transport="shm")
         try:
             dmap.drive(sink, timeout=60)
-            assert sink.result() == [invert_tile(tile) for tile in items]
+            self.same(sink.result(), [invert_tile(tile) for tile in items])
         finally:
             dmap.close()
         assert_no_leak(handle.pool.ring)
@@ -74,7 +93,7 @@ class TestRoundTrip:
 
     def test_unbatched_ndarray_round_trip(self):
         arrays = [np.full((40, 50), index, dtype=np.int32) for index in range(6)]
-        dmap = DistributedMap(batch_size=1)
+        dmap = DistributedMap(batch_size=1, ordered=self.ordered)
         sink = pull(values(arrays), dmap, collect())
         handle = dmap.add_process_pool(ECHO, processes=1, transport="shm")
         try:
@@ -82,6 +101,8 @@ class TestRoundTrip:
             results = sink.result()
         finally:
             dmap.close()
+        if not self.ordered:
+            results.sort(key=lambda result: int(result.flat[0]))
         for array, result in zip(arrays, results):
             assert result.dtype == array.dtype and result.shape == array.shape
             assert (result == array).all()
@@ -92,7 +113,7 @@ class TestRoundTrip:
         must use the frame's spare slots, not the pipe."""
         specs = [{"angle": 30.0 * index, "width": 48, "height": 36}
                  for index in range(6)]
-        dmap = DistributedMap(batch_size=2)
+        dmap = DistributedMap(batch_size=2, ordered=self.ordered)
         sink = pull(values(specs), dmap, collect())
         handle = dmap.add_process_pool(
             "repro.pool.workloads:render_frame_pixels",
@@ -113,29 +134,29 @@ class TestRoundTrip:
 
     def test_mixed_inline_and_shm_values_in_one_frame(self):
         items = [b"big" * 4096, 7, "small", b"also-big" * 4096]
-        dmap = DistributedMap(batch_size=4)
+        dmap = DistributedMap(batch_size=4, ordered=self.ordered)
         sink = pull(values(items), dmap, collect())
         handle = dmap.add_process_pool(ECHO, processes=1, transport="shm")
         try:
             dmap.drive(sink, timeout=60)
-            assert sink.result() == items
+            self.same(sink.result(), items)
         finally:
             dmap.close()
         assert_no_leak(handle.pool.ring)
 
 
-class TestFallbacks:
+class TestFallbacks(MapCase):
     def test_oversized_payload_falls_back_to_pipe(self):
         big = bytes(200_000)
         small = b"x" * 4096
-        dmap = DistributedMap(batch_size=1)
+        dmap = DistributedMap(batch_size=1, ordered=self.ordered)
         sink = pull(values([big, small]), dmap, collect())
         handle = dmap.add_process_pool(
             ECHO, processes=1, transport="shm", slot_count=4, slot_size=1 << 16
         )
         try:
             dmap.drive(sink, timeout=60)
-            assert sink.result() == [big, small]
+            self.same(sink.result(), [big, small])
         finally:
             dmap.close()
         assert handle.pool.ring.fallbacks >= 1
@@ -145,7 +166,7 @@ class TestFallbacks:
         """More in-flight payloads than slots: the overflow rides the pipe
         and the run still completes exactly once, in order."""
         items = tiles(16, size=4096)
-        dmap = DistributedMap(batch_size=4)
+        dmap = DistributedMap(batch_size=4, ordered=self.ordered)
         sink = pull(values(items), dmap, collect())
         handle = dmap.add_process_pool(
             INVERT,
@@ -156,7 +177,7 @@ class TestFallbacks:
         )
         try:
             dmap.drive(sink, timeout=60)
-            assert sink.result() == [invert_tile(tile) for tile in items]
+            self.same(sink.result(), [invert_tile(tile) for tile in items])
         finally:
             dmap.close()
         assert handle.pool.ring.fallbacks > 0
@@ -207,6 +228,15 @@ class TestLeakProofLifecycle:
             dmap.close()
         for handle in handles:
             assert_no_leak(handle.pool.ring)
+
+
+
+class TestUnorderedRoundTrip(TestRoundTrip):
+    ordered = False
+
+
+class TestUnorderedFallbacks(TestFallbacks):
+    ordered = False
 
 
 #: Drives ``argv[1]`` distinct 1 MiB tiles through a one-process shm pool

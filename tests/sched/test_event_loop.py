@@ -38,6 +38,21 @@ class TestRunWithPools:
             assert all(count > 0 for count in delivered)
             assert dmap.scheduler.dispatches > 0
 
+    def test_two_pools_serve_one_unordered_lender(self):
+        """Both pools borrow from the one unordered lender: each answers
+        some values, and every value comes back once."""
+        with DistributedMap(batch_size=2, ordered=False) as dmap:
+            inputs = [{"sleep": 0.005, "i": i} for i in range(12)]
+            sink = pull(values(inputs), dmap, collect())
+            first = dmap.add_process_pool(SLEEPER, processes=1)
+            second = dmap.add_process_pool(SLEEPER, processes=1)
+            assert dmap.lender.substreams == [first.substream, second.substream]
+            dmap.drive(sink, timeout=30)
+            assert sorted(value["i"] for value in sink.result()) == list(range(12))
+            assert first.pool.results_returned > 0
+            assert second.pool.results_returned > 0
+            assert dmap.stats.results_delivered == 12
+
     def test_pools_are_registered_sources(self):
         with DistributedMap(batch_size=1) as dmap:
             pull(values([1, 2, 3]), dmap, collect())
@@ -175,7 +190,14 @@ class TestCancellationFanOut:
         """Cancellation during dispatch: the hit aborts mid-run and the
         fan-out reaches the pool at once, whose frames in flight are never
         delivered."""
-        with DistributedMap(batch_size=1) as dmap:
+        self.check_find_hit_fans_out(ordered=True)
+
+    def test_an_unordered_find_hit_fans_out_to_the_pool(self):
+        """The same on an unordered map, where a first-hit search runs."""
+        self.check_find_hit_fans_out(ordered=False)
+
+    def check_find_hit_fans_out(self, ordered):
+        with DistributedMap(batch_size=1, ordered=ordered) as dmap:
             inputs = [{"sleep": 0.05, "i": i} for i in range(30)]
             sink = pull(values(inputs), dmap, find(lambda v: v["i"] == 1))
             dmap.add_process_pool(SLEEPER, processes=2)

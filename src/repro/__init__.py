@@ -51,13 +51,10 @@ _EXPORTS = _lazy.by_name(
             "pullstream",
             "DONE",
             "async_map",
-            "batch",
             "collect",
             "count",
             "drain",
-            "filter_",
             "from_iterable",
-            "infinite",
             "map_",
             "pull",
             "take",

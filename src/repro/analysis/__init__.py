@@ -31,7 +31,6 @@ from typing import Any
 from .. import _lazy
 from .annotations import (
     any_thread,
-    enable_thread_asserts,
     loop_only,
     mark_loop_thread,
     ownership_of,
@@ -60,7 +59,6 @@ __all__ = [
     "LintResult",
     "analyze_paths",
     "any_thread",
-    "enable_thread_asserts",
     "format_finding",
     "loop_only",
     "mark_loop_thread",

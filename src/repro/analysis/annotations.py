@@ -21,21 +21,17 @@ machine-checkable property:
   checker walks *through* it, so everything an ``@any_thread`` function
   calls must itself be thread-safe or a crossing.
 
-``@any_thread`` is free at call time: it only tags the function.
-``@loop_only`` is not: it returns a wrapper that runs on every call, asserts
-off or on — on CPython 3.11 (Xeon, 2 vCPUs) a wrapped method call costs
-~0.32 µs against ~0.06 µs called directly, and a pool reply passes through
-about five of them per value.  With the runtime asserts enabled
-(``enable_thread_asserts()`` or the ``PANDO_THREAD_ASSERTS=1`` environment
-variable) that wrapper also checks that the caller is one of the threads
-registered by :func:`mark_loop_thread`: the creator of each
+Both are free at call time unless the process was started with
+``PANDO_THREAD_ASSERTS=1``: the variable is read once, at import, and
+without it ``@loop_only`` only tags the function, as ``@any_thread`` does.
+Armed, ``@loop_only`` returns a wrapper that checks the caller is one of
+the threads registered by :func:`mark_loop_thread`: the creator of each
 :class:`~repro.sched.loop.Loop` until that loop is closed, and the thread
 inside ``EventLoopScheduler.run``.  A master and an in-process volunteer
 each pass on their own thread, while a tab, an executor or a scrape thread
-raises.  While no thread is registered nothing is checked.  The suite arms
-the check on product code in ``tests/analysis/test_thread_asserts_armed.py``:
-a map with a process pool and an in-process volunteer, driven to
-completion.
+raises.  While no thread is registered nothing is checked.  CI runs the
+whole suite armed; ``tests/analysis/test_thread_asserts_armed.py`` arms a
+map with a process pool and an in-process volunteer, driven to completion.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from ..errors import ThreadOwnershipError
 __all__ = [
     "loop_only",
     "any_thread",
-    "enable_thread_asserts",
     "thread_asserts_enabled",
     "mark_loop_thread",
     "unmark_loop_thread",
@@ -63,19 +58,15 @@ F = TypeVar("F", bound=Callable[..., Any])
 #: Attribute carrying the ownership tag on decorated functions.
 OWNERSHIP_ATTR = "__pando_thread_ownership__"
 
+#: read once, at import: each ``@loop_only`` decides then whether to wrap
 _asserts_enabled = os.environ.get("PANDO_THREAD_ASSERTS", "") not in ("", "0")
 #: ident -> how many times it is marked (nested marks of one thread count)
 _loop_threads: Dict[int, int] = {}
 
 
-def enable_thread_asserts(enabled: bool = True) -> None:
-    """Turn the runtime thread-identity checks on (or off) process-wide."""
-    global _asserts_enabled
-    _asserts_enabled = enabled
-
-
 def thread_asserts_enabled() -> bool:
-    """True when ``@loop_only`` verifies thread identity at call time."""
+    """True when ``@loop_only`` verifies thread identity at call time (the
+    process was started with ``PANDO_THREAD_ASSERTS=1``)."""
     return _asserts_enabled
 
 
@@ -110,14 +101,18 @@ def loop_thread_idents() -> FrozenSet[int]:
 def loop_only(fn: F) -> F:
     """Mark *fn* as callable only on the dispatch (loop) thread.
 
-    The static checker reads the decorator from the AST; the wrapper below
-    adds the optional runtime assert.  The tag is set on both the wrapper
-    and the original so introspection works through ``__wrapped__``.
+    The static checker reads the decorator from the AST.  Unarmed, *fn*
+    itself comes back, tagged; armed, a wrapper that asserts the caller's
+    thread, tagged like the original so introspection works through
+    ``__wrapped__``.
     """
+    setattr(fn, OWNERSHIP_ATTR, "loop_only")
+    if not _asserts_enabled:
+        return fn
 
     @functools.wraps(fn)
     def guarded(*args: Any, **kwargs: Any) -> Any:
-        if _asserts_enabled and _loop_threads:
+        if _loop_threads:
             current = threading.get_ident()
             if current not in _loop_threads:
                 raise ThreadOwnershipError(
@@ -128,8 +123,6 @@ def loop_only(fn: F) -> F:
                 )
         return fn(*args, **kwargs)
 
-    setattr(fn, OWNERSHIP_ATTR, "loop_only")
-    setattr(guarded, OWNERSHIP_ATTR, "loop_only")
     return guarded  # type: ignore[return-value]
 
 

@@ -273,9 +273,9 @@ class DistributedMap:
         With ``frame_batch > 1``, up to that many values are coalesced into
         one :class:`~repro.net.serialization.Batch` DATA frame (and results
         unbatched), amortising the per-frame dispatch cost; the far side of
-        the channel must then answer one result frame per input frame, e.g.
-        via :func:`repro.pullstream.map_batches`.  The Limiter window counts
-        frames, not values.
+        the channel must then answer one result frame per input frame, as
+        the websocket volunteer does (:mod:`repro.worker.ws_volunteer` runs
+        each frame whole).  The Limiter window counts frames, not values.
 
         Raises :class:`~repro.errors.PandoError` — before any wiring — when
         the map's output has already terminated (see :meth:`closed`) or when

@@ -23,7 +23,6 @@ _EXPORTS = _lazy.by_name(
         "serialization": (
             "SizedPayload",
             "decode_binary",
-            "decode_json",
             "encode_binary",
             "encode_json",
             "estimate_size",

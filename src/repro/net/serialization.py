@@ -21,7 +21,6 @@ from ..analysis.annotations import any_thread
 
 __all__ = [
     "encode_json",
-    "decode_json",
     "encode_binary",
     "decode_binary",
     "estimate_size",
@@ -38,11 +37,6 @@ __all__ = [
 def encode_json(value: Any) -> str:
     """Serialize *value* to a JSON string (compact separators)."""
     return json.dumps(value, separators=(",", ":"), default=_fallback)
-
-
-def decode_json(data: str) -> Any:
-    """Inverse of :func:`encode_json`."""
-    return json.loads(data)
 
 
 def encode_binary(data: bytes) -> str:

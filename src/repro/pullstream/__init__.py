@@ -1,9 +1,10 @@
 """Python port of the pull-stream design pattern used by Pando.
 
-The package mirrors the small ecosystem of JavaScript ``pull-stream`` modules
-the paper's implementation composes (sources, throughs, sinks, async-map,
-pushable, cat, duplex) and adds a protocol checker used by the
-StreamLender random-testing application.
+The package mirrors the few JavaScript ``pull-stream`` modules the paper's
+master composes (sources, throughs, sinks, async-map, pushable, duplex),
+adds the ``batching``/``unbatching`` wire framers and a protocol checker
+used by the StreamLender random-testing application.  ``split`` and
+``merge_unordered`` serve only the perf suite's replay.
 
 Quick example (paper Figure 5)::
 
@@ -23,45 +24,16 @@ from .protocol import (
     Source,
     Through,
     check_protocol,
-    is_done,
-    is_end,
     is_error,
 )
 from .pull import compose, pull
-from .sources import count, empty, error, from_iterable, infinite, keys, once, values
-from .throughs import (
-    batch,
-    batching,
-    filter_,
-    filter_not,
-    flatten,
-    map_,
-    map_batches,
-    non_unique,
-    take,
-    tap,
-    through,
-    unbatch,
-    unbatching,
-    unique,
-)
-from .sinks import (
-    SinkResult,
-    collect,
-    collect_sync,
-    drain,
-    drain_sync,
-    eager_pump,
-    find,
-    log,
-    on_end,
-    reduce,
-)
+from .sources import count, error, from_iterable, values
+from .throughs import batching, map_, take, through, unbatching
+from .sinks import SinkResult, collect, drain, eager_pump, find
 from .split import merge_unordered, split
 from .async_map import async_map
 from .pushable import Pushable, pushable
-from .duplex import Duplex, connect_duplex, duplex, duplex_pair
-from .cat import cat
+from .duplex import Duplex, duplex_pair
 
 __all__ = [
     # protocol
@@ -74,58 +46,35 @@ __all__ = [
     "Source",
     "Through",
     "check_protocol",
-    "is_done",
-    "is_end",
     "is_error",
     # combinators
     "pull",
     "compose",
     # sources
     "count",
-    "empty",
     "error",
     "from_iterable",
-    "infinite",
-    "keys",
-    "once",
     "values",
     # throughs
-    "batch",
     "batching",
-    "filter_",
-    "filter_not",
-    "flatten",
     "map_",
-    "map_batches",
-    "non_unique",
     "take",
-    "tap",
     "through",
-    "unbatch",
     "unbatching",
-    "unique",
     # splitter / joiner
     "merge_unordered",
     "split",
     # sinks
     "SinkResult",
     "collect",
-    "collect_sync",
     "drain",
-    "drain_sync",
     "eager_pump",
     "find",
-    "log",
-    "on_end",
-    "reduce",
     # async map
     "async_map",
-    # pushable / duplex / cat
+    # pushable / duplex
     "Pushable",
     "pushable",
     "Duplex",
-    "connect_duplex",
-    "duplex",
     "duplex_pair",
-    "cat",
 ]

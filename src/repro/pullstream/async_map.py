@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 
 from .protocol import DONE, Callback, End, Source, ignore_answer
 
-__all__ = ["async_map", "apply_node"]
+__all__ = ["async_map"]
 
 NodeCallback = Callable[[Optional[BaseException], Any], None]
 AsyncFunction = Callable[[Any, NodeCallback], None]

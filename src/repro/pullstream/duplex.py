@@ -15,7 +15,7 @@ from .protocol import End, Sink, Source
 from .pushable import Pushable
 from .sinks import SinkResult, drain
 
-__all__ = ["Duplex", "duplex", "duplex_pair", "connect_duplex"]
+__all__ = ["Duplex", "duplex_pair"]
 
 
 class Duplex:
@@ -29,11 +29,6 @@ class Duplex:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Duplex source={self.source!r} sink={self.sink!r}>"
-
-
-def duplex(source: Source, sink: Sink) -> Duplex:
-    """Build a duplex from an explicit source and sink."""
-    return Duplex(source, sink)
 
 
 def duplex_pair() -> "tuple[Duplex, Duplex]":
@@ -66,9 +61,3 @@ def duplex_pair() -> "tuple[Duplex, Duplex]":
     endpoint_a = Duplex(source=b_to_a, sink=make_sink(a_to_b))
     endpoint_b = Duplex(source=a_to_b, sink=make_sink(b_to_a))
     return endpoint_a, endpoint_b
-
-
-def connect_duplex(a: Duplex, b: Duplex) -> None:
-    """Cross-connect two duplexes: ``a.source -> b.sink`` and ``b.source -> a.sink``."""
-    b.sink(a.source)
-    a.sink(b.source)

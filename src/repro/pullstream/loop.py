@@ -12,8 +12,8 @@ stream.
 
 The one drain loop (:func:`~repro.pullstream.sinks.eager_pump`: every sink,
 the channel sinks, a lender sub-stream's result side) is a subclass whose
-``step`` is a method; the lender's upstream pump, ``batching``,
-``map_batches`` and ``split`` run on a ``Loop(step)``.
+``step`` is a method; the lender's upstream pump, ``batching`` and
+``split`` run on a ``Loop(step)``.
 """
 
 from __future__ import annotations

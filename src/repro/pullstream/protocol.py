@@ -42,9 +42,7 @@ __all__ = [
     "Source",
     "Through",
     "Sink",
-    "is_done",
     "is_error",
-    "is_end",
     "ignore_answer",
     "check_protocol",
     "ProtocolChecker",
@@ -92,19 +90,9 @@ Through = Callable[[Source], Source]
 Sink = Callable[[Source], Any]
 
 
-def is_done(end: End) -> bool:
-    """Return True when *end* signals a normal termination."""
-    return isinstance(end, EndMarker)
-
-
 def is_error(end: End) -> bool:
     """Return True when *end* signals an error termination."""
     return isinstance(end, BaseException)
-
-
-def is_end(end: End) -> bool:
-    """Return True when *end* signals any termination (normal or error)."""
-    return end is not None
 
 
 def ignore_answer(_end: End, _value: Any) -> None:

@@ -26,12 +26,7 @@ __all__ = [
     "SinkResult",
     "drain",
     "collect",
-    "reduce",
     "find",
-    "on_end",
-    "log",
-    "collect_sync",
-    "drain_sync",
     "eager_pump",
 ]
 
@@ -46,8 +41,8 @@ class SinkResult:
     end:
         The termination marker (``DONE`` or an exception).
     value:
-        The sink-specific result (list for ``collect``, accumulator for
-        ``reduce``, matched element for ``find``, count for ``drain``).
+        The sink-specific result (list for ``collect``, matched element for
+        ``find``, count for ``drain``).
     aborted:
         True when the sink itself cut the stream short (a ``find`` hit, a
         ``drain`` op returning False) rather than the upstream terminating.
@@ -216,32 +211,6 @@ def collect(
     return sink
 
 
-def reduce(
-    fn: Callable[[Any, Any], Any],
-    initial: Any = None,
-    done: Optional[Callable[[End, Any], None]] = None,
-) -> Callable[[Source], SinkResult]:
-    """Fold the stream into a single value."""
-
-    def sink(read: Source) -> SinkResult:
-        result = SinkResult()
-        acc = {"value": initial}
-
-        def on_value(value: Any) -> None:
-            acc["value"] = fn(acc["value"], value)
-
-        def finish(end: End) -> None:
-            result._finish(end, acc["value"])
-            if done is not None:
-                done(end, acc["value"])
-
-        eager_pump(read, on_value, finish)
-        return result
-
-    sink.pull_role = "sink"
-    return sink
-
-
 def find(
     predicate: Callable[[Any], bool],
     done: Optional[Callable[[End, Any], None]] = None,
@@ -270,25 +239,3 @@ def find(
 
     sink.pull_role = "sink"
     return sink
-
-
-def on_end(callback: Callable[[End], None]) -> Callable[[Source], SinkResult]:
-    """Consume the stream, discarding values, and call *callback* at the end."""
-    return drain(op=None, done=callback)
-
-
-def log(prefix: str = "") -> Callable[[Source], SinkResult]:
-    """Print each value (debug helper)."""
-    return drain(op=lambda value: print(f"{prefix}{value!r}"))
-
-
-def collect_sync(read: Source) -> List[Any]:
-    """Collect a fully synchronous stream and return the list directly."""
-    result = collect()(read)
-    return result.result()
-
-
-def drain_sync(read: Source) -> int:
-    """Drain a fully synchronous stream and return the number of values."""
-    result = drain()(read)
-    return result.result()

@@ -1,15 +1,14 @@
 """Standard pull-stream sources.
 
 These mirror the helpers of the JavaScript ``pull-stream`` package that Pando
-relies on (``pull.count``, ``pull.values``, ``pull.infinite``, ``pull.error``,
-``pull.empty``, ``pull.keys``) plus a generator adapter that is natural in
-Python.  All sources are *lazy*: a value is computed only when a downstream
-consumer asks for it (paper Table 1, "Lazy").
+relies on (``pull.count``, ``pull.values``, ``pull.error``) plus a generator
+adapter that is natural in Python.  All sources are *lazy*: a value is
+computed only when a downstream consumer asks for it (paper Table 1, "Lazy").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .protocol import DONE, Callback, End, Source
 
@@ -17,11 +16,7 @@ __all__ = [
     "count",
     "values",
     "from_iterable",
-    "infinite",
-    "empty",
     "error",
-    "once",
-    "keys",
 ]
 
 
@@ -82,42 +77,6 @@ def from_iterable(iterable: Iterable[Any]) -> Source:
     return read
 
 
-def infinite(generate: Optional[Callable[[], Any]] = None) -> Source:
-    """Produce an unbounded stream of values.
-
-    *generate* is called for each ask; by default it produces consecutive
-    integers starting at 0.  Used by the synchronous-parallel-search monitor
-    which keeps emitting mining attempts until aborted (paper section 4.2).
-    """
-    counter = {"i": 0}
-
-    def default_generate() -> int:
-        value = counter["i"]
-        counter["i"] += 1
-        return value
-
-    produce = generate or default_generate
-
-    def read(end: End, cb: Callback) -> None:
-        if end is not None:
-            cb(end if isinstance(end, BaseException) else DONE, None)
-            return
-        cb(None, produce())
-
-    read.pull_role = "source"
-    return read
-
-
-def empty() -> Source:
-    """A source that immediately ends."""
-
-    def read(end: End, cb: Callback) -> None:
-        cb(end if isinstance(end, BaseException) else DONE, None)
-
-    read.pull_role = "source"
-    return read
-
-
 def error(exc: BaseException) -> Source:
     """A source that immediately fails with *exc*."""
 
@@ -126,13 +85,3 @@ def error(exc: BaseException) -> Source:
 
     read.pull_role = "source"
     return read
-
-
-def once(value: Any) -> Source:
-    """A source producing a single value then ending."""
-    return values([value])
-
-
-def keys(mapping: dict) -> Source:
-    """Produce the keys of *mapping* in insertion order."""
-    return values(list(mapping.keys()))

@@ -1,4 +1,8 @@
-"""Runtime behaviour of @loop_only / @any_thread and the thread registry."""
+"""Runtime behaviour of @loop_only / @any_thread and the thread registry.
+
+The arm/disarm cases are marked ``thread_asserts``: they run in a process
+started with ``PANDO_THREAD_ASSERTS`` set that way (see conftest.py).
+"""
 
 from __future__ import annotations
 
@@ -8,25 +12,24 @@ import pytest
 
 from repro.analysis.annotations import (
     any_thread,
-    enable_thread_asserts,
     loop_only,
     loop_thread_idents,
     mark_loop_thread,
     ownership_of,
-    thread_asserts_enabled,
     unmark_loop_thread,
 )
 from repro.errors import ThreadOwnershipError
 
 
+armed = pytest.mark.thread_asserts(True)
+unarmed = pytest.mark.thread_asserts(False)
+
+
 @pytest.fixture
 def asserts_enabled():
-    """Enable the runtime checks and register this thread as the loop."""
-    previously_enabled = thread_asserts_enabled()
+    """Register this thread as the loop (the test is marked ``armed``)."""
     owner = mark_loop_thread()
-    enable_thread_asserts(True)
     yield
-    enable_thread_asserts(previously_enabled)
     unmark_loop_thread(owner)
 
 
@@ -47,6 +50,7 @@ def _call_in_thread(fn):
 
 
 class TestLoopOnly:
+    @armed
     def test_foreign_thread_raises_when_asserts_enabled(self, asserts_enabled):
         @loop_only
         def dispatch():
@@ -57,6 +61,7 @@ class TestLoopOnly:
         assert "dispatch" in str(exc)
         assert "PushablePort" in str(exc)  # the message names the fix
 
+    @armed
     def test_loop_thread_passes_when_asserts_enabled(self, asserts_enabled):
         @loop_only
         def dispatch():
@@ -64,6 +69,7 @@ class TestLoopOnly:
 
         assert dispatch() == "dispatched"
 
+    @armed
     def test_every_marked_thread_passes_and_the_rest_raise(self, asserts_enabled):
         # a master and an in-process volunteer each turn a loop of their own
         @loop_only
@@ -94,10 +100,9 @@ class TestLoopOnly:
             done.set()
             thread.join(10)
 
+    @unarmed
     def test_no_check_when_asserts_disabled(self):
         owner = mark_loop_thread()
-        previously_enabled = thread_asserts_enabled()
-        enable_thread_asserts(False)
         try:
 
             @loop_only
@@ -106,9 +111,18 @@ class TestLoopOnly:
 
             assert _call_in_thread(dispatch) is None
         finally:
-            enable_thread_asserts(previously_enabled)
             unmark_loop_thread(owner)
 
+    @unarmed
+    def test_unarmed_loop_only_is_a_pure_tag(self):
+        def dispatch():
+            return "dispatched"
+
+        # no wrapper runs on any call while the asserts are off
+        assert loop_only(dispatch) is dispatch
+        assert ownership_of(dispatch) == "loop_only"
+
+    @armed
     def test_no_check_when_loop_unmarked(self, asserts_enabled):
         unmark_loop_thread()  # the fixture's mark
         try:
@@ -122,6 +136,7 @@ class TestLoopOnly:
         finally:
             mark_loop_thread()
 
+    @armed
     def test_tag_survives_the_wrapper(self):
         @loop_only
         def dispatch():

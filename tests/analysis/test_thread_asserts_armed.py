@@ -4,7 +4,8 @@
 master that drives a process pool and serves an in-process volunteer has
 two such threads in one process: its own, turning the scheduler's loop, and
 the volunteer session's, turning the volunteer's.  Both must pass, while a
-thread that turns no loop still raises.
+thread that turns no loop still raises.  The test needs a process started
+with ``PANDO_THREAD_ASSERTS=1`` (see conftest.py).
 """
 
 from __future__ import annotations
@@ -13,21 +14,12 @@ import threading
 
 import pytest
 
-from repro.analysis.annotations import enable_thread_asserts, thread_asserts_enabled
 from repro.core import DistributedMap
 from repro.errors import ThreadOwnershipError
 from repro.pullstream import drain, pull, values
 from repro.worker.ws_volunteer import run_volunteer
 
 SLEEP_ECHO = "repro.pool.workloads:sleep_echo"
-
-
-@pytest.fixture
-def armed():
-    previously = thread_asserts_enabled()
-    enable_thread_asserts(True)
-    yield
-    enable_thread_asserts(previously)
 
 
 def call_in_thread(fn):
@@ -46,7 +38,8 @@ def call_in_thread(fn):
     return box.get("exc")
 
 
-def test_a_pool_and_an_in_process_volunteer_pass_the_armed_asserts(armed):
+@pytest.mark.thread_asserts(True)
+def test_a_pool_and_an_in_process_volunteer_pass_the_armed_asserts():
     items = [{"sleep": 0.02, "i": index} for index in range(40)]
     results, foreign = [], []
     dmap = DistributedMap(batch_size=2)

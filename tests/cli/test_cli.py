@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,18 @@ class TestParser:
         assert args.batch_size == 2
         assert args.workers == 2
         assert not args.unordered
+
+    def test_runs_as_a_module_without_a_runtime_warning(self):
+        # runpy warns when the package's __init__ already imported the
+        # module it is asked to run
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli.pando_cli",
+             "--help"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestRunPipeline:

@@ -16,7 +16,6 @@ from repro.pullstream import (
     collect,
     count,
     duplex_pair,
-    map_batches,
     pull,
     take,
     values,
@@ -208,8 +207,9 @@ class TestChannelWorkers(MapCase):
 
                 return frames_seen
 
-            mapper = map_batches(lambda v, cb: cb(None, v))
-            pull(remote_end.source, spy, mapper, remote_end.sink)
+            # the far end answers one result frame per input frame
+            echo_frame = async_map(lambda frame, cb: cb(None, Batch(frame.values)))
+            pull(remote_end.source, spy, echo_frame, remote_end.sink)
             dmap.add_channel(local_end, frame_batch=4)
 
         if attached == "before":

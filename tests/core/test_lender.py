@@ -155,12 +155,12 @@ class TestOrdering:
         """While one worker sits on value 0, a second worker answers every
         other value: the ordered output waits for value 0, the unordered
         one passes the other answers on as they come."""
-        from repro.pullstream import tap
+        from repro.pullstream import through
 
         lender = make()
         delivered = []
-        output = pull(values(list(range(10))), lender, tap(delivered.append),
-                      collect())
+        output = pull(values(list(range(10))), lender,
+                      through(on_value=delivered.append), collect())
         slow = substream_driver(
             lend(lender), auto_deliver=False, max_in_flight=1
         ).start()
@@ -235,11 +235,17 @@ class TestErrors(LenderCase):
         assert output.end is boom
 
     def test_upstream_error_after_values(self, substream_driver):
-        from repro.pullstream import cat, error, values as values_
+        from repro.pullstream import from_iterable
 
         lender = self.make()
         boom = RuntimeError("late failure")
-        output = pull(cat([values_([1, 2]), error(boom)]), lender, collect())
+
+        def two_values_then_boom():
+            yield 1
+            yield 2
+            raise boom
+
+        output = pull(from_iterable(two_values_then_boom()), lender, collect())
         substream_driver(lend(lender)).start()
         assert output.done
         assert output.end is boom

@@ -374,7 +374,14 @@ class TestBatchedFraming:
         """End-to-end Figure 9 with frame batching: batch_size× fewer DATA
         frames for the same results, the far side unbatching per element."""
         from repro.core import DistributedMap
-        from repro.pullstream import map_batches
+        from repro.net.serialization import Batch
+
+        def add_100(value, cb):
+            # one result frame per input frame, bare values one-to-one
+            if isinstance(value, Batch):
+                cb(None, Batch([v + 100 for v in value.values]))
+            else:
+                cb(None, value + 100)
 
         count_values = 40
         frames_by_mode = {}
@@ -385,7 +392,7 @@ class TestBatchedFraming:
             )
             pull(
                 channel.remote.duplex.source,
-                map_batches(lambda v, cb: cb(None, v + 100)),
+                async_map(add_100),
                 channel.remote.duplex.sink,
             )
             dmap = DistributedMap(batch_size=4)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import time
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import given, strategies as st
 from repro.net.serialization import (
     SizedPayload,
     decode_binary,
-    decode_json,
     encode_binary,
     encode_json,
     estimate_size,
@@ -21,7 +21,7 @@ from repro.net.serialization import (
 class TestJsonEncoding:
     def test_roundtrip(self):
         value = {"a": 1, "b": [1, 2, 3], "c": "text"}
-        assert decode_json(encode_json(value)) == value
+        assert json.loads(encode_json(value)) == value
 
     def test_compact_output(self):
         assert " " not in encode_json({"a": 1, "b": 2})

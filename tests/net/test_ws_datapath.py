@@ -278,6 +278,7 @@ class TestVolunteerColdStart:
     def test_lazy_package_names_still_resolve(self):
         import repro
         import repro.analysis
+        import repro.cli
         import repro.net
         import repro.obs
         import repro.pool
@@ -287,6 +288,7 @@ class TestVolunteerColdStart:
         packages = (
             repro,
             repro.analysis,
+            repro.cli,
             repro.net,
             repro.obs,
             repro.pool,

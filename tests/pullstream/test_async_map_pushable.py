@@ -1,4 +1,4 @@
-"""Tests for async_map, pushable, duplex and cat modules."""
+"""Tests for async_map, pushable and duplex modules."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.pullstream import (
     Pushable,
     async_map,
-    cat,
     collect,
     count,
     drain,
@@ -152,19 +151,3 @@ class TestDuplexPair:
         a.sink(error(RuntimeError("upstream broke")))
         assert isinstance(at_b.end, RuntimeError)
 
-
-class TestCat:
-    def test_concatenates_sources(self):
-        assert pull(cat([count(2), values(["a"]), count(3)]), collect()).result() == [1, 2, "a", 1, 2, 3]
-
-    def test_empty_list(self):
-        assert pull(cat([]), collect()).result() == []
-
-    def test_error_in_middle_aborts_rest(self):
-        boom = RuntimeError("boom")
-        result = pull(cat([count(2), error(boom), count(3)]), collect())
-        assert result.end is boom
-        assert result.value == [1, 2]
-
-    def test_downstream_abort(self):
-        assert pull(cat([count(10), count(10)]), take(3), collect()).result() == [1, 2, 3]

@@ -1,8 +1,7 @@
 """Property-based tests of the pull-stream core's one trampoline (hypothesis).
 
 Every drain loop (``drain``/``collect``/``find``, the channel-style
-``eager_pump``) and ``map_batches``' element loop run on
-:class:`repro.pullstream.loop.Loop`.  A *scripted* source answers each ask
+``eager_pump``) runs on :class:`repro.pullstream.loop.Loop`.  A *scripted* source answers each ask
 either synchronously or later (deferred to a queue the test releases), at
 random, and the tests check on every script that
 
@@ -20,7 +19,6 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.serialization import Batch
 from repro.pullstream import (
     DONE,
     batching,
@@ -28,7 +26,6 @@ from repro.pullstream import (
     drain,
     eager_pump,
     find,
-    map_batches,
     merge_unordered,
     pull,
     split,
@@ -161,36 +158,6 @@ def test_eager_sink_drops_an_answer_in_flight_at_close(n, close_at, script):
         assert seen == list(range(n)) and ends == [DONE] and source.aborts == []
 
 
-@settings(max_examples=40, deadline=None)
-@given(size=st.integers(0, 200), script=SCRIPTS)
-def test_map_batches_elements_in_order(size, script):
-    """Each element of a frame answers synchronously or later, at random."""
-    pending = deque()
-    answers = iter(script * (size // len(script) + 1))
-
-    def fn(value, cb):
-        if next(answers):
-            cb(None, value * 2)
-        else:
-            pending.append(lambda: cb(None, value * 2))
-
-    result = pull(values([Batch(list(range(size)))]), map_batches(fn), collect())
-    while pending:
-        pending.popleft()()
-    assert [list(frame.values) for frame in result.result()] == [
-        [value * 2 for value in range(size)]
-    ]
-
-
-def test_map_batches_on_a_10000_element_synchronous_frame():
-    frame = Batch(list(range(10_000)))
-    with recursion_limit(200):
-        result = pull(
-            values([frame]), map_batches(lambda v, cb: cb(None, v + 1)), collect()
-        )
-    assert list(result.result()[0].values) == list(range(1, 10_001))
-
-
 class recursion_limit:
     def __init__(self, limit):
         self.limit = limit
@@ -254,20 +221,6 @@ def test_a_raising_continuation_propagates(n, fail_at, script):
         raised.append(exc.args[0])
     assert raised == [fail_at]
     assert seen == list(range(fail_at + 1))
-
-
-@pytest.mark.parametrize("framed", [False, True])
-def test_a_raising_continuation_escapes_map_batches(framed):
-    """``fn`` answers synchronously and the downstream continuation raises:
-    that is not ``fn``'s failure, so it must not be turned into an error
-    answer (which the answer-once guard would then drop)."""
-    item = Batch([1, 2, 3]) if framed else 1
-
-    def explode(_value):
-        raise Boom()
-
-    with pytest.raises(Boom):
-        pull(values([item]), map_batches(lambda v, cb: cb(None, v)), drain(explode))
 
 
 def test_loop_iterates_reentrant_runs_and_recovers_from_a_raising_step():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProtocolError
-from repro.pullstream import DONE, check_protocol, count, is_done, is_end, is_error, values
+from repro.pullstream import DONE, check_protocol, count, is_error, values
 from repro.pullstream.protocol import EndMarker
 
 
@@ -21,20 +21,10 @@ class TestEndMarker:
 
 
 class TestPredicates:
-    def test_is_done(self):
-        assert is_done(DONE)
-        assert not is_done(None)
-        assert not is_done(ValueError("x"))
-
     def test_is_error(self):
         assert is_error(ValueError("x"))
         assert not is_error(DONE)
         assert not is_error(None)
-
-    def test_is_end(self):
-        assert is_end(DONE)
-        assert is_end(ValueError("x"))
-        assert not is_end(None)
 
 
 class TestProtocolChecker:

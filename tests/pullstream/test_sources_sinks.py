@@ -8,20 +8,12 @@ from repro.errors import PandoError
 from repro.pullstream import (
     DONE,
     collect,
-    collect_sync,
     count,
     drain,
-    drain_sync,
-    empty,
     error,
     find,
     from_iterable,
-    infinite,
-    keys,
-    on_end,
-    once,
     pull,
-    reduce,
     take,
     values,
 )
@@ -29,25 +21,16 @@ from repro.pullstream import (
 
 class TestSources:
     def test_count_produces_one_to_n(self):
-        assert collect_sync(count(5)) == [1, 2, 3, 4, 5]
+        assert pull(count(5), collect()).result() == [1, 2, 3, 4, 5]
 
     def test_count_zero_is_empty(self):
-        assert collect_sync(count(0)) == []
+        assert pull(count(0), collect()).result() == []
 
     def test_values(self):
-        assert collect_sync(values(["a", "b", "c"])) == ["a", "b", "c"]
+        assert pull(values(["a", "b", "c"]), collect()).result() == ["a", "b", "c"]
 
     def test_values_empty(self):
-        assert collect_sync(values([])) == []
-
-    def test_once(self):
-        assert collect_sync(once(42)) == [42]
-
-    def test_keys(self):
-        assert collect_sync(keys({"x": 1, "y": 2})) == ["x", "y"]
-
-    def test_empty(self):
-        assert collect_sync(empty()) == []
+        assert pull(values([]), collect()).result() == []
 
     def test_error_source_propagates(self):
         boom = ValueError("boom")
@@ -80,13 +63,6 @@ class TestSources:
         result = pull(from_iterable(generator()), collect())
         assert isinstance(result.end, RuntimeError)
 
-    def test_infinite_with_take(self):
-        assert pull(infinite(), take(4), collect()).result() == [0, 1, 2, 3]
-
-    def test_infinite_custom_generator(self):
-        result = pull(infinite(lambda: "x"), take(3), collect()).result()
-        assert result == ["x", "x", "x"]
-
 
 class TestSinks:
     def test_collect(self):
@@ -111,25 +87,11 @@ class TestSinks:
         assert result.done
         assert seen[-1] == 3
 
-    def test_drain_sync(self):
-        assert drain_sync(count(10)) == 10
-
-    def test_reduce(self):
-        assert pull(count(5), reduce(lambda acc, v: acc + v, 0)).result() == 15
-
-    def test_reduce_initial(self):
-        assert pull(values([]), reduce(lambda acc, v: acc + v, 100)).result() == 100
-
     def test_find(self):
         assert pull(count(100), find(lambda v: v > 10)).result() == 11
 
     def test_find_no_match(self):
         assert pull(count(5), find(lambda v: v > 10)).result() is None
-
-    def test_on_end_callback(self):
-        ends = []
-        pull(count(3), on_end(ends.append))
-        assert len(ends) == 1 and ends[0] is DONE
 
     def test_done_callbacks_fire(self):
         calls = []

@@ -5,20 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.pullstream import (
-    batch,
     collect,
     count,
-    filter_,
-    filter_not,
-    flatten,
     map_,
-    non_unique,
     pull,
     take,
-    tap,
     through,
-    unbatch,
-    unique,
     values,
 )
 from repro.pullstream.pull import compose
@@ -66,24 +58,6 @@ class TestMap:
         assert aborts == []
 
 
-class TestFilter:
-    def test_filter_keeps_matching(self):
-        assert pull(count(10), filter_(lambda v: v % 2 == 0), collect()).result() == [2, 4, 6, 8, 10]
-
-    def test_filter_not(self):
-        assert pull(count(6), filter_not(lambda v: v % 2 == 0), collect()).result() == [1, 3, 5]
-
-    def test_filter_everything(self):
-        assert pull(count(5), filter_(lambda v: False), collect()).result() == []
-
-    def test_filter_predicate_error(self):
-        def bad(value):
-            raise KeyError("nope")
-
-        result = pull(count(3), filter_(bad), collect())
-        assert isinstance(result.end, KeyError)
-
-
 class TestTake:
     def test_take_n(self):
         assert pull(count(100), take(3), collect()).result() == [1, 2, 3]
@@ -117,44 +91,7 @@ class TestTake:
         assert len(produced) <= 6
 
 
-class TestUniqueAndFlatten:
-    def test_unique(self):
-        assert pull(values([1, 2, 2, 3, 1, 4]), unique(), collect()).result() == [1, 2, 3, 4]
-
-    def test_unique_with_key(self):
-        items = [{"k": 1}, {"k": 1}, {"k": 2}]
-        result = pull(values(items), unique(key=lambda d: d["k"]), collect()).result()
-        assert result == [{"k": 1}, {"k": 2}]
-
-    def test_non_unique(self):
-        assert pull(values([1, 2, 2, 3, 1]), non_unique(), collect()).result() == [2, 1]
-
-    def test_flatten(self):
-        assert pull(values([[1, 2], [3], [], [4, 5]]), flatten(), collect()).result() == [1, 2, 3, 4, 5]
-
-    def test_flatten_non_iterable_passthrough(self):
-        assert pull(values([1, [2, 3]]), flatten(), collect()).result() == [1, 2, 3]
-
-
-class TestBatch:
-    def test_batch_groups_values(self):
-        assert pull(count(7), batch(3), collect()).result() == [[1, 2, 3], [4, 5, 6], [7]]
-
-    def test_batch_exact_multiple(self):
-        assert pull(count(4), batch(2), collect()).result() == [[1, 2], [3, 4]]
-
-    def test_batch_roundtrip_with_unbatch(self):
-        assert pull(count(10), batch(4), unbatch(), collect()).result() == list(range(1, 11))
-
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            batch(0)
-
-    def test_batch_of_one(self):
-        assert pull(count(3), batch(1), collect()).result() == [[1], [2], [3]]
-
-
-class TestThroughAndTap:
+class TestThrough:
     def test_through_observes_without_modifying(self):
         seen, ends = [], []
         result = pull(
@@ -164,24 +101,19 @@ class TestThroughAndTap:
         assert seen == [1, 2, 3]
         assert len(ends) == 1
 
-    def test_tap(self):
-        seen = []
-        assert pull(count(2), tap(seen.append), collect()).result() == [1, 2]
-        assert seen == [1, 2]
-
 
 class TestCompose:
     def test_compose_throughs(self):
-        double_evens = compose(filter_(lambda v: v % 2 == 0), map_(lambda v: v * 2))
-        assert pull(count(6), double_evens, collect()).result() == [4, 8, 12]
+        double_the_first_three = compose(take(3), map_(lambda v: v * 2))
+        assert pull(count(6), double_the_first_three, collect()).result() == [2, 4, 6]
 
     def test_pull_without_source_returns_through(self):
-        partial = pull(map_(lambda v: v + 1), filter_(lambda v: v > 2))
-        assert pull(count(4), partial, collect()).result() == [3, 4, 5]
+        partial = pull(map_(lambda v: v + 1), take(3))
+        assert pull(count(4), partial, collect()).result() == [2, 3, 4]
 
 
 class TestBatchingFrames:
-    """Wire framing: batching / unbatching / map_batches."""
+    """Wire framing: batching / unbatching."""
 
     def test_full_frames_on_synchronous_source(self):
         from repro.net.serialization import Batch
@@ -200,7 +132,7 @@ class TestBatchingFrames:
         assert result == list(range(23))
 
     def test_list_valued_elements_survive_roundtrip(self):
-        """Unlike unbatch(), unbatching() must not flatten list *values*."""
+        """unbatching() must not flatten list *values*."""
         from repro.pullstream import batching, unbatching
 
         items = [[1, 2], [3], [], [4, 5, 6]]
@@ -232,54 +164,8 @@ class TestBatchingFrames:
             batching(0)
 
     def test_error_propagates(self):
-        from repro.pullstream import batching, unbatching
+        from repro.pullstream import batching
         from repro.pullstream import error as error_source
 
         result = pull(error_source(RuntimeError("boom")), batching(2), collect())
-        assert isinstance(result.end, RuntimeError)
-
-    def test_map_batches_applies_per_element(self):
-        from repro.net.serialization import Batch
-        from repro.pullstream import batching, map_batches, unbatching
-
-        result = pull(
-            values(list(range(9))),
-            batching(4),
-            map_batches(lambda v, cb: cb(None, v * 2)),
-            unbatching(),
-            collect(),
-        ).result()
-        assert result == [v * 2 for v in range(9)]
-
-    def test_map_batches_passes_bare_values(self):
-        from repro.pullstream import map_batches
-
-        result = pull(
-            values([1, 2, 3]), map_batches(lambda v, cb: cb(None, v + 1)), collect()
-        ).result()
-        assert result == [2, 3, 4]
-
-    def test_map_batches_does_not_swallow_a_downstream_exception(self):
-        from repro.pullstream import drain, map_batches
-
-        def explode(_value):
-            raise RuntimeError("downstream broke")
-
-        with pytest.raises(RuntimeError, match="downstream broke"):
-            pull(
-                values([1, 2]),
-                map_batches(lambda v, cb: cb(None, v)),
-                drain(op=explode),
-            )
-
-    def test_map_batches_error_fails_stream(self):
-        from repro.pullstream import batching, map_batches
-
-        def failing(value, cb):
-            if value == 2:
-                cb(RuntimeError("bad"), None)
-            else:
-                cb(None, value)
-
-        result = pull(values([1, 2, 3]), batching(2), map_batches(failing), collect())
         assert isinstance(result.end, RuntimeError)

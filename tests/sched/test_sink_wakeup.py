@@ -5,6 +5,12 @@ a pipeline fed and finished from a producer thread — once terminated only
 when the poll-interval safety net expired.  A run registers a
 ``SinkResult.on_done`` callback that raises the loop's stop flag and wakes
 it (thread-safely) the instant the sink completes.
+
+The producer threads here push into a ``Pushable`` no scheduler owns, on
+purpose: routing them through a ``PushablePort`` would complete the sink in
+a dispatch round, and the ``on_done`` wake-up would go untested.  Each
+declares itself a crossing (``mark_loop_thread``) so the suite also passes
+with ``PANDO_THREAD_ASSERTS=1``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.analysis.annotations import mark_loop_thread, unmark_loop_thread
 from repro.pullstream import collect, pull
 from repro.pullstream.pushable import Pushable
 from repro.sched import EventLoopScheduler
@@ -35,8 +42,12 @@ def test_sink_completed_off_loop_wakes_the_pump_immediately():
         time.sleep(0.15)
         # Completing the stream off-loop: the sink's on_done callback (not
         # a dispatch round, not the safety net) must wake the pump.
-        source.push("fed-from-outside")
-        source.end()
+        owner = mark_loop_thread()
+        try:
+            source.push("fed-from-outside")
+            source.end()
+        finally:
+            unmark_loop_thread(owner)
 
     thread = threading.Thread(target=finish_later)
     started = time.monotonic()
@@ -85,8 +96,12 @@ def test_on_done_registration_does_not_linger_across_runs():
 
         def finish_later():
             time.sleep(0.1)
-            source.push(tag)
-            source.end()
+            owner = mark_loop_thread()
+            try:
+                source.push(tag)
+                source.end()
+            finally:
+                unmark_loop_thread(owner)
 
         thread = threading.Thread(target=finish_later)
         started = time.monotonic()

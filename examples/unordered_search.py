@@ -79,9 +79,10 @@ def main() -> None:
 
     assert hit is not None and hit["nonce"] == nonce
     delivered = dmap.stats.results_delivered
+    received = dmap.stats.results_received
     print(f"found nonce {hit['nonce']} in {elapsed:.3f}s after "
-          f"{delivered} delivered result(s); the remaining "
-          f"{args.values - delivered} attempt(s) were cancelled")
+          f"{delivered} delivered result(s) ({received} answered); the "
+          f"remaining {args.values - received} attempt(s) were cancelled")
 
 
 if __name__ == "__main__":

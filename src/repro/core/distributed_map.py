@@ -30,6 +30,7 @@ _LENDER_FIELDS = (
     ("values_read", "Values read from the map's input stream."),
     ("values_lent", "Values lent to worker sub-streams (first lends)."),
     ("values_relent", "Values re-lent after a sub-stream crash-stop failure."),
+    ("results_received", "Results the map's workers answered."),
     ("results_delivered", "Results delivered to the map's output stream."),
     ("substreams_opened", "Worker sub-streams opened."),
     ("substreams_failed", "Worker sub-streams that failed (crash-stop)."),

@@ -62,6 +62,9 @@ class LenderStats:
         self.values_read = 0
         self.values_lent = 0
         self.values_relent = 0
+        #: results workers answered; each settles one lent value
+        self.results_received = 0
+        #: results handed to the output stream
         self.results_delivered = 0
         self.substreams_opened = 0
         self.substreams_failed = 0
@@ -75,6 +78,7 @@ class LenderStats:
             "values_read": self.values_read,
             "values_lent": self.values_lent,
             "values_relent": self.values_relent,
+            "results_received": self.results_received,
             "results_delivered": self.results_delivered,
             "substreams_opened": self.substreams_opened,
             "substreams_failed": self.substreams_failed,
@@ -340,7 +344,7 @@ class StreamLender:
             return
         index, _original = sub.borrowed.popleft()
         self._outstanding -= 1
-        self.stats.results_delivered += 1
+        self.stats.results_received += 1
         self.stats.results_per_substream[sub.id] = (
             self.stats.results_per_substream.get(sub.id, 0) + 1
         )
@@ -425,11 +429,13 @@ class StreamLender:
         if self.ordered:
             if self._reorder.has_ready():
                 cb, self._output_waiting = self._output_waiting, None
+                self.stats.results_delivered += 1
                 cb(None, self._reorder.pop_ready())
                 return
         else:
             if self._ready_unordered:
                 cb, self._output_waiting = self._output_waiting, None
+                self.stats.results_delivered += 1
                 cb(None, self._ready_unordered.popleft())
                 return
         self._maybe_finish_output()
@@ -458,7 +464,7 @@ class StreamLender:
             cb(self._termination_marker(), None)
         # Close through the regular path so borrowed values are recycled,
         # ``outstanding`` returns to zero, and crashed sub-streams are counted
-        # as failures — keeping ``values_lent == results_delivered +
+        # as failures — keeping ``values_lent == results_received +
         # relendable + outstanding`` true even after an abort.
         for sub in list(self._substreams):
             if not sub.closed:
@@ -523,6 +529,7 @@ class StreamLender:
         return (
             f"<{type(self).__name__} read={self.stats.values_read} "
             f"outstanding={self._outstanding} failed={len(self._failed)} "
+            f"received={self.stats.results_received} "
             f"delivered={self.stats.results_delivered}>"
         )
 

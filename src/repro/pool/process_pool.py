@@ -72,6 +72,7 @@ the pipe, exactly as with ``transport="pipe"``.
 from __future__ import annotations
 
 import functools
+import gc
 import multiprocessing
 import os
 import pickle
@@ -110,8 +111,14 @@ def default_window(processes: Optional[int]) -> int:
 
 def _child_main(sock: socket.socket, *config: Any) -> None:
     """Entry point of a pool child (see :func:`repro.pool.tasks.serve_frames`):
-    first the copies of the master's sockets go (:func:`close_inherited`)."""
+    first the copies of the master's sockets go (:func:`close_inherited`).
+
+    A forked child inherits the parent's collector switch, and a pool forks
+    on its first frame, which may go out while a simulated run has the
+    collector paused; the child turns it back on for its whole life.
+    """
     close_inherited()
+    gc.enable()
     serve_frames(sock, *config)
 
 

@@ -230,7 +230,10 @@ def unbatching() -> Callable[[Source], Source]:
                     return
                 if isinstance(value, Batch):
                     if not value.values:  # defensive: skip empty frames
-                        read(None, answer)
+                        # Ask again through ``unbatched``: ``answer`` must
+                        # not name itself, or every frame leaves a reference
+                        # cycle that only the cyclic collector frees.
+                        unbatched(None, cb)
                         return
                     buffer.extend(value.values)
                     cb(None, buffer.popleft())

@@ -27,6 +27,8 @@ the channel's setup-cost table.  Three modes are provided:
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -55,6 +57,30 @@ PAPER_TRANSPORTS = {"lan": "websocket", "vpn": "websocket", "wan": "webrtc", "lo
 #: the master's host in the network model, and the URL it serves on the LAN
 MASTER_HOST = "master"
 LOCAL_URL = f"http://{MASTER_HOST}:5000"
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the body with automatic cyclic collection off.
+
+    A simulated run keeps its whole fleet alive until it ends and leaves no
+    cycle per value (``tests/sim/test_gc_cycles.py``), so every automatic
+    pass inside it re-scans live objects and frees nothing.  At the end —
+    normal or raising — one young-generation collection settles the run's
+    allocations on the run's own clock, then the collector is back on; left
+    to the next automatic pass, that scan would fall on whatever code
+    allocates next.  A caller that already disabled the collector keeps it
+    disabled and gets no collection.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.collect(0)
+        gc.enable()
 
 
 def default_batch_size(setting: str) -> int:
@@ -486,6 +512,7 @@ class DeploymentScenario:
             completed_at=self.scheduler.now,
         )
 
+    @_collector_paused()
     def run_on_loop(
         self,
         inputs: Iterable[Any],
@@ -508,6 +535,12 @@ class DeploymentScenario:
         post-abort tails and pending heartbeat suspicions become observable.
         Returns the completed :class:`~repro.pullstream.sinks.SinkResult`
         (``scenario_result()`` builds the report afterwards).
+
+        The whole run, ``shutdown()`` included, runs with automatic cyclic
+        collection off; one young-generation collection ends it, even when
+        it raises, and the collector is on again after.  If the caller had
+        disabled the collector, the run leaves it disabled and collects
+        nothing.
         """
         values = [self.app.wrap_input(v) if wrap else v for v in inputs]
         sink_result = self._start(values, sink if sink is not None else collect())

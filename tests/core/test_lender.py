@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import StreamLender, UnorderedStreamLender
 from repro.errors import ProtocolError, StreamAborted
-from repro.pullstream import DONE, collect, count, pull, take, values
+from repro.pullstream import DONE, collect, count, find, pull, take, values
 
 
 def lend(lender):
@@ -121,6 +121,22 @@ class TestOrdering:
             slow.deliver_all()
         results = output.result()
         assert [r[0] for r in results] == ["a", "b", "c", "d"]
+
+    def test_delivered_counts_what_the_output_took(self, substream_driver):
+        # Eleven later results arrive while the head is still out; once it
+        # lands, ``find`` takes six values and aborts.  The workers answered
+        # twelve, the output delivered six.
+        lender = StreamLender()
+        output = pull(values(list(range(12))), lender, find(lambda v: v == 50))
+        head = substream_driver(lend(lender), auto_deliver=False).start()
+        rest = substream_driver(lend(lender), auto_deliver=False, max_in_flight=11)
+        rest.start().deliver_all()
+        assert lender.stats.results_received == 11
+        assert lender.stats.results_delivered == 0
+        head.deliver_all()
+        assert output.result() == 50
+        assert lender.stats.results_received == 12
+        assert lender.stats.results_delivered == 6
 
     def test_unordered_variant_releases_results_as_they_complete(self, substream_driver):
         lender = UnorderedStreamLender()

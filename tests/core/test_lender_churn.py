@@ -5,7 +5,7 @@ that every input is processed exactly once no matter how workers churn.  This
 test drives a :class:`StreamLender` with 220 sub-streams whose crash points
 come from the :class:`repro.sim.failures.ChurnModel` generator, and asserts
 exactly-once delivery, input ordering, and that :class:`LenderStats` balances
-(``values_lent == results_delivered + outstanding + relendable +
+(``values_lent == results_received + outstanding + relendable +
 values_relent``).  After every attach and every delivery step the lender's
 kept open-sub-stream count is compared with a scan of its sub-streams.
 """
@@ -96,7 +96,7 @@ class TestChurn:
         # it produced a result, is still outstanding, awaits re-lending, or
         # was a re-lend of a recycled value.
         assert stats.values_lent == (
-            stats.results_delivered
+            stats.results_received
             + lender.outstanding
             + lender.relendable
             + stats.values_relent
@@ -104,7 +104,7 @@ class TestChurn:
         assert stats.values_lent == INPUTS + stats.values_relent
         # Per-substream accounting adds up.
         assert sum(stats.lent_per_substream.values()) == stats.values_lent
-        assert sum(stats.results_per_substream.values()) == stats.results_delivered
+        assert sum(stats.results_per_substream.values()) == stats.results_received
         # Every sub-stream was opened, and crashed ones are counted as failed.
         assert stats.substreams_opened == WORKERS
         assert stats.substreams_failed >= len(

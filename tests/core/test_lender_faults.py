@@ -152,13 +152,13 @@ class TestCrashRecovery(LenderCase):
 class TestAbortCleanup(LenderCase):
     """Regression: a downstream abort must close sub-streams through the
     regular cleanup path so the conservativeness invariant
-    ``values_lent == results_delivered + relendable + outstanding``
+    ``values_lent == results_received + relendable + outstanding``
     holds afterwards and the failure counters stay truthful."""
 
     def _assert_balanced(self, lender):
         stats = lender.stats
         assert stats.values_lent == (
-            stats.results_delivered + lender.relendable + lender.outstanding
+            stats.results_received + lender.relendable + lender.outstanding
         )
 
     def test_abort_recycles_borrowed_values(self, substream_driver):

@@ -72,6 +72,8 @@ class TestExamples:
         )
         assert "on 2 pools (ordered)" in stdout
         assert "found nonce" in stdout
+        # the hit is attempt 5: find() took six results in input order
+        assert "after 6 delivered result(s)" in stdout
 
     def test_event_loop_master_small(self):
         stdout = run_example(

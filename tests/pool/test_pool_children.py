@@ -11,6 +11,7 @@ or died.
 from __future__ import annotations
 
 import ast
+import gc
 import multiprocessing
 import os
 import pathlib
@@ -48,6 +49,10 @@ def raises_unpicklable(value):
 
 def returns_unpicklable(value):
     return lambda: value
+
+
+def collector_enabled(_value):
+    return gc.isenabled()
 
 
 def read_error(pool, inputs):
@@ -270,6 +275,21 @@ class TestChildrenExitByThemselves:
                 if still_running(pid):
                     os.kill(pid, signal.SIGKILL)
         assert survivors == []
+
+
+class TestChildrenCollect:
+    def test_a_child_forked_while_the_collector_is_paused_turns_it_on(self):
+        """A pool forks on its first frame, which can go out inside a
+        simulated run that paused the collector; the fork keeps the
+        switch, so without its own ``gc.enable()`` the child would run its
+        whole life without a collector."""
+        gc.disable()
+        try:
+            with ProcessPoolWorker(collector_enabled, processes=1) as pool:
+                sink = pull(values([0]), Limiter(pool, 1), collect())
+                assert sink.result() == [True]
+        finally:
+            gc.enable()
 
 
 class TestChildrenHoldNoMasterSocket:

@@ -359,7 +359,7 @@ class TestDistributedMapPoolBackend:
             dmap.close()
         stats = dmap.stats
         assert stats.values_lent == (
-            stats.results_delivered + dmap.lender.relendable + dmap.lender.outstanding
+            stats.results_received + dmap.lender.relendable + dmap.lender.outstanding
         )
         assert stats.results_delivered == 17
 

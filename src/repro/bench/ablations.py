@@ -16,7 +16,6 @@ Three design decisions the paper discusses are made measurable here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict
 
 from ..apps import registry as app_registry
@@ -25,20 +24,10 @@ from ..sim.failures import FailureSchedule
 from ..sim.scenario import DeploymentScenario, ScenarioConfig
 
 __all__ = [
-    "OrderingAblation",
     "ordering_ablation",
     "transport_ablation",
     "failure_recovery_ablation",
 ]
-
-
-@dataclass
-class OrderingAblation:
-    """Time at which each pipeline variant delivered its first N outputs."""
-
-    ordered_completion: float
-    unordered_completion: float
-    inputs: int
 
 
 def ordering_ablation(

@@ -240,6 +240,7 @@ class DistributedMap:
         #: websocket gateway, with its join/leave/crash record
         self.registry = VolunteerRegistry()
         self._counter = 0
+        self._fanned_out = False  # drive() fanned an abort out to the pools
         #: this map's observability plane — metrics registry, trace-event
         #: ring buffer, and the per-frame tracer threaded through the
         #: transports.  ``metrics=False`` disables the per-frame hot path
@@ -594,6 +595,7 @@ class DistributedMap:
         self,
         *sinks: SinkResult,
         timeout: Optional[float] = None,
+        until: Optional[float] = None,
     ) -> None:
         """Pump the map's pools, volunteers and channels until *sinks* complete.
 
@@ -614,6 +616,11 @@ class DistributedMap:
         A map with only local workers completes during attachment; calling
         ``drive`` afterwards returns immediately.
 
+        On a simulation's loop (``register_sim``), *until* bounds the run in
+        virtual time (:meth:`~repro.sched.EventLoopScheduler.run`): no timer
+        due after it fires, and the run returns, without error and with or
+        without *sinks*, once none is due at or before it.
+
         Raises :class:`~repro.errors.PandoError` when *timeout* (seconds)
         elapses, or when no source can make progress while a sink is still
         pending.
@@ -621,19 +628,23 @@ class DistributedMap:
         self.scheduler.run(
             *sinks,
             timeout=timeout,
-            # the stream aborted: pool work in flight is now garbage
-            aborted=lambda: self.closed or any(sink.aborted for sink in sinks),
+            until=until,
+            # the stream aborted: pool work in flight is now garbage; the
+            # lender's end is final, so one fan-out serves every later run
+            aborted=lambda: not self._fanned_out
+            and (self.closed or any(sink.aborted for sink in sinks)),
             on_abort=self._cancel_pool_pending,
         )
 
     def _cancel_pool_pending(self) -> int:
-        """Fan the abort out to every pool.
+        """Fan the abort out to every pool, once.
 
         A pool whose sub-stream already closed (which an abort does to every
         attached worker) is cancelled *forcibly*: its results provably cannot
         be delivered, even though the stream termination may still be parked
         in its Limiter gate on the way to the pool.
         """
+        self._fanned_out = True
         total = 0
         for handle in self._workers.values():
             if handle.pool is not None:

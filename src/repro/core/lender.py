@@ -510,12 +510,6 @@ class StreamLender:
         return self._output_end is not None
 
     @property
-    def work_done(self) -> bool:
-        """True once the input ended and every value read was answered: a
-        sub-stream attached now has nothing to borrow."""
-        return self._all_work_done()
-
-    @property
     def outstanding(self) -> int:
         """Number of values currently lent to live sub-streams."""
         return self._outstanding

@@ -10,7 +10,8 @@ goes down the stream from the selector callback that read it
 (:meth:`~EventLoopScheduler.dispatch_now`); a backlog, a thread-fed port or
 a custom source is dispatched in fair round-robin rounds.  A run stops on
 the callback that completes its last sink (the sinks' ``on_done`` raises the
-loop's stop flag), and an abort fans out to the pools when a sink completes
+loop's stop flag) or, on a simulation's virtual clock, once no timer is due
+by its ``until`` bound; an abort fans out to the pools when a sink completes
 or a file event arrives, never per simulated event.  All stream callbacks
 run on the thread that called :meth:`~EventLoopScheduler.run`.
 """
@@ -152,6 +153,7 @@ class EventLoopScheduler:
         poll_interval: Optional[float] = None,
         aborted: Optional[Callable[[], bool]] = None,
         on_abort: Optional[Callable[[], int]] = None,
+        until: Optional[float] = None,
     ) -> None:
         """Turn the loop until every sink in *sinks* completes: one fair
         round, then one loop turn (a wait only when nothing progressed).
@@ -159,15 +161,24 @@ class EventLoopScheduler:
         True fans the cancellation out, through *on_abort* when given, else
         ``cancel_pools(force=True)``.  Raises
         :class:`~repro.errors.PandoError` on *timeout* (seconds) or a stall.
+
+        *until* bounds the run in virtual time, as ``Scheduler.run_until``
+        does: a timer due after it does not fire, and once no timer is due
+        at or before it the run returns without error, the clock standing
+        at *until*.  Sources are served meanwhile but do not extend the run.
+        A run given *until* needs no sink.  A loop on the real clock refuses
+        it (bound a real run with *timeout*).
         """
-        if not sinks:
-            raise PandoError("EventLoopScheduler.run needs at least one sink")
+        if not sinks and until is None:
+            raise PandoError("EventLoopScheduler.run needs at least one sink, or until")
         if self._running:
             raise PandoError("EventLoopScheduler.run is not reentrant")
         safety_net = self.poll_interval if poll_interval is None else poll_interval
         if safety_net <= 0:
             raise PandoError("poll_interval must be positive")
         loop = self.loop
+        if until is not None and not loop.timers.clock.virtual:
+            raise PandoError("until bounds a run in virtual time; this loop's clock is real")
         deadline = None if timeout is None else time.monotonic() + timeout
         timers, fired, wakeups = loop.timers, loop.timers.events_processed, loop.wakeups
         for sink in sinks:
@@ -183,13 +194,19 @@ class EventLoopScheduler:
                 if loop.stopping:
                     loop.stopping = False
                     cancelled = cancelled or self._fan_out(aborted, on_abort)
-                    if all(sink.done for sink in sinks):
+                    if sinks and all(sink.done for sink in sinks):
                         break
                 # ``>=`` so that ``timeout=0`` fires on the first pass
                 if deadline is not None and time.monotonic() >= deadline:
                     pending = sum(not sink.done for sink in sinks)
                     self._emit("pump_timeout", timeout=timeout, pending=pending)
                     raise PandoError("EventLoopScheduler.run timed out")
+                if until is not None:
+                    when = loop.timers.next_event_time()
+                    if when is None or when > until:
+                        clock = loop.timers.clock
+                        clock.advance_to(max(until, clock.now))
+                        break
                 wait, sources = 0.0, self._sources
                 if not self.dispatch_round() and not any(s.ready() for s in sources):
                     if loop.timers.next_event_time() is None and not any(
@@ -204,7 +221,7 @@ class EventLoopScheduler:
                         wait = min(wait, max(deadline - time.monotonic(), 0.001))
                 # Timers fire back to back only while no source takes turns
                 # with them; a file event is a reason to look again.
-                if loop.run_once(wait, burst=not self._sources):
+                if loop.run_once(wait, burst=not self._sources, until=until):
                     loop.stopping = True
         finally:
             unmark_loop_thread(owner)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 import selectors
 import socket
@@ -160,11 +161,12 @@ class Loop:
             raise PandoError("register the simulation before the loop sets a timer")
         self.timers, self._scale, self._anchor = timers, time_scale, None
 
-    def _due_in(self) -> Optional[float]:
-        """Wall seconds until the next timer is due (<= 0: due), or None."""
+    def _due_in(self, until: Optional[float] = None) -> Optional[float]:
+        """Wall seconds until the next timer is due (<= 0: due), or None;
+        a timer due after *until* counts as none."""
         timers = self.timers
         when = timers.next_event_time()
-        if when is None:
+        if when is None or (until is not None and when > until):
             return None
         if self._scale is None:
             return 0.0 if timers.clock.virtual else when - time.monotonic()
@@ -211,20 +213,23 @@ class Loop:
         self.stopping = True
         self.wake()
 
-    def run_once(self, timeout: float, burst: bool = True) -> int:
+    def run_once(
+        self, timeout: float, burst: bool = True, until: Optional[float] = None
+    ) -> int:
         """One turn: wait in the selector at most *timeout* seconds (less if
         a timer is due sooner; without a wait, poll at most once per
         :data:`LOOP_TURN_INTERVAL`), serve what it returned, then fire the
         due timers — one, or with *burst* all that come due until
         :attr:`stopping` rises or :data:`LOOP_TURN_INTERVAL` has passed.
-        Returns the file events served."""
-        due = self._due_in()
+        A timer due after *until* (a clock time) does not fire.  Returns the
+        file events served."""
+        due = self._due_in(until)
         wait = timeout if due is None else max(0.0, min(timeout, due))
         served = 0
         if wait > 0 or time.monotonic() >= self._next_poll:
             served = self._poll(wait)
         if due is not None:
-            self._fire_due(burst)
+            self._fire_due(burst, until)
         return served
 
     def _poll(self, wait: float) -> int:
@@ -241,16 +246,20 @@ class Loop:
         self._next_poll = time.monotonic() + LOOP_TURN_INTERVAL
         return len(events)
 
-    def _fire_due(self, burst: bool) -> None:
+    def _fire_due(self, burst: bool, until: Optional[float]) -> None:
         timers = self.timers
         heap, monotonic = timers._heap, time.monotonic
-        # unpaced virtual time, the simulation's hot path: every timer is due
+        # unpaced virtual time, the simulation's hot path: every timer up to
+        # the bound is due
         jump = self._scale is None and timers.clock.virtual
+        bound = math.inf if until is None else until
         while heap and not self.stopping:
             if not jump:
-                due = self._due_in()
+                due = self._due_in(until)
                 if due is None or due > 0:
                     return
+            elif heap[0][0] > bound:
+                return
             timer = heapq.heappop(heap)
             if timer[3] is not None:
                 timers._fire(timer)

@@ -9,8 +9,6 @@ measurement window (paper section 5.1) runs in milliseconds of real time.
 
 from __future__ import annotations
 
-from typing import Callable, List
-
 __all__ = ["VirtualClock"]
 
 
@@ -21,27 +19,11 @@ class VirtualClock:
     virtual = True
 
     def __init__(self, start: float = 0.0) -> None:
-        #: current simulated time in seconds; only the advance methods move it
+        #: current simulated time in seconds; only :meth:`advance_to` moves it
         self.now = float(start)
-        self._listeners: List[Callable[[float, float], None]] = []
-
-    def on_advance(self, listener: Callable[[float, float], None]) -> None:
-        """Call ``listener(previous, now)`` whenever time actually moves."""
-        self._listeners.append(listener)
 
     def advance_to(self, timestamp: float) -> None:
         """Move forward to *timestamp*; ``ValueError`` if that is the past."""
-        previous = self.now
-        if timestamp <= previous:
-            if timestamp < previous:
-                raise ValueError(f"cannot move time backwards: {timestamp} < {previous}")
-            return
+        if timestamp < self.now:
+            raise ValueError(f"cannot move time backwards: {timestamp} < {self.now}")
         self.now = float(timestamp)
-        for listener in self._listeners and list(self._listeners):
-            listener(previous, self.now)
-
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by *delta* seconds."""
-        if delta < 0:
-            raise ValueError(f"cannot advance by a negative delta: {delta}")
-        self.advance_to(self.now + float(delta))

@@ -491,19 +491,18 @@ def run_cell(cell: MatrixCell) -> CellResult:
             else None
         )
         started = time.perf_counter()
-        sink_result = scenario.run_on_loop(
+        result = scenario.run_to_completion(
             inputs,
             sink=sink,
             timeout=cell.timeout,
             drain_for=cell.drain_for,
         )
         wall = time.perf_counter() - started
-        result = scenario.scenario_result(sink_result)
         return CellResult(
             cell=cell,
             inputs=inputs,
             result=result,
-            aborted=bool(sink_result.aborted),
+            aborted=result.aborted,
             aborted_virtual=scenario.aborted_virtual,
             trace_counts=dmap.obs.trace.counts(),
             schedule_info=info,

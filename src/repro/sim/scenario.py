@@ -10,7 +10,12 @@ volunteer registry, and wires one :class:`~repro.net.channel.SimChannel` per
 browser tab, through the map's ``Limiter``, to a fresh sub-stream.  The
 setting picks the transport the paper used (WebSocket on the LAN and VPN,
 WebRTC through the public server on the WAN); a transport is only a row of
-the channel's setup-cost table.  Three modes are provided:
+the channel's setup-cost table.
+
+The simulation's timer heap is the heap of the map's
+:class:`~repro.sched.EventLoopScheduler` loop, so one path runs every
+scenario: ``dmap.drive``, bounded in virtual time, with any real process
+pool attached to the map served by the same loop.  Two methods take it:
 
 * :meth:`DeploymentScenario.run_measurement` reproduces the paper's
   methodology (section 5.1): an effectively infinite input stream is
@@ -18,11 +23,9 @@ the channel's setup-cost table.  Three modes are provided:
   throughput is derived from the number of items each worker completed —
   this regenerates the rows of Table 2;
 * :meth:`DeploymentScenario.run_to_completion` processes a finite list of
-  inputs until the output stream ends — used by integration tests, the
-  Figure-4 deployment example and the fault-tolerance experiments;
-* :meth:`DeploymentScenario.run_on_loop` runs the simulation's events as
-  timers of the map's event loop, beside real process pools — the scenario
-  matrix's mode.
+  inputs until the output stream ends (or a sink such as ``find`` aborts
+  it) — used by integration tests, the Figure-4 deployment example, the
+  fault-tolerance experiments and every scenario-matrix cell.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ PAPER_TRANSPORTS = {"lan": "websocket", "vpn": "websocket", "wan": "webrtc", "lo
 #: the master's host in the network model, and the URL it serves on the LAN
 MASTER_HOST = "master"
 LOCAL_URL = f"http://{MASTER_HOST}:5000"
+#: virtual seconds a run_to_completion may simulate before it gives up
+MAX_VIRTUAL_TIME = 24 * 3600.0
 
 
 @contextlib.contextmanager
@@ -163,12 +168,15 @@ class ScenarioResult:
     log: List[str]
     network_bytes: int
     scheduler_events: int
+    #: the sink cut the stream short (a ``find`` hit)
+    aborted: bool = False
 
     def as_dict(self) -> dict:
         return {
             "report": self.report.as_dict() if self.report else None,
             "outputs": self.outputs,
             "completed_at": self.completed_at,
+            "aborted": self.aborted,
             "lender_stats": self.lender_stats,
             "registry": self.registry,
             "network_bytes": self.network_bytes,
@@ -198,9 +206,10 @@ class DeploymentScenario:
             self.app.processing_function(), name=self.app.name, application=self.app
         )
         # The map owns its EventLoopScheduler; `self.scheduler` is the
-        # simulation's timer heap on its virtual clock, which run_on_loop
-        # hands to the map's loop.
+        # simulation's timer heap on its virtual clock, and the heap of the
+        # map's loop from here on.
         self.dmap = DistributedMap(ordered=config.ordered, batch_size=self.batch_size)
+        self.dmap.scheduler.register_sim(self.scheduler)
         #: human-readable deployment log (startup messages, joins, crashes)
         self.log: List[str] = []
         #: the public-server registration, once :meth:`serve` made one
@@ -346,7 +355,8 @@ class DeploymentScenario:
         released the way a leave releases it: both ends of each of its
         channels close, so the heartbeats stop and the asks parked on the
         channel end.  Nothing goes on the wire and the registry records no
-        departure — the deployment went away, nobody left.
+        departure — the deployment went away, nobody left.  Then the map
+        closes, its loop and any pool with it.
         """
         if self.deployment is not None:
             self.public_server.shutdown_deployment(self.deployment.deployment_id)
@@ -357,6 +367,7 @@ class DeploymentScenario:
                     if tab.endpoint is not None:
                         tab.endpoint.teardown()
                         tab.endpoint.peer.teardown()
+        self.dmap.close()
         self.log.append("Deployment shut down")
 
     def accept_volunteer(self, volunteer: SimVolunteer) -> None:
@@ -464,6 +475,7 @@ class DeploymentScenario:
         self._output = pull(from_iterable(inputs), self.dmap, counted, sink)
         return self._output
 
+    @_collector_paused()
     def run_measurement(self) -> ScenarioResult:
         """Measure steady-state throughput over the configured window."""
         config = self.config
@@ -474,29 +486,41 @@ class DeploymentScenario:
 
         # Warm-up, then measure.
         self.metrics.enabled = False
-        self.scheduler.run_until(config.warmup)
+        self.dmap.drive(until=config.warmup)
         self.metrics.start_window(self.scheduler.now)
-        self.scheduler.run_until(config.warmup + config.duration)
+        self.dmap.drive(until=config.warmup + config.duration)
         self.metrics.end_window(self.scheduler.now)
         self.shutdown()
 
         report = self.metrics.report(self.app.name, config.setting)
         return self._result(report=report, outputs=None, completed_at=None)
 
+    @_collector_paused()
     def run_to_completion(
         self,
         inputs: Iterable[Any],
         wrap: bool = True,
-        max_virtual_time: float = 24 * 3600.0,
+        sink: Optional[Any] = None,
+        timeout: Optional[float] = None,
+        drain_for: float = 0.0,
     ) -> ScenarioResult:
-        """Process a finite input list until the output stream terminates."""
-        values = [self.app.wrap_input(v) if wrap else v for v in inputs]
-        sink_result = self._start(values, collect())
+        """Process a finite input list until the output stream terminates.
 
+        *sink* defaults to ``collect()``; pass e.g. ``find(...)`` for abort
+        scenarios.  *timeout* bounds the **wall-clock** run; the virtual one
+        ends at :data:`MAX_VIRTUAL_TIME`.  *drain_for* keeps simulating that
+        much virtual time after the sink completes, so post-abort tails and
+        pending heartbeat suspicions become observable.  A sink that has not
+        completed when no event is left raises
+        :class:`~repro.errors.DeploymentError`.
+        """
+        values = [self.app.wrap_input(v) if wrap else v for v in inputs]
+        sink_result = self._start(values, sink if sink is not None else collect())
+        sink_result.on_done(self._stamp)
         self.metrics.start_window(self.scheduler.now)
-        self.scheduler.run(
-            until=lambda: sink_result.done or self.scheduler.now > max_virtual_time
-        )
+        self.dmap.drive(sink_result, timeout=timeout, until=MAX_VIRTUAL_TIME)
+        if sink_result.done and drain_for > 0.0:
+            self.dmap.drive(until=self.scheduler.now + drain_for)
         self.metrics.end_window(self.scheduler.now)
         self.shutdown()
 
@@ -505,68 +529,6 @@ class DeploymentScenario:
                 "deployment stalled before completing its input stream "
                 f"(processed {self.metrics.output_items} of {len(values)})"
             )
-        report = self.metrics.report(self.app.name, self.config.setting)
-        return self._result(
-            report=report,
-            outputs=list(sink_result.value),
-            completed_at=self.scheduler.now,
-        )
-
-    @_collector_paused()
-    def run_on_loop(
-        self,
-        inputs: Iterable[Any],
-        wrap: bool = True,
-        sink: Optional[Any] = None,
-        timeout: Optional[float] = None,
-        drain_for: float = 0.0,
-    ):
-        """Drive the deployment on the map's event loop.
-
-        The simulation's heap becomes the timer heap of the map's
-        :class:`~repro.sched.EventLoopScheduler` loop, unpaced, so virtual
-        time jumps from event to event — and real (wall-clock) sources such
-        as process pools attached to the master are served by the same
-        loop.  This is the scenario-matrix execution mode.
-
-        *sink* defaults to ``collect()``; pass e.g. ``find(...)`` for abort
-        scenarios.  *timeout* bounds the **wall-clock** run.  *drain_for*
-        keeps simulating that much virtual time after the sink completes, so
-        post-abort tails and pending heartbeat suspicions become observable.
-        Returns the completed :class:`~repro.pullstream.sinks.SinkResult`
-        (``scenario_result()`` builds the report afterwards).
-
-        The whole run, ``shutdown()`` included, runs with automatic cyclic
-        collection off; one young-generation collection ends it, even when
-        it raises, and the collector is on again after.  If the caller had
-        disabled the collector, the run leaves it disabled and collects
-        nothing.
-        """
-        values = [self.app.wrap_input(v) if wrap else v for v in inputs]
-        sink_result = self._start(values, sink if sink is not None else collect())
-
-        def stamp(result: Any) -> None:
-            # Runs the instant the sink completes — inside the sim dispatch
-            # for a volunteer-delivered value — so `now` is the virtual
-            # completion/abort time.  An abort also requests the device
-            # stop, which chunked tasks observe at their next boundary.
-            self.completed_virtual = self.scheduler.now
-            if result.aborted:
-                self.aborted_virtual = self.scheduler.now
-                self.request_stop()
-
-        sink_result.on_done(stamp)
-        self.metrics.start_window(self.scheduler.now)
-        self.dmap.scheduler.register_sim(self.scheduler)
-        self.dmap.drive(sink_result, timeout=timeout)
-        if drain_for > 0.0:
-            self.scheduler.run_for(drain_for)
-        self.metrics.end_window(self.scheduler.now)
-        self.shutdown()
-        return sink_result
-
-    def scenario_result(self, sink_result: Any) -> ScenarioResult:
-        """Build the :class:`ScenarioResult` for a finished ``run_on_loop``."""
         value = sink_result.value
         if value is None:
             outputs: Optional[List[Any]] = None
@@ -576,8 +538,21 @@ class DeploymentScenario:
             outputs = [value]
         report = self.metrics.report(self.app.name, self.config.setting)
         return self._result(
-            report=report, outputs=outputs, completed_at=self.completed_virtual
+            report=report,
+            outputs=outputs,
+            completed_at=self.completed_virtual,
+            aborted=bool(sink_result.aborted),
         )
+
+    def _stamp(self, result: SinkResult) -> None:
+        """Runs the instant the sink completes — inside the sim dispatch for
+        a volunteer-delivered value — so ``now`` is the virtual completion
+        or abort time.  An abort also requests the device stop, which
+        chunked tasks observe at their next boundary."""
+        self.completed_virtual = self.scheduler.now
+        if result.aborted:
+            self.aborted_virtual = self.scheduler.now
+            self.request_stop()
 
     # ------------------------------------------------------------- reporting
     def _result(
@@ -585,6 +560,7 @@ class DeploymentScenario:
         report: Optional[ThroughputReport],
         outputs: Optional[List[Any]],
         completed_at: Optional[float],
+        aborted: bool = False,
     ) -> ScenarioResult:
         volunteers = self.dmap.registry
         registry = {
@@ -602,4 +578,5 @@ class DeploymentScenario:
             log=list(self.log),
             network_bytes=self.network.total_bytes(),
             scheduler_events=self.scheduler.events_processed,
+            aborted=aborted,
         )

@@ -3,9 +3,10 @@
 A :class:`Scheduler` is the master loop's timer heap
 (:class:`~repro.sched.loop.Timers`) on a :class:`~repro.sim.clock.VirtualClock`:
 events due at the same instant run in scheduling order, so a seeded
-simulation is reproducible.  It runs on its own (``run``, ``run_until``,
-``run_for``) or as the heap of an :class:`~repro.sched.EventLoopScheduler`'s
-loop (``register_sim``).
+simulation is reproducible.  A deployment runs it as the heap of an
+:class:`~repro.sched.EventLoopScheduler`'s loop (``register_sim``), bounded
+by ``drive(until=...)``; ``run`` and ``run_until`` step it on its own, for
+tests of the simulated components without a loop.
 """
 
 from __future__ import annotations
@@ -40,6 +41,3 @@ class Scheduler(Timers):
         self.clock.advance_to(max(timestamp, self.clock.now))
         return self.clock.now
 
-    def run_for(self, duration: float) -> float:
-        """Process events for *duration* seconds of virtual time."""
-        return self.run_until(self.clock.now + duration)

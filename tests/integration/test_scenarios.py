@@ -83,6 +83,46 @@ class TestRunToCompletion:
         with pytest.raises(DeploymentError):
             scenario.run_to_completion(app.generate_inputs(3))
 
+    @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+    def test_a_process_pool_beside_the_volunteers_delivers(self, ordered):
+        """A real pool attached to the scenario's map is served by the same
+        loop that fires the simulated events: its replies come back, and
+        the run delivers every output."""
+        app = CollatzApplication()
+        config = ScenarioConfig(
+            application=app,
+            setting="lan",
+            devices=lan_subset("iphone-se"),
+            tabs={"iphone-se": 1},
+            ordered=ordered,
+        )
+        scenario = DeploymentScenario(config)
+        handle = scenario.dmap.add_process_pool("repro.pool.workloads:echo", processes=1)
+        inputs = list(app.generate_inputs(20))
+        outcome = scenario.run_to_completion(inputs)
+        # a volunteer answers {"n": first, ...}; the echo pool its wrapped input
+        firsts = [out["n"] if "n" in out else out["value"]["first"] for out in outcome.outputs]
+        expected = [value["first"] for value in inputs]
+        if not ordered:
+            firsts, expected = sorted(firsts), sorted(expected)
+        assert firsts == expected
+        assert handle.pool.results_returned > 0
+
+    @pytest.mark.parametrize("method", ["run_measurement", "run_to_completion"])
+    def test_a_run_closes_the_map(self, method):
+        """shutdown() closes the map, so no selector or socket pair of a
+        finished run is left for the collector to find."""
+        app = CollatzApplication()
+        config = ScenarioConfig(
+            application=app, setting="lan", devices=lan_subset("iphone-se"), duration=5.0
+        )
+        scenario = DeploymentScenario(config)
+        if method == "run_measurement":
+            scenario.run_measurement()
+        else:
+            scenario.run_to_completion(app.generate_inputs(4))
+        assert scenario.dmap.scheduler.closed
+
     def test_unknown_device_in_failure_schedule_rejected(self):
         app = CollatzApplication()
         config = ScenarioConfig(

@@ -476,6 +476,42 @@ class TestSimIntegration:
         finally:
             sched.close()
 
+    def test_until_fires_its_ties_and_stands_the_clock_there(self):
+        """A bounded run fires every timer due at or before the bound, ties
+        scheduled by an event at the bound included, and none after it."""
+        sim = Scheduler(VirtualClock())
+        fired = []
+        sim.call_at(1.0, lambda: (fired.append("at"), sim.call_soon(fired.append, "tie")))
+        sim.call_at(1.5, fired.append, "after")
+        with EventLoopScheduler() as sched:
+            sched.register_sim(sim)
+            sched.run(until=1.0)  # no sink needed
+            assert fired == ["at", "tie"]
+            assert sim.now == 1.0
+            sched.run(until=4.0)
+            assert fired == ["at", "tie", "after"]
+            assert sim.now == 4.0  # the heap ran dry: the clock moves on
+            sched.run(until=2.0)  # a bound in the past fires nothing
+            assert sim.now == 4.0
+
+    def test_a_sink_done_before_until_ends_the_run_at_its_event(self):
+        sim = Scheduler(VirtualClock())
+        buffer = Pushable()
+        sim.call_at(2.0, lambda: (buffer.push("x"), buffer.end()))
+        sim.call_at(3.0, lambda: None)
+        with EventLoopScheduler() as sched:
+            sched.register_sim(sim)
+            sink = collect()(buffer)
+            sched.run(sink, until=10.0)
+            assert sink.result() == ["x"]
+            assert sim.now == 2.0
+            assert sim.next_event_time() == 3.0
+
+    def test_a_real_clock_loop_refuses_until(self):
+        with EventLoopScheduler() as sched:
+            with pytest.raises(PandoError, match="virtual"):
+                sched.run(until=1.0)
+
 
 class TestLoopTurns:
     """The pump gives the loop a turn by time, not by round: under a source

@@ -91,6 +91,18 @@ class TestExamples:
         assert "inverted 8 tiles" in stdout
         assert "0 leaked" in stdout
 
+    def test_simulated_deployments_small(self):
+        # The Figure-4 phase is seeded: a tablet joins, a phone joins at
+        # t=2 s, the tablet crashes at t=4 s and its heartbeat times out.
+        stdout = run_example("simulated_deployments.py", "--duration", "2")
+        lines = [line.strip() for line in stdout.splitlines()]
+        assert "completed at t=6.79s with 12 ordered outputs" in lines
+        assert "crashes detected: 1, values re-lent after the crash: 2" in lines
+        assert (
+            "[     6.083] lost volunteer-1 (novena): ws-0:master: "
+            "no heartbeat from ws-0:novena within 3.0s"
+        ) in stdout
+
 
 class TestUnixPipeline:
     """The full Figure-3 pipeline via the console-script entry points."""

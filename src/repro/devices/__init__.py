@@ -1,4 +1,4 @@
-"""Device models and the Table-2 device catalogue."""
+"""The Table-2 device catalogue: each device's cores and calibrated rates."""
 
 from .profiles import (
     ALL_DEVICES,
@@ -12,7 +12,6 @@ from .profiles import (
     device_by_name,
     devices_for_setting,
 )
-from .device import CoreSlot, SimDevice
 
 __all__ = [
     "ALL_DEVICES",
@@ -25,6 +24,4 @@ __all__ = [
     "WAN_DEVICES",
     "device_by_name",
     "devices_for_setting",
-    "CoreSlot",
-    "SimDevice",
 ]

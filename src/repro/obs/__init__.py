@@ -1,9 +1,10 @@
 """End-to-end observability plane: metrics, frame tracing, scrape endpoint.
 
-See :mod:`repro.obs.registry` (thread-safe counters/gauges/histograms with
-Prometheus text exposition), :mod:`repro.obs.trace` (the :class:`TraceLog`
-ring buffer and the per-frame tracer) and :mod:`repro.obs.http_endpoint`
-(the stdlib HTTP scrape server behind ``DistributedMap.serve_metrics``).
+See :mod:`repro.obs.registry` (thread-safe counters and histograms, and
+scrape-time callbacks, with Prometheus text exposition),
+:mod:`repro.obs.trace` (the :class:`TraceLog` ring buffer and the per-frame
+tracer) and :mod:`repro.obs.http_endpoint` (the stdlib HTTP scrape server
+behind ``DistributedMap.serve_metrics``).
 """
 
 from typing import Any
@@ -13,7 +14,6 @@ from .registry import (
     DEFAULT_BYTES_BUCKETS,
     DEFAULT_SECONDS_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -33,7 +33,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BYTES_BUCKETS",
     "DEFAULT_SECONDS_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Observability",

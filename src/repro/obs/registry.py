@@ -4,16 +4,17 @@ One :class:`MetricsRegistry` is instantiated per
 :class:`~repro.core.distributed_map.DistributedMap` and aggregates every
 counter the stack keeps.  Two registration styles coexist:
 
-* **Instruments** — :meth:`~MetricsRegistry.counter`,
-  :meth:`~MetricsRegistry.gauge` and :meth:`~MetricsRegistry.histogram`
-  return objects with ``inc``/``set``/``observe`` methods guarded by the
-  registry lock, safe from any thread (the frame tracer observes from the
-  dispatch thread while the scrape endpoint renders from the loop).
+* **Instruments** — :meth:`~MetricsRegistry.counter` and
+  :meth:`~MetricsRegistry.histogram` return objects with ``inc``/``observe``
+  methods guarded by the registry lock, safe from any thread (the frame
+  tracer observes from the dispatch thread while the scrape endpoint renders
+  from the loop).
 * **Callbacks** — :meth:`~MetricsRegistry.register_callback` exports a live
   attribute of an existing object (``LenderStats.values_read``,
   ``ShmRing.fallbacks``, ...) without refactoring its owner: the callable
   is invoked at scrape/snapshot time only, so the hot paths that bump those
-  attributes stay lock-free and unchanged.
+  attributes stay lock-free and unchanged.  A gauge is a callback of kind
+  ``gauge``.
 
 Exposition is the Prometheus text format (version 0.0.4):
 :meth:`~MetricsRegistry.render_prometheus` for the scrape endpoint,
@@ -33,7 +34,6 @@ from ..errors import PandoError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_SECONDS_BUCKETS",
@@ -131,39 +131,6 @@ class Counter(_Instrument):
         return sorted(self._values.items())
 
 
-class Gauge(_Instrument):
-    """A value that can go up and down (per label set)."""
-
-    kind = "gauge"
-
-    def __init__(self, registry, name, help_text, labelnames) -> None:
-        super().__init__(registry, name, help_text, labelnames)
-        self._values: Dict[LabelValues, float] = {}
-
-    @any_thread
-    def set(self, value: float, **labels: Any) -> None:
-        with self._lock:
-            self._values[self._key(labels)] = value
-
-    @any_thread
-    def inc(self, amount: float = 1, **labels: Any) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
-
-    @any_thread
-    def dec(self, amount: float = 1, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-    @any_thread
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0)
-
-    def _samples(self) -> List[Tuple[LabelValues, float]]:
-        return sorted(self._values.items())
-
-
 class Histogram(_Instrument):
     """Fixed-bucket histogram (cumulative buckets, Prometheus semantics)."""
 
@@ -250,12 +217,6 @@ class MetricsRegistry:
                 labelnames: Iterable[str] = ()) -> Counter:
         return self._register(
             Counter(self, _validate_name(name), help_text, tuple(labelnames))
-        )
-
-    def gauge(self, name: str, help_text: str,
-              labelnames: Iterable[str] = ()) -> Gauge:
-        return self._register(
-            Gauge(self, _validate_name(name), help_text, tuple(labelnames))
         )
 
     def histogram(self, name: str, help_text: str,

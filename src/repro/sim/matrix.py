@@ -204,11 +204,8 @@ class MatrixCell:
     inputs: int = 48
     seed: int = 42
     base_cost: float = 1.0
-    batch_size: int = 2
-    setting: str = "lan"
     heartbeat_interval: float = 2.0
     heartbeat_timeout: float = 8.0
-    pool_processes: int = 2
     #: frames poll the pool stop flag every this many values (abort cells)
     cancel_chunk: Optional[int] = None
     #: work units per device execution chunk (bounded-tail cancellation)
@@ -461,9 +458,11 @@ def run_cell(cell: MatrixCell) -> CellResult:
     info = build_schedule(cell, profiles)
     config = ScenarioConfig(
         application=app,
-        setting=cell.setting,
+        # The deployment is a LAN one at the paper's batch size; each
+        # synthesized device's own setting still picks its link latency.
+        setting="lan",
         devices=profiles,
-        batch_size=cell.batch_size,
+        batch_size=2,
         transport="websocket",
         ordered=cell.ordered,
         heartbeat_interval=cell.heartbeat_interval,
@@ -479,7 +478,7 @@ def run_cell(cell: MatrixCell) -> CellResult:
         if cell.pool is not None:
             handle = dmap.add_process_pool(
                 "repro.sim.matrix:matrix_task",
-                processes=cell.pool_processes,
+                processes=2,
                 transport=cell.pool,
                 worker_id=f"pool-{cell.pool}",
                 cancel_chunk=cell.cancel_chunk,
@@ -510,10 +509,10 @@ def run_cell(cell: MatrixCell) -> CellResult:
             device_names={profile.name: profile.rate(APP_NAME) for profile in profiles},
             tails=[
                 DeviceTail(
-                    name=volunteer.device.name,
-                    last_completion_at=volunteer.device.last_completion_at,
-                    seconds_per_unit=volunteer.device.task_duration(APP_NAME, 1.0),
-                    tasks_stopped=volunteer.device.tasks_stopped,
+                    name=volunteer.name,
+                    last_completion_at=volunteer.last_completion_at,
+                    seconds_per_unit=volunteer.task_duration(APP_NAME, 1.0),
+                    tasks_stopped=volunteer.tasks_stopped,
                 )
                 for volunteer in scenario.incarnations
             ],

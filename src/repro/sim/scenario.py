@@ -2,7 +2,8 @@
 
 A :class:`DeploymentScenario` assembles every piece of the system — the
 master's :class:`~repro.core.distributed_map.DistributedMap`, public server,
-volunteers with their devices, network model, failure schedule — for one of
+volunteers (a :class:`~repro.worker.volunteer.SimVolunteer` is one device
+and its browser tabs), network model, failure schedule — for one of
 the paper's three settings (LAN, VPN, WAN) and runs it in virtual time.  The
 scenario is also the deployment's master side (paper Figure 7): it serves the
 bundled worker code, accepts each volunteer that opens its URL into the map's
@@ -247,15 +248,14 @@ class DeploymentScenario:
             volunteer = SimVolunteer(
                 profile, self.scheduler, host=profile.name, tabs=tabs
             )
-            self._prepare_device(volunteer)
+            self._prepare_volunteer(volunteer)
             self.volunteers[profile.name] = volunteer
             self.incarnations.append(volunteer)
 
-    def _prepare_device(self, volunteer: SimVolunteer) -> None:
-        device = volunteer.device
+    def _prepare_volunteer(self, volunteer: SimVolunteer) -> None:
         if self.config.task_chunk is not None:
-            device.task_chunk = self.config.task_chunk
-        device.stop_check = lambda: self._stop
+            volunteer.task_chunk = self.config.task_chunk
+        volunteer.stop_check = lambda: self._stop
 
     def _schedule_joins(self, url: str) -> None:
         for name, volunteer in self.volunteers.items():
@@ -307,7 +307,7 @@ class DeploymentScenario:
         self.volunteers[name].leave()
 
     def _slow_volunteer(self, name: str, factor: float) -> None:
-        self.volunteers[name].device.set_speed_factor(factor)
+        self.volunteers[name].set_speed_factor(factor)
 
     def _rejoin_volunteer(self, name: str) -> None:
         previous = self.volunteers[name]
@@ -321,7 +321,7 @@ class DeploymentScenario:
             tabs=tabs,
             device_name=f"{name}+{count}",
         )
-        self._prepare_device(volunteer)
+        self._prepare_volunteer(volunteer)
         self.volunteers[name] = volunteer
         self.incarnations.append(volunteer)
         if self.deployment is not None:
@@ -363,10 +363,9 @@ class DeploymentScenario:
         self._shut_down = True
         if self._output is not None and self._output.done:
             for volunteer in self.incarnations:
-                for tab in volunteer.tabs.values():
-                    if tab.endpoint is not None:
-                        tab.endpoint.teardown()
-                        tab.endpoint.peer.teardown()
+                for endpoint in volunteer.tabs:
+                    endpoint.teardown()
+                    endpoint.peer.teardown()
         self.dmap.close()
         self.log.append("Deployment shut down")
 
@@ -375,14 +374,14 @@ class DeploymentScenario:
         tabs = volunteer.requested_tabs
         record = self.dmap.registry.register(
             host=volunteer.host,
-            device_name=volunteer.device.name,
+            device_name=volunteer.name,
             protocol=self.transport,
             joined_at=self.scheduler.now,
             tabs=tabs,
         )
         self.log.append(
             f"[{self.scheduler.now:10.3f}] volunteer {record.volunteer_id} "
-            f"({volunteer.device.name}, {tabs} tab(s)) joining via {self.transport}"
+            f"({volunteer.name}, {tabs} tab(s)) joining via {self.transport}"
         )
         # The volunteer downloads the worker code bundle over HTTP first.
         download_delay = self.network.delay(
@@ -409,7 +408,7 @@ class DeploymentScenario:
         )
 
         def connected(_err: None, _channel: SimChannel) -> None:
-            worker_id = f"{volunteer.device.name}#{tab_index}"
+            worker_id = f"{volunteer.name}#{tab_index}"
             try:
                 self.dmap.add_channel(
                     channel.local.duplex, worker_id=worker_id, batch_size=self.batch_size

@@ -1,7 +1,8 @@
-"""Volunteer-side components: browser tabs, simulated and real volunteers.
+"""Volunteer-side components: the simulated volunteer (one device and its
+browser tabs) and the real websocket volunteer process.
 
 The names resolve on first use: a live volunteer process imports
-:mod:`repro.worker.ws_volunteer` alone, not the simulated tabs and devices.
+:mod:`repro.worker.ws_volunteer` alone, not the simulated volunteer.
 """
 
 from typing import Any
@@ -10,7 +11,6 @@ from .. import _lazy
 
 _EXPORTS = _lazy.by_name(
     {
-        "worker": ("BrowserTab",),
         "volunteer": ("SimVolunteer",),
         "ws_volunteer": ("VolunteerReport", "run_volunteer", "spawn_volunteer_process"),
     }

@@ -1,7 +1,10 @@
-"""Tests for device profiles (Table-2 catalogue) and simulated devices."""
+"""Tests for the Table-2 device catalogue and for the device model of a
+simulated volunteer: per-core execution, the FIFO queue, chunked tasks and
+crash-stop, driven through the volunteer's tabs as a deployment drives them."""
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 
 import pytest
@@ -11,13 +14,16 @@ from repro.devices import (
     APPLICATIONS,
     LAN_DEVICES,
     MASTER_DEVICE,
-    SimDevice,
     VPN_DEVICES,
     WAN_DEVICES,
     device_by_name,
     devices_for_setting,
 )
-from repro.errors import WorkerCrashed
+from repro.master.bundler import bundle_function
+from repro.net.channel import SimChannel
+from repro.pullstream import collect, from_iterable, pull, values
+from repro.sim.metrics import MetricsCollector
+from repro.worker import SimVolunteer
 
 
 class TestCatalogue:
@@ -97,150 +103,213 @@ class TestCatalogue:
             MASTER_DEVICE.rate("collatz")
 
 
+class Work:
+    """One input of *cost* work units, weakly referenceable."""
+
+    def __init__(self, cost):
+        self.cost = cost
+
+
+def tracked(refs, cost):
+    """Yield one :class:`Work` whose weak reference goes to *refs*; the
+    generator frame keeps no reference to it once yielded."""
+    yield _track(refs, Work(cost))
+
+
+def _track(refs, work):
+    refs.append(weakref.ref(work))
+    return work
+
+
+class TimedApplication:
+    """A value costs its ``cost``; its result is the virtual time its task
+    finished, also logged in :attr:`finished`."""
+
+    def __init__(self, scheduler, name="raytrace"):
+        self.scheduler = scheduler
+        self.name = name
+        self.finished = []
+
+    def cost(self, value):
+        return value.cost
+
+    def simulate_result(self, value):
+        self.finished.append(self.scheduler.now)
+        return self.scheduler.now
+
+
+def open_tabs(volunteer, network, app, *inputs, metrics=None, stagger=0.0, **channel_options):
+    """Connect one channel per entry of *inputs*, attach each as a tab of
+    *volunteer* and send it those values, tab ``i`` ``i * stagger`` seconds
+    after the first; return each tab's results at the master.  Heartbeats
+    are off unless *channel_options* turn them on."""
+    scheduler = volunteer.scheduler
+    channel_options.setdefault("heartbeats_enabled", False)
+    channels = []
+    for _ in inputs:
+        channel = SimChannel(scheduler, network, "master", volunteer.host, **channel_options)
+        connected = []
+        channel.connect(lambda err, ch: connected.append(err))
+        scheduler.run(until=lambda: bool(connected))
+        channels.append(channel)
+    bundle = bundle_function(lambda value, cb: cb(None, value), application=app)
+    results = []
+    for index, (channel, tab_inputs) in enumerate(zip(channels, inputs)):
+        volunteer.attach_tab(index, channel.remote, bundle, metrics)
+        results.append(pull(channel.local.duplex.source, collect()))
+        scheduler.call_later(
+            index * stagger, channel.local.duplex.sink, from_iterable(tab_inputs)
+        )
+    return results
+
+
+def one_core(name):
+    return dataclasses.replace(device_by_name(name), cores=1)
+
+
 class TestSimDevice:
-    def test_task_duration_matches_rate(self, scheduler):
-        device = SimDevice(device_by_name("iphone-se"), scheduler)
-        done = []
-        device.execute("collatz", cost=336.18, callback=lambda err, d: done.append(scheduler.now))
+    """The device model of a :class:`SimVolunteer`."""
+
+    def test_task_duration_matches_rate(self, scheduler, network):
+        volunteer = SimVolunteer(device_by_name("iphone-se"), scheduler)
+        app = TimedApplication(scheduler, "collatz")
+        metrics = MetricsCollector()
+        open_tabs(volunteer, network, app, [Work(336.18)], metrics=metrics)
+        scheduler.run(until=lambda: volunteer.cores[0] is not None)
+        started = scheduler.now
         scheduler.run()
-        assert done[0] == pytest.approx(1.0)
+        assert app.finished[0] - started == pytest.approx(1.0)
+        assert metrics.worker("iphone-se#0").compute_time == pytest.approx(1.0)
 
-    def test_parallel_cores(self, scheduler):
-        device = SimDevice(device_by_name("mbpro-2016"), scheduler)  # 2 cores
-        finish_times = []
-        for _ in range(2):
-            device.execute("raytrace", 1.0, lambda err, d: finish_times.append(scheduler.now))
+    def test_parallel_cores(self, scheduler, network):
+        volunteer = SimVolunteer(device_by_name("mbpro-2016"), scheduler)  # 2 cores
+        app = TimedApplication(scheduler)
+        open_tabs(volunteer, network, app, [Work(1.0)], [Work(1.0)])
         scheduler.run()
-        # both tasks ran in parallel: same completion time
-        assert finish_times[0] == pytest.approx(finish_times[1])
+        # both tasks ran at once: they finish a network delay apart, not a
+        # task duration apart
+        one = volunteer.task_duration("raytrace", 1.0)
+        assert len(app.finished) == 2
+        assert app.finished[1] - app.finished[0] < 0.1 * one
 
-    def test_queueing_when_cores_busy(self, scheduler):
-        device = SimDevice(device_by_name("iphone-se"), scheduler, cores=1)
-        finish_times = []
-        for _ in range(2):
-            device.execute("raytrace", 1.0, lambda err, d: finish_times.append(scheduler.now))
+    def test_queueing_when_cores_busy(self, scheduler, network):
+        volunteer = SimVolunteer(one_core("iphone-se"), scheduler)
+        app = TimedApplication(scheduler)
+        open_tabs(volunteer, network, app, [Work(1.0)], [Work(1.0)])
         scheduler.run()
-        assert finish_times[1] == pytest.approx(2 * finish_times[0])
+        one = volunteer.task_duration("raytrace", 1.0)
+        assert app.finished[1] - app.finished[0] == pytest.approx(one)
 
-    def test_unknown_application_uses_default_rate(self, scheduler):
-        device = SimDevice(device_by_name("iphone-se"), scheduler)
-        done = []
-        device.execute("my-custom-task", cost=device.default_rate, callback=lambda e, d: done.append(scheduler.now))
+    def test_unknown_application_uses_default_rate(self, scheduler, network):
+        volunteer = SimVolunteer(device_by_name("iphone-se"), scheduler)
+        app = TimedApplication(scheduler, "my-custom-task")
+        open_tabs(volunteer, network, app, [Work(volunteer.default_rate)])
+        scheduler.run(until=lambda: volunteer.cores[0] is not None)
+        started = scheduler.now
         scheduler.run()
-        assert done[0] == pytest.approx(1.0)
+        assert app.finished[0] - started == pytest.approx(1.0)
 
-    def test_crash_drops_running_tasks(self, scheduler):
-        device = SimDevice(device_by_name("novena"), scheduler)
-        completions = []
-        device.execute("collatz", 1000.0, lambda err, d: completions.append(err))
-        scheduler.call_later(0.1, device.crash)
+    def test_crash_drops_running_tasks(self, scheduler, network):
+        volunteer = SimVolunteer(device_by_name("novena"), scheduler)
+        app = TimedApplication(scheduler, "collatz")
+        (results,) = open_tabs(volunteer, network, app, [Work(1000.0)])
+        scheduler.run(until=lambda: volunteer.cores[0] is not None)
+        scheduler.call_later(0.1, volunteer.crash)
         scheduler.run()
-        assert completions == []  # the callback was never invoked
-        assert device.crashed
+        assert app.finished == []  # the task never completed
+        assert volunteer.crashed and volunteer.items_processed == 0
+        assert volunteer.cores == [None] * len(volunteer.cores)
+        assert not results.done  # crash-stop: the master hears nothing
 
-    def test_execute_after_crash_reports_error(self, scheduler):
-        device = SimDevice(device_by_name("novena"), scheduler)
-        device.crash()
-        errors = []
-        device.execute("collatz", 1.0, lambda err, d: errors.append(err))
-        assert isinstance(errors[0], WorkerCrashed)
-
-    def test_crash_listener(self, scheduler):
-        device = SimDevice(device_by_name("novena"), scheduler)
-        crashed = []
-        device.on_crash(lambda d: crashed.append(d.name))
-        device.crash()
-        device.crash()  # idempotent
-        assert crashed == ["novena"]
-
-    def test_utilisation_and_counters(self, scheduler):
-        device = SimDevice(device_by_name("iphone-se"), scheduler, cores=1)
-        device.execute("collatz", 336.18, lambda err, d: None)
-        scheduler.run()
-        assert device.tasks_completed == 1
-        assert device.total_busy_time == pytest.approx(1.0)
-        assert device.utilisation(window=2.0) == pytest.approx(0.5)
-
-
-class _Completion:
-    """A completion callback a test can hold weakly."""
-
-    def __init__(self, log):
-        self.log = log
-
-    def __call__(self, err, duration):
-        self.log.append(err)
+    def test_execute_after_crash_reports_error(self, scheduler, network):
+        volunteer = SimVolunteer(device_by_name("novena"), scheduler)
+        volunteer.crash()
+        app = TimedApplication(scheduler, "collatz")
+        (results,) = open_tabs(
+            volunteer, network, app, [Work(1.0)],
+            heartbeats_enabled=True, heartbeat_interval=0.5, heartbeat_timeout=1.5,
+        )
+        scheduler.run(until=lambda: results.done)
+        # nothing ran; the master's heartbeat reports the silent tab
+        assert app.finished == [] and volunteer.last_completion_at is None
+        assert results.value == []
+        assert isinstance(results.end, Exception)
 
 
 class TestTimerHandles:
-    """A device keeps only the step handles that can still fire."""
+    """A volunteer keeps only the step handles that can still fire."""
 
     @pytest.mark.parametrize("task_chunk", [None, 0.25])
-    def test_finished_tasks_leave_no_handle_behind(self, scheduler, task_chunk):
-        device = SimDevice(device_by_name("mbpro-2016"), scheduler)  # 2 cores
-        device.task_chunk = task_chunk
-        log, refs = [], []
-        for _ in range(12):
-            callback = _Completion(log)
-            refs.append(weakref.ref(callback))
-            device.execute("raytrace", 1.0, callback)
-        del callback
+    def test_finished_tasks_leave_no_handle_behind(self, scheduler, network, task_chunk):
+        volunteer = SimVolunteer(device_by_name("mbpro-2016"), scheduler)  # 2 cores
+        volunteer.task_chunk = task_chunk
+        refs = []
+
+        def inputs():
+            for _ in range(4):
+                yield from tracked(refs, 1.0)
+
+        # three tabs on two cores: the third tab's tasks queue
+        app = TimedApplication(scheduler)
+        results = open_tabs(volunteer, network, app, inputs(), inputs(), inputs())
         scheduler.run()
-        assert log == [None] * 12
-        assert all(core.pending is None for core in device.cores)
+        assert [len(result.value) for result in results] == [4, 4, 4]
+        assert volunteer.cores == [None, None]
         # A task is reachable only through its pending step: once the last
-        # step fired, refcounting alone frees it and its callback — the
-        # device (still alive) keeps none of the finished tasks reachable,
-        # and nothing waits for the cyclic collector.
+        # step fired, refcounting alone frees it and its value — the
+        # volunteer (still alive) keeps none of the finished tasks
+        # reachable, and nothing waits for the cyclic collector.
         assert [ref() for ref in refs] == [None] * 12
 
-    def test_crashed_tasks_are_freed_once_their_step_leaves(self, scheduler):
-        device = SimDevice(device_by_name("novena"), scheduler, cores=1)
-        device.task_chunk = 100.0
-        log = []
-        running, queued = _Completion(log), _Completion(log)
-        device.execute("collatz", 1000.0, running)
-        device.execute("collatz", 1000.0, queued)
-        refs = [weakref.ref(running), weakref.ref(queued)]
-        del running, queued
-        chunk = device.task_duration("collatz", 1000.0) / 10
-        scheduler.run_until(2.5 * chunk)  # mid-task: the third chunk pending
-        device.crash()
-        assert refs[1]() is None  # the queue was cleared
-        assert refs[0]() is not None  # the cancelled step is still queued
+    def test_crashed_tasks_are_freed_once_their_step_leaves(self, scheduler, network):
+        volunteer = SimVolunteer(one_core("novena"), scheduler)
+        volunteer.task_chunk = 100.0
+        app = TimedApplication(scheduler, "collatz")
+        running, queued = [], []
+        open_tabs(volunteer, network, app, tracked(running, 1000.0), tracked(queued, 1000.0))
+        scheduler.run(until=lambda: volunteer.cores[0] is not None)
+        chunk = volunteer.task_duration("collatz", 1000.0) / 10
+        scheduler.run_until(scheduler.now + 2.5 * chunk)  # mid-task: the third chunk pending
+        assert running[0]() is not None and queued[0]() is not None
+        volunteer.crash()
+        assert queued[0]() is None  # the queue was cleared
+        assert running[0]() is not None  # the cancelled step is still queued
         scheduler.run()  # ... until the scheduler drops it
         assert scheduler.pending() == 0
-        assert [ref() for ref in refs] == [None, None]
-        assert log == []
+        assert running[0]() is None
+        assert app.finished == []
 
-    def test_crash_mid_task_cancels_the_pending_step(self, scheduler):
-        device = SimDevice(device_by_name("novena"), scheduler, cores=1)
-        device.task_chunk = 100.0
-        completions = []
-        device.execute("collatz", 1000.0, lambda err, d: completions.append(err))
-        device.execute("collatz", 1000.0, lambda err, d: completions.append(err))
-        chunk = device.task_duration("collatz", 1000.0) / 10
-        scheduler.run_until(2.5 * chunk)  # two chunks done, the third pending
-        handle = device.cores[0].pending
+    def test_crash_mid_task_cancels_the_pending_step(self, scheduler, network):
+        volunteer = SimVolunteer(one_core("novena"), scheduler)
+        volunteer.task_chunk = 100.0
+        app = TimedApplication(scheduler, "collatz")
+        open_tabs(volunteer, network, app, [Work(1000.0)], [Work(1000.0)])
+        scheduler.run(until=lambda: volunteer.cores[0] is not None)
+        chunk = volunteer.task_duration("collatz", 1000.0) / 10
+        scheduler.run_until(scheduler.now + 2.5 * chunk)  # two chunks done, the third pending
+        handle = volunteer.cores[0]
         assert handle is not None and not handle.cancelled
-        device.crash()
-        assert handle.cancelled and device.cores[0].pending is None
+        volunteer.crash()
+        assert handle.cancelled and volunteer.cores[0] is None
         before = scheduler.events_processed
         scheduler.run()
         assert scheduler.events_processed == before  # nothing left to fire
-        assert completions == []  # neither the running nor the queued task
+        assert app.finished == []  # neither the running nor the queued task
 
-    def test_queued_task_behind_a_busy_core_still_starts(self, scheduler):
-        device = SimDevice(device_by_name("iphone-se"), scheduler, cores=1)
-        device.task_chunk = 0.5
-        finished = []
-        for tag in "abc":
-            device.execute(
-                "raytrace", 1.0, lambda err, d, tag=tag: finished.append((tag, scheduler.now))
-            )
-        assert device.cores[0].pending is not None
+    def test_queued_task_behind_a_busy_core_still_starts(self, scheduler, network):
+        volunteer = SimVolunteer(one_core("iphone-se"), scheduler)
+        volunteer.task_chunk = 0.5
+        app = TimedApplication(scheduler)
+        one = volunteer.task_duration("raytrace", 1.0)
+        # the tabs' values arrive in tab order while the first one runs
+        results = open_tabs(
+            volunteer, network, app, [Work(1.0)], [Work(1.0)], [Work(1.0)],
+            stagger=one / 8,
+        )
+        scheduler.run(until=lambda: volunteer.cores[0] is not None)
+        started = scheduler.now
         scheduler.run()
-        one = device.task_duration("raytrace", 1.0)
-        assert [tag for tag, _ in finished] == ["a", "b", "c"]
-        assert [at for _, at in finished] == pytest.approx([one, 2 * one, 3 * one])
-        assert device.cores[0].pending is None
+        # first in, first out, each one full task after the one before
+        finished = [result.value[0] - started for result in results]
+        assert finished == pytest.approx([one, 2 * one, 3 * one])
+        assert volunteer.cores[0] is None

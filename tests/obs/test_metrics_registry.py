@@ -52,16 +52,6 @@ class TestCounter:
             counter.inc()
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g", "help")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value() == 12
-
-
 class TestHistogram:
     def test_observe_count_sum(self):
         registry = MetricsRegistry()
@@ -103,7 +93,7 @@ class TestRegistration:
         registry = MetricsRegistry()
         registry.counter("dup", "help")
         with pytest.raises(PandoError):
-            registry.gauge("dup", "help")
+            registry.histogram("dup", "help")
 
     def test_invalid_name_rejected(self):
         registry = MetricsRegistry()
@@ -157,12 +147,13 @@ class TestExposition:
         )
         frames.inc(transport="pipe")
         frames.inc(2, transport="ws")
-        in_use = registry.gauge(
+        registry.register_callback(
             "pando_shm_slots_in_use",
             "Ring slots currently held by in-flight frames.",
-            ("worker",),
+            lambda: 3,
+            labels={"worker": "worker-1"},
+            kind="gauge",
         )
-        in_use.set(3, worker="worker-1")
         overhead = registry.histogram(
             "pando_frame_overhead_seconds",
             "Per-frame machinery overhead.",

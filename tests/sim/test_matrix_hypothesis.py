@@ -113,7 +113,6 @@ def test_random_abort_points_deliver_exactly_the_hit(hit_id, seed, ordered):
         inputs=24,
         seed=seed,
         base_cost=30.0,
-        batch_size=2,
         hit_id=hit_id,
         abort_on_hit=True,
         task_chunk=120.0,
